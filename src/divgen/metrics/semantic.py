@@ -17,7 +17,8 @@ def _stack(embeddings: Sequence) -> np.ndarray:
     return arr
 
 
-def _cosine_matrix(embeddings: Sequence) -> np.ndarray:
+def cosine_matrix(embeddings: Sequence) -> np.ndarray:
+    """Pairwise cosine similarities, clipped to [-1, 1]."""
     arr = _stack(embeddings)
     norms = np.linalg.norm(arr, axis=1)
     if np.any(norms == 0.0):
@@ -28,7 +29,10 @@ def _cosine_matrix(embeddings: Sequence) -> np.ndarray:
 
 def paraphrase_variety(embeddings: Sequence) -> float:
     """Mean (1 - cosine similarity) over unordered pairs."""
-    sim = _cosine_matrix(embeddings)
+    return paraphrase_variety_from_similarity(cosine_matrix(embeddings))
+
+
+def paraphrase_variety_from_similarity(sim: np.ndarray) -> float:
     n = sim.shape[0]
     if n < 2:
         return 0.0
@@ -38,7 +42,10 @@ def paraphrase_variety(embeddings: Sequence) -> float:
 
 def chamfer_distance_score(embeddings: Sequence) -> float:
     """Mean over points of the cosine distance to their nearest other point."""
-    sim = _cosine_matrix(embeddings)
+    return chamfer_from_similarity(cosine_matrix(embeddings))
+
+
+def chamfer_from_similarity(sim: np.ndarray) -> float:
     n = sim.shape[0]
     if n < 2:
         return 0.0
@@ -68,7 +75,10 @@ def vendi_score(embeddings: Sequence) -> float:
     K is the cosine-similarity kernel, symmetric and PSD for the unit-norm
     inputs we feed it; eigenvalues within -1e-9 of zero are clamped.
     """
-    sim = _cosine_matrix(embeddings)
+    return vendi_from_similarity(cosine_matrix(embeddings))
+
+
+def vendi_from_similarity(sim: np.ndarray) -> float:
     n = sim.shape[0]
     scaled = (sim + sim.T) / (2.0 * n)
     eigenvalues = np.linalg.eigvalsh(scaled)

@@ -35,9 +35,14 @@ def _corpus_tokens(corpus: Iterable[str]) -> list[str]:
 def type_token_ratio(corpus: Sequence[str]) -> float:
     """Distinct-token count over total-token count of the concatenated corpus."""
     tokens = _corpus_tokens(corpus)
+    return ratio_of_types(len(set(tokens)), len(tokens))
+
+
+def ratio_of_types(types: int, tokens: int) -> float:
+    """Type-token ratio from its two counts."""
     if not tokens:
         raise ValueError("type_token_ratio requires at least one token")
-    return len(set(tokens)) / len(tokens)
+    return types / tokens
 
 
 def simpson_index(corpus: Sequence[str]) -> float:
@@ -54,14 +59,25 @@ def _compressed_size(data: bytes) -> int:
     return len(zlib.compress(data, _COMPRESSION_LEVEL))
 
 
+def deflater():
+    """A streaming compressor; fed data then flushed, it emits the same bytes
+    as one-shot compression of that data at the canonical level."""
+    return zlib.compressobj(_COMPRESSION_LEVEL)
+
+
 def compression_ratio_diversity(corpus: Sequence[str]) -> float:
     """Compressed size / raw size of the newline-joined corpus; near 1 = diverse."""
     if not corpus:
         raise ValueError("compression ratio of an empty corpus is undefined")
     raw = "\n".join(corpus).encode("utf-8")
+    return compression_ratio(_compressed_size(raw), len(raw))
+
+
+def compression_ratio(compressed: int, raw: int) -> float:
+    """Compressed byte count over raw byte count."""
     if not raw:
         raise ValueError("compression ratio of empty text is undefined")
-    return _compressed_size(raw) / len(raw)
+    return compressed / raw
 
 
 def ncd_diversity(values: Sequence[str]) -> float:

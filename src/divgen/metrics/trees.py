@@ -151,13 +151,23 @@ def chunk_sentence(sentence: str) -> TreeNode:
 Analyzer = Callable[[str], TreeNode]
 
 
+def sentence_shapes(text: str, analyzer: Analyzer = chunk_sentence) -> list[str]:
+    """Tree shape of each sentence of one text."""
+    return [tree_shape(analyzer(s)) for s in sentences_of(text)]
+
+
 def parse_tree_entropy(corpus: Sequence[str], analyzer: Analyzer = chunk_sentence) -> float:
     """Base-2 entropy over the frequency distribution of sentence tree shapes."""
-    shapes = [tree_shape(analyzer(s)) for text in corpus for s in sentences_of(text)]
-    if not shapes:
+    return shape_entropy(Counter(shape for text in corpus
+                                 for shape in sentence_shapes(text, analyzer)))
+
+
+def shape_entropy(shapes: Counter[str]) -> float:
+    """Base-2 entropy of a shape frequency table."""
+    total = sum(shapes.values())
+    if not total:
         raise ValueError("parse_tree_entropy requires at least one sentence")
-    total = len(shapes)
-    counts = sorted(Counter(shapes).values())
+    counts = sorted(shapes.values())
     return -math.fsum((c / total) * math.log2(c / total) for c in counts) + 0.0
 
 

@@ -3,8 +3,12 @@
 Each example runs up to five rounds of five candidates. Candidates surviving
 the execution-type judge pool up across rounds; the pool is re-ranked every
 round by fusing eight per-metric marginal-diversity orderings with reciprocal
-rank fusion, and the global top is kept. Feedback between rounds foregrounds
-judge failures when most candidates failed, diversity guidance otherwise.
+rank fusion, and the global top is kept. The corpus does not change during an
+example, so its metric state is built once per example and each distinct
+candidate is scored once against it, however many rounds re-rank it.
+Candidates without a single word token cannot be scored and never enter the
+pool. Feedback between rounds foregrounds judge failures when most candidates
+failed, diversity guidance otherwise.
 """
 
 from __future__ import annotations
@@ -14,8 +18,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from divgen.metrics.battery import OPTIMIZED_METRICS, EmbeddingCache, evaluate_battery
+from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps this name
+    OPTIMIZED_METRICS,
+    EmbeddingCache,
+    MarginalScorer,
+    evaluate_battery,
+)
 from divgen.metrics.fusion import rrf_fuse
+from divgen.metrics.text import tokenize
 from divgen.model import ExecutionType, FunctionSchema, RunConfig
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -170,26 +180,20 @@ def judge_queries(
 
 
 def rank_candidates_by_diversity(
-    dataset_queries: Sequence[str],
+    scorer: MarginalScorer,
     candidates: Sequence[str],
-    embed_cache: EmbeddingCache,
     k: int = 60,
 ) -> tuple[list[str], dict[str, dict[str, int]], dict[str, float]]:
     """Order candidates by fused marginal diversity.
 
-    Each candidate is scored by evaluating all eight optimized metrics on
-    dataset + candidate; per-metric descending orderings feed reciprocal rank
-    fusion. Returns (ordering, per-candidate per-metric ranks, fused scores).
+    Each candidate is scored by the eight optimized metrics of the scorer's
+    corpus plus that candidate; per-metric descending orderings feed reciprocal
+    rank fusion. Returns (ordering, per-candidate per-metric ranks, fused scores).
     """
     pool = list(dict.fromkeys(candidates))
     if not pool:
         raise ValueError("no candidates to rank")
-    base = list(dataset_queries)
-    values: dict[str, dict[str, float]] = {}
-    for cand in pool:
-        texts = base + [cand]
-        embeddings = embed_cache.matrix(texts)
-        values[cand] = evaluate_battery(texts, embeddings)
+    values = {cand: scorer.score(cand) for cand in pool}
 
     rankings: list[list[str]] = []
     per_metric_rank: dict[str, dict[str, int]] = {c: {} for c in pool}
@@ -295,6 +299,7 @@ class QueryGenerator:
         sig_name, _ = _generator_inputs(skeleton, "", "")
         sig = catalog.get(sig_name)
         guidance_text = self._dataset_guidance(dataset_queries, skeleton)
+        scorer = MarginalScorer(dataset_queries, self.embed_cache)
         attempts_log: list[str] = []
         pool: list[str] = []
         pool_reasons: dict[str, str] = {}
@@ -316,6 +321,11 @@ class QueryGenerator:
             candidates = [out[f"query_{i}"] for i in range(1, 6)
                           if out.get(f"query_{i}", "").strip()]
             candidates = candidates[: self.config.candidates_per_round]
+            for cand in candidates:
+                if not tokenize(cand):
+                    attempts_log.append(
+                        f"[round {round_no}] {cand} -- left out: no word tokens to score")
+            candidates = [c for c in candidates if tokenize(c)]
             verdicts = judge_queries(candidates, skeleton, self.client,
                                      self.config.batch_judging)
             for cand, verdict in zip(candidates, verdicts):
@@ -332,8 +342,7 @@ class QueryGenerator:
                     c for c in candidates if c in pool_reasons]
                 if rank_input:
                     fused, ranks, _ = rank_candidates_by_diversity(
-                        dataset_queries, rank_input, self.embed_cache,
-                        self.config.rrf_k)
+                        scorer, rank_input, self.config.rrf_k)
                     best = fused[0]
                     best_ranks = ranks[best]
                     attempts_log.append(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from divgen.cli import main
@@ -39,6 +40,16 @@ def test_generate_resume_requires_checkpoint(tmp_path):
     code = run(["generate", str(art), "--n", "2", "--seed", "3",
                 "--out", str(tmp_path / "d.jsonl"), "--resume"])
     assert code == 2
+
+
+def test_fixture_run_golden_digest(tmp_path):
+    # Pins the bytes of the seed-7 fixture run. A change that alters them on
+    # purpose updates this digest and says why.
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "25", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f88041c2e26aedafbb07493bef2597c6b4a816cba7aeb834d0ec1f26fe94be4a")
 
 
 def test_generate_smoke_and_examples_valid(tmp_path):

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from divgen.metrics.battery import OPTIMIZED_METRICS, EmbeddingCache, evaluate_battery
+from divgen.metrics.battery import (
+    OPTIMIZED_METRICS,
+    EmbeddingCache,
+    MarginalScorer,
+    evaluate_battery,
+)
 from divgen.metrics.fusion import rrf_fuse
 from divgen.model import ExecutionType, RunConfig
 from divgen.providers import catalog
@@ -82,7 +87,7 @@ def make_qgen(chat, seed=0, **kw):
 
 def test_rank_single_candidate_is_rank_one():
     order, ranks, scores = rank_candidates_by_diversity(
-        DATASET, [CANDS[0]], EmbeddingCache(HashEmbedder()))
+        MarginalScorer(DATASET, EmbeddingCache(HashEmbedder())), [CANDS[0]])
     assert order == [CANDS[0]]
     assert all(r == 1 for r in ranks[CANDS[0]].values())
     assert scores[CANDS[0]] == pytest.approx(len(OPTIMIZED_METRICS) / 61)
@@ -92,7 +97,8 @@ def test_rank_novel_candidate_beats_duplicate():
     duplicate = DATASET[0]
     novel = "Assemble a bilingual glossary of nautical idioms, umlauts included."
     cache = EmbeddingCache(HashEmbedder())
-    order, ranks, _ = rank_candidates_by_diversity(DATASET, [duplicate, novel], cache)
+    order, ranks, _ = rank_candidates_by_diversity(MarginalScorer(DATASET, cache),
+                                                   [duplicate, novel])
     assert order[0] == novel
     # direct-oracle check on a few strictly-increasing metrics
     dup_scores = evaluate_battery(DATASET + [duplicate],
@@ -105,7 +111,7 @@ def test_rank_novel_candidate_beats_duplicate():
 
 def test_rank_matches_direct_rrf_of_metric_orderings():
     cache = EmbeddingCache(HashEmbedder())
-    order, _, scores = rank_candidates_by_diversity(DATASET, CANDS, cache)
+    order, _, scores = rank_candidates_by_diversity(MarginalScorer(DATASET, cache), CANDS)
     per_metric = {}
     for cand in CANDS:
         texts = DATASET + [cand]
@@ -128,8 +134,8 @@ def test_generate_query_single_round_sufficient():
     qgen = make_qgen(chat, rounds=1)
     result = qgen.generate_query(single_skeleton(), DATASET)
     assert result is not None
-    order, _, _ = rank_candidates_by_diversity(DATASET, CANDS,
-                                               EmbeddingCache(HashEmbedder()))
+    order, _, _ = rank_candidates_by_diversity(
+        MarginalScorer(DATASET, EmbeddingCache(HashEmbedder())), CANDS)
     assert result.query == order[0]
     assert result.pool_size == 5
 
@@ -283,8 +289,8 @@ def test_none_skeleton_uses_no_api_generator_and_ranks():
     result = qgen.generate_query(skeleton, DATASET)
     assert result is not None
     assert result.query in nones
-    order, _, _ = rank_candidates_by_diversity(DATASET, nones,
-                                               EmbeddingCache(HashEmbedder()))
+    order, _, _ = rank_candidates_by_diversity(
+        MarginalScorer(DATASET, EmbeddingCache(HashEmbedder())), nones)
     assert result.query == order[0]
 
 
@@ -323,6 +329,55 @@ def test_ranking_invariant_to_candidate_input_order():
     for metric in OPTIMIZED_METRICS:
         col = sorted(values[c][metric] for c in cands)
         assert all(abs(col[i] - col[i - 1]) > 1e-12 for i in range(1, len(col)))
-    forward, _, _ = rank_candidates_by_diversity(DATASET, cands, cache)
-    backward, _, _ = rank_candidates_by_diversity(DATASET, list(reversed(cands)), cache)
+    forward, _, _ = rank_candidates_by_diversity(MarginalScorer(DATASET, cache), cands)
+    backward, _, _ = rank_candidates_by_diversity(MarginalScorer(DATASET, cache),
+                                                  list(reversed(cands)))
     assert forward == backward
+
+
+def test_generate_query_scores_each_distinct_candidate_once(monkeypatch):
+    scored = []
+    evaluate = MarginalScorer._evaluate
+
+    def counting(self, candidate):
+        scored.append(candidate)
+        return evaluate(self, candidate)
+
+    monkeypatch.setattr(MarginalScorer, "_evaluate", counting)
+    extra = [f"Bonus request {w} for the archive." for w in
+             ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")]
+    rounds = [CANDS[:3], CANDS[2:5], [CANDS[0]] + extra[:2], extra[1:4], extra[3:] + [CANDS[4]]]
+    chat = ScriptedChat()
+    chat.script([queries_reply("MultiQueryGenerator", r) for r in rounds],
+                signature="MultiQueryGenerator")
+    chat.script([batch_judge_reply(["YES"] * len(r)) for r in rounds],
+                signature="APIQueryJudge")
+    chat.script(guidance_reply(), signature="DiversityGuidanceGeneration")
+    result = make_qgen(chat, rounds=5).generate_query(single_skeleton(), DATASET)
+    distinct = set(CANDS + extra)
+    assert result.pool_size == len(distinct)
+    assert sorted(scored) == sorted(distinct)
+
+
+def test_tokenless_candidate_is_left_out_of_the_pool():
+    tokenless = "你好吗？"
+    chat = ScriptedChat()
+    chat.script(queries_reply("MultiQueryGenerator", [tokenless, CANDS[0]]),
+                signature="MultiQueryGenerator")
+    chat.script(judge_reply(True), signature="APIQueryJudge")
+    chat.script(guidance_reply(), signature="DiversityGuidanceGeneration")
+    result = make_qgen(chat, rounds=2).generate_query(single_skeleton(), DATASET)
+    assert result.query == CANDS[0]
+    assert result.pool_size == 1
+    later_prompt = [c for c in chat.calls
+                    if catalog.get("MultiQueryGenerator").objective in c][1]
+    assert f"{tokenless} -- left out: no word tokens to score" in later_prompt
+
+
+def test_only_tokenless_candidates_abandon_the_attempt():
+    chat = ScriptedChat()
+    chat.script(queries_reply("MultiQueryGenerator", ["你好吗？", "¿¡…!?"]),
+                signature="MultiQueryGenerator")
+    chat.script(judge_reply(True), signature="APIQueryJudge")
+    chat.script(guidance_reply(), signature="DiversityGuidanceGeneration")
+    assert make_qgen(chat, rounds=2).generate_query(single_skeleton(), DATASET) is None
