@@ -1,10 +1,12 @@
 """Hard-negative candidate selection: retrieve, rate, filter, cut at the elbow.
 
-Distractors come from embedding retrieval over function descriptions, survive
-only when an LLM rates them implausible as answers (<=2 generally, <=1 for
-MISSING_PARAMS), and are then cut at the point where retrieval scores drop
-fastest. Targets are exempt from every filter; they can shrink only when a
-validated alternative invocation shows some of them to be redundant.
+Distractors come from embedding retrieval over function descriptions (the
+``cosine_matrix`` of the query against them, a zero vector scoring 0, rounded
+to 12 decimals so exact ties break by library order), survive only when an LLM
+rates them implausible as answers (<=2 generally, <=1 for MISSING_PARAMS), and
+are then cut at the point where retrieval scores drop fastest. Targets are
+exempt from every filter; they can shrink only when a validated alternative
+invocation shows some of them to be redundant.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from divgen.metrics.semantic import cosine_matrix
 from divgen.model import ExecutionType, FunctionSchema
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -53,19 +54,16 @@ def retrieve_candidates(
 ) -> list[ScoredCandidate]:
     """Top-k functions by cosine similarity of the query to their descriptions.
 
-    Target functions are appended with their true scores when they miss the
-    top-k (not for NONE examples, which pass force_targets=False). Ties break
-    by library order.
+    Scores are rounded to 12 decimals, so scores that are equal in exact
+    arithmetic compare equal whatever the summation order, and ties break by
+    library order. A text that embeds to zero scores 0. Target functions are
+    appended with their scores when they miss the top-k (not for NONE examples,
+    which pass force_targets=False).
     """
     texts = [fn.description or fn.name for fn in library]
-    vectors = [np.asarray(v, dtype=np.float64) for v in embedder.embed(texts + [query])]
-    qvec = vectors[-1]
-    qnorm = float(np.linalg.norm(qvec))
-    scores: list[tuple[str, float]] = []
-    for fn, vec in zip(library, vectors[:-1]):
-        norm = float(np.linalg.norm(vec))
-        cos = 0.0 if norm == 0.0 or qnorm == 0.0 else float(vec @ qvec) / (norm * qnorm)
-        scores.append((fn.name, cos))
+    vectors = embedder.embed(texts + [query])
+    sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
+    scores = [(fn.name, round(float(sim), 12)) for fn, sim in zip(library, sims)]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
     top = [scores[i] for i in order[:k]]
     target_set = set(targets)
@@ -86,7 +84,9 @@ def score_plausibility(
     library: Sequence[FunctionSchema],
     client: SignatureClient,
 ) -> list[ScoredCandidate]:
-    """One batched 1-5 rating call, order-aligned with the candidates."""
+    """One batched 1-5 rating call, order-aligned with the candidates.
+
+    A misaligned or non-integer reply is retried once, then abandons."""
     if not candidates:
         return []
     by_name = {fn.name: fn for fn in library}
@@ -102,21 +102,25 @@ def score_plausibility(
                   "target_api": targets[0] if targets else ""}
 
     last_error = ""
-    for _ in range(2):  # one retry on misalignment
+    for _ in range(2):
         try:
             out = client.call(sig, inputs)
             rows = json.loads(out["scores"])
         except (SignatureParseError, json.JSONDecodeError) as exc:
             last_error = str(exc)
             continue
-        if (isinstance(rows, list) and len(rows) == len(candidates)
+        if not (isinstance(rows, list) and len(rows) == len(candidates)
                 and all(isinstance(r, dict) and "score" in r for r in rows)):
-            return [
-                ScoredCandidate(c.name, c.retrieval_score,
-                                plausibility=int(r["score"]), is_target=c.is_target)
-                for c, r in zip(candidates, rows)
-            ]
-        last_error = "scores misaligned with candidates"
+            last_error = "scores misaligned with candidates"
+            continue
+        try:
+            scores = [int(r["score"]) for r in rows]
+        except (TypeError, ValueError, OverflowError):
+            last_error = "non-integer score"
+            continue
+        return [ScoredCandidate(c.name, c.retrieval_score, plausibility=score,
+                                is_target=c.is_target)
+                for c, score in zip(candidates, scores)]
     raise DistractorFailure(f"plausibility scoring failed: {last_error}")
 
 

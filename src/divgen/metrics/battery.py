@@ -63,6 +63,25 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 )
 
 
+#: Every metric as a function of (texts, embedding rows). Entries look their
+#: metric function up by module-global name at call time, so rebinding one of
+#: those names (as a tracer wrapping each metric does) reaches every caller.
+METRICS: dict[str, Callable[[Sequence[str], np.ndarray], float]] = {
+    "ttr": lambda texts, emb: type_token_ratio(texts),
+    "compression_ratio": lambda texts, emb: compression_ratio_diversity(texts),
+    "paraphrase_variety": lambda texts, emb: paraphrase_variety(emb),
+    "parse_tree_entropy": lambda texts, emb: parse_tree_entropy(texts),
+    "chamfer": lambda texts, emb: chamfer_distance_score(emb),
+    "var_fkgl": lambda texts, emb: variance([fkgl_grade(t) for t in texts]),
+    "var_length": lambda texts, emb: variance([float(len(tokenize(t))) for t in texts]),
+    "vendi": lambda texts, emb: vendi_score(emb),
+    "simpson": lambda texts, emb: simpson_index(texts),
+    "tree_edit_distance": lambda texts, emb: avg_tree_edit_distance(texts),
+    "cluster_entropy": lambda texts, emb: query_cluster_entropy(emb),
+    "semantic_spread": lambda texts, emb: semantic_spread(emb),
+}
+
+
 class EmbeddingCache:
     """Per-text embedding memo shared across repeated battery evaluations."""
 
@@ -78,22 +97,16 @@ class EmbeddingCache:
         return np.stack([self._memo[t] for t in texts])
 
 
-def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, float]:
-    """The eight optimized metrics for one corpus snapshot."""
+def _evaluate(names: Sequence[str], texts: Sequence[str],
+              embeddings: np.ndarray) -> dict[str, float]:
     if len(texts) == 0:
         raise ValueError("battery requires a non-empty corpus")
-    fkgls = [fkgl_grade(t) for t in texts]
-    lengths = [float(len(tokenize(t))) for t in texts]
-    return {
-        "ttr": type_token_ratio(texts),
-        "compression_ratio": compression_ratio_diversity(texts),
-        "paraphrase_variety": paraphrase_variety(embeddings),
-        "parse_tree_entropy": parse_tree_entropy(texts),
-        "chamfer": chamfer_distance_score(embeddings),
-        "var_fkgl": variance(fkgls),
-        "var_length": variance(lengths),
-        "vendi": vendi_score(embeddings),
-    }
+    return {name: METRICS[name](texts, embeddings) for name in names}
+
+
+def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, float]:
+    """The eight optimized metrics for one corpus snapshot."""
+    return _evaluate(OPTIMIZED_METRICS, texts, embeddings)
 
 
 class MarginalScorer:
@@ -156,12 +169,7 @@ class MarginalScorer:
 
 def evaluate_full_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, float]:
     """All twelve report metrics for one corpus snapshot."""
-    out = evaluate_battery(texts, embeddings)
-    out["simpson"] = simpson_index(texts)
-    out["tree_edit_distance"] = avg_tree_edit_distance(texts)
-    out["cluster_entropy"] = query_cluster_entropy(embeddings)
-    out["semantic_spread"] = semantic_spread(embeddings)
-    return out
+    return _evaluate(REPORT_METRICS, texts, embeddings)
 
 
 def metric_fn_over_indices(
@@ -172,35 +180,6 @@ def metric_fn_over_indices(
     Used by bootstrap resampling: texts and embeddings are fixed once, each call
     evaluates the metric on the selected rows only.
     """
+    metric = METRICS[name]
     texts = list(texts)
-
-    def fn(indices: list[int]) -> float:
-        subset = [texts[i] for i in indices]
-        sub_emb = embeddings[indices]
-        if name == "ttr":
-            return type_token_ratio(subset)
-        if name == "compression_ratio":
-            return compression_ratio_diversity(subset)
-        if name == "paraphrase_variety":
-            return paraphrase_variety(sub_emb)
-        if name == "parse_tree_entropy":
-            return parse_tree_entropy(subset)
-        if name == "chamfer":
-            return chamfer_distance_score(sub_emb)
-        if name == "var_fkgl":
-            return variance([fkgl_grade(t) for t in subset])
-        if name == "var_length":
-            return variance([float(len(tokenize(t))) for t in subset])
-        if name == "vendi":
-            return vendi_score(sub_emb)
-        if name == "simpson":
-            return simpson_index(subset)
-        if name == "tree_edit_distance":
-            return avg_tree_edit_distance(subset)
-        if name == "cluster_entropy":
-            return query_cluster_entropy(sub_emb)
-        if name == "semantic_spread":
-            return semantic_spread(sub_emb)
-        raise KeyError(f"unknown metric {name!r}")
-
-    return fn
+    return lambda indices: metric([texts[i] for i in indices], embeddings[indices])

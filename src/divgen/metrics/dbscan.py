@@ -5,6 +5,9 @@ counting itself) holds at least ``min_samples`` points; clusters are the
 density-connected components of core points; a non-core point within eps of a
 core joins the cluster of its first core neighbor in input order (a fixed rule
 so partitions are deterministic); everything else is noise.
+
+Cosine distance is 1 - ``semantic.cosine_matrix``; a zero-norm point has no
+direction, so it raises ValueError rather than landing at some distance.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from divgen.metrics.semantic import cosine_matrix
 
 NOISE = -1
 
@@ -56,13 +61,7 @@ def pairwise_distances(points: Sequence, metric: str) -> np.ndarray:
         d2 = sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T)
         return np.sqrt(np.maximum(d2, 0.0))
     if metric == "cosine":
-        norms = np.linalg.norm(arr, axis=1)
-        zero = np.nonzero(norms == 0.0)[0]
-        if zero.size:
-            raise ValueError(f"cosine distance undefined for zero-norm point(s) {zero.tolist()}")
-        unit = arr / norms[:, None]
-        sim = np.clip(unit @ unit.T, -1.0, 1.0)
-        return 1.0 - sim
+        return 1.0 - cosine_matrix(arr)
     raise ValueError(f"unknown metric {metric!r}")
 
 

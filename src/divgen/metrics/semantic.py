@@ -1,5 +1,14 @@
 """Embedding-space diversity: pairwise spread, nearest-neighbor isolation,
 centroid dispersion, and the kernel eigenvalue entropy score.
+
+``cosine_matrix`` is the package's one cosine; DBSCAN, parameter grouping, the
+API similarity graph, the walk coherence check and distractor retrieval call it
+too. It scales rows to unit norm, takes one matrix product and clips to
+[-1, 1]. The metrics and DBSCAN refuse a zero-norm row; the library-side
+callers pass ``allow_zero=True`` and read its similarities as 0 (text without
+a word token embeds to zero under the hash embedder). Callers that compare or
+rank similarities round them to 12 decimals, so no result depends on the
+summation order of the matrix product.
 """
 
 from __future__ import annotations
@@ -17,14 +26,28 @@ def _stack(embeddings: Sequence) -> np.ndarray:
     return arr
 
 
-def cosine_matrix(embeddings: Sequence) -> np.ndarray:
-    """Pairwise cosine similarities, clipped to [-1, 1]."""
+def _unit_rows(embeddings: Sequence, allow_zero: bool) -> np.ndarray:
     arr = _stack(embeddings)
     norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine undefined for zero-norm embedding")
-    unit = arr / norms[:, None]
-    return np.clip(unit @ unit.T, -1.0, 1.0)
+    zero = np.nonzero(norms == 0.0)[0]
+    if zero.size and not allow_zero:
+        raise ValueError(f"cosine undefined for zero-norm row(s) {zero.tolist()}")
+    norms[zero] = 1.0
+    return arr / norms[:, None]
+
+
+def cosine_matrix(a: Sequence, b: Sequence | None = None,
+                  allow_zero: bool = False) -> np.ndarray:
+    """Cosine similarities between the rows of ``a`` and of ``b`` (of ``a``
+    itself when ``b`` is omitted), clipped to [-1, 1].
+
+    A zero-norm row raises ValueError, or with ``allow_zero`` has similarity 0
+    to every row.
+    """
+    unit_a = _unit_rows(a, allow_zero)
+    unit_b = unit_a if b is None else _unit_rows(b, allow_zero)
+    sim = unit_a @ unit_b.T
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def paraphrase_variety(embeddings: Sequence) -> float:
@@ -62,11 +85,7 @@ def semantic_spread(embeddings: Sequence) -> float:
     if cnorm == 0.0:
         raise ValueError("semantic_spread: centroid has zero norm (degenerate"
                          " antipodal configuration)")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine undefined for zero-norm embedding")
-    cos = np.clip((arr @ centroid) / (norms * cnorm), -1.0, 1.0)
-    return float(np.mean(1.0 - cos))
+    return float(np.mean(1.0 - cosine_matrix(arr, centroid)[:, 0]))
 
 
 def vendi_score(embeddings: Sequence) -> float:

@@ -15,7 +15,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 _COMPRESSION_LEVEL = 6
 
 
@@ -124,7 +124,7 @@ def count_syllables(word: str) -> int:
 
 
 def sentence_count(text: str) -> int:
-    return sum(1 for part in _SENTENCE_SPLIT_RE.split(text) if part.strip())
+    return sum(1 for part in SENTENCE_SPLIT_RE.split(text) if part.strip())
 
 
 @functools.lru_cache(maxsize=65536)

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from divgen.metrics.text import tokenize
-
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+from divgen.metrics.text import SENTENCE_SPLIT_RE, tokenize
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ def tree_shape(node: TreeNode) -> str:
 
 def sentences_of(text: str) -> list[str]:
     """Split on terminal punctuation runs, keeping parts that carry tokens."""
-    return [part.strip() for part in _SENTENCE_SPLIT_RE.split(text)
+    return [part.strip() for part in SENTENCE_SPLIT_RE.split(text)
             if tokenize(part)]
 
 

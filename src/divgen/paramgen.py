@@ -7,7 +7,10 @@ candidate whose augmented-group cluster entropy is highest. ENUM parameters
 draw uniformly; OTHER parameters take a single LLM value. Parameter sets are
 LLM-validated with a bounded retry budget, and an abandoned example never
 touches the group trackers: commits are collected and applied atomically by the
-caller.
+caller. A STRING value without a word token cannot be embedded, so it never
+reaches selection or a tracker: such candidates are left out (and named in the
+top-up request), and such a cohesive value fails its attempt, as does a
+non-numeric NUMERICAL one.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from divgen.metrics.cluster_entropy import value_cluster_entropy
+from divgen.metrics.text import tokenize
 from divgen.model import (
     MISSING_SENTINEL,
     FunctionSchema,
@@ -33,6 +37,10 @@ from divgen.providers.signature import SignatureParseError
 
 class ParamGenFailure(RuntimeError):
     """The example's argument generation was abandoned after retries."""
+
+
+class UnusableValue(ValueError):
+    """An LLM-supplied value that cannot be its parameter's argument."""
 
 
 @dataclass
@@ -67,14 +75,14 @@ def _parse_json_or_text(raw: str) -> Any:
 
 def _coerce_numeric(value: Any) -> float | int:
     if isinstance(value, bool):
-        raise ValueError(f"non-numeric candidate: {value!r}")
+        raise UnusableValue(f"non-numeric value: {value!r}")
     if isinstance(value, (int, float)):
         return value
     try:
         text = str(value).strip()
         return int(text) if text.lstrip("+-").isdigit() else float(text)
     except ValueError:
-        raise ValueError(f"non-numeric candidate: {value!r}") from None
+        raise UnusableValue(f"non-numeric value: {value!r}") from None
 
 
 def select_diverse_value(
@@ -89,7 +97,8 @@ def select_diverse_value(
 
     Returns (chosen value, augmented view): the view is the tracker snapshot
     plus the candidates that were hidden from the selector. Ties keep the first
-    candidate in sampled order.
+    candidate in sampled order. STRING values must carry a word token (see
+    ``ParamGenerator.generate_value_candidates``).
     """
     if not candidates:
         raise ValueError("select_diverse_value requires candidates")
@@ -134,7 +143,8 @@ class ParamGenerator:
         existing: Sequence[Any],
         previous_failures: str = "None",
     ) -> list[Any]:
-        """25 distinct raw values (one top-up call if duplicates shrink the set)."""
+        """25 distinct raw values (one top-up call if duplicates or token-less
+        STRING values shrink the set)."""
         if param.category not in (ParamCategory.NUMERICAL, ParamCategory.STRING):
             raise ValueError("candidate generation serves NUMERICAL/STRING parameters")
         numeric = param.category is ParamCategory.NUMERICAL
@@ -143,6 +153,7 @@ class ParamGenerator:
             else "GenerateMultipleStringParameters"
         )
         want = self.config.virtual_candidates
+        tokenless: list[str] = []
 
         def ask(count: int, failures: str) -> list[Any]:
             out = self.client.call(sig, {
@@ -160,7 +171,11 @@ class ParamGenerator:
             parsed = json.loads(out["generated_values"])
             if not isinstance(parsed, list):
                 raise ValueError("generated_values is not a JSON list")
-            return [_coerce_numeric(v) for v in parsed] if numeric else [str(v) for v in parsed]
+            if numeric:
+                return [_coerce_numeric(v) for v in parsed]
+            texts = [str(v) for v in parsed]
+            tokenless.extend(t for t in texts if not tokenize(t))
+            return [t for t in texts if tokenize(t)]
 
         values: list[Any] = []
         failures = previous_failures
@@ -183,10 +198,12 @@ class ParamGenerator:
                 seen.add(key)
                 distinct.append(v)
         if len(distinct) < want:
+            note = (f"; left out values without a word token:"
+                    f" {json.dumps(tokenless, ensure_ascii=False)}" if tokenless else "")
             try:
                 extra = ask(want - len(distinct),
                             f"{want - len(distinct)} more distinct values needed;"
-                            f" avoid repeating earlier candidates")
+                            f" avoid repeating earlier candidates{note}")
             except (SignatureParseError, ValueError, json.JSONDecodeError):
                 extra = []
             for v in extra:
@@ -225,6 +242,8 @@ class ParamGenerator:
             return _coerce_numeric(raw)
         if param.category is ParamCategory.OTHER:
             return _parse_json_or_text(raw)
+        if not tokenize(raw):
+            raise UnusableValue(f"{param.name}: value {raw!r} has no word token")
         return raw
 
     def _existing_for(self, api: FunctionSchema, param: ParameterSpec,
@@ -410,6 +429,9 @@ class ParamGenerator:
                     pending.append((group.id, value))
             except SignatureParseError as exc:
                 raise ParamGenFailure(f"{api.name}: {exc}") from exc
+            except UnusableValue as exc:
+                failures = last_reason = str(exc)
+                continue
             ok, reason = self.validate_parameter_set(api, y_current)
             if ok:
                 return GenResult(arguments=y_current, commits=pending,

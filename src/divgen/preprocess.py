@@ -3,8 +3,11 @@
 Grouping is a single seed-anchored pass per category: each still-ungrouped
 parameter (in library order) opens a group and absorbs every later ungrouped
 parameter whose described-sentence embedding lands within the cosine threshold
-of the seed. Group value trackers are the only mutable state in the system;
-everything else built here is immutable.
+of the seed. The similarity graph takes, for every pair of functions, the
+largest cosine between their described sentences. Every cosine comes from
+``metrics.semantic.cosine_matrix``; a sentence that embeds to zero is similar
+to nothing (cosine 0). Group value trackers are the only mutable state in the
+system; everything else built here is immutable.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from divgen.metrics.semantic import cosine_matrix
 from divgen.model import FunctionSchema, ParamCategory, ParameterSpec, ReturnField, parse_function_library
 
 
@@ -114,39 +118,26 @@ def group_parameters(
     groups: list[ParameterGroup] = []
     if not entries:
         return GroupIndex(groups)
-    vectors = embedder.embed([e[3] for e in entries])
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+    vectors = np.asarray(embedder.embed([e[3] for e in entries]), dtype=np.float64)
 
-    counter = 0
     for category in ParamCategory:
-        idxs = [i for i, e in enumerate(entries) if e[2] is category]
-        ungrouped = set(idxs)
-        for i in idxs:
-            if i not in ungrouped:
+        idxs = np.array([i for i, e in enumerate(entries) if e[2] is category], dtype=int)
+        sim = cosine_matrix(vectors[idxs], allow_zero=True)
+        ungrouped = np.ones(idxs.size, dtype=bool)
+        for seed in range(idxs.size):
+            if not ungrouped[seed]:
                 continue
-            ungrouped.discard(i)
-            members = [i]
-            seed_vec = vectors[i]
-            seed_norm = float(np.linalg.norm(seed_vec))
-            for j in idxs:
-                if j not in ungrouped:
-                    continue
-                norm_j = float(np.linalg.norm(vectors[j]))
-                if seed_norm == 0.0 or norm_j == 0.0:
-                    cos = 1.0 if seed_norm == norm_j else 0.0
-                else:
-                    cos = float(seed_vec @ vectors[j]) / (seed_norm * norm_j)
-                if cos >= threshold:
-                    members.append(j)
-                    ungrouped.discard(j)
+            ungrouped[seed] = False
+            joined = np.nonzero(ungrouped & (sim[seed] >= threshold))[0]
+            ungrouped[joined] = False
+            members = idxs[[seed, *joined]]
             groups.append(
                 ParameterGroup(
-                    id=f"g{counter:03d}",
+                    id=f"g{len(groups):03d}",
                     category=category,
                     members=tuple((entries[k][0], entries[k][1]) for k in members),
                 )
             )
-            counter += 1
     return GroupIndex(groups)
 
 
@@ -271,57 +262,48 @@ def build_similarity_graph(
 ) -> ApiGraph:
     """P-P edge when two functions share a similar input parameter; P-R edge
     u -> v when a return field of u resembles an input parameter of v.
-    Edge weight is the maximum qualifying similarity.
+    Edge weight is the maximum qualifying similarity, rounded to 12 decimals.
+    Edges come P-P first, then P-R, each in library order of (u, v).
     """
-    param_texts: dict[str, list[str]] = {}
-    return_texts: dict[str, list[str]] = {}
-    for fn in library:
-        param_texts[fn.name] = [describe_parameter(p) for p in fn.parameters]
-        flat_returns: list[ReturnField] = []
+    params: list[tuple[int, str]] = []  # (owner's library index, sentence)
+    returns: list[tuple[int, str]] = []
 
-        def flatten(fields: tuple[ReturnField, ...]) -> None:
-            for f in fields:
-                flat_returns.append(f)
-                flatten(f.fields)
+    def flatten(owner: int, fields: tuple[ReturnField, ...]) -> None:
+        for f in fields:
+            returns.append((owner, describe_return_field(f)))
+            flatten(owner, f.fields)
 
-        flatten(fn.return_fields)
-        return_texts[fn.name] = [describe_return_field(f) for f in flat_returns]
+    for owner, fn in enumerate(library):
+        params.extend((owner, describe_parameter(p)) for p in fn.parameters)
+        flatten(owner, fn.return_fields)
 
-    all_texts = sorted({t for ts in param_texts.values() for t in ts}
-                       | {t for ts in return_texts.values() for t in ts})
-    vectors: dict[str, np.ndarray] = {}
-    if all_texts:
-        for text, vec in zip(all_texts, embedder.embed(all_texts)):
-            vectors[text] = np.asarray(vec, dtype=np.float64)
+    texts = sorted({t for _, t in params} | {t for _, t in returns})
+    row_of = {t: i for i, t in enumerate(texts)}
+    vectors = np.asarray(embedder.embed(texts), dtype=np.float64) if texts else None
+    n = len(library)
 
-    def max_sim(texts_a: list[str], texts_b: list[str]) -> float:
-        best = -1.0
-        for ta in texts_a:
-            va = vectors[ta]
-            na = float(np.linalg.norm(va))
-            for tb in texts_b:
-                vb = vectors[tb]
-                nb = float(np.linalg.norm(vb))
-                if na == 0.0 or nb == 0.0:
-                    continue
-                best = max(best, float(va @ vb) / (na * nb))
+    def block_max(a: list[tuple[int, str]], b: list[tuple[int, str]]) -> np.ndarray:
+        """[u, v]: the largest cosine between a sentence of u in ``a`` and one
+        of v in ``b``; -1 when either function has none."""
+        best = np.full((n, n), -1.0)
+        if a and b:
+            sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
+                                vectors[[row_of[t] for _, t in b]], allow_zero=True)
+            by_owner_b = np.full((n, len(a)), -1.0)
+            np.maximum.at(by_owner_b, [o for o, _ in b], sim.T)
+            np.maximum.at(best, [o for o, _ in a], by_owner_b.T)
         return best
 
-    names = [fn.name for fn in library]
-    edges: list[GraphEdge] = []
-    for i, u in enumerate(names):
-        for v in names[i + 1:]:
-            sim = max_sim(param_texts[u], param_texts[v])
-            if sim >= threshold:
-                edges.append(GraphEdge(u, v, "P-P", round(sim, 12)))
-    for u in names:
-        for v in names:
-            if u == v:
-                continue
-            sim = max_sim(return_texts[u], param_texts[v])
-            if sim >= threshold:
-                edges.append(GraphEdge(u, v, "P-R", round(sim, 12)))
-    return ApiGraph(vertices=tuple(names), edges=tuple(edges))
+    def edges_of(best: np.ndarray, mask: np.ndarray, kind: str) -> list[GraphEdge]:
+        return [GraphEdge(library[u].name, library[v].name, kind, round(float(best[u, v]), 12))
+                for u, v in zip(*np.nonzero(mask))]
+
+    pp = block_max(params, params)
+    pr = block_max(returns, params)
+    np.fill_diagonal(pr, -np.inf)  # no P-R edge from a function to itself
+    edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
+             + edges_of(pr, pr >= threshold, "P-R"))
+    return ApiGraph(vertices=tuple(fn.name for fn in library), edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
 """Deterministic offline embedder with controllable cosine geometry.
 
-Lowercase word tokens are hashed into one of ``dimension`` buckets; the bucket
-count vector is L2-normalized. Shared tokens raise cosine similarity, disjoint
-token sets give (hash collisions aside) orthogonal vectors, and every output is
-unit-norm and nonnegative, so cosine similarity lands in [0, 1].
+The word tokens of ``metrics.text.tokenize`` are hashed into one of
+``dimension`` buckets; the bucket count vector is L2-normalized. Shared tokens
+raise cosine similarity, disjoint token sets give (hash collisions aside)
+orthogonal vectors, and every output is unit-norm and nonnegative, so cosine
+similarity lands in [0, 1]. Text without a word token embeds to zero.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 import threading
 from typing import Sequence
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+from divgen.metrics.text import tokenize
 
 
 def _bucket(token: str, dimension: int) -> int:
@@ -35,7 +35,8 @@ class HashEmbedder:
 
     def _embed_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.lower()):
+        # the embedder memoises its vectors, so it skips tokenize's memo
+        for token in tokenize.__wrapped__(text):
             vec[_bucket(token, self.dimension)] += 1.0
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:

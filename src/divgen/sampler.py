@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from divgen.metrics.semantic import cosine_matrix
 from divgen.model import ExecutionType, FunctionSchema, RunConfig
 from divgen.preprocess import ApiGraph, ApiPools
 from divgen.providers import catalog
@@ -131,22 +132,14 @@ def sample_walk(
 def check_pairwise_similarity(
     functions: Sequence[FunctionSchema], embedder, threshold: float = 0.3
 ) -> bool:
-    """Accept when the mean pairwise cosine of 'name: description' texts clears
-    the threshold. A single function is accepted vacuously."""
+    """Accept when the mean pairwise cosine of 'name: description' texts,
+    rounded to 12 decimals, clears the threshold (a text that embeds to zero
+    has cosine 0). A single function is accepted vacuously."""
     if len(functions) < 2:
         return True
     texts = [f"{fn.name}: {fn.description}" for fn in functions]
-    vectors = [np.asarray(v, dtype=np.float64) for v in embedder.embed(texts)]
-    total = 0.0
-    pairs = 0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            na = float(np.linalg.norm(vectors[i]))
-            nb = float(np.linalg.norm(vectors[j]))
-            cos = 0.0 if na == 0.0 or nb == 0.0 else float(vectors[i] @ vectors[j]) / (na * nb)
-            total += cos
-            pairs += 1
-    return total / pairs >= threshold
+    sim = cosine_matrix(embedder.embed(texts), allow_zero=True)
+    return round(float(np.mean(sim[np.triu_indices(len(texts), k=1)])), 12) >= threshold
 
 
 def validate_sequential_schema_compatibility(

@@ -61,6 +61,26 @@ def test_retrieve_none_type_does_not_force(embedder):
     assert len(got) == 1
 
 
+def test_retrieve_ties_break_by_library_order(embedder):
+    # both descriptions add two words the query lacks, so the scores are equal in
+    # exact arithmetic; unrounded, float noise put the second function first
+    base = "look up the multi day weather forecast for a chosen destination city"
+    lib = [fn("first", param("city", "name of the city"), description=base + " seasonal coastal"),
+           fn("second", param("city", "name of the city"), description=base + " curated shared")]
+    query = ("Draft a polite junior about the noisy renovation upstairs. "
+             "Calculate how many paint cans cover a spiral staircase wall.")
+    got = retrieve_candidates(query, lib, embedder, k=20)
+    assert [c.name for c in got] == ["first", "second"]
+    assert got[0].retrieval_score == got[1].retrieval_score > 0.0
+
+
+def test_retrieve_tokenless_texts_score_zero(embedder):
+    lib = tiny_library() + [fn("kanji", param("x", "東京"), description="東京")]
+    got = retrieve_candidates("storm warnings for my region", lib, embedder, k=20)
+    assert next(c for c in got if c.name == "kanji").retrieval_score == 0.0
+    assert {c.retrieval_score for c in retrieve_candidates("東京", lib, embedder)} == {0.0}
+
+
 def scores_reply(sig_name, rows):
     return format_output(catalog.get(sig_name),
                          {"reasoning": "rated",
@@ -94,6 +114,31 @@ def test_score_plausibility_misalignment_retries_then_fails(embedder):
         score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
                            lib, SignatureClient(chat))
     assert len(chat.calls) == 2  # one retry
+
+
+@pytest.mark.parametrize("bad", ["high", None, [3]])
+def test_score_plausibility_non_integer_score_retries_then_fails(bad):
+    cands = [ScoredCandidate("storm_watch", 0.9), ScoredCandidate("plant_care", 0.1)]
+    reply = scores_reply("BatchAPIRelevanceScorer",
+                         [{"api_name": "storm_watch", "score": 5, "reasoning": "x"},
+                          {"api_name": "plant_care", "score": bad, "reasoning": "y"}])
+    chat = ScriptedChat().script(reply, signature="BatchAPIRelevanceScorer")
+    with pytest.raises(DistractorFailure, match="non-integer score"):
+        score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
+                           tiny_library(), SignatureClient(chat))
+    assert len(chat.calls) == 2  # one retry
+
+
+def test_score_plausibility_non_integer_score_then_valid_reply():
+    cands = [ScoredCandidate("storm_watch", 0.9), ScoredCandidate("plant_care", 0.1)]
+    bad = scores_reply("BatchAPIRelevanceScorer",
+                       [{"score": "high"}, {"score": 1}])
+    good = scores_reply("BatchAPIRelevanceScorer",
+                        [{"score": 5}, {"score": 1}])
+    chat = ScriptedChat().script([bad, good], signature="BatchAPIRelevanceScorer")
+    scored = score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
+                                tiny_library(), SignatureClient(chat))
+    assert [c.plausibility for c in scored] == [5, 1]
 
 
 def test_score_plausibility_empty_candidates(embedder):

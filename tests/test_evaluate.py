@@ -218,3 +218,17 @@ def test_argument_comparison_carries_frequency_tables(embedder):
     row = result["groups"][0]
     assert row["frequencies_b"] == {"Same Place": 20}
     assert len(row["frequencies_a"]) == 20
+
+
+def test_metric_table_looks_metrics_up_at_call_time(monkeypatch, embedder):
+    # tracing rebinds battery's metric names; every battery path must see that
+    import divgen.metrics.battery as battery
+    texts = ["find a cheap hotel in rome", "what is the weather in oslo tomorrow"]
+    emb = battery.EmbeddingCache(embedder).matrix(texts)
+    monkeypatch.setattr(battery, "vendi_score", lambda embeddings: 42.0)
+    monkeypatch.setattr(battery, "semantic_spread", lambda embeddings: -1.0)
+    assert battery.evaluate_battery(texts, emb)["vendi"] == 42.0
+    full = battery.evaluate_full_battery(texts, emb)
+    assert list(full) == list(REPORT_METRICS)
+    assert (full["vendi"], full["semantic_spread"]) == (42.0, -1.0)
+    assert battery.metric_fn_over_indices("vendi", texts, emb)([0, 1]) == 42.0

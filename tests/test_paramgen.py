@@ -14,7 +14,9 @@ from divgen.paramgen import (
 from divgen.preprocess import group_parameters
 from divgen.providers.base import SignatureClient
 from divgen.providers.hash_embed import HashEmbedder
+from divgen.providers import catalog
 from divgen.providers.mock import ScriptedChat
+from divgen.providers.signature import format_output
 from test_preprocess import fn, param
 
 
@@ -41,8 +43,8 @@ def small_library():
     ]
 
 
-def setup_gen(chat, seed=0, **config_kw):
-    lib = small_library()
+def setup_gen(chat, seed=0, lib=None, **config_kw):
+    lib = lib or small_library()
     embedder = HashEmbedder()
     groups = group_parameters(lib, embedder, 0.6)
     config = RunConfig(rng_seed=seed, **config_kw)
@@ -234,6 +236,93 @@ def test_retry_carries_validator_reasoning():
                              if "priority clashes with title" in c
                              and "[[ ## num_candidates ## ]]" in c]
     assert retry_candidate_calls  # failure context reached the regeneration
+
+
+# --- values without a word token, non-numeric values ---------------------------------
+
+TOKENLESS = ["東京", "!!!"]
+
+
+def tokenless_candidates_chat():
+    chat = ScriptedChat()
+    sig = "GenerateMultipleStringParameters"
+    first = [f"place {i} p{i}" for i in range(23)] + TOKENLESS
+    chat.script_output(sig, {"reasoning": "r", "generated_values": values_json(first)},
+                       contains="[[ ## num_candidates ## ]]\n25")
+    chat.script_output(sig, {"reasoning": "r",
+                             "generated_values": values_json(["Kyoto city", "Oslo town"])},
+                       contains="[[ ## num_candidates ## ]]\n2")
+    return yes_validator(chat)
+
+
+def test_tokenless_string_candidates_are_left_out_and_replaced():
+    chat = tokenless_candidates_chat()
+    lib, groups, gen = setup_gen(chat, seed=3)
+    api, p = lib[0], lib[0].parameters[0]
+    got = gen.generate_value_candidates(p, api, {}, groups.group_of(api.name, p.name), [])
+    assert len(got) == 25
+    assert not set(TOKENLESS) & set(got)
+    assert {"Kyoto city", "Oslo town"} <= set(got)
+    top_up = next(c for c in chat.calls if "[[ ## num_candidates ## ]]\n2\n" in c)
+    assert "without a word token" in top_up and "東京" in top_up
+
+
+def test_tokenless_string_candidates_do_not_crash_selection():
+    for seed in range(5):
+        lib, groups, gen = setup_gen(tokenless_candidates_chat(), seed=seed)
+        result = gen.generate_single_params(lib[0])
+        assert result.arguments["city"] not in TOKENLESS
+
+
+def cohesive_pair_chat(sig_name, replies, candidates, numeric=False):
+    chat = ScriptedChat()
+    candidates_script(chat, candidates, numeric=numeric)
+    chat.script([format_output(catalog.get(sig_name), {"reasoning": "r", "generated_value": r})
+                 for r in replies], signature=sig_name)
+    return yes_validator(chat)
+
+
+def test_tokenless_cohesive_string_value_fails_its_attempt():
+    chat = cohesive_pair_chat("GenerateCohesiveStringParameter", ["東京", "Kyoto city"],
+                              [f"place {i} p{i}" for i in range(25)])
+    lib, groups, gen = setup_gen(chat, seed=1)
+    results, diverse_idx = gen.generate_parallel_params([lib[0], lib[1]])
+    assert results[1 - diverse_idx].arguments["city"] == "Kyoto city"
+    retry = [c for c in chat.calls if "has no word token" in c]
+    assert len(retry) == 1  # the retried cohesive request names the failure
+    assert len([c for c in chat.calls if "conflict-free call" in c]) == 2
+
+
+def test_only_tokenless_cohesive_values_abandon_without_commits():
+    chat = cohesive_pair_chat("GenerateCohesiveStringParameter", ["東京"],
+                              [f"place {i} p{i}" for i in range(25)])
+    lib, groups, gen = setup_gen(chat, seed=1)
+    with pytest.raises(ParamGenFailure, match="no word token"):
+        gen.generate_parallel_params([lib[0], lib[1]])
+    assert all(g.tracker == [] for g in groups.groups)
+
+
+def guest_library():
+    return [fn("party_a", param("guests", "number of guests attending", declared="integer"),
+               description="plan a party"),
+            fn("party_b", param("guests", "number of guests attending", declared="integer"),
+               description="book a party room")]
+
+
+def test_non_numeric_cohesive_value_fails_its_attempt():
+    chat = cohesive_pair_chat("GenerateCohesiveNumericalParameter", ["about five", "5"],
+                              list(range(25)), numeric=True)
+    lib, groups, gen = setup_gen(chat, seed=1, lib=guest_library())
+    results, diverse_idx = gen.generate_parallel_params(lib)
+    assert results[1 - diverse_idx].arguments["guests"] == 5
+
+
+def test_only_non_numeric_cohesive_values_abandon():
+    chat = cohesive_pair_chat("GenerateCohesiveNumericalParameter", ["about five"],
+                              list(range(25)), numeric=True)
+    lib, groups, gen = setup_gen(chat, seed=1, lib=guest_library())
+    with pytest.raises(ParamGenFailure, match="non-numeric"):
+        gen.generate_parallel_params(lib)
 
 
 # --- missing params -----------------------------------------------------------------

@@ -1,6 +1,9 @@
 import math
 import random
 
+import numpy as np
+import pytest
+
 from conftest import PresetEmbedder
 from divgen.model import (
     FunctionSchema,
@@ -13,6 +16,7 @@ from divgen.preprocess import (
     build_api_pools,
     build_similarity_graph,
     describe_parameter,
+    describe_return_field,
     group_parameters,
     read_artifact,
     write_artifact,
@@ -178,6 +182,80 @@ def test_graph_pr_edge_direction(embedder):
 def test_graph_unreachable_threshold(library, embedder):
     graph = build_similarity_graph(library, embedder, 1.01)
     assert graph.edges == ()
+
+
+class ZeroForMarker:
+    """Hash embeddings, except that texts containing the marker embed to zero."""
+
+    def __init__(self, inner, marker):
+        self.inner, self.marker = inner, marker
+
+    def embed(self, texts):
+        return [np.zeros_like(v) if self.marker in t else v
+                for t, v in zip(texts, self.inner.embed(texts))]
+
+
+def brute_force_graph_edges(library, embedder, threshold):
+    """Per-pair maximum of scalar cosines (0 against a zero vector), in the
+    documented order: P-P for u before v, then P-R for every u != v."""
+    def flat(fields):
+        return [x for f in fields for x in (f, *flat(f.fields))]
+
+    def cos(ta, tb):
+        va, vb = embedder.embed([ta, tb])
+        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+        return 0.0 if na == 0.0 or nb == 0.0 else float(va @ vb) / (na * nb)
+
+    def max_sim(texts_a, texts_b):
+        return max((cos(ta, tb) for ta in texts_a for tb in texts_b), default=-1.0)
+
+    params = {f.name: [describe_parameter(p) for p in f.parameters] for f in library}
+    returns = {f.name: [describe_return_field(r) for r in flat(f.return_fields)]
+               for f in library}
+    names = [f.name for f in library]
+    edges = []
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            sim = max_sim(params[u], params[v])
+            if sim >= threshold:
+                edges.append((u, v, "P-P", round(sim, 12)))
+    for u in names:
+        for v in names:
+            sim = max_sim(returns[u], params[v])
+            if u != v and sim >= threshold:
+                edges.append((u, v, "P-R", round(sim, 12)))
+    return edges
+
+
+def graph_edges(library, embedder, threshold):
+    graph = build_similarity_graph(library, embedder, threshold)
+    return [(e.source, e.target, e.kind, e.weight) for e in graph.edges]
+
+
+@pytest.mark.parametrize("threshold", [0.6, 0.3])
+def test_graph_matches_brute_force_on_fixture(library, embedder, threshold):
+    want = brute_force_graph_edges(library, embedder, threshold)
+    assert want
+    assert graph_edges(library, embedder, threshold) == want
+
+
+@pytest.mark.parametrize("threshold", [0.6, 0.0, -1.0])
+def test_graph_matches_brute_force_with_tokenless_description(embedder, threshold):
+    lib = [
+        fn("u", param("city", "name of the city"),
+           returns=(ReturnField("video_url", "string", "address of the found video",
+                                (ReturnField("mirror", "string", "東京"),)),)),
+        fn("v", param("video_url", "address of the found video"), param("tag", "東京")),
+        fn("w", param("label", "東京")),
+        fn("x"),
+        fn("y", param("city", "name of the city")),
+    ]
+    zeroing = ZeroForMarker(embedder, "東京")
+    want = brute_force_graph_edges(lib, zeroing, threshold)
+    assert graph_edges(lib, zeroing, threshold) == want
+    if threshold == 0.0:
+        # a zero vector is similar to nothing: cosine 0, not left out
+        assert ("w", "y", "P-P", 0.0) in want
 
 
 def test_artifact_round_trip_and_byte_stability(tmp_path, library, embedder):

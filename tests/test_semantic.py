@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from divgen.metrics.semantic import (
     chamfer_distance_score,
+    cosine_matrix,
     paraphrase_variety,
     semantic_spread,
     vendi_score,
@@ -67,3 +68,25 @@ def test_vendi_bounds_and_permutation_invariance(seed, n):
     assert 1.0 - 1e-9 <= score <= n + 1e-9
     perm = rng.permutation(n)
     assert vendi_score(vecs[perm]) == pytest.approx(score, abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.integers(1, 9), m=st.integers(1, 9),
+       d=st.integers(1, 12))
+def test_cosine_matrix_matches_scalar_formula(seed, n, m, d):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    want = [[float(x @ y) / (np.linalg.norm(x) * np.linalg.norm(y)) for y in b] for x in a]
+    assert np.allclose(cosine_matrix(a, b), want, rtol=0.0, atol=1e-12)
+    assert np.allclose(cosine_matrix(a), cosine_matrix(a, a), rtol=0.0, atol=1e-12)
+
+
+def test_cosine_matrix_zero_row_policy():
+    a = np.array([[3.0, 4.0], [0.0, 0.0]])
+    b = np.array([[1.0, 0.0], [0.0, 2.0]])
+    assert cosine_matrix(a, b, allow_zero=True).tolist() == [[0.6, 0.8], [0.0, 0.0]]
+    assert cosine_matrix(b, a, allow_zero=True)[:, 1].tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match=r"zero-norm row\(s\) \[1\]"):
+        cosine_matrix(a, b)
+    with pytest.raises(ValueError, match="zero-norm"):
+        cosine_matrix(b, a)
