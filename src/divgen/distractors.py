@@ -2,11 +2,12 @@
 
 Distractors come from embedding retrieval over function descriptions (the
 ``cosine_matrix`` of the query against them, a zero vector scoring 0, rounded
-to 12 decimals so exact ties break by library order), survive only when an LLM
-rates them implausible as answers (<=2 generally, <=1 for MISSING_PARAMS), and
-are then cut at the point where retrieval scores drop fastest. Targets are
-exempt from every filter; they can shrink only when a validated alternative
-invocation shows some of them to be redundant.
+to 12 decimals so exact ties break by library order; the run's embedding cache
+holds the description vectors, so each is embedded once per run), survive only
+when an LLM rates them implausible as answers (<=2 generally, <=1 for
+MISSING_PARAMS), and are then cut at the point where retrieval scores drop
+fastest. Targets are exempt from every filter; they can shrink only when a
+validated alternative invocation shows some of them to be redundant.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from divgen.metrics.battery import EmbeddingCache
 from divgen.metrics.semantic import cosine_matrix
 from divgen.model import ExecutionType, FunctionSchema
 from divgen.providers import catalog
@@ -47,7 +49,7 @@ class ScoredCandidate:
 def retrieve_candidates(
     query: str,
     library: Sequence[FunctionSchema],
-    embedder,
+    embed_cache: EmbeddingCache,
     k: int = 20,
     targets: Sequence[str] = (),
     force_targets: bool = True,
@@ -61,7 +63,7 @@ def retrieve_candidates(
     which pass force_targets=False).
     """
     texts = [fn.description or fn.name for fn in library]
-    vectors = embedder.embed(texts + [query])
+    vectors = embed_cache.matrix(texts + [query])
     sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
     scores = [(fn.name, round(float(sim), 12)) for fn, sim in zip(library, sims)]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
@@ -186,16 +188,14 @@ def parse_invocation_names(raw: str, known: Sequence[str]) -> list[str]:
             if depth == 0:
                 start = i + 1
         i += 1
-    # exact-match cleanup against known names
-    cleaned = []
-    known_set = set(known)
-    for name in names:
-        if name in known_set:
-            cleaned.append(name)
-        else:
-            match = next((k for k in known if name.endswith(k) or k in name), None)
-            cleaned.append(match if match is not None else name)
-    return cleaned
+    return [_match_known(name, known) for name in names]
+
+
+def _match_known(name: str, known: Sequence[str]) -> str:
+    """``name`` itself when known, else the first known name it contains."""
+    if name in known:
+        return name
+    return next((k for k in known if k in name), name)
 
 
 @dataclass
@@ -255,7 +255,9 @@ def validate_invocation_alternatives(
                 if not nxt:
                     break
                 calls.append(nxt)
-            invocations = parse_invocation_names(json.dumps(calls), available) if calls else []
+            # a step may be a bare name or a call: its name is the text before "("
+            steps = [c.split("(", 1)[0].strip() for c in calls]
+            invocations = [_match_known(name, available) for name in steps if name]
             if not invocations:
                 return AlternativeOutcome(list(kept), list(targets), exec_type)
             schemas_payload = json.dumps(
@@ -306,7 +308,7 @@ def assemble_candidates(
     targets: Sequence[str],
     exec_type: ExecutionType,
     library: Sequence[FunctionSchema],
-    embedder,
+    embed_cache: EmbeddingCache,
     client: SignatureClient,
     rng: random.Random,
     retrieval_k: int = 20,
@@ -314,7 +316,7 @@ def assemble_candidates(
     """The full per-example pipeline; the finalized shuffled list is left to the
     caller so target updates can be applied first."""
     retrieved = retrieve_candidates(
-        query, library, embedder, retrieval_k, targets,
+        query, library, embed_cache, retrieval_k, targets,
         force_targets=exec_type is not ExecutionType.NONE)
     scored = score_plausibility(query, retrieved, targets, exec_type, library, client)
     kept = filter_by_plausibility(scored, exec_type)

@@ -3,13 +3,16 @@
 One RNG stream drives every draw in a documented order, acceptance is globally
 serialized (dataset append + tracker commit + checkpoint), and abandoned
 attempts leave no trace beyond a log line, so a run is byte-reproducible from
-its seed and can resume from the checkpoint after any interruption.
+its seed and can resume from the checkpoint after any interruption. The
+checkpoint is replaced atomically and records the dataset's size, so a resumed
+run first drops any line written after the last checkpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,6 +101,7 @@ class GenerationEngine:
         state = self.rng.getstate()
         doc = {
             "accepted": self.state.accepted,
+            "dataset_bytes": self.out_path.stat().st_size,
             "last_id": f"ex-{self.state.accepted:06d}" if self.state.accepted else None,
             "attempts": self.state.attempts,
             "rng_state": [state[0], list(state[1]), state[2]],
@@ -106,19 +110,29 @@ class GenerationEngine:
             "queries": self.queries,
             "config_digest": self._config_digest(),
         }
-        self.checkpoint_path.write_text(json.dumps(doc, ensure_ascii=False),
-                                        encoding="utf-8")
+        tmp = self.checkpoint_path.with_name(self.checkpoint_path.name + ".tmp")
+        tmp.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        os.replace(tmp, self.checkpoint_path)
 
     def resume(self) -> None:
-        """Restore RNG, trackers, and guidance from the checkpoint file."""
+        """Restore RNG, trackers, and guidance from the checkpoint file, and cut
+        the dataset back to the size the checkpoint records."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
         if doc["config_digest"] != self._config_digest():
             raise ValueError("checkpoint was produced under a different configuration")
+        size = doc.get("dataset_bytes")  # absent from checkpoints of older runs
+        if size is not None:
+            with open(self.out_path, "ab") as fh:
+                if fh.tell() < size:
+                    raise ValueError("dataset is shorter than the checkpoint records")
+                fh.truncate(size)
         self.state.accepted = doc["accepted"]
         self.state.attempts = doc["attempts"]
         version, internal, gauss = doc["rng_state"]
         self.rng.setstate((version, tuple(internal), gauss))
         self.groups.restore(doc["trackers"])
+        if size is None:  # older runs could commit STRING values without a word token
+            self.groups.drop_tokenless_strings()
         self.querygen.guidance = doc["guidance"]
         self.queries = list(doc["queries"])
 
@@ -216,7 +230,7 @@ class GenerationEngine:
         etype = skeleton.execution_type
         targets = [s.name for s in skeleton.schemas]
         outcome = assemble_candidates(
-            query, targets, etype, self.library, self.embedder,
+            query, targets, etype, self.library, self.embed_cache,
             self.client, self.rng, self.config.retrieval_k)
         if outcome.invalid:
             raise AbandonedExample(f"candidate validation: {outcome.note}")
@@ -261,14 +275,12 @@ class GenerationEngine:
 
     def generate(self, n: int, resume: bool = False) -> int:
         """Produce accepted examples until the dataset holds n; returns count added."""
-        mode = "a" if resume else "w"
         if resume:
             self.resume()
-        else:
-            if self.checkpoint_path.exists():
-                self.checkpoint_path.unlink()
         added = 0
-        with open(self.out_path, mode, encoding="utf-8") as out:
+        with open(self.out_path, "a" if resume else "w", encoding="utf-8") as out:
+            if not resume:
+                self._write_checkpoint()  # a crash before the first acceptance can resume
             while self.state.accepted < n:
                 self.state.attempts += 1
                 etype = sample_execution_type(self.config, self.rng)

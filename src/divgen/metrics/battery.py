@@ -83,14 +83,16 @@ METRICS: dict[str, Callable[[Sequence[str], np.ndarray], float]] = {
 
 
 class EmbeddingCache:
-    """Per-text embedding memo shared across repeated battery evaluations."""
+    """Per-text embedding memo for one run: the ranking's corpus and candidates
+    and the library descriptions that retrieval scores. Each distinct text
+    reaches the embedder once."""
 
     def __init__(self, embedder):
         self.embedder = embedder
         self._memo: dict[str, np.ndarray] = {}
 
     def matrix(self, texts: Sequence[str]) -> np.ndarray:
-        missing = [t for t in texts if t not in self._memo]
+        missing = list(dict.fromkeys(t for t in texts if t not in self._memo))
         if missing:
             for text, vec in zip(missing, self.embedder.embed(missing)):
                 self._memo[text] = np.asarray(vec, dtype=np.float64)

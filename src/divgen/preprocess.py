@@ -15,13 +15,16 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from divgen.metrics.semantic import cosine_matrix
+from divgen.metrics.text import tokenize
 from divgen.model import FunctionSchema, ParamCategory, ParameterSpec, ReturnField, parse_function_library
 
 
@@ -96,6 +99,12 @@ class GroupIndex:
     def restore(self, snapshot: dict[str, list[Any]]) -> None:
         for g in self.groups:
             g.tracker[:] = list(snapshot.get(g.id, []))
+
+    def drop_tokenless_strings(self) -> None:
+        """Drop STRING tracker values without a word token: they cannot be embedded."""
+        for g in self.groups:
+            if g.category is ParamCategory.STRING:
+                g.tracker[:] = [v for v in g.tracker if tokenize(str(v))]
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [g.to_dict() for g in self.groups]
@@ -221,28 +230,49 @@ class GraphEdge:
                 "kind": self.kind, "weight": self.weight}
 
 
+class _Adjacency(NamedTuple):
+    pp: dict[str, tuple[tuple[str, float], ...]]
+    pr: dict[str, tuple[tuple[str, float], ...]]
+    starts: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class ApiGraph:
+    """Vertices and edges, plus neighbour lists built from the edges on first
+    use (one pass, in edge order) and shared by every later query."""
+
     vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
 
-    def pp_neighbors(self, name: str) -> list[tuple[str, float]]:
-        out = []
+    @cached_property
+    def _adjacency(self) -> _Adjacency:
+        pp: dict[str, list[tuple[str, float]]] = defaultdict(list)
+        pr: dict[str, list[tuple[str, float]]] = defaultdict(list)
         for e in self.edges:
-            if e.kind != "P-P":
-                continue
-            if e.source == name:
-                out.append((e.target, e.weight))
-            elif e.target == name:
-                out.append((e.source, e.weight))
-        return out
+            if e.kind == "P-P":
+                pp[e.source].append((e.target, e.weight))
+                if e.target != e.source:  # a self-loop is its own neighbour once
+                    pp[e.target].append((e.source, e.weight))
+            elif e.kind == "P-R":
+                pr[e.source].append((e.target, e.weight))
+        return _Adjacency(
+            pp={v: tuple(n) for v, n in pp.items()},
+            pr={v: tuple(n) for v, n in pr.items()},
+            starts=tuple(v for v in self.vertices if v in pp or v in pr),
+        )
 
-    def pr_successors(self, name: str) -> list[tuple[str, float]]:
-        return [(e.target, e.weight) for e in self.edges
-                if e.kind == "P-R" and e.source == name]
+    def pp_neighbors(self, name: str) -> tuple[tuple[str, float], ...]:
+        """P-P neighbours in edge order; edges are undirected."""
+        return self._adjacency.pp.get(name, ())
 
-    def has_kind(self, kind: str) -> bool:
-        return any(e.kind == kind for e in self.edges)
+    def pr_successors(self, name: str) -> tuple[tuple[str, float], ...]:
+        """Targets of P-R edges leaving ``name``, in edge order."""
+        return self._adjacency.pr.get(name, ())
+
+    @property
+    def starts(self) -> tuple[str, ...]:
+        """Vertices with at least one P-P neighbour or P-R successor, in vertex order."""
+        return self._adjacency.starts
 
     def to_dict(self) -> dict[str, Any]:
         return {"vertices": list(self.vertices),

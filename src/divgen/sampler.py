@@ -83,7 +83,7 @@ def sample_walk(
     if exec_type not in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
         raise ValueError("sample_walk serves PARALLEL and SEQUENTIAL only")
     favored = "P-P" if exec_type is ExecutionType.PARALLEL else "P-R"
-    if not graph.has_kind(favored) and not graph.edges:
+    if not graph.edges:
         raise SamplingFailure("similarity graph has no usable edges")
 
     length = poisson_draw(lam, rng) + 2
@@ -98,7 +98,7 @@ def sample_walk(
                 out.append((target, "P-R", w))
         return out
 
-    starts = [v for v in graph.vertices if neighbors(v, set())]
+    starts = graph.starts
     if not starts:
         raise SamplingFailure("no vertex has outgoing edges")
 

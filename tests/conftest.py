@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,17 @@ class PresetEmbedder:
         if len(texts) == 0:
             raise ValueError("embed requires at least one text")
         return [self.mapping[t] for t in texts]
+
+
+def templated_library(size: int):
+    """``size`` renamed copies of the fixture functions, dealt round-robin, each
+    description tagged with one of a few words. Copies of one template share
+    their parameters and returns, so the similarity graph is dense."""
+    words = ("regional", "weekly", "premium", "archived", "nearby", "seasonal", "local")
+    templates = fixture_library()
+    return [replace(t, name=f"{t.name}_{i:03d}",
+                    description=f"{t.description} {words[i % len(words)]}")
+            for i, t in ((i, templates[i % len(templates)]) for i in range(size))]
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from conftest import templated_library
 from divgen.distractors import (
     DistractorFailure,
     ScoredCandidate,
@@ -15,6 +17,8 @@ from divgen.distractors import (
     score_plausibility,
     validate_invocation_alternatives,
 )
+from divgen.metrics.battery import EmbeddingCache
+from divgen.metrics.semantic import cosine_matrix
 from divgen.model import ExecutionType
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -37,7 +41,7 @@ def tiny_library():
 def test_retrieve_small_library_returns_all(embedder):
     lib = tiny_library()
     got = retrieve_candidates("will the storm hit our region tomorrow",
-                              lib, embedder, k=20, targets=["storm_watch"])
+                              lib, EmbeddingCache(embedder), k=20, targets=["storm_watch"])
     assert {c.name for c in got} == {f.name for f in lib}
     assert got[0].name == "storm_watch"  # most similar by shared tokens
     assert got[0].is_target
@@ -45,7 +49,7 @@ def test_retrieve_small_library_returns_all(embedder):
 
 def test_retrieve_force_includes_missing_target(embedder):
     lib = tiny_library()
-    got = retrieve_candidates("totally unrelated cosmic verse", lib, embedder,
+    got = retrieve_candidates("totally unrelated cosmic verse", lib, EmbeddingCache(embedder),
                               k=1, targets=["plant_care"])
     assert len(got) in (1, 2)
     names = [c.name for c in got]
@@ -56,7 +60,7 @@ def test_retrieve_force_includes_missing_target(embedder):
 
 def test_retrieve_none_type_does_not_force(embedder):
     lib = tiny_library()
-    got = retrieve_candidates("totally unrelated cosmic verse", lib, embedder,
+    got = retrieve_candidates("totally unrelated cosmic verse", lib, EmbeddingCache(embedder),
                               k=1, targets=["plant_care"], force_targets=False)
     assert len(got) == 1
 
@@ -69,16 +73,51 @@ def test_retrieve_ties_break_by_library_order(embedder):
            fn("second", param("city", "name of the city"), description=base + " curated shared")]
     query = ("Draft a polite junior about the noisy renovation upstairs. "
              "Calculate how many paint cans cover a spiral staircase wall.")
-    got = retrieve_candidates(query, lib, embedder, k=20)
+    got = retrieve_candidates(query, lib, EmbeddingCache(embedder), k=20)
     assert [c.name for c in got] == ["first", "second"]
     assert got[0].retrieval_score == got[1].retrieval_score > 0.0
 
 
 def test_retrieve_tokenless_texts_score_zero(embedder):
     lib = tiny_library() + [fn("kanji", param("x", "東京"), description="東京")]
-    got = retrieve_candidates("storm warnings for my region", lib, embedder, k=20)
+    cache = EmbeddingCache(embedder)
+    got = retrieve_candidates("storm warnings for my region", lib, cache, k=20)
     assert next(c for c in got if c.name == "kanji").retrieval_score == 0.0
-    assert {c.retrieval_score for c in retrieve_candidates("東京", lib, embedder)} == {0.0}
+    assert {c.retrieval_score for c in retrieve_candidates("東京", lib, cache)} == {0.0}
+
+
+class CountingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = Counter()
+
+    def embed(self, texts):
+        self.seen.update(texts)
+        return self.inner.embed(texts)
+
+
+def raw_retrieval(query, library, embedder, k):
+    """Top-k (name, score) as retrieval computed it before the cache: every
+    description and the query embedded afresh on each call."""
+    texts = [f.description or f.name for f in library]
+    vectors = np.asarray(embedder.embed(texts + [query]))
+    sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
+    scores = [(f.name, round(float(s), 12)) for f, s in zip(library, sims)]
+    return sorted(scores, key=lambda t: -t[1])[:k]  # stable: ties keep library order
+
+
+def test_cached_retrieval_matches_raw_and_embeds_each_text_once(embedder):
+    lib = templated_library(100)
+    counting = CountingEmbedder(embedder)
+    cache = EmbeddingCache(counting)
+    queries = ([f"{f.description} tomorrow please" for f in lib[:30:3]]
+               + ["will the storm hit our region", "東京", "", "convert 100 dollars"] * 2)
+    for query in queries:
+        got = retrieve_candidates(query, lib, cache, k=20, force_targets=False)
+        assert [(c.name, c.retrieval_score) for c in got] == raw_retrieval(
+            query, lib, embedder, 20), query
+    assert set(counting.seen.values()) == {1}
+    assert set(counting.seen) == {f.description for f in lib} | set(queries)
 
 
 def scores_reply(sig_name, rows):
@@ -259,6 +298,37 @@ def test_alternatives_invalid_verdict_changes_nothing():
     assert out.exec_type is ExecutionType.PARALLEL
 
 
+def seq_alt_chat(steps, valid="YES"):
+    chat = ScriptedChat()
+    chat.script([format_output(catalog.get("ConstructSequentialInvocation"),
+                               {"reasoning": "next step", "next_api": step})
+                 for step in steps], signature="ConstructSequentialInvocation")
+    chat.script_output("ValidateSequentialInvocation",
+                       {"reasoning": "checked", "is_valid": valid})
+    return chat
+
+
+@pytest.mark.parametrize("steps", [["alpha_api", ""], [" alpha_api ", ""],
+                                   ["alpha_api(x=1)", ""]])
+def test_sequential_alternative_with_bare_names_shrinks_targets(steps):
+    out = validate_invocation_alternatives(
+        "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
+        ["alpha_api", "beta_api"], ExecutionType.SEQUENTIAL,
+        multi_library(), SignatureClient(seq_alt_chat(steps)))
+    assert out.targets == ["alpha_api"]
+    assert out.exec_type is ExecutionType.SINGLE
+
+
+def test_sequential_alternative_bare_names_remove_a_distractor():
+    out = validate_invocation_alternatives(
+        "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
+        ["alpha_api", "beta_api"], ExecutionType.SEQUENTIAL,
+        multi_library(), SignatureClient(seq_alt_chat(["alpha_api", "gamma_api", ""])))
+    assert out.candidates == []
+    assert out.targets == ["alpha_api", "beta_api"]
+    assert out.exec_type is ExecutionType.SEQUENTIAL
+
+
 def test_finalize_reproducible_and_complete():
     rng = random.Random(8)
     order1 = finalize(["d1", "d2"], ["t1"], random.Random(8))
@@ -287,5 +357,5 @@ def test_assemble_requires_twice_the_targets_for_parallel(embedder):
                                  signature="ParallelAPIRelevanceScorer")
     with pytest.raises(DistractorFailure, match="distractor candidates"):
         assemble_candidates("query words", ["alpha_api", "beta_api"],
-                            ExecutionType.PARALLEL, lib, embedder,
+                            ExecutionType.PARALLEL, lib, EmbeddingCache(embedder),
                             SignatureClient(chat), random.Random(0))

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+from conftest import templated_library
 import divgen.cli as cli
 from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library, fixture_library_path
-from divgen.model import ExecutionType, RunConfig, read_dataset
+from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
 from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
 from divgen.providers.base import TransportError
 from divgen.providers.hash_embed import HashEmbedder
@@ -127,3 +130,103 @@ def test_run_log_is_deterministic(tmp_path):
         (tmp_path / "ds.jsonl").unlink()
         engine.checkpoint_path.unlink()
     assert logs[0] == logs[1]
+
+
+def test_walk_heavy_run_golden_digest(tmp_path):
+    # Pins the bytes of a PARALLEL + SEQUENTIAL run on a 60-function library,
+    # where every example walks a dense similarity graph and retrieves
+    # distractors over the whole library.
+    library = templated_library(60)
+    embedder = HashEmbedder()
+    config = RunConfig(rng_seed=7, type_weights={
+        "SINGLE": 0.0, "PARALLEL": 1.0, "SEQUENTIAL": 1.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+    groups = group_parameters(library, embedder, config.group_threshold)
+    pools = build_api_pools(library, groups, random.Random(config.rng_seed))
+    graph = build_similarity_graph(library, embedder, config.graph_threshold)
+    out = tmp_path / "ds.jsonl"
+    engine = GenerationEngine(library, groups, pools, graph, config, StubChat(), embedder, out)
+    engine.generate(20)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "33c5d074d2e014b5f198f123575d287c2788cefbbd03a6bfd75518f63f828e7e")
+
+
+def crash_once(monkeypatch, after_acceptance, torn):
+    """Make the checkpoint write that follows acceptance ``after_acceptance``
+    fail: before anything is written, or (``torn``) after writing the first
+    half of the document."""
+    original_write = GenerationEngine._write_checkpoint
+    original_text = Path.write_text
+    fired = []
+
+    def torn_write_text(self, data, *args, **kwargs):
+        original_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    def failing(self):
+        if fired or self.state.accepted != after_acceptance:
+            return original_write(self)
+        fired.append(True)
+        if not torn:
+            raise OSError("killed")
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_text", torn_write_text)
+            original_write(self)
+
+    monkeypatch.setattr(GenerationEngine, "_write_checkpoint", failing)
+
+
+@pytest.mark.parametrize("torn", [False, True])
+def test_resume_after_checkpoint_crash_matches_uninterrupted_run(tmp_path, monkeypatch, torn):
+    n = 5
+    (tmp_path / "ref").mkdir()
+    build_engine(tmp_path / "ref").generate(n)
+    expected = (tmp_path / "ref" / "ds.jsonl").read_bytes()
+    for k in range(1, n + 1):
+        run_dir = tmp_path / f"crash{k}"
+        run_dir.mkdir()
+        with monkeypatch.context() as m:
+            crash_once(m, k, torn)
+            with pytest.raises(OSError):
+                build_engine(run_dir).generate(n)
+        assert len((run_dir / "ds.jsonl").read_text().splitlines()) == k
+        build_engine(run_dir).generate(n, resume=True)
+        assert (run_dir / "ds.jsonl").read_bytes() == expected, k
+
+
+def test_resume_before_first_acceptance(tmp_path, monkeypatch):
+    (tmp_path / "ref").mkdir()
+    build_engine(tmp_path / "ref").generate(2)
+    with monkeypatch.context() as m:
+        m.setattr(GenerationEngine, "_build_skeleton", lambda self, etype: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            build_engine(tmp_path).generate(2)
+    build_engine(tmp_path).generate(2, resume=True)
+    assert (tmp_path / "ds.jsonl").read_bytes() == (tmp_path / "ref" / "ds.jsonl").read_bytes()
+
+
+def test_resume_drops_tokenless_string_tracker_values(tmp_path):
+    # a run from before token-less values were refused could commit one; its
+    # checkpoint did not record the dataset size
+    config = RunConfig(rng_seed=7, type_weights={
+        "SINGLE": 1.0, "PARALLEL": 0.0, "SEQUENTIAL": 0.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+    engine = build_engine(tmp_path, config=config)
+    engine.generate(1)
+    doc = json.loads(engine.checkpoint_path.read_text())
+    doc.pop("dataset_bytes", None)
+    strings = [g.id for g in engine.groups.groups if g.category is ParamCategory.STRING]
+    for gid in strings:
+        doc["trackers"][gid] = ["Paris", "東京", "Rome", "", "Oslo"]
+    engine.checkpoint_path.write_text(json.dumps(doc, ensure_ascii=False))
+    resumed = build_engine(tmp_path, config=config)
+    resumed.generate(6, resume=True)
+    assert len(read_dataset(tmp_path / "ds.jsonl")) == 6
+    for gid in strings:
+        assert resumed.groups.tracker_snapshot(gid)[:3] == ("Paris", "Rome", "Oslo")
+
+
+def test_resume_refuses_a_dataset_shorter_than_the_checkpoint(tmp_path):
+    build_engine(tmp_path).generate(2)
+    data = tmp_path / "ds.jsonl"
+    data.write_bytes(data.read_bytes()[:-10])
+    with pytest.raises(ValueError, match="shorter than the checkpoint"):
+        build_engine(tmp_path).resume()

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
+from conftest import templated_library
 from divgen.model import ExecutionType, ModelError, RunConfig
-from divgen.preprocess import ApiGraph, ApiPools, GraphEdge
+from divgen.preprocess import ApiGraph, ApiPools, GraphEdge, build_similarity_graph
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 from divgen.providers.mock import ScriptedChat
@@ -154,3 +155,111 @@ def test_schema_compatibility_retry_then_accept(library):
         library[:2], SignatureClient(chat, retry_limit=3))
     assert ok
     assert len(chat.calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# The adjacency index against the edge scan it replaced
+
+
+class ScanGraph(ApiGraph):
+    """The graph as it was before it indexed itself: every neighbour query
+    scans every edge, and the walk's start vertices are recomputed per call."""
+
+    def pp_neighbors(self, name):
+        out = []
+        for e in self.edges:
+            if e.kind != "P-P":
+                continue
+            if e.source == name:
+                out.append((e.target, e.weight))
+            elif e.target == name:
+                out.append((e.source, e.weight))
+        return out
+
+    def pr_successors(self, name):
+        return [(e.target, e.weight) for e in self.edges
+                if e.kind == "P-R" and e.source == name]
+
+    @property
+    def starts(self):
+        return tuple(v for v in self.vertices if self.pp_neighbors(v) or self.pr_successors(v))
+
+
+def random_graph(rng, n_vertices, n_edges):
+    """Edges over the vertices plus two unknown names, with self-loops,
+    duplicates and an edge kind the walk does not use."""
+    vertices = tuple(f"v{i}" for i in range(n_vertices))
+    names = vertices + ("ghost", "phantom")
+    edges = []
+    for _ in range(n_edges):
+        if edges and rng.random() < 0.1:
+            edges.append(edges[rng.randrange(len(edges))])  # duplicate
+            continue
+        src = rng.choice(names)
+        dst = src if rng.random() < 0.1 else rng.choice(names)
+        kind = rng.choice(("P-P", "P-R", "P-P", "P-R", "X-Y"))
+        edges.append(GraphEdge(src, dst, kind, round(rng.random(), 3)))
+    return vertices, tuple(edges)
+
+
+def assert_same_adjacency(vertices, edges):
+    graph, scan = ApiGraph(vertices, edges), ScanGraph(vertices, edges)
+    for name in vertices + ("ghost", "phantom", "absent"):
+        assert list(graph.pp_neighbors(name)) == scan.pp_neighbors(name), name
+        assert list(graph.pr_successors(name)) == scan.pr_successors(name), name
+    assert graph.starts == scan.starts
+
+
+def test_index_matches_edge_scan_on_random_graphs():
+    rng = random.Random(0)
+    for _ in range(300):
+        assert_same_adjacency(*random_graph(rng, rng.randrange(1, 12), rng.randrange(0, 40)))
+
+
+def test_index_edge_cases():
+    assert_same_adjacency(("a", "b"), ())  # no edges
+    loop = GraphEdge("a", "a", "P-P", 0.9)
+    assert ApiGraph(("a",), (loop,)).pp_neighbors("a") == (("a", 0.9),)  # listed once
+    assert_same_adjacency(("a", "b"), (loop, GraphEdge("a", "b", "P-P", 0.7), loop,
+                                       GraphEdge("a", "a", "P-R", 0.8)))
+    assert_same_adjacency(("a",), (GraphEdge("ghost", "a", "P-R", 0.5),))
+
+
+def test_index_is_immutable_and_built_once():
+    graph = ApiGraph(("a", "b"), (GraphEdge("a", "b", "P-P", 0.8),))
+    first = graph.pp_neighbors("a")
+    assert isinstance(first, tuple) and graph.pp_neighbors("a") is first
+    assert isinstance(graph.starts, tuple)
+    assert graph == ApiGraph(("a", "b"), (GraphEdge("a", "b", "P-P", 0.8),))
+
+
+def assert_same_walks(graph, seeds):
+    scan = ScanGraph(graph.vertices, graph.edges)
+    for etype in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
+        for seed in seeds:
+            results = []
+            for g in (graph, scan):
+                rng = random.Random(seed)
+                try:
+                    walk = sample_walk(g, etype, rng)
+                except SamplingFailure as exc:
+                    walk = str(exc)
+                results.append((walk, rng.getstate()))
+            assert results[0] == results[1], (etype, seed)
+
+
+def test_walks_match_edge_scan_on_fixture_graph(library, embedder):
+    assert_same_walks(build_similarity_graph(library, embedder, 0.6), range(300))
+
+
+def test_walks_match_edge_scan_on_templated_library(embedder):
+    graph = build_similarity_graph(templated_library(120), embedder, 0.6)
+    assert len(graph.edges) > 1000
+    assert_same_walks(graph, range(150))
+
+
+def test_walks_match_edge_scan_on_random_graphs():
+    rng = random.Random(1)
+    for _ in range(100):
+        vertices, edges = random_graph(rng, rng.randrange(2, 10), rng.randrange(1, 30))
+        assert_same_walks(ApiGraph(vertices, edges), range(5))
