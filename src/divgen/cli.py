@@ -97,16 +97,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config.rng_seed = args.seed
     chat = make_chat(config)
     embedder = make_embedder(config)
-    log_stream = open(args.log, "a" if args.resume else "w", encoding="utf-8") if args.log else None
+    engine = GenerationEngine(library, groups, pools, graph, config, chat, embedder, args.out)
+    if args.resume and not engine.checkpoint_path.exists():
+        raise UsageError("nothing to resume: no checkpoint next to the output file")
+    if args.log:
+        if args.resume:
+            engine.cut_log(args.log)
+        engine.log_stream = open(args.log, "a" if args.resume else "w", encoding="utf-8")
     try:
-        engine = GenerationEngine(library, groups, pools, graph, config,
-                                  chat, embedder, args.out, log_stream)
-        if args.resume and not engine.checkpoint_path.exists():
-            raise UsageError("nothing to resume: no checkpoint next to the output file")
         added = engine.generate(args.n, resume=args.resume)
     finally:
-        if log_stream is not None:
-            log_stream.close()
+        if engine.log_stream is not None:
+            engine.log_stream.close()
     print(f"generate: {added} example(s) added; dataset holds {args.n} -> {args.out}")
     return EXIT_OK
 

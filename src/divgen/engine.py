@@ -4,8 +4,9 @@ One RNG stream drives every draw in a documented order, acceptance is globally
 serialized (dataset append + tracker commit + checkpoint), and abandoned
 attempts leave no trace beyond a log line, so a run is byte-reproducible from
 its seed and can resume from the checkpoint after any interruption. The
-checkpoint is replaced atomically and records the dataset's size, so a resumed
-run first drops any line written after the last checkpoint.
+checkpoint is replaced atomically and records the sizes of the dataset and of
+the run log, so a resumed run first drops any line written after the last
+checkpoint.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ class GenerationEngine:
         self.querygen = QueryGenerator(self.client, self.embed_cache, self.rng, config)
         self.out_path = Path(out_path)
         self.log_stream = log_stream
+        self.log_bytes = 0  # UTF-8 bytes in the run log, as this run has written it
         self.state = EngineState()
         self.queries: list[str] = []
 
@@ -102,6 +104,7 @@ class GenerationEngine:
         doc = {
             "accepted": self.state.accepted,
             "dataset_bytes": self.out_path.stat().st_size,
+            "log_bytes": self.log_bytes if self.log_stream is not None else None,
             "last_id": f"ex-{self.state.accepted:06d}" if self.state.accepted else None,
             "attempts": self.state.attempts,
             "rng_state": [state[0], list(state[1]), state[2]],
@@ -115,8 +118,8 @@ class GenerationEngine:
         os.replace(tmp, self.checkpoint_path)
 
     def resume(self) -> None:
-        """Restore RNG, trackers, and guidance from the checkpoint file, and cut
-        the dataset back to the size the checkpoint records."""
+        """Restore RNG, trackers, guidance and the run log's size from the
+        checkpoint file, and cut the dataset back to the size it records."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
         if doc["config_digest"] != self._config_digest():
             raise ValueError("checkpoint was produced under a different configuration")
@@ -126,6 +129,7 @@ class GenerationEngine:
                 if fh.tell() < size:
                     raise ValueError("dataset is shorter than the checkpoint records")
                 fh.truncate(size)
+        self.log_bytes = doc.get("log_bytes") or 0
         self.state.accepted = doc["accepted"]
         self.state.attempts = doc["attempts"]
         version, internal, gauss = doc["rng_state"]
@@ -136,12 +140,24 @@ class GenerationEngine:
         self.querygen.guidance = doc["guidance"]
         self.queries = list(doc["queries"])
 
+    def cut_log(self, path: str | Path) -> None:
+        """Cut the run log at ``path`` back to the size the checkpoint records,
+        so a resumed run does not log twice what it redoes."""
+        doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
+        size = doc.get("log_bytes")  # None: the run had no log, or is older
+        if size is not None:
+            with open(path, "ab") as fh:
+                if fh.tell() > size:
+                    fh.truncate(size)
+
     # -- logging -----------------------------------------------------------------
 
     def _log(self, event: dict[str, Any]) -> None:
         if self.log_stream is not None:
-            self.log_stream.write(json.dumps(event, ensure_ascii=False) + "\n")
+            line = json.dumps(event, ensure_ascii=False) + "\n"
+            self.log_stream.write(line)
             self.log_stream.flush()
+            self.log_bytes += len(line.encode("utf-8"))
 
     # -- skeleton construction ------------------------------------------------------
 

@@ -8,6 +8,11 @@ so partitions are deterministic); everything else is noise.
 
 Cosine distance is 1 - ``semantic.cosine_matrix``; a zero-norm point has no
 direction, so it raises ValueError rather than landing at some distance.
+Distances are compared with eps at 12 decimals (``within_eps``): a distance
+computed from one row against a block can differ in its last bit from the same
+entry of the full matrix, and the rounding makes both give the same
+neighbourhood, so an incremental caller (``cluster_entropy.ValueIndex``) agrees
+with this function at ties.
 """
 
 from __future__ import annotations
@@ -54,15 +59,25 @@ def _as_matrix(points: Sequence) -> np.ndarray:
     return arr
 
 
-def pairwise_distances(points: Sequence, metric: str) -> np.ndarray:
-    arr = _as_matrix(points)
+def pairwise_distances(a: Sequence, metric: str, b: Sequence | None = None) -> np.ndarray:
+    """Distances between the rows of ``a`` and of ``b`` (of ``a`` itself when
+    ``b`` is omitted)."""
+    rows_a = _as_matrix(a)
+    rows_b = rows_a if b is None else _as_matrix(b)
     if metric == "euclidean":
-        sq = np.sum(arr * arr, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (arr @ arr.T)
+        sq_a = np.sum(rows_a * rows_a, axis=1)
+        sq_b = sq_a if b is None else np.sum(rows_b * rows_b, axis=1)
+        d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (rows_a @ rows_b.T)
         return np.sqrt(np.maximum(d2, 0.0))
     if metric == "cosine":
-        return 1.0 - cosine_matrix(arr)
+        return 1.0 - cosine_matrix(rows_a, None if b is None else rows_b)
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def within_eps(dist: np.ndarray, eps: float) -> np.ndarray:
+    """The neighbourhood test: ``dist <= eps`` at 12 decimals. Rounds ``dist``
+    in place."""
+    return np.round(dist, 12, out=dist) <= eps
 
 
 def dbscan(points: Sequence, eps: float, min_samples: int,
@@ -75,8 +90,8 @@ def dbscan(points: Sequence, eps: float, min_samples: int,
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
 
-    dist = pairwise_distances(points, metric)
-    neighbors = [np.nonzero(dist[i] <= eps)[0] for i in range(n)]
+    near = within_eps(pairwise_distances(points, metric), eps)
+    neighbors = [np.nonzero(near[i])[0] for i in range(n)]
     core = np.array([len(nb) >= min_samples for nb in neighbors])
 
     labels = [NOISE] * n

@@ -3,7 +3,9 @@
 For NUMERICAL and STRING parameters the generator asks for 25 candidate values,
 exposes a uniform sample of 5 to the selector, folds the hidden 20 into the
 group's committed values ("virtual augmentation"), and keeps the exposed
-candidate whose augmented-group cluster entropy is highest. ENUM parameters
+candidate whose augmented-group cluster entropy is highest. Each group's
+committed values are indexed once (``ValueIndex``) and kept in step with its
+tracker, so a selection embeds and clusters only its new values. ENUM parameters
 draw uniformly; OTHER parameters take a single LLM value. Parameter sets are
 LLM-validated with a bounded retry budget, and an abandoned example never
 touches the group trackers: commits are collected and applied atomically by the
@@ -20,7 +22,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from divgen.metrics.cluster_entropy import value_cluster_entropy
+# value_cluster_entropy stays importable here: bench/spans.py wraps it by name
+from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy  # noqa: F401
 from divgen.metrics.text import tokenize
 from divgen.model import (
     MISSING_SENTINEL,
@@ -92,13 +95,16 @@ def select_diverse_value(
     category: str,
     embedder,
     select_size: int = 5,
+    index: ValueIndex | None = None,
 ) -> tuple[Any, list[Any]]:
     """Greedy argmax over a uniform sample of the candidates.
 
     Returns (chosen value, augmented view): the view is the tracker snapshot
     plus the candidates that were hidden from the selector. Ties keep the first
     candidate in sampled order. STRING values must carry a word token (see
-    ``ParamGenerator.generate_value_candidates``).
+    ``ParamGenerator.generate_value_candidates``). ``index``, when given, holds
+    a prefix of the tracker snapshot; without one the whole view is scored
+    from scratch.
     """
     if not candidates:
         raise ValueError("select_diverse_value requires candidates")
@@ -106,10 +112,11 @@ def select_diverse_value(
     exposed_set = {repr(x) for x in exposed}
     hidden = [c for c in candidates if repr(c) not in exposed_set]
     augmented = list(tracker_snapshot) + hidden
-    best = exposed[0]
-    best_score = value_cluster_entropy(augmented + [exposed[0]], category, embedder)
-    for cand in exposed[1:]:
-        score = value_cluster_entropy(augmented + [cand], category, embedder)
+    if index is None:
+        index = ValueIndex(category, embedder)
+    scores = index.entropies(augmented[len(index):], exposed)
+    best, best_score = exposed[0], scores[0]
+    for cand, score in zip(exposed[1:], scores[1:]):
         if score > best_score:
             best, best_score = cand, score
     return best, augmented
@@ -131,6 +138,18 @@ class ParamGenerator:
         self.embedder = embedder
         self.rng = rng
         self.config = config
+        self._value_indexes: dict[str, ValueIndex] = {}
+
+    def _value_index(self, group: ParameterGroup) -> ValueIndex:
+        """The group's value index, brought in step with its tracker. Built on
+        the group's first selection; values of an attempt in progress never
+        enter it."""
+        index = self._value_indexes.get(group.id)
+        if index is None:
+            index = self._value_indexes[group.id] = ValueIndex(
+                group.category.value, self.embedder)
+        index.sync(group.tracker)
+        return index
 
     # -- candidate generation -------------------------------------------------
 
@@ -294,7 +313,7 @@ class ParamGenerator:
                         value, _ = select_diverse_value(
                             candidates, existing, self.rng,
                             group.category.value, self.embedder,
-                            self.config.selection_size)
+                            self.config.selection_size, self._value_index(group))
                     y_current[p.name] = value
                     pending.append((group.id, value))
             except SignatureParseError as exc:

@@ -8,6 +8,7 @@ variable so credentials never live in config files.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Any, Mapping, Sequence
 
@@ -27,13 +28,23 @@ def _headers(token_env: str) -> dict[str, str]:
     return headers
 
 
+def _retry_after(value: str | None) -> float | None:
+    """Seconds from a numeric ``Retry-After`` header; None for a date or junk."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
+
+
 def _post(url: str, payload: dict[str, Any], token_env: str, timeout: float) -> dict[str, Any]:
     try:
         resp = requests.post(url, json=payload, headers=_headers(token_env), timeout=timeout)
     except requests.RequestException as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
     if resp.status_code == 429:
-        raise RateLimitError(f"rate-limited by {url}")
+        raise RateLimitError(f"rate-limited by {url}",
+                             _retry_after(resp.headers.get("Retry-After")))
     if resp.status_code >= 500:
         raise TransportError(f"{url} returned {resp.status_code}")
     if resp.status_code >= 400:

@@ -1,12 +1,19 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divgen.metrics.cluster_entropy import (
+    NUMERIC_EPS,
+    STRING_EPS,
+    ValueIndex,
     query_cluster_entropy,
     value_cluster_entropy,
 )
+from divgen.metrics.dbscan import dbscan, pairwise_distances
+from divgen.providers.hash_embed import HashEmbedder
 
 
 def test_twenty_distant_numeric_values_reach_log2_20():
@@ -80,3 +87,93 @@ def test_entropy_bounds_property(values):
     if len(set(floats)) == n and n > 1:
         # spacing 10 with eps 0.5 keeps every point a singleton
         assert bits == pytest.approx(math.log2(n), abs=1e-9)
+
+
+# --- the value index ------------------------------------------------------------
+
+# Ten of these twelve words per value: two values that share nine sit at cosine
+# distance 0.1 = STRING_EPS, up to rounding.
+TIE_WORDS = ("amber", "birch", "cedar", "delta", "ember", "fjord",
+             "grove", "heron", "inlet", "juniper", "kestrel", "larch")
+FREE_WORDS = tuple(f"{w}{i}" for w in ("port", "mesa", "reef", "dune") for i in range(10))
+
+
+def numeric_values(rng, count):
+    # a 0.5 grid puts pairs exactly at NUMERIC_EPS, a 0.1 grid puts them there
+    # up to rounding, and the small ranges repeat values
+    draws = (lambda: rng.randrange(80) * 0.5, lambda: rng.randrange(300) * 0.1,
+             lambda: rng.randrange(40), lambda: rng.uniform(0.0, 60.0))
+    return [rng.choice(draws)() for _ in range(count)]
+
+
+def string_values(rng, count):
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0 or not out:
+            out.append(" ".join(rng.sample(TIE_WORDS, 10)))
+        elif kind == 1:
+            out.append(" ".join(rng.sample(FREE_WORDS, rng.randrange(2, 6))))
+        else:
+            out.append(rng.choice(out))
+    return out
+
+
+def points_of(values, category, embedder):
+    if category == "NUMERICAL":
+        return [float(v) for v in values]
+    return embedder.embed(values)
+
+
+@pytest.mark.parametrize("category", ["NUMERICAL", "STRING"])
+def test_value_index_matches_the_dbscan_oracle(category):
+    embedder = HashEmbedder()
+    make = numeric_values if category == "NUMERICAL" else string_values
+    metric, eps = (("euclidean", NUMERIC_EPS) if category == "NUMERICAL"
+                   else ("cosine", STRING_EPS))
+    ties = 0
+    for trial, n in enumerate((0, 1, 2, 9, 60, 250, 1000)):
+        rng = random.Random(1000 * trial + len(category))
+        values = make(rng, n)
+        extra = make(rng, rng.randrange(0, 25))
+        candidates = make(rng, 5)
+        index = ValueIndex(category, embedder)
+        cut = rng.randrange(0, n + 1)
+        index.extend(values[:cut])
+        index.sync(values)
+        assert index.values == values
+        got = index.entropies(extra, candidates)
+        want = [value_cluster_entropy(values + extra + [c], category, embedder)
+                for c in candidates]
+        assert got == want, (trial, n)
+        if n:
+            points = points_of(values, category, embedder)
+            assert index.as_sets() == dbscan(points, eps, 2, metric).as_sets(), (trial, n)
+            dist = pairwise_distances(points, metric)
+            ties += int(np.sum(np.abs(dist - eps) < 1e-12))
+    assert ties > 0  # the data holds pairs at eps
+
+
+def test_value_index_resyncs_when_the_tracker_is_not_extended():
+    embedder = HashEmbedder()
+    rng = random.Random(3)
+    values = string_values(rng, 80)
+    index = ValueIndex("STRING", embedder)
+    index.sync(values)
+    for tracker in (values[:50], values[:30] + values[31:], string_values(rng, 40), []):
+        index.sync(tracker)
+        assert index.values == tracker
+        fresh = ValueIndex("STRING", embedder)
+        fresh.extend(tracker)
+        assert index.as_sets() == fresh.as_sets()
+        assert index.entropies(values[:3], ["amber birch"]) == \
+            fresh.entropies(values[:3], ["amber birch"])
+
+
+def test_value_index_refuses_other_categories_and_missing_embedder():
+    with pytest.raises(ValueError, match="requires an embedder"):
+        ValueIndex("STRING")
+    with pytest.raises(ValueError, match="NUMERICAL/STRING"):
+        ValueIndex("ENUM")
+    with pytest.raises(ValueError, match="non-numeric"):
+        ValueIndex("NUMERICAL").extend(["3.5", "not-a-number"])

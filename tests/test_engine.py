@@ -150,6 +150,50 @@ def test_walk_heavy_run_golden_digest(tmp_path):
         "33c5d074d2e014b5f198f123575d287c2788cefbbd03a6bfd75518f63f828e7e")
 
 
+def narrow_number(key):
+    # keys 2k and 2k + 1 sit exactly DBSCAN's eps (0.5) apart, other pairs 1.5 or more
+    return (key // 2) * 2.0 + (key % 2) * 0.5
+
+
+class NarrowStub(StubChat):
+    """StubChat whose candidate values come from few keys: 150 strings and 200
+    numbers. Most candidates then fall into a tracker's clusters, and which
+    one wins depends on the cluster sizes, not only on the order the selector
+    saw them in."""
+
+    def _candidate_values(self, name, f):
+        count = int(f.get("num_candidates", "25"))
+        pname = f.get("parameter_name", "value")
+        key = "|".join((name, pname, f.get("existing_values", ""),
+                        f.get("other_parameter_values", "")))
+        base = int(hashlib.md5(key.encode("utf-8")).hexdigest()[:12], 16)
+        if name.endswith("NumericalParameters"):
+            return json.dumps([narrow_number((base + 7919 * i) % 200) for i in range(count)])
+        return json.dumps([f"{pname} item {(base + 7919 * i) % 150:03d}" for i in range(count)])
+
+
+def test_warm_single_run_golden_digest(tmp_path):
+    # Pins the bytes of a SINGLE-only run resumed from a checkpoint whose
+    # groups hold 300 values each, drawn from NarrowStub's keys: every example
+    # selects values against large, clustered trackers.
+    config = RunConfig(rng_seed=11, type_weights={
+        "SINGLE": 1.0, "PARALLEL": 0.0, "SEQUENTIAL": 0.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+    engine = build_engine(tmp_path, config=config, chat=NarrowStub())
+    engine.generate(0)
+    doc = json.loads(engine.checkpoint_path.read_text())
+    rng = random.Random(5)
+    for g in engine.groups.groups:
+        if g.category is ParamCategory.STRING:
+            name = g.members[0][1]
+            doc["trackers"][g.id] = [f"{name} item {rng.randrange(150):03d}" for _ in range(300)]
+        elif g.category is ParamCategory.NUMERICAL:
+            doc["trackers"][g.id] = [narrow_number(rng.randrange(200)) for _ in range(300)]
+    engine.checkpoint_path.write_text(json.dumps(doc))
+    build_engine(tmp_path, config=config, chat=NarrowStub()).generate(12, resume=True)
+    assert hashlib.sha256((tmp_path / "ds.jsonl").read_bytes()).hexdigest() == (
+        "41126ddf8455be9ed720316b4464374142fa4f001ce79f324732ec7f5c4bc865")
+
+
 def crash_once(monkeypatch, after_acceptance, torn):
     """Make the checkpoint write that follows acceptance ``after_acceptance``
     fail: before anything is written, or (``torn``) after writing the first
@@ -191,6 +235,45 @@ def test_resume_after_checkpoint_crash_matches_uninterrupted_run(tmp_path, monke
         assert len((run_dir / "ds.jsonl").read_text().splitlines()) == k
         build_engine(run_dir).generate(n, resume=True)
         assert (run_dir / "ds.jsonl").read_bytes() == expected, k
+
+
+def test_resumed_run_log_matches_uninterrupted_run(tmp_path, monkeypatch):
+    # the run log is cut back to the size the checkpoint records, so an
+    # acceptance logged before a crash in its checkpoint write is logged once
+    n = 5
+    art = tmp_path / "art.json"
+    assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
+                     "--out", str(art)]) == 0
+
+    def generate(run_dir, *extra):
+        return cli.main(["generate", str(art), "--n", str(n), "--seed", "7",
+                         "--out", str(run_dir / "ds.jsonl"),
+                         "--log", str(run_dir / "run.log"), *extra])
+
+    (tmp_path / "ref").mkdir()
+    assert generate(tmp_path / "ref") == 0
+    expected = (tmp_path / "ref" / "run.log").read_bytes()
+    for k in range(1, n + 1):
+        run_dir = tmp_path / f"crash{k}"
+        run_dir.mkdir()
+        with monkeypatch.context() as m:
+            crash_once(m, k, torn=False)
+            assert generate(run_dir) == 1
+        assert generate(run_dir, "--resume") == 0
+        assert (run_dir / "run.log").read_bytes() == expected, k
+
+
+def test_resume_keeps_a_log_the_interrupted_run_did_not_write(tmp_path, monkeypatch):
+    art, out, log = tmp_path / "art.json", tmp_path / "ds.jsonl", tmp_path / "run.log"
+    assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
+                     "--out", str(art)]) == 0
+    argv = ["generate", str(art), "--n", "3", "--seed", "7", "--out", str(out)]
+    with monkeypatch.context() as m:
+        crash_once(m, 2, torn=False)
+        assert cli.main(argv) == 1
+    log.write_text("kept\n", encoding="utf-8")
+    assert cli.main(argv + ["--resume", "--log", str(log)]) == 0
+    assert log.read_text(encoding="utf-8").startswith("kept\n{")
 
 
 def test_resume_before_first_acceptance(tmp_path, monkeypatch):

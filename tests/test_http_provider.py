@@ -7,10 +7,11 @@ from divgen.providers.http import HttpChat, HttpEmbedder
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or json.dumps(payload or {})
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -47,6 +48,20 @@ def test_chat_rate_limit_maps_to_retryable(monkeypatch):
     with pytest.raises(RateLimitError) as err:
         chat.complete("x")
     assert err.value.retryable
+
+
+@pytest.mark.parametrize("header, seconds", [
+    ({"Retry-After": "12"}, 12.0),
+    ({"Retry-After": "0.5"}, 0.5),
+    ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+    ({"Retry-After": "-3"}, None),
+    ({}, None),
+])
+def test_rate_limit_carries_a_numeric_retry_after(monkeypatch, header, seconds):
+    patch_post(monkeypatch, FakeResponse(429, {}, headers=header))
+    with pytest.raises(RateLimitError) as err:
+        HttpChat("https://llm.example/v1", "m").complete("x")
+    assert err.value.retry_after == seconds
 
 
 def test_chat_server_error_is_transport(monkeypatch):

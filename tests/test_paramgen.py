@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from divgen.metrics.cluster_entropy import value_cluster_entropy
+from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy
 from divgen.model import MISSING_SENTINEL, RunConfig
 from divgen.paramgen import (
     ParamGenerator,
@@ -17,6 +17,7 @@ from divgen.providers.hash_embed import HashEmbedder
 from divgen.providers import catalog
 from divgen.providers.mock import ScriptedChat
 from divgen.providers.signature import format_output
+from test_cluster_entropy import numeric_values, string_values
 from test_preprocess import fn, param
 
 
@@ -175,6 +176,78 @@ def test_select_diverse_value_greedy_invariant_property():
                 # cand was exposed; its score must not beat the chosen one
                 score = value_cluster_entropy(augmented + [cand], "NUMERICAL")
                 assert chosen_score >= score - 1e-12
+
+
+def reference_select(candidates, tracker_snapshot, rng, category, embedder, select_size=5):
+    """The per-candidate selection loop: one full DBSCAN per exposed candidate."""
+    exposed = rng.sample(list(candidates), min(select_size, len(candidates)))
+    shown = {repr(x) for x in exposed}
+    augmented = list(tracker_snapshot) + [c for c in candidates if repr(c) not in shown]
+    scores = [value_cluster_entropy(augmented + [c], category, embedder) for c in exposed]
+    return exposed[scores.index(max(scores))], augmented
+
+
+def test_select_with_and_without_an_index_matches_the_per_candidate_loop():
+    embedder = HashEmbedder()
+    for seed in range(200):
+        rng = random.Random(seed)
+        category = ("NUMERICAL", "STRING")[seed % 2]
+        make = numeric_values if category == "NUMERICAL" else string_values
+        tracker = make(rng, rng.randrange(0, 60))
+        snapshot = tracker + make(rng, rng.randrange(0, 3))  # plus pending values
+        candidates = list(dict.fromkeys(make(rng, 40)))[:25]
+        index = ValueIndex(category, embedder)
+        index.sync(tracker)
+        rngs = [random.Random(seed) for _ in range(3)]
+        want = reference_select(candidates, snapshot, rngs[0], category, embedder)
+        assert select_diverse_value(candidates, snapshot, rngs[1], category, embedder,
+                                    index=index) == want, seed
+        assert select_diverse_value(candidates, snapshot, rngs[2], category,
+                                    embedder) == want, seed
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+        assert index.values == tracker
+
+
+def route_library():
+    # both parameters land in one STRING group, so an attempt's first value is
+    # pending when the second is selected
+    return [fn("route", param("origin", "names the city where the trip starts"),
+               param("destination", "names the city where the trip ends"),
+               description="route planner")]
+
+
+def assert_index_holds(index, tracker, embedder):
+    assert index.values == list(tracker)
+    fresh = ValueIndex("STRING", embedder)
+    fresh.extend(tracker)
+    assert index.as_sets() == fresh.as_sets()
+    assert index.entropies(["Lisbon"], ["Paris", "Quito"]) == [
+        value_cluster_entropy(list(tracker) + ["Lisbon", c], "STRING", embedder)
+        for c in ("Paris", "Quito")]
+
+
+def test_value_index_follows_the_tracker_through_abandon_restore_and_drop():
+    chat = candidates_script(ScriptedChat(), [f"town{i} center" for i in range(25)])
+    chat.script_output("ParameterSetValidator", {"reasoning": "never", "is_valid": "NO"})
+    lib, groups, gen = setup_gen(chat, lib=route_library())
+    group = groups.group_of("route", "origin")
+    assert groups.group_of("route", "destination") is group
+    group.tracker[:] = ["Paris", "Rome", "town3 center", "Oslo"]
+    with pytest.raises(ParamGenFailure):
+        gen.generate_single_params(lib[0])  # three attempts, each with a pending value
+    index = gen._value_indexes[group.id]
+    assert_index_holds(index, group.tracker, gen.embedder)
+
+    commit_to_trackers([(group.id, "Lima")], groups)
+    assert_index_holds(gen._value_index(group), group.tracker, gen.embedder)
+
+    groups.restore({group.id: ["Paris", "Rome", "Bern"]})
+    assert_index_holds(gen._value_index(group), group.tracker, gen.embedder)
+
+    # dropping the token-less values leaves the indexed values as a prefix
+    groups.restore({group.id: ["Paris", "東京", "Rome", "", "Bern", "Kyiv", "Oslo"]})
+    groups.drop_tokenless_strings()
+    assert_index_holds(gen._value_index(group), group.tracker, gen.embedder)
 
 
 # --- single-function generation ---------------------------------------------------

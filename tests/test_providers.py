@@ -71,10 +71,51 @@ def test_signature_client_retries_transport_errors():
                 raise TransportError("boom")
             return good
 
-    out = SignatureClient(Flaky(), retry_limit=3).call(
+    slept = []
+    out = SignatureClient(Flaky(), retry_limit=3, sleep=slept.append).call(
         sig, {"query": "q", "api_schema": "{}", "target_parameters": "{}"})
     assert out["is_reasonable"] == "YES"
     assert calls["n"] == 3
+    assert slept == [1.0]  # the rate limit backs off; the transport error does not
+
+
+class RateLimited:
+    """Raises RateLimitError (with the given retry_after values, in turn) for
+    the first ``times`` calls, then answers."""
+
+    def __init__(self, times, retry_after=(), reply=""):
+        self.times, self.retry_after, self.reply = times, list(retry_after), reply
+        self.calls = 0
+
+    def complete(self, prompt, params=None):
+        self.calls += 1
+        if self.calls <= self.times:
+            after = self.retry_after[self.calls - 1] if self.retry_after else None
+            raise RateLimitError("429", retry_after=after)
+        return self.reply
+
+
+JUDGE_INPUTS = {"query": "q", "api_schema": "{}", "target_parameters": "{}"}
+
+
+def test_rate_limit_sleeps_the_providers_retry_after():
+    sig = catalog.get("APIQueryJudge")
+    chat = RateLimited(2, retry_after=[7.5, 0.0],
+                       reply=format_output(sig, {"reasoning": "ok", "is_reasonable": "YES"}))
+    slept = []
+    out = SignatureClient(chat, retry_limit=3, sleep=slept.append).call(sig, JUDGE_INPUTS)
+    assert out["is_reasonable"] == "YES"
+    assert slept == [7.5, 0.0]
+
+
+def test_rate_limit_without_retry_after_backs_off_exponentially_up_to_a_cap():
+    sig = catalog.get("APIQueryJudge")
+    chat = RateLimited(100)
+    slept = []
+    with pytest.raises(RateLimitError):
+        SignatureClient(chat, retry_limit=8, sleep=slept.append).call(sig, JUDGE_INPUTS)
+    assert chat.calls == 8  # the retry budget is unchanged
+    assert slept == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]  # no sleep after the last try
 
 
 def test_hash_embedder_determinism_and_geometry():
