@@ -260,7 +260,10 @@ class GenerationEngine:
         if new_type is ExecutionType.SEQUENTIAL:
             for i, name in enumerate(new_targets):
                 invocations.append(Invocation(name, argmap[name], i))
-            returns = list(skeleton.return_values)[: max(0, len(new_targets) - 1)]
+            # every step but the last returns a value; a shrunk chain keeps
+            # those of its remaining steps, by name
+            returned = {s.name: r for s, r in zip(skeleton.schemas, skeleton.return_values)}
+            returns = [returned[name] for name in new_targets[:-1]]
         else:
             for name in new_targets:
                 invocations.append(Invocation(name, argmap[name], 0))

@@ -65,6 +65,9 @@ def pairwise_distances(a: Sequence, metric: str, b: Sequence | None = None) -> n
     rows_a = _as_matrix(a)
     rows_b = rows_a if b is None else _as_matrix(b)
     if metric == "euclidean":
+        if rows_a.shape[1] == 1:
+            # |a - b| directly: the expanded form cancels for large scalars
+            return np.abs(rows_a - rows_b.T)
         sq_a = np.sum(rows_a * rows_a, axis=1)
         sq_b = sq_a if b is None else np.sum(rows_b * rows_b, axis=1)
         d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (rows_a @ rows_b.T)

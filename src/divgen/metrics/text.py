@@ -89,16 +89,21 @@ def ncd_diversity(values: Sequence[str]) -> float:
     if len(values) < 2:
         raise ValueError("ncd_diversity requires at least two values (no pairs otherwise)")
     encoded = [str(v).encode("utf-8") for v in values]
-    sizes = [_compressed_size(e) for e in encoded]
     total = 0.0
     pairs = 0
     for i in range(len(encoded)):
         for j in range(i + 1, len(encoded)):
-            joint = _compressed_size(encoded[i] + encoded[j])
-            lo, hi = sorted((sizes[i], sizes[j]))
-            total += (joint - lo) / hi
+            total += _ncd(encoded[i], encoded[j])
             pairs += 1
     return total / pairs
+
+
+@functools.lru_cache(maxsize=4096)
+def _ncd(x: bytes, y: bytes) -> float:
+    """NCD of one ordered pair (C(xy) depends on the order), memoised so the
+    bootstrap resamples of one value sample compress each pair once."""
+    lo, hi = sorted((_compressed_size(x), _compressed_size(y)))
+    return (_compressed_size(x + y) - lo) / hi
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ lexicon and suffix, then bracketed into noun/verb/prepositional groups under a
 sentence root. It exists to keep the metrics hermetic; any callable mapping a
 sentence to a TreeNode can be plugged in instead. Tree edit distance is the
 exact ordered-tree algorithm with unit insert/delete/relabel costs.
+
+The edit distance of two sentences depends only on their trees, so its memo is
+keyed by tree, not by text: each distinct tree is put in postorder once and
+interned, the memo is keyed by a pair of interned trees, and the corpus average
+weights each distinct pair by the counts of its two trees. The default
+chunker's tree shape and postorder are memoised per sentence.
 """
 
 from __future__ import annotations
@@ -148,8 +154,15 @@ def chunk_sentence(sentence: str) -> TreeNode:
 Analyzer = Callable[[str], TreeNode]
 
 
+@functools.lru_cache(maxsize=65536)
+def _chunk_shape(sentence: str) -> str:
+    return tree_shape(chunk_sentence(sentence))
+
+
 def sentence_shapes(text: str, analyzer: Analyzer = chunk_sentence) -> list[str]:
     """Tree shape of each sentence of one text."""
+    if analyzer is chunk_sentence:
+        return [_chunk_shape(s) for s in sentences_of(text)]
     return [tree_shape(analyzer(s)) for s in sentences_of(text)]
 
 
@@ -169,104 +182,155 @@ def shape_entropy(shapes: Counter[str]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ordered tree edit distance (keyroot dynamic program)
+# Ordered tree edit distance (Zhang & Shasha's keyroot dynamic program)
 
 
-def _postorder(root: TreeNode) -> tuple[list[str], list[int], list[int]]:
-    """Postorder labels, leftmost-leaf indices (1-based), and keyroots."""
-    labels: list[str] = []
-    lmd: list[int] = []
+class _Postorder:
+    """One distinct tree in postorder, interned: equal trees share one
+    instance, so it hashes and compares by identity, and a memo keyed by a
+    pair of them never walks or hashes a tree.
+
+    ``labels[x]`` is the label of postorder node x and ``before[x]`` the
+    index just before x's leftmost leaf, which is the empty-forest row of
+    x's subtree (1-based; index 0 pads both). ``keyroots`` ascend.
+    """
+
+    __slots__ = ("labels", "before", "keyroots")
+
+    def __init__(self, labels: tuple[str, ...], before: tuple[int, ...]):
+        self.labels = labels
+        self.before = before
+        seen: set[int] = set()
+        keyroots: list[int] = []
+        for x in range(len(labels) - 1, 0, -1):
+            if before[x] not in seen:
+                seen.add(before[x])
+                keyroots.append(x)
+        self.keyroots = tuple(reversed(keyroots))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _interned(labels: tuple[str, ...], before: tuple[int, ...]) -> _Postorder:
+    # postorder labels and subtree spans determine an ordered tree, whatever
+    # characters its labels hold
+    return _Postorder(labels, before)
+
+
+def _postorder(root: TreeNode) -> _Postorder:
+    labels = [""]
+    before = [0]
 
     def walk(node: TreeNode) -> int:
-        first_leaf = None
+        """Postorder-number ``node``'s subtree; returns its leftmost leaf."""
+        first = 0
         for child in node.children:
             leaf = walk(child)
-            if first_leaf is None:
-                first_leaf = leaf
+            first = first or leaf
         labels.append(node.label)
-        idx = len(labels)  # 1-based postorder index
-        lmd.append(first_leaf if first_leaf is not None else idx)
-        return lmd[-1]
+        first = first or len(labels) - 1
+        before.append(first - 1)
+        return first
 
     walk(root)
-    seen: set[int] = set()
-    keyroots: list[int] = []
-    for i in range(len(labels), 0, -1):
-        if lmd[i - 1] not in seen:
-            keyroots.append(i)
-            seen.add(lmd[i - 1])
-    keyroots.sort()
-    return labels, lmd, keyroots
+    return _interned(tuple(labels), tuple(before))
+
+
+@functools.lru_cache(maxsize=65536)
+def _chunk_postorder(sentence: str) -> _Postorder:
+    return _postorder(chunk_sentence(sentence))
+
+
+def _zhang_shasha(a: _Postorder, b: _Postorder) -> int:
+    """Unit-cost edit distance; fd[x][y] is the forest distance between
+    nodes before(i)+1..x of a and before(j)+1..y of b for the keyroot pair
+    (i, j) being filled, td[x][y] the distance between the subtrees at x and
+    y. One fd serves every keyroot pair: a pair writes rows before(i)..i and
+    columns before(j)..j, and reads only cells it wrote."""
+    la, ba = a.labels, a.before
+    lb, bb = b.labels, b.before
+    n, m = len(la) - 1, len(lb) - 1
+    td = [[0] * (m + 1) for _ in range(n + 1)]
+    fd = [[0] * (m + 1) for _ in range(n + 1)]
+    b_keyroots = []  # per keyroot j of b: before(j), j, and (y, before(y), label) of its columns
+    for j in b.keyroots:
+        bj = bb[j]
+        b_keyroots.append((bj, j, tuple(zip(range(bj + 1, j + 1), bb[bj + 1:j + 1],
+                                            lb[bj + 1:j + 1]))))
+    for i in a.keyroots:
+        bi = ba[i]
+        top = fd[bi]
+        xs = range(bi + 1, i + 1)
+        for bj, j, cols in b_keyroots:
+            top[bj:j + 1] = range(j - bj + 1)
+            prev = top
+            for x in xs:
+                row = fd[x]
+                left = row[bj] = x - bi
+                diag = prev[bj]
+                tdx = td[x]
+                bx = ba[x]
+                if bx == bi:
+                    # x shares i's leftmost leaf, so a cell whose y shares
+                    # j's is the distance between two whole subtrees
+                    lab = la[x]
+                    for y, by, lby in cols:
+                        up = prev[y]
+                        gap = (up if up < left else left) + 1
+                        if by == bj:
+                            cell = diag + (lab != lby)
+                            if gap < cell:
+                                cell = gap
+                            tdx[y] = cell
+                        else:
+                            cell = top[by] + tdx[y]
+                            if gap < cell:
+                                cell = gap
+                        row[y] = left = cell
+                        diag = up
+                else:
+                    base = fd[bx]
+                    for y, by, _ in cols:
+                        up = prev[y]
+                        gap = (up if up < left else left) + 1
+                        cell = base[by] + tdx[y]
+                        if gap < cell:
+                            cell = gap
+                        row[y] = left = cell
+                prev = row
+    return td[n][m]
 
 
 def tree_edit_distance(a: TreeNode, b: TreeNode) -> int:
     """Minimal number of relabel/insert/delete operations turning a into b."""
-    la, lmda, kra = _postorder(a)
-    lb, lmdb, krb = _postorder(b)
-    n, m = len(la), len(lb)
-    td = [[0] * (m + 1) for _ in range(n + 1)]
-
-    for i in kra:
-        for j in krb:
-            ioff = lmda[i - 1] - 1
-            joff = lmdb[j - 1] - 1
-            rows = i - ioff
-            cols = j - joff
-            fd = [[0] * (cols + 1) for _ in range(rows + 1)]
-            for di in range(1, rows + 1):
-                fd[di][0] = fd[di - 1][0] + 1
-            for dj in range(1, cols + 1):
-                fd[0][dj] = fd[0][dj - 1] + 1
-            for di in range(1, rows + 1):
-                i1 = di + ioff
-                for dj in range(1, cols + 1):
-                    j1 = dj + joff
-                    if lmda[i1 - 1] == lmda[i - 1] and lmdb[j1 - 1] == lmdb[j - 1]:
-                        relabel = 0 if la[i1 - 1] == lb[j1 - 1] else 1
-                        fd[di][dj] = min(
-                            fd[di - 1][dj] + 1,
-                            fd[di][dj - 1] + 1,
-                            fd[di - 1][dj - 1] + relabel,
-                        )
-                        td[i1][j1] = fd[di][dj]
-                    else:
-                        fd[di][dj] = min(
-                            fd[di - 1][dj] + 1,
-                            fd[di][dj - 1] + 1,
-                            fd[lmda[i1 - 1] - 1 - ioff][lmdb[j1 - 1] - 1 - joff] + td[i1][j1],
-                        )
-    return td[n][m]
+    return _zhang_shasha(_postorder(a), _postorder(b))
 
 
 @functools.lru_cache(maxsize=1 << 17)
-def _ted_between_sentences(sa: str, sb: str, analyzer_id: int) -> int:
-    analyzer = _ANALYZERS[analyzer_id]
-    return tree_edit_distance(analyzer(sa), analyzer(sb))
-
-
-_ANALYZERS: dict[int, Analyzer] = {0: chunk_sentence}
-
-
-def _analyzer_id(analyzer: Analyzer) -> int:
-    for key, fn in _ANALYZERS.items():
-        if fn is analyzer:
-            return key
-    key = max(_ANALYZERS) + 1
-    _ANALYZERS[key] = analyzer
-    return key
+def _ted_between_sentences(a: _Postorder, b: _Postorder) -> int:
+    """The pair memo of ``avg_tree_edit_distance``: keyed by interned trees,
+    so every sentence pair with the same two trees is one entry."""
+    return _zhang_shasha(a, b)
 
 
 def avg_tree_edit_distance(corpus: Sequence[str], analyzer: Analyzer = chunk_sentence) -> float:
-    """Mean edit distance over unordered sentence pairs; 0 when < 2 sentences."""
-    sents = [s for text in corpus for s in sentences_of(text)]
-    if len(sents) < 2:
+    """Mean edit distance over unordered sentence pairs; 0 when < 2 sentences.
+
+    Computed from the count table of distinct trees: pairs of one tree add 0,
+    and each pair of distinct trees adds its distance times both counts. The
+    sum is an integer, so the mean equals the sentence-pair loop's exactly.
+    """
+    if analyzer is chunk_sentence:
+        postorder = _chunk_postorder
+    else:
+        postorder = lambda sentence: _postorder(analyzer(sentence))
+    counts = Counter(postorder(s) for text in corpus for s in sentences_of(text))
+    n = sum(counts.values())
+    if n < 2:
         return 0.0
-    aid = _analyzer_id(analyzer)
-    total = 0.0
-    pairs = 0
-    for i in range(len(sents)):
-        for j in range(i + 1, len(sents)):
-            sa, sb = sorted((sents[i], sents[j]))
-            total += _ted_between_sentences(sa, sb, aid)
-            pairs += 1
-    return total / pairs
+    trees = sorted(counts, key=id)  # one memo entry per unordered pair
+    total = 0
+    for k, a in enumerate(trees):
+        ca = counts[a]
+        for b in trees[k + 1:]:
+            total += ca * counts[b] * _ted_between_sentences(a, b)
+    return total / (n * (n - 1) // 2)

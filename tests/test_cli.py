@@ -172,3 +172,33 @@ def test_compare_datasets_with_argument_diversity(tmp_path):
     assert "argument_diversity" in report
     arg = report["argument_diversity"]
     assert "groups" in arg and ("average" in arg or "warning" in arg)
+
+
+def test_report_golden_digests(tmp_path, monkeypatch):
+    # Pins the bytes of the diversity reports: analyze and compare on the
+    # bundled corpora, and compare with argument diversity on two fixture runs.
+    # Relative paths keep the labels, which the reports carry, independent of
+    # tmp_path.
+    monkeypatch.chdir(tmp_path)
+    _write_corpus(tmp_path / "varied.json", varied_corpus())
+    _write_corpus(tmp_path / "repetitive.json", repetitive_corpus())
+    lib = fixture_library_path()
+    assert run(["preprocess", lib, "--seed", "7", "--out", "art.json"]) == 0
+    for seed in ("7", "9"):
+        assert run(["generate", "art.json", "--n", "25", "--seed", seed,
+                    "--out", f"ds{seed}.jsonl"]) == 0
+    commands = {
+        "analyze.json": ["analyze", "varied.json", "--seed", "3"],
+        "compare.json": ["compare", "varied.json", "repetitive.json", "--seed", "3"],
+        "arguments.json": ["compare", "ds7.jsonl", "ds9.jsonl", "--library-a", lib,
+                           "--library-b", lib, "--seed", "1"],
+    }
+    digests = {}
+    for out, argv in commands.items():
+        assert run(argv + ["--out", out]) == 0
+        digests[out] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+    assert digests == {
+        "analyze.json": "82ec37e96a16497affbbf31d2599087c1135cbfb08fa73bcf7d335120dafaf18",
+        "compare.json": "d6bd92f2bd5844acb0bdb338b7e9c997817be1a85f4f5683be84e66dc1034917",
+        "arguments.json": "9664d4ee58062687f62f661764a621c348b0ee2b63566a9f92bb1ffb8156f881",
+    }

@@ -170,6 +170,31 @@ def test_value_index_resyncs_when_the_tracker_is_not_extended():
             fresh.entropies(values[:3], ["amber birch"])
 
 
+def test_large_numeric_values_keep_their_distances():
+    # Unix-timestamp-sized values: the expanded form sqrt(a^2 + b^2 - 2ab)
+    # cancels there and puts all three in one cluster
+    values = [1.7e9, 1.7e9 + 0.4, 1.7e9 + 3.0]
+    assert pairwise_distances(values, "euclidean")[0].tolist() == [0.0, values[1] - values[0], 3.0]
+    expected = -(2 / 3 * math.log2(2 / 3) + 1 / 3 * math.log2(1 / 3))
+    assert value_cluster_entropy(values, "NUMERICAL") == pytest.approx(expected, abs=1e-12)
+
+
+def test_value_index_matches_the_dbscan_oracle_near_1e9():
+    rng = random.Random(17)
+    for n in (2, 60, 250):
+        # the 0.5 grid is exact at this offset, so it must partition as unshifted
+        grid = [rng.randrange(80) * 0.5 for _ in range(n)]
+        shifted = [1e9 + v for v in grid]
+        assert dbscan(shifted, NUMERIC_EPS, 2).as_sets() == dbscan(grid, NUMERIC_EPS, 2).as_sets()
+        values = shifted + [1e9 + v for v in numeric_values(rng, n)]
+        index = ValueIndex("NUMERICAL", None)
+        index.extend(values)
+        assert index.as_sets() == dbscan(values, NUMERIC_EPS, 2).as_sets()
+        candidates = [1e9 + v for v in numeric_values(rng, 5)]
+        assert index.entropies([], candidates) == [
+            value_cluster_entropy(values + [c], "NUMERICAL") for c in candidates]
+
+
 def test_value_index_refuses_other_categories_and_missing_embedder():
     with pytest.raises(ValueError, match="requires an embedder"):
         ValueIndex("STRING")

@@ -11,9 +11,12 @@ from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
 from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
+from divgen.providers import catalog
 from divgen.providers.base import TransportError
 from divgen.providers.hash_embed import HashEmbedder
 from divgen.providers.mock import StubChat
+from divgen.providers.signature import format_output
+from divgen.querygen import ExampleSkeleton
 
 
 def build_engine(tmp_path, config=None, chat=None, log_stream=None):
@@ -313,3 +316,37 @@ def test_resume_refuses_a_dataset_shorter_than_the_checkpoint(tmp_path):
     data.write_bytes(data.read_bytes()[:-10])
     with pytest.raises(ValueError, match="shorter than the checkpoint"):
         build_engine(tmp_path).resume()
+
+
+class ChainShrinkingChat(StubChat):
+    """StubChat whose sequential-invocation construction answers the given
+    steps in order, then an empty step that ends the chain."""
+
+    def __init__(self, steps):
+        self.steps = list(steps)
+
+    def complete(self, prompt, params=None):
+        if catalog.identify(prompt) == "ConstructSequentialInvocation":
+            step = self.steps.pop(0) if self.steps else ""
+            return format_output(catalog.get("ConstructSequentialInvocation"),
+                                 {"reasoning": "next step", "next_api": step})
+        return super().complete(prompt, params)
+
+
+@pytest.mark.parametrize("kept, returns", [
+    (("hotel_search", "flight_price"), ("from hotel_search",)),
+    (("weather_forecast", "flight_price"), ("from weather_forecast",)),
+])
+def test_shrunk_sequential_chain_keeps_each_steps_return_value(tmp_path, kept, returns):
+    by_name = {f.name: f for f in fixture_library()}
+    chain = ("weather_forecast", "hotel_search", "flight_price")
+    skeleton = ExampleSkeleton(
+        execution_type=ExecutionType.SEQUENTIAL,
+        schemas=tuple(by_name[name] for name in chain),
+        arguments=({"city": "Oslo"}, {"city": "Oslo"}, {"year": 2024}),
+        return_values=("from weather_forecast", "from hotel_search"))
+    engine = build_engine(tmp_path, chat=ChainShrinkingChat(kept))
+    example = engine._assemble(skeleton, {}, {}, "weather, then a hotel, then a flight")
+    assert example.metadata["distractor_note"] == f"targets shrunk to {list(kept)}"
+    assert [inv.function_name for inv in example.target_invocations] == list(kept)
+    assert example.return_values == returns

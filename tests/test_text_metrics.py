@@ -1,5 +1,6 @@
 import random
 import string
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,33 @@ def test_ncd_identical_vs_random():
     a = "".join(rng.choices(string.ascii_lowercase, k=4000))
     b = "".join(rng.choices(string.ascii_lowercase, k=4000))
     assert ncd_diversity([a, b]) > 0.8
+
+
+def reference_ncd_diversity(values):
+    """The pair loop without a memo: every pair compressed in place."""
+    encoded = [str(v).encode("utf-8") for v in values]
+    sizes = [len(zlib.compress(e, 6)) for e in encoded]
+    total = 0.0
+    pairs = 0
+    for i in range(len(encoded)):
+        for j in range(i + 1, len(encoded)):
+            joint = len(zlib.compress(encoded[i] + encoded[j], 6))
+            lo, hi = sorted((sizes[i], sizes[j]))
+            total += (joint - lo) / hi
+            pairs += 1
+    return total / pairs
+
+
+def test_ncd_memo_matches_the_unmemoised_loop():
+    rng = random.Random(4)
+    # C(xy) != C(yx) for "oslo" and "Oslo Oslo Oslo", among other pairs here
+    pool = ["Oslo", "oslo", "Kyoto city centre", "42", "42.5", "東京", "",
+            "a much longer value with several words in it", "Oslo Oslo Oslo"]
+    for size in (2, 3, 20, 40):
+        values = [rng.choice(pool) for _ in range(size)]
+        # the bootstrap's subsamples revisit the same pairs in other orders
+        for sample in (values, values[::-1], rng.sample(values, size)):
+            assert ncd_diversity(sample) == reference_ncd_diversity(sample)
 
 
 def test_ncd_single_value_errors():

@@ -1,14 +1,17 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divgen.metrics.trees import (
     TreeNode,
+    _ted_between_sentences,
     avg_tree_edit_distance,
     chunk_sentence,
     parse_tree_entropy,
+    sentence_shapes,
     sentences_of,
     tree_edit_distance,
     tree_shape,
@@ -71,6 +74,82 @@ def brute_force_ted(a, b):
     return best
 
 
+# --- reference: the textbook keyroot program and the sentence-pair loop -------
+
+def reference_postorder(root):
+    """Postorder labels, leftmost-leaf indices (1-based), and keyroots."""
+    labels = []
+    lmd = []
+
+    def walk(node):
+        first_leaf = None
+        for child in node.children:
+            leaf = walk(child)
+            if first_leaf is None:
+                first_leaf = leaf
+        labels.append(node.label)
+        idx = len(labels)
+        lmd.append(first_leaf if first_leaf is not None else idx)
+        return lmd[-1]
+
+    walk(root)
+    seen = set()
+    keyroots = []
+    for i in range(len(labels), 0, -1):
+        if lmd[i - 1] not in seen:
+            keyroots.append(i)
+            seen.add(lmd[i - 1])
+    keyroots.sort()
+    return labels, lmd, keyroots
+
+
+def reference_ted(a, b):
+    """Zhang-Shasha with per-pair forest tables and offset indexing."""
+    la, lmda, kra = reference_postorder(a)
+    lb, lmdb, krb = reference_postorder(b)
+    n, m = len(la), len(lb)
+    td = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in kra:
+        for j in krb:
+            ioff = lmda[i - 1] - 1
+            joff = lmdb[j - 1] - 1
+            rows = i - ioff
+            cols = j - joff
+            fd = [[0] * (cols + 1) for _ in range(rows + 1)]
+            for di in range(1, rows + 1):
+                fd[di][0] = fd[di - 1][0] + 1
+            for dj in range(1, cols + 1):
+                fd[0][dj] = fd[0][dj - 1] + 1
+            for di in range(1, rows + 1):
+                i1 = di + ioff
+                for dj in range(1, cols + 1):
+                    j1 = dj + joff
+                    if lmda[i1 - 1] == lmda[i - 1] and lmdb[j1 - 1] == lmdb[j - 1]:
+                        relabel = 0 if la[i1 - 1] == lb[j1 - 1] else 1
+                        fd[di][dj] = min(fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
+                                         fd[di - 1][dj - 1] + relabel)
+                        td[i1][j1] = fd[di][dj]
+                    else:
+                        fd[di][dj] = min(
+                            fd[di - 1][dj] + 1, fd[di][dj - 1] + 1,
+                            fd[lmda[i1 - 1] - 1 - ioff][lmdb[j1 - 1] - 1 - joff] + td[i1][j1])
+    return td[n][m]
+
+
+def reference_avg_ted(corpus, analyzer=chunk_sentence):
+    """Mean distance over every unordered sentence pair, summed in floats."""
+    sents = [s for text in corpus for s in sentences_of(text)]
+    if len(sents) < 2:
+        return 0.0
+    total = 0.0
+    pairs = 0
+    for i in range(len(sents)):
+        for j in range(i + 1, len(sents)):
+            total += reference_ted(analyzer(sents[i]), analyzer(sents[j]))
+            pairs += 1
+    return total / pairs
+
+
 def leaf(label):
     return TreeNode(label)
 
@@ -96,7 +175,8 @@ def test_three_vs_four_node_matches_brute_force():
     assert tree_edit_distance(t1, t2) == brute_force_ted(t1, t2) == 1
 
 
-_tiny_labels = st.sampled_from(["A", "B", "C"])
+# labels with spaces and parentheses: "(A B)" serializes like a subtree
+_tiny_labels = st.sampled_from(["A", "B", "C", "A B", "(A B)"])
 
 
 @st.composite
@@ -120,7 +200,34 @@ def tiny_tree(draw, max_nodes=5):
 @settings(max_examples=60, deadline=None)
 @given(tiny_tree(), tiny_tree())
 def test_matches_mapping_oracle_on_tiny_trees(t1, t2):
-    assert tree_edit_distance(t1, t2) == brute_force_ted(t1, t2)
+    assert tree_edit_distance(t1, t2) == brute_force_ted(t1, t2) == reference_ted(t1, t2)
+
+
+def random_tree(rng, size, labels):
+    if size == 1:
+        return TreeNode(rng.choice(labels))
+    children = []
+    left = size - 1
+    while left:
+        k = rng.randint(1, left)
+        children.append(random_tree(rng, k, labels))
+        left -= k
+    return TreeNode(rng.choice(labels), tuple(children))
+
+
+def relabel(tree, rng, labels):
+    """The same structure under freshly drawn labels."""
+    return TreeNode(rng.choice(labels), tuple(relabel(c, rng, labels) for c in tree.children))
+
+
+def test_kernel_matches_reference_on_random_trees():
+    rng = random.Random(11)
+    labels = ["S", "NP", "VP", "x y", "(", ")", "(NP VP)", ""]
+    for _ in range(400):
+        a = random_tree(rng, rng.randint(1, 24), labels)
+        b = random_tree(rng, rng.randint(1, 24), labels)
+        for other in (b, relabel(a, rng, labels), a):
+            assert tree_edit_distance(a, other) == reference_ted(a, other)
 
 
 def test_ted_symmetry_and_triangle():
@@ -176,3 +283,52 @@ def test_avg_tree_edit_distance_examples():
     mixed = ["find the hotel", "she is running in the garden"]
     trees = [chunk_sentence(s) for s in mixed]
     assert avg_tree_edit_distance(mixed) == tree_edit_distance(trees[0], trees[1])
+
+
+def test_avg_tree_edit_distance_matches_the_sentence_pair_loop():
+    rng = random.Random(5)
+    words = ["find", "the", "hotel", "in", "rome", "she", "is", "running", "quickly",
+             "book", "a", "flight", "to", "paris", "and", "two", "cheap", "rooms", "why"]
+    corpora = [[], ["!!!"], ["find the hotel"], ["find the hotel. she is running"],
+               ["find the hotel", "book a flight to paris"]]
+    for size in (3, 8, 20):
+        corpora.append([". ".join(" ".join(rng.choices(words, k=rng.randint(1, 9)))
+                                  for _ in range(rng.randint(1, 3)))
+                        for _ in range(size)])
+    for corpus in corpora:
+        assert avg_tree_edit_distance(corpus) == reference_avg_ted(corpus)
+        # a resample with repeats, as the bootstrap draws
+        repeated = corpus + corpus[: len(corpus) // 2]
+        assert avg_tree_edit_distance(repeated) == reference_avg_ted(repeated)
+
+
+def test_avg_tree_edit_distance_with_custom_analyzers():
+    def words(sentence):
+        # one leaf per word, so the labels hold arbitrary text
+        return TreeNode("S", tuple(TreeNode(w) for w in sentence.split()))
+
+    def glued(sentence):
+        # "(S A B)" as a shape both with two leaves and with one leaf "A B"
+        parts = sentence.split()
+        if len(parts) % 2:
+            return TreeNode("S", (TreeNode(" ".join(parts[:2])),))
+        return TreeNode("S", tuple(TreeNode(p) for p in parts[:2]))
+
+    corpus = ["A B. A B c", "x (y z)", "A B c. x (y z). q", "(A B) c d"]
+    for analyzer in (words, glued, chunk_sentence):
+        assert avg_tree_edit_distance(corpus, analyzer) == reference_avg_ted(corpus, analyzer)
+    assert avg_tree_edit_distance(["A B", "A B c"], glued) == 2.0
+    # the default chunker's memo does not answer for another analyzer
+    assert sentence_shapes("A B c", glued) == ["(S A B)"]
+    assert sentence_shapes("A B c") == [tree_shape(chunk_sentence("A B c"))]
+
+
+def test_ted_memo_misses_once_per_distinct_tree_pair():
+    corpus = ["find the hotel", "find the flight", "she is running in the garden",
+              "book a room. find the hotel", "check it now please", "why"]
+    distinct = {chunk_sentence(s) for text in corpus for s in sentences_of(text)}
+    _ted_between_sentences.cache_clear()
+    avg_tree_edit_distance(corpus)
+    avg_tree_edit_distance(list(reversed(corpus)))
+    k = len(distinct)
+    assert _ted_between_sentences.cache_info().misses == k * (k - 1) // 2
