@@ -137,6 +137,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if bool(args.library_a) != bool(args.library_b):
+        raise UsageError("--library-a and --library-b go together: the argument-diversity"
+                         " section needs both libraries")
     config = load_config(args.config, args.seed)
     queries_a = _queries_from_dataset(args.dataset_a)
     queries_b = _queries_from_dataset(args.dataset_b)
@@ -260,10 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelError as exc:
+    except (UsageError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ProviderError as exc:

@@ -92,16 +92,14 @@ def score_plausibility(
     if not candidates:
         return []
     by_name = {fn.name: fn for fn in library}
-    apis_payload = json.dumps([by_name[c.name].to_dict() for c in candidates],
-                              ensure_ascii=False)
-    if exec_type in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
-        sig = catalog.get("ParallelAPIRelevanceScorer")
-        inputs = {"query": query, "apis": apis_payload,
-                  "target_apis": json.dumps(list(targets), ensure_ascii=False)}
-    else:
-        sig = catalog.get("BatchAPIRelevanceScorer")
-        inputs = {"query": query, "apis": apis_payload,
-                  "target_api": targets[0] if targets else ""}
+    multi = exec_type in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL)
+    sig = catalog.get("ParallelAPIRelevanceScorer" if multi else "BatchAPIRelevanceScorer")
+    # each scorer takes its own target field from this one context
+    inputs = {"query": query,
+              "apis": json.dumps([by_name[c.name].to_dict() for c in candidates],
+                                 ensure_ascii=False),
+              "target_apis": json.dumps(list(targets), ensure_ascii=False),
+              "target_api": targets[0] if targets else ""}
 
     last_error = ""
     for _ in range(2):
@@ -231,17 +229,8 @@ def validate_invocation_alternatives(
         if exec_type is ExecutionType.PARALLEL:
             out = client.call(catalog.get("ConstructParallelInvocation"),
                               {"query": query, "available_apis": available_payload})
-            invocations = parse_invocation_names(out["invocation_apis"], available)
-            if not invocations:
-                return AlternativeOutcome(list(kept), list(targets), exec_type)
-            schemas_payload = json.dumps(
-                [by_name[n].to_dict() for n in invocations if n in by_name],
-                ensure_ascii=False)
-            verdict = client.call(catalog.get("ValidateParallelInvocation"), {
-                "query": query,
-                "invocation_apis": out["invocation_apis"],
-                "api_schemas": schemas_payload,
-            })
+            invocation_apis = out["invocation_apis"]
+            invocations = parse_invocation_names(invocation_apis, available)
         else:
             calls: list[str] = []
             for _ in range(len(available)):
@@ -258,17 +247,20 @@ def validate_invocation_alternatives(
             # a step may be a bare name or a call: its name is the text before "("
             steps = [c.split("(", 1)[0].strip() for c in calls]
             invocations = [_match_known(name, available) for name in steps if name]
-            if not invocations:
-                return AlternativeOutcome(list(kept), list(targets), exec_type)
-            schemas_payload = json.dumps(
+            invocation_apis = json.dumps(calls, ensure_ascii=False)
+        if not invocations:
+            return AlternativeOutcome(list(kept), list(targets), exec_type)
+        # the sequential validator alone declares return_values_list
+        verdict = client.call(catalog.get(
+            "ValidateParallelInvocation" if exec_type is ExecutionType.PARALLEL
+            else "ValidateSequentialInvocation"), {
+            "query": query,
+            "invocation_apis": invocation_apis,
+            "api_schemas": json.dumps(
                 [by_name[n].to_dict() for n in invocations if n in by_name],
-                ensure_ascii=False)
-            verdict = client.call(catalog.get("ValidateSequentialInvocation"), {
-                "query": query,
-                "invocation_apis": json.dumps(calls, ensure_ascii=False),
-                "api_schemas": schemas_payload,
-                "return_values_list": "[]",
-            })
+                ensure_ascii=False),
+            "return_values_list": "[]",
+        })
     except SignatureParseError:
         return AlternativeOutcome(list(kept), list(targets), exec_type,
                                   note="alternative check unparseable; unchanged")

@@ -219,17 +219,12 @@ class GenerationEngine:
 
         schemas = self._sample_multi(etype)
         meta["walk"] = [s.name for s in schemas]
+        returns: list[Any] = []
         if etype is ExecutionType.PARALLEL:
             results, diverse_idx = self.paramgen.generate_parallel_params(schemas)
             meta["diverse_function"] = schemas[diverse_idx].name
-            commits = [c for r in results for c in r.commits]
-            skeleton = ExampleSkeleton(
-                execution_type=etype,
-                schemas=tuple(schemas),
-                arguments=tuple(r.arguments for r in results),
-            )
-            return skeleton, commits, meta
-        results, returns = self.paramgen.generate_sequential_chain(schemas)
+        else:
+            results, returns = self.paramgen.generate_sequential_chain(schemas)
         commits = [c for r in results for c in r.commits]
         skeleton = ExampleSkeleton(
             execution_type=etype,
@@ -256,18 +251,13 @@ class GenerationEngine:
         new_targets = outcome.targets
         new_type = outcome.exec_type
         argmap = {s.name: args for s, args in zip(skeleton.schemas, skeleton.arguments)}
-        invocations: list[Invocation] = []
-        if new_type is ExecutionType.SEQUENTIAL:
-            for i, name in enumerate(new_targets):
-                invocations.append(Invocation(name, argmap[name], i))
-            # every step but the last returns a value; a shrunk chain keeps
-            # those of its remaining steps, by name
-            returned = {s.name: r for s, r in zip(skeleton.schemas, skeleton.return_values)}
-            returns = [returned[name] for name in new_targets[:-1]]
-        else:
-            for name in new_targets:
-                invocations.append(Invocation(name, argmap[name], 0))
-            returns = []
+        sequential = new_type is ExecutionType.SEQUENTIAL
+        invocations = [Invocation(name, argmap[name], i if sequential else 0)
+                       for i, name in enumerate(new_targets)]
+        # every step but the last returns a value; a shrunk chain keeps those
+        # of its remaining steps, by name
+        returned = {s.name: r for s, r in zip(skeleton.schemas, skeleton.return_values)}
+        returns = [returned[name] for name in new_targets[:-1]] if sequential else []
 
         distractor_names = [c.name for c in outcome.candidates if c.name not in set(new_targets)]
         candidates = finalize(distractor_names, new_targets, self.rng)
@@ -330,8 +320,7 @@ class GenerationEngine:
                 added += 1
                 self._log({"event": "accepted", "attempt": self.state.attempts,
                            "id": example.id, "execution_type": example.execution_type.value})
-                if (self.config.pattern_period > 0
-                        and self.state.accepted % self.config.pattern_period == 0):
+                if self.state.accepted % self.config.pattern_period == 0:
                     self._refresh_guidance()
                 self._write_checkpoint()
         return added

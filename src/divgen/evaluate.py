@@ -237,9 +237,8 @@ def compare_argument_diversity(
         row["ncd_significant"], row["ncd_direction"] = ncd_sig, ncd_dir
         row["ce_significant"], row["ce_direction"] = ce_sig, ce_dir
         rows.append(row)
-        for key, col in (("ncd_a", "ncd_a"), ("ncd_b", "ncd_b"),
-                         ("ce_a", "ce_a"), ("ce_b", "ce_b")):
-            sums[key] += row[col]
+        for key in sums:
+            sums[key] += row[key]
 
     result: dict[str, Any] = {"groups": rows, "seed": seed}
     if rows:

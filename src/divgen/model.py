@@ -113,19 +113,9 @@ class FunctionSchema:
         if len(names) != len(set(names)):
             raise ModelError(f"function {self.name!r}: duplicate parameter names")
 
-    def parameter(self, name: str) -> ParameterSpec:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     @property
     def required_parameters(self) -> tuple[ParameterSpec, ...]:
         return tuple(p for p in self.parameters if p.required)
-
-    @property
-    def optional_parameters(self) -> tuple[ParameterSpec, ...]:
-        return tuple(p for p in self.parameters if not p.required)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly schema used in prompts and artifacts."""
@@ -313,6 +303,9 @@ class RunConfig:
         for name, value in counts.items():
             if value <= 0:
                 raise ModelError(f"config {name} must be positive, got {value}")
+        unknown = sorted(set(self.type_weights) - {t.value for t in ExecutionType})
+        if unknown:
+            raise ModelError(f"unknown execution types in type_weights: {unknown}")
         if any(w < 0 for w in self.type_weights.values()):
             raise ModelError("execution-type weights must be nonnegative")
         if sum(self.type_weights.values()) <= 0:

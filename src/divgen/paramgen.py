@@ -12,15 +12,19 @@ touches the group trackers: commits are collected and applied atomically by the
 caller. A STRING value without a word token cannot be embedded, so it never
 reaches selection or a tracker: such candidates are left out (and named in the
 top-up request), and such a cohesive value fails its attempt, as does a
-non-numeric NUMERICAL one.
+non-numeric or non-finite NUMERICAL one. One loop builds every parameter set,
+diverse or cohesive, from a per-parameter value source. Each value signature
+takes the fields it declares from the one context it is given: the nine shared
+fields plus, for a cohesive value, the other calls' context.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 # value_cluster_entropy stays importable here: bench/spans.py wraps it by name
 from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy  # noqa: F401
@@ -38,6 +42,23 @@ from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
 
 
+# A non-ENUM parameter's value from (parameter, group, values so far, group's
+# values, previous failures); raises UnusableValue to fail the attempt.
+ValueSource = Callable[[ParameterSpec, ParameterGroup, dict[str, Any], list[Any], str], Any]
+
+_PARALLEL_COHESIVE = {
+    ParamCategory.STRING: "GenerateCohesiveStringParameter",
+    ParamCategory.NUMERICAL: "GenerateCohesiveNumericalParameter",
+    ParamCategory.OTHER: "GenerateCohesiveOtherParameter",
+}
+
+_SEQUENTIAL_COHESIVE = {
+    ParamCategory.STRING: "GenerateSequentialCohesiveStringParameter",
+    ParamCategory.NUMERICAL: "GenerateSequentialCohesiveNumericalParameter",
+    ParamCategory.OTHER: "GenerateSequentialCohesiveOtherParameter",
+}
+
+
 class ParamGenFailure(RuntimeError):
     """The example's argument generation was abandoned after retries."""
 
@@ -53,7 +74,6 @@ class GenResult:
     arguments: dict[str, Any]
     commits: list[tuple[str, Any]] = field(default_factory=list)
     omitted: tuple[str, ...] = ()
-    validations: list[str] = field(default_factory=list)
 
 
 def commit_to_trackers(commits: Sequence[tuple[str, Any]], groups: GroupIndex) -> None:
@@ -69,6 +89,36 @@ def _group_context(group: ParameterGroup) -> str:
             f" parameter(s): {members}; {len(group.tracker)} committed value(s).")
 
 
+def _value_fields(param: ParameterSpec, api: FunctionSchema, group: ParameterGroup,
+                  y_current: dict[str, Any], existing: Sequence[Any],
+                  failures: str) -> dict[str, str]:
+    """The nine fields every value-generation signature declares."""
+    return {
+        "parameter_name": param.name,
+        "parameter_description": param.description,
+        "parameter_type": param.declared_type,
+        "function_name": api.name,
+        "function_description": api.description,
+        "other_parameter_values": json.dumps(y_current, ensure_ascii=False),
+        "existing_values": json.dumps(list(existing), ensure_ascii=False),
+        "parameter_group_context": _group_context(group),
+        "previous_failures": failures,
+    }
+
+
+def _return_step_fields(apis: Sequence[FunctionSchema], idx: int) -> dict[str, str]:
+    """The chain step's fields that both return-value signatures declare."""
+    api, nxt = apis[idx], apis[idx + 1]
+    return {
+        "api_name": api.name,
+        "api_description": api.description,
+        "return_type_schema": json.dumps(
+            [f.to_dict() for f in api.return_fields], ensure_ascii=False),
+        "next_api_name": nxt.name,
+        "next_api_description": nxt.description,
+    }
+
+
 def _parse_json_or_text(raw: str) -> Any:
     try:
         return json.loads(raw)
@@ -77,15 +127,20 @@ def _parse_json_or_text(raw: str) -> Any:
 
 
 def _coerce_numeric(value: Any) -> float | int:
+    """A finite number: NaN would be a DBSCAN singleton that selection favours,
+    and JSON has no literal for NaN or infinity."""
     if isinstance(value, bool):
         raise UnusableValue(f"non-numeric value: {value!r}")
-    if isinstance(value, (int, float)):
-        return value
-    try:
-        text = str(value).strip()
-        return int(text) if text.lstrip("+-").isdigit() else float(text)
-    except ValueError:
-        raise UnusableValue(f"non-numeric value: {value!r}") from None
+    number = value
+    if not isinstance(value, (int, float)):
+        try:
+            text = str(value).strip()
+            number = int(text) if text.lstrip("+-").isdigit() else float(text)
+        except ValueError:
+            raise UnusableValue(f"non-numeric value: {value!r}") from None
+    if isinstance(number, float) and not math.isfinite(number):
+        raise UnusableValue(f"non-finite value: {value!r}")
+    return number
 
 
 def select_diverse_value(
@@ -176,16 +231,8 @@ class ParamGenerator:
 
         def ask(count: int, failures: str) -> list[Any]:
             out = self.client.call(sig, {
-                "parameter_name": param.name,
-                "parameter_description": param.description,
-                "parameter_type": param.declared_type,
-                "function_name": api.name,
-                "function_description": api.description,
-                "other_parameter_values": json.dumps(y_current, ensure_ascii=False),
-                "existing_values": json.dumps(list(existing), ensure_ascii=False),
-                "parameter_group_context": _group_context(group),
+                **_value_fields(param, api, group, y_current, existing, failures),
                 "num_candidates": str(count),
-                "previous_failures": failures,
             })
             parsed = json.loads(out["generated_values"])
             if not isinstance(parsed, list):
@@ -238,24 +285,9 @@ class ParamGenerator:
 
     # -- per-parameter dispatch ------------------------------------------------
 
-    def _llm_single_value(self, sig_name: str, param: ParameterSpec, api: FunctionSchema,
-                          y_current: dict[str, Any], existing: Sequence[Any],
-                          extra: dict[str, str], failures: str) -> Any:
-        sig = catalog.get(sig_name)
-        group = self.groups.group_of(api.name, param.name)
-        inputs = {
-            "parameter_name": param.name,
-            "parameter_description": param.description,
-            "parameter_type": param.declared_type,
-            "function_name": api.name,
-            "function_description": api.description,
-            "other_parameter_values": json.dumps(y_current, ensure_ascii=False),
-            "existing_values": json.dumps(list(existing), ensure_ascii=False),
-            "parameter_group_context": _group_context(group),
-            "previous_failures": failures,
-        }
-        inputs.update(extra)
-        out = self.client.call(sig, inputs)
+    def _llm_single_value(self, sig_name: str, param: ParameterSpec,
+                          fields: dict[str, str]) -> Any:
+        out = self.client.call(catalog.get(sig_name), fields)
         raw = out["generated_value"]
         if param.category is ParamCategory.NUMERICAL:
             return _coerce_numeric(raw)
@@ -283,17 +315,13 @@ class ParamGenerator:
                 out.append(p)
         return out
 
-    # -- single-function generation ---------------------------------------------
+    # -- parameter sets ---------------------------------------------------------
 
-    def generate_single_params(
-        self,
-        api: FunctionSchema,
-        previous_failures: str = "None",
-        skip: set[str] | None = None,
-        validator: str = "ParameterSetValidator",
-    ) -> GenResult:
-        """Diverse generation for one function, validated, retried, uncommitted."""
-        failures = previous_failures
+    def _parameter_set(self, api: FunctionSchema, value_of: ValueSource, failures: str,
+                       rejected: str, skip: set[str] | None = None,
+                       validator: str = "ParameterSetValidator") -> GenResult:
+        """Draw the included parameters, give each a value (ENUM uniformly, the
+        rest from ``value_of``), validate, and retry; nothing is committed."""
         last_reason = ""
         for _ in range(self.config.retry_limit):
             params = self._included_params(api, skip)
@@ -304,28 +332,45 @@ class ParamGenerator:
                     group, existing = self._existing_for(api, p, pending)
                     if p.category is ParamCategory.ENUM:
                         value: Any = p.enum_values[self.rng.randrange(len(p.enum_values))]
-                    elif p.category is ParamCategory.OTHER:
-                        value = self._llm_single_value(
-                            "GenerateOtherParameter", p, api, y_current, existing, {}, failures)
                     else:
-                        candidates = self.generate_value_candidates(
-                            p, api, y_current, group, existing, failures)
-                        value, _ = select_diverse_value(
-                            candidates, existing, self.rng,
-                            group.category.value, self.embedder,
-                            self.config.selection_size, self._value_index(group))
+                        value = value_of(p, group, y_current, existing, failures)
                     y_current[p.name] = value
                     pending.append((group.id, value))
             except SignatureParseError as exc:
                 raise ParamGenFailure(f"{api.name}: {exc}") from exc
+            except UnusableValue as exc:
+                failures = last_reason = str(exc)
+                continue
             ok, reason = self.validate_parameter_set(api, y_current, validator)
             if ok:
-                return GenResult(arguments=y_current, commits=pending,
-                                 validations=[reason])
-            failures = reason or "validator rejected the parameter set"
-            last_reason = failures
-        raise ParamGenFailure(f"{api.name}: parameter set rejected after"
-                              f" {self.config.retry_limit} attempts: {last_reason}")
+                return GenResult(arguments=y_current, commits=pending)
+            failures = last_reason = reason or "validator rejected the parameter set"
+        raise ParamGenFailure(f"{api.name}: {rejected}: {last_reason}")
+
+    def generate_single_params(
+        self,
+        api: FunctionSchema,
+        previous_failures: str = "None",
+        skip: set[str] | None = None,
+        validator: str = "ParameterSetValidator",
+    ) -> GenResult:
+        """Diverse generation for one function, validated, retried, uncommitted."""
+        def diverse_value(p: ParameterSpec, group: ParameterGroup, y_current: dict[str, Any],
+                          existing: list[Any], failures: str) -> Any:
+            if p.category is ParamCategory.OTHER:
+                return self._llm_single_value("GenerateOtherParameter", p, _value_fields(
+                    p, api, group, y_current, existing, failures))
+            candidates = self.generate_value_candidates(
+                p, api, y_current, group, existing, failures)
+            value, _ = select_diverse_value(
+                candidates, existing, self.rng,
+                group.category.value, self.embedder,
+                self.config.selection_size, self._value_index(group))
+            return value
+
+        return self._parameter_set(
+            api, diverse_value, previous_failures,
+            f"parameter set rejected after {self.config.retry_limit} attempts", skip, validator)
 
     def generate_missing_params(self, api: FunctionSchema) -> GenResult:
         """Arguments with >= 1 required parameter replaced by the sentinel."""
@@ -341,8 +386,7 @@ class ParamGenerator:
         for spec in api.parameters:
             if spec.name in omitted:
                 arguments[spec.name] = MISSING_SENTINEL
-        return GenResult(arguments=arguments, commits=result.commits,
-                         omitted=tuple(omitted), validations=result.validations)
+        return GenResult(arguments=arguments, commits=result.commits, omitted=tuple(omitted))
 
     # -- multi-function generation ------------------------------------------------
 
@@ -366,13 +410,12 @@ class ParamGenerator:
             if idx in diverse:
                 res = self.generate_single_params(api)
             else:
-                res = self._generate_cohesive(api, {
+                res = self._generate_cohesive(api, _PARALLEL_COHESIVE, {
                     "parallel_context_parameters": json.dumps(context, ensure_ascii=False),
-                }, kind="parallel")
+                })
             results[idx] = res
             context[api.name] = res.arguments
-        ordered = [results[i] for i in range(len(apis))]
-        return ordered, diverse[0]
+        return [results[i] for i in range(len(apis))], diverse[0]
 
     def generate_sequential_chain(
         self, apis: Sequence[FunctionSchema]
@@ -386,90 +429,48 @@ class ParamGenerator:
         chain_failures = "None"
         last_reason = ""
         for _ in range(self.config.retry_limit):
-            args: dict[int, GenResult] = {}
+            args = {n - 1: self.generate_single_params(apis[n - 1], chain_failures)}
             returns: dict[int, Any] = {}
-            ok = True
-            for idx in range(n - 1, -1, -1):
-                api = apis[idx]
-                if idx == n - 1:
-                    args[idx] = self.generate_single_params(api, chain_failures)
-                    continue
-                ret = self._generate_return_value(apis, idx, args, chain_failures)
-                returns[idx] = ret
+            for idx in range(n - 2, -1, -1):
+                ret = returns[idx] = self._generate_return_value(
+                    apis, idx, args, chain_failures)
                 later = [args[i].arguments for i in range(idx + 2, n)]
-                args[idx] = self._generate_cohesive(api, {
+                args[idx] = self._generate_cohesive(apis[idx], _SEQUENTIAL_COHESIVE, {
                     "return_value": json.dumps(ret, ensure_ascii=False),
                     "next_api_parameters": json.dumps(args[idx + 1].arguments,
                                                       ensure_ascii=False),
                     "later_api_parameters": json.dumps(later, ensure_ascii=False),
-                }, kind="sequential", failures=chain_failures)
+                }, failures=chain_failures)
                 valid, reason = self.validate_return_value(
                     apis, idx, ret, args[idx].arguments, args[idx + 1].arguments)
                 if not valid:
-                    ok = False
                     last_reason = chain_failures = f"return value rejected: {reason}"
                     break
-            if not ok:
-                continue
-            order = list(range(n))
-            valid, reason = self.validate_sequential_chain(
-                apis, [args[i].arguments for i in order],
-                [returns[i] for i in range(n - 1)])
-            if valid:
-                return [args[i] for i in order], [returns[i] for i in range(n - 1)]
-            last_reason = chain_failures = f"chain rejected: {reason}"
+            else:
+                results = [args[i] for i in range(n)]
+                return_values = [returns[i] for i in range(n - 1)]
+                valid, reason = self.validate_sequential_chain(
+                    apis, [r.arguments for r in results], return_values)
+                if valid:
+                    return results, return_values
+                last_reason = chain_failures = f"chain rejected: {reason}"
         raise ParamGenFailure(f"sequential chain abandoned: {last_reason}")
 
-    def _generate_cohesive(self, api: FunctionSchema, extra: dict[str, str],
-                           kind: str, failures: str = "None") -> GenResult:
-        sig_names = {
-            ("parallel", ParamCategory.STRING): "GenerateCohesiveStringParameter",
-            ("parallel", ParamCategory.NUMERICAL): "GenerateCohesiveNumericalParameter",
-            ("parallel", ParamCategory.OTHER): "GenerateCohesiveOtherParameter",
-            ("sequential", ParamCategory.STRING): "GenerateSequentialCohesiveStringParameter",
-            ("sequential", ParamCategory.NUMERICAL): "GenerateSequentialCohesiveNumericalParameter",
-            ("sequential", ParamCategory.OTHER): "GenerateSequentialCohesiveOtherParameter",
-        }
-        last_reason = ""
-        for _ in range(self.config.retry_limit):
-            params = self._included_params(api)
-            y_current: dict[str, Any] = {}
-            pending: list[tuple[str, Any]] = []
-            try:
-                for p in params:
-                    group, existing = self._existing_for(api, p, pending)
-                    if p.category is ParamCategory.ENUM:
-                        value: Any = p.enum_values[self.rng.randrange(len(p.enum_values))]
-                    else:
-                        value = self._llm_single_value(
-                            sig_names[(kind, p.category)], p, api,
-                            y_current, existing, extra, failures)
-                    y_current[p.name] = value
-                    pending.append((group.id, value))
-            except SignatureParseError as exc:
-                raise ParamGenFailure(f"{api.name}: {exc}") from exc
-            except UnusableValue as exc:
-                failures = last_reason = str(exc)
-                continue
-            ok, reason = self.validate_parameter_set(api, y_current)
-            if ok:
-                return GenResult(arguments=y_current, commits=pending,
-                                 validations=[reason])
-            failures = last_reason = reason or "validator rejected the parameter set"
-        raise ParamGenFailure(f"{api.name}: cohesive set rejected: {last_reason}")
+    def _generate_cohesive(self, api: FunctionSchema, signatures: dict[ParamCategory, str],
+                           context: dict[str, str], failures: str = "None") -> GenResult:
+        """One LLM value per parameter, cohesive with the other calls' ``context``."""
+        def cohesive_value(p: ParameterSpec, group: ParameterGroup, y_current: dict[str, Any],
+                           existing: list[Any], failures: str) -> Any:
+            return self._llm_single_value(signatures[p.category], p, {
+                **_value_fields(p, api, group, y_current, existing, failures), **context})
+
+        return self._parameter_set(api, cohesive_value, failures, "cohesive set rejected")
 
     def _generate_return_value(self, apis: Sequence[FunctionSchema], idx: int,
                                args: dict[int, GenResult], failures: str) -> Any:
-        api = apis[idx]
         nxt = apis[idx + 1]
-        sig = catalog.get("GenerateReturnValue")
-        out = self.client.call(sig, {
-            "api_name": api.name,
-            "api_description": api.description,
-            "return_type_schema": json.dumps(
-                [f.to_dict() for f in api.return_fields], ensure_ascii=False),
-            "next_api_name": nxt.name,
-            "next_api_description": nxt.description,
+        out = self.client.call(catalog.get("GenerateReturnValue"), {
+            **_return_step_fields(apis, idx),
             "next_api_parameters_schema": json.dumps(
                 nxt.to_dict()["parameters"], ensure_ascii=False),
             "next_api_parameters_values": json.dumps(
@@ -480,40 +481,34 @@ class ParamGenerator:
 
     # -- validators ------------------------------------------------------------------
 
-    def _verdict(self, sig_name: str, inputs: dict[str, str],
-                 verdict_field: str = "is_valid") -> tuple[bool, str]:
-        sig = catalog.get(sig_name)
+    def _verdict(self, sig_name: str, inputs: dict[str, str]) -> tuple[bool, str]:
         try:
-            out = self.client.call(sig, inputs)
+            out = self.client.call(catalog.get(sig_name), inputs)
         except SignatureParseError:
             return False, "parse failure"
-        return out[verdict_field].strip().upper() == "YES", out.get("reasoning", "")
+        return out["is_valid"].strip().upper() == "YES", out.get("reasoning", "")
 
     def validate_parameter_set(self, api: FunctionSchema, arguments: dict[str, Any],
                                validator: str = "ParameterSetValidator") -> tuple[bool, str]:
-        param_field = ("provided_parameters" if validator == "PartialParameterSetValidator"
-                       else "selected_parameters")
+        # the full validator declares selected_parameters, the partial one
+        # provided_parameters: both carry the arguments
+        chosen = json.dumps(arguments, ensure_ascii=False)
         return self._verdict(validator, {
             "api_name": api.name,
             "api_description": api.description,
             "full_parameter_schema": json.dumps(api.to_dict()["parameters"],
                                                 ensure_ascii=False),
-            param_field: json.dumps(arguments, ensure_ascii=False),
+            "selected_parameters": chosen,
+            "provided_parameters": chosen,
         })
 
     def validate_return_value(self, apis: Sequence[FunctionSchema], idx: int,
                               return_value: Any, arguments: dict[str, Any],
                               next_arguments: dict[str, Any]) -> tuple[bool, str]:
-        api, nxt = apis[idx], apis[idx + 1]
         return self._verdict("ValidateReturnValue", {
-            "api_name": api.name,
-            "api_description": api.description,
-            "return_type_schema": json.dumps(
-                [f.to_dict() for f in api.return_fields], ensure_ascii=False),
+            **_return_step_fields(apis, idx),
             "return_value": json.dumps(return_value, ensure_ascii=False),
             "api_parameters": json.dumps(arguments, ensure_ascii=False),
-            "next_api_name": nxt.name,
-            "next_api_description": nxt.description,
             "next_api_parameters": json.dumps(next_arguments, ensure_ascii=False),
         })
 

@@ -169,6 +169,18 @@ class ApiPools:
         return cls(tuple(d["general"]), tuple(d["focused"]), tuple(d["other"]))
 
 
+def weighted_pick(items: Sequence[Any], weights: Sequence[float], rng: random.Random) -> Any:
+    """Categorical draw (one rng.random()); the last item if rounding leaves
+    the roll past every cumulative weight."""
+    roll = rng.random() * sum(weights)
+    acc = 0.0
+    for item, w in zip(items, weights):
+        acc += w
+        if roll < acc:
+            return item
+    return items[-1]
+
+
 def build_api_pools(
     library: Sequence[FunctionSchema],
     groups: GroupIndex,
@@ -195,15 +207,7 @@ def build_api_pools(
     remaining = list(names)
     focused: list[str] = []
     while remaining and len(focused) < focused_size:
-        total = sum(weights[n] for n in remaining)
-        roll = rng.random() * total
-        acc = 0.0
-        chosen = remaining[-1]
-        for n in remaining:
-            acc += weights[n]
-            if roll < acc:
-                chosen = n
-                break
+        chosen = weighted_pick(remaining, [weights[n] for n in remaining], rng)
         focused.append(chosen)
         remaining.remove(chosen)
 

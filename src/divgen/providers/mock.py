@@ -134,18 +134,14 @@ class StubChat:
                     "GenerateSequentialCohesiveOtherParameter"):
             h = _digest(name, f.get("parameter_name", ""), f.get("other_parameter_values", ""))
             return {"generated_value": json.dumps([f"label-{h % 9973:04d}"])}
-        if name == "GenerateCohesiveStringParameter":
-            h = _digest(name, f.get("parameter_name", ""), f.get("parallel_context_parameters", ""))
-            return {"generated_value": f"shared {f.get('parameter_name', 'value')} {h % 9973:04d}"}
-        if name == "GenerateCohesiveNumericalParameter":
-            h = _digest(name, f.get("parameter_name", ""), f.get("parallel_context_parameters", ""))
-            return {"generated_value": str(h % 500)}
-        if name == "GenerateSequentialCohesiveStringParameter":
-            h = _digest(name, f.get("parameter_name", ""), f.get("return_value", ""))
-            return {"generated_value": f"chained {f.get('parameter_name', 'value')} {h % 9973:04d}"}
-        if name == "GenerateSequentialCohesiveNumericalParameter":
-            h = _digest(name, f.get("parameter_name", ""), f.get("return_value", ""))
-            return {"generated_value": str(h % 500)}
+        if "Cohesive" in name:  # STRING or NUMERICAL: OTHER is answered above
+            sequential = name.startswith("GenerateSequential")
+            context = f.get("return_value" if sequential else "parallel_context_parameters", "")
+            h = _digest(name, f.get("parameter_name", ""), context)
+            if name.endswith("NumericalParameter"):
+                return {"generated_value": str(h % 500)}
+            prefix = "chained" if sequential else "shared"
+            return {"generated_value": f"{prefix} {f.get('parameter_name', 'value')} {h % 9973:04d}"}
         if name == "GenerateReturnValue":
             h = _digest(name, f.get("api_name", ""), f.get("next_api_parameters_values", ""))
             return {"return_value": json.dumps({"value": f"result-{h % 99991:05d}"})}

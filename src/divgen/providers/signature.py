@@ -79,7 +79,11 @@ def render_signature(sig: PromptSignature, inputs: Mapping[str, str]) -> str:
 
     The text carries, in order: the input/output field documentation, the
     objective, one marker block per input field with its value filled in, the
-    bare output-field markers, and the completed marker last.
+    bare output-field markers, and the completed marker last. Each declared
+    input field is taken from ``inputs``, which may carry more keys than the
+    signature declares: the others are left out of the prompt, so a caller can
+    pass one context to several signatures. A declared field absent from
+    ``inputs`` raises SignatureError.
     """
     missing = [f.name for f in sig.input_fields if f.name not in inputs]
     if missing:

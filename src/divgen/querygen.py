@@ -8,14 +8,16 @@ example, so its metric state is built once per example and each distinct
 candidate is scored once against it, however many rounds re-rank it.
 Candidates without a single word token cannot be scored and never enter the
 pool. Feedback between rounds foregrounds judge failures when most candidates
-failed, diversity guidance otherwise.
+failed, diversity guidance otherwise. The example's prompt fields are built
+once from its skeleton; each generator and judge signature takes the fields it
+declares from that one context.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps this name
@@ -60,83 +62,40 @@ class JudgeVerdict:
     reasoning: str
 
 
-def _provided_arguments(skeleton: ExampleSkeleton) -> dict[str, Any]:
-    args = skeleton.arguments[0] if skeleton.arguments else {}
-    return {k: v for k, v in args.items() if k not in skeleton.omitted}
+_GENERATORS = {
+    ExecutionType.SINGLE: "MultiQueryGenerator",
+    ExecutionType.PARALLEL: "ParallelQueryGenerator",
+    ExecutionType.SEQUENTIAL: "SequentialQueryGenerator",
+    ExecutionType.MISSING_PARAMS: "MissingParamsQueryGenerator",
+    ExecutionType.NONE: "NoAPIQueryGenerator",
+}
+
+_JUDGES = {
+    ExecutionType.SINGLE: "APIQueryJudge",
+    ExecutionType.PARALLEL: "ParallelQueryJudge",
+    ExecutionType.SEQUENTIAL: "SequentialQueryJudge",
+    ExecutionType.MISSING_PARAMS: "MissingParamsQueryJudge",
+}
 
 
-def _generator_inputs(skeleton: ExampleSkeleton, guidance: str,
-                      attempts: str) -> tuple[str, dict[str, str]]:
-    et = skeleton.execution_type
-    if et is ExecutionType.NONE:
-        return "NoAPIQueryGenerator", {
-            "dataset_guidance": guidance,
-            "previous_attempts": attempts,
-        }
+def _skeleton_fields(skeleton: ExampleSkeleton) -> dict[str, str]:
+    """Every prompt field the skeleton can fill; each generator and judge
+    signature takes the ones it declares."""
     schemas = [s.to_dict() for s in skeleton.schemas]
     argmaps = [dict(a) for a in skeleton.arguments]
-    if et is ExecutionType.SINGLE:
-        return "MultiQueryGenerator", {
-            "api_schema": json.dumps(schemas[0], ensure_ascii=False),
-            "target_parameters": json.dumps(argmaps[0], ensure_ascii=False),
-            "dataset_guidance": guidance,
-            "previous_attempts": attempts,
-        }
-    if et is ExecutionType.MISSING_PARAMS:
-        return "MissingParamsQueryGenerator", {
-            "api_schema": json.dumps(schemas[0], ensure_ascii=False),
-            "provided_parameters": json.dumps(_provided_arguments(skeleton),
-                                              ensure_ascii=False),
-            "missing_parameters": json.dumps(list(skeleton.omitted), ensure_ascii=False),
-            "dataset_guidance": guidance,
-            "previous_attempts": attempts,
-        }
-    if et is ExecutionType.PARALLEL:
-        return "ParallelQueryGenerator", {
-            "api_schemas": json.dumps(schemas, ensure_ascii=False),
-            "target_parameters_list": json.dumps(argmaps, ensure_ascii=False),
-            "dataset_guidance": guidance,
-            "previous_attempts": attempts,
-        }
-    return "SequentialQueryGenerator", {
+    provided = {k: v for k, v in (argmaps[0] if argmaps else {}).items()
+                if k not in skeleton.omitted}
+    fields = {
         "api_schemas": json.dumps(schemas, ensure_ascii=False),
         "target_parameters_list": json.dumps(argmaps, ensure_ascii=False),
-        "return_values_list": json.dumps(list(skeleton.return_values), ensure_ascii=False),
-        "dataset_guidance": guidance,
-        "previous_attempts": attempts,
-    }
-
-
-def _judge_inputs(skeleton: ExampleSkeleton, query_payload: str) -> tuple[str, dict[str, str]]:
-    et = skeleton.execution_type
-    schemas = [s.to_dict() for s in skeleton.schemas]
-    argmaps = [dict(a) for a in skeleton.arguments]
-    if et is ExecutionType.SINGLE:
-        return "APIQueryJudge", {
-            "query": query_payload,
-            "api_schema": json.dumps(schemas[0], ensure_ascii=False),
-            "target_parameters": json.dumps(argmaps[0], ensure_ascii=False),
-        }
-    if et is ExecutionType.MISSING_PARAMS:
-        return "MissingParamsQueryJudge", {
-            "query": query_payload,
-            "api_schema": json.dumps(schemas[0], ensure_ascii=False),
-            "provided_parameters": json.dumps(_provided_arguments(skeleton),
-                                              ensure_ascii=False),
-            "missing_parameters": json.dumps(list(skeleton.omitted), ensure_ascii=False),
-        }
-    if et is ExecutionType.PARALLEL:
-        return "ParallelQueryJudge", {
-            "query": query_payload,
-            "api_schemas": json.dumps(schemas, ensure_ascii=False),
-            "target_parameters_list": json.dumps(argmaps, ensure_ascii=False),
-        }
-    return "SequentialQueryJudge", {
-        "query": query_payload,
-        "api_schemas": json.dumps(schemas, ensure_ascii=False),
-        "target_parameters_list": json.dumps(argmaps, ensure_ascii=False),
+        "provided_parameters": json.dumps(provided, ensure_ascii=False),
+        "missing_parameters": json.dumps(list(skeleton.omitted), ensure_ascii=False),
         "return_values_list": json.dumps(list(skeleton.return_values), ensure_ascii=False),
     }
+    if schemas:
+        fields["api_schema"] = json.dumps(schemas[0], ensure_ascii=False)
+        fields["target_parameters"] = json.dumps(argmaps[0], ensure_ascii=False)
+    return fields
 
 
 def judge_queries(
@@ -155,11 +114,12 @@ def judge_queries(
         return [JudgeVerdict(True, "no verification required") for _ in candidates]
     if not candidates:
         return []
+    sig = catalog.get(_JUDGES[skeleton.execution_type])
+    fields = _skeleton_fields(skeleton)
     if batched and len(candidates) > 1:
-        sig_name, inputs = _judge_inputs(
-            skeleton, json.dumps(list(candidates), ensure_ascii=False))
         try:
-            out = client.call(catalog.get(sig_name), inputs)
+            out = client.call(sig, {
+                **fields, "query": json.dumps(list(candidates), ensure_ascii=False)})
             verdicts = json.loads(out["is_reasonable"])
             if isinstance(verdicts, list) and len(verdicts) == len(candidates):
                 reason = out.get("reasoning", "")
@@ -169,9 +129,8 @@ def judge_queries(
             pass
     results = []
     for cand in candidates:
-        sig_name, inputs = _judge_inputs(skeleton, cand)
         try:
-            out = client.call(catalog.get(sig_name), inputs)
+            out = client.call(sig, {**fields, "query": cand})
             verdict = out["is_reasonable"].strip().upper() == "YES"
             results.append(JudgeVerdict(verdict, out.get("reasoning", "")))
         except SignatureParseError:
@@ -271,7 +230,6 @@ class QueryGenerator:
     rng: random.Random
     config: RunConfig
     guidance: str = ""
-    last_error: str = field(default="", init=False)
 
     def _dataset_guidance(self, dataset_queries: Sequence[str],
                           skeleton: ExampleSkeleton) -> str:
@@ -296,13 +254,12 @@ class QueryGenerator:
         dataset_queries: Sequence[str],
     ) -> QueryResult | None:
         """Best judge-valid candidate across the configured rounds, or None."""
-        sig_name, _ = _generator_inputs(skeleton, "", "")
-        sig = catalog.get(sig_name)
+        sig = catalog.get(_GENERATORS[skeleton.execution_type])
+        fields = _skeleton_fields(skeleton)
         guidance_text = self._dataset_guidance(dataset_queries, skeleton)
         scorer = MarginalScorer(dataset_queries, self.embed_cache)
         attempts_log: list[str] = []
-        pool: list[str] = []
-        pool_reasons: dict[str, str] = {}
+        pool_reasons: dict[str, str] = {}  # the judge-valid pool, in arrival order
         pool_round: dict[str, int] = {}
         best: str | None = None
         best_ranks: dict[str, int] = {}
@@ -311,11 +268,10 @@ class QueryGenerator:
         for round_no in range(1, self.config.rounds + 1):
             rounds_run = round_no
             attempts = "\n".join(attempts_log) if attempts_log else "None"
-            _, inputs = _generator_inputs(skeleton, guidance_text, attempts)
             try:
-                out = self.client.call(sig, inputs)
+                out = self.client.call(sig, {**fields, "dataset_guidance": guidance_text,
+                                             "previous_attempts": attempts})
             except SignatureParseError as exc:
-                self.last_error = str(exc)
                 attempts_log.append(f"[round {round_no}] generation failed: {exc}")
                 continue
             candidates = [out[f"query_{i}"] for i in range(1, 6)
@@ -333,12 +289,11 @@ class QueryGenerator:
                     f"[round {round_no}] {cand} -- judged"
                     f" {'valid' if verdict.valid else 'invalid'}: {verdict.reasoning}")
                 if verdict.valid and cand not in pool_reasons:
-                    pool.append(cand)
                     pool_reasons[cand] = verdict.reasoning
                     pool_round[cand] = round_no
 
-            if pool:
-                rank_input = pool if self.config.cumulative_ranking else [
+            if pool_reasons:
+                rank_input = list(pool_reasons) if self.config.cumulative_ranking else [
                     c for c in candidates if c in pool_reasons]
                 if rank_input:
                     fused, ranks, _ = rank_candidates_by_diversity(
@@ -349,7 +304,7 @@ class QueryGenerator:
                         f"[round {round_no}] diversity ranking: "
                         + " > ".join(fused))
             if round_no < self.config.rounds:
-                feedback = build_feedback(verdicts, pool, self.client)
+                feedback = build_feedback(verdicts, list(pool_reasons), self.client)
                 if feedback:
                     attempts_log.append(f"[round {round_no}] guidance: {feedback}")
 
@@ -361,5 +316,5 @@ class QueryGenerator:
             judge_reasoning=pool_reasons.get(best, ""),
             per_metric_ranks=best_ranks,
             rounds_run=rounds_run,
-            pool_size=len(pool),
+            pool_size=len(pool_reasons),
         )

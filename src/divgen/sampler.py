@@ -17,7 +17,7 @@ import numpy as np
 
 from divgen.metrics.semantic import cosine_matrix
 from divgen.model import ExecutionType, FunctionSchema, RunConfig
-from divgen.preprocess import ApiGraph, ApiPools
+from divgen.preprocess import ApiGraph, ApiPools, weighted_pick
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
@@ -28,18 +28,10 @@ class SamplingFailure(RuntimeError):
 
 
 def sample_execution_type(config: RunConfig, rng: random.Random) -> ExecutionType:
-    """Categorical draw from the configured mixture weights (one rng.random())."""
-    weights = [(ExecutionType(name), w) for name, w in config.type_weights.items() if w > 0]
-    total = sum(w for _, w in weights)
-    if total <= 0:
-        raise ValueError("execution-type weights sum to zero")
-    roll = rng.random() * total
-    acc = 0.0
-    for etype, w in weights:
-        acc += w
-        if roll < acc:
-            return etype
-    return weights[-1][0]
+    """Categorical draw from the configured mixture weights, which RunConfig
+    keeps nonnegative with a positive sum."""
+    weighted = [(ExecutionType(name), w) for name, w in config.type_weights.items() if w > 0]
+    return weighted_pick([t for t, _ in weighted], [w for _, w in weighted], rng)
 
 
 def sample_single_api(
@@ -110,15 +102,7 @@ def sample_walk(
             if not options:
                 break
             weights = [edge_bias if kind == favored else 1.0 for _, kind, _ in options]
-            total = sum(weights)
-            roll = rng.random() * total
-            acc = 0.0
-            picked = options[-1]
-            for opt, w in zip(options, weights):
-                acc += w
-                if roll < acc:
-                    picked = opt
-                    break
+            picked = weighted_pick(options, weights, rng)
             walk.append(picked[0])
             kinds.append(picked[1])
         if len(walk) != length:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
 from divgen.model import read_dataset
@@ -23,6 +25,20 @@ def test_unknown_provider_is_usage_error(tmp_path):
     code = run(["preprocess", fixture_library_path(), "--config", str(cfg),
                 "--out", str(tmp_path / "a.json")])
     assert code == 2
+
+
+def test_unknown_execution_type_is_usage_error_before_any_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"type_weights": {"SINGLE": 1, "FOO": 1}}))
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--config", str(cfg),
+                "--out", str(art)]) == 2
+    assert "FOO" in capsys.readouterr().err
+    assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--config", str(cfg), "--n", "2",
+                "--out", str(out)]) == 2
+    assert "FOO" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "cfg.json"]
 
 
 def test_preprocess_reruns_byte_identical(tmp_path):
@@ -172,6 +188,17 @@ def test_compare_datasets_with_argument_diversity(tmp_path):
     assert "argument_diversity" in report
     arg = report["argument_diversity"]
     assert "groups" in arg and ("average" in arg or "warning" in arg)
+
+
+@pytest.mark.parametrize("flag", ["--library-a", "--library-b"])
+def test_compare_with_one_library_is_usage_error(tmp_path, capsys, flag):
+    a = _write_corpus(tmp_path / "a.json", varied_corpus()[:10])
+    out = tmp_path / "cmp.json"
+    code = run(["compare", str(a), str(a), flag, fixture_library_path(),
+                "--out", str(out)])
+    assert code == 2
+    assert "--library-a and --library-b" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_golden_digests(tmp_path, monkeypatch):

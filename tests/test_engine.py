@@ -350,3 +350,29 @@ def test_shrunk_sequential_chain_keeps_each_steps_return_value(tmp_path, kept, r
     assert example.metadata["distractor_note"] == f"targets shrunk to {list(kept)}"
     assert [inv.function_name for inv in example.target_invocations] == list(kept)
     assert example.return_values == returns
+
+
+class RecordingChat(StubChat):
+    """StubChat that keeps every prompt it is sent, in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.prompts = []
+
+    def complete(self, prompt, params=None):
+        self.prompts.append(prompt)
+        return super().complete(prompt, params)
+
+
+def test_fixture_run_prompts_golden_digest(tmp_path):
+    # Pins every rendered prompt of a fixture run, in call order. StubChat
+    # answers each validator and judge YES whatever its prompt says, so the
+    # dataset digests alone cannot see a changed validator or judge prompt.
+    chat = RecordingChat()
+    build_engine(tmp_path, chat=chat).generate(25)
+    digest = hashlib.sha256()
+    for prompt in chat.prompts:
+        digest.update(prompt.encode("utf-8"))
+        digest.update(b"\0")
+    assert (len(chat.prompts), digest.hexdigest()) == (
+        535, "82536b42dba2103aff84cde998109cdcfff79abb5e1c1704b7cb05c56051bcca")

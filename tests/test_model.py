@@ -163,6 +163,8 @@ def test_runconfig_validation():
         RunConfig(rounds=0)
     with pytest.raises(ModelError, match="sum"):
         RunConfig(type_weights={"SINGLE": 0.0})
+    with pytest.raises(ModelError, match=r"unknown execution types.*'FOO'"):
+        RunConfig(type_weights={"SINGLE": 1.0, "FOO": 1.0})
     with pytest.raises(ModelError, match="unknown config keys"):
         RunConfig.from_dict({"bogus": 1})
     cfg = RunConfig(rng_seed=3)

@@ -130,6 +130,17 @@ def test_generate_value_candidates_non_numeric_fails():
         gen.generate_value_candidates(p, api, {}, groups.group_of(api.name, p.name), [])
 
 
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", "-Infinity", "1e400"])
+def test_generate_value_candidates_non_finite_fails(bad):
+    # json.loads reads NaN and Infinity; neither may become an argument
+    chat = candidates_script(ScriptedChat(), [bad] + list(range(24)), numeric=True)
+    lib, groups, gen = setup_gen(chat)
+    api, p = lib[3], lib[3].parameters[1]
+    with pytest.raises(ParamGenFailure, match="non-finite"):
+        gen.generate_value_candidates(p, api, {}, groups.group_of(api.name, p.name), [])
+
+
 # --- greedy selection ----------------------------------------------------------
 
 
@@ -388,6 +399,15 @@ def test_non_numeric_cohesive_value_fails_its_attempt():
     lib, groups, gen = setup_gen(chat, seed=1, lib=guest_library())
     results, diverse_idx = gen.generate_parallel_params(lib)
     assert results[1 - diverse_idx].arguments["guests"] == 5
+
+
+def test_non_finite_cohesive_value_fails_its_attempt():
+    chat = cohesive_pair_chat("GenerateCohesiveNumericalParameter", ["NaN", "5"],
+                              list(range(25)), numeric=True)
+    lib, groups, gen = setup_gen(chat, seed=1, lib=guest_library())
+    results, diverse_idx = gen.generate_parallel_params(lib)
+    assert results[1 - diverse_idx].arguments["guests"] == 5
+    assert len([c for c in chat.calls if "non-finite value: 'NaN'" in c]) == 1
 
 
 def test_only_non_numeric_cohesive_values_abandon():

@@ -45,6 +45,18 @@ def test_render_missing_input_field_errors():
         render_signature(sig, {"context": "x"})
 
 
+def test_render_takes_only_declared_fields_from_a_wider_context():
+    # Callers pass one context for several signatures; each takes its own fields.
+    sig = sig_of(["query", "context"], ["answer"])
+    context = {"context": "c", "query": "q", "api_schema": "UNDECLARED"}
+    text = render_signature(sig, context)
+    assert text == render_signature(sig, {"query": "q", "context": "c"})
+    assert "api_schema" not in text and "UNDECLARED" not in text
+    del context["context"]
+    with pytest.raises(SignatureError, match="context not provided"):
+        render_signature(sig, context)
+
+
 def test_signature_definition_invariants():
     with pytest.raises(SignatureError, match="duplicate"):
         sig_of(["a", "a"], ["b"])
