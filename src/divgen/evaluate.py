@@ -158,8 +158,13 @@ def group_value_frequencies(
 ) -> dict[str, dict[str, int]]:
     """Value -> count per group, most frequent first (machine-checkable view of
     how concentrated each group's argument distribution is)."""
+    return value_frequencies(collect_group_values(examples, groups))
+
+
+def value_frequencies(values_by_group: dict[str, list[Any]]) -> dict[str, dict[str, int]]:
+    """The ``group_value_frequencies`` tables of values already collected."""
     tables: dict[str, dict[str, int]] = {}
-    for group_id, values in collect_group_values(examples, groups).items():
+    for group_id, values in values_by_group.items():
         counts: dict[str, int] = {}
         for value in values:
             key = value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
@@ -192,8 +197,8 @@ def compare_argument_diversity(
     groups = group_parameters(merged, embedder, threshold)
     values_a = collect_group_values(examples_a, groups)
     values_b = collect_group_values(examples_b, groups)
-    freq_a = group_value_frequencies(examples_a, groups)
-    freq_b = group_value_frequencies(examples_b, groups)
+    freq_a = value_frequencies(values_a)
+    freq_b = value_frequencies(values_b)
 
     rng = random.Random(seed)
     rows: list[dict[str, Any]] = []

@@ -16,12 +16,11 @@ import numpy as np
 from divgen.metrics.cluster_entropy import query_cluster_entropy
 from divgen.metrics.semantic import (
     chamfer_distance_score,
-    chamfer_from_similarity,
-    cosine_matrix,
+    kernel_eigenvalues,
     paraphrase_variety,
-    paraphrase_variety_from_similarity,
     semantic_spread,
-    vendi_from_similarity,
+    unit_rows,
+    vendi_from_eigenvalues,
     vendi_score,
 )
 from divgen.metrics.text import (
@@ -111,16 +110,34 @@ def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, 
     return _evaluate(OPTIMIZED_METRICS, texts, embeddings)
 
 
+#: Byte cap on one stack of similarity matrices. Batches are split to stay
+#: under it, so a large corpus, where ``eigvalsh`` dominates and stacking saves
+#: nothing, holds one (N+1)² matrix at a time instead of one per candidate.
+_STACK_BYTES = 4 << 20
+
+
 class MarginalScorer:
     """The optimized battery of ``corpus + [candidate]``, for many candidates.
 
     The corpus-side state is built once: its token-type set and token count, a
     DEFLATE stream primed with the newline-joined corpus, its sentence-shape
-    table, its FKGL and length lists, and its embedding rows. ``score`` returns
-    exactly, bit for bit, what ``evaluate_battery`` returns on the extended
-    corpus, and evaluates each distinct candidate only once. The embedding
-    metrics share one cosine matrix per candidate; it is recomputed whole,
-    since a Gram or running-sum update would round differently.
+    table, its FKGL and length lists, and its embedding rows scaled to unit
+    norm. ``score`` returns exactly, bit for bit, what ``evaluate_battery``
+    returns on each extended corpus, and evaluates each distinct candidate only
+    once. The candidates a call has not seen before are scored as one batch:
+    one embedding lookup, then a stack of similarity matrices, one per
+    candidate (several stacks if one would pass ``_STACK_BYTES``), from which
+    Chamfer, the pair distances and the kernel eigenvalues are computed
+    together. The text metrics are computed per candidate.
+
+    Three facts keep the batch exact: a row's norm does not depend on the
+    rows normalised with it; each matrix of the stack is the 2-D product
+    ``a @ a.T`` of ``cosine_matrix``, taken over one (N+1, d) row buffer
+    that holds the corpus rows and, in turn, each candidate's; and a stacked
+    ``eigvalsh`` equals one ``eigvalsh`` per matrix. A 2-D ``mean(axis=1)``
+    does not always round like a 1-D ``np.mean`` of each row, so every
+    per-candidate mean is taken over one row. A Gram or running-sum update
+    would round differently and is not used.
     """
 
     def __init__(self, corpus: Sequence[str], embed_cache: EmbeddingCache):
@@ -137,16 +154,58 @@ class MarginalScorer:
         self._shapes = Counter(shape for text in corpus for shape in sentence_shapes(text))
         self._fkgls = [fkgl_grade(t) for t in corpus]
         self._lengths = [float(len(tokenize(t))) for t in corpus]
-        self._rows = embed_cache.matrix(corpus) if corpus else None
+        self._units = unit_rows(embed_cache.matrix(corpus)) if corpus else None
+        size = len(corpus) + 1  # texts in each extended corpus
+        self._pairs = np.triu_indices(size, k=1)
+        self._diagonal = np.arange(size)
         self._scores: dict[str, dict[str, float]] = {}
 
-    def score(self, candidate: str) -> dict[str, float]:
-        """The eight optimized metrics of the corpus extended by ``candidate``."""
-        if candidate not in self._scores:
-            self._scores[candidate] = self._evaluate(candidate)
-        return self._scores[candidate]
+    def score(self, candidates: Sequence[str]) -> list[dict[str, float]]:
+        """The eight optimized metrics of the corpus extended by each candidate,
+        in order."""
+        new = [c for c in dict.fromkeys(candidates) if c not in self._scores]
+        if new:
+            self._scores.update(zip(new, self._evaluate_batch(new)))
+        return [self._scores[c] for c in candidates]
 
-    def _evaluate(self, candidate: str) -> dict[str, float]:
+    def _evaluate_batch(self, candidates: list[str]) -> list[dict[str, float]]:
+        units = unit_rows(self._embed_cache.matrix(candidates))
+        size = self._diagonal.size
+        # one row buffer, not an (m, N+1, d) stack of copies: that transient
+        # raised glibc's dynamic mmap threshold and with it the peak RSS
+        rows = np.empty((size, units.shape[1]))
+        if self._units is not None:
+            rows[:-1] = self._units
+        step = max(1, _STACK_BYTES // (8 * size * size))
+        embedding = [scores for start in range(0, len(units), step)
+                     for scores in self._embedding_metrics(rows, units[start:start + step])]
+        return [self._battery(c, *scores) for c, scores in zip(candidates, embedding)]
+
+    def _embedding_metrics(self, rows: np.ndarray,
+                           units: np.ndarray) -> list[tuple[float, float, float]]:
+        """Paraphrase variety, Chamfer and Vendi of the corpus extended by each
+        unit row; ``rows`` holds the corpus unit rows and one spare last row."""
+        size = len(rows)
+        sims = np.empty((len(units), size, size))
+        for unit, sim in zip(units, sims):
+            rows[-1] = unit
+            np.matmul(rows, rows.T, out=sim)
+        np.clip(sims, -1.0, 1.0, out=sims)
+        vendis = [vendi_from_eigenvalues(e) for e in kernel_eigenvalues(sims)]
+        if size < 2:
+            return [(0.0, 0.0, vendi) for vendi in vendis]
+        pair_dists = sims[:, self._pairs[0], self._pairs[1]]
+        np.subtract(1.0, pair_dists, out=pair_dists)
+        varieties = [float(np.mean(row)) for row in pair_dists]
+        dist = np.subtract(1.0, sims, out=sims)
+        dist[:, self._diagonal, self._diagonal] = np.inf
+        chamfers = [float(np.mean(row)) for row in dist.min(axis=2)]
+        return list(zip(varieties, chamfers, vendis))
+
+    def _battery(self, candidate: str, variety: float, chamfer: float,
+                 vendi: float) -> dict[str, float]:
+        """The candidate's eight scores: the text metrics computed here, the
+        embedding metrics from the batch."""
         tokens = tokenize(candidate)
         extra = (self._separator + candidate).encode("utf-8")
         deflate = self._deflate.copy()
@@ -154,18 +213,16 @@ class MarginalScorer:
                     + len(deflate.flush()))
         shapes = self._shapes.copy()
         shapes.update(sentence_shapes(candidate))
-        row = self._embed_cache.matrix([candidate])
-        sim = cosine_matrix(row if self._rows is None else np.vstack([self._rows, row]))
         return {
             "ttr": ratio_of_types(len(self._types) + len(set(tokens) - self._types),
                                   self._n_tokens + len(tokens)),
             "compression_ratio": compression_ratio(deflated, self._raw_bytes + len(extra)),
-            "paraphrase_variety": paraphrase_variety_from_similarity(sim),
+            "paraphrase_variety": variety,
             "parse_tree_entropy": shape_entropy(shapes),
-            "chamfer": chamfer_from_similarity(sim),
+            "chamfer": chamfer,
             "var_fkgl": variance(self._fkgls + [fkgl_grade(candidate)]),
             "var_length": variance(self._lengths + [float(len(tokens))]),
-            "vendi": vendi_from_similarity(sim),
+            "vendi": vendi,
         }
 
 

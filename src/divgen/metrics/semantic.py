@@ -26,7 +26,9 @@ def _stack(embeddings: Sequence) -> np.ndarray:
     return arr
 
 
-def _unit_rows(embeddings: Sequence, allow_zero: bool) -> np.ndarray:
+def unit_rows(embeddings: Sequence, allow_zero: bool = False) -> np.ndarray:
+    """Each row scaled to unit norm; a zero-norm row raises ValueError, or
+    with ``allow_zero`` stays zero."""
     arr = _stack(embeddings)
     norms = np.linalg.norm(arr, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
@@ -44,18 +46,15 @@ def cosine_matrix(a: Sequence, b: Sequence | None = None,
     A zero-norm row raises ValueError, or with ``allow_zero`` has similarity 0
     to every row.
     """
-    unit_a = _unit_rows(a, allow_zero)
-    unit_b = unit_a if b is None else _unit_rows(b, allow_zero)
+    unit_a = unit_rows(a, allow_zero)
+    unit_b = unit_a if b is None else unit_rows(b, allow_zero)
     sim = unit_a @ unit_b.T
     return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def paraphrase_variety(embeddings: Sequence) -> float:
     """Mean (1 - cosine similarity) over unordered pairs."""
-    return paraphrase_variety_from_similarity(cosine_matrix(embeddings))
-
-
-def paraphrase_variety_from_similarity(sim: np.ndarray) -> float:
+    sim = cosine_matrix(embeddings)
     n = sim.shape[0]
     if n < 2:
         return 0.0
@@ -65,10 +64,7 @@ def paraphrase_variety_from_similarity(sim: np.ndarray) -> float:
 
 def chamfer_distance_score(embeddings: Sequence) -> float:
     """Mean over points of the cosine distance to their nearest other point."""
-    return chamfer_from_similarity(cosine_matrix(embeddings))
-
-
-def chamfer_from_similarity(sim: np.ndarray) -> float:
+    sim = cosine_matrix(embeddings)
     n = sim.shape[0]
     if n < 2:
         return 0.0
@@ -94,15 +90,26 @@ def vendi_score(embeddings: Sequence) -> float:
     K is the cosine-similarity kernel, symmetric and PSD for the unit-norm
     inputs we feed it; eigenvalues within -1e-9 of zero are clamped.
     """
-    return vendi_from_similarity(cosine_matrix(embeddings))
+    return vendi_from_eigenvalues(kernel_eigenvalues(cosine_matrix(embeddings)))
 
 
-def vendi_from_similarity(sim: np.ndarray) -> float:
-    n = sim.shape[0]
-    scaled = (sim + sim.T) / (2.0 * n)
+def kernel_eigenvalues(sim: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Vendi kernel K/n of one (n, n) similarity
+    matrix, or of each matrix in an (m, n, n) stack (one row per matrix).
+
+    Raises ValueError if any eigenvalue is below -1e-9 (K is not PSD).
+    """
+    n = sim.shape[-1]
+    scaled = sim + np.swapaxes(sim, -1, -2)
+    scaled /= 2.0 * n
     eigenvalues = np.linalg.eigvalsh(scaled)
     if np.any(eigenvalues < -1e-9):
         raise ValueError("kernel is not PSD within tolerance")
+    return eigenvalues
+
+
+def vendi_from_eigenvalues(eigenvalues: np.ndarray) -> float:
+    """exp of the entropy of one kernel's eigenvalues, negatives clamped to 0."""
     entropy = 0.0
     for lam in eigenvalues:
         lam = float(max(lam, 0.0))

@@ -143,6 +143,15 @@ def _coerce_numeric(value: Any) -> float | int:
     return number
 
 
+def _coerce_text(value: Any) -> str:
+    """Text with at least one word token: one without embeds to the zero
+    vector, which cluster entropy cannot place."""
+    text = str(value)
+    if not tokenize(text):
+        raise UnusableValue(f"value {text!r} has no word token")
+    return text
+
+
 def select_diverse_value(
     candidates: Sequence[Any],
     tracker_snapshot: Sequence[Any],
@@ -217,8 +226,10 @@ class ParamGenerator:
         existing: Sequence[Any],
         previous_failures: str = "None",
     ) -> list[Any]:
-        """25 distinct raw values (one top-up call if duplicates or token-less
-        STRING values shrink the set)."""
+        """25 distinct raw values. Values that cannot be arguments (STRING
+        values without a word token, NUMERICAL values that are not finite
+        numbers) are left out; one top-up call names them if they or
+        duplicates shrink the set."""
         if param.category not in (ParamCategory.NUMERICAL, ParamCategory.STRING):
             raise ValueError("candidate generation serves NUMERICAL/STRING parameters")
         numeric = param.category is ParamCategory.NUMERICAL
@@ -227,7 +238,10 @@ class ParamGenerator:
             else "GenerateMultipleStringParameters"
         )
         want = self.config.virtual_candidates
-        tokenless: list[str] = []
+        unusable = ("non-numeric or non-finite values" if numeric
+                    else "values without a word token")
+        coerce = _coerce_numeric if numeric else _coerce_text
+        left_out: list[Any] = []
 
         def ask(count: int, failures: str) -> list[Any]:
             out = self.client.call(sig, {
@@ -237,11 +251,17 @@ class ParamGenerator:
             parsed = json.loads(out["generated_values"])
             if not isinstance(parsed, list):
                 raise ValueError("generated_values is not a JSON list")
-            if numeric:
-                return [_coerce_numeric(v) for v in parsed]
-            texts = [str(v) for v in parsed]
-            tokenless.extend(t for t in texts if not tokenize(t))
-            return [t for t in texts if tokenize(t)]
+            kept = []
+            for value in parsed:
+                try:
+                    kept.append(coerce(value))
+                except UnusableValue:
+                    left_out.append(value)
+            return kept
+
+        def note() -> str:
+            return (f"; left out {unusable}: {json.dumps(left_out, ensure_ascii=False)}"
+                    if left_out else "")
 
         values: list[Any] = []
         failures = previous_failures
@@ -264,12 +284,10 @@ class ParamGenerator:
                 seen.add(key)
                 distinct.append(v)
         if len(distinct) < want:
-            note = (f"; left out values without a word token:"
-                    f" {json.dumps(tokenless, ensure_ascii=False)}" if tokenless else "")
             try:
                 extra = ask(want - len(distinct),
                             f"{want - len(distinct)} more distinct values needed;"
-                            f" avoid repeating earlier candidates{note}")
+                            f" avoid repeating earlier candidates{note()}")
             except (SignatureParseError, ValueError, json.JSONDecodeError):
                 extra = []
             for v in extra:
@@ -279,7 +297,7 @@ class ParamGenerator:
                     distinct.append(v)
         if len(distinct) < self.config.selection_size:
             raise ParamGenFailure(
-                f"{api.name}.{param.name}: only {len(distinct)} distinct candidates"
+                f"{api.name}.{param.name}: only {len(distinct)} distinct candidates{note()}"
             )
         return distinct
 

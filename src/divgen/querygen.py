@@ -5,7 +5,8 @@ the execution-type judge pool up across rounds; the pool is re-ranked every
 round by fusing eight per-metric marginal-diversity orderings with reciprocal
 rank fusion, and the global top is kept. The corpus does not change during an
 example, so its metric state is built once per example and each distinct
-candidate is scored once against it, however many rounds re-rank it.
+candidate is scored once against it, however many rounds re-rank it; a round's
+new candidates are scored together as one batch.
 Candidates without a single word token cannot be scored and never enter the
 pool. Feedback between rounds foregrounds judge failures when most candidates
 failed, diversity guidance otherwise. The example's prompt fields are built
@@ -152,7 +153,7 @@ def rank_candidates_by_diversity(
     pool = list(dict.fromkeys(candidates))
     if not pool:
         raise ValueError("no candidates to rank")
-    values = {cand: scorer.score(cand) for cand in pool}
+    values = dict(zip(pool, scorer.score(pool)))
 
     rankings: list[list[str]] = []
     per_metric_rank: dict[str, dict[str, int]] = {c: {} for c in pool}

@@ -220,6 +220,23 @@ def test_argument_comparison_carries_frequency_tables(embedder):
     assert len(row["frequencies_a"]) == 20
 
 
+def test_argument_comparison_collects_each_dataset_once(monkeypatch, embedder):
+    import divgen.evaluate as evaluate
+    collected = []
+
+    def counting(examples, groups):
+        collected.append(examples)
+        return collect_group_values(examples, groups)
+
+    monkeypatch.setattr(evaluate, "collect_group_values", counting)
+    lib = shared_library()
+    ex_a = [city_example(f"a{i}", f"town{i} alpha{i}") for i in range(20)]
+    ex_b = [city_example(f"b{i}", "Same Place") for i in range(20)]
+    result = compare_argument_diversity(ex_a, ex_b, lib, lib, embedder, seed=1)
+    assert collected == [ex_a, ex_b]
+    assert result["groups"][0]["frequencies_b"] == {"Same Place": 20}
+
+
 def test_metric_table_looks_metrics_up_at_call_time(monkeypatch, embedder):
     # tracing rebinds battery's metric names; every battery path must see that
     import divgen.metrics.battery as battery

@@ -1,4 +1,5 @@
-"""MarginalScorer must reproduce evaluate_battery on corpus + [candidate] exactly."""
+"""MarginalScorer must reproduce evaluate_battery on corpus + [candidate] exactly,
+for every candidate of a batch."""
 
 import random
 
@@ -33,8 +34,70 @@ def test_scorer_equals_evaluate_battery_bit_for_bit():
             scorer = MarginalScorer(corpus, cache)
             for cand in candidates:
                 texts = corpus + [cand]
-                assert scorer.score(cand) == evaluate_battery(texts, cache.matrix(texts)), \
+                assert scorer.score([cand]) == [evaluate_battery(texts, cache.matrix(texts))], \
                     (name, size, cand)
                 checked += 1
     assert checked == 2 * (61 * 4 - 1)
 
+
+BATCH_SIZES = (1, 2, 5, 6, 9)
+CORPUS_SIZES = (0, 1, 2, 7, 34, 128, 129, 400)
+CANDIDATE_SOURCE = SOURCES["varied"] + SOURCES["repetitive"]
+
+
+def new_candidates(rng, source, corpus, scored, count):
+    """``count`` distinct candidates not scored yet; one equals a corpus query
+    when the corpus has one that is still unscored."""
+    batch = [q for q in dict.fromkeys(corpus) if q not in scored][:1]
+    while len(batch) < count:
+        cand = " ".join(rng.sample(source, rng.randint(1, 3)))
+        if rng.random() < 0.2:
+            cand = f"{cand} {UNSHARED}"
+        if cand not in scored and cand not in batch:
+            batch.append(cand)
+    return batch[:count]
+
+
+def test_batched_scores_equal_evaluate_battery():
+    # 2-D reductions over the stack (a mean over axis 1, say) round differently
+    # from the oracle's 1-D ones in the last bits, mostly at N >= 7
+    cache = EmbeddingCache(HashEmbedder())
+    checked = 0
+    for name, source in SOURCES.items():
+        rng = random.Random(f"batch-{name}")
+        for size in CORPUS_SIZES:
+            corpus = [rng.choice(source) for _ in range(size)]
+            scorer = MarginalScorer(corpus, cache)
+            scored: set[str] = set()
+            for count in BATCH_SIZES:
+                batch = new_candidates(rng, CANDIDATE_SOURCE, corpus, scored, count)
+                assert len(set(batch)) == count and not scored & set(batch)
+                if count > 1:
+                    batch.insert(1, batch[-1])  # a duplicate inside the batch
+                scores = scorer.score(batch)
+                assert len(scores) == len(batch)
+                for cand, got in zip(batch, scores):
+                    texts = corpus + [cand]
+                    assert got == evaluate_battery(texts, cache.matrix(texts)), \
+                        (name, size, count, cand)
+                    checked += 1
+                scored.update(batch)
+    assert checked == 2 * len(CORPUS_SIZES) * (sum(BATCH_SIZES) + len(BATCH_SIZES) - 1)
+
+
+def test_score_evaluates_each_distinct_new_candidate_once_per_call(monkeypatch):
+    batches = []
+    evaluate = MarginalScorer._evaluate_batch
+
+    def counting(self, candidates):
+        batches.append(list(candidates))
+        return evaluate(self, candidates)
+
+    monkeypatch.setattr(MarginalScorer, "_evaluate_batch", counting)
+    scorer = MarginalScorer(SOURCES["varied"][:5], EmbeddingCache(HashEmbedder()))
+    a, b, c = SOURCES["varied"][5:8]
+    first = scorer.score([a, b, a])
+    second = scorer.score([b, c, c, a])
+    assert batches == [[a, b], [c]]
+    assert first == [second[3], second[0], second[3]]
+    assert scorer.score([a, c]) == [second[3], second[1]] and len(batches) == 2

@@ -133,12 +133,31 @@ def test_generate_value_candidates_non_numeric_fails():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", "-Infinity", "1e400"])
 def test_generate_value_candidates_non_finite_fails(bad):
-    # json.loads reads NaN and Infinity; neither may become an argument
-    chat = candidates_script(ScriptedChat(), [bad] + list(range(24)), numeric=True)
+    # json.loads reads NaN and Infinity; neither may become an argument, so a
+    # batch of nothing else fails and names them
+    chat = candidates_script(ScriptedChat(), [bad] * 25, numeric=True)
     lib, groups, gen = setup_gen(chat)
     api, p = lib[3], lib[3].parameters[1]
     with pytest.raises(ParamGenFailure, match="non-finite"):
         gen.generate_value_candidates(p, api, {}, groups.group_of(api.name, p.name), [])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "1e400", "high", True, None])
+def test_unusable_numeric_candidates_are_left_out_and_named(bad):
+    chat = ScriptedChat()
+    sig = "GenerateMultipleNumericalParameters"
+    first = values_json([bad] + list(range(24)))
+    chat.script_output(sig, {"reasoning": "r", "generated_values": first},
+                       contains="[[ ## num_candidates ## ]]\n25")
+    chat.script_output(sig, {"reasoning": "r", "generated_values": values_json([99])},
+                       contains="[[ ## num_candidates ## ]]\n1\n")
+    lib, groups, gen = setup_gen(chat)
+    api, p = lib[3], lib[3].parameters[1]
+    got = gen.generate_value_candidates(p, api, {}, groups.group_of(api.name, p.name), [])
+    assert got == list(range(24)) + [99]
+    calls = [c for c in chat.calls if "[[ ## num_candidates ## ]]" in c]
+    assert len(calls) == 2
+    assert f"left out non-numeric or non-finite values: {values_json([bad])}" in calls[1]
 
 
 # --- greedy selection ----------------------------------------------------------

@@ -335,15 +335,25 @@ def test_ranking_invariant_to_candidate_input_order():
     assert forward == backward
 
 
+class CountingEmbedder(HashEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return super().embed(texts)
+
+
 def test_generate_query_scores_each_distinct_candidate_once(monkeypatch):
     scored = []
-    evaluate = MarginalScorer._evaluate
+    evaluate = MarginalScorer._evaluate_batch
 
-    def counting(self, candidate):
-        scored.append(candidate)
-        return evaluate(self, candidate)
+    def counting(self, candidates):
+        scored.extend(candidates)
+        return evaluate(self, candidates)
 
-    monkeypatch.setattr(MarginalScorer, "_evaluate", counting)
+    monkeypatch.setattr(MarginalScorer, "_evaluate_batch", counting)
     extra = [f"Bonus request {w} for the archive." for w in
              ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")]
     rounds = [CANDS[:3], CANDS[2:5], [CANDS[0]] + extra[:2], extra[1:4], extra[3:] + [CANDS[4]]]
@@ -353,10 +363,20 @@ def test_generate_query_scores_each_distinct_candidate_once(monkeypatch):
     chat.script([batch_judge_reply(["YES"] * len(r)) for r in rounds],
                 signature="APIQueryJudge")
     chat.script(guidance_reply(), signature="DiversityGuidanceGeneration")
-    result = make_qgen(chat, rounds=5).generate_query(single_skeleton(), DATASET)
+    embedder = CountingEmbedder()
+    qgen = make_qgen(chat, rounds=5)
+    qgen.embed_cache = EmbeddingCache(embedder)
+    result = qgen.generate_query(single_skeleton(), DATASET)
     distinct = set(CANDS + extra)
     assert result.pool_size == len(distinct)
     assert sorted(scored) == sorted(distinct)
+    # the corpus once, then one call per round, since every round brings new candidates
+    seen = list(DATASET)
+    expected = [DATASET]
+    for r in rounds:
+        expected.append([c for c in r if c not in seen])
+        seen += r
+    assert embedder.calls == expected
 
 
 def test_tokenless_candidate_is_left_out_of_the_pool():
