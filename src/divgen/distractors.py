@@ -86,7 +86,7 @@ def score_plausibility(
     library: Sequence[FunctionSchema],
     client: SignatureClient,
 ) -> list[ScoredCandidate]:
-    """One batched 1-5 rating call, order-aligned with the candidates.
+    """One 1-5 rating call for all the candidates, order-aligned with them.
 
     A misaligned or non-integer reply is retried once, then abandons."""
     if not candidates:

@@ -26,12 +26,14 @@ from divgen.model import (
     FunctionSchema,
     GeneratedExample,
     Invocation,
+    ModelError,
     RunConfig,
     serialize_example,
 )
 from divgen.paramgen import ParamGenerator, ParamGenFailure, commit_to_trackers
 from divgen.preprocess import ApiGraph, ApiPools, GroupIndex
 from divgen.providers.base import ChatProvider, EmbeddingProvider, SignatureClient
+from divgen.providers.signature import SignatureParseError
 from divgen.querygen import (
     ExampleSkeleton,
     QueryGenerator,
@@ -122,21 +124,18 @@ class GenerationEngine:
         checkpoint file, and cut the dataset back to the size it records."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
         if doc["config_digest"] != self._config_digest():
-            raise ValueError("checkpoint was produced under a different configuration")
-        size = doc.get("dataset_bytes")  # absent from checkpoints of older runs
-        if size is not None:
-            with open(self.out_path, "ab") as fh:
-                if fh.tell() < size:
-                    raise ValueError("dataset is shorter than the checkpoint records")
-                fh.truncate(size)
-        self.log_bytes = doc.get("log_bytes") or 0
+            raise ModelError("checkpoint was produced under a different configuration")
+        size = doc["dataset_bytes"]
+        with open(self.out_path, "ab") as fh:
+            if fh.tell() < size:
+                raise ValueError("dataset is shorter than the checkpoint records")
+            fh.truncate(size)
+        self.log_bytes = doc["log_bytes"] or 0
         self.state.accepted = doc["accepted"]
         self.state.attempts = doc["attempts"]
         version, internal, gauss = doc["rng_state"]
         self.rng.setstate((version, tuple(internal), gauss))
         self.groups.restore(doc["trackers"])
-        if size is None:  # older runs could commit STRING values without a word token
-            self.groups.drop_tokenless_strings()
         self.querygen.guidance = doc["guidance"]
         self.queries = list(doc["queries"])
 
@@ -144,7 +143,7 @@ class GenerationEngine:
         """Cut the run log at ``path`` back to the size the checkpoint records,
         so a resumed run does not log twice what it redoes."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        size = doc.get("log_bytes")  # None: the run had no log, or is older
+        size = doc["log_bytes"]  # None: the run had no log
         if size is not None:
             with open(path, "ab") as fh:
                 if fh.tell() > size:
@@ -326,12 +325,19 @@ class GenerationEngine:
         return added
 
     def _refresh_guidance(self) -> None:
+        """Analyse a sample of the accepted queries and replace the guidance;
+        an unparseable reply keeps the previous guidance."""
         sample_size = min(self.config.pattern_sample, len(self.queries))
         if sample_size == 0:
             return
         sample = self.rng.sample(self.queries, sample_size)
-        patterns = analyze_dataset_patterns(sample, self.client)
-        guidance = generate_diversity_guidance(sample, patterns, self.client)
+        try:
+            patterns = analyze_dataset_patterns(sample, self.client)
+            guidance = generate_diversity_guidance(sample, patterns, self.client)
+        except SignatureParseError as exc:
+            self._log({"event": "pattern_analysis_failed", "at": self.state.accepted,
+                       "reason": str(exc)})
+            return
         if guidance:
             self.querygen.guidance = guidance
             self._log({"event": "pattern_analysis", "at": self.state.accepted})

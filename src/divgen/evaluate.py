@@ -49,7 +49,6 @@ class DiversityReport:
     label_a: str = "A"
     label_b: str | None = None
     seed: int = 0
-    warnings: list[str] = field(default_factory=list)
 
     def row(self, metric: str) -> MetricRow:
         for r in self.rows:
@@ -65,8 +64,6 @@ class DiversityReport:
         }
         if self.label_b is not None:
             d["label_b"] = self.label_b
-        if self.warnings:
-            d["warnings"] = self.warnings
         return d
 
     def to_table(self) -> str:
@@ -153,16 +150,9 @@ def collect_group_values(
     return out
 
 
-def group_value_frequencies(
-    examples: Sequence[GeneratedExample], groups: GroupIndex
-) -> dict[str, dict[str, int]]:
+def value_frequencies(values_by_group: dict[str, list[Any]]) -> dict[str, dict[str, int]]:
     """Value -> count per group, most frequent first (machine-checkable view of
     how concentrated each group's argument distribution is)."""
-    return value_frequencies(collect_group_values(examples, groups))
-
-
-def value_frequencies(values_by_group: dict[str, list[Any]]) -> dict[str, dict[str, int]]:
-    """The ``group_value_frequencies`` tables of values already collected."""
     tables: dict[str, dict[str, int]] = {}
     for group_id, values in values_by_group.items():
         counts: dict[str, int] = {}

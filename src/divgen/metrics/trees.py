@@ -1,16 +1,15 @@
 """Syntactic diversity: shallow chunk trees, shape entropy, and tree edit distance.
 
-The default analyzer is a deterministic rule-based chunker: tokens are tagged by
-lexicon and suffix, then bracketed into noun/verb/prepositional groups under a
-sentence root. It exists to keep the metrics hermetic; any callable mapping a
-sentence to a TreeNode can be plugged in instead. Tree edit distance is the
+Sentences are parsed by a deterministic rule-based chunker: tokens are tagged
+by lexicon and suffix, then bracketed into noun/verb/prepositional groups under
+a sentence root, which keeps the metrics hermetic. Tree edit distance is the
 exact ordered-tree algorithm with unit insert/delete/relabel costs.
 
 The edit distance of two sentences depends only on their trees, so its memo is
 keyed by tree, not by text: each distinct tree is put in postorder once and
 interned, the memo is keyed by a pair of interned trees, and the corpus average
-weights each distinct pair by the counts of its two trees. The default
-chunker's tree shape and postorder are memoised per sentence.
+weights each distinct pair by the counts of its two trees. Each sentence's tree
+shape and postorder are memoised.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from divgen.metrics.text import SENTENCE_SPLIT_RE, tokenize
 
@@ -151,25 +150,19 @@ def chunk_sentence(sentence: str) -> TreeNode:
     return TreeNode("S", tuple(chunks))
 
 
-Analyzer = Callable[[str], TreeNode]
-
-
 @functools.lru_cache(maxsize=65536)
 def _chunk_shape(sentence: str) -> str:
     return tree_shape(chunk_sentence(sentence))
 
 
-def sentence_shapes(text: str, analyzer: Analyzer = chunk_sentence) -> list[str]:
+def sentence_shapes(text: str) -> list[str]:
     """Tree shape of each sentence of one text."""
-    if analyzer is chunk_sentence:
-        return [_chunk_shape(s) for s in sentences_of(text)]
-    return [tree_shape(analyzer(s)) for s in sentences_of(text)]
+    return [_chunk_shape(s) for s in sentences_of(text)]
 
 
-def parse_tree_entropy(corpus: Sequence[str], analyzer: Analyzer = chunk_sentence) -> float:
+def parse_tree_entropy(corpus: Sequence[str]) -> float:
     """Base-2 entropy over the frequency distribution of sentence tree shapes."""
-    return shape_entropy(Counter(shape for text in corpus
-                                 for shape in sentence_shapes(text, analyzer)))
+    return shape_entropy(Counter(shape for text in corpus for shape in sentence_shapes(text)))
 
 
 def shape_entropy(shapes: Counter[str]) -> float:
@@ -312,18 +305,14 @@ def _ted_between_sentences(a: _Postorder, b: _Postorder) -> int:
     return _zhang_shasha(a, b)
 
 
-def avg_tree_edit_distance(corpus: Sequence[str], analyzer: Analyzer = chunk_sentence) -> float:
+def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
     """Mean edit distance over unordered sentence pairs; 0 when < 2 sentences.
 
     Computed from the count table of distinct trees: pairs of one tree add 0,
     and each pair of distinct trees adds its distance times both counts. The
     sum is an integer, so the mean equals the sentence-pair loop's exactly.
     """
-    if analyzer is chunk_sentence:
-        postorder = _chunk_postorder
-    else:
-        postorder = lambda sentence: _postorder(analyzer(sentence))
-    counts = Counter(postorder(s) for text in corpus for s in sentences_of(text))
+    counts = Counter(_chunk_postorder(s) for text in corpus for s in sentences_of(text))
     n = sum(counts.values())
     if n < 2:
         return 0.0

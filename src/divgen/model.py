@@ -275,9 +275,6 @@ class RunConfig:
     missing_binomial_p: float = 0.5
     pattern_period: int = 50              # accepted examples between pattern analyses
     pattern_sample: int = 20
-    diverse_apis_per_example: int = 1
-    batch_judging: bool = True
-    cumulative_ranking: bool = True       # rank the cumulative valid pool each round
     chat_provider: str = "stub"
     embedding_provider: str = "hash"
     embedding_dimension: int = 384

@@ -154,7 +154,7 @@ def _coerce_text(value: Any) -> str:
 
 def select_diverse_value(
     candidates: Sequence[Any],
-    tracker_snapshot: Sequence[Any],
+    committed: Sequence[Any],
     rng: random.Random,
     category: str,
     embedder,
@@ -163,19 +163,19 @@ def select_diverse_value(
 ) -> tuple[Any, list[Any]]:
     """Greedy argmax over a uniform sample of the candidates.
 
-    Returns (chosen value, augmented view): the view is the tracker snapshot
-    plus the candidates that were hidden from the selector. Ties keep the first
-    candidate in sampled order. STRING values must carry a word token (see
-    ``ParamGenerator.generate_value_candidates``). ``index``, when given, holds
-    a prefix of the tracker snapshot; without one the whole view is scored
-    from scratch.
+    Returns (chosen value, augmented view): the view is the group's committed
+    values plus the candidates that were hidden from the selector. Ties keep
+    the first candidate in sampled order. STRING values must carry a word token
+    (see ``ParamGenerator.generate_value_candidates``). ``index``, when given,
+    holds a prefix of ``committed``; without one the whole view is scored from
+    scratch.
     """
     if not candidates:
         raise ValueError("select_diverse_value requires candidates")
     exposed = rng.sample(list(candidates), min(select_size, len(candidates)))
     exposed_set = {repr(x) for x in exposed}
     hidden = [c for c in candidates if repr(c) not in exposed_set]
-    augmented = list(tracker_snapshot) + hidden
+    augmented = list(committed) + hidden
     if index is None:
         index = ValueIndex(category, embedder)
     scores = index.entropies(augmented[len(index):], exposed)
@@ -311,9 +311,7 @@ class ParamGenerator:
             return _coerce_numeric(raw)
         if param.category is ParamCategory.OTHER:
             return _parse_json_or_text(raw)
-        if not tokenize(raw):
-            raise UnusableValue(f"{param.name}: value {raw!r} has no word token")
-        return raw
+        return _coerce_text(raw)
 
     def _existing_for(self, api: FunctionSchema, param: ParameterSpec,
                       pending: list[tuple[str, Any]]) -> tuple[ParameterGroup, list[Any]]:
@@ -357,7 +355,7 @@ class ParamGenerator:
             except SignatureParseError as exc:
                 raise ParamGenFailure(f"{api.name}: {exc}") from exc
             except UnusableValue as exc:
-                failures = last_reason = str(exc)
+                failures = last_reason = f"{p.name}: {exc}"
                 continue
             ok, reason = self.validate_parameter_set(api, y_current, validator)
             if ok:
@@ -411,36 +409,32 @@ class ParamGenerator:
     def generate_parallel_params(
         self, apis: Sequence[FunctionSchema]
     ) -> tuple[list[GenResult], int]:
-        """Uniformly chosen function(s) get the diverse path (count from
-        ``diverse_apis_per_example``, normally 1); the rest are generated
-        cohesively against the accumulated context. Nothing commits unless
-        every function validates."""
+        """One uniformly chosen function gets the diverse path; the rest are
+        generated cohesively against the accumulated context. Nothing commits
+        unless every function validates. Returns the results in ``apis``
+        order and the diverse function's index."""
         if len(apis) < 2:
             raise ValueError("PARALLEL needs at least two functions")
-        n_diverse = max(1, min(self.config.diverse_apis_per_example, len(apis)))
-        diverse = sorted(self.rng.sample(range(len(apis)), n_diverse))
-        results: dict[int, GenResult] = {}
-        context: dict[str, Any] = {}
-
-        order = diverse + [i for i in range(len(apis)) if i not in diverse]
-        for idx in order:
-            api = apis[idx]
-            if idx in diverse:
-                res = self.generate_single_params(api)
-            else:
-                res = self._generate_cohesive(api, _PARALLEL_COHESIVE, {
-                    "parallel_context_parameters": json.dumps(context, ensure_ascii=False),
-                })
-            results[idx] = res
-            context[api.name] = res.arguments
-        return [results[i] for i in range(len(apis))], diverse[0]
+        diverse = self.rng.sample(range(len(apis)), 1)[0]
+        results = {diverse: self.generate_single_params(apis[diverse])}
+        context = {apis[diverse].name: results[diverse].arguments}
+        for idx in range(len(apis)):
+            if idx == diverse:
+                continue
+            res = results[idx] = self._generate_cohesive(apis[idx], _PARALLEL_COHESIVE, {
+                "parallel_context_parameters": json.dumps(context, ensure_ascii=False),
+            })
+            context[apis[idx].name] = res.arguments
+        return [results[i] for i in range(len(apis))], diverse
 
     def generate_sequential_chain(
         self, apis: Sequence[FunctionSchema]
     ) -> tuple[list[GenResult], list[Any]]:
         """Backward generation: the last function gets the diverse path; each
         earlier one first gets a return value aimed at its successor, then
-        cohesive parameters. Emits exactly len(apis) - 1 return values."""
+        cohesive parameters. Emits exactly len(apis) - 1 return values. A
+        return value that is rejected or cannot be parsed, like a rejected
+        chain, spends one of the chain's retries."""
         if len(apis) < 2:
             raise ValueError("SEQUENTIAL needs at least two functions")
         n = len(apis)
@@ -450,8 +444,12 @@ class ParamGenerator:
             args = {n - 1: self.generate_single_params(apis[n - 1], chain_failures)}
             returns: dict[int, Any] = {}
             for idx in range(n - 2, -1, -1):
-                ret = returns[idx] = self._generate_return_value(
-                    apis, idx, args, chain_failures)
+                try:
+                    ret = returns[idx] = self._generate_return_value(
+                        apis, idx, args, chain_failures)
+                except SignatureParseError as exc:
+                    last_reason = chain_failures = f"return value rejected: {exc}"
+                    break
                 later = [args[i].arguments for i in range(idx + 2, n)]
                 args[idx] = self._generate_cohesive(apis[idx], _SEQUENTIAL_COHESIVE, {
                     "return_value": json.dumps(ret, ensure_ascii=False),

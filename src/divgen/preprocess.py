@@ -24,7 +24,6 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from divgen.metrics.semantic import cosine_matrix
-from divgen.metrics.text import tokenize
 from divgen.model import FunctionSchema, ParamCategory, ParameterSpec, ReturnField, parse_function_library
 
 
@@ -87,24 +86,12 @@ class GroupIndex:
     def group_of(self, function_name: str, parameter_name: str) -> ParameterGroup:
         return self._by_member[(function_name, parameter_name)]
 
-    def tracker_snapshot(self, group_id: str) -> tuple[Any, ...]:
-        for g in self.groups:
-            if g.id == group_id:
-                return tuple(g.tracker)
-        raise KeyError(group_id)
-
     def snapshot_all(self) -> dict[str, list[Any]]:
         return {g.id: list(g.tracker) for g in self.groups}
 
     def restore(self, snapshot: dict[str, list[Any]]) -> None:
         for g in self.groups:
             g.tracker[:] = list(snapshot.get(g.id, []))
-
-    def drop_tokenless_strings(self) -> None:
-        """Drop STRING tracker values without a word token: they cannot be embedded."""
-        for g in self.groups:
-            if g.category is ParamCategory.STRING:
-                g.tracker[:] = [v for v in g.tracker if tokenize(str(v))]
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [g.to_dict() for g in self.groups]

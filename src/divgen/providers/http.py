@@ -73,9 +73,11 @@ class HttpChat:
         payload.update(dict(params or {}))
         data = _post(f"{self.endpoint}/chat/completions", payload, self.token_env, self.timeout)
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError("malformed chat completion response") from exc
+        # a null or structured content carries no text: an empty reply, re-prompted
+        return content if isinstance(content, str) else ""
 
 
 class HttpEmbedder:
@@ -101,8 +103,12 @@ class HttpEmbedder:
         try:
             rows = sorted(data["data"], key=lambda r: r["index"])
             out = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TransportError("malformed embedding response") from exc
         if len(out) != len(texts):
             raise TransportError("embedding response count mismatch")
+        for i, row in enumerate(out):
+            if row.shape != (self.dimension,) or not np.isfinite(row).all():
+                raise TransportError(
+                    f"embedding row {i}: expected {self.dimension} finite values")
         return out

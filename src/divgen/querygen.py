@@ -103,12 +103,11 @@ def judge_queries(
     candidates: Sequence[str],
     skeleton: ExampleSkeleton,
     client: SignatureClient,
-    batched: bool = True,
 ) -> list[JudgeVerdict]:
     """Per-candidate validity verdicts; NONE examples need no judging at all.
 
-    Batched mode sends all candidates as one JSON array in the ``query`` field
-    and expects a JSON array of YES/NO verdicts back; any shape mismatch falls
+    Several candidates go out as one JSON array in the ``query`` field, and a
+    JSON array of YES/NO verdicts is expected back; any shape mismatch falls
     back to per-candidate calls.
     """
     if skeleton.execution_type is ExecutionType.NONE:
@@ -117,7 +116,7 @@ def judge_queries(
         return []
     sig = catalog.get(_JUDGES[skeleton.execution_type])
     fields = _skeleton_fields(skeleton)
-    if batched and len(candidates) > 1:
+    if len(candidates) > 1:
         try:
             out = client.call(sig, {
                 **fields, "query": json.dumps(list(candidates), ensure_ascii=False)})
@@ -283,8 +282,7 @@ class QueryGenerator:
                     attempts_log.append(
                         f"[round {round_no}] {cand} -- left out: no word tokens to score")
             candidates = [c for c in candidates if tokenize(c)]
-            verdicts = judge_queries(candidates, skeleton, self.client,
-                                     self.config.batch_judging)
+            verdicts = judge_queries(candidates, skeleton, self.client)
             for cand, verdict in zip(candidates, verdicts):
                 attempts_log.append(
                     f"[round {round_no}] {cand} -- judged"
@@ -294,16 +292,12 @@ class QueryGenerator:
                     pool_round[cand] = round_no
 
             if pool_reasons:
-                rank_input = list(pool_reasons) if self.config.cumulative_ranking else [
-                    c for c in candidates if c in pool_reasons]
-                if rank_input:
-                    fused, ranks, _ = rank_candidates_by_diversity(
-                        scorer, rank_input, self.config.rrf_k)
-                    best = fused[0]
-                    best_ranks = ranks[best]
-                    attempts_log.append(
-                        f"[round {round_no}] diversity ranking: "
-                        + " > ".join(fused))
+                fused, ranks, _ = rank_candidates_by_diversity(
+                    scorer, list(pool_reasons), self.config.rrf_k)
+                best = fused[0]
+                best_ranks = ranks[best]
+                attempts_log.append(
+                    f"[round {round_no}] diversity ranking: " + " > ".join(fused))
             if round_no < self.config.rounds:
                 feedback = build_feedback(verdicts, list(pool_reasons), self.client)
                 if feedback:
@@ -313,8 +307,8 @@ class QueryGenerator:
             return None
         return QueryResult(
             query=best,
-            round_found=pool_round.get(best, rounds_run),
-            judge_reasoning=pool_reasons.get(best, ""),
+            round_found=pool_round[best],
+            judge_reasoning=pool_reasons[best],
             per_metric_ranks=best_ranks,
             rounds_run=rounds_run,
             pool_size=len(pool_reasons),

@@ -58,6 +58,22 @@ def test_generate_resume_requires_checkpoint(tmp_path):
     assert code == 2
 
 
+def test_older_artifact_or_checkpoint_is_usage_error(tmp_path, capsys):
+    art, out = tmp_path / "art.json", tmp_path / "d.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--seed", "3", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "1", "--seed", "3", "--out", str(out)]) == 0
+    # a checkpoint written under another configuration
+    assert run(["generate", str(art), "--n", "2", "--seed", "4", "--out", str(out),
+                "--resume"]) == 2
+    assert "different configuration" in capsys.readouterr().err
+    # an artifact that stores a configuration key this version does not know
+    doc = json.loads(art.read_text(encoding="utf-8"))
+    doc["config"]["batch_judging"] = True
+    art.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["generate", str(art), "--n", "2", "--out", str(out), "--resume"]) == 2
+    assert "unknown config keys: ['batch_judging']" in capsys.readouterr().err
+
+
 def test_fixture_run_golden_digest(tmp_path):
     # Pins the bytes of the seed-7 fixture run. A change that alters them on
     # purpose updates this digest and says why.

@@ -12,7 +12,7 @@ from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
 from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
 from divgen.providers import catalog
-from divgen.providers.base import TransportError
+from divgen.providers.base import ProviderError, TransportError
 from divgen.providers.hash_embed import HashEmbedder
 from divgen.providers.mock import StubChat
 from divgen.providers.signature import format_output
@@ -87,18 +87,84 @@ def test_pattern_analysis_skipped_before_period(tmp_path):
     assert engine.querygen.guidance == ""
 
 
-class OutageChat:
-    """Delegates to the stub, then fails permanently after a call budget."""
+class RewritingChat(StubChat):
+    """StubChat that answers ``signature`` prompts containing ``contains``
+    with ``reply`` instead."""
 
-    def __init__(self, budget):
-        self.stub = StubChat()
-        self.remaining = budget
+    def __init__(self, signature, reply, contains=""):
+        self.signature = signature
+        self.reply = reply
+        self.contains = contains
 
     def complete(self, prompt, params=None):
-        if self.remaining <= 0:
-            raise TransportError("endpoint unreachable")
-        self.remaining -= 1
-        return self.stub.complete(prompt, params)
+        if catalog.identify(prompt) == self.signature and self.contains in prompt:
+            return self.reply
+        return super().complete(prompt, params)
+
+
+def run_with_log(run_dir, config, chat, n, resume=False):
+    """Generate into ``run_dir`` with a run log; returns the log's events."""
+    log_path = run_dir / "run.log"
+    engine = build_engine(run_dir, config=config, chat=chat)
+    if resume:
+        engine.cut_log(log_path)
+    with open(log_path, "a" if resume else "w", encoding="utf-8") as stream:
+        engine.log_stream = stream
+        engine.generate(n, resume=resume)
+    return engine, [json.loads(l) for l in log_path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("signature, contains", [
+    ("DatasetPatternAnalysis", ""),
+    # the refresh's guidance call, not the per-round feedback call
+    ("DiversityGuidanceGeneration", "Requests lean on a formal"),
+])
+def test_unparseable_pattern_analysis_keeps_the_guidance(tmp_path, signature, contains):
+    config = RunConfig(rng_seed=7, rounds=2, pattern_period=2)
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "run").mkdir()
+    # reference: an analysis that yields no guidance draws the same sample
+    empty = format_output(catalog.get("DatasetPatternAnalysis"),
+                          {"reasoning": "nothing stands out", "pattern_analysis": ""})
+    _, ref_events = run_with_log(
+        tmp_path / "ref", config, RewritingChat("DatasetPatternAnalysis", empty), 4)
+    engine, events = run_with_log(
+        tmp_path / "run", config, RewritingChat(signature, "no fields", contains), 4)
+    assert engine.querygen.guidance == ""
+    failed = [e for e in events if e["event"] == "pattern_analysis_failed"]
+    assert [e["at"] for e in failed] == [2, 4]
+    assert all(f"signature {signature!r}" in e["reason"] for e in failed)
+    assert [e for e in events if e not in failed] == ref_events
+    assert (tmp_path / "run" / "ds.jsonl").read_bytes() == (
+        tmp_path / "ref" / "ds.jsonl").read_bytes()
+
+
+def test_unparseable_return_value_abandons_the_attempt(tmp_path):
+    # SEQUENTIAL attempts all fail, so SINGLE ones must fill the run
+    config = RunConfig(rng_seed=7, rounds=2, type_weights={
+        "SINGLE": 1.0, "PARALLEL": 0.0, "SEQUENTIAL": 1.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+    _, events = run_with_log(
+        tmp_path, config, RewritingChat("GenerateReturnValue", "no fields"), 4)
+    reasons = [e["reason"] for e in events if e["event"] == "abandoned"]
+    assert any(r.startswith("sequential chain abandoned: return value rejected") for r in reasons)
+    examples = read_dataset(tmp_path / "ds.jsonl")
+    assert [ex.execution_type for ex in examples] == [ExecutionType.SINGLE] * 4
+
+
+class OutageChat(StubChat):
+    """StubChat that counts the calls it answers and, once ``budget`` is
+    spent, fails every call with an ``error``."""
+
+    def __init__(self, budget=None, error=TransportError):
+        self.budget = budget
+        self.error = error
+        self.calls = 0
+
+    def complete(self, prompt, params=None):
+        if self.calls == self.budget:
+            raise self.error("endpoint unreachable")
+        self.calls += 1
+        return super().complete(prompt, params)
 
 
 def test_provider_outage_preserves_checkpoint(tmp_path):
@@ -266,6 +332,23 @@ def test_resumed_run_log_matches_uninterrupted_run(tmp_path, monkeypatch):
         assert (run_dir / "run.log").read_bytes() == expected, k
 
 
+def test_resume_after_a_crash_at_any_call_matches_uninterrupted_run(tmp_path):
+    config = RunConfig(rng_seed=7, rounds=2, pattern_period=2)
+    (tmp_path / "ref").mkdir()
+    counter = OutageChat()
+    run_with_log(tmp_path / "ref", config, counter, 4)
+    expected = [(tmp_path / "ref" / name).read_bytes() for name in ("ds.jsonl", "run.log")]
+    assert counter.calls == 41
+    for k in range(1, counter.calls + 1):
+        run_dir = tmp_path / f"crash{k}"
+        run_dir.mkdir()
+        with pytest.raises(ProviderError, match="endpoint unreachable"):
+            run_with_log(run_dir, config, OutageChat(k - 1, ProviderError), 4)
+        run_with_log(run_dir, config, StubChat(), 4, resume=True)
+        got = [(run_dir / name).read_bytes() for name in ("ds.jsonl", "run.log")]
+        assert got == expected, k
+
+
 def test_resume_keeps_a_log_the_interrupted_run_did_not_write(tmp_path, monkeypatch):
     art, out, log = tmp_path / "art.json", tmp_path / "ds.jsonl", tmp_path / "run.log"
     assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
@@ -288,26 +371,6 @@ def test_resume_before_first_acceptance(tmp_path, monkeypatch):
             build_engine(tmp_path).generate(2)
     build_engine(tmp_path).generate(2, resume=True)
     assert (tmp_path / "ds.jsonl").read_bytes() == (tmp_path / "ref" / "ds.jsonl").read_bytes()
-
-
-def test_resume_drops_tokenless_string_tracker_values(tmp_path):
-    # a run from before token-less values were refused could commit one; its
-    # checkpoint did not record the dataset size
-    config = RunConfig(rng_seed=7, type_weights={
-        "SINGLE": 1.0, "PARALLEL": 0.0, "SEQUENTIAL": 0.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
-    engine = build_engine(tmp_path, config=config)
-    engine.generate(1)
-    doc = json.loads(engine.checkpoint_path.read_text())
-    doc.pop("dataset_bytes", None)
-    strings = [g.id for g in engine.groups.groups if g.category is ParamCategory.STRING]
-    for gid in strings:
-        doc["trackers"][gid] = ["Paris", "東京", "Rome", "", "Oslo"]
-    engine.checkpoint_path.write_text(json.dumps(doc, ensure_ascii=False))
-    resumed = build_engine(tmp_path, config=config)
-    resumed.generate(6, resume=True)
-    assert len(read_dataset(tmp_path / "ds.jsonl")) == 6
-    for gid in strings:
-        assert resumed.groups.tracker_snapshot(gid)[:3] == ("Paris", "Rome", "Oslo")
 
 
 def test_resume_refuses_a_dataset_shorter_than_the_checkpoint(tmp_path):

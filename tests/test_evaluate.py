@@ -198,13 +198,13 @@ def test_paired_comparison_validates_input():
 
 
 def test_group_value_frequencies_table(embedder):
-    from divgen.evaluate import group_value_frequencies
+    from divgen.evaluate import collect_group_values, value_frequencies
     from divgen.preprocess import group_parameters as gp
     lib = shared_library()
     groups = gp(lib, embedder, 0.6)
     examples = [city_example("e1", "Oslo"), city_example("e2", "Oslo"),
                 city_example("e3", "Kyoto")]
-    tables = group_value_frequencies(examples, groups)
+    tables = value_frequencies(collect_group_values(examples, groups))
     (gid, table), = tables.items()
     assert table == {"Oslo": 2, "Kyoto": 1}
     assert list(table) == ["Oslo", "Kyoto"]  # most frequent first

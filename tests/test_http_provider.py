@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from divgen.providers.base import ProviderError, RateLimitError, TransportError
+from divgen.providers import catalog
+from divgen.providers.base import ProviderError, RateLimitError, SignatureClient, TransportError
 from divgen.providers.http import HttpChat, HttpEmbedder
+from divgen.providers.signature import format_output
 
 
 class FakeResponse:
@@ -77,6 +79,25 @@ def test_chat_client_error_is_not_retryable(monkeypatch):
     assert not err.value.retryable
 
 
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "hi"}], 7])
+def test_chat_content_that_is_not_text_is_an_empty_reply(monkeypatch, content):
+    patch_post(monkeypatch, FakeResponse(200, {"choices": [{"message": {"content": content}}]}))
+    assert HttpChat("https://llm.example/v1", "m").complete("x") == ""
+
+
+def test_client_reprompts_after_a_null_or_list_content(monkeypatch):
+    sig = catalog.get("DatasetPatternAnalysis")
+    good = format_output(sig, {"reasoning": "r", "pattern_analysis": "varied"})
+    bodies = [None, [{"type": "text", "text": good}], good]
+    responses = iter(FakeResponse(200, {"choices": [{"message": {"content": body}}]})
+                     for body in bodies)
+    patch_post(monkeypatch, lambda: next(responses))
+    client = SignatureClient(HttpChat("https://llm.example/v1", "m"), retry_limit=3)
+    out = client.call(sig, {"dataset_sample": "q", "diversity_context": "c"})
+    assert out["pattern_analysis"] == "varied"
+    assert next(responses, None) is None  # all three bodies were requested
+
+
 def test_chat_token_from_environment(monkeypatch):
     payload = {"choices": [{"message": {"content": "ok"}}]}
     captured = patch_post(monkeypatch, FakeResponse(200, payload))
@@ -102,6 +123,18 @@ def test_embedder_count_mismatch(monkeypatch):
     patch_post(monkeypatch, FakeResponse(200, payload))
     with pytest.raises(TransportError, match="count mismatch"):
         HttpEmbedder("https://emb.example/v1", "m").embed(["a", "b"])
+
+
+@pytest.mark.parametrize("row", [
+    "abc", ["a", "b"], {"x": 1.0}, None, [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]],
+    [float("nan"), 1.0], [float("inf"), 1.0],
+])
+def test_embedder_malformed_row_is_transport_error(monkeypatch, row):
+    payload = {"data": [{"index": 0, "embedding": [1.0, 0.0]},
+                        {"index": 1, "embedding": row}]}
+    patch_post(monkeypatch, FakeResponse(200, payload))
+    with pytest.raises(TransportError):
+        HttpEmbedder("https://emb.example/v1", "m", dimension=2).embed(["a", "b"])
 
 
 def test_missing_endpoint_rejected():

@@ -1,5 +1,7 @@
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +171,11 @@ def test_runconfig_validation():
         RunConfig.from_dict({"bogus": 1})
     cfg = RunConfig(rng_seed=3)
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_readme_configuration_table_lists_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = [key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert sorted(keys) == sorted(RunConfig.__dataclass_fields__)

@@ -274,9 +274,10 @@ def test_value_index_follows_the_tracker_through_abandon_restore_and_drop():
     groups.restore({group.id: ["Paris", "Rome", "Bern"]})
     assert_index_holds(gen._value_index(group), group.tracker, gen.embedder)
 
-    # dropping the token-less values leaves the indexed values as a prefix
-    groups.restore({group.id: ["Paris", "東京", "Rome", "", "Bern", "Kyiv", "Oslo"]})
-    groups.drop_tokenless_strings()
+    # dropping values leaves the indexed values as a prefix
+    groups.restore({group.id: ["Paris", "Ulm", "Rome", "Gent", "Bern", "Kyiv", "Oslo"]})
+    assert_index_holds(gen._value_index(group), group.tracker, gen.embedder)
+    group.tracker[:] = ["Paris", "Rome", "Bern", "Kyiv", "Oslo"]
     assert_index_holds(gen._value_index(group), group.tracker, gen.embedder)
 
 
@@ -555,8 +556,8 @@ def chain_library():
     ]
 
 
-def sequential_chat(chain_valid="YES"):
-    chat = ScriptedChat()
+def sequential_chat(chain_valid="YES", chat=None):
+    chat = chat or ScriptedChat()
     candidates_script(chat, [f"https://clips.example/{i:03d}" for i in range(25)],
                       "clip_url")
     chat.script_output("GenerateReturnValue", {
@@ -601,6 +602,25 @@ def test_sequential_chain_rejected_after_retries():
         gen.generate_sequential_chain(lib)
     chain_calls = [c for c in chat.calls if "entire sequential execution chain" in c]
     assert len(chain_calls) == 3
+
+
+def test_unparseable_return_value_spends_a_chain_retry():
+    lib = chain_library()
+    embedder = HashEmbedder()
+    groups = group_parameters(lib, embedder, 0.6)
+    chat = ScriptedChat().script("no structured fields at all", signature="GenerateReturnValue")
+    gen = ParamGenerator(groups, SignatureClient(sequential_chat(chat=chat)), embedder,
+                         random.Random(2), RunConfig(rng_seed=2))
+    with pytest.raises(ParamGenFailure,
+                       match="return value rejected: signature 'GenerateReturnValue'"):
+        gen.generate_sequential_chain(lib)
+    named = [catalog.identify(c) for c in chat.calls]
+    assert named.count("GenerateReturnValue") == 3 * 3  # chain retries x re-prompts
+    assert "GenerateSequentialCohesiveStringParameter" not in named
+    assert "ValidateSequentialChain" not in named
+    # the next chain attempt is told why the last one failed
+    later = [c for c in chat.calls if catalog.identify(c) == "GenerateReturnValue"][3]
+    assert "return value rejected" in later.split("[[ ## previous_failures ## ]]")[1]
 
 
 def test_sequential_chain_needs_two_apis():
@@ -655,22 +675,6 @@ def test_greedy_reaches_entropy_maximum_when_candidates_allow():
     assert len(group.tracker) == 20
     bits = value_cluster_entropy(group.tracker, "STRING", HashEmbedder())
     assert bits == pytest.approx(math.log2(20), abs=1e-9)
-
-
-def test_parallel_diverse_count_knob():
-    chat = parallel_echo_chat()
-    lib = small_library()
-    embedder = HashEmbedder()
-    groups = group_parameters(lib, embedder, 0.6)
-    config = RunConfig(rng_seed=1, diverse_apis_per_example=2)
-    gen = ParamGenerator(groups, SignatureClient(chat), embedder,
-                         random.Random(1), config)
-    results, _ = gen.generate_parallel_params([lib[0], lib[1]])
-    # both functions took the diverse path: no cohesive-echo call happened
-    cohesive_calls = [c for c in chat.calls
-                      if "parallel_context_parameters" in c]
-    assert cohesive_calls == []
-    assert len(results) == 2
 
 
 def test_validator_parse_failure_counts_as_rejection():

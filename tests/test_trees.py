@@ -11,7 +11,6 @@ from divgen.metrics.trees import (
     avg_tree_edit_distance,
     chunk_sentence,
     parse_tree_entropy,
-    sentence_shapes,
     sentences_of,
     tree_edit_distance,
     tree_shape,
@@ -136,7 +135,7 @@ def reference_ted(a, b):
     return td[n][m]
 
 
-def reference_avg_ted(corpus, analyzer=chunk_sentence):
+def reference_avg_ted(corpus):
     """Mean distance over every unordered sentence pair, summed in floats."""
     sents = [s for text in corpus for s in sentences_of(text)]
     if len(sents) < 2:
@@ -145,7 +144,7 @@ def reference_avg_ted(corpus, analyzer=chunk_sentence):
     pairs = 0
     for i in range(len(sents)):
         for j in range(i + 1, len(sents)):
-            total += reference_ted(analyzer(sents[i]), analyzer(sents[j]))
+            total += reference_ted(chunk_sentence(sents[i]), chunk_sentence(sents[j]))
             pairs += 1
     return total / pairs
 
@@ -300,27 +299,6 @@ def test_avg_tree_edit_distance_matches_the_sentence_pair_loop():
         # a resample with repeats, as the bootstrap draws
         repeated = corpus + corpus[: len(corpus) // 2]
         assert avg_tree_edit_distance(repeated) == reference_avg_ted(repeated)
-
-
-def test_avg_tree_edit_distance_with_custom_analyzers():
-    def words(sentence):
-        # one leaf per word, so the labels hold arbitrary text
-        return TreeNode("S", tuple(TreeNode(w) for w in sentence.split()))
-
-    def glued(sentence):
-        # "(S A B)" as a shape both with two leaves and with one leaf "A B"
-        parts = sentence.split()
-        if len(parts) % 2:
-            return TreeNode("S", (TreeNode(" ".join(parts[:2])),))
-        return TreeNode("S", tuple(TreeNode(p) for p in parts[:2]))
-
-    corpus = ["A B. A B c", "x (y z)", "A B c. x (y z). q", "(A B) c d"]
-    for analyzer in (words, glued, chunk_sentence):
-        assert avg_tree_edit_distance(corpus, analyzer) == reference_avg_ted(corpus, analyzer)
-    assert avg_tree_edit_distance(["A B", "A B c"], glued) == 2.0
-    # the default chunker's memo does not answer for another analyzer
-    assert sentence_shapes("A B c", glued) == ["(S A B)"]
-    assert sentence_shapes("A B c") == [tree_shape(chunk_sentence("A B c"))]
 
 
 def test_ted_memo_misses_once_per_distinct_tree_pair():
