@@ -32,6 +32,7 @@ from divgen.providers.base import ProviderError
 from divgen.providers.hash_embed import HashEmbedder
 from divgen.providers.http import HttpChat, HttpEmbedder
 from divgen.providers.mock import StubChat
+from divgen.sampler import check_reachable_types
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -97,6 +98,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config.rng_seed = args.seed
     chat = make_chat(config)
     embedder = make_embedder(config)
+    check_reachable_types(config, graph)  # before the log file is opened
     engine = GenerationEngine(library, groups, pools, graph, config, chat, embedder, args.out)
     if args.resume and not engine.checkpoint_path.exists():
         raise UsageError("nothing to resume: no checkpoint next to the output file")

@@ -5,20 +5,31 @@ by lexicon and suffix, then bracketed into noun/verb/prepositional groups under
 a sentence root, which keeps the metrics hermetic. Tree edit distance is the
 exact ordered-tree algorithm with unit insert/delete/relabel costs.
 
-The edit distance of two sentences depends only on their trees, so its memo is
-keyed by tree, not by text: each distinct tree is put in postorder once and
-interned, the memo is keyed by a pair of interned trees, and the corpus average
-weights each distinct pair by the counts of its two trees. Each sentence's tree
+The edit distance of two sentences depends only on their trees: each distinct
+tree is put in postorder once and interned, and the corpus average weights
+each distinct pair by the counts of its two trees. The distances of all of a
+corpus's distinct trees come from one batched pass of Zhang & Shasha's
+keyroot program over every pair of their distinct keyroot subtrees. Subtrees
+are grouped by height: a row group of one height and size is filled against
+all column subtrees of one height at a time, each column subtree a segment of
+one long numpy row in which the in-row recurrence is a running minimum, and
+the lower heights come first, so every distance a cell reads is already
+known. Row groups are cut into tiles that bound the forest tables' memory.
+The corpus's distance table is kept, so its bootstrap resamples, which hold
+subsets of its trees, read it without a kernel call. Each sentence's tree
 shape and postorder are memoised.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from divgen.metrics.text import SENTENCE_SPLIT_RE, tokenize
 
@@ -175,31 +186,36 @@ def shape_entropy(shapes: Counter[str]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ordered tree edit distance (Zhang & Shasha's keyroot dynamic program)
+# Ordered tree edit distance (Zhang & Shasha's keyroot dynamic program, batched)
 
 
 class _Postorder:
     """One distinct tree in postorder, interned: equal trees share one
-    instance, so it hashes and compares by identity, and a memo keyed by a
-    pair of them never walks or hashes a tree.
+    instance, so it hashes and compares by identity, and a memo keyed by
+    them never walks or hashes a tree.
 
     ``labels[x]`` is the label of postorder node x and ``before[x]`` the
     index just before x's leftmost leaf, which is the empty-forest row of
-    x's subtree (1-based; index 0 pads both). ``keyroots`` ascend.
+    x's subtree (1-based; index 0 pads both). ``parts[x - 1]`` is the
+    interned subtree rooted at x, the last one the tree itself; ``keyroots``
+    holds those rooted at the tree's keyroots (the root and every node with a
+    left sibling), and ``height`` is the number of edges on the longest
+    root-to-leaf path.
     """
 
-    __slots__ = ("labels", "before", "keyroots")
+    __slots__ = ("labels", "before", "parts", "keyroots", "height")
 
     def __init__(self, labels: tuple[str, ...], before: tuple[int, ...]):
         self.labels = labels
         self.before = before
-        seen: set[int] = set()
-        keyroots: list[int] = []
-        for x in range(len(labels) - 1, 0, -1):
-            if before[x] not in seen:
-                seen.add(before[x])
-                keyroots.append(x)
-        self.keyroots = tuple(reversed(keyroots))
+        n = len(labels) - 1
+        self.parts = tuple(
+            _interned(("",) + labels[b + 1:x + 1], (0,) + tuple(y - b for y in before[b + 1:x + 1]))
+            for x, b in zip(range(1, n), before[1:n])) + (self,)
+        # a keyroot is the highest node over its leftmost leaf
+        highest = {b: x for x, b in enumerate(before) if x}
+        self.keyroots = tuple(self.parts[x - 1] for x in sorted(highest.values()))
+        self.height = 1 + max(part.height for part in self.parts[:-1]) if n > 1 else 0
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -233,76 +249,184 @@ def _chunk_postorder(sentence: str) -> _Postorder:
     return _postorder(chunk_sentence(sentence))
 
 
-def _zhang_shasha(a: _Postorder, b: _Postorder) -> int:
-    """Unit-cost edit distance; fd[x][y] is the forest distance between
-    nodes before(i)+1..x of a and before(j)+1..y of b for the keyroot pair
-    (i, j) being filled, td[x][y] the distance between the subtrees at x and
-    y. One fd serves every keyroot pair: a pair writes rows before(i)..i and
-    columns before(j)..j, and reads only cells it wrote."""
-    la, ba = a.labels, a.before
-    lb, bb = b.labels, b.before
-    n, m = len(la) - 1, len(lb) - 1
-    td = [[0] * (m + 1) for _ in range(n + 1)]
-    fd = [[0] * (m + 1) for _ in range(n + 1)]
-    b_keyroots = []  # per keyroot j of b: before(j), j, and (y, before(y), label) of its columns
-    for j in b.keyroots:
-        bj = bb[j]
-        b_keyroots.append((bj, j, tuple(zip(range(bj + 1, j + 1), bb[bj + 1:j + 1],
-                                            lb[bj + 1:j + 1]))))
-    for i in a.keyroots:
-        bi = ba[i]
-        top = fd[bi]
-        xs = range(bi + 1, i + 1)
-        for bj, j, cols in b_keyroots:
-            top[bj:j + 1] = range(j - bj + 1)
-            prev = top
-            for x in xs:
-                row = fd[x]
-                left = row[bj] = x - bi
-                diag = prev[bj]
-                tdx = td[x]
-                bx = ba[x]
-                if bx == bi:
-                    # x shares i's leftmost leaf, so a cell whose y shares
-                    # j's is the distance between two whole subtrees
-                    lab = la[x]
-                    for y, by, lby in cols:
-                        up = prev[y]
-                        gap = (up if up < left else left) + 1
-                        if by == bj:
-                            cell = diag + (lab != lby)
-                            if gap < cell:
-                                cell = gap
-                            tdx[y] = cell
-                        else:
-                            cell = top[by] + tdx[y]
-                            if gap < cell:
-                                cell = gap
-                        row[y] = left = cell
-                        diag = up
-                else:
-                    base = fd[bx]
-                    for y, by, _ in cols:
-                        up = prev[y]
-                        gap = (up if up < left else left) + 1
-                        cell = base[by] + tdx[y]
-                        if gap < cell:
-                            cell = gap
-                        row[y] = left = cell
-                prev = row
-    return td[n][m]
+#: Byte cap on one tile's forest tables; a row group is split into tiles of
+#: subtrees to stay under it.
+_TILE_BYTES = 8 << 20
+
+
+class _Columns:
+    """One height's keyroot subtrees laid out as the kernel's columns: subtree
+    v, in kernel order, is a segment of |v| + 1 columns, its empty forest and
+    then its nodes in postorder. Per column: the kernel index of the column
+    node's subtree (``sub``), its label's id, the column of its empty forest
+    (``before``), and ``spread`` times the segment's index (``shift``);
+    ``left`` lists the columns on each segment's leftmost path."""
+
+    def __init__(self, parts: list[_Postorder], order: dict[_Postorder, int],
+                 label_ids: dict[str, int], spread: int):
+        widths = [len(v.labels) for v in parts]
+        self.starts = np.cumsum([0] + widths[:-1])
+        self.sub = np.array([order[v.parts[y - 1]] if y else 0
+                             for v in parts for y in range(len(v.labels))])
+        self.labels = np.array([label_ids[label] for v in parts for label in v.labels])
+        local = np.array([b for v in parts for b in v.before])
+        offsets = np.repeat(self.starts, widths)
+        self.before = local + offsets
+        # nodes, not empty forests, whose leftmost leaf is their segment's
+        self.left = np.flatnonzero((local == 0) & (np.arange(len(local)) > offsets))
+        self.shift = np.repeat(spread * np.arange(len(parts)), widths)
+
+
+class _Rows:
+    """A tile of keyroot subtrees of one height and size, as the kernel's
+    rows: per subtree and node, the node's empty-forest row (``before``), the
+    kernel index of its subtree (``sub``) and its label's id."""
+
+    def __init__(self, parts: list[_Postorder], order: dict[_Postorder, int],
+                 label_ids: dict[str, int]):
+        self.size = len(parts[0].labels) - 1
+        self.before = np.array([u.before[1:] for u in parts])
+        self.sub = np.array([[order[p] for p in u.parts] for u in parts])
+        self.labels = np.array([[label_ids[label] for label in u.labels[1:]] for u in parts])
+        # per row, the subtrees whose leftmost path holds that row's node
+        self.paths = [np.flatnonzero(column == 0)[:, None] for column in self.before.T]
+
+
+def _fill(td: np.ndarray, rows: _Rows, cols: _Columns, k: int) -> None:
+    """Fill the forest table of each of ``rows`` against each column subtree
+    from segment ``k`` on, and write the distance of every pair of their
+    leftmost-path subtrees into ``td`` and its transpose. Each other cell
+    reads a distance that must be in ``td`` already.
+
+    Distances are held less the sizes of both sides: ``td[u][v]`` is
+    TED(u, v) − |u| − |v|, and a forest table cell fd[x][y], for the first x
+    nodes of u and the first y nodes of v, holds fd[x][y] − x − y − shift.
+    Then a cell's terms are its upper and left neighbours, and either the
+    cell at its two subtrees' empty forests plus their ``td`` or, on both
+    leftmost paths, its diagonal neighbour plus the relabel cost less 2,
+    with no other per-cell constant; the left term makes each row a running
+    minimum, and ``shift`` keeps that minimum within its segment."""
+    c0 = cols.starts[k]
+    before = cols.before[c0:] - c0
+    shift = cols.shift[c0:]
+    empty = -cols.shift[cols.starts[k:]]
+    firsts = cols.starts[k:] - c0
+    left = cols.left[np.searchsorted(cols.left, c0):] - c0
+    left_sub = cols.sub[c0:][left]
+    left_labels = cols.labels[c0:][left]
+    # the td of every cell's two subtrees, read before any is written; the
+    # cells on both leftmost paths do not use theirs
+    sub = td.take(rows.sub, axis=0).take(cols.sub[c0:], axis=2)
+    fd = np.empty((len(rows.sub), rows.size + 1, len(before)), td.dtype)
+    fd[:, 0] = -shift
+    g = np.arange(len(rows.sub))
+    for t in range(1, rows.size + 1):
+        prev = fd[:, t - 1]
+        cell = fd[g, rows.before[:, t - 1]].take(before, axis=1)
+        cell += sub[:, t - 1]
+        np.minimum(cell, prev, out=cell)
+        cell[:, firsts] = empty
+        path = rows.paths[t - 1]
+        if path.size:
+            relabel = rows.labels[path, t - 1] != left_labels
+            cell[path, left] = np.minimum(prev[path, left], prev[path, left - 1] + relabel - 2)
+        np.minimum.accumulate(cell, axis=1, out=fd[:, t])
+        if path.size:
+            found = fd[path, t, left] + shift[left]
+            td[rows.sub[path, t - 1], left_sub] = found
+            td[left_sub[:, None], rows.sub[path, t - 1].T] = found.T
+
+
+def _distances(trees: Sequence[_Postorder]) -> np.ndarray:
+    """Edit distance of every pair of ``trees``, as a square integer matrix.
+
+    Zhang & Shasha's keyroot recurrences, run for every pair of the trees'
+    distinct keyroot subtrees at once. The pair (u, v) fills the forest
+    table of u's nodes against v's, which yields the distance of every pair
+    of subtrees on their two leftmost paths; each other cell reads the
+    distance of a pair found at a lower height. Subtrees are ordered by
+    (height, size, first appearance), and the keyroot subtrees are filled in
+    that order, one row group of equal height and size at a time against
+    the columns of each height from its own up. Every distance a cell reads
+    is then known, from a lower row or column height or from its transpose,
+    so one numpy step fills a row of the group's tables against a whole
+    height of columns, and each unordered pair is filled about once.
+    """
+    first: dict[_Postorder, int] = {}
+    keyroots: set[_Postorder] = set()
+    for tree in trees:
+        for part in tree.parts:
+            first.setdefault(part, len(first))
+        keyroots.update(tree.keyroots)
+    subs = sorted(first, key=lambda u: (u.height, len(u.labels), first[u]))
+    order = {u: k for k, u in enumerate(subs)}
+    label_ids = {"": 0}  # the padding label of column 0, never compared
+    for u in subs:
+        label_ids.setdefault(u.labels[-1], len(label_ids))
+    spread = 2 * max(len(u.labels) for u in subs)  # above any row index plus column position
+    td = np.zeros((len(subs), len(subs)), np.int64)
+    heights = [list(parts) for _, parts in itertools.groupby(
+        (u for u in subs if u in keyroots), key=lambda u: u.height)]
+    levels = [_Columns(parts, order, label_ids, spread) for parts in heights]
+    for h, parts in enumerate(heights):
+        width = max(len(cols.shift) for cols in levels[h:])
+        for _, group in itertools.groupby(enumerate(parts), key=lambda iu: len(iu[1].labels)):
+            group = list(group)
+            tile = max(1, _TILE_BYTES // (td.itemsize * 2 * len(group[0][1].labels) * width))
+            for i in range(0, len(group), tile):
+                k, _ = group[i]
+                rows = _Rows([u for _, u in group[i:i + tile]], order, label_ids)
+                _fill(td, rows, levels[h], k)
+                for cols in levels[h + 1:]:
+                    _fill(td, rows, cols, 0)
+    roots = np.array([order[t] for t in trees])
+    sizes = np.array([len(t.labels) - 1 for t in trees])
+    return td[roots[:, None], roots[None, :]] + sizes[:, None] + sizes[None, :]
 
 
 def tree_edit_distance(a: TreeNode, b: TreeNode) -> int:
     """Minimal number of relabel/insert/delete operations turning a into b."""
-    return _zhang_shasha(_postorder(a), _postorder(b))
+    return int(_distances([_postorder(a), _postorder(b)])[0, 1])
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def _ted_between_sentences(a: _Postorder, b: _Postorder) -> int:
-    """The pair memo of ``avg_tree_edit_distance``: keyed by interned trees,
-    so every sentence pair with the same two trees is one entry."""
-    return _zhang_shasha(a, b)
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _PairTable:
+    """The distance memo of ``avg_tree_edit_distance``: every pairwise
+    distance of the distinct trees of the last corpus that needed the
+    kernel. A corpus whose trees it holds, as each bootstrap resample of that
+    corpus, reads its distances from it; any other corpus is computed in one
+    kernel call and replaces it. ``cache_info`` and ``cache_clear`` follow
+    ``functools.lru_cache``, counting tree pairs: a miss is a pair the kernel
+    computed, a hit a pair read from the table."""
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._slots: dict[_Postorder, int] = {}
+        self._table = np.zeros((0, 0), np.int64)
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        k = len(self._slots)
+        return _CacheInfo(self._hits, self._misses, None, k * (k - 1) // 2)
+
+    def __call__(self, trees: list[_Postorder]) -> np.ndarray:
+        """The distance matrix of ``trees``, distinct interned trees."""
+        pairs = len(trees) * (len(trees) - 1) // 2
+        if all(t in self._slots for t in trees):
+            self._hits += pairs
+            slots = np.array([self._slots[t] for t in trees])
+            return self._table[slots[:, None], slots[None, :]]
+        self._misses += pairs
+        self._table = _distances(trees)
+        self._slots = {t: k for k, t in enumerate(trees)}
+        return self._table
+
+
+_ted_between_sentences = _PairTable()
 
 
 def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
@@ -316,10 +440,6 @@ def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
     n = sum(counts.values())
     if n < 2:
         return 0.0
-    trees = sorted(counts, key=id)  # one memo entry per unordered pair
-    total = 0
-    for k, a in enumerate(trees):
-        ca = counts[a]
-        for b in trees[k + 1:]:
-            total += ca * counts[b] * _ted_between_sentences(a, b)
+    weights = np.array(list(counts.values()), dtype=np.int64)
+    total = int(weights @ _ted_between_sentences(list(counts)) @ weights) // 2
     return total / (n * (n - 1) // 2)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from divgen.metrics.semantic import cosine_matrix
-from divgen.model import ExecutionType, FunctionSchema, RunConfig
+from divgen.model import ExecutionType, FunctionSchema, ModelError, RunConfig
 from divgen.preprocess import ApiGraph, ApiPools, weighted_pick
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -32,6 +32,22 @@ def sample_execution_type(config: RunConfig, rng: random.Random) -> ExecutionTyp
     keeps nonnegative with a positive sum."""
     weighted = [(ExecutionType(name), w) for name, w in config.type_weights.items() if w > 0]
     return weighted_pick([t for t, _ in weighted], [w for _, w in weighted], rng)
+
+
+def check_reachable_types(config: RunConfig, graph: ApiGraph) -> None:
+    """Raise ``ModelError`` when the type weights draw a multi-function type
+    that no walk on ``graph`` can serve: PARALLEL or SEQUENTIAL with no walk
+    start, or SEQUENTIAL with no P-R edge between two functions, since a
+    SEQUENTIAL walk must take one."""
+    drawn = {t for t, w in config.type_weights.items() if w > 0}
+    if not graph.starts and drawn & {"PARALLEL", "SEQUENTIAL"}:
+        raise ModelError("PARALLEL and SEQUENTIAL examples need a similarity graph edge,"
+                         " and this artifact's graph has none; set their type_weights to 0")
+    if "SEQUENTIAL" in drawn and not any(
+            e.kind == "P-R" and e.source != e.target for e in graph.edges):
+        raise ModelError("SEQUENTIAL examples need a P-R edge (a return value that feeds"
+                         " another function's parameter), and this artifact's graph has"
+                         " none; set the SEQUENTIAL type weight to 0")
 
 
 def sample_single_api(

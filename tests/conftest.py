@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -43,3 +45,22 @@ def embedder():
 @pytest.fixture
 def library():
     return fixture_library()
+
+
+class Hung(BaseException):
+    """Raised by ``alarm``: a BaseException, so that no ``except Exception``
+    in the code under test can swallow it."""
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Fail a block that would otherwise run forever, after ``seconds``."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import alarm
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
 from divgen.model import read_dataset
@@ -38,6 +39,26 @@ def test_unknown_execution_type_is_usage_error_before_any_file(tmp_path, capsys)
     assert run(["generate", str(art), "--config", str(cfg), "--n", "2",
                 "--out", str(out)]) == 2
     assert "FOO" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "cfg.json"]
+
+
+@pytest.mark.parametrize("kinds, weights, message", [
+    ((), {"PARALLEL": 1}, "need a similarity graph edge"),  # no walk start
+    (("P-P",), {"SEQUENTIAL": 1}, "need a P-R edge"),       # no walk takes a P-R edge
+])
+def test_type_weights_the_graph_cannot_serve_are_refused_before_any_file(
+        tmp_path, capsys, kinds, weights, message):
+    art, cfg = tmp_path / "art.json", tmp_path / "cfg.json"
+    assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
+    doc = json.loads(art.read_text(encoding="utf-8"))
+    doc["graph"]["edges"] = [e for e in doc["graph"]["edges"] if e["kind"] in kinds]
+    art.write_text(json.dumps(doc), encoding="utf-8")
+    cfg.write_text(json.dumps({"type_weights": weights}))
+    with alarm(60):
+        code = run(["generate", str(art), "--config", str(cfg), "--n", "2",
+                    "--out", str(tmp_path / "ds.jsonl"), "--log", str(tmp_path / "run.log")])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "cfg.json"]
 
 

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import templated_library
+from conftest import alarm, templated_library
 import divgen.cli as cli
+import divgen.engine
 from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
@@ -149,6 +150,52 @@ def test_unparseable_return_value_abandons_the_attempt(tmp_path):
     assert any(r.startswith("sequential chain abandoned: return value rejected") for r in reasons)
     examples = read_dataset(tmp_path / "ds.jsonl")
     assert [ex.execution_type for ex in examples] == [ExecutionType.SINGLE] * 4
+
+
+def test_run_whose_every_attempt_fails_stops_and_resumes(tmp_path):
+    # every SEQUENTIAL chain fails on an unparseable return value
+    config = RunConfig(rng_seed=7, rounds=2, type_weights={
+        "SINGLE": 0.0, "PARALLEL": 0.0, "SEQUENTIAL": 1.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+    (tmp_path / "ref").mkdir()
+    (tmp_path / "run").mkdir()
+    with alarm(60), pytest.raises(RuntimeError) as stalled:
+        run_with_log(tmp_path / "run", config,
+                     RewritingChat("GenerateReturnValue", "no fields"), 2)
+    cap = divgen.engine.MAX_CONSECUTIVE_ABANDONS
+    assert isinstance(stalled.value, divgen.engine.GenerationStalled)
+    message = str(stalled.value)
+    assert message.startswith(f"{cap} consecutive attempts abandoned")
+    assert f"SEQUENTIAL {cap} (" in message
+    assert "sequential chain abandoned: return value rejected" in message
+    events = [json.loads(l) for l in (tmp_path / "run" / "run.log").read_text().splitlines()]
+    assert [e["event"] for e in events] == ["abandoned"] * cap
+    # the checkpoint is the one written at the start: once the chat answers,
+    # a resumed run ends with the bytes of a run that never stalled
+    run_with_log(tmp_path / "run", config, StubChat(), 2, resume=True)
+    run_with_log(tmp_path / "ref", config, StubChat(), 2)
+    for name in ("ds.jsonl", "run.log"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+class NaySayingChat(StubChat):
+    """StubChat whose validators and compatibility judge always say NO."""
+
+    def _respond(self, name, f):
+        values = super()._respond(name, f)
+        return {k: "NO" if k in ("is_valid", "is_compatible") else v for k, v in values.items()}
+
+
+def test_always_no_validator_stops_the_run(tmp_path):
+    config = RunConfig(rng_seed=7, rounds=2, type_weights={
+        "SINGLE": 1.0, "PARALLEL": 1.0, "SEQUENTIAL": 1.0, "MISSING_PARAMS": 1.0, "NONE": 0.0})
+    engine = build_engine(tmp_path, config=config, chat=NaySayingChat())
+    with alarm(60), pytest.raises(RuntimeError) as stalled:
+        engine.generate(1)
+    assert isinstance(stalled.value, divgen.engine.GenerationStalled)
+    for etype in ("SINGLE", "PARALLEL", "SEQUENTIAL", "MISSING_PARAMS"):
+        assert f" {etype} " in str(stalled.value)
+    assert engine.state.accepted == 0
+    assert (tmp_path / "ds.jsonl").read_bytes() == b""
 
 
 class OutageChat(StubChat):

@@ -5,8 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divgen.evaluate import analyze_corpus
+from divgen.metrics import trees
 from divgen.metrics.trees import (
     TreeNode,
+    _distances,
+    _postorder,
     _ted_between_sentences,
     avg_tree_edit_distance,
     chunk_sentence,
@@ -15,6 +19,7 @@ from divgen.metrics.trees import (
     tree_edit_distance,
     tree_shape,
 )
+from divgen.providers.hash_embed import HashEmbedder
 
 
 # --- brute-force oracle: minimum-cost valid mapping --------------------------
@@ -310,3 +315,66 @@ def test_ted_memo_misses_once_per_distinct_tree_pair():
     avg_tree_edit_distance(list(reversed(corpus)))
     k = len(distinct)
     assert _ted_between_sentences.cache_info().misses == k * (k - 1) // 2
+
+
+# --- the batched kernel -------------------------------------------------------
+
+def test_batched_distances_match_reference_on_every_pair():
+    rng = random.Random(23)
+    labels = ["S", "NP", "VP", "x y", "(", ")", "(NP VP)", ""]
+    sets = [[random_tree(rng, rng.randint(1, 24), labels)] for _ in range(3)]
+    sets += [[random_tree(rng, rng.randint(1, 24), labels) for _ in range(2)] for _ in range(3)]
+    for _ in range(12):
+        batch = [random_tree(rng, rng.randint(1, 24), labels) for _ in range(rng.randint(3, 12))]
+        # a repeated tree, and one of the same shape under other labels
+        sets.append(batch + [batch[0], relabel(batch[-1], rng, labels)])
+    big = random_tree(rng, 240, labels)
+    sets.append([big, relabel(big, rng, labels), random_tree(rng, 30, labels), leaf("S")])
+    # two wide, alike trees of one height, and a taller, smaller one
+    chain = leaf("S")
+    for _ in range(10):
+        chain = node("S", chain)
+    sets.append([node("S", *(leaf("NP" if i % 3 else "VP") for i in range(40))),
+                 node("S", *(leaf("x y" if i % 3 else "VP") for i in range(50))), chain])
+    for batch in sets:
+        table = _distances([_postorder(t) for t in batch])
+        for (i, a), (j, b) in itertools.product(enumerate(batch), repeat=2):
+            assert table[i, j] == reference_ted(a, b)
+
+
+def corpus_of_distinct_trees(rng, size):
+    """``size`` one- or two-sentence texts of random words from every tag class."""
+    words = ["find", "the", "hotel", "in", "rome", "she", "is", "running", "quickly",
+             "book", "a", "flight", "to", "paris", "and", "two", "cheap", "rooms", "why",
+             "with", "beautiful", "each", "of", "visited", "3"]
+    return [". ".join(" ".join(rng.choices(words, k=rng.randint(2, 12)))
+                      for _ in range(1 + (rng.random() < 0.2)))
+            for _ in range(size)]
+
+
+def test_avg_tree_edit_distance_matches_the_sentence_pair_loop_on_a_larger_corpus():
+    corpus = corpus_of_distinct_trees(random.Random(31), 62)
+    assert len({chunk_sentence(s) for t in corpus for s in sentences_of(t)}) >= 60
+    assert avg_tree_edit_distance(corpus) == reference_avg_ted(corpus)
+    rng = random.Random(32)
+    resample = rng.choices(corpus, k=30)  # with repeats, as a bootstrap draws
+    assert len(set(resample)) < len(resample)
+    assert avg_tree_edit_distance(resample) == reference_avg_ted(resample)
+
+
+def test_a_report_runs_the_kernel_once(monkeypatch):
+    corpus = corpus_of_distinct_trees(random.Random(31), 62)
+    calls = []
+
+    def counting(batch):
+        calls.append(len(batch))
+        return _distances(batch)
+
+    monkeypatch.setattr(trees, "_distances", counting)
+    _ted_between_sentences.cache_clear()
+    analyze_corpus(corpus, HashEmbedder(), seed=3)
+    k = len({_postorder(chunk_sentence(s)) for t in corpus for s in sentences_of(t)})
+    assert calls == [k]  # the full corpus; its 100 resamples read the table
+    info = _ted_between_sentences.cache_info()
+    assert info.misses == k * (k - 1) // 2
+    assert info.hits > 50 * info.misses
