@@ -309,8 +309,8 @@ def _fill(td: np.ndarray, rows: _Rows, cols: _Columns, k: int) -> None:
     c0 = cols.starts[k]
     before = cols.before[c0:] - c0
     shift = cols.shift[c0:]
-    empty = -cols.shift[cols.starts[k:]]
     firsts = cols.starts[k:] - c0
+    empty = -shift[firsts]
     left = cols.left[np.searchsorted(cols.left, c0):] - c0
     left_sub = cols.sub[c0:][left]
     left_labels = cols.labels[c0:][left]
