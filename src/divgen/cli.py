@@ -20,6 +20,7 @@ from divgen.evaluate import (
     compare_linguistic_diversity,
     paired_model_comparison,
 )
+from divgen.metrics.battery import EmbeddingCache
 from divgen.model import ModelError, RunConfig, load_function_library, read_dataset
 from divgen.preprocess import (
     build_api_pools,
@@ -76,7 +77,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if not library_path.exists():
         raise UsageError(f"library file not found: {library_path}")
     library = load_function_library(library_path)
-    embedder = make_embedder(config)
+    embedder = EmbeddingCache(make_embedder(config))  # grouping and graph share texts
     rng = random.Random(config.rng_seed)
     groups = group_parameters(library, embedder, config.group_threshold)
     pools = build_api_pools(library, groups, rng)
@@ -178,10 +179,14 @@ def _labels_from_file(path: str) -> tuple[list[str], list[bool], list[str] | Non
             continue
         try:
             row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("not a JSON object")
             ids.append(str(row["id"]))
-            labels.append(bool(row["correct"]))
+            if not isinstance(row["correct"], bool):
+                raise ValueError(f"'correct' is {row['correct']!r}, not true or false")
+            labels.append(row["correct"])
             categories.append(str(row.get("category", "")))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"{p}: line {lineno}: {exc}") from exc
     has_categories = any(categories)
     return ids, labels, categories if has_categories else None

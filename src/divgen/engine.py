@@ -108,9 +108,8 @@ class GenerationEngine:
         self.config = config
         self.rng = random.Random(config.rng_seed)
         self.client = SignatureClient(chat, config.retry_limit, config.decode_params)
-        self.embedder = embedder
         self.embed_cache = EmbeddingCache(embedder)
-        self.paramgen = ParamGenerator(groups, self.client, embedder, self.rng, config)
+        self.paramgen = ParamGenerator(groups, self.client, self.embed_cache, self.rng, config)
         self.querygen = QueryGenerator(self.client, self.embed_cache, self.rng, config)
         self.out_path = Path(out_path)
         self.log_stream = log_stream
@@ -202,7 +201,7 @@ class GenerationEngine:
                 continue
             schemas = [self.by_name[n] for n in names]
             if not check_pairwise_similarity(
-                    schemas, self.embedder, self.config.pairwise_similarity_threshold):
+                    schemas, self.embed_cache, self.config.pairwise_similarity_threshold):
                 last = "pairwise similarity below threshold"
                 continue
             if etype is ExecutionType.SEQUENTIAL:

@@ -3,7 +3,7 @@
 The optimized battery holds the eight scores driving candidate ranking; the
 full battery adds the four held-out scores used only in reports. Every metric
 is oriented so that higher means more diverse. ``MarginalScorer`` evaluates
-the optimized battery of one fixed corpus plus each of many candidates.
+the optimized battery of one growing corpus plus each of many candidates.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ METRICS: dict[str, Callable[[Sequence[str], np.ndarray], float]] = {
 
 
 class EmbeddingCache:
-    """Per-text embedding memo for one run: the ranking's corpus and candidates
-    and the library descriptions that retrieval scores. Each distinct text
-    reaches the embedder once."""
+    """Per-text embedding memo for one run: every text the run embeds (the
+    ranking's corpus and candidates, the library descriptions that retrieval
+    and the walk check score, and parameter values) goes through it, so each
+    distinct text reaches the embedder once. ``embed`` lets it stand in for
+    the embedder itself."""
 
     def __init__(self, embedder):
         self.embedder = embedder
@@ -96,6 +98,10 @@ class EmbeddingCache:
             for text, vec in zip(missing, self.embedder.embed(missing)):
                 self._memo[text] = np.asarray(vec, dtype=np.float64)
         return np.stack([self._memo[t] for t in texts])
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """The rows of ``matrix(texts)``."""
+        return self.matrix(texts)
 
 
 def _evaluate(names: Sequence[str], texts: Sequence[str],
@@ -119,46 +125,83 @@ _STACK_BYTES = 4 << 20
 class MarginalScorer:
     """The optimized battery of ``corpus + [candidate]``, for many candidates.
 
-    The corpus-side state is built once: its token-type set and token count, a
-    DEFLATE stream primed with the newline-joined corpus, its sentence-shape
-    table, its FKGL and length lists, and its embedding rows scaled to unit
-    norm. ``score`` returns exactly, bit for bit, what ``evaluate_battery``
+    The corpus-side state is built only by ``sync``, one text at a time, so a
+    run keeps one scorer and adds each accepted text once: its token-type set
+    and token count, a DEFLATE stream fed the newline-joined corpus, its
+    sentence-shape table, its FKGL and length lists, and one (N+1, d) buffer
+    of its embedding rows scaled to unit norm, whose last row is the candidate
+    slot. ``score`` returns exactly, bit for bit, what ``evaluate_battery``
     returns on each extended corpus, and evaluates each distinct candidate only
-    once. The candidates a call has not seen before are scored as one batch:
-    one embedding lookup, then a stack of similarity matrices, one per
-    candidate (several stacks if one would pass ``_STACK_BYTES``), from which
-    Chamfer, the pair distances and the kernel eigenvalues are computed
+    once per corpus. The candidates a call has not seen before are scored as
+    one batch: one embedding lookup, then a stack of similarity matrices, one
+    per candidate (several stacks if one would pass ``_STACK_BYTES``), from
+    which Chamfer, the pair distances and the kernel eigenvalues are computed
     together. The text metrics are computed per candidate.
 
-    Three facts keep the batch exact: a row's norm does not depend on the
-    rows normalised with it; each matrix of the stack is the 2-D product
-    ``a @ a.T`` of ``cosine_matrix``, taken over one (N+1, d) row buffer
-    that holds the corpus rows and, in turn, each candidate's; and a stacked
-    ``eigvalsh`` equals one ``eigvalsh`` per matrix. A 2-D ``mean(axis=1)``
-    does not always round like a 1-D ``np.mean`` of each row, so every
-    per-candidate mean is taken over one row. A Gram or running-sum update
-    would round differently and is not used.
+    Four facts keep the scores exact: DEFLATE's output does not depend on how
+    its input is split among ``compress`` calls; a row's norm does not depend
+    on the rows normalised with it; each matrix of the stack is the 2-D
+    product ``a @ a.T`` of ``cosine_matrix``, taken over the row buffer with
+    each candidate's row in turn in its slot; and a stacked ``eigvalsh``
+    equals one ``eigvalsh`` per matrix. A 2-D ``mean(axis=1)`` does not always
+    round like a 1-D ``np.mean`` of each row, so every per-candidate mean is
+    taken over one row. A Gram or running-sum update would round differently
+    and is not used.
     """
 
     def __init__(self, corpus: Sequence[str], embed_cache: EmbeddingCache):
-        corpus = list(corpus)
         self._embed_cache = embed_cache
-        tokens = [tok for text in corpus for tok in tokenize(text)]
-        self._types = set(tokens)
-        self._n_tokens = len(tokens)
-        raw = "\n".join(corpus).encode("utf-8")
-        self._raw_bytes = len(raw)
+        self._reset()
+        self.sync(corpus)
+
+    def _reset(self) -> None:
+        self._texts: list[str] = []
+        self._types: set[str] = set()
+        self._n_tokens = 0
+        self._raw_bytes = 0
         self._deflate = deflater()
-        self._deflated_bytes = len(self._deflate.compress(raw))
-        self._separator = "\n" if corpus else ""
-        self._shapes = Counter(shape for text in corpus for shape in sentence_shapes(text))
-        self._fkgls = [fkgl_grade(t) for t in corpus]
-        self._lengths = [float(len(tokenize(t))) for t in corpus]
-        self._units = unit_rows(embed_cache.matrix(corpus)) if corpus else None
-        size = len(corpus) + 1  # texts in each extended corpus
+        self._deflated_bytes = 0
+        self._shapes: Counter[str] = Counter()
+        self._fkgls: list[float] = []
+        self._lengths: list[float] = []
+        self._rows: np.ndarray | None = None
+        self._resized()
+
+    def _resized(self) -> None:
+        """Index the extended corpus's pairs and diagonal, and drop the
+        candidate scores of the previous corpus."""
+        size = len(self._texts) + 1  # texts in each extended corpus
         self._pairs = np.triu_indices(size, k=1)
         self._diagonal = np.arange(size)
         self._scores: dict[str, dict[str, float]] = {}
+
+    def sync(self, corpus: Sequence[str]) -> None:
+        """Make the scorer's corpus exactly ``corpus``: append the new texts
+        when it holds a prefix of them, rebuild it otherwise."""
+        if list(corpus[: len(self._texts)]) != self._texts:
+            self._reset()
+        new = list(corpus[len(self._texts):])
+        if not new:
+            return
+        for text in new:
+            tokens = tokenize(text)
+            self._types.update(tokens)
+            self._n_tokens += len(tokens)
+            raw = self._next_line(text)
+            self._raw_bytes += len(raw)
+            self._deflated_bytes += len(self._deflate.compress(raw))
+            self._shapes.update(sentence_shapes(text))
+            self._fkgls.append(fkgl_grade(text))
+            self._lengths.append(float(len(tokens)))
+            self._texts.append(text)
+        units = unit_rows(self._embed_cache.matrix(new))
+        kept = units[:0] if self._rows is None else self._rows[:-1]
+        self._rows = np.concatenate((kept, units, units[:1]))  # last: the candidate slot
+        self._resized()
+
+    def _next_line(self, text: str) -> bytes:
+        """``text`` as the newline-joined corpus's next bytes."""
+        return (f"\n{text}" if self._texts else text).encode("utf-8")
 
     def score(self, candidates: Sequence[str]) -> list[dict[str, float]]:
         """The eight optimized metrics of the corpus extended by each candidate,
@@ -170,12 +213,8 @@ class MarginalScorer:
 
     def _evaluate_batch(self, candidates: list[str]) -> list[dict[str, float]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
+        rows = np.empty((1, units.shape[1])) if self._rows is None else self._rows
         size = self._diagonal.size
-        # one row buffer, not an (m, N+1, d) stack of copies: that transient
-        # raised glibc's dynamic mmap threshold and with it the peak RSS
-        rows = np.empty((size, units.shape[1]))
-        if self._units is not None:
-            rows[:-1] = self._units
         step = max(1, _STACK_BYTES // (8 * size * size))
         embedding = [scores for start in range(0, len(units), step)
                      for scores in self._embedding_metrics(rows, units[start:start + step])]
@@ -184,7 +223,7 @@ class MarginalScorer:
     def _embedding_metrics(self, rows: np.ndarray,
                            units: np.ndarray) -> list[tuple[float, float, float]]:
         """Paraphrase variety, Chamfer and Vendi of the corpus extended by each
-        unit row; ``rows`` holds the corpus unit rows and one spare last row."""
+        unit row; ``rows`` holds the corpus unit rows and the candidate slot."""
         size = len(rows)
         sims = np.empty((len(units), size, size))
         for unit, sim in zip(units, sims):
@@ -207,7 +246,7 @@ class MarginalScorer:
         """The candidate's eight scores: the text metrics computed here, the
         embedding metrics from the batch."""
         tokens = tokenize(candidate)
-        extra = (self._separator + candidate).encode("utf-8")
+        extra = self._next_line(candidate)
         deflate = self._deflate.copy()
         deflated = (self._deflated_bytes + len(deflate.compress(extra))
                     + len(deflate.flush()))

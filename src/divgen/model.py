@@ -231,6 +231,8 @@ class GeneratedExample:
         for key in required:
             if key not in d:
                 raise ModelError(f"record missing field {key!r}")
+        if not isinstance(d["query"], str):
+            raise ModelError(f"query is not a string: {d['query']!r}")
         return cls(
             id=d["id"],
             execution_type=ExecutionType(d["execution_type"]),
@@ -426,6 +428,6 @@ def read_dataset(path: str | Path) -> list[GeneratedExample]:
             try:
                 record = json.loads(line)
                 out.append(GeneratedExample.from_dict(record))
-            except (json.JSONDecodeError, ModelError, KeyError, ValueError) as exc:
+            except (ModelError, KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
                 raise ModelError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -3,10 +3,12 @@
 Each example runs up to five rounds of five candidates. Candidates surviving
 the execution-type judge pool up across rounds; the pool is re-ranked every
 round by fusing eight per-metric marginal-diversity orderings with reciprocal
-rank fusion, and the global top is kept. The corpus does not change during an
-example, so its metric state is built once per example and each distinct
-candidate is scored once against it, however many rounds re-rank it; a round's
-new candidates are scored together as one batch.
+rank fusion, and the global top is kept. The corpus only grows, so the run
+keeps one metric state for it: built at the first example, and grown at the
+start of each example by the queries accepted since. The corpus does not
+change during an example, so each distinct candidate is scored once against
+it, however many rounds re-rank it; a round's new candidates are scored
+together as one batch.
 Candidates without a single word token cannot be scored and never enter the
 pool. Feedback between rounds foregrounds judge failures when most candidates
 failed, diversity guidance otherwise. The example's prompt fields are built
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps this name
@@ -230,6 +232,7 @@ class QueryGenerator:
     rng: random.Random
     config: RunConfig
     guidance: str = ""
+    _scorer: MarginalScorer | None = field(default=None, init=False, repr=False)
 
     def _dataset_guidance(self, dataset_queries: Sequence[str],
                           skeleton: ExampleSkeleton) -> str:
@@ -257,7 +260,9 @@ class QueryGenerator:
         sig = catalog.get(_GENERATORS[skeleton.execution_type])
         fields = _skeleton_fields(skeleton)
         guidance_text = self._dataset_guidance(dataset_queries, skeleton)
-        scorer = MarginalScorer(dataset_queries, self.embed_cache)
+        if self._scorer is None:  # the run's one scorer, built here, not at set-up
+            self._scorer = MarginalScorer((), self.embed_cache)
+        self._scorer.sync(dataset_queries)
         attempts_log: list[str] = []
         pool_reasons: dict[str, str] = {}  # the judge-valid pool, in arrival order
         pool_round: dict[str, int] = {}
@@ -293,7 +298,7 @@ class QueryGenerator:
 
             if pool_reasons:
                 fused, ranks, _ = rank_candidates_by_diversity(
-                    scorer, list(pool_reasons), self.config.rrf_k)
+                    self._scorer, list(pool_reasons), self.config.rrf_k)
                 best = fused[0]
                 best_ranks = ranks[best]
                 attempts_log.append(

@@ -4,9 +4,11 @@ import json
 import pytest
 
 from conftest import alarm
+import divgen.cli
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
 from divgen.model import read_dataset
+from divgen.providers.hash_embed import HashEmbedder
 
 
 def run(argv):
@@ -191,6 +193,18 @@ def test_evaluate_with_categories_applies_holm(tmp_path):
     assert {r["category"] for r in result["categories"]} == {"x", "y"}
 
 
+@pytest.mark.parametrize("row, problem", [
+    ({"id": "2", "correct": "false"}, "'correct' is 'false', not true or false"),
+    (["2", True], "not a JSON object"),
+])
+def test_evaluate_refuses_a_malformed_label_line(tmp_path, capsys, row, problem):
+    good = {"id": "1", "correct": True}
+    a = _write_labels(tmp_path / "a.jsonl", [good, row])
+    b = _write_labels(tmp_path / "b.jsonl", [good, {"id": "2", "correct": False}])
+    assert run(["evaluate", a, b, "--out", str(tmp_path / "o.json")]) == 2
+    assert f"{a}: line 2: {problem}" in capsys.readouterr().err
+
+
 def test_evaluate_mismatched_ids_is_usage_error(tmp_path):
     a = _write_labels(tmp_path / "a.jsonl", [{"id": "1", "correct": True}])
     b = _write_labels(tmp_path / "b.jsonl", [{"id": "2", "correct": True}])
@@ -205,6 +219,35 @@ def test_preprocess_fixture_group_count(tmp_path):
     assert len(artifact["groups"]) == 9  # hand count under the hashing embedder
     kinds = {e["kind"] for e in artifact["graph"]["edges"]}
     assert kinds == {"P-P", "P-R"}
+
+
+class MemolessEmbedder:
+    """Hash embeddings with no memo of their own; records every text sent."""
+
+    dimension = 384
+
+    def __init__(self):
+        self.sent: list[str] = []
+
+    def embed(self, texts):
+        self.sent.extend(texts)
+        return HashEmbedder(self.dimension).embed(texts)
+
+
+def test_each_command_sends_each_distinct_text_to_the_embedder_once(tmp_path, monkeypatch):
+    embedders = []
+
+    def make_embedder(config):
+        embedders.append(MemolessEmbedder())
+        return embedders[-1]
+
+    monkeypatch.setattr(divgen.cli, "make_embedder", make_embedder)
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "12", "--seed", "7", "--out", str(out)]) == 0
+    preprocess, generate = embedders
+    for sent in (preprocess.sent, generate.sent):
+        assert sent and len(sent) == len(set(sent))
 
 
 def test_compare_datasets_with_argument_diversity(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import alarm, templated_library
 import divgen.cli as cli
 import divgen.engine
+import divgen.metrics.battery as battery
 from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
@@ -50,6 +52,27 @@ def test_engine_examples_satisfy_invariants(tmp_path):
             assert len(ex.return_values) == len(ex.target_invocations) - 1
         assert ex.metadata["rng_seed"] == 7
         assert "diversity_ranks" in ex.metadata
+
+
+def test_each_accepted_query_reaches_the_ranking_corpus_once(tmp_path, monkeypatch):
+    graded, scored = Counter(), Counter()
+    fkgl_grade, score_one = battery.fkgl_grade, battery.MarginalScorer._battery
+
+    def counting_grade(text):
+        graded[text] += 1
+        return fkgl_grade(text)
+
+    def counting_score(self, candidate, *scores):
+        scored[candidate] += 1
+        return score_one(self, candidate, *scores)
+
+    monkeypatch.setattr(battery, "fkgl_grade", counting_grade)
+    monkeypatch.setattr(battery.MarginalScorer, "_battery", counting_score)
+    engine = build_engine(tmp_path)
+    engine.generate(20)
+    # every grade not taken for a candidate is taken for a corpus text; the
+    # last acceptance ends the run before another example ranks
+    assert graded - scored == Counter(engine.queries[:-1])
 
 
 def test_engine_trackers_grow_only_on_acceptance(tmp_path):

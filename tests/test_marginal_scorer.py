@@ -60,14 +60,19 @@ def new_candidates(rng, source, corpus, scored, count):
 
 def test_batched_scores_equal_evaluate_battery():
     # 2-D reductions over the stack (a mean over axis 1, say) round differently
-    # from the oracle's 1-D ones in the last bits, mostly at N >= 7
+    # from the oracle's 1-D ones in the last bits, mostly at N >= 7. One scorer
+    # is grown through the corpus sizes, then synced to a corpus it does not
+    # hold a prefix of, which rebuilds it.
     cache = EmbeddingCache(HashEmbedder())
     checked = 0
     for name, source in SOURCES.items():
         rng = random.Random(f"batch-{name}")
-        for size in CORPUS_SIZES:
-            corpus = [rng.choice(source) for _ in range(size)]
-            scorer = MarginalScorer(corpus, cache)
+        grown = [rng.choice(source) for _ in range(CORPUS_SIZES[-1])]
+        other = [rng.choice(source) for _ in range(34)]
+        assert other != grown[:34]
+        scorer = MarginalScorer([], cache)
+        for corpus in [grown[:size] for size in CORPUS_SIZES] + [other]:
+            scorer.sync(corpus)
             scored: set[str] = set()
             for count in BATCH_SIZES:
                 batch = new_candidates(rng, CANDIDATE_SOURCE, corpus, scored, count)
@@ -79,10 +84,24 @@ def test_batched_scores_equal_evaluate_battery():
                 for cand, got in zip(batch, scores):
                     texts = corpus + [cand]
                     assert got == evaluate_battery(texts, cache.matrix(texts)), \
-                        (name, size, count, cand)
+                        (name, len(corpus), count, cand)
                     checked += 1
                 scored.update(batch)
-    assert checked == 2 * len(CORPUS_SIZES) * (sum(BATCH_SIZES) + len(BATCH_SIZES) - 1)
+    assert checked == 2 * (len(CORPUS_SIZES) + 1) * (sum(BATCH_SIZES) + len(BATCH_SIZES) - 1)
+
+
+def test_sync_drops_the_scores_of_the_previous_corpus():
+    cache = EmbeddingCache(HashEmbedder())
+    corpus = SOURCES["varied"][:6]
+    scorer = MarginalScorer(corpus[:3], cache)
+    batch = [corpus[3], UNSHARED]
+    before = scorer.score(batch)
+    for size in (5, 6, 2):  # grown twice, then rebuilt
+        scorer.sync(corpus[:size])
+        got = scorer.score(batch)
+        assert got == [evaluate_battery(t, cache.matrix(t))
+                       for t in (corpus[:size] + [c] for c in batch)]
+        assert got != before
 
 
 def test_score_evaluates_each_distinct_new_candidate_once_per_call(monkeypatch):

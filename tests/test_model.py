@@ -147,11 +147,20 @@ def test_dataset_roundtrip_byte_identical(tmp_path):
 def test_dataset_read_error_carries_line_number(tmp_path):
     path = tmp_path / "ds.jsonl"
     good = _example().to_dict()
-    bad = dict(good)
-    del bad["execution_type"]
-    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-    with pytest.raises(ModelError, match="line 2"):
-        read_dataset(path)
+    missing = dict(good)
+    del missing["execution_type"]
+    bad_records = [
+        missing,
+        {**good, "query": 7},
+        {**good, "target_invocations": [7]},
+        {**good, "target_invocations": 7},
+        {**good, "return_values": 7},
+        [good],
+    ]
+    for bad in bad_records:
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ModelError, match="line 2"):
+            read_dataset(path)
 
 
 def test_dataset_write_rejects_invalid(tmp_path):

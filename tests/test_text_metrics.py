@@ -9,6 +9,7 @@ from divgen.fixtures import repetitive_corpus, varied_corpus
 from divgen.metrics.text import (
     compression_ratio_diversity,
     count_syllables,
+    deflater,
     fkgl_grade,
     ncd_diversity,
     simpson_index,
@@ -51,6 +52,26 @@ def test_compression_ratio_duplicate_append_bound():
         for k in (0, len(corpus) // 2, len(corpus) - 1):
             extended = compression_ratio_diversity(corpus + [corpus[k]])
             assert extended <= base + 0.01
+
+
+MULTIBYTE = ["Größere Käse für Übermorgen?", "東京の天気を教えて。", "Café ↔ naïve résumé — ok 🚀!"]
+
+
+def test_deflater_fed_text_by_text_compresses_like_one_shot():
+    # the ranking feeds its corpus one accepted query at a time into one stream
+    source = varied_corpus() + repetitive_corpus() + MULTIBYTE
+    rng = random.Random("deflate-chunks")
+    for size in (0, 1, 2, 3, 17, 128, 129, 400, 1000):
+        corpus = [rng.choice(source) for _ in range(size)]
+        stream = deflater()
+        chunks = [stream.compress(f"\n{t}".encode("utf-8") if i else t.encode("utf-8"))
+                  for i, t in enumerate(corpus)]
+        for candidate in (rng.choice(source), rng.choice(MULTIBYTE)):
+            tail = stream.copy()
+            extra = f"\n{candidate}" if corpus else candidate
+            out = b"".join(chunks) + tail.compress(extra.encode("utf-8")) + tail.flush()
+            joined = "\n".join(corpus + [candidate]).encode("utf-8")
+            assert out == zlib.compress(joined, 6), (size, candidate)
 
 
 def test_compression_ratio_empty_errors():
