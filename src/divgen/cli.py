@@ -131,7 +131,7 @@ def _queries_from_dataset(path: str) -> list[str]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.seed)
     queries = _queries_from_dataset(args.dataset)
-    embedder = make_embedder(config)
+    embedder = EmbeddingCache(make_embedder(config))
     report = analyze_corpus(queries, embedder, config.rng_seed, label=args.dataset)
     Path(args.out).write_text(json.dumps(report.to_dict(), ensure_ascii=False, indent=1)
                               + "\n", encoding="utf-8")
@@ -146,7 +146,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.seed)
     queries_a = _queries_from_dataset(args.dataset_a)
     queries_b = _queries_from_dataset(args.dataset_b)
-    embedder = make_embedder(config)
+    embedder = EmbeddingCache(make_embedder(config))  # reports and resamples share texts
     report = compare_linguistic_diversity(
         queries_a, queries_b, embedder, config.rng_seed,
         label_a=args.dataset_a, label_b=args.dataset_b)
@@ -154,10 +154,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.library_a and args.library_b:
         # argument-diversity comparison needs the function libraries to match
         # parameter groups across the two datasets
-        examples_a = read_dataset(args.dataset_a)
-        examples_b = read_dataset(args.dataset_b)
         doc["argument_diversity"] = compare_argument_diversity(
-            examples_a, examples_b,
+            read_dataset(args.dataset_a), read_dataset(args.dataset_b),
             load_function_library(args.library_a),
             load_function_library(args.library_b),
             embedder, seed=config.rng_seed, threshold=config.group_threshold)

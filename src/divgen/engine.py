@@ -6,7 +6,7 @@ attempts leave no trace beyond a log line, so a run is byte-reproducible from
 its seed and can resume from the checkpoint after any interruption. The
 checkpoint is replaced atomically and records the sizes of the dataset and of
 the run log, so a resumed run first drops any line written after the last
-checkpoint.
+checkpoint; the accepted queries are read back from the dataset.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from divgen.model import (
     Invocation,
     ModelError,
     RunConfig,
+    read_dataset,
     serialize_example,
 )
 from divgen.paramgen import ParamGenerator, ParamGenFailure, commit_to_trackers
@@ -133,29 +134,36 @@ class GenerationEngine:
             "accepted": self.state.accepted,
             "dataset_bytes": self.out_path.stat().st_size,
             "log_bytes": self.log_bytes if self.log_stream is not None else None,
-            "last_id": f"ex-{self.state.accepted:06d}" if self.state.accepted else None,
             "attempts": self.state.attempts,
             "rng_state": [state[0], list(state[1]), state[2]],
             "trackers": self.groups.snapshot_all(),
             "guidance": self.querygen.guidance,
-            "queries": self.queries,
             "config_digest": self._config_digest(),
         }
         tmp = self.checkpoint_path.with_name(self.checkpoint_path.name + ".tmp")
         tmp.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
         os.replace(tmp, self.checkpoint_path)
 
-    def resume(self) -> None:
-        """Restore RNG, trackers, guidance and the run log's size from the
-        checkpoint file, and cut the dataset back to the size it records."""
+    def _read_checkpoint(self) -> tuple[dict[str, Any], list[GeneratedExample]]:
+        """The checkpoint and the examples of the dataset prefix it records,
+        checked (config digest, then prefix) before any file is touched."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
         if doc["config_digest"] != self._config_digest():
             raise ModelError("checkpoint was produced under a different configuration")
         size = doc["dataset_bytes"]
-        with open(self.out_path, "ab") as fh:
-            if fh.tell() < size:
-                raise ValueError("dataset is shorter than the checkpoint records")
-            fh.truncate(size)
+        if self.out_path.stat().st_size < size:
+            raise ValueError("dataset is shorter than the checkpoint records")
+        kept = read_dataset(self.out_path, size)
+        if len(kept) != doc["accepted"]:
+            raise ModelError(f"{self.out_path}: its first {size} bytes hold {len(kept)}"
+                             f" examples, the checkpoint records {doc['accepted']} accepted")
+        return doc, kept
+
+    def resume(self) -> None:
+        """Restore RNG, trackers, guidance and the run log's size from the checkpoint, cut
+        the dataset back to the size it records, and read the accepted queries from it."""
+        doc, kept = self._read_checkpoint()
+        os.truncate(self.out_path, doc["dataset_bytes"])
         self.log_bytes = doc["log_bytes"] or 0
         self.state.accepted = doc["accepted"]
         self.state.attempts = doc["attempts"]
@@ -163,13 +171,13 @@ class GenerationEngine:
         self.rng.setstate((version, tuple(internal), gauss))
         self.groups.restore(doc["trackers"])
         self.querygen.guidance = doc["guidance"]
-        self.queries = list(doc["queries"])
+        self.queries = [ex.query for ex in kept]
 
     def cut_log(self, path: str | Path) -> None:
         """Cut the run log at ``path`` back to the size the checkpoint records,
-        so a resumed run does not log twice what it redoes."""
-        doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        size = doc["log_bytes"]  # None: the run had no log
+        so a resumed run does not log twice what it redoes; a checkpoint that
+        ``resume`` would refuse leaves the log as it is."""
+        size = self._read_checkpoint()[0]["log_bytes"]  # None: the run had no log
         if size is not None:
             with open(path, "ab") as fh:
                 if fh.tell() > size:

@@ -29,6 +29,10 @@ from divgen.preprocess import GroupIndex, group_parameters
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 
+GROUP_MIN_OCCURRENCES = 20
+GROUP_SAMPLE_SIZE = 20
+
+
 @dataclass
 class MetricRow:
     metric: str
@@ -170,16 +174,14 @@ def compare_argument_diversity(
     library_b: Sequence[FunctionSchema],
     embedder,
     seed: int = 0,
-    min_occurrences: int = 20,
-    sample_size: int = 20,
     threshold: float = 0.6,
 ) -> dict[str, Any]:
     """Per-group and average NCD + cluster entropy over matched groups.
 
     Both libraries are grouped jointly with the shared threshold so a group can
-    span datasets; only groups with at least ``min_occurrences`` values in each
-    dataset participate. Values are sampled uniformly (``sample_size`` each)
-    under the seed.
+    span datasets; only groups with at least ``GROUP_MIN_OCCURRENCES`` values in
+    each dataset participate, and ``GROUP_SAMPLE_SIZE`` values of each are
+    sampled uniformly under the seed.
     """
     merged: list[FunctionSchema] = list(library_a)
     names_a = {fn.name for fn in library_a}
@@ -198,10 +200,10 @@ def compare_argument_diversity(
             continue
         va = values_a.get(group.id, [])
         vb = values_b.get(group.id, [])
-        if len(va) < min_occurrences or len(vb) < min_occurrences:
+        if len(va) < GROUP_MIN_OCCURRENCES or len(vb) < GROUP_MIN_OCCURRENCES:
             continue
-        sample_a = rng.sample(va, sample_size)
-        sample_b = rng.sample(vb, sample_size)
+        sample_a = rng.sample(va, GROUP_SAMPLE_SIZE)
+        sample_b = rng.sample(vb, GROUP_SAMPLE_SIZE)
         category = group.category.value
 
         def ncd_fn(vals: list[Any]) -> float:
@@ -241,7 +243,7 @@ def compare_argument_diversity(
         result["average"] = {k: v / n for k, v in sums.items()}
     else:
         result["warning"] = ("no parameter group appears at least"
-                             f" {min_occurrences} times in both datasets")
+                             f" {GROUP_MIN_OCCURRENCES} times in both datasets")
     return result
 
 

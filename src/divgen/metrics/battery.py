@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from divgen.metrics.cluster_entropy import query_cluster_entropy
+from divgen.metrics.cluster_entropy import entropy_of_sizes, query_cluster_entropy
 from divgen.metrics.semantic import (
     chamfer_distance_score,
     kernel_eigenvalues,
@@ -38,7 +38,6 @@ from divgen.metrics.trees import (
     avg_tree_edit_distance,
     parse_tree_entropy,
     sentence_shapes,
-    shape_entropy,
 )
 
 #: Metrics optimized during generation, in ranking order.
@@ -257,7 +256,7 @@ class MarginalScorer:
                                   self._n_tokens + len(tokens)),
             "compression_ratio": compression_ratio(deflated, self._raw_bytes + len(extra)),
             "paraphrase_variety": variety,
-            "parse_tree_entropy": shape_entropy(shapes),
+            "parse_tree_entropy": entropy_of_sizes(shapes.values()),
             "chamfer": chamfer,
             "var_fkgl": variance(self._fkgls + [fkgl_grade(candidate)]),
             "var_length": variance(self._lengths + [float(len(tokens))]),

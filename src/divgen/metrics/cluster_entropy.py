@@ -33,7 +33,8 @@ def cluster_entropy_bits(partition: ClusterPartition) -> float:
 
 
 def entropy_of_sizes(sizes: Iterable[int]) -> float:
-    """Base-2 entropy of the fractions of a cluster-size multiset."""
+    """Base-2 entropy of the fractions of a multiset of sizes (of clusters, or
+    the counts of a frequency table)."""
     sizes = sorted(sizes)
     total = sum(sizes)
     if total == 0:

@@ -6,7 +6,11 @@ import math
 import random
 from typing import Callable, Sequence, TypeVar
 
+from divgen.metrics.text import variance
+
 T = TypeVar("T")
+
+MCNEMAR_EXACT_BELOW = 25
 
 
 def bootstrap_std(
@@ -34,8 +38,7 @@ def bootstrap_std(
         values.append(float(metric_fn(subsample)))
     if min(values) == max(values):
         return 0.0
-    mean = math.fsum(values) / len(values)
-    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+    return math.sqrt(variance(values))
 
 
 def significance(mu1: float, sigma1: float, mu2: float, sigma2: float) -> tuple[bool, int]:
@@ -54,10 +57,10 @@ def significance(mu1: float, sigma1: float, mu2: float, sigma2: float) -> tuple[
     return gap > threshold, direction
 
 
-def mcnemar(b: int, c: int, exact_threshold: int = 25) -> float:
+def mcnemar(b: int, c: int) -> float:
     """Two-sided p-value from the discordant-pair counts.
 
-    Below ``exact_threshold`` total discordant pairs, the exact binomial(n, 1/2)
+    Below ``MCNEMAR_EXACT_BELOW`` total discordant pairs, the exact binomial(n, 1/2)
     two-sided tail is used (capped at 1); otherwise the continuity-corrected
     chi-square (|b-c|-1)^2/(b+c) with one degree of freedom. b = c = 0 gives 1.
     Symmetric in (b, c).
@@ -67,7 +70,7 @@ def mcnemar(b: int, c: int, exact_threshold: int = 25) -> float:
     n = b + c
     if n == 0:
         return 1.0
-    if n < exact_threshold:
+    if n < MCNEMAR_EXACT_BELOW:
         lo, hi = min(b, c), max(b, c)
         tail = sum(math.comb(n, i) for i in range(lo + 1))
         upper = sum(math.comb(n, i) for i in range(hi, n + 1))

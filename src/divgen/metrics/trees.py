@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from divgen.metrics.cluster_entropy import entropy_of_sizes
 from divgen.metrics.text import SENTENCE_SPLIT_RE, tokenize
 
 
@@ -173,16 +173,8 @@ def sentence_shapes(text: str) -> list[str]:
 
 def parse_tree_entropy(corpus: Sequence[str]) -> float:
     """Base-2 entropy over the frequency distribution of sentence tree shapes."""
-    return shape_entropy(Counter(shape for text in corpus for shape in sentence_shapes(text)))
-
-
-def shape_entropy(shapes: Counter[str]) -> float:
-    """Base-2 entropy of a shape frequency table."""
-    total = sum(shapes.values())
-    if not total:
-        raise ValueError("parse_tree_entropy requires at least one sentence")
-    counts = sorted(shapes.values())
-    return -math.fsum((c / total) * math.log2(c / total) for c in counts) + 0.0
+    shapes = Counter(shape for text in corpus for shape in sentence_shapes(text))
+    return entropy_of_sizes(shapes.values())
 
 
 # ---------------------------------------------------------------------------

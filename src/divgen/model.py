@@ -161,6 +161,8 @@ class Invocation:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Invocation":
+        if not isinstance(d["arguments"], dict):
+            raise ModelError(f"arguments is not an object: {d['arguments']!r}")
         return cls(
             function_name=d["function_name"],
             arguments=dict(d["arguments"]),
@@ -233,6 +235,13 @@ class GeneratedExample:
                 raise ModelError(f"record missing field {key!r}")
         if not isinstance(d["query"], str):
             raise ModelError(f"query is not a string: {d['query']!r}")
+        for key in ("target_invocations", "return_values", "candidate_functions"):
+            if not isinstance(d[key], list):
+                raise ModelError(f"{key} is not a list: {d[key]!r}")
+        if not all(isinstance(name, str) for name in d["candidate_functions"]):
+            raise ModelError(f"candidate_functions holds a non-string: {d['candidate_functions']}")
+        if not isinstance(d["metadata"], dict):
+            raise ModelError(f"metadata is not an object: {d['metadata']!r}")
         return cls(
             id=d["id"],
             execution_type=ExecutionType(d["execution_type"]),
@@ -417,17 +426,18 @@ def serialize_example(ex: GeneratedExample) -> str:
     return json.dumps(ex.to_dict(), ensure_ascii=False)
 
 
-def read_dataset(path: str | Path) -> list[GeneratedExample]:
-    """Read a newline-delimited dataset file; errors carry the line number."""
+def read_dataset(path: str | Path, size: int | None = None) -> list[GeneratedExample]:
+    """Read a newline-delimited dataset file, or its first ``size`` bytes; errors carry the line number."""
+    with open(path, "rb") as fh:
+        data = fh.read(size)
     out: list[GeneratedExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                out.append(GeneratedExample.from_dict(record))
-            except (ModelError, KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-                raise ModelError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            out.append(GeneratedExample.from_dict(record))
+        except (ModelError, KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise ModelError(f"{path}: line {lineno}: {exc}") from exc
     return out

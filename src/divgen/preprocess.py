@@ -172,18 +172,17 @@ def build_api_pools(
     library: Sequence[FunctionSchema],
     groups: GroupIndex,
     rng: random.Random,
-    focused_size: int | None = None,
 ) -> ApiPools:
     """General = everything; focused = weighted draw toward large groups;
     other = functions owning an OTHER-category parameter.
 
-    A function's focused weight is the size of the largest group any of its
+    The focused pool holds a third of the library (at least one function). A
+    function's focused weight is the size of the largest group any of its
     parameters belongs to. Sampling is sequential weighted draws without
     replacement (one ``rng.random()`` per draw).
     """
     names = [fn.name for fn in library]
-    if focused_size is None:
-        focused_size = max(1, math.ceil(len(names) / 3))
+    focused_size = max(1, math.ceil(len(names) / 3))
     weights: dict[str, float] = {}
     for fn in library:
         w = 0.0

@@ -1,7 +1,7 @@
 """Offline chat providers: a strict scripted mock and a deterministic stub.
 
 ``ScriptedChat`` is for tests: responses are registered per signature (or per
-prompt predicate) and any unscripted prompt raises. ``StubChat`` answers every
+prompt substring) and any unscripted prompt raises. ``StubChat`` answers every
 catalog signature with plausible, deterministic content derived purely from the
 prompt text, which makes full pipeline runs reproducible byte-for-byte with no
 network access.
@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import threading
 from typing import Any, Callable, Mapping, Sequence
 
 from divgen.providers import catalog
 from divgen.providers.base import ProviderError
-from divgen.providers.signature import PromptSignature, format_output
+from divgen.providers.signature import PromptSignature, format_output, parse_blocks
 
 Responder = Callable[[str], str]
 
@@ -42,13 +41,12 @@ class ScriptedChat:
         *,
         signature: str | PromptSignature | None = None,
         contains: str | None = None,
-        predicate: Callable[[str], bool] | None = None,
     ) -> "ScriptedChat":
         """Register responses for prompts matching the given condition.
 
         With a list, responses are consumed one per call and the last one
         repeats. ``signature`` matches any prompt rendered from that catalog
-        signature; ``contains`` matches a substring; ``predicate`` is arbitrary.
+        signature; ``contains`` matches a substring.
         """
         if isinstance(responses, (str,)) or callable(responses):
             responses = [responses]
@@ -62,8 +60,6 @@ class ScriptedChat:
             conditions.append(lambda p, _o=objective: _o in p)
         if contains is not None:
             conditions.append(lambda p, _c=contains: _c in p)
-        if predicate is not None:
-            conditions.append(predicate)
         matcher = (lambda p, _cs=tuple(conditions): all(c(p) for c in _cs))
         self._rules.append((matcher, list(responses)))
         return self
@@ -87,8 +83,6 @@ class ScriptedChat:
 # Deterministic stub
 
 
-_BLOCK_RE = re.compile(r"\[\[ ## ([A-Za-z0-9_]+) ## \]\]\n(.*?)(?=\n\[\[ ## |\Z)", re.S)
-
 _TOPICS = [
     "weekend plans", "a client briefing", "my travel budget", "the quarterly report",
     "a school project", "an upcoming trip", "tonight's dinner party", "a research memo",
@@ -109,10 +103,6 @@ def _digest(*parts: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def _prompt_fields(prompt: str) -> dict[str, str]:
-    return {m.group(1): m.group(2).strip() for m in _BLOCK_RE.finditer(prompt)}
-
-
 class StubChat:
     """Answers every catalog signature deterministically from the prompt alone."""
 
@@ -121,7 +111,7 @@ class StubChat:
         if name is None:
             raise UnscriptedPromptError("unscripted prompt")
         sig = catalog.get(name)
-        fields = _prompt_fields(prompt)
+        fields = parse_blocks(prompt)
         values = self._respond(name, fields)
         values.setdefault("reasoning", "Checked the request against the provided context.")
         return format_output(sig, values)
@@ -172,10 +162,7 @@ class StubChat:
         raise UnscriptedPromptError(f"stub has no behavior for signature {name}")
 
     def _candidate_values(self, name: str, f: dict[str, str]) -> str:
-        try:
-            count = int(f.get("num_candidates", "25"))
-        except ValueError:
-            count = 25
+        count = int(f.get("num_candidates", "25"))
         pname = f.get("parameter_name", "value")
         base = _digest(name, pname, f.get("existing_values", ""),
                        f.get("other_parameter_values", ""))

@@ -129,21 +129,21 @@ def format_output(sig: PromptSignature, values: Mapping[str, str]) -> str:
     return "\n".join(parts)
 
 
-def parse_signature_output(text: str, sig: PromptSignature) -> dict[str, str]:
-    """Extract each declared output field from a reply.
-
-    A field's content is the text between its marker and the next marker of any
-    kind (or the completed marker / end of text), trimmed. Raises
-    SignatureParseError listing every absent declared field.
-    """
-    occurrences = [(m.start(), m.end(), m.group(1)) for m in _MARKER_RE.finditer(text)]
-    starts = [pos for pos, _, _ in occurrences]
+def parse_blocks(text: str) -> dict[str, str]:
+    """Map each marker's name to its block, the text up to the next marker (or
+    the end of text), trimmed; the first occurrence of a name wins."""
+    matches = list(_MARKER_RE.finditer(text))
+    ends = [m.start() for m in matches[1:]] + [len(text)]
     found: dict[str, str] = {}
-    for pos, end, name in occurrences:
-        if name in found:
-            continue  # first occurrence wins
-        nxt = min((s for s in starts if s > pos), default=len(text))
-        found[name] = text[end:nxt].strip()
+    for m, end in zip(matches, ends):
+        found.setdefault(m.group(1), text[m.end():end].strip())
+    return found
+
+
+def parse_signature_output(text: str, sig: PromptSignature) -> dict[str, str]:
+    """Extract each declared output field from a reply by ``parse_blocks``.
+    Raises SignatureParseError listing every absent declared field."""
+    found = parse_blocks(text)
     missing = [n for n in sig.output_names if n not in found]
     if missing:
         raise SignatureParseError(sig.name, missing)

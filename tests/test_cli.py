@@ -242,12 +242,20 @@ def test_each_command_sends_each_distinct_text_to_the_embedder_once(tmp_path, mo
         return embedders[-1]
 
     monkeypatch.setattr(divgen.cli, "make_embedder", make_embedder)
-    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
-    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
-    assert run(["generate", str(art), "--n", "12", "--seed", "7", "--out", str(out)]) == 0
-    preprocess, generate = embedders
-    for sent in (preprocess.sent, generate.sent):
-        assert sent and len(sent) == len(set(sent))
+    art, out = tmp_path / "art.json", tmp_path / "cmp.json"
+    a, b, lib = tmp_path / "a.jsonl", tmp_path / "b.jsonl", fixture_library_path()
+    assert run(["preprocess", lib, "--seed", "7", "--out", str(art)]) == 0
+    # large enough that the argument comparison matches parameter groups: its
+    # bootstrap scores each group's value sample once per resample
+    for seed, path in (("7", a), ("9", b)):
+        assert run(["generate", str(art), "--n", "50", "--seed", seed, "--out", str(path)]) == 0
+    assert run(["analyze", str(a), "--out", str(tmp_path / "report.json")]) == 0
+    assert run(["compare", str(a), str(b), "--library-a", lib, "--library-b", lib,
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["argument_diversity"]["groups"]
+    assert len(embedders) == 5  # preprocess, two generates, analyze, compare
+    for embedder in embedders:
+        assert embedder.sent and len(embedder.sent) == len(set(embedder.sent))
 
 
 def test_compare_datasets_with_argument_diversity(tmp_path):

@@ -432,6 +432,49 @@ def test_resume_keeps_a_log_the_interrupted_run_did_not_write(tmp_path, monkeypa
     assert log.read_text(encoding="utf-8").startswith("kept\n{")
 
 
+def test_refused_resume_leaves_every_file_as_it_was(tmp_path, capsys):
+    art, out, log = tmp_path / "art.json", tmp_path / "ds.jsonl", tmp_path / "run.log"
+    assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
+                     "--out", str(art)]) == 0
+    argv = ["generate", str(art), "--n", "3", "--out", str(out), "--log", str(log)]
+    assert cli.main(argv + ["--seed", "7"]) == 0
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write('{"event": "written after the checkpoint"}\n')
+    files = (out, log, out.with_name("ds.jsonl.checkpoint"))
+
+    def refused(*extra):
+        before = [f.read_bytes() for f in files]
+        assert cli.main(argv + ["--resume", *extra]) == 2
+        assert [f.read_bytes() for f in files] == before
+
+    # a configuration the checkpoint was not written under
+    refused("--seed", "8")
+    assert "different configuration" in capsys.readouterr().err
+    # a dataset whose recorded prefix holds 2 of the 3 accepted examples, with
+    # a line after it that resume would otherwise cut
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    out.write_text(lines[0] + lines[1] + " " * (len(lines[2].encode("utf-8")) - 1) + "\n"
+                   + lines[2], encoding="utf-8")
+    refused("--seed", "7")
+    assert "hold 2 examples, the checkpoint records 3 accepted" in capsys.readouterr().err
+
+
+def test_checkpoint_size_does_not_grow_with_the_dataset(tmp_path):
+    # a NONE-only run commits no tracker value, so only the dataset grows
+    config = RunConfig(rng_seed=7, type_weights={
+        "SINGLE": 0.0, "PARALLEL": 0.0, "SEQUENTIAL": 0.0, "MISSING_PARAMS": 0.0, "NONE": 1.0})
+    engine = build_engine(tmp_path, config=config)
+    engine.generate(10)
+    size = engine.checkpoint_path.stat().st_size
+    resumed = build_engine(tmp_path, config=config)
+    resumed.generate(40, resume=True)
+    checkpoint = resumed.checkpoint_path.read_text(encoding="utf-8")
+    assert not any(query in checkpoint for query in resumed.queries)
+    # the RNG state's decimal digits vary between states
+    assert abs(len(checkpoint.encode("utf-8")) - size) <= 64
+    assert resumed.queries == [ex.query for ex in read_dataset(tmp_path / "ds.jsonl")]
+
+
 def test_resume_before_first_acceptance(tmp_path, monkeypatch):
     (tmp_path / "ref").mkdir()
     build_engine(tmp_path / "ref").generate(2)

@@ -161,6 +161,20 @@ def test_dataset_read_error_carries_line_number(tmp_path):
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ModelError, match="line 2"):
             read_dataset(path)
+    # records of the wrong shape that iteration or dict() would otherwise accept
+    call = good["target_invocations"][0]
+    bad_shapes = [
+        ("candidate_functions", {**good, "candidate_functions": "fg"}),
+        ("candidate_functions", {**good, "candidate_functions": ["f", 7]}),
+        ("return_values", {**good, "return_values": "ab"}),
+        ("target_invocations", {**good, "target_invocations": ""}),
+        ("metadata", {**good, "metadata": [["seed", 0]]}),
+        ("arguments", {**good, "target_invocations": [{**call, "arguments": [["x", 1]]}]}),
+    ]
+    for field, bad in bad_shapes:
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ModelError, match=f"line 2: {field} "):
+            read_dataset(path)
 
 
 def test_dataset_write_rejects_invalid(tmp_path):

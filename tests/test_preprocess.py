@@ -125,7 +125,7 @@ def test_pools_uniform_when_groups_singleton(embedder):
     groups = group_parameters(lib, embedder, 0.9)
     counts = {"f": 0, "g": 0, "h": 0}
     for seed in range(300):
-        pools = build_api_pools(lib, groups, random.Random(seed), focused_size=1)
+        pools = build_api_pools(lib, groups, random.Random(seed))  # focuses on one of three
         counts[pools.focused[0]] += 1
     assert all(c > 60 for c in counts.values())  # roughly uniform
 
