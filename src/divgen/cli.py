@@ -1,7 +1,8 @@
 """Operator entry point: preprocess, generate, analyze, compare, evaluate.
 
-Configuration comes from a single JSON file (every RunConfig field) with flag
-overrides for the common knobs; credentials are environment-only. Exit codes:
+Configuration comes from a single JSON file (any of the RunConfig fields; the
+method's fixed constants are not configurable) with a ``--seed`` override;
+credentials are environment-only. Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -21,7 +22,13 @@ from divgen.evaluate import (
     paired_model_comparison,
 )
 from divgen.metrics.battery import EmbeddingCache
-from divgen.model import ModelError, RunConfig, load_function_library, read_dataset
+from divgen.model import (
+    GeneratedExample,
+    ModelError,
+    RunConfig,
+    load_function_library,
+    read_dataset,
+)
 from divgen.preprocess import (
     build_api_pools,
     build_similarity_graph,
@@ -44,9 +51,12 @@ class UsageError(Exception):
     pass
 
 
-def load_config(path: str | None, seed: int | None = None) -> RunConfig:
+def load_config(path: str | None, seed: int | None = None,
+                stored: dict | None = None) -> RunConfig:
+    """The config file at ``path``, else the ``stored`` config, else the
+    defaults; ``seed``, when given, replaces the seed."""
     try:
-        config = RunConfig.from_file(path) if path else RunConfig()
+        config = RunConfig.from_file(path) if path else RunConfig.from_dict(stored or {})
     except (OSError, json.JSONDecodeError, ModelError) as exc:
         raise UsageError(f"cannot load config: {exc}") from exc
     if seed is not None:
@@ -93,10 +103,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not artifact_path.exists():
         raise UsageError(f"artifact not found: {artifact_path}")
     library, groups, pools, graph, stored = read_artifact(artifact_path)
-    config = (load_config(args.config, args.seed) if args.config
-              else RunConfig.from_dict(stored) if stored else RunConfig())
-    if args.config is None and args.seed is not None:
-        config.rng_seed = args.seed
+    config = load_config(args.config, args.seed, stored)
     chat = make_chat(config)
     embedder = make_embedder(config)
     check_reachable_types(config, graph)  # before the log file is opened
@@ -116,7 +123,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _queries_from_dataset(path: str) -> list[str]:
+def _read_corpus(path: str) -> tuple[list[str], list[GeneratedExample] | None]:
+    """The queries of a dataset and its examples, or of a JSON array of
+    queries and None."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"dataset not found: {p}")
@@ -124,13 +133,14 @@ def _queries_from_dataset(path: str) -> list[str]:
         data = json.loads(p.read_text(encoding="utf-8"))
         if not isinstance(data, list):
             raise UsageError(f"{p}: expected a JSON array of queries")
-        return [str(q) for q in data]
-    return [ex.query for ex in read_dataset(p)]
+        return [str(q) for q in data], None
+    examples = read_dataset(p)
+    return [ex.query for ex in examples], examples
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.seed)
-    queries = _queries_from_dataset(args.dataset)
+    queries, _ = _read_corpus(args.dataset)
     embedder = EmbeddingCache(make_embedder(config))
     report = analyze_corpus(queries, embedder, config.rng_seed, label=args.dataset)
     Path(args.out).write_text(json.dumps(report.to_dict(), ensure_ascii=False, indent=1)
@@ -144,8 +154,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("--library-a and --library-b go together: the argument-diversity"
                          " section needs both libraries")
     config = load_config(args.config, args.seed)
-    queries_a = _queries_from_dataset(args.dataset_a)
-    queries_b = _queries_from_dataset(args.dataset_b)
+    queries_a, examples_a = _read_corpus(args.dataset_a)
+    queries_b, examples_b = _read_corpus(args.dataset_b)
+    if args.library_a and (examples_a is None or examples_b is None):
+        raise UsageError("the argument-diversity section needs two datasets, not JSON"
+                         " arrays of queries")
     embedder = EmbeddingCache(make_embedder(config))  # reports and resamples share texts
     report = compare_linguistic_diversity(
         queries_a, queries_b, embedder, config.rng_seed,
@@ -155,7 +168,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # argument-diversity comparison needs the function libraries to match
         # parameter groups across the two datasets
         doc["argument_diversity"] = compare_argument_diversity(
-            read_dataset(args.dataset_a), read_dataset(args.dataset_b),
+            examples_a, examples_b,
             load_function_library(args.library_a),
             load_function_library(args.library_b),
             embedder, seed=config.rng_seed, threshold=config.group_threshold)

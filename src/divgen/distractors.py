@@ -25,6 +25,9 @@ from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
 
 
+RETRIEVAL_K = 20  # functions retrieved per example before the plausibility filter
+
+
 class DistractorFailure(RuntimeError):
     """The example cannot get a valid candidate set; caller regenerates."""
 
@@ -50,7 +53,7 @@ def retrieve_candidates(
     query: str,
     library: Sequence[FunctionSchema],
     embed_cache: EmbeddingCache,
-    k: int = 20,
+    k: int = RETRIEVAL_K,
     targets: Sequence[str] = (),
     force_targets: bool = True,
 ) -> list[ScoredCandidate]:
@@ -303,12 +306,11 @@ def assemble_candidates(
     embed_cache: EmbeddingCache,
     client: SignatureClient,
     rng: random.Random,
-    retrieval_k: int = 20,
 ) -> AlternativeOutcome:
     """The full per-example pipeline; the finalized shuffled list is left to the
     caller so target updates can be applied first."""
     retrieved = retrieve_candidates(
-        query, library, embed_cache, retrieval_k, targets,
+        query, library, embed_cache, RETRIEVAL_K, targets,
         force_targets=exec_type is not ExecutionType.NONE)
     scored = score_plausibility(query, retrieved, targets, exec_type, library, client)
     kept = filter_by_plausibility(scored, exec_type)

@@ -43,6 +43,7 @@ from divgen.querygen import (
     generate_diversity_guidance,
 )
 from divgen.sampler import (
+    WALK_RETRIES,
     SamplingFailure,
     check_reachable_types,
     sample_execution_type,
@@ -58,6 +59,8 @@ from divgen.sampler import (
 #: reaches this many has a cause no retry mends; with the stub providers it
 #: ends in seconds.
 MAX_CONSECUTIVE_ABANDONS = 500
+
+PATTERN_SAMPLE = 20  # accepted queries sampled per pattern analysis
 
 
 class AbandonedExample(RuntimeError):
@@ -198,12 +201,7 @@ class GenerationEngine:
         last = "no usable walk"
         for _ in range(self.config.retry_limit):
             try:
-                names = sample_walk(
-                    self.graph, etype, self.rng,
-                    lam=self.config.walk_lambda,
-                    edge_bias=self.config.walk_edge_bias,
-                    retries=self.config.walk_retries,
-                )
+                names = sample_walk(self.graph, etype, self.rng)
             except SamplingFailure as exc:
                 last = str(exc)
                 continue
@@ -232,7 +230,7 @@ class GenerationEngine:
         if etype in (ExecutionType.SINGLE, ExecutionType.MISSING_PARAMS):
             api = sample_single_api(self.pools, self.library, self.rng)
             if etype is ExecutionType.MISSING_PARAMS:
-                for _ in range(self.config.walk_retries):
+                for _ in range(WALK_RETRIES):
                     if api.required_parameters:
                         break
                     api = sample_single_api(self.pools, self.library, self.rng)
@@ -275,7 +273,7 @@ class GenerationEngine:
         targets = [s.name for s in skeleton.schemas]
         outcome = assemble_candidates(
             query, targets, etype, self.library, self.embed_cache,
-            self.client, self.rng, self.config.retrieval_k)
+            self.client, self.rng)
         if outcome.invalid:
             raise AbandonedExample(f"candidate validation: {outcome.note}")
         if outcome.note:
@@ -371,7 +369,7 @@ class GenerationEngine:
     def _refresh_guidance(self) -> None:
         """Analyse a sample of the accepted queries and replace the guidance;
         an unparseable reply keeps the previous guidance."""
-        sample_size = min(self.config.pattern_sample, len(self.queries))
+        sample_size = min(PATTERN_SAMPLE, len(self.queries))
         if sample_size == 0:
             return
         sample = self.rng.sample(self.queries, sample_size)

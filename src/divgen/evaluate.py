@@ -24,7 +24,7 @@ from divgen.metrics.battery import (
 from divgen.metrics.cluster_entropy import value_cluster_entropy
 from divgen.metrics.stats import bootstrap_std, holm_bonferroni, mcnemar, significance
 from divgen.metrics.text import ncd_diversity
-from divgen.model import FunctionSchema, GeneratedExample, ParamCategory
+from divgen.model import MISSING_SENTINEL, FunctionSchema, GeneratedExample, ParamCategory
 from divgen.preprocess import GroupIndex, group_parameters
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -144,7 +144,7 @@ def collect_group_values(
     for ex in examples:
         for inv in ex.target_invocations:
             for pname, value in inv.arguments.items():
-                if value == "__MISSING__":
+                if value == MISSING_SENTINEL:
                     continue
                 try:
                     group = groups.group_of(inv.function_name, pname)

@@ -8,6 +8,7 @@ exactly: ``read_dataset(write_dataset(X)) == X``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -257,9 +258,19 @@ class GeneratedExample:
 # Run configuration
 
 
+def _check_finite(name: str, value: Any) -> None:
+    """JSON reads ``NaN`` and ``Infinity``; no threshold or weight can use them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ModelError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class RunConfig:
-    """All generation knobs. Defaults follow the documented pipeline constants."""
+    """The settings a run can vary: the seed, the type mix, the cosine
+    thresholds (their right values depend on the embedder's cosine scale),
+    the loop budgets and the providers. The method's fixed constants live in
+    the module that reads each one (``sampler``, ``paramgen``, ``querygen``,
+    ``distractors``, ``engine``)."""
 
     rng_seed: int = 0
     type_weights: dict[str, float] = field(default_factory=lambda: {
@@ -271,21 +282,10 @@ class RunConfig:
     })
     group_threshold: float = 0.6          # cosine threshold for parameter grouping
     graph_threshold: float = 0.6          # edge threshold for the API similarity graph
-    walk_lambda: float = 0.75             # Poisson rate; walk length = draw + 2
-    walk_edge_bias: float = 3.0           # weight multiplier for the favored edge kind
-    walk_retries: int = 16
     pairwise_similarity_threshold: float = 0.3
     rounds: int = 5                       # query-generation rounds
-    candidates_per_round: int = 5
-    rrf_k: int = 60
-    retrieval_k: int = 20
-    virtual_candidates: int = 25          # values generated per parameter
-    selection_size: int = 5               # values exposed to the greedy selector
     retry_limit: int = 3
-    optional_param_rate: float = 0.3
-    missing_binomial_p: float = 0.5
     pattern_period: int = 50              # accepted examples between pattern analyses
-    pattern_sample: int = 20
     chat_provider: str = "stub"
     embedding_provider: str = "hash"
     embedding_dimension: int = 384
@@ -296,24 +296,17 @@ class RunConfig:
     decode_params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        counts = {
-            "walk_retries": self.walk_retries,
-            "rounds": self.rounds,
-            "candidates_per_round": self.candidates_per_round,
-            "rrf_k": self.rrf_k,
-            "retrieval_k": self.retrieval_k,
-            "virtual_candidates": self.virtual_candidates,
-            "selection_size": self.selection_size,
-            "retry_limit": self.retry_limit,
-            "pattern_period": self.pattern_period,
-            "embedding_dimension": self.embedding_dimension,
-        }
-        for name, value in counts.items():
-            if value <= 0:
-                raise ModelError(f"config {name} must be positive, got {value}")
+        for name in ("rounds", "retry_limit", "pattern_period", "embedding_dimension"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ModelError(f"config {name} must be a positive integer, got {value!r}")
+        for name in ("group_threshold", "graph_threshold", "pairwise_similarity_threshold"):
+            _check_finite(f"config {name}", getattr(self, name))
         unknown = sorted(set(self.type_weights) - {t.value for t in ExecutionType})
         if unknown:
             raise ModelError(f"unknown execution types in type_weights: {unknown}")
+        for name, w in self.type_weights.items():
+            _check_finite(f"type_weights[{name!r}]", w)
         if any(w < 0 for w in self.type_weights.values()):
             raise ModelError("execution-type weights must be nonnegative")
         if sum(self.type_weights.values()) <= 0:

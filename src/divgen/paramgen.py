@@ -41,6 +41,10 @@ from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
 
+VIRTUAL_CANDIDATES = 25   # values generated per NUMERICAL or STRING parameter
+SELECTION_SIZE = 5        # of them exposed to the selector; the rest augment the group
+OPTIONAL_PARAM_RATE = 0.3
+MISSING_BINOMIAL_P = 0.5  # omission probability per required parameter (at least one)
 
 # A non-ENUM parameter's value from (parameter, group, values so far, group's
 # values, previous failures); raises UnusableValue to fail the attempt.
@@ -158,10 +162,9 @@ def select_diverse_value(
     rng: random.Random,
     category: str,
     embedder,
-    select_size: int = 5,
     index: ValueIndex | None = None,
 ) -> tuple[Any, list[Any]]:
-    """Greedy argmax over a uniform sample of the candidates.
+    """Greedy argmax over a uniform sample of ``SELECTION_SIZE`` candidates.
 
     Returns (chosen value, augmented view): the view is the group's committed
     values plus the candidates that were hidden from the selector. Ties keep
@@ -172,7 +175,7 @@ def select_diverse_value(
     """
     if not candidates:
         raise ValueError("select_diverse_value requires candidates")
-    exposed = rng.sample(list(candidates), min(select_size, len(candidates)))
+    exposed = rng.sample(list(candidates), min(SELECTION_SIZE, len(candidates)))
     exposed_set = {repr(x) for x in exposed}
     hidden = [c for c in candidates if repr(c) not in exposed_set]
     augmented = list(committed) + hidden
@@ -237,7 +240,7 @@ class ParamGenerator:
             "GenerateMultipleNumericalParameters" if numeric
             else "GenerateMultipleStringParameters"
         )
-        want = self.config.virtual_candidates
+        want = VIRTUAL_CANDIDATES
         unusable = ("non-numeric or non-finite values" if numeric
                     else "values without a word token")
         coerce = _coerce_numeric if numeric else _coerce_text
@@ -295,7 +298,7 @@ class ParamGenerator:
                 if key not in seen and len(distinct) < want:
                     seen.add(key)
                     distinct.append(v)
-        if len(distinct) < self.config.selection_size:
+        if len(distinct) < SELECTION_SIZE:
             raise ParamGenFailure(
                 f"{api.name}.{param.name}: only {len(distinct)} distinct candidates{note()}"
             )
@@ -322,12 +325,12 @@ class ParamGenerator:
 
     def _included_params(self, api: FunctionSchema,
                          skip: set[str] | None = None) -> list[ParameterSpec]:
-        """Required parameters always; optionals with the configured probability."""
+        """Required parameters always; optionals with probability ``OPTIONAL_PARAM_RATE``."""
         out = []
         for p in api.parameters:
             if skip and p.name in skip:
                 continue
-            if p.required or self.rng.random() < self.config.optional_param_rate:
+            if p.required or self.rng.random() < OPTIONAL_PARAM_RATE:
                 out.append(p)
         return out
 
@@ -380,8 +383,7 @@ class ParamGenerator:
                 p, api, y_current, group, existing, failures)
             value, _ = select_diverse_value(
                 candidates, existing, self.rng,
-                group.category.value, self.embedder,
-                self.config.selection_size, self._value_index(group))
+                group.category.value, self.embedder, self._value_index(group))
             return value
 
         return self._parameter_set(
@@ -393,7 +395,7 @@ class ParamGenerator:
         required = [p.name for p in api.required_parameters]
         if not required:
             raise ValueError(f"{api.name}: MISSING_PARAMS needs a required parameter")
-        draw = sum(1 for _ in required if self.rng.random() < self.config.missing_binomial_p)
+        draw = sum(1 for _ in required if self.rng.random() < MISSING_BINOMIAL_P)
         k = max(1, draw)
         omitted = sorted(self.rng.sample(required, k))
         result = self.generate_single_params(

@@ -37,6 +37,9 @@ from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
 
 
+RRF_K = 60  # reciprocal-rank-fusion constant (Cormack et al., SIGIR 2009)
+
+
 @dataclass
 class ExampleSkeleton:
     """Everything decided before the query exists."""
@@ -143,7 +146,6 @@ def judge_queries(
 def rank_candidates_by_diversity(
     scorer: MarginalScorer,
     candidates: Sequence[str],
-    k: int = 60,
 ) -> tuple[list[str], dict[str, dict[str, int]], dict[str, float]]:
     """Order candidates by fused marginal diversity.
 
@@ -165,7 +167,7 @@ def rank_candidates_by_diversity(
         rankings.append(ranking)
         for rank, cand in enumerate(ranking, start=1):
             per_metric_rank[cand][metric] = rank
-    scores, fused = rrf_fuse(pool, rankings, k=k)
+    scores, fused = rrf_fuse(pool, rankings, k=RRF_K)
     return fused, per_metric_rank, scores
 
 
@@ -281,7 +283,6 @@ class QueryGenerator:
                 continue
             candidates = [out[f"query_{i}"] for i in range(1, 6)
                           if out.get(f"query_{i}", "").strip()]
-            candidates = candidates[: self.config.candidates_per_round]
             for cand in candidates:
                 if not tokenize(cand):
                     attempts_log.append(
@@ -298,7 +299,7 @@ class QueryGenerator:
 
             if pool_reasons:
                 fused, ranks, _ = rank_candidates_by_diversity(
-                    self._scorer, list(pool_reasons), self.config.rrf_k)
+                    self._scorer, list(pool_reasons))
                 best = fused[0]
                 best_ranks = ranks[best]
                 attempts_log.append(

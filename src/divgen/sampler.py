@@ -23,6 +23,11 @@ from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
 
 
+WALK_LAMBDA = 0.75    # Poisson rate; walk length = draw + 2
+WALK_EDGE_BIAS = 3.0  # weight multiplier for the edge kind a walk favors
+WALK_RETRIES = 16     # starts per walk; draws per MISSING_PARAMS function
+
+
 class SamplingFailure(RuntimeError):
     """The caller should re-draw: the current attempt cannot be completed."""
 
@@ -74,19 +79,13 @@ def poisson_draw(lam: float, rng: random.Random) -> int:
         k += 1
 
 
-def sample_walk(
-    graph: ApiGraph,
-    exec_type: ExecutionType,
-    rng: random.Random,
-    lam: float = 0.75,
-    edge_bias: float = 3.0,
-    retries: int = 16,
-) -> list[str]:
-    """Simple (no-repeat) biased walk; length = Poisson(lam) + 2.
+def sample_walk(graph: ApiGraph, exec_type: ExecutionType, rng: random.Random) -> list[str]:
+    """Simple (no-repeat) biased walk; length = Poisson(WALK_LAMBDA) + 2.
 
     PARALLEL favors P-P edges, SEQUENTIAL favors P-R edges (multiplier
-    ``edge_bias``); SEQUENTIAL walks respect P-R direction and must traverse at
-    least one P-R edge. Raises SamplingFailure when the retry budget runs out.
+    ``WALK_EDGE_BIAS``); SEQUENTIAL walks respect P-R direction and must
+    traverse at least one P-R edge. Raises SamplingFailure after
+    ``WALK_RETRIES`` starts.
     """
     if exec_type not in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
         raise ValueError("sample_walk serves PARALLEL and SEQUENTIAL only")
@@ -94,7 +93,7 @@ def sample_walk(
     if not graph.edges:
         raise SamplingFailure("similarity graph has no usable edges")
 
-    length = poisson_draw(lam, rng) + 2
+    length = poisson_draw(WALK_LAMBDA, rng) + 2
 
     def neighbors(node: str, visited: set[str]) -> list[tuple[str, str, float]]:
         out: list[tuple[str, str, float]] = []
@@ -110,14 +109,14 @@ def sample_walk(
     if not starts:
         raise SamplingFailure("no vertex has outgoing edges")
 
-    for _ in range(retries):
+    for _ in range(WALK_RETRIES):
         walk = [starts[rng.randrange(len(starts))]]
         kinds: list[str] = []
         while len(walk) < length:
             options = neighbors(walk[-1], set(walk))
             if not options:
                 break
-            weights = [edge_bias if kind == favored else 1.0 for _, kind, _ in options]
+            weights = [WALK_EDGE_BIAS if kind == favored else 1.0 for _, kind, _ in options]
             picked = weighted_pick(options, weights, rng)
             walk.append(picked[0])
             kinds.append(picked[1])

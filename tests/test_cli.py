@@ -7,7 +7,7 @@ from conftest import alarm
 import divgen.cli
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
-from divgen.model import read_dataset
+from divgen.model import RunConfig, read_dataset
 from divgen.providers.hash_embed import HashEmbedder
 
 
@@ -95,6 +95,71 @@ def test_older_artifact_or_checkpoint_is_usage_error(tmp_path, capsys):
     art.write_text(json.dumps(doc), encoding="utf-8")
     assert run(["generate", str(art), "--n", "2", "--out", str(out), "--resume"]) == 2
     assert "unknown config keys: ['batch_judging']" in capsys.readouterr().err
+    # a key that became a module constant, in an artifact or in a config file,
+    # is named, and no file is written
+    fresh, cfg = tmp_path / "fresh.jsonl", tmp_path / "cfg.json"
+    del doc["config"]["batch_judging"]
+    doc["config"]["rrf_k"] = 60
+    art.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["generate", str(art), "--n", "2", "--out", str(fresh)]) == 2
+    assert "unknown config keys: ['rrf_k']" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"walk_lambda": 0.75}), encoding="utf-8")
+    assert run(["generate", str(art), "--config", str(cfg), "--n", "2",
+                "--out", str(fresh)]) == 2
+    assert "unknown config keys: ['walk_lambda']" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "art.json", "cfg.json", "d.jsonl", "d.jsonl.checkpoint"]
+
+
+#: The keys that left RunConfig for module constants, with the values they held.
+RETIRED_KEYS = {"walk_lambda": 0.75, "walk_edge_bias": 3.0, "walk_retries": 16,
+                "candidates_per_round": 5, "rrf_k": 60, "retrieval_k": 20,
+                "virtual_candidates": 25, "selection_size": 5, "optional_param_rate": 0.3,
+                "missing_binomial_p": 0.5, "pattern_sample": 20}
+
+
+def test_checkpoint_digesting_the_retired_keys_is_refused_untouched(tmp_path, capsys):
+    art, out, log = tmp_path / "art.json", tmp_path / "d.jsonl", tmp_path / "run.log"
+    assert run(["preprocess", fixture_library_path(), "--seed", "3", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "2", "--seed", "3", "--out", str(out),
+                "--log", str(log)]) == 0
+    # the digest a checkpoint carried while the constants were config keys
+    ckpt = out.with_name(out.name + ".checkpoint")
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
+    older = {**RunConfig(rng_seed=3).to_dict(), **RETIRED_KEYS}
+    doc["config_digest"] = hashlib.sha256(
+        json.dumps(older, sort_keys=True).encode("utf-8")).hexdigest()
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    for path in (out, log):  # lines a resume would cut
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"torn"\n')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(["generate", str(art), "--n", "3", "--seed", "3", "--out", str(out),
+                "--log", str(log), "--resume"]) == 2
+    assert "different configuration" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"type_weights": {"SINGLE": float("nan"), "PARALLEL": 0, "SEQUENTIAL": 0,
+                       "MISSING_PARAMS": 0, "NONE": 0}}, "type_weights['SINGLE']"),
+    ({"type_weights": {"SINGLE": float("inf"), "NONE": 1}}, "type_weights['SINGLE']"),
+    ({"pairwise_similarity_threshold": float("nan")}, "pairwise_similarity_threshold"),
+    ({"graph_threshold": float("inf")}, "graph_threshold"),
+    ({"rounds": 2.5}, "rounds"),
+    ({"retry_limit": True}, "retry_limit"),
+])
+def test_config_values_a_run_cannot_serve_are_refused_before_any_file(
+        tmp_path, capsys, config, field):
+    art, cfg = tmp_path / "art.json", tmp_path / "cfg.json"
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    cfg.write_text(json.dumps(config), encoding="utf-8")  # NaN and Infinity as JSON reads them
+    with alarm(60):
+        code = run(["generate", str(art), "--config", str(cfg), "--n", "3",
+                    "--out", str(tmp_path / "ds.jsonl"), "--log", str(tmp_path / "run.log")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "cfg.json"]
 
 
 def test_fixture_run_golden_digest(tmp_path):
@@ -276,6 +341,33 @@ def test_compare_datasets_with_argument_diversity(tmp_path):
     assert "argument_diversity" in report
     arg = report["argument_diversity"]
     assert "groups" in arg and ("average" in arg or "warning" in arg)
+
+
+def test_compare_with_libraries_reads_each_dataset_once(tmp_path, monkeypatch):
+    reads = []
+
+    def counting_read(path, *args, **kwargs):
+        reads.append(str(path))
+        return read_dataset(path, *args, **kwargs)
+
+    monkeypatch.setattr(divgen.cli, "read_dataset", counting_read)
+    art, lib = tmp_path / "art.json", fixture_library_path()
+    a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "cmp.json"
+    assert run(["preprocess", lib, "--seed", "7", "--out", str(art)]) == 0
+    for seed, path in (("7", a), ("9", b)):
+        assert run(["generate", str(art), "--n", "5", "--seed", seed, "--out", str(path)]) == 0
+    assert reads == []
+    assert run(["compare", str(a), str(b), "--library-a", lib, "--library-b", lib,
+                "--out", str(out)]) == 0
+    assert reads == [str(a), str(b)]
+    assert "argument_diversity" in json.loads(out.read_text())
+    # a JSON array of queries serves the linguistic sections only
+    queries = _write_corpus(tmp_path / "q.json", varied_corpus()[:10])
+    assert run(["compare", str(queries), str(a), "--out", str(out)]) == 0
+    out.unlink()
+    assert run(["compare", str(queries), str(a), "--library-a", lib, "--library-b", lib,
+                "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--library-a", "--library-b"])

@@ -196,6 +196,24 @@ def test_runconfig_validation():
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize("values, field", [
+    ({"type_weights": {"SINGLE": float("nan"), "PARALLEL": 0, "SEQUENTIAL": 0,
+                       "MISSING_PARAMS": 0, "NONE": 0}}, "type_weights['SINGLE']"),
+    ({"type_weights": {"SINGLE": float("inf"), "NONE": 1}}, "type_weights['SINGLE']"),
+    ({"type_weights": {"SINGLE": "1"}}, "type_weights['SINGLE']"),
+    ({"group_threshold": float("nan")}, "group_threshold"),
+    ({"graph_threshold": float("-inf")}, "graph_threshold"),
+    ({"pairwise_similarity_threshold": float("inf")}, "pairwise_similarity_threshold"),
+    ({"rounds": 2.5}, "rounds"),
+    ({"retry_limit": True}, "retry_limit"),
+    ({"pattern_period": 10.0}, "pattern_period"),
+    ({"embedding_dimension": "384"}, "embedding_dimension"),
+])
+def test_runconfig_refuses_values_it_cannot_serve(values, field):
+    with pytest.raises(ModelError, match=re.escape(field)):
+        RunConfig.from_dict(values)
+
+
 def test_readme_configuration_table_lists_every_config_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]

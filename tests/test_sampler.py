@@ -80,7 +80,7 @@ def test_walk_forced_path_on_single_pr_edge():
     for seed in range(200):
         rng = random.Random(seed)
         try:
-            walk = sample_walk(graph, ExecutionType.SEQUENTIAL, rng, lam=0.75)
+            walk = sample_walk(graph, ExecutionType.SEQUENTIAL, rng)
         except SamplingFailure:
             continue  # length drawn > 2 cannot be satisfied on one edge
         assert walk == ["u", "v"]
