@@ -135,7 +135,9 @@ class MarginalScorer:
     one batch: one embedding lookup, then a stack of similarity matrices, one
     per candidate (several stacks if one would pass ``_STACK_BYTES``), from
     which Chamfer, the pair distances and the kernel eigenvalues are computed
-    together. The text metrics are computed per candidate.
+    together. The text metrics are computed per candidate, from the memoised
+    tokens of its text and the per-token tag and syllable memos: its sentence
+    shapes are rendered from the chunker's tags without building a tree.
 
     Four facts keep the scores exact: DEFLATE's output does not depend on how
     its input is split among ``compress`` calls; a row's norm does not depend

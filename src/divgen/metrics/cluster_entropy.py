@@ -20,6 +20,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from divgen.metrics.dbscan import ClusterPartition, dbscan, pairwise_distances, within_eps
+from divgen.metrics.semantic import unit_rows
 
 NUMERIC_EPS = 0.5
 STRING_EPS = 0.1
@@ -122,17 +123,29 @@ class ValueIndex:
         return len(self.values)
 
     def _points(self, values: Sequence) -> np.ndarray:
+        """Numbers as one-column rows; strings as their embeddings scaled to
+        unit norm (a zero-norm embedding raises), so an index normalises each
+        string once."""
         if self.category == "NUMERICAL":
             return np.asarray(_parse_numeric(values), dtype=np.float64).reshape(-1, 1)
-        return np.asarray(self.embedder.embed([str(v) for v in values]), dtype=np.float64)
+        return unit_rows(self.embedder.embed([str(v) for v in values]))
+
+    def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``pairwise_distances(a, metric, b)`` of the indexed points: a STRING
+        row is already unit norm, and its norm is the one ``cosine_matrix``
+        would take, so the distance is ``1 - clip(a @ b.T)`` bit for bit."""
+        if self.category == "NUMERICAL":
+            return pairwise_distances(a, self.metric, b)
+        sim = a @ b.T
+        return 1.0 - np.clip(sim, -1.0, 1.0, out=sim)
 
     def _neighbours(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour masks of new points: against the indexed points (n x m)
         and among themselves (m x m)."""
-        among = within_eps(pairwise_distances(rows, self.metric), self.eps)
+        among = within_eps(self._distances(rows, rows), self.eps)
         if not self.values:
             return np.zeros((0, len(rows)), dtype=bool), among
-        return within_eps(pairwise_distances(self._rows, self.metric, rows), self.eps), among
+        return within_eps(self._distances(self._rows, rows), self.eps), among
 
     def sync(self, values: Sequence) -> None:
         """Make the index hold exactly ``values``: extend it when it holds a

@@ -113,6 +113,7 @@ def _ncd(x: bytes, y: bytes) -> float:
 _VOWELS = set("aeiouy")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def count_syllables(word: str) -> int:
     """Deterministic heuristic: vowel groups, minus a silent trailing 'e', min 1."""
     word = word.lower()

@@ -1,9 +1,13 @@
 """Syntactic diversity: shallow chunk trees, shape entropy, and tree edit distance.
 
 Sentences are parsed by a deterministic rule-based chunker: tokens are tagged
-by lexicon and suffix, then bracketed into noun/verb/prepositional groups under
-a sentence root, which keeps the metrics hermetic. Tree edit distance is the
-exact ordered-tree algorithm with unit insert/delete/relabel costs.
+by lexicon and suffix (memoised per token), then bracketed into
+noun/verb/prepositional groups under a sentence root, which keeps the metrics
+hermetic. The chunker yields each chunk as its label and leaf tags, and has
+two renderings: the shape string that parse-tree entropy counts, written
+straight from that sequence, so ranking builds no tree, and the ``TreeNode``
+tree that tree edit distance reads. Tree edit distance is the exact
+ordered-tree algorithm with unit insert/delete/relabel costs.
 
 The edit distance of two sentences depends only on their trees: each distinct
 tree is put in postorder once and interned, and the corpus average weights
@@ -88,6 +92,7 @@ _ADJ_SUFFIXES = ("ful", "ous", "ive", "able", "ible", "ical", "ish", "less", "ar
 _VERB_SUFFIXES = ("ed", "ing", "ize", "ise", "ify")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def tag_token(token: str) -> str:
     if token in _DET:
         return "DET"
@@ -118,52 +123,62 @@ _NOMINAL = {"DET", "ADJ", "NUM", "NOUN", "PRON"}
 _VERBAL = {"AUX", "VERB", "ADV"}
 
 
-@functools.lru_cache(maxsize=65536)
-def chunk_sentence(sentence: str) -> TreeNode:
-    """Bracket one sentence into a rooted labeled chunk tree."""
+#: The phrase each tag's run is bracketed into; PREP, CONJ and WH open none.
+_PHRASE = {**dict.fromkeys(_NOMINAL, "NP"), **dict.fromkeys(_VERBAL, "VP")}
+
+
+def _chunks(sentence: str) -> list[tuple[str, tuple[str, ...]]]:
+    """The chunker: one sentence's chunks, in order, each as its label and
+    the tags of its leaves. A ``PP`` chunk is a PREP leaf and an NP of its
+    leaves; a chunk without leaves (a PREP no nominal follows, a CONJ, a WH)
+    is itself a leaf."""
     tags = [tag_token(t) for t in tokenize(sentence)]
-    chunks: list[TreeNode] = []
+    chunks: list[tuple[str, tuple[str, ...]]] = []
     i = 0
     n = len(tags)
     while i < n:
         tag = tags[i]
+        j = i + 1
         if tag == "PREP":
-            j = i + 1
-            leaves = []
             while j < n and tags[j] in _NOMINAL:
-                leaves.append(TreeNode(tags[j]))
                 j += 1
-            if leaves:
-                chunks.append(TreeNode("PP", (TreeNode("PREP"), TreeNode("NP", tuple(leaves)))))
-                i = j
-            else:
-                chunks.append(TreeNode("PREP"))
-                i += 1
-        elif tag in _VERBAL:
-            j = i
-            leaves = []
-            while j < n and tags[j] in _VERBAL:
-                leaves.append(TreeNode(tags[j]))
+            chunks.append(("PP", tuple(tags[i + 1:j])) if j > i + 1 else (tag, ()))
+        elif tag in _PHRASE:
+            while j < n and _PHRASE.get(tags[j]) == _PHRASE[tag]:
                 j += 1
-            chunks.append(TreeNode("VP", tuple(leaves)))
-            i = j
-        elif tag in _NOMINAL:
-            j = i
-            leaves = []
-            while j < n and tags[j] in _NOMINAL:
-                leaves.append(TreeNode(tags[j]))
-                j += 1
-            chunks.append(TreeNode("NP", tuple(leaves)))
-            i = j
+            chunks.append((_PHRASE[tag], tuple(tags[i:j])))
         else:
-            chunks.append(TreeNode(tag))
-            i += 1
-    return TreeNode("S", tuple(chunks))
+            chunks.append((tag, ()))
+        i = j
+    return chunks
+
+
+def _chunk_node(label: str, leaves: tuple[str, ...]) -> TreeNode:
+    nodes = tuple(TreeNode(tag) for tag in leaves)
+    if label == "PP":
+        return TreeNode("PP", (TreeNode("PREP"), TreeNode("NP", nodes)))
+    return TreeNode(label, nodes)
+
+
+@functools.lru_cache(maxsize=65536)
+def chunk_sentence(sentence: str) -> TreeNode:
+    """Bracket one sentence into a rooted labeled chunk tree."""
+    return TreeNode("S", tuple(_chunk_node(label, leaves) for label, leaves in _chunks(sentence)))
 
 
 @functools.lru_cache(maxsize=65536)
 def _chunk_shape(sentence: str) -> str:
-    return tree_shape(chunk_sentence(sentence))
+    """``tree_shape(chunk_sentence(sentence))``, rendered from the chunks
+    without building the tree."""
+    parts = []
+    for label, leaves in _chunks(sentence):
+        if label == "PP":
+            parts.append(f"(PP PREP (NP {' '.join(leaves)}))")
+        elif leaves:
+            parts.append(f"({label} {' '.join(leaves)})")
+        else:
+            parts.append(label)
+    return f"(S {' '.join(parts)})" if parts else "S"
 
 
 def sentence_shapes(text: str) -> list[str]:

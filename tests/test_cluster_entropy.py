@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import divgen.metrics.cluster_entropy as cluster_entropy
+import divgen.metrics.semantic as semantic
 from divgen.metrics.cluster_entropy import (
     NUMERIC_EPS,
     STRING_EPS,
@@ -168,6 +170,37 @@ def test_value_index_resyncs_when_the_tracker_is_not_extended():
         assert index.as_sets() == fresh.as_sets()
         assert index.entropies(values[:3], ["amber birch"]) == \
             fresh.entropies(values[:3], ["amber birch"])
+
+
+def test_string_index_normalises_only_its_new_rows(monkeypatch):
+    embedder = HashEmbedder()
+    rng = random.Random(11)
+    values = string_values(rng, 1000)
+    index = ValueIndex("STRING", embedder)
+    index.extend(values)
+    extra, candidates = string_values(rng, 3), string_values(rng, 5)
+    want = index.entropies(extra, candidates)
+    normalised = []
+    unit_rows = semantic.unit_rows
+
+    def counting(rows, *args, **kwargs):
+        out = unit_rows(rows, *args, **kwargs)
+        normalised.append(len(out))
+        return out
+
+    monkeypatch.setattr(semantic, "unit_rows", counting)
+    monkeypatch.setattr(cluster_entropy, "unit_rows", counting)
+    assert index.entropies(extra, candidates) == want
+    assert sum(normalised) == len(extra) + len(candidates)
+
+
+def test_string_index_refuses_a_zero_norm_value():
+    index = ValueIndex("STRING", HashEmbedder())  # no word token embeds to zero
+    with pytest.raises(ValueError, match="zero-norm"):
+        index.extend(["amber birch", "!!!"])
+    index.extend(["amber birch"])
+    with pytest.raises(ValueError, match="zero-norm"):
+        index.entropies([], ["???"])
 
 
 def test_large_numeric_values_keep_their_distances():

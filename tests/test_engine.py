@@ -12,6 +12,7 @@ import divgen.engine
 import divgen.metrics.battery as battery
 from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library, fixture_library_path
+from divgen.metrics import trees
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
 from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
 from divgen.providers import catalog
@@ -73,6 +74,19 @@ def test_each_accepted_query_reaches_the_ranking_corpus_once(tmp_path, monkeypat
     # every grade not taken for a candidate is taken for a corpus text; the
     # last acceptance ends the run before another example ranks
     assert graded - scored == Counter(engine.queries[:-1])
+
+
+def test_ranking_builds_no_chunk_tree(tmp_path):
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
+                     "--out", str(art)]) == 0
+    trees.chunk_sentence.cache_clear()
+    trees._chunk_shape.cache_clear()
+    assert cli.main(["generate", str(art), "--n", "25", "--seed", "7",
+                     "--out", str(out)]) == 0
+    # the candidates' shapes were taken, from their chunks alone
+    assert trees._chunk_shape.cache_info().currsize > 25
+    assert trees.chunk_sentence.cache_info().currsize == 0
 
 
 def test_engine_trackers_grow_only_on_acceptance(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divgen.evaluate import analyze_corpus
 from divgen.metrics import trees
+from divgen.metrics.text import count_syllables
 from divgen.metrics.trees import (
     TreeNode,
     _distances,
@@ -254,6 +255,43 @@ def test_chunker_shapes_are_lexenless():
 def test_chunker_prepositional_groups():
     shape = tree_shape(chunk_sentence("the cat is running in the garden"))
     assert shape == "(S (NP DET NOUN) (VP AUX VERB) (PP PREP (NP DET NOUN)))"
+
+
+# one word of each tag class: DET, PRON, AUX, PREP, CONJ, WH, NUM (digits and
+# a number word), VERB (lexicon and suffix), ADV, ADJ and NOUN
+TAGGED_WORDS = ["the", "she", "is", "in", "to", "and", "why", "42", "two", "find",
+                "organized", "quickly", "useful", "hotel"]
+
+
+@pytest.mark.parametrize("sentence, shape", [
+    ("find the hotel in", "(S (VP VERB) (NP DET NOUN) PREP)"),  # PREP at the end
+    ("in to the garden", "(S PREP (PP PREP (NP DET NOUN)))"),  # PREP then PREP
+    ("in is running", "(S PREP (VP AUX VERB))"),  # PREP then a non-nominal
+    ("why and what", "(S WH CONJ WH)"),
+    ("book 2 rooms for 30 nights", "(S (VP VERB) (NP NUM NOUN) (PP PREP (NP NUM NOUN)))"),
+    ("", "S"),
+    ("!!!", "S"),
+])
+def test_chunk_shape_cases(sentence, shape):
+    assert trees._chunk_shape(sentence) == shape
+    assert tree_shape(chunk_sentence(sentence)) == shape
+
+
+@given(st.lists(st.sampled_from(TAGGED_WORDS), max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_chunk_shape_renders_the_chunk_tree(words):
+    sentence = " ".join(words)
+    assert trees._chunk_shape(sentence) == tree_shape(chunk_sentence(sentence))
+
+
+def test_token_memos_equal_their_functions():
+    words = TAGGED_WORDS + ["rhythm", "make", "idea", "table", "free", "a", "x", "2024",
+                            "everything", "beautiful", "recommend", "whether"]
+    assert {trees.tag_token(w) for w in TAGGED_WORDS} == {
+        "DET", "PRON", "AUX", "PREP", "CONJ", "WH", "NUM", "VERB", "ADV", "ADJ", "NOUN"}
+    for word in words:
+        assert trees.tag_token(word) == trees.tag_token.__wrapped__(word)
+        assert count_syllables(word) == count_syllables.__wrapped__(word)
 
 
 def test_sentences_of_splits_and_filters():
