@@ -8,14 +8,18 @@ values fall in one cluster, log2 n when every value stands alone.
 
 Argument selection scores candidates against a group's committed values many
 times per run; ``ValueIndex`` keeps those values' points and clusters between
-calls, so each call costs the rows of its new values only.
+calls, so each call costs the rows of its new values only. It grows its point
+buffer in place and keeps a histogram of its component sizes, and an entropy
+sums one term per distinct size, so neither a commit nor a score copies or
+walks the whole index outside the distance product.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Any, Iterable, Sequence
+from collections import ChainMap, Counter
+from itertools import chain, repeat
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,14 +37,22 @@ def cluster_entropy_bits(partition: ClusterPartition) -> float:
     return entropy_of_sizes(list(partition.cluster_sizes) + [1] * partition.noise_count)
 
 
-def entropy_of_sizes(sizes: Iterable[int]) -> float:
+def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
     """Base-2 entropy of the fractions of a multiset of sizes (of clusters, or
-    the counts of a frequency table)."""
-    sizes = sorted(sizes)
-    total = sum(sizes)
+    the counts of a frequency table).
+
+    The multiset is an iterable of sizes, or a mapping from size to how often
+    it occurs (a ``Counter``; counts <= 0 are skipped). Each distinct size's
+    term is computed once and ``fsum`` adds it as often as it occurs: ``fsum``
+    is correctly rounded, so the result is the same bits in any order.
+    """
+    counts = sizes if isinstance(sizes, Mapping) else Counter(sizes)
+    counts = [(s, n) for s, n in counts.items() if n > 0]
+    total = sum(s * n for s, n in counts)
     if total == 0:
         raise ValueError("entropy of an empty partition is undefined")
-    return -math.fsum((s / total) * math.log2(s / total) for s in sizes) + 0.0
+    terms = (repeat((s / total) * math.log2(s / total), n) for s, n in counts)
+    return -math.fsum(chain.from_iterable(terms)) + 0.0
 
 
 def _parse_numeric(values: Sequence) -> list[float]:
@@ -98,6 +110,11 @@ class ValueIndex:
     neighbour test is ``dbscan``'s own, and the entropy sums the same size
     multiset. Components are kept as a label per point (a point index) plus a
     size per label; a merge relabels the smaller components to the largest.
+
+    Points and labels live in buffers with spare room that double when full;
+    ``_rows`` and ``_labels`` are views of their filled prefixes, so a commit
+    writes its own rows only. A histogram of the component sizes is kept in
+    step with every commit and merge, and a score starts from it.
     """
 
     def __init__(self, category: str, embedder=None):
@@ -115,12 +132,21 @@ class ValueIndex:
 
     def _reset(self) -> None:
         self.values: list[Any] = []
-        self._rows = np.empty((0, 0))
-        self._labels = np.empty(0, dtype=np.intp)
+        self._row_buf = np.empty((0, 0))
+        self._label_buf = np.empty(0, dtype=np.intp)
         self._sizes: dict[int, int] = {}
+        self._size_counts: Counter[int] = Counter()  # component size -> components
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def _rows(self) -> np.ndarray:
+        return self._row_buf[:len(self.values)]
+
+    @property
+    def _labels(self) -> np.ndarray:
+        return self._label_buf[:len(self.values)]
 
     def _points(self, values: Sequence) -> np.ndarray:
         """Numbers as one-column rows; strings as their embeddings scaled to
@@ -154,6 +180,17 @@ class ValueIndex:
             self._reset()
         self.extend(values[len(self.values):])
 
+    def _reserve(self, count: int, width: int) -> None:
+        """Room for ``count`` points of ``width`` columns, doubling the buffers
+        when they are full."""
+        if count <= len(self._label_buf):
+            return
+        filled, capacity = len(self.values), max(count, 2 * len(self._label_buf))
+        rows, labels = np.empty((capacity, width)), np.empty(capacity, dtype=np.intp)
+        if filled:
+            rows[:filled], labels[:filled] = self._rows, self._labels
+        self._row_buf, self._label_buf = rows, labels
+
     def extend(self, values: Iterable) -> None:
         """Index more committed values, in order."""
         values = list(values)
@@ -163,21 +200,30 @@ class ValueIndex:
             old, among = self._neighbours(rows)
             near = np.vstack([old, among])
             first, end = len(self.values), len(self.values) + len(block)
-            labels = np.concatenate([self._labels, np.arange(first, end)])
+            self._reserve(end, rows.shape[1])
+            labels = self._label_buf[:end]
+            labels[first:] = np.arange(first, end)
             self._sizes.update(dict.fromkeys(range(first, end), 1))
+            self._size_counts[1] += len(block)
             for j in range(len(block)):
                 touched = set(labels[near[:, j]].tolist())
                 if len(touched) > 1:
                     self._merge(labels, touched)
-            self._labels = labels
-            self._rows = rows if not self.values else np.vstack([self._rows, rows])
+            self._row_buf[first:end] = rows
             self.values.extend(block)
 
     def _merge(self, labels: np.ndarray, touched: set[int]) -> None:
         keep = max(touched, key=lambda lab: (self._sizes[lab], -lab))
+        counts = self._size_counts
+        for lab in touched:
+            size = self._sizes[lab]
+            counts[size] -= 1
+            if not counts[size]:
+                del counts[size]
         for lab in touched - {keep}:
             labels[labels == lab] = keep
             self._sizes[keep] += self._sizes.pop(lab)
+        counts[self._sizes[keep]] += 1
 
     def as_sets(self) -> tuple[frozenset[frozenset[int]], frozenset[int]]:
         """The indexed values' clusters and noise, as ``ClusterPartition.as_sets``."""
@@ -195,7 +241,8 @@ class ValueIndex:
         rows = self._points(list(extra) + list(candidates))
         old, among = self._neighbours(rows)
         parent: dict[int, int] = {}  # the extras' merges: labels >= 0, extra j is -1 - j
-        size = dict(self._sizes)
+        size = ChainMap({}, self._sizes)  # the extras' components over the index's
+        counts = self._size_counts.copy()
 
         def find(node: int) -> int:
             while parent.get(node, node) != node:
@@ -214,13 +261,14 @@ class ValueIndex:
             size[node] = 1
             for root in touched(j, j):
                 parent[root] = node
-                size[node] += size.pop(root)
-        base = Counter(size.values())
+                counts[size[root]] -= 1
+                size[node] += size[root]
+            counts[size[node]] += 1
         out = []
         for c in range(k, k + len(candidates)):
             roots = touched(c, k)
-            sizes = base.copy()
+            sizes = counts.copy()
             sizes.subtract(size[r] for r in roots)
             sizes[1 + sum(size[r] for r in roots)] += 1
-            out.append(entropy_of_sizes(sizes.elements()))
+            out.append(entropy_of_sizes(sizes))
         return out

@@ -109,10 +109,10 @@ def kernel_eigenvalues(sim: np.ndarray) -> np.ndarray:
 
 
 def vendi_from_eigenvalues(eigenvalues: np.ndarray) -> float:
-    """exp of the entropy of one kernel's eigenvalues, negatives clamped to 0."""
+    """exp of the entropy of one kernel's eigenvalues, negatives clamped to 0
+    (they add nothing, and neither do zeros or NaN)."""
     entropy = 0.0
-    for lam in eigenvalues:
-        lam = float(max(lam, 0.0))
+    for lam in eigenvalues.tolist():
         if lam > 0.0:
             entropy -= lam * math.log(lam)
     return math.exp(entropy)

@@ -347,8 +347,8 @@ def write_artifact(
         "config": config or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+        # compact, so the C encoder writes it (an indent takes the Python one)
+        fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, ApiPools, ApiGraph, dict]:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from divgen.metrics.cluster_entropy import (
     NUMERIC_EPS,
     STRING_EPS,
     ValueIndex,
+    entropy_of_sizes,
     query_cluster_entropy,
     value_cluster_entropy,
 )
@@ -89,6 +91,54 @@ def test_entropy_bounds_property(values):
     if len(set(floats)) == n and n > 1:
         # spacing 10 with eps 0.5 keeps every point a singleton
         assert bits == pytest.approx(math.log2(n), abs=1e-9)
+
+
+def sorted_entropy_of_sizes(sizes):
+    """The sort-and-sum form that ``entropy_of_sizes`` replaced."""
+    sizes = sorted(sizes)
+    total = sum(sizes)
+    if total == 0:
+        raise ValueError("entropy of an empty partition is undefined")
+    return -math.fsum((s / total) * math.log2(s / total) for s in sizes) + 0.0
+
+
+_size = st.one_of(st.integers(1, 6), st.integers(1, 1000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(_size, min_size=1, max_size=80),
+       emptied=st.lists(st.tuples(_size, st.integers(-2, 0)), max_size=4))
+def test_entropy_of_sizes_matches_the_sort_and_sum_oracle(sizes, emptied):
+    want = sorted_entropy_of_sizes(sizes).hex()
+    assert entropy_of_sizes(sizes).hex() == want
+    assert entropy_of_sizes(iter(sizes)).hex() == want
+    counts = Counter(sizes)
+    for size, count in emptied:  # what ``subtract`` leaves behind
+        counts[size + 1000] = count
+    assert entropy_of_sizes(counts).hex() == want
+
+
+@pytest.mark.parametrize("sizes", [
+    [1] * 1000,
+    [7] * 13,
+    [5],
+    [1] * 500 + [2] * 250 + [3, 3, 3, 997],
+    [2, 3] * 40 + [1] * 7,
+])
+def test_entropy_of_sizes_matches_the_oracle_on_fixed_multisets(sizes):
+    want = sorted_entropy_of_sizes(sizes).hex()
+    assert entropy_of_sizes(sizes).hex() == want
+    counts = Counter(sizes)
+    counts.subtract([sizes[0]])
+    counts[sizes[0]] += 1
+    counts[12345] = 0
+    assert entropy_of_sizes(counts).hex() == want
+
+
+@pytest.mark.parametrize("sizes", [[], (), Counter(), Counter({3: 0, 4: -1})])
+def test_entropy_of_sizes_refuses_an_empty_multiset(sizes):
+    with pytest.raises(ValueError, match="empty partition"):
+        entropy_of_sizes(sizes)
 
 
 # --- the value index ------------------------------------------------------------
@@ -235,3 +285,26 @@ def test_value_index_refuses_other_categories_and_missing_embedder():
         ValueIndex("ENUM")
     with pytest.raises(ValueError, match="non-numeric"):
         ValueIndex("NUMERICAL").extend(["3.5", "not-a-number"])
+
+
+def test_string_index_grows_its_rows_in_place():
+    embedder = HashEmbedder()
+    values = string_values(random.Random(5), 1000)
+    index = ValueIndex("STRING", embedder)
+    moves, data, capacity = 0, None, None
+    for value in values:
+        index.extend([value])
+        rows = index._rows
+        if rows.ctypes.data != data:
+            moves += 1
+            # a row buffer moves only when it is full
+            assert capacity is None or len(index._row_buf) > capacity
+        data, capacity = rows.ctypes.data, len(index._row_buf)
+    assert moves <= math.ceil(math.log2(1000)) + 1
+    assert index._rows.shape == (1000, len(embedder.embed(["x"])[0]))
+    assert np.array_equal(index._rows, semantic.unit_rows(embedder.embed(values)))
+    fresh = ValueIndex("STRING", embedder)
+    fresh.extend(values)
+    assert index.as_sets() == fresh.as_sets()
+    extra, candidates = values[:4], string_values(random.Random(6), 5)
+    assert index.entropies(extra, candidates) == fresh.entropies(extra, candidates)

@@ -9,6 +9,7 @@ from divgen.metrics.semantic import (
     cosine_matrix,
     paraphrase_variety,
     semantic_spread,
+    vendi_from_eigenvalues,
     vendi_score,
 )
 
@@ -68,6 +69,39 @@ def test_vendi_bounds_and_permutation_invariance(seed, n):
     assert 1.0 - 1e-9 <= score <= n + 1e-9
     perm = rng.permutation(n)
     assert vendi_score(vecs[perm]) == pytest.approx(score, abs=1e-8)
+
+
+def scalar_vendi(eigenvalues):
+    """The loop over numpy scalars that ``vendi_from_eigenvalues`` replaced."""
+    entropy = 0.0
+    for lam in eigenvalues:
+        lam = float(max(lam, 0.0))
+        if lam > 0.0:
+            entropy -= lam * math.log(lam)
+    return math.exp(entropy)
+
+
+_eigenvalue = st.one_of(
+    st.floats(-1.0, 4.0),
+    st.sampled_from([0.0, -0.0, -1e-12, 5e-324, 0.25, 1.0, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_eigenvalue, max_size=40), repeats=st.integers(1, 3))
+def test_vendi_from_eigenvalues_matches_the_scalar_loop(values, repeats):
+    # negatives, zeros of either sign and NaN add nothing; repeated values
+    # keep their order in the sum
+    eigenvalues = np.array(values * repeats, dtype=np.float64)
+    assert vendi_from_eigenvalues(eigenvalues).hex() == scalar_vendi(eigenvalues).hex()
+
+
+def test_vendi_from_eigenvalues_of_kernel_rows_matches_the_scalar_loop():
+    rng = np.random.default_rng(3)
+    vecs = np.abs(rng.normal(size=(30, 8)))
+    eigs = np.linalg.eigvalsh(np.clip(vecs @ vecs.T, -1, 1) / 30)
+    for row in np.stack([eigs, -eigs, np.round(eigs, 2)]):
+        assert vendi_from_eigenvalues(row).hex() == scalar_vendi(row).hex()
 
 
 @settings(max_examples=40, deadline=None)
