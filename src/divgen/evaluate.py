@@ -22,9 +22,16 @@ from divgen.metrics.battery import (
     metric_fn_over_indices,
 )
 from divgen.metrics.cluster_entropy import value_cluster_entropy
+from divgen.metrics.semantic import UnitRows
 from divgen.metrics.stats import bootstrap_std, holm_bonferroni, mcnemar, significance
-from divgen.metrics.text import ncd_diversity
-from divgen.model import MISSING_SENTINEL, FunctionSchema, GeneratedExample, ParamCategory
+from divgen.metrics.text import ncd_diversity, tokenize
+from divgen.model import (
+    MISSING_SENTINEL,
+    FunctionSchema,
+    GeneratedExample,
+    ModelError,
+    ParamCategory,
+)
 from divgen.preprocess import GroupIndex, group_parameters
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -96,16 +103,25 @@ def _metric_seed(seed: int, metric: str) -> int:
 
 def analyze_corpus(corpus: Sequence[str], embedder, seed: int = 0,
                    label: str = "corpus") -> DiversityReport:
-    """Single-corpus report: all twelve metrics with bootstrap stds."""
+    """Single-corpus report: all twelve metrics with bootstrap stds.
+
+    An empty corpus, or a query without a word token, which no text metric
+    can score, raises ModelError naming ``label`` and the query's 1-based
+    position. The corpus's embedding rows are normalised once, and every
+    resample gathers its rows and their unit form from them.
+    """
+    corpus = list(corpus)
     if not corpus:
-        raise ValueError("cannot analyze an empty corpus")
-    cache = EmbeddingCache(embedder)
-    embeddings = cache.matrix(list(corpus))
-    scores = evaluate_full_battery(list(corpus), embeddings)
+        raise ModelError(f"{label}: cannot analyze an empty corpus")
+    for position, query in enumerate(corpus, 1):
+        if not tokenize(query):
+            raise ModelError(f"{label}: query {position} has no word token")
+    rows = UnitRows(EmbeddingCache(embedder).matrix(corpus))
+    scores = evaluate_full_battery(corpus, rows)
     report = DiversityReport(label_a=label, seed=seed)
     indices = list(range(len(corpus)))
     for metric in REPORT_METRICS:
-        fn = metric_fn_over_indices(metric, corpus, embeddings)
+        fn = metric_fn_over_indices(metric, corpus, rows)
         std = bootstrap_std(indices, fn, seed=_metric_seed(seed, metric))
         report.rows.append(MetricRow(metric, scores[metric], std))
     return report

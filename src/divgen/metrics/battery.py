@@ -277,7 +277,9 @@ def metric_fn_over_indices(
     """A single named metric as a function of corpus index subsets.
 
     Used by bootstrap resampling: texts and embeddings are fixed once, each call
-    evaluates the metric on the selected rows only.
+    evaluates the metric on the selected rows only. With ``embeddings`` a
+    ``semantic.UnitRows``, a call gathers the selected rows only if its metric
+    reads them, and their unit form with them.
     """
     metric = METRICS[name]
     texts = list(texts)

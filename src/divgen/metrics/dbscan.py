@@ -6,8 +6,16 @@ density-connected components of core points; a non-core point within eps of a
 core joins the cluster of its first core neighbor in input order (a fixed rule
 so partitions are deterministic); everything else is noise.
 
+The partition is taken in numpy, with no per-point Python loop: the core
+points' components come from hooking and pointer jumping over the
+neighbourhood matrix (``_components``), each labelled by its smallest core
+index, and clusters are numbered in the order of those indices, the order in
+which a flood fill seeded from each core in turn would find them.
+
 Cosine distance is 1 - ``semantic.cosine_matrix``; a zero-norm point has no
-direction, so it raises ValueError rather than landing at some distance.
+direction, so it raises ValueError rather than landing at some distance. Rows
+with a known unit form (``semantic.UnitRows``) reach ``cosine_matrix`` whole,
+so their unit form is not recomputed.
 Distances are compared with eps at 12 decimals (``within_eps``): a distance
 computed from one row against a block can differ in its last bit from the same
 entry of the full matrix, and the rounding makes both give the same
@@ -22,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from divgen.metrics.semantic import cosine_matrix
+from divgen.metrics.semantic import UnitRows, cosine_matrix
 
 NOISE = -1
 
@@ -59,9 +67,17 @@ def _as_matrix(points: Sequence) -> np.ndarray:
     return arr
 
 
+def _cosine_rows(points: Sequence) -> np.ndarray | UnitRows:
+    """``_as_matrix(points)``, except that a ``UnitRows`` stays whole, so
+    ``cosine_matrix`` reads its unit form."""
+    return points if isinstance(points, UnitRows) else _as_matrix(points)
+
+
 def pairwise_distances(a: Sequence, metric: str, b: Sequence | None = None) -> np.ndarray:
     """Distances between the rows of ``a`` and of ``b`` (of ``a`` itself when
     ``b`` is omitted)."""
+    if metric == "cosine":
+        return 1.0 - cosine_matrix(_cosine_rows(a), None if b is None else _cosine_rows(b))
     rows_a = _as_matrix(a)
     rows_b = rows_a if b is None else _as_matrix(b)
     if metric == "euclidean":
@@ -72,8 +88,6 @@ def pairwise_distances(a: Sequence, metric: str, b: Sequence | None = None) -> n
         sq_b = sq_a if b is None else np.sum(rows_b * rows_b, axis=1)
         d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (rows_a @ rows_b.T)
         return np.sqrt(np.maximum(d2, 0.0))
-    if metric == "cosine":
-        return 1.0 - cosine_matrix(rows_a, None if b is None else rows_b)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -81,6 +95,31 @@ def within_eps(dist: np.ndarray, eps: float) -> np.ndarray:
     """The neighbourhood test: ``dist <= eps`` at 12 decimals. Rounds ``dist``
     in place."""
     return np.round(dist, 12, out=dist) <= eps
+
+
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Per node, the smallest node index of its component in the graph of the
+    symmetric boolean adjacency matrix ``adj``.
+
+    Each node points at a node no larger than itself, so the pointers form
+    trees, each rooted at its smallest node. A round hooks each root onto the
+    smallest root adjacent to its tree, then jumps pointers until every node
+    points at its root. A tree with no smaller root next to it in one round
+    has one in the next, so a component's tree count halves every two rounds
+    and a chain of n nodes takes O(log n) rounds, not n. Once no root hooks,
+    adjacent nodes share a root: their component's smallest node.
+    """
+    n = len(adj)
+    parent = np.arange(n)
+    while True:
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent, np.where(adj, parent, n).min(axis=1))
+        if (hooked == parent).all():
+            return parent
+        jumped = hooked[hooked]
+        while (jumped != hooked).any():
+            hooked, jumped = jumped, jumped[jumped]
+        parent = hooked
 
 
 def dbscan(points: Sequence, eps: float, min_samples: int,
@@ -94,38 +133,15 @@ def dbscan(points: Sequence, eps: float, min_samples: int,
         raise ValueError("min_samples must be >= 1")
 
     near = within_eps(pairwise_distances(points, metric), eps)
-    neighbors = [np.nonzero(near[i])[0] for i in range(n)]
-    core = np.array([len(nb) >= min_samples for nb in neighbors])
-
-    labels = [NOISE] * n
-    cluster = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != NOISE:
-            continue
-        # flood-fill the density-connected component of core points
-        stack = [seed]
-        labels[seed] = cluster
-        while stack:
-            i = stack.pop()
-            for j in neighbors[i]:
-                j = int(j)
-                if core[j] and labels[j] == NOISE:
-                    labels[j] = cluster
-                    stack.append(j)
-        cluster += 1
-
+    core = near.sum(axis=1) >= min_samples
+    to_cores = near & core  # [i, j]: j is a core point within eps of i
+    # clusters: the components of the graph of core points, numbered by
+    # smallest core index
+    roots = _components(to_cores & core[:, None])
+    numbers = np.cumsum(core & (roots == np.arange(n))) - 1
+    labels = np.where(core, numbers[roots], NOISE)
     # border points: attach to the first core neighbor (input order)
-    for i in range(n):
-        if labels[i] != NOISE or core[i]:
-            continue
-        for j in neighbors[i]:
-            j = int(j)
-            if core[j]:
-                labels[i] = labels[j]
-                break
-
-    sizes: dict[int, int] = {}
-    for lab in labels:
-        if lab != NOISE:
-            sizes[lab] = sizes.get(lab, 0) + 1
-    return ClusterPartition(tuple(labels), tuple(sizes[k] for k in sorted(sizes)))
+    border = ~core & to_cores.any(axis=1)
+    labels[border] = labels[to_cores[border].argmax(axis=1)]
+    sizes = np.bincount(labels[labels != NOISE])
+    return ClusterPartition(tuple(labels.tolist()), tuple(sizes.tolist()))

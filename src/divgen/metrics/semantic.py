@@ -9,10 +9,18 @@ callers pass ``allow_zero=True`` and read its similarities as 0 (text without
 a word token embeds to zero under the hash embedder). Callers that compare or
 rank similarities round them to 12 decimals, so no result depends on the
 summation order of the matrix product.
+
+``cosine_matrix`` and the metrics also take rows with a known unit form, a
+``UnitRows``: a corpus's rows held with their unit form, computed once.
+``unit_rows`` passes that form through, so the report's bootstrap resamples,
+which gather rows of one corpus, normalise nothing. A row's norm does not
+depend on the rows normalised with it, so the gathered unit rows are bit for
+bit ``unit_rows`` of the gathered raw rows, and each score is unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -26,9 +34,47 @@ def _stack(embeddings: Sequence) -> np.ndarray:
     return arr
 
 
+class UnitRows:
+    """Embedding rows held with their unit form, which is computed once (a
+    zero-norm row raises ValueError). ``unit_rows`` returns that form as it
+    is and ``np.asarray`` gives the raw rows. Indexing with a sequence of row
+    indices gathers lazily: ``rows[idx]`` is a ``UnitRows`` that takes its
+    raw or unit rows only when one is read, so a caller that reads neither
+    costs no copy."""
+
+    __slots__ = ("_raw", "_unit", "_index")
+
+    def __init__(self, embeddings: Sequence):
+        self._raw = _stack(embeddings)
+        self._unit = unit_rows(self._raw)
+        self._index = None  # every row
+
+    def __len__(self) -> int:
+        return len(self._raw) if self._index is None else len(self._index)
+
+    def __getitem__(self, index: Sequence[int]) -> "UnitRows":
+        rows = object.__new__(UnitRows)
+        rows._raw, rows._unit = self._raw, self._unit
+        rows._index = index if self._index is None else np.asarray(self._index)[index]
+        return rows
+
+    @property
+    def raw(self) -> np.ndarray:
+        return self._raw if self._index is None else self._raw[self._index]
+
+    @property
+    def unit(self) -> np.ndarray:
+        return self._unit if self._index is None else self._unit[self._index]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.raw, dtype=dtype)
+
+
 def unit_rows(embeddings: Sequence, allow_zero: bool = False) -> np.ndarray:
     """Each row scaled to unit norm; a zero-norm row raises ValueError, or
-    with ``allow_zero`` stays zero."""
+    with ``allow_zero`` stays zero. A ``UnitRows`` gives its unit form."""
+    if isinstance(embeddings, UnitRows):
+        return embeddings.unit
     arr = _stack(embeddings)
     norms = np.linalg.norm(arr, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
@@ -52,14 +98,23 @@ def cosine_matrix(a: Sequence, b: Sequence | None = None,
     return np.clip(sim, -1.0, 1.0, out=sim)
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per size and read-only, since
+    every caller shares it."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def paraphrase_variety(embeddings: Sequence) -> float:
     """Mean (1 - cosine similarity) over unordered pairs."""
     sim = cosine_matrix(embeddings)
     n = sim.shape[0]
     if n < 2:
         return 0.0
-    iu = np.triu_indices(n, k=1)
-    return float(np.mean(1.0 - sim[iu]))
+    return float(np.mean(1.0 - sim[_pairs(n)]))
 
 
 def chamfer_distance_score(embeddings: Sequence) -> float:
@@ -81,7 +136,7 @@ def semantic_spread(embeddings: Sequence) -> float:
     if cnorm == 0.0:
         raise ValueError("semantic_spread: centroid has zero norm (degenerate"
                          " antipodal configuration)")
-    return float(np.mean(1.0 - cosine_matrix(arr, centroid)[:, 0]))
+    return float(np.mean(1.0 - cosine_matrix(embeddings, centroid)[:, 0]))
 
 
 def vendi_score(embeddings: Sequence) -> float:

@@ -31,10 +31,11 @@ def bootstrap_std(
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     rng = random.Random(seed)
-    size = max(1, int(math.floor(fraction * len(items))))
+    population = list(items)
+    size = max(1, int(math.floor(fraction * len(population))))
     values = []
     for _ in range(n_resamples):
-        subsample = rng.sample(list(items), size)
+        subsample = rng.sample(population, size)
         values.append(float(metric_fn(subsample)))
     if min(values) == max(values):
         return 0.0

@@ -20,8 +20,9 @@ one long numpy row in which the in-row recurrence is a running minimum, and
 the lower heights come first, so every distance a cell reads is already
 known. Row groups are cut into tiles that bound the forest tables' memory.
 The corpus's distance table is kept, so its bootstrap resamples, which hold
-subsets of its trees, read it without a kernel call. Each sentence's tree
-shape and postorder are memoised.
+subsets of its trees, read it without a kernel call. Each text's sentence
+parts and each sentence's tree shape and postorder are memoised, so a
+resample splits and chunks nothing.
 """
 
 from __future__ import annotations
@@ -51,10 +52,16 @@ def tree_shape(node: TreeNode) -> str:
     return "(" + node.label + " " + " ".join(tree_shape(c) for c in node.children) + ")"
 
 
+@functools.lru_cache(maxsize=65536)
+def _sentence_parts(text: str) -> tuple[str, ...]:
+    """``sentences_of(text)``, split once per text."""
+    return tuple(part.strip() for part in SENTENCE_SPLIT_RE.split(text)
+                 if tokenize(part))
+
+
 def sentences_of(text: str) -> list[str]:
     """Split on terminal punctuation runs, keeping parts that carry tokens."""
-    return [part.strip() for part in SENTENCE_SPLIT_RE.split(text)
-            if tokenize(part)]
+    return list(_sentence_parts(text))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,7 @@ def _chunk_shape(sentence: str) -> str:
 
 def sentence_shapes(text: str) -> list[str]:
     """Tree shape of each sentence of one text."""
-    return [_chunk_shape(s) for s in sentences_of(text)]
+    return [_chunk_shape(s) for s in _sentence_parts(text)]
 
 
 def parse_tree_entropy(corpus: Sequence[str]) -> float:
@@ -443,7 +450,7 @@ def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
     and each pair of distinct trees adds its distance times both counts. The
     sum is an integer, so the mean equals the sentence-pair loop's exactly.
     """
-    counts = Counter(_chunk_postorder(s) for text in corpus for s in sentences_of(text))
+    counts = Counter(_chunk_postorder(s) for text in corpus for s in _sentence_parts(text))
     n = sum(counts.values())
     if n < 2:
         return 0.0

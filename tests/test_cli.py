@@ -201,6 +201,30 @@ def test_analyze_writes_report(tmp_path):
     assert len(report["rows"]) == 12
 
 
+@pytest.mark.parametrize("queries, problem", [
+    ([], "cannot analyze an empty corpus"),
+    (["Find a hotel in Paris.", "你好吗？"], "query 2 has no word token"),
+    (["...", "Find a hotel in Paris."], "query 1 has no word token"),
+])
+def test_analyze_refuses_a_corpus_it_cannot_score(tmp_path, capsys, queries, problem):
+    src = _write_corpus(tmp_path / "bad.json", queries)
+    out = tmp_path / "report.json"
+    assert run(["analyze", src, "--out", str(out)]) == 2
+    assert f"error: {src}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_compare_refuses_a_corpus_it_cannot_score(tmp_path, capsys, bad_first):
+    good = _write_corpus(tmp_path / "good.json", varied_corpus()[:10])
+    bad = _write_corpus(tmp_path / "bad.json", ["Book a flight.", "Rome", "!?"])
+    out = tmp_path / "cmp.json"
+    pair = [bad, good] if bad_first else [good, bad]
+    assert run(["compare", *pair, "--out", str(out)]) == 2
+    assert f"error: {bad}: query 3 has no word token" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_self_has_zero_significant_rows(tmp_path):
     src = _write_corpus(tmp_path / "c.json", varied_corpus()[:10])
     out = tmp_path / "cmp.json"

@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from divgen.evaluate import (
@@ -13,8 +14,15 @@ from divgen.evaluate import (
     paired_model_comparison,
 )
 from divgen.fixtures import repetitive_corpus, varied_corpus
-from divgen.metrics.battery import REPORT_METRICS
-from divgen.model import ExecutionType, GeneratedExample, Invocation
+from divgen.metrics import semantic, trees
+from divgen.metrics.battery import (
+    METRICS,
+    REPORT_METRICS,
+    EmbeddingCache,
+    metric_fn_over_indices,
+)
+from divgen.metrics.semantic import UnitRows
+from divgen.model import ExecutionType, GeneratedExample, Invocation, ModelError
 from divgen.preprocess import group_parameters
 from divgen.providers.base import SignatureClient
 from divgen.providers.mock import ScriptedChat
@@ -249,3 +257,74 @@ def test_metric_table_looks_metrics_up_at_call_time(monkeypatch, embedder):
     assert list(full) == list(REPORT_METRICS)
     assert (full["vendi"], full["semantic_spread"]) == (42.0, -1.0)
     assert battery.metric_fn_over_indices("vendi", texts, emb)([0, 1]) == 42.0
+
+
+def report_corpus(size):
+    """``size`` texts: the bundled corpora's queries, multi-sentence texts and,
+    from two texts on, one text repeated."""
+    texts = (varied_corpus() + repetitive_corpus())[:max(1, size - 8)]
+    texts += [f"{a} {b}" for a, b in zip(varied_corpus(), repetitive_corpus()[3:])]
+    texts = texts[:size]
+    if size > 1:
+        texts[-1] = texts[0]
+    return texts
+
+
+@pytest.mark.parametrize("size", [1, 2, 40])
+def test_report_resamples_equal_the_metrics_on_gathered_rows(size, embedder):
+    texts = report_corpus(size)
+    assert len(texts) == size
+    if size == 40:
+        assert len(set(texts)) < size
+        assert sum(text.count(".") + text.count("?") > 1 for text in texts) >= 5
+    emb = EmbeddingCache(embedder).matrix(texts)
+    rows = UnitRows(emb)
+    rng = random.Random(size)
+    # the full corpus, then resamples that repeat indices
+    resamples = [list(range(size)), [0, 0]] + [
+        rng.choices(range(size), k=max(2, size * 4 // 5)) for _ in range(6)]
+    for name in REPORT_METRICS:
+        fn = metric_fn_over_indices(name, texts, rows)
+        for idx in resamples:
+            want = METRICS[name]([texts[i] for i in idx], emb[np.array(idx)])
+            assert fn(idx) == want, (name, idx)
+
+
+def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch, embedder):
+    corpus = report_corpus(40)
+    normalised = []
+    unit_rows = semantic.unit_rows
+
+    def counting_unit_rows(embeddings, allow_zero=False):
+        if not isinstance(embeddings, UnitRows):
+            normalised.append(len(semantic._stack(embeddings)))
+        return unit_rows(embeddings, allow_zero)
+
+    split = []
+    pattern = trees.SENTENCE_SPLIT_RE
+
+    class CountingSplit:
+        def split(self, text):
+            split.append(text)
+            return pattern.split(text)
+
+    monkeypatch.setattr(semantic, "unit_rows", counting_unit_rows)
+    monkeypatch.setattr(trees, "SENTENCE_SPLIT_RE", CountingSplit())
+    trees._sentence_parts.cache_clear()
+    analyze_corpus(corpus, embedder, seed=3)
+    # the full corpus once; every other row normalised is semantic_spread's
+    # centroid, one per score
+    assert normalised.count(len(corpus)) == 1
+    assert normalised.count(1) == 101 and len(normalised) == 102
+    assert sorted(split) == sorted(set(corpus))
+
+
+def test_analyze_refuses_a_tokenless_query_before_embedding():
+    class Unreachable:
+        def embed(self, texts):
+            raise AssertionError("embedded a corpus the report refuses")
+
+    with pytest.raises(ModelError, match="^corpus: query 2 has no word token$"):
+        analyze_corpus(["Find a hotel in Paris.", "你好吗？"], Unreachable())
+    with pytest.raises(ValueError, match="^corpus: cannot analyze an empty corpus$"):
+        analyze_corpus([], Unreachable())

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divgen.metrics.semantic import (
+    UnitRows,
     chamfer_distance_score,
     cosine_matrix,
     paraphrase_variety,
     semantic_spread,
+    unit_rows,
     vendi_from_eigenvalues,
     vendi_score,
 )
@@ -124,3 +126,16 @@ def test_cosine_matrix_zero_row_policy():
         cosine_matrix(a, b)
     with pytest.raises(ValueError, match="zero-norm"):
         cosine_matrix(b, a)
+
+
+def test_unit_rows_gathers_raw_rows_and_their_unit_form():
+    raw = np.random.default_rng(4).normal(size=(5, 3))
+    rows = UnitRows(raw)
+    # a gather with a repeated row, and a gather of that gather
+    for gathered, want in ((rows[[2, 0, 2]], [2, 0, 2]), (rows[[2, 0, 2]][[1, 2]], [0, 2])):
+        assert len(gathered) == len(want)
+        assert np.array_equal(np.asarray(gathered), raw[want])
+        assert np.array_equal(unit_rows(gathered), unit_rows(raw[want]))
+        assert np.array_equal(cosine_matrix(gathered), cosine_matrix(raw[want]))
+    with pytest.raises(ValueError, match=r"zero-norm row\(s\) \[1\]"):
+        UnitRows([[1.0, 0.0], [0.0, 0.0]])
