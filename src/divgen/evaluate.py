@@ -4,7 +4,10 @@ Linguistic comparison scores twelve metrics per corpus with seeded bootstrap
 standard deviations and the 1.96-rule significance flag. Argument comparison
 matches parameter groups across datasets (grouping both libraries jointly),
 samples 20 values per group, and scores them by compression distance and
-cluster entropy. Model comparisons build discordant-pair counts for McNemar,
+cluster entropy. Every bootstrap resample is a set of positions into one corpus
+or value sample, and reads the tables built once for it where its metric has
+one: token ids for TTR and Simpson, a neighbourhood table for cluster entropy,
+and an ordered-pair table for NCD. Model comparisons build discordant-pair counts for McNemar,
 with Holm-Bonferroni across categories.
 """
 
@@ -21,10 +24,10 @@ from divgen.metrics.battery import (
     evaluate_full_battery,
     metric_fn_over_indices,
 )
-from divgen.metrics.cluster_entropy import value_cluster_entropy
+from divgen.metrics.cluster_entropy import value_cluster_entropy, value_entropy_over_indices
 from divgen.metrics.semantic import UnitRows
 from divgen.metrics.stats import bootstrap_std, holm_bonferroni, mcnemar, significance
-from divgen.metrics.text import ncd_diversity, tokenize
+from divgen.metrics.text import ncd_over_indices, tokenize
 from divgen.model import (
     MISSING_SENTINEL,
     FunctionSchema,
@@ -108,7 +111,8 @@ def analyze_corpus(corpus: Sequence[str], embedder, seed: int = 0,
     An empty corpus, or a query without a word token, which no text metric
     can score, raises ModelError naming ``label`` and the query's 1-based
     position. The corpus's embedding rows are normalised once, and every
-    resample gathers its rows and their unit form from them.
+    resample gathers its rows and their unit form from them, or reads its
+    metric's per-corpus table (``battery.OVER_INDICES``).
     """
     corpus = list(corpus)
     if not corpus:
@@ -209,6 +213,7 @@ def compare_argument_diversity(
     freq_b = value_frequencies(values_b)
 
     rng = random.Random(seed)
+    positions = list(range(GROUP_SAMPLE_SIZE))
     rows: list[dict[str, Any]] = []
     sums = {"ncd_a": 0.0, "ncd_b": 0.0, "ce_a": 0.0, "ce_b": 0.0}
     for group in groups.groups:
@@ -221,27 +226,23 @@ def compare_argument_diversity(
         sample_a = rng.sample(va, GROUP_SAMPLE_SIZE)
         sample_b = rng.sample(vb, GROUP_SAMPLE_SIZE)
         category = group.category.value
-
-        def ncd_fn(vals: list[Any]) -> float:
-            return ncd_diversity([str(v) for v in vals])
-
-        def ce_fn(vals: list[Any], _cat: str = category) -> float:
-            return value_cluster_entropy(vals, _cat, embedder)
-
+        ncd_a, ncd_b = (ncd_over_indices([str(v) for v in s]) for s in (sample_a, sample_b))
+        ce_a, ce_b = (value_entropy_over_indices(s, category, embedder)
+                      for s in (sample_a, sample_b))
         row = {
             "group": group.id,
             "category": category,
             "members": [f"{fn}.{pn}" for fn, pn in group.members],
             "frequencies_a": freq_a.get(group.id, {}),
             "frequencies_b": freq_b.get(group.id, {}),
-            "ncd_a": ncd_fn(sample_a),
-            "ncd_b": ncd_fn(sample_b),
-            "ncd_std_a": bootstrap_std(sample_a, ncd_fn, seed=seed + 1),
-            "ncd_std_b": bootstrap_std(sample_b, ncd_fn, seed=seed + 2),
-            "ce_a": ce_fn(sample_a),
-            "ce_b": ce_fn(sample_b),
-            "ce_std_a": bootstrap_std(sample_a, ce_fn, seed=seed + 3),
-            "ce_std_b": bootstrap_std(sample_b, ce_fn, seed=seed + 4),
+            "ncd_a": ncd_a(positions),
+            "ncd_b": ncd_b(positions),
+            "ncd_std_a": bootstrap_std(positions, ncd_a, seed=seed + 1),
+            "ncd_std_b": bootstrap_std(positions, ncd_b, seed=seed + 2),
+            "ce_a": value_cluster_entropy(sample_a, category, embedder),
+            "ce_b": value_cluster_entropy(sample_b, category, embedder),
+            "ce_std_a": bootstrap_std(positions, ce_a, seed=seed + 3),
+            "ce_std_b": bootstrap_std(positions, ce_b, seed=seed + 4),
         }
         ncd_sig, ncd_dir = significance(row["ncd_a"], row["ncd_std_a"],
                                         row["ncd_b"], row["ncd_std_b"])

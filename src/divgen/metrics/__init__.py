@@ -1,6 +1,8 @@
 """Diversity metrics, clustering, rank fusion, and comparison statistics."""
 
-from divgen.metrics.dbscan import NOISE, ClusterPartition, dbscan
+# ``dbscan`` the function stays in its module: importing it here would rebind
+# the package's ``dbscan`` attribute, the submodule, to the function
+from divgen.metrics.dbscan import NOISE, ClusterPartition
 from divgen.metrics.cluster_entropy import (
     cluster_entropy_bits,
     query_cluster_entropy,
@@ -42,7 +44,6 @@ from divgen.metrics.battery import (
 __all__ = [
     "NOISE",
     "ClusterPartition",
-    "dbscan",
     "cluster_entropy_bits",
     "query_cluster_entropy",
     "value_cluster_entropy",

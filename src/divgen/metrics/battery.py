@@ -13,7 +13,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from divgen.metrics.cluster_entropy import entropy_of_sizes, query_cluster_entropy
+from divgen.metrics.cluster_entropy import (
+    entropy_of_sizes,
+    query_cluster_entropy,
+    query_entropy_over_indices,
+)
 from divgen.metrics.semantic import (
     chamfer_distance_score,
     kernel_eigenvalues,
@@ -24,6 +28,7 @@ from divgen.metrics.semantic import (
     vendi_score,
 )
 from divgen.metrics.text import (
+    TokenCounts,
     compression_ratio,
     compression_ratio_diversity,
     deflater,
@@ -271,16 +276,31 @@ def evaluate_full_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[
     return _evaluate(REPORT_METRICS, texts, embeddings)
 
 
+#: Per-corpus tables for the metrics whose resamples need not gather texts or
+#: rows: each entry builds its table from (texts, embedding rows) once and
+#: returns the metric as a function of index subsets, equal bit for bit to the
+#: ``METRICS`` entry on the gathered texts and rows.
+OVER_INDICES: dict[str, Callable[[Sequence[str], np.ndarray],
+                                  Callable[[Sequence[int]], float]]] = {
+    "ttr": lambda texts, emb: TokenCounts(texts).type_token_ratio,
+    "simpson": lambda texts, emb: TokenCounts(texts).simpson_index,
+    "cluster_entropy": lambda texts, emb: query_entropy_over_indices(emb),
+}
+
+
 def metric_fn_over_indices(
     name: str, texts: Sequence[str], embeddings: np.ndarray
-) -> Callable[[list[int]], float]:
+) -> Callable[[Sequence[int]], float]:
     """A single named metric as a function of corpus index subsets.
 
-    Used by bootstrap resampling: texts and embeddings are fixed once, each call
-    evaluates the metric on the selected rows only. With ``embeddings`` a
-    ``semantic.UnitRows``, a call gathers the selected rows only if its metric
-    reads them, and their unit form with them.
+    Used by bootstrap resampling: texts and embeddings are fixed once. A metric
+    with an ``OVER_INDICES`` entry builds its table here and each call reads
+    it; any other call evaluates the metric on the selected texts and rows.
+    With ``embeddings`` a ``semantic.UnitRows``, such a call gathers the
+    selected rows only if its metric reads them, and their unit form with them.
     """
+    if name in OVER_INDICES:
+        return OVER_INDICES[name](texts, embeddings)
     metric = METRICS[name]
     texts = list(texts)
     return lambda indices: metric([texts[i] for i in indices], embeddings[indices])

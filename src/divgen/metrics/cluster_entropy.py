@@ -12,6 +12,12 @@ calls, so each call costs the rows of its new values only. It grows its point
 buffer in place and keeps a histogram of its component sizes, and an entropy
 sums one term per distinct size, so neither a commit nor a score copies or
 walks the whole index outside the distance product.
+
+The report's bootstrap resamples score many subsets of one value sample or
+query corpus; ``value_entropy_over_indices`` and ``query_entropy_over_indices``
+build its neighbourhood table once, and each subset partitions its sub-table.
+A NUMERICAL value that is not a finite number is refused, as a non-numeric one
+is: an infinity is at NaN distance from itself, so it would stand alone.
 """
 
 from __future__ import annotations
@@ -19,11 +25,17 @@ from __future__ import annotations
 import math
 from collections import ChainMap, Counter
 from itertools import chain, repeat
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from divgen.metrics.dbscan import ClusterPartition, dbscan, pairwise_distances, within_eps
+from divgen.metrics.dbscan import (
+    ClusterPartition,
+    dbscan,
+    pairwise_distances,
+    partition,
+    within_eps,
+)
 from divgen.metrics.semantic import unit_rows
 
 NUMERIC_EPS = 0.5
@@ -56,32 +68,52 @@ def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
 
 
 def _parse_numeric(values: Sequence) -> list[float]:
+    """The values as finite floats; a value that is not a number, or is an
+    infinity or NaN, which no distance places, raises ValueError naming it."""
     out: list[float] = []
     bad: list[str] = []
     for v in values:
         try:
-            out.append(float(v))
+            number = float(v)
         except (TypeError, ValueError):
             bad.append(repr(v))
+            continue
+        if math.isfinite(number):
+            out.append(number)
+        else:
+            bad.append(repr(v))
     if bad:
-        raise ValueError(f"non-numeric value(s) for NUMERICAL entropy: {', '.join(bad)}")
+        raise ValueError("non-numeric or non-finite value(s) for NUMERICAL entropy: "
+                         + ", ".join(bad))
     return out
+
+
+def _space(category: str, embedder) -> tuple[float, str]:
+    """(eps, metric) of a parameter group's values."""
+    if category == "NUMERICAL":
+        return NUMERIC_EPS, "euclidean"
+    if category == "STRING":
+        if embedder is None:
+            raise ValueError("STRING entropy requires an embedder")
+        return STRING_EPS, "cosine"
+    raise ValueError(f"cluster entropy is defined for NUMERICAL/STRING, not {category!r}")
+
+
+def _value_points(values: Sequence, category: str, embedder) -> tuple[Sequence, float, str]:
+    """A group's values as points (numbers, or string embeddings), with the
+    group's eps and metric."""
+    if len(values) == 0:
+        raise ValueError("value_cluster_entropy requires at least one value")
+    eps, metric = _space(category, embedder)
+    if category == "NUMERICAL":
+        return _parse_numeric(values), eps, metric
+    return embedder.embed([str(v) for v in values]), eps, metric
 
 
 def value_cluster_entropy(values: Sequence, category: str, embedder=None) -> float:
     """Diversity of one parameter group's committed values, in bits."""
-    if len(values) == 0:
-        raise ValueError("value_cluster_entropy requires at least one value")
-    if category == "NUMERICAL":
-        partition = dbscan(_parse_numeric(values), NUMERIC_EPS, MIN_SAMPLES, "euclidean")
-    elif category == "STRING":
-        if embedder is None:
-            raise ValueError("STRING entropy requires an embedder")
-        vectors = embedder.embed([str(v) for v in values])
-        partition = dbscan(vectors, STRING_EPS, MIN_SAMPLES, "cosine")
-    else:
-        raise ValueError(f"cluster entropy is defined for NUMERICAL/STRING, not {category!r}")
-    return cluster_entropy_bits(partition)
+    points, eps, metric = _value_points(values, category, embedder)
+    return cluster_entropy_bits(dbscan(points, eps, MIN_SAMPLES, metric))
 
 
 def query_cluster_entropy(embeddings: Sequence) -> float:
@@ -89,6 +121,30 @@ def query_cluster_entropy(embeddings: Sequence) -> float:
     if len(embeddings) == 0:
         raise ValueError("query_cluster_entropy requires at least one embedding")
     return cluster_entropy_bits(dbscan(embeddings, QUERY_EPS, MIN_SAMPLES, "cosine"))
+
+
+def _entropy_over_indices(points: Sequence, eps: float,
+                          metric: str) -> Callable[[Sequence[int]], float]:
+    near = within_eps(pairwise_distances(points, metric), eps)
+    return lambda indices: cluster_entropy_bits(
+        partition(near[np.ix_(indices, indices)], MIN_SAMPLES))
+
+
+def value_entropy_over_indices(values: Sequence, category: str,
+                               embedder=None) -> Callable[[Sequence[int]], float]:
+    """``value_cluster_entropy`` of the values at each index subset, from one
+    neighbourhood table of ``values``: each subset partitions its sub-table,
+    which ``dbscan``'s 12-decimal neighbour test makes equal to the table of
+    the gathered values, so every score is the same bits."""
+    return _entropy_over_indices(*_value_points(values, category, embedder))
+
+
+def query_entropy_over_indices(embeddings: Sequence) -> Callable[[Sequence[int]], float]:
+    """``query_cluster_entropy`` of the rows at each index subset, from one
+    neighbourhood table, as ``value_entropy_over_indices``."""
+    if len(embeddings) == 0:
+        raise ValueError("query_cluster_entropy requires at least one embedding")
+    return _entropy_over_indices(embeddings, QUERY_EPS, "cosine")
 
 
 # Committed values are indexed in blocks of this many, so building an index
@@ -118,14 +174,7 @@ class ValueIndex:
     """
 
     def __init__(self, category: str, embedder=None):
-        if category == "NUMERICAL":
-            self.eps, self.metric = NUMERIC_EPS, "euclidean"
-        elif category == "STRING":
-            if embedder is None:
-                raise ValueError("STRING entropy requires an embedder")
-            self.eps, self.metric = STRING_EPS, "cosine"
-        else:
-            raise ValueError(f"cluster entropy is defined for NUMERICAL/STRING, not {category!r}")
+        self.eps, self.metric = _space(category, embedder)
         self.category = category
         self.embedder = embedder
         self._reset()

@@ -21,6 +21,13 @@ computed from one row against a block can differ in its last bit from the same
 entry of the full matrix, and the rounding makes both give the same
 neighbourhood, so an incremental caller (``cluster_entropy.ValueIndex``) agrees
 with this function at ties.
+
+``dbscan`` takes two steps, each callable alone: the neighbourhood table,
+``within_eps(pairwise_distances(points, metric), eps)``, and the ``partition``
+of that table. A caller that clusters many subsets of one point set, as the
+report's bootstrap resamples do, builds the table once and partitions
+``near[np.ix_(idx, idx)]`` per subset: by the same rounding, that sub-table is
+the table of the gathered points.
 """
 
 from __future__ import annotations
@@ -122,17 +129,11 @@ def _components(adj: np.ndarray) -> np.ndarray:
         parent = hooked
 
 
-def dbscan(points: Sequence, eps: float, min_samples: int,
-           metric: str = "euclidean") -> ClusterPartition:
-    n = len(points)
-    if n < 1:
-        raise ValueError("dbscan requires at least one point")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if min_samples < 1:
-        raise ValueError("min_samples must be >= 1")
-
-    near = within_eps(pairwise_distances(points, metric), eps)
+def partition(near: np.ndarray, min_samples: int) -> ClusterPartition:
+    """The DBSCAN partition of the points of a neighbourhood table: ``near``
+    is the symmetric boolean (n, n) table of which points lie within eps of
+    which, each of itself included, as ``within_eps`` gives it."""
+    n = len(near)
     core = near.sum(axis=1) >= min_samples
     to_cores = near & core  # [i, j]: j is a core point within eps of i
     # clusters: the components of the graph of core points, numbered by
@@ -145,3 +146,15 @@ def dbscan(points: Sequence, eps: float, min_samples: int,
     labels[border] = labels[to_cores[border].argmax(axis=1)]
     sizes = np.bincount(labels[labels != NOISE])
     return ClusterPartition(tuple(labels.tolist()), tuple(sizes.tolist()))
+
+
+def dbscan(points: Sequence, eps: float, min_samples: int,
+           metric: str = "euclidean") -> ClusterPartition:
+    n = len(points)
+    if n < 1:
+        raise ValueError("dbscan requires at least one point")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if min_samples < 1:
+        raise ValueError("min_samples must be >= 1")
+    return partition(within_eps(pairwise_distances(points, metric), eps), min_samples)

@@ -1,16 +1,23 @@
-"""Bootstrap standard deviations and paired significance tests."""
+"""Bootstrap standard deviations over seeded draws of positions, and paired
+significance tests."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from divgen.metrics.text import variance
 
 T = TypeVar("T")
 
 MCNEMAR_EXACT_BELOW = 25
+#: Draw sets kept by ``bootstrap_std``: a ``compare`` scores twelve metrics and
+#: four argument columns, each under its own seed.
+DRAW_MEMO_SIZE = 16
 
 
 def bootstrap_std(
@@ -24,22 +31,35 @@ def bootstrap_std(
 
     Each resample draws floor(fraction * n) items without replacement from a
     ``random.Random(seed)`` stream (one ``sample`` call per resample, in order),
-    so the result is fully determined by the seed.
+    so the result is fully determined by the seed. ``sample`` chooses
+    positions without looking at the items, so the positions are drawn once per
+    (seed, n, size, resample count) and kept (``_draws``), and each resample
+    maps its positions to the items: two corpora of one size, scored under one
+    seed, share their draws.
     """
     if not items:
         raise ValueError("bootstrap_std requires at least one item")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    rng = random.Random(seed)
     population = list(items)
     size = max(1, int(math.floor(fraction * len(population))))
-    values = []
-    for _ in range(n_resamples):
-        subsample = rng.sample(population, size)
-        values.append(float(metric_fn(subsample)))
+    values = [float(metric_fn([population[i] for i in positions]))
+              for positions in _draws(seed, len(population), size, n_resamples).tolist()]
     if min(values) == max(values):
         return 0.0
     return math.sqrt(variance(values))
+
+
+@functools.lru_cache(maxsize=DRAW_MEMO_SIZE)
+def _draws(seed: int, n: int, size: int, n_resamples: int) -> np.ndarray:
+    """Row r: the positions that the r-th ``sample(population, size)`` call of
+    a ``random.Random(seed)`` stream picks from a population of n. Read-only,
+    since every caller with this key shares it."""
+    rng = random.Random(seed)
+    draws = np.array([rng.sample(range(n), size) for _ in range(n_resamples)],
+                     dtype=np.intp).reshape(n_resamples, size)
+    draws.flags.writeable = False
+    return draws
 
 
 def significance(mu1: float, sigma1: float, mu2: float, sigma2: float) -> tuple[bool, int]:

@@ -12,7 +12,9 @@ import math
 import re
 import zlib
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -47,12 +49,41 @@ def ratio_of_types(types: int, tokens: int) -> float:
 
 def simpson_index(corpus: Sequence[str]) -> float:
     """1 - sum(p_i^2) over word-frequency fractions; 0 = one repeated word."""
-    tokens = _corpus_tokens(corpus)
-    if not tokens:
+    return simpson_of_counts(list(Counter(_corpus_tokens(corpus)).values()))
+
+
+def simpson_of_counts(counts: Sequence[int]) -> float:
+    """Simpson's index from the word counts of a corpus. ``fsum`` is correctly
+    rounded, so the order of the counts does not matter."""
+    total = sum(counts)
+    if not total:
         raise ValueError("simpson_index requires at least one token")
-    total = len(tokens)
-    counts = sorted(Counter(tokens).values())
     return 1.0 - math.fsum((c / total) ** 2 for c in counts)
+
+
+class TokenCounts:
+    """A corpus's tokens as ids into the corpus's vocabulary, one array per
+    text, so that the word counts of any index subset of the corpus are one
+    ``np.bincount``. Its type-token ratio and Simpson index read integer
+    counts only, so each equals the metric of the gathered texts bit for bit.
+    """
+
+    def __init__(self, corpus: Sequence[str]):
+        vocabulary: dict[str, int] = {}
+        self._ids = [np.array([vocabulary.setdefault(t, len(vocabulary)) for t in tokenize(text)],
+                              dtype=np.intp) for text in corpus]
+
+    def counts(self, indices: Sequence[int]) -> np.ndarray:
+        """How often each vocabulary token occurs in the texts at ``indices``."""
+        return np.bincount(np.concatenate([self._ids[i] for i in indices]))
+
+    def type_token_ratio(self, indices: Sequence[int]) -> float:
+        counts = self.counts(indices)
+        return ratio_of_types(int(np.count_nonzero(counts)), int(counts.sum()))
+
+    def simpson_index(self, indices: Sequence[int]) -> float:
+        counts = self.counts(indices)
+        return simpson_of_counts(counts[counts > 0].tolist())
 
 
 def _compressed_size(data: bytes) -> int:
@@ -86,24 +117,35 @@ def ncd_diversity(values: Sequence[str]) -> float:
     NCD(x, y) = (C(xy) - min(C(x), C(y))) / max(C(x), C(y)) with C the DEFLATE
     byte length. Requires at least two values.
     """
-    if len(values) < 2:
-        raise ValueError("ncd_diversity requires at least two values (no pairs otherwise)")
+    return ncd_over_indices(values)(range(len(values)))
+
+
+def ncd_over_indices(values: Sequence[str]) -> Callable[[Sequence[int]], float]:
+    """``ncd_diversity`` of the values at each index subset, from one table of
+    the NCD of every ordered pair of distinct values (C(xy) depends on the
+    order), each value and pair compressed once. A subset sums its pairs'
+    entries in ``ncd_diversity``'s pair order, left to right, so its score is
+    the same bits as the pair loop's over the gathered values."""
     encoded = [str(v).encode("utf-8") for v in values]
-    total = 0.0
-    pairs = 0
-    for i in range(len(encoded)):
-        for j in range(i + 1, len(encoded)):
-            total += _ncd(encoded[i], encoded[j])
-            pairs += 1
-    return total / pairs
+    distinct = list(dict.fromkeys(encoded))
+    sizes = [_compressed_size(x) for x in distinct]
+    table = [[(_compressed_size(x + y) - min(cx, cy)) / max(cx, cy)
+              for y, cy in zip(distinct, sizes)] for x, cx in zip(distinct, sizes)]
+    position = {x: i for i, x in enumerate(distinct)}
+    ids = [position[x] for x in encoded]
 
+    def ncd(indices: Sequence[int]) -> float:
+        keys = [ids[i] for i in indices]
+        if len(keys) < 2:
+            raise ValueError("ncd_diversity requires at least two values (no pairs otherwise)")
+        total = 0.0
+        for i, a in enumerate(keys):
+            row = table[a]
+            for b in keys[i + 1:]:
+                total += row[b]
+        return total / (len(keys) * (len(keys) - 1) // 2)
 
-@functools.lru_cache(maxsize=4096)
-def _ncd(x: bytes, y: bytes) -> float:
-    """NCD of one ordered pair (C(xy) depends on the order), memoised so the
-    bootstrap resamples of one value sample compress each pair once."""
-    lo, hi = sorted((_compressed_size(x), _compressed_size(y)))
-    return (_compressed_size(x + y) - lo) / hi
+    return ncd
 
 
 # ---------------------------------------------------------------------------

@@ -433,3 +433,29 @@ def test_report_golden_digests(tmp_path, monkeypatch):
         "compare.json": "d6bd92f2bd5844acb0bdb338b7e9c997817be1a85f4f5683be84e66dc1034917",
         "arguments.json": "9664d4ee58062687f62f661764a621c348b0ee2b63566a9f92bb1ffb8156f881",
     }
+
+
+def test_compare_calls_the_bootstrap_by_its_module_name_once_per_loop(tmp_path, monkeypatch):
+    # a benchmark rebinds ``evaluate.bootstrap_std`` to take a reading after
+    # each bootstrap loop, so every loop must look it up there
+    import divgen.evaluate as evaluate
+    loops = []
+    bootstrap = evaluate.bootstrap_std
+
+    def counting_bootstrap(*args, **kwargs):
+        loops.append(kwargs["seed"])
+        return bootstrap(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "bootstrap_std", counting_bootstrap)
+    art, lib = tmp_path / "art.json", fixture_library_path()
+    a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "cmp.json"
+    assert run(["preprocess", lib, "--seed", "7", "--out", str(art)]) == 0
+    for seed, path in (("7", a), ("9", b)):
+        assert run(["generate", str(art), "--n", "50", "--seed", seed, "--out", str(path)]) == 0
+    assert loops == []
+    assert run(["compare", str(a), str(b), "--library-a", lib, "--library-b", lib,
+                "--out", str(out)]) == 0
+    groups = json.loads(out.read_text())["argument_diversity"]["groups"]
+    assert groups
+    # 12 metrics per corpus, then 4 columns per matched group
+    assert len(loops) == 2 * 12 + 4 * len(groups)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from divgen.metrics.cluster_entropy import (
     entropy_of_sizes,
     query_cluster_entropy,
     value_cluster_entropy,
+    value_entropy_over_indices,
 )
 from divgen.metrics.dbscan import dbscan, pairwise_distances
 from divgen.providers.hash_embed import HashEmbedder
@@ -52,6 +54,18 @@ def test_string_values_cluster_via_embeddings(embedder):
 def test_numeric_parse_error_lists_value():
     with pytest.raises(ValueError, match="'not-a-number'"):
         value_cluster_entropy(["3.5", "not-a-number"], "NUMERICAL")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1e400", "-inf", "nan"])
+def test_numerical_entropy_refuses_a_non_finite_value(bad):
+    # |inf - inf| is NaN, so two equal infinities would never be neighbours
+    message = f"non-finite value\\(s\\) for NUMERICAL entropy: {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        value_cluster_entropy([1, 2, bad, bad], "NUMERICAL")
+    with pytest.raises(ValueError, match=message):
+        value_entropy_over_indices([1, bad], "NUMERICAL")
+    with pytest.raises(ValueError, match=message):
+        ValueIndex("NUMERICAL").extend([1, bad])
 
 
 def test_empty_values_error():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import alarm
-from divgen.metrics.dbscan import NOISE, ClusterPartition, dbscan, pairwise_distances, within_eps
+from divgen.metrics.dbscan import (
+    NOISE,
+    ClusterPartition,
+    dbscan,
+    pairwise_distances,
+    partition,
+    within_eps,
+)
 
 
 def reference_dbscan(points, eps, min_samples, metric="euclidean"):
@@ -221,3 +228,12 @@ def test_a_long_chain_is_one_cluster_in_bounded_time():
         assert assert_same_partition(shuffled, 0.5, 2).cluster_sizes == (300,)
         # the two ends are border points of the 298 cores between them
         assert assert_same_partition(shuffled, 0.5, 3).cluster_sizes == (300,)
+
+
+def test_the_module_path_gives_the_module():
+    import divgen.metrics
+    import divgen.metrics.dbscan as module
+    assert module.__name__ == "divgen.metrics.dbscan"
+    assert divgen.metrics.dbscan is module
+    assert (module.dbscan, module.partition, module.within_eps) == (dbscan, partition, within_eps)
+

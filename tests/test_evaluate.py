@@ -1,9 +1,11 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from divgen.evaluate import (
     analyze_corpus,
@@ -14,19 +16,34 @@ from divgen.evaluate import (
     paired_model_comparison,
 )
 from divgen.fixtures import repetitive_corpus, varied_corpus
-from divgen.metrics import semantic, trees
+from divgen.metrics import battery, semantic, stats, trees
 from divgen.metrics.battery import (
     METRICS,
     REPORT_METRICS,
     EmbeddingCache,
     metric_fn_over_indices,
 )
+from divgen.metrics.cluster_entropy import (
+    query_cluster_entropy,
+    query_entropy_over_indices,
+    value_cluster_entropy,
+    value_entropy_over_indices,
+)
 from divgen.metrics.semantic import UnitRows
+from divgen.metrics.stats import DRAW_MEMO_SIZE, bootstrap_std
+from divgen.metrics.text import (
+    TokenCounts,
+    ncd_over_indices,
+    simpson_index,
+    type_token_ratio,
+)
 from divgen.model import ExecutionType, GeneratedExample, Invocation, ModelError
 from divgen.preprocess import group_parameters
 from divgen.providers.base import SignatureClient
+from divgen.providers.hash_embed import HashEmbedder
 from divgen.providers.mock import ScriptedChat
 from test_preprocess import fn, param
+from test_text_metrics import reference_ncd_diversity
 
 
 def test_corpus_vs_itself_never_significant(embedder):
@@ -317,6 +334,116 @@ def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch
     assert normalised.count(len(corpus)) == 1
     assert normalised.count(1) == 101 and len(normalised) == 102
     assert sorted(split) == sorted(set(corpus))
+
+
+# --- per-corpus tables ------------------------------------------------------------
+
+_WORDS = ("find", "a", "cheap", "hotel", "in", "rome", "book", "the", "flight",
+          "to", "oslo", "weather", "tomorrow", "42")
+_sentences = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5).map(" ".join)
+# single- and multi-sentence queries
+_queries = st.lists(_sentences, min_size=1, max_size=3).map(lambda parts: ". ".join(parts) + "?")
+_STRING_VALUES = ("downtown river plaza branch office north wing",
+                  "downtown river plaza branch office north wing annex",
+                  "downtown river plaza branch office south wing", "Oslo", "oslo", "42",
+                  "a much longer value with several words in it")
+_NUMERICAL_VALUES = (0, 0.3, 0.6, 1.7, 2, "2.4", 10, -3.5, 1.7e9, 1.7e9 + 0.4, "7")
+
+
+def _samples(n, rng):
+    """The whole sample, then subsets drawn as the bootstrap draws them."""
+    return [list(range(n))] + [rng.sample(range(n), k) for k in (max(2, n * 4 // 5), 2, n)]
+
+
+def _same(got, want):
+    assert float(got).hex() == float(want).hex()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
+    size = data.draw(st.sampled_from([2, 3, 40]))
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    texts = data.draw(st.lists(_queries, min_size=size, max_size=size))
+    texts[-1] = texts[0]  # a repeated text
+    emb = EmbeddingCache(HashEmbedder()).matrix(texts)
+    tokens = TokenCounts(texts)
+    queries = query_entropy_over_indices(UnitRows(emb))
+    for idx in _samples(size, rng):
+        gathered = [texts[i] for i in idx]
+        _same(tokens.type_token_ratio(idx), type_token_ratio(gathered))
+        _same(tokens.simpson_index(idx), simpson_index(gathered))
+        _same(queries(idx), query_cluster_entropy(emb[np.array(idx)]))
+    for category, pool in (("STRING", _STRING_VALUES), ("NUMERICAL", _NUMERICAL_VALUES)):
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        values[-1] = values[0]  # a repeated value
+        entropies = value_entropy_over_indices(values, category, HashEmbedder())
+        ncd = ncd_over_indices([str(v) for v in values])
+        for idx in _samples(size, rng):
+            gathered = [values[i] for i in idx]
+            _same(entropies(idx), value_cluster_entropy(gathered, category, HashEmbedder()))
+            _same(ncd(idx), reference_ncd_diversity(gathered))
+
+
+def test_a_compare_draws_each_seeds_resamples_once(monkeypatch, embedder):
+    calls = []
+    sample = random.Random.sample
+
+    def counting_sample(self, population, k, **kwargs):
+        calls.append(k)
+        return sample(self, population, k, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", counting_sample)
+    stats._draws.cache_clear()
+    corpus = report_corpus(40)
+    compare_linguistic_diversity(corpus, corpus[::-1], embedder, seed=5)
+    # 12 metrics x 100 resamples of 32, drawn for A and reused for B
+    assert calls == [32] * 1200
+    info = stats._draws.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (12, 12, 12)
+    for seed in range(3 * DRAW_MEMO_SIZE):
+        bootstrap_std(corpus, len, n_resamples=2, seed=seed)
+    assert stats._draws.cache_info().currsize == DRAW_MEMO_SIZE
+
+
+def test_each_table_is_built_once_per_corpus_and_value_sample(monkeypatch, embedder):
+    built, scored = Counter(), Counter()
+
+    def counting(owner, name):
+        build = getattr(owner, name)
+
+        def counting_build(*args):
+            built[name] += 1
+            table = build(*args)
+            return lambda idx: scored.update([name]) or table(idx)
+
+        monkeypatch.setattr(owner, name, counting_build)
+
+    import divgen.evaluate as evaluate
+    counting(battery, "query_entropy_over_indices")
+    counting(evaluate, "value_entropy_over_indices")
+    counting(evaluate, "ncd_over_indices")
+    tokens = []
+    token_counts = battery.TokenCounts
+    monkeypatch.setattr(battery, "TokenCounts",
+                        lambda texts: tokens.append(texts) or token_counts(texts))
+    corpus = report_corpus(40)
+    compare_linguistic_diversity(corpus, corpus[::-1], embedder, seed=5)
+    # one neighbourhood table per corpus; one token table per corpus for each
+    # of ttr and simpson
+    assert built == {"query_entropy_over_indices": 2}
+    assert scored == {"query_entropy_over_indices": 200}
+    assert tokens == [corpus, corpus, corpus[::-1], corpus[::-1]]
+    built.clear()
+    scored.clear()
+    lib = shared_library()
+    ex_a = [city_example(f"a{i}", f"town{i} alpha{i}") for i in range(20)]
+    ex_b = [city_example(f"b{i}", "Same Place") for i in range(20)]
+    compare_argument_diversity(ex_a, ex_b, lib, lib, embedder, seed=1)
+    # per value sample, one neighbourhood table and one NCD table; the NCD
+    # table also gives the sample's score
+    assert built == {"value_entropy_over_indices": 2, "ncd_over_indices": 2}
+    assert scored == {"value_entropy_over_indices": 200, "ncd_over_indices": 202}
 
 
 def test_analyze_refuses_a_tokenless_query_before_embedding():
