@@ -4,27 +4,33 @@ Linguistic comparison scores twelve metrics per corpus with seeded bootstrap
 standard deviations and the 1.96-rule significance flag. Argument comparison
 matches parameter groups across datasets (grouping both libraries jointly),
 samples 20 values per group, and scores them by compression distance and
-cluster entropy. Every bootstrap resample is a set of positions into one corpus
-or value sample, and reads the tables built once for it where its metric has
-one: token ids for TTR and Simpson, a neighbourhood table for cluster entropy,
-and an ordered-pair table for NCD. Model comparisons build discordant-pair counts for McNemar,
-with Holm-Bonferroni across categories.
+cluster entropy. A score and its bootstrap resamples are one function of
+positions: a ``battery.METRICS`` entry over one ``battery.Corpus``, or a value
+sample's NCD or neighbourhood table. Model comparisons build discordant-pair
+counts for McNemar, with Holm-Bonferroni across categories.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from divgen.metrics.battery import (
+# evaluate_full_battery, value_cluster_entropy: bench/spans.py wraps these names
+from divgen.metrics.battery import (  # noqa: F401
+    METRICS,
     REPORT_METRICS,
+    Corpus,
     EmbeddingCache,
     evaluate_full_battery,
-    metric_fn_over_indices,
 )
-from divgen.metrics.cluster_entropy import value_cluster_entropy, value_entropy_over_indices
+from divgen.metrics.cluster_entropy import (  # noqa: F401
+    as_finite,
+    value_cluster_entropy,
+    value_entropy_over_indices,
+)
 from divgen.metrics.semantic import UnitRows
 from divgen.metrics.stats import bootstrap_std, holm_bonferroni, mcnemar, significance
 from divgen.metrics.text import ncd_over_indices, tokenize
@@ -110,9 +116,10 @@ def analyze_corpus(corpus: Sequence[str], embedder, seed: int = 0,
 
     An empty corpus, or a query without a word token, which no text metric
     can score, raises ModelError naming ``label`` and the query's 1-based
-    position. The corpus's embedding rows are normalised once, and every
-    resample gathers its rows and their unit form from them, or reads its
-    metric's per-corpus table (``battery.OVER_INDICES``).
+    position. Each metric's ``METRICS`` entry reads one ``battery.Corpus``
+    for the score and then each resample. The score comes first so that the
+    tree edit distance table, kept for the last corpus its kernel ran on,
+    holds every resample's trees.
     """
     corpus = list(corpus)
     if not corpus:
@@ -120,14 +127,14 @@ def analyze_corpus(corpus: Sequence[str], embedder, seed: int = 0,
     for position, query in enumerate(corpus, 1):
         if not tokenize(query):
             raise ModelError(f"{label}: query {position} has no word token")
-    rows = UnitRows(EmbeddingCache(embedder).matrix(corpus))
-    scores = evaluate_full_battery(corpus, rows)
+    data = Corpus(corpus, UnitRows(EmbeddingCache(embedder).matrix(corpus)))
     report = DiversityReport(label_a=label, seed=seed)
     indices = list(range(len(corpus)))
     for metric in REPORT_METRICS:
-        fn = metric_fn_over_indices(metric, corpus, rows)
+        fn = functools.partial(METRICS[metric], data)
+        score = fn(indices)
         std = bootstrap_std(indices, fn, seed=_metric_seed(seed, metric))
-        report.rows.append(MetricRow(metric, scores[metric], std))
+        report.rows.append(MetricRow(metric, score, std))
     return report
 
 
@@ -201,7 +208,8 @@ def compare_argument_diversity(
     Both libraries are grouped jointly with the shared threshold so a group can
     span datasets; only groups with at least ``GROUP_MIN_OCCURRENCES`` values in
     each dataset participate, and ``GROUP_SAMPLE_SIZE`` values of each are
-    sampled uniformly under the seed.
+    sampled uniformly under the seed. Before any is embedded, a value of those
+    groups that cluster entropy cannot place raises ModelError naming it.
     """
     merged: list[FunctionSchema] = list(library_a)
     names_a = {fn.name for fn in library_a}
@@ -211,20 +219,25 @@ def compare_argument_diversity(
     values_b = collect_group_values(examples_b, groups)
     freq_a = value_frequencies(values_a)
     freq_b = value_frequencies(values_b)
+    matched = [group for group in groups.groups
+               if group.category in (ParamCategory.NUMERICAL, ParamCategory.STRING)
+               and len(values_a.get(group.id, [])) >= GROUP_MIN_OCCURRENCES
+               and len(values_b.get(group.id, [])) >= GROUP_MIN_OCCURRENCES]
+    for group in matched:
+        numerical = group.category is ParamCategory.NUMERICAL
+        for label, values in (("A", values_a), ("B", values_b)):
+            for value in values[group.id]:
+                if as_finite(value) is None if numerical else not tokenize(str(value)):
+                    problem = "is not a finite number" if numerical else "has no word token"
+                    raise ModelError(f"dataset {label}: group {group.id}: {value!r} {problem}")
 
     rng = random.Random(seed)
     positions = list(range(GROUP_SAMPLE_SIZE))
     rows: list[dict[str, Any]] = []
     sums = {"ncd_a": 0.0, "ncd_b": 0.0, "ce_a": 0.0, "ce_b": 0.0}
-    for group in groups.groups:
-        if group.category not in (ParamCategory.NUMERICAL, ParamCategory.STRING):
-            continue
-        va = values_a.get(group.id, [])
-        vb = values_b.get(group.id, [])
-        if len(va) < GROUP_MIN_OCCURRENCES or len(vb) < GROUP_MIN_OCCURRENCES:
-            continue
-        sample_a = rng.sample(va, GROUP_SAMPLE_SIZE)
-        sample_b = rng.sample(vb, GROUP_SAMPLE_SIZE)
+    for group in matched:
+        sample_a = rng.sample(values_a[group.id], GROUP_SAMPLE_SIZE)
+        sample_b = rng.sample(values_b[group.id], GROUP_SAMPLE_SIZE)
         category = group.category.value
         ncd_a, ncd_b = (ncd_over_indices([str(v) for v in s]) for s in (sample_a, sample_b))
         ce_a, ce_b = (value_entropy_over_indices(s, category, embedder)
@@ -239,8 +252,8 @@ def compare_argument_diversity(
             "ncd_b": ncd_b(positions),
             "ncd_std_a": bootstrap_std(positions, ncd_a, seed=seed + 1),
             "ncd_std_b": bootstrap_std(positions, ncd_b, seed=seed + 2),
-            "ce_a": value_cluster_entropy(sample_a, category, embedder),
-            "ce_b": value_cluster_entropy(sample_b, category, embedder),
+            "ce_a": ce_a(positions),
+            "ce_b": ce_b(positions),
             "ce_std_a": bootstrap_std(positions, ce_a, seed=seed + 3),
             "ce_std_b": bootstrap_std(positions, ce_b, seed=seed + 4),
         }

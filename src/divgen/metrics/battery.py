@@ -8,16 +8,13 @@ the optimized battery of one growing corpus plus each of many candidates.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from divgen.metrics.cluster_entropy import (
-    entropy_of_sizes,
-    query_cluster_entropy,
-    query_entropy_over_indices,
-)
+from divgen.metrics.cluster_entropy import entropy_of_sizes, query_entropy_over_indices
 from divgen.metrics.semantic import (
     chamfer_distance_score,
     kernel_eigenvalues,
@@ -27,14 +24,13 @@ from divgen.metrics.semantic import (
     vendi_from_eigenvalues,
     vendi_score,
 )
-from divgen.metrics.text import (
+from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this name
     TokenCounts,
     compression_ratio,
     compression_ratio_diversity,
     deflater,
     fkgl_grade,
     ratio_of_types,
-    simpson_index,
     tokenize,
     type_token_ratio,
     variance,
@@ -66,22 +62,45 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 )
 
 
-#: Every metric as a function of (texts, embedding rows). Entries look their
-#: metric function up by module-global name at call time, so rebinding one of
-#: those names (as a tracer wrapping each metric does) reaches every caller.
-METRICS: dict[str, Callable[[Sequence[str], np.ndarray], float]] = {
-    "ttr": lambda texts, emb: type_token_ratio(texts),
-    "compression_ratio": lambda texts, emb: compression_ratio_diversity(texts),
-    "paraphrase_variety": lambda texts, emb: paraphrase_variety(emb),
-    "parse_tree_entropy": lambda texts, emb: parse_tree_entropy(texts),
-    "chamfer": lambda texts, emb: chamfer_distance_score(emb),
-    "var_fkgl": lambda texts, emb: variance([fkgl_grade(t) for t in texts]),
-    "var_length": lambda texts, emb: variance([float(len(tokenize(t))) for t in texts]),
-    "vendi": lambda texts, emb: vendi_score(emb),
-    "simpson": lambda texts, emb: simpson_index(texts),
-    "tree_edit_distance": lambda texts, emb: avg_tree_edit_distance(texts),
-    "cluster_entropy": lambda texts, emb: query_cluster_entropy(emb),
-    "semantic_spread": lambda texts, emb: semantic_spread(emb),
+class Corpus:
+    """A corpus's texts and embedding rows (a ``semantic.UnitRows`` in the
+    report), and the tables its metrics share, each built on first use: token
+    ids for TTR and Simpson, and the neighbourhood table of cluster entropy.
+    A table read equals the metric of the gathered texts or rows bit for bit."""
+
+    def __init__(self, texts: Sequence[str], rows):
+        self.texts, self.rows = list(texts), rows
+
+    @functools.cached_property
+    def tokens(self) -> TokenCounts:
+        return TokenCounts(self.texts)
+
+    @functools.cached_property
+    def cluster_entropy(self) -> Callable[[Sequence[int]], float]:
+        return query_entropy_over_indices(self.rows)
+
+    def texts_at(self, indices: Sequence[int]) -> list[str]:
+        return [self.texts[i] for i in indices]
+
+
+#: The one metric registry: each metric as a function of (corpus, index
+#: subset), the score of the texts and rows at those indices, so a report
+#: reads a score and its resamples from one entry. Entries look their metric
+#: function up by module-global name at call time, so rebinding one of those
+#: names (as a tracer wrapping each metric does) reaches every caller.
+METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
+    "ttr": lambda c, idx: c.tokens.type_token_ratio(idx),
+    "compression_ratio": lambda c, idx: compression_ratio_diversity(c.texts_at(idx)),
+    "paraphrase_variety": lambda c, idx: paraphrase_variety(c.rows[idx]),
+    "parse_tree_entropy": lambda c, idx: parse_tree_entropy(c.texts_at(idx)),
+    "chamfer": lambda c, idx: chamfer_distance_score(c.rows[idx]),
+    "var_fkgl": lambda c, idx: variance([fkgl_grade(t) for t in c.texts_at(idx)]),
+    "var_length": lambda c, idx: variance([float(len(tokenize(t))) for t in c.texts_at(idx)]),
+    "vendi": lambda c, idx: vendi_score(c.rows[idx]),
+    "simpson": lambda c, idx: c.tokens.simpson_index(idx),
+    "tree_edit_distance": lambda c, idx: avg_tree_edit_distance(c.texts_at(idx)),
+    "cluster_entropy": lambda c, idx: c.cluster_entropy(idx),
+    "semantic_spread": lambda c, idx: semantic_spread(c.rows[idx]),
 }
 
 
@@ -112,7 +131,8 @@ def _evaluate(names: Sequence[str], texts: Sequence[str],
               embeddings: np.ndarray) -> dict[str, float]:
     if len(texts) == 0:
         raise ValueError("battery requires a non-empty corpus")
-    return {name: METRICS[name](texts, embeddings) for name in names}
+    corpus, indices = Corpus(texts, embeddings), list(range(len(texts)))
+    return {name: METRICS[name](corpus, indices) for name in names}
 
 
 def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, float]:
@@ -275,32 +295,3 @@ def evaluate_full_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[
     """All twelve report metrics for one corpus snapshot."""
     return _evaluate(REPORT_METRICS, texts, embeddings)
 
-
-#: Per-corpus tables for the metrics whose resamples need not gather texts or
-#: rows: each entry builds its table from (texts, embedding rows) once and
-#: returns the metric as a function of index subsets, equal bit for bit to the
-#: ``METRICS`` entry on the gathered texts and rows.
-OVER_INDICES: dict[str, Callable[[Sequence[str], np.ndarray],
-                                  Callable[[Sequence[int]], float]]] = {
-    "ttr": lambda texts, emb: TokenCounts(texts).type_token_ratio,
-    "simpson": lambda texts, emb: TokenCounts(texts).simpson_index,
-    "cluster_entropy": lambda texts, emb: query_entropy_over_indices(emb),
-}
-
-
-def metric_fn_over_indices(
-    name: str, texts: Sequence[str], embeddings: np.ndarray
-) -> Callable[[Sequence[int]], float]:
-    """A single named metric as a function of corpus index subsets.
-
-    Used by bootstrap resampling: texts and embeddings are fixed once. A metric
-    with an ``OVER_INDICES`` entry builds its table here and each call reads
-    it; any other call evaluates the metric on the selected texts and rows.
-    With ``embeddings`` a ``semantic.UnitRows``, such a call gathers the
-    selected rows only if its metric reads them, and their unit form with them.
-    """
-    if name in OVER_INDICES:
-        return OVER_INDICES[name](texts, embeddings)
-    metric = METRICS[name]
-    texts = list(texts)
-    return lambda indices: metric([texts[i] for i in indices], embeddings[indices])

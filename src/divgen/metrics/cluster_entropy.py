@@ -13,9 +13,9 @@ buffer in place and keeps a histogram of its component sizes, and an entropy
 sums one term per distinct size, so neither a commit nor a score copies or
 walks the whole index outside the distance product.
 
-The report's bootstrap resamples score many subsets of one value sample or
-query corpus; ``value_entropy_over_indices`` and ``query_entropy_over_indices``
-build its neighbourhood table once, and each subset partitions its sub-table.
+The report scores one value sample or query corpus and its resamples;
+``value_entropy_over_indices`` and ``query_entropy_over_indices`` build its
+neighbourhood table once, and each index subset partitions its sub-table.
 A NUMERICAL value that is not a finite number is refused, as a non-numeric one
 is: an infinity is at NaN distance from itself, so it would stand alone.
 """
@@ -31,7 +31,6 @@ import numpy as np
 
 from divgen.metrics.dbscan import (
     ClusterPartition,
-    dbscan,
     pairwise_distances,
     partition,
     within_eps,
@@ -67,25 +66,23 @@ def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
     return -math.fsum(chain.from_iterable(terms)) + 0.0
 
 
+def as_finite(value: Any) -> float | None:
+    """``value`` as a float, or None if it is no number or not finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _parse_numeric(values: Sequence) -> list[float]:
-    """The values as finite floats; a value that is not a number, or is an
-    infinity or NaN, which no distance places, raises ValueError naming it."""
-    out: list[float] = []
-    bad: list[str] = []
-    for v in values:
-        try:
-            number = float(v)
-        except (TypeError, ValueError):
-            bad.append(repr(v))
-            continue
-        if math.isfinite(number):
-            out.append(number)
-        else:
-            bad.append(repr(v))
+    """The values as finite floats; any other value raises ValueError naming it."""
+    numbers = [as_finite(v) for v in values]
+    bad = [repr(v) for v, number in zip(values, numbers) if number is None]
     if bad:
         raise ValueError("non-numeric or non-finite value(s) for NUMERICAL entropy: "
                          + ", ".join(bad))
-    return out
+    return numbers
 
 
 def _space(category: str, embedder) -> tuple[float, str]:
@@ -112,15 +109,12 @@ def _value_points(values: Sequence, category: str, embedder) -> tuple[Sequence, 
 
 def value_cluster_entropy(values: Sequence, category: str, embedder=None) -> float:
     """Diversity of one parameter group's committed values, in bits."""
-    points, eps, metric = _value_points(values, category, embedder)
-    return cluster_entropy_bits(dbscan(points, eps, MIN_SAMPLES, metric))
+    return value_entropy_over_indices(values, category, embedder)(range(len(values)))
 
 
 def query_cluster_entropy(embeddings: Sequence) -> float:
     """Diversity of a query corpus from its embeddings, in bits."""
-    if len(embeddings) == 0:
-        raise ValueError("query_cluster_entropy requires at least one embedding")
-    return cluster_entropy_bits(dbscan(embeddings, QUERY_EPS, MIN_SAMPLES, "cosine"))
+    return query_entropy_over_indices(embeddings)(range(len(embeddings)))
 
 
 def _entropy_over_indices(points: Sequence, eps: float,
@@ -132,7 +126,7 @@ def _entropy_over_indices(points: Sequence, eps: float,
 
 def value_entropy_over_indices(values: Sequence, category: str,
                                embedder=None) -> Callable[[Sequence[int]], float]:
-    """``value_cluster_entropy`` of the values at each index subset, from one
+    """The cluster entropy of the values at each index subset, from one
     neighbourhood table of ``values``: each subset partitions its sub-table,
     which ``dbscan``'s 12-decimal neighbour test makes equal to the table of
     the gathered values, so every score is the same bits."""
@@ -140,7 +134,7 @@ def value_entropy_over_indices(values: Sequence, category: str,
 
 
 def query_entropy_over_indices(embeddings: Sequence) -> Callable[[Sequence[int]], float]:
-    """``query_cluster_entropy`` of the rows at each index subset, from one
+    """The cluster entropy of the rows at each index subset, from one
     neighbourhood table, as ``value_entropy_over_indices``."""
     if len(embeddings) == 0:
         raise ValueError("query_cluster_entropy requires at least one embedding")

@@ -54,9 +54,9 @@ def tree_shape(node: TreeNode) -> str:
 
 @functools.lru_cache(maxsize=65536)
 def _sentence_parts(text: str) -> tuple[str, ...]:
-    """``sentences_of(text)``, split once per text."""
+    """``sentences_of(text)``, split once per text (past tokenize's memo)."""
     return tuple(part.strip() for part in SENTENCE_SPLIT_RE.split(text)
-                 if tokenize(part))
+                 if tokenize.__wrapped__(part))
 
 
 def sentences_of(text: str) -> list[str]:
@@ -138,8 +138,9 @@ def _chunks(sentence: str) -> list[tuple[str, tuple[str, ...]]]:
     """The chunker: one sentence's chunks, in order, each as its label and
     the tags of its leaves. A ``PP`` chunk is a PREP leaf and an NP of its
     leaves; a chunk without leaves (a PREP no nominal follows, a CONJ, a WH)
-    is itself a leaf."""
-    tags = [tag_token(t) for t in tokenize(sentence)]
+    is itself a leaf. Its callers memoise per sentence, so it skips
+    tokenize's memo, which would only hold each sentence again."""
+    tags = [tag_token(t) for t in tokenize.__wrapped__(sentence)]
     chunks: list[tuple[str, tuple[str, ...]]] = []
     i = 0
     n = len(tags)

@@ -394,6 +394,37 @@ def test_compare_with_libraries_reads_each_dataset_once(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def seed_11_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seed11")
+    art, ds = path / "art.json", path / "a.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--seed", "11", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "50", "--seed", "11", "--out", str(ds)]) == 0
+    return ds
+
+
+@pytest.mark.parametrize("name, bad, problem", [
+    ("city", "東京", "has no word token"),
+    ("year", "soon", "is not a finite number"),
+])
+def test_compare_refuses_an_argument_it_cannot_place(tmp_path, capsys, seed_11_dataset,
+                                                      name, bad, problem):
+    a, b, out = seed_11_dataset, tmp_path / "b.jsonl", tmp_path / "cmp.json"
+    with b.open("w", encoding="utf-8") as stream:
+        for line in a.read_text(encoding="utf-8").splitlines():
+            example = json.loads(line)
+            for call in example["target_invocations"]:
+                if name in call["arguments"]:
+                    call["arguments"][name] = bad
+            stream.write(json.dumps(example, ensure_ascii=False) + "\n")
+    lib = fixture_library_path()
+    assert run(["compare", str(a), str(b), "--library-a", lib, "--library-b", lib,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: dataset B: group " in err and f": {bad!r} {problem}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--library-a", "--library-b"])
 def test_compare_with_one_library_is_usage_error(tmp_path, capsys, flag):
     a = _write_corpus(tmp_path / "a.json", varied_corpus()[:10])

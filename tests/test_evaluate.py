@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,19 +17,16 @@ from divgen.evaluate import (
     paired_model_comparison,
 )
 from divgen.fixtures import repetitive_corpus, varied_corpus
-from divgen.metrics import battery, semantic, stats, trees
+from divgen.metrics import battery, cluster_entropy, semantic, stats, trees
 from divgen.metrics.battery import (
     METRICS,
     REPORT_METRICS,
+    Corpus,
     EmbeddingCache,
-    metric_fn_over_indices,
+    evaluate_full_battery,
 )
-from divgen.metrics.cluster_entropy import (
-    query_cluster_entropy,
-    query_entropy_over_indices,
-    value_cluster_entropy,
-    value_entropy_over_indices,
-)
+from divgen.metrics.cluster_entropy import query_entropy_over_indices, value_entropy_over_indices
+from divgen.metrics.dbscan import dbscan
 from divgen.metrics.semantic import UnitRows
 from divgen.metrics.stats import DRAW_MEMO_SIZE, bootstrap_std
 from divgen.metrics.text import (
@@ -273,7 +271,11 @@ def test_metric_table_looks_metrics_up_at_call_time(monkeypatch, embedder):
     full = battery.evaluate_full_battery(texts, emb)
     assert list(full) == list(REPORT_METRICS)
     assert (full["vendi"], full["semantic_spread"]) == (42.0, -1.0)
-    assert battery.metric_fn_over_indices("vendi", texts, emb)([0, 1]) == 42.0
+    corpus = battery.Corpus(texts, emb)
+    assert battery.METRICS["vendi"](corpus, [0, 1]) == 42.0
+    monkeypatch.setattr(battery, "query_entropy_over_indices",
+                        lambda embeddings: lambda indices: 7.0)
+    assert battery.METRICS["cluster_entropy"](corpus, [1]) == 7.0
 
 
 def report_corpus(size):
@@ -300,11 +302,11 @@ def test_report_resamples_equal_the_metrics_on_gathered_rows(size, embedder):
     # the full corpus, then resamples that repeat indices
     resamples = [list(range(size)), [0, 0]] + [
         rng.choices(range(size), k=max(2, size * 4 // 5)) for _ in range(6)]
-    for name in REPORT_METRICS:
-        fn = metric_fn_over_indices(name, texts, rows)
-        for idx in resamples:
-            want = METRICS[name]([texts[i] for i in idx], emb[np.array(idx)])
-            assert fn(idx) == want, (name, idx)
+    corpus = Corpus(texts, rows)
+    for idx in resamples:
+        want = evaluate_full_battery([texts[i] for i in idx], emb[np.array(idx)])
+        for name in REPORT_METRICS:
+            assert METRICS[name](corpus, idx) == want[name], (name, idx)
 
 
 def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch, embedder):
@@ -359,6 +361,12 @@ def _same(got, want):
     assert float(got).hex() == float(want).hex()
 
 
+def _dbscan_entropy(points, eps, metric):
+    """Cluster entropy by ``dbscan`` itself, not through a neighbourhood table."""
+    return cluster_entropy.cluster_entropy_bits(
+        dbscan(points, eps, cluster_entropy.MIN_SAMPLES, metric))
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
@@ -373,7 +381,8 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
         gathered = [texts[i] for i in idx]
         _same(tokens.type_token_ratio(idx), type_token_ratio(gathered))
         _same(tokens.simpson_index(idx), simpson_index(gathered))
-        _same(queries(idx), query_cluster_entropy(emb[np.array(idx)]))
+        _same(queries(idx), _dbscan_entropy(emb[np.array(idx)], cluster_entropy.QUERY_EPS,
+                                            "cosine"))
     for category, pool in (("STRING", _STRING_VALUES), ("NUMERICAL", _NUMERICAL_VALUES)):
         values = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
         values[-1] = values[0]  # a repeated value
@@ -381,7 +390,8 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
         ncd = ncd_over_indices([str(v) for v in values])
         for idx in _samples(size, rng):
             gathered = [values[i] for i in idx]
-            _same(entropies(idx), value_cluster_entropy(gathered, category, HashEmbedder()))
+            _same(entropies(idx), _dbscan_entropy(
+                *cluster_entropy._value_points(gathered, category, HashEmbedder())))
             _same(ncd(idx), reference_ncd_diversity(gathered))
 
 
@@ -429,21 +439,21 @@ def test_each_table_is_built_once_per_corpus_and_value_sample(monkeypatch, embed
                         lambda texts: tokens.append(texts) or token_counts(texts))
     corpus = report_corpus(40)
     compare_linguistic_diversity(corpus, corpus[::-1], embedder, seed=5)
-    # one neighbourhood table per corpus; one token table per corpus for each
-    # of ttr and simpson
+    # one neighbourhood table and one token table per corpus, each read for
+    # the corpus's score and its 100 resamples
     assert built == {"query_entropy_over_indices": 2}
-    assert scored == {"query_entropy_over_indices": 200}
-    assert tokens == [corpus, corpus, corpus[::-1], corpus[::-1]]
+    assert scored == {"query_entropy_over_indices": 202}
+    assert tokens == [corpus, corpus[::-1]]
     built.clear()
     scored.clear()
     lib = shared_library()
     ex_a = [city_example(f"a{i}", f"town{i} alpha{i}") for i in range(20)]
     ex_b = [city_example(f"b{i}", "Same Place") for i in range(20)]
     compare_argument_diversity(ex_a, ex_b, lib, lib, embedder, seed=1)
-    # per value sample, one neighbourhood table and one NCD table; the NCD
-    # table also gives the sample's score
+    # per value sample, one neighbourhood table and one NCD table, each read
+    # for the sample's score and its 100 resamples
     assert built == {"value_entropy_over_indices": 2, "ncd_over_indices": 2}
-    assert scored == {"value_entropy_over_indices": 200, "ncd_over_indices": 202}
+    assert scored == {"value_entropy_over_indices": 202, "ncd_over_indices": 202}
 
 
 def test_analyze_refuses_a_tokenless_query_before_embedding():
@@ -455,3 +465,39 @@ def test_analyze_refuses_a_tokenless_query_before_embedding():
         analyze_corpus(["Find a hotel in Paris.", "你好吗？"], Unreachable())
     with pytest.raises(ValueError, match="^corpus: cannot analyze an empty corpus$"):
         analyze_corpus([], Unreachable())
+
+
+def test_the_report_scores_come_from_the_registry_not_the_battery(monkeypatch, embedder):
+    import divgen.evaluate as evaluate
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the report scored outside the metric registry")
+
+    monkeypatch.setattr(evaluate, "evaluate_full_battery", unreachable)
+    monkeypatch.setattr(evaluate, "value_cluster_entropy", unreachable)
+    report = analyze_corpus(report_corpus(12), embedder, seed=2)
+    assert [row.metric for row in report.rows] == list(REPORT_METRICS)
+    lib = shared_library()
+    ex_a = [city_example(f"a{i}", f"town{i} alpha{i}") for i in range(20)]
+    ex_b = [city_example(f"b{i}", "Same Place") for i in range(20)]
+    result = compare_argument_diversity(ex_a, ex_b, lib, lib, embedder, seed=1)
+    assert result["groups"][0]["ce_b"] == 0.0
+
+
+@pytest.mark.parametrize("category, bad, problem", [
+    ("STRING", "東京", "has no word token"),
+    ("NUMERICAL", "soon", "is not a finite number"),
+    ("NUMERICAL", float("inf"), "is not a finite number"),
+])
+def test_argument_comparison_refuses_a_value_it_cannot_place(embedder, category, bad, problem):
+    kind = "string" if category == "STRING" else "number"
+    lib = [fn("city_weather", param("city", "names the destination city", declared=kind),
+              description="weather by city")]
+    good = "Oslo" if category == "STRING" else 3
+    ex_a = [city_example(f"a{i}", good) for i in range(25)]
+    ex_b = [city_example(f"b{i}", good if i else bad) for i in range(25)]
+    # the bad value is refused whichever values the seed samples
+    for seed in range(3):
+        with pytest.raises(ModelError,
+                           match=f"^dataset B: group \\S+: {re.escape(repr(bad))} {problem}$"):
+            compare_argument_diversity(ex_a, ex_b, lib, lib, embedder, seed=seed)

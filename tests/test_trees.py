@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divgen.evaluate import analyze_corpus
 from divgen.metrics import trees
-from divgen.metrics.text import count_syllables
+from divgen.metrics.text import count_syllables, tokenize
 from divgen.metrics.trees import (
     TreeNode,
     _distances,
@@ -292,6 +292,15 @@ def test_token_memos_equal_their_functions():
     for word in words:
         assert trees.tag_token(word) == trees.tag_token.__wrapped__(word)
         assert count_syllables(word) == count_syllables.__wrapped__(word)
+
+
+def test_sentence_parts_stay_out_of_the_tokenize_memo():
+    # the parts and their chunks are memoised per text and per sentence
+    for memo in (tokenize, trees._sentence_parts, trees._chunk_shape):
+        memo.cache_clear()
+    assert trees.sentence_shapes("Find a hotel in Rome. Book the flight?") == [
+        "(S (VP VERB) (NP DET NOUN) (PP PREP (NP NOUN)))", "(S (VP VERB) (NP DET NOUN))"]
+    assert tokenize.cache_info().currsize == 0
 
 
 def test_sentences_of_splits_and_filters():
