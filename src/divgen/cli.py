@@ -87,6 +87,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if not library_path.exists():
         raise UsageError(f"library file not found: {library_path}")
     library = load_function_library(library_path)
+    if not library:
+        raise UsageError(f"{library_path}: the library holds no function")
     embedder = EmbeddingCache(make_embedder(config))  # grouping and graph share texts
     rng = random.Random(config.rng_seed)
     groups = group_parameters(library, embedder, config.group_threshold)
@@ -99,6 +101,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be 0 or more, not {args.n}")
     artifact_path = Path(args.artifact)
     if not artifact_path.exists():
         raise UsageError(f"artifact not found: {artifact_path}")
@@ -133,7 +137,10 @@ def _read_corpus(path: str) -> tuple[list[str], list[GeneratedExample] | None]:
         data = json.loads(p.read_text(encoding="utf-8"))
         if not isinstance(data, list):
             raise UsageError(f"{p}: expected a JSON array of queries")
-        return [str(q) for q in data], None
+        for i, q in enumerate(data, 1):
+            if not isinstance(q, str):
+                raise UsageError(f"{p}: query {i} is {q!r}, not a string")
+        return data, None
     examples = read_dataset(p)
     return [ex.query for ex in examples], examples
 
@@ -199,6 +206,8 @@ def _labels_from_file(path: str) -> tuple[list[str], list[bool], list[str] | Non
             categories.append(str(row.get("category", "")))
         except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
             raise UsageError(f"{p}: line {lineno}: {exc}") from exc
+    if not ids:
+        raise UsageError(f"{p}: holds no label row")
     has_categories = any(categories)
     return ids, labels, categories if has_categories else None
 

@@ -140,39 +140,33 @@ def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, 
     return _evaluate(OPTIMIZED_METRICS, texts, embeddings)
 
 
-#: Byte cap on one stack of similarity matrices. Batches are split to stay
-#: under it, so a large corpus, where ``eigvalsh`` dominates and stacking saves
-#: nothing, holds one (N+1)² matrix at a time instead of one per candidate.
+#: Byte cap on one stack of Vendi kernels. Batches are split to stay under it,
+#: so a large corpus, where ``eigvalsh`` dominates and stacking saves nothing,
+#: holds one (N+1)² kernel at a time instead of one per candidate.
 _STACK_BYTES = 4 << 20
 
 
 class MarginalScorer:
     """The optimized battery of ``corpus + [candidate]``, for many candidates.
 
-    The corpus-side state is built only by ``sync``, one text at a time, so a
-    run keeps one scorer and adds each accepted text once: its token-type set
-    and token count, a DEFLATE stream fed the newline-joined corpus, its
-    sentence-shape table, its FKGL and length lists, and one (N+1, d) buffer
-    of its embedding rows scaled to unit norm, whose last row is the candidate
-    slot. ``score`` returns exactly, bit for bit, what ``evaluate_battery``
-    returns on each extended corpus, and evaluates each distinct candidate only
-    once per corpus. The candidates a call has not seen before are scored as
-    one batch: one embedding lookup, then a stack of similarity matrices, one
-    per candidate (several stacks if one would pass ``_STACK_BYTES``), from
-    which Chamfer, the pair distances and the kernel eigenvalues are computed
-    together. The text metrics are computed per candidate, from the memoised
-    tokens of its text and the per-token tag and syllable memos: its sentence
-    shapes are rendered from the chunker's tags without building a tree.
+    ``sync`` grows the corpus-side state one text at a time, so a run keeps
+    one scorer and adds each accepted text once: its token types and count, a
+    DEFLATE stream fed the newline-joined corpus, its sentence-shape table, its
+    FKGL and length lists and its unit row. Once per sync it takes the rows'
+    clipped Gram K, the sum of the pair distances 1 − K, and each row's
+    distance to its nearest other row. ``score`` evaluates each distinct
+    candidate once per corpus; a call's new candidates are scored as one batch
+    from one product s of their unit rows with the corpus's: paraphrase variety
+    and Chamfer in O(N) each, and Vendi from ``eigvalsh`` of K bordered by s
+    and a 1, stacked under ``_STACK_BYTES``. The text metrics come from the
+    memoised tokens of each candidate and the per-token tag and syllable memos:
+    its sentence shapes are rendered from the chunker's tags without a tree.
 
-    Four facts keep the scores exact: DEFLATE's output does not depend on how
-    its input is split among ``compress`` calls; a row's norm does not depend
-    on the rows normalised with it; each matrix of the stack is the 2-D
-    product ``a @ a.T`` of ``cosine_matrix``, taken over the row buffer with
-    each candidate's row in turn in its slot; and a stacked ``eigvalsh``
-    equals one ``eigvalsh`` per matrix. A 2-D ``mean(axis=1)`` does not always
-    round like a 1-D ``np.mean`` of each row, so every per-candidate mean is
-    taken over one row. A Gram or running-sum update would round differently
-    and is not used.
+    Each score is within 1e-12 (relative or absolute) of what
+    ``evaluate_battery`` returns on the extended corpus, and the text metrics
+    equal it. Ranking sorts on the scores rounded to 12 decimals, ties broken
+    by pool position, so that difference reorders nothing; candidates with one
+    embedding row get the same embedding scores and tie.
     """
 
     def __init__(self, corpus: Sequence[str], embed_cache: EmbeddingCache):
@@ -190,15 +184,10 @@ class MarginalScorer:
         self._shapes: Counter[str] = Counter()
         self._fkgls: list[float] = []
         self._lengths: list[float] = []
-        self._rows: np.ndarray | None = None
-        self._resized()
-
-    def _resized(self) -> None:
-        """Index the extended corpus's pairs and diagonal, and drop the
-        candidate scores of the previous corpus."""
-        size = len(self._texts) + 1  # texts in each extended corpus
-        self._pairs = np.triu_indices(size, k=1)
-        self._diagonal = np.arange(size)
+        self._units: np.ndarray | None = None
+        self._gram = np.empty((0, 0))
+        self._pair_sum = 0.0
+        self._nearest = np.empty(0)
         self._scores: dict[str, dict[str, float]] = {}
 
     def sync(self, corpus: Sequence[str]) -> None:
@@ -221,9 +210,15 @@ class MarginalScorer:
             self._lengths.append(float(len(tokens)))
             self._texts.append(text)
         units = unit_rows(self._embed_cache.matrix(new))
-        kept = units[:0] if self._rows is None else self._rows[:-1]
-        self._rows = np.concatenate((kept, units, units[:1]))  # last: the candidate slot
-        self._resized()
+        self._units = units if self._units is None else np.concatenate((self._units, units))
+        gram = self._units @ self._units.T
+        self._gram = np.clip(gram, -1.0, 1.0, out=gram)
+        dist = 1.0 - self._gram
+        np.fill_diagonal(dist, 0.0)
+        self._pair_sum = float(dist.sum()) / 2.0
+        np.fill_diagonal(dist, np.inf)
+        self._nearest = dist.min(axis=1)
+        self._scores = {}
 
     def _next_line(self, text: str) -> bytes:
         """``text`` as the newline-joined corpus's next bytes."""
@@ -239,33 +234,26 @@ class MarginalScorer:
 
     def _evaluate_batch(self, candidates: list[str]) -> list[dict[str, float]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
-        rows = np.empty((1, units.shape[1])) if self._rows is None else self._rows
-        size = self._diagonal.size
+        n, size = len(self._texts), len(self._texts) + 1
+        sims = np.clip(units @ self._units.T, -1.0, 1.0) if n else units[:, :0]
+        dists = 1.0 - sims
+        if n:
+            varieties = (self._pair_sum + dists.sum(axis=1)) / (size * n / 2)
+            chamfers = (np.minimum(self._nearest, dists).sum(axis=1)
+                        + dists.min(axis=1)) / size
+        else:
+            varieties = chamfers = np.zeros(len(units))
+        vendis: list[float] = []
         step = max(1, _STACK_BYTES // (8 * size * size))
-        embedding = [scores for start in range(0, len(units), step)
-                     for scores in self._embedding_metrics(rows, units[start:start + step])]
-        return [self._battery(c, *scores) for c, scores in zip(candidates, embedding)]
-
-    def _embedding_metrics(self, rows: np.ndarray,
-                           units: np.ndarray) -> list[tuple[float, float, float]]:
-        """Paraphrase variety, Chamfer and Vendi of the corpus extended by each
-        unit row; ``rows`` holds the corpus unit rows and the candidate slot."""
-        size = len(rows)
-        sims = np.empty((len(units), size, size))
-        for unit, sim in zip(units, sims):
-            rows[-1] = unit
-            np.matmul(rows, rows.T, out=sim)
-        np.clip(sims, -1.0, 1.0, out=sims)
-        vendis = [vendi_from_eigenvalues(e) for e in kernel_eigenvalues(sims)]
-        if size < 2:
-            return [(0.0, 0.0, vendi) for vendi in vendis]
-        pair_dists = sims[:, self._pairs[0], self._pairs[1]]
-        np.subtract(1.0, pair_dists, out=pair_dists)
-        varieties = [float(np.mean(row)) for row in pair_dists]
-        dist = np.subtract(1.0, sims, out=sims)
-        dist[:, self._diagonal, self._diagonal] = np.inf
-        chamfers = [float(np.mean(row)) for row in dist.min(axis=2)]
-        return list(zip(varieties, chamfers, vendis))
+        for start in range(0, len(units), step):
+            border = sims[start:start + step]
+            kernels = np.empty((len(border), size, size))
+            kernels[:, :n, :n] = self._gram
+            kernels[:, :n, n] = kernels[:, n, :n] = border
+            kernels[:, n, n] = 1.0
+            vendis += [vendi_from_eigenvalues(e) for e in kernel_eigenvalues(kernels)]
+        return [self._battery(c, float(variety), float(chamfer), vendi)
+                for c, variety, chamfer, vendi in zip(candidates, varieties, chamfers, vendis)]
 
     def _battery(self, candidate: str, variety: float, chamfer: float,
                  vendi: float) -> dict[str, float]:

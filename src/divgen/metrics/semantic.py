@@ -7,8 +7,9 @@ too. It scales rows to unit norm, takes one matrix product and clips to
 [-1, 1]. The metrics and DBSCAN refuse a zero-norm row; the library-side
 callers pass ``allow_zero=True`` and read its similarities as 0 (text without
 a word token embeds to zero under the hash embedder). Callers that compare or
-rank similarities round them to 12 decimals, so no result depends on the
-summation order of the matrix product.
+rank similarities round them to 12 decimals, and candidate ranking sorts on
+each metric's value rounded to 12 decimals, so no result depends on the
+summation order of a matrix product or of a metric's sum.
 
 ``cosine_matrix`` and the metrics also take rows with a known unit form, a
 ``UnitRows``: a corpus's rows held with their unit form, computed once.

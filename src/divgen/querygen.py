@@ -151,7 +151,9 @@ def rank_candidates_by_diversity(
 
     Each candidate is scored by the eight optimized metrics of the scorer's
     corpus plus that candidate; per-metric descending orderings feed reciprocal
-    rank fusion. Returns (ordering, per-candidate per-metric ranks, fused scores).
+    rank fusion. Each ordering sorts on the value rounded to 12 decimals, ties
+    broken by pool position, so no rank hangs on the last bits of a score.
+    Returns (ordering, per-candidate per-metric ranks, fused scores).
     """
     pool = list(dict.fromkeys(candidates))
     if not pool:
@@ -162,7 +164,7 @@ def rank_candidates_by_diversity(
     per_metric_rank: dict[str, dict[str, int]] = {c: {} for c in pool}
     for metric in OPTIMIZED_METRICS:
         order = sorted(range(len(pool)),
-                       key=lambda i: (-values[pool[i]][metric], i))
+                       key=lambda i: (-round(values[pool[i]][metric], 12), i))
         ranking = [pool[i] for i in order]
         rankings.append(ranking)
         for rank, cand in enumerate(ranking, start=1):

@@ -22,6 +22,23 @@ def test_missing_library_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_empty_library_is_refused_before_any_file(tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    lib.write_text("[]")
+    assert run(["preprocess", str(lib), "--out", str(tmp_path / "a.json")]) == 2
+    assert f"error: {lib}: the library holds no function" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
+
+
+def test_negative_n_is_refused_before_any_file(tmp_path, capsys):
+    art = tmp_path / "art.json"
+    assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "-1", "--out", str(tmp_path / "ds.jsonl"),
+                "--log", str(tmp_path / "run.log")]) == 2
+    assert "error: --n must be 0 or more, not -1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["art.json"]
+
+
 def test_unknown_provider_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"embedding_provider": "martian"}))
@@ -169,7 +186,7 @@ def test_fixture_run_golden_digest(tmp_path):
     assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
     assert run(["generate", str(art), "--n", "25", "--seed", "7", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f88041c2e26aedafbb07493bef2597c6b4a816cba7aeb834d0ec1f26fe94be4a")
+        "e22dea5c4572be5b81194312bf75dd8509c097ceedfefc08d850bb0dcd52b886")
 
 
 def test_generate_smoke_and_examples_valid(tmp_path):
@@ -210,6 +227,20 @@ def test_analyze_refuses_a_corpus_it_cannot_score(tmp_path, capsys, queries, pro
     src = _write_corpus(tmp_path / "bad.json", queries)
     out = tmp_path / "report.json"
     assert run(["analyze", src, "--out", str(out)]) == 2
+    assert f"error: {src}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("queries, problem", [
+    ([1, 2], "query 1 is 1, not a string"),
+    (["Find a hotel in Paris.", None], "query 2 is None, not a string"),
+])
+def test_a_query_that_is_not_a_string_is_refused(tmp_path, capsys, command, queries, problem):
+    src = _write_corpus(tmp_path / "bad.json", queries)
+    pair = [src, _write_corpus(tmp_path / "good.json", varied_corpus()[:10])]
+    out = tmp_path / "report.json"
+    assert run([command, *pair[: 1 if command == "analyze" else 2], "--out", str(out)]) == 2
     assert f"error: {src}: {problem}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -292,6 +323,16 @@ def test_evaluate_refuses_a_malformed_label_line(tmp_path, capsys, row, problem)
     b = _write_labels(tmp_path / "b.jsonl", [good, {"id": "2", "correct": False}])
     assert run(["evaluate", a, b, "--out", str(tmp_path / "o.json")]) == 2
     assert f"{a}: line 2: {problem}" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_empty_label_files(tmp_path, capsys):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text("")
+    b.write_text("\n")
+    out = tmp_path / "o.json"
+    assert run(["evaluate", str(a), str(b), "--out", str(out)]) == 2
+    assert f"error: {a}: holds no label row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_mismatched_ids_is_usage_error(tmp_path):

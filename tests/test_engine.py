@@ -300,7 +300,7 @@ def test_walk_heavy_run_golden_digest(tmp_path):
     engine = GenerationEngine(library, groups, pools, graph, config, StubChat(), embedder, out)
     engine.generate(20)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "33c5d074d2e014b5f198f123575d287c2788cefbbd03a6bfd75518f63f828e7e")
+        "2225fff40f5be4c780c8dc9eb2304cd35de21670db8aeff8a61c855466c9a987")
 
 
 def narrow_number(key):
@@ -344,7 +344,7 @@ def test_warm_single_run_golden_digest(tmp_path):
     engine.checkpoint_path.write_text(json.dumps(doc))
     build_engine(tmp_path, config=config, chat=NarrowStub()).generate(12, resume=True)
     assert hashlib.sha256((tmp_path / "ds.jsonl").read_bytes()).hexdigest() == (
-        "41126ddf8455be9ed720316b4464374142fa4f001ce79f324732ec7f5c4bc865")
+        "c11e13b96b737a2304acaceade958da2a3e8af3a8f4400be3012c8759223f4a3")
 
 
 def crash_once(monkeypatch, after_acceptance, torn):
@@ -565,4 +565,4 @@ def test_fixture_run_prompts_golden_digest(tmp_path):
         digest.update(prompt.encode("utf-8"))
         digest.update(b"\0")
     assert (len(chat.prompts), digest.hexdigest()) == (
-        535, "82536b42dba2103aff84cde998109cdcfff79abb5e1c1704b7cb05c56051bcca")
+        535, "02325c01ab76293174dd46b7460b8ef812a970cd8d0d48e7d7218beae9851234")

@@ -1,15 +1,39 @@
-"""MarginalScorer must reproduce evaluate_battery on corpus + [candidate] exactly,
-for every candidate of a batch."""
+"""MarginalScorer must reproduce evaluate_battery on corpus + [candidate] within
+1e-12, for every candidate of a batch, with the same per-metric orders under
+the ranking's rounded sort key."""
 
+import math
 import random
 
+import numpy as np
+
 from divgen.fixtures import repetitive_corpus, varied_corpus
-from divgen.metrics.battery import EmbeddingCache, MarginalScorer, evaluate_battery
+from divgen.metrics.battery import (
+    OPTIMIZED_METRICS,
+    EmbeddingCache,
+    MarginalScorer,
+    evaluate_battery,
+)
 from divgen.metrics.text import tokenize
 from divgen.providers.hash_embed import HashEmbedder
+from divgen.querygen import rank_candidates_by_diversity
 
 SOURCES = {"varied": varied_corpus(), "repetitive": repetitive_corpus()}
 UNSHARED = "Zephyr quokkas juggle xylophones. Gnarly yaks whizz by!"
+
+
+def assert_close(got, want, context):
+    assert got.keys() == want.keys()
+    for metric, value in want.items():
+        assert math.isclose(got[metric], value, rel_tol=1e-12, abs_tol=1e-12), \
+            (metric, got[metric], value, context)
+
+
+def rounded_orders(scores):
+    """Each optimized metric's order of ``scores`` under the ranking's sort key."""
+    return {metric: sorted(range(len(scores)),
+                           key=lambda i: (-round(scores[i][metric], 12), i))
+            for metric in OPTIMIZED_METRICS}
 
 
 def test_unshared_candidate_shares_no_token_with_the_fixtures():
@@ -17,7 +41,7 @@ def test_unshared_candidate_shares_no_token_with_the_fixtures():
     assert tokenize(UNSHARED) and not set(tokenize(UNSHARED)) & fixture_tokens
 
 
-def test_scorer_equals_evaluate_battery_bit_for_bit():
+def test_scorer_equals_evaluate_battery_within_1e_12():
     cache = EmbeddingCache(HashEmbedder())
     checked = 0
     for name, source in SOURCES.items():
@@ -34,14 +58,15 @@ def test_scorer_equals_evaluate_battery_bit_for_bit():
             scorer = MarginalScorer(corpus, cache)
             for cand in candidates:
                 texts = corpus + [cand]
-                assert scorer.score([cand]) == [evaluate_battery(texts, cache.matrix(texts))], \
-                    (name, size, cand)
+                [got] = scorer.score([cand])
+                assert_close(got, evaluate_battery(texts, cache.matrix(texts)),
+                             (name, size, cand))
                 checked += 1
     assert checked == 2 * (61 * 4 - 1)
 
 
 BATCH_SIZES = (1, 2, 5, 6, 9)
-CORPUS_SIZES = (0, 1, 2, 7, 34, 128, 129, 400)
+CORPUS_SIZES = (0, 1, 2, 7, 34, 128, 129, 400, 700)
 CANDIDATE_SOURCE = SOURCES["varied"] + SOURCES["repetitive"]
 
 
@@ -59,10 +84,10 @@ def new_candidates(rng, source, corpus, scored, count):
 
 
 def test_batched_scores_equal_evaluate_battery():
-    # 2-D reductions over the stack (a mean over axis 1, say) round differently
-    # from the oracle's 1-D ones in the last bits, mostly at N >= 7. One scorer
-    # is grown through the corpus sizes, then synced to a corpus it does not
-    # hold a prefix of, which rebuilds it.
+    # The scorer's sums and products round differently from the oracle's in
+    # the last bits; the rounded sort key must not see it. One scorer is grown
+    # through the corpus sizes, then synced to a corpus it does not hold a
+    # prefix of, which rebuilds it.
     cache = EmbeddingCache(HashEmbedder())
     checked = 0
     for name, source in SOURCES.items():
@@ -81,11 +106,13 @@ def test_batched_scores_equal_evaluate_battery():
                     batch.insert(1, batch[-1])  # a duplicate inside the batch
                 scores = scorer.score(batch)
                 assert len(scores) == len(batch)
+                oracle = []
                 for cand, got in zip(batch, scores):
                     texts = corpus + [cand]
-                    assert got == evaluate_battery(texts, cache.matrix(texts)), \
-                        (name, len(corpus), count, cand)
+                    oracle.append(evaluate_battery(texts, cache.matrix(texts)))
+                    assert_close(got, oracle[-1], (name, len(corpus), count, cand))
                     checked += 1
+                assert rounded_orders(scores) == rounded_orders(oracle), (name, len(corpus))
                 scored.update(batch)
     assert checked == 2 * (len(CORPUS_SIZES) + 1) * (sum(BATCH_SIZES) + len(BATCH_SIZES) - 1)
 
@@ -99,8 +126,8 @@ def test_sync_drops_the_scores_of_the_previous_corpus():
     for size in (5, 6, 2):  # grown twice, then rebuilt
         scorer.sync(corpus[:size])
         got = scorer.score(batch)
-        assert got == [evaluate_battery(t, cache.matrix(t))
-                       for t in (corpus[:size] + [c] for c in batch)]
+        for scores, texts in zip(got, (corpus[:size] + [c] for c in batch)):
+            assert_close(scores, evaluate_battery(texts, cache.matrix(texts)), size)
         assert got != before
 
 
@@ -120,3 +147,39 @@ def test_score_evaluates_each_distinct_new_candidate_once_per_call(monkeypatch):
     assert batches == [[a, b], [c]]
     assert first == [second[3], second[0], second[3]]
     assert scorer.score([a, c]) == [second[3], second[1]] and len(batches) == 2
+
+
+class FixedScorer:
+    """A stand-in scorer that returns fixed scores."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, candidates):
+        return [self.scores[c] for c in candidates]
+
+
+def test_a_one_ulp_chamfer_gap_ties_and_breaks_by_index():
+    low = 0.25
+    high = math.nextafter(low, 1.0)  # one ulp above: 5.6e-17
+    base = dict.fromkeys(OPTIMIZED_METRICS, 1.0)
+    scorer = FixedScorer({"a": {**base, "chamfer": low}, "b": {**base, "chamfer": high}})
+    for pool in (["a", "b"], ["b", "a"]):
+        _, ranks, _ = rank_candidates_by_diversity(scorer, pool)
+        assert (ranks[pool[0]]["chamfer"], ranks[pool[1]]["chamfer"]) == (1, 2)
+
+
+def test_word_order_permutations_share_a_row_and_rank_by_index():
+    cache = EmbeddingCache(HashEmbedder())
+    first = "Find a cheap hotel in Paris for tonight."
+    second = "Tonight find in Paris a hotel for cheap."
+    other = "Convert ninety dollars into yen for the trip."
+    assert sorted(tokenize(first)) == sorted(tokenize(second))
+    assert np.array_equal(cache.matrix([first]), cache.matrix([second]))
+    scorer = MarginalScorer(SOURCES["varied"][:30], cache)
+    scores = dict(zip((first, other, second), scorer.score([first, other, second])))
+    for pool in ([first, second, other], [second, first, other]):
+        _, ranks, _ = rank_candidates_by_diversity(scorer, pool)
+        for metric in ("paraphrase_variety", "chamfer", "vendi"):
+            assert scores[first][metric] == scores[second][metric]
+            assert ranks[pool[1]][metric] == ranks[pool[0]][metric] + 1
