@@ -8,23 +8,37 @@ largest cosine between their described sentences. Every cosine comes from
 ``metrics.semantic.cosine_matrix``; a sentence that embeds to zero is similar
 to nothing (cosine 0). Group value trackers are the only mutable state in the
 system; everything else built here is immutable.
+
+The artifact is one compact JSON document. Its graph holds the vertex names
+once and each edge as a [source_index, target_index, kind, weight] row, and
+``read_artifact`` refuses, with ModelError, any file ``write_artifact`` could
+not have written, an artifact from before the rows included.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from divgen.metrics.semantic import cosine_matrix
-from divgen.model import FunctionSchema, ParamCategory, ParameterSpec, ReturnField, parse_function_library
+from divgen.model import (
+    FunctionSchema,
+    ModelError,
+    ParamCategory,
+    ParameterSpec,
+    ReturnField,
+    parse_function_library,
+)
 
 
 def describe_parameter(spec: ParameterSpec) -> str:
@@ -208,16 +222,27 @@ def build_api_pools(
 # API similarity graph
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class _collector_paused:
+    """No cyclic garbage collection inside: edges and artifact rows are acyclic,
+    and each full collection while a million pile up walks them all again."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.enabled:
+            gc.enable()
+
+
+class GraphEdge(NamedTuple):
     source: str
     target: str
     kind: str  # "P-P" (undirected) or "P-R" (directed source -> target)
     weight: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"source": self.source, "target": self.target,
-                "kind": self.kind, "weight": self.weight}
+
+EDGE_KINDS = ("P-P", "P-R")
 
 
 class _Adjacency(NamedTuple):
@@ -229,7 +254,9 @@ class _Adjacency(NamedTuple):
 @dataclass(frozen=True)
 class ApiGraph:
     """Vertices and edges, plus neighbour lists built from the edges on first
-    use (one pass, in edge order) and shared by every later query."""
+    use (one pass, in edge order) and shared by every later query. The
+    artifact stores each edge as a [source_index, target_index, kind, weight]
+    row indexing ``vertices``."""
 
     vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
@@ -265,16 +292,34 @@ class ApiGraph:
         return self._adjacency.starts
 
     def to_dict(self) -> dict[str, Any]:
+        index = {v: i for i, v in enumerate(self.vertices)}
         return {"vertices": list(self.vertices),
-                "edges": [e.to_dict() for e in self.edges]}
+                "edges": [(index[s], index[t], kind, w) for s, t, kind, w in self.edges]}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ApiGraph":
-        return cls(
-            vertices=tuple(d["vertices"]),
-            edges=tuple(GraphEdge(e["source"], e["target"], e["kind"], e["weight"])
-                        for e in d["edges"]),
-        )
+        """The graph ``to_dict`` wrote, checked column by column; ModelError
+        for any row that graph could not have."""
+        vertices, rows = tuple(d["vertices"]), d["edges"]
+        if rows and isinstance(rows[0], dict):
+            raise ModelError("graph edges are in the per-edge form of an older divgen;"
+                             " re-run `divgen preprocess`")
+        if set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
+            raise ModelError("each graph edge must be a [source_index, target_index, kind,"
+                             " weight] row")
+        sources, targets, kinds, weights = zip(*rows) if rows else ((),) * 4
+        ends = sources + targets
+        if ends and (set(map(type, ends)) - {int} or min(ends) < 0
+                     or max(ends) >= len(vertices)):
+            raise ModelError(f"graph edge vertex indexes must be integers from 0 to"
+                             f" {len(vertices) - 1}")
+        for kind in filterfalse(EDGE_KINDS.__contains__, kinds):
+            raise ModelError(f"graph edge kind {kind!r} is neither P-P nor P-R")
+        if set(map(type, weights)) - {float} or not all(map(math.isfinite, weights)):
+            raise ModelError("graph edge weights must be finite floats")
+        name = vertices.__getitem__
+        return cls(vertices, tuple(map(GraphEdge, map(name, sources), map(name, targets),
+                                       kinds, weights)))
 
 
 def build_similarity_graph(
@@ -300,30 +345,38 @@ def build_similarity_graph(
     texts = sorted({t for _, t in params} | {t for _, t in returns})
     row_of = {t: i for i, t in enumerate(texts)}
     vectors = np.asarray(embedder.embed(texts), dtype=np.float64) if texts else None
-    n = len(library)
+    names = [fn.name for fn in library]
 
     def block_max(a: list[tuple[int, str]], b: list[tuple[int, str]]) -> np.ndarray:
         """[u, v]: the largest cosine between a sentence of u in ``a`` and one
-        of v in ``b``; -1 when either function has none."""
-        best = np.full((n, n), -1.0)
+        of v in ``b``; -1 when either function has none. Each owner's rows
+        form one run (library order), so a block is one segment maximum."""
+        best = np.full((len(names), len(names)), -1.0)
         if a and b:
             sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
                                 vectors[[row_of[t] for _, t in b]], allow_zero=True)
-            by_owner_b = np.full((n, len(a)), -1.0)
-            np.maximum.at(by_owner_b, [o for o, _ in b], sim.T)
-            np.maximum.at(best, [o for o, _ in a], by_owner_b.T)
+            (starts_a, owners_a), (starts_b, owners_b) = runs(a), runs(b)
+            best[np.array(owners_a)[:, None], owners_b] = np.maximum.reduceat(
+                np.maximum.reduceat(sim, starts_a, axis=0), starts_b, axis=1)
         return best
 
+    def runs(rows: list[tuple[int, str]]) -> tuple[list[int], list[int]]:
+        # each run's start and owner; a repeated start would give an empty run its neighbour's max
+        starts = [i for i, (o, _) in enumerate(rows) if i == 0 or rows[i - 1][0] != o]
+        return starts, [rows[i][0] for i in starts]
+
     def edges_of(best: np.ndarray, mask: np.ndarray, kind: str) -> list[GraphEdge]:
-        return [GraphEdge(library[u].name, library[v].name, kind, round(float(best[u, v]), 12))
-                for u, v in zip(*np.nonzero(mask))]
+        us, vs = np.nonzero(mask)
+        return [GraphEdge(names[u], names[v], kind, round(w, 12))
+                for u, v, w in zip(us.tolist(), vs.tolist(), best[us, vs].tolist())]
 
     pp = block_max(params, params)
     pr = block_max(returns, params)
     np.fill_diagonal(pr, -np.inf)  # no P-R edge from a function to itself
-    edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
-             + edges_of(pr, pr >= threshold, "P-R"))
-    return ApiGraph(vertices=tuple(fn.name for fn in library), edges=tuple(edges))
+    with _collector_paused():
+        edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
+                 + edges_of(pr, pr >= threshold, "P-R"))
+    return ApiGraph(vertices=tuple(names), edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -339,26 +392,32 @@ def write_artifact(
     config: dict[str, Any] | None = None,
 ) -> None:
     """Persist everything `generate` needs so it can run without recomputation."""
-    doc = {
-        "library": [fn.to_dict() for fn in library],
-        "groups": groups.to_dicts(),
-        "pools": pools.to_dict(),
-        "graph": graph.to_dict(),
-        "config": config or {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _collector_paused(), open(path, "w", encoding="utf-8") as fh:
+        doc = {
+            "library": [fn.to_dict() for fn in library],
+            "groups": groups.to_dicts(),
+            "pools": pools.to_dict(),
+            "graph": graph.to_dict(),
+            "config": config or {},
+        }
         # compact, so the C encoder writes it (an indent takes the Python one)
         fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, ApiPools, ApiGraph, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    library = parse_function_library(doc["library"])
-    return (
-        library,
-        GroupIndex.from_dicts(doc["groups"]),
-        ApiPools.from_dict(doc["pools"]),
-        ApiGraph.from_dict(doc["graph"]),
-        doc.get("config", {}),
-    )
+    """What ``write_artifact`` stored at ``path``. A file it could not have
+    written (not JSON, an entry missing or malformed, graph edges in an older
+    form) raises ModelError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh, _collector_paused():
+            doc = json.load(fh)
+            graph = ApiGraph.from_dict(doc["graph"])
+        library = parse_function_library(doc["library"])
+        if graph.vertices != tuple(fn.name for fn in library):
+            raise ModelError("the graph's vertices are not the library's functions")
+        return (library, GroupIndex.from_dicts(doc["groups"]), ApiPools.from_dict(doc["pools"]),
+                graph, doc.get("config", {}))
+    except KeyError as exc:
+        raise ModelError(f"cannot read artifact {path}: no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:  # JSONDecodeError and ModelError are ValueErrors
+        raise ModelError(f"cannot read artifact {path}: {exc}") from exc

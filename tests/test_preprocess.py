@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import PresetEmbedder
+from conftest import PresetEmbedder, templated_library
+from divgen.metrics.semantic import cosine_matrix
 from divgen.model import (
     FunctionSchema,
     ParamCategory,
@@ -13,6 +14,8 @@ from divgen.model import (
     classify_parameter_type,
 )
 from divgen.preprocess import (
+    ApiGraph,
+    GraphEdge,
     build_api_pools,
     build_similarity_graph,
     describe_parameter,
@@ -258,6 +261,81 @@ def test_graph_matches_brute_force_with_tokenless_description(embedder, threshol
         assert ("w", "y", "P-P", 0.0) in want
 
 
+def reference_graph(library, embedder, threshold):
+    """The per-edge builder: owner maxima by ``np.maximum.at`` scatters, then
+    one numpy scalar and one edge per qualifying pair."""
+    params, returns = [], []
+
+    def flatten(owner, fields):
+        for f in fields:
+            returns.append((owner, describe_return_field(f)))
+            flatten(owner, f.fields)
+
+    for owner, f in enumerate(library):
+        params.extend((owner, describe_parameter(p)) for p in f.parameters)
+        flatten(owner, f.return_fields)
+    texts = sorted({t for _, t in params} | {t for _, t in returns})
+    row_of = {t: i for i, t in enumerate(texts)}
+    vectors = np.asarray(embedder.embed(texts), dtype=np.float64) if texts else None
+    n = len(library)
+
+    def block_max(a, b):
+        best = np.full((n, n), -1.0)
+        if a and b:
+            sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
+                                vectors[[row_of[t] for _, t in b]], allow_zero=True)
+            by_owner_b = np.full((n, len(a)), -1.0)
+            np.maximum.at(by_owner_b, [o for o, _ in b], sim.T)
+            np.maximum.at(best, [o for o, _ in a], by_owner_b.T)
+        return best
+
+    def edges_of(best, mask, kind):
+        return [GraphEdge(library[u].name, library[v].name, kind, round(float(best[u, v]), 12))
+                for u, v in zip(*np.nonzero(mask))]
+
+    pp = block_max(params, params)
+    pr = block_max(returns, params)
+    np.fill_diagonal(pr, -np.inf)
+    edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
+             + edges_of(pr, pr >= threshold, "P-R"))
+    return ApiGraph(vertices=tuple(f.name for f in library), edges=tuple(edges))
+
+
+def gapped_library(size):
+    """``size`` tagged copies of five templates: no parameter and no return
+    field, parameters only, returns only, and several parameters with nested
+    returns, so owner runs have gaps and are longer than one."""
+    templates = [
+        fn("search", param("query", "free text to look up"),
+           param("limit", "largest number of results", "integer"),
+           returns=(ReturnField("results", "array", "items found", (
+               ReturnField("url", "string", "address of the item"),
+               ReturnField("title", "string", "headline of the item"))),)),
+        fn("ping"),
+        fn("open_page", param("url", "address of the item")),
+        fn("now", returns=(ReturnField("timestamp", "integer", "current time in seconds"),)),
+        fn("convert", param("amount", "sum of money", "float"),
+           param("currency", "three letter code"), param("day", "date of the rate"),
+           returns=(ReturnField("value", "float", "sum of money after conversion"),)),
+    ]
+    words = ("weekly", "nearby", "archived")
+    return [fn(f"{t.name}_{i:03d}",
+               *(param(p.name, f"{p.description} {words[i % 3]}", p.declared_type)
+                 for p in t.parameters), returns=t.return_fields)
+            for i, t in ((i, templates[i % len(templates)]) for i in range(size))]
+
+
+@pytest.mark.parametrize("threshold", [0.6, 0.0, -1.0])
+@pytest.mark.parametrize("library_of", [lambda: gapped_library(23),
+                                        lambda: templated_library(200)],
+                         ids=["gapped", "templated-200"])
+def test_graph_equals_per_edge_reference(embedder, library_of, threshold):
+    lib = library_of()
+    graph = build_similarity_graph(lib, embedder, threshold)
+    assert graph.edges
+    assert graph == reference_graph(lib, embedder, threshold)
+
+
 def test_artifact_round_trip_and_byte_stability(tmp_path, library, embedder):
     groups = group_parameters(library, embedder, 0.6)
     pools = build_api_pools(library, groups, random.Random(1))
@@ -272,4 +350,5 @@ def test_artifact_round_trip_and_byte_stability(tmp_path, library, embedder):
     assert groups2.to_dicts() == groups.to_dicts()
     assert pools2 == pools
     assert graph2.to_dict() == graph.to_dict()
+    assert graph2 == graph
     assert cfg == {"rng_seed": 1}
