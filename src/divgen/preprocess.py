@@ -10,14 +10,14 @@ to nothing (cosine 0). Group value trackers are the only mutable state in the
 system; everything else built here is immutable.
 
 The artifact is one compact JSON document. Its graph holds the vertex names
-once and each edge as a [source_index, target_index, kind, weight] row, and
-``read_artifact`` refuses, with ModelError, any file ``write_artifact`` could
-not have written, an artifact from before the rows included.
+once and the edges as four columns: source and target indexes into the
+vertices, kinds and weights. ``read_artifact`` refuses, with ModelError, any
+file ``write_artifact`` could not have written, an artifact from before the
+columns included.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import random
@@ -222,19 +222,6 @@ def build_api_pools(
 # API similarity graph
 
 
-class _collector_paused:
-    """No cyclic garbage collection inside: edges and artifact rows are acyclic,
-    and each full collection while a million pile up walks them all again."""
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc: object) -> None:
-        if self.enabled:
-            gc.enable()
-
-
 class GraphEdge(NamedTuple):
     source: str
     target: str
@@ -255,8 +242,8 @@ class _Adjacency(NamedTuple):
 class ApiGraph:
     """Vertices and edges, plus neighbour lists built from the edges on first
     use (one pass, in edge order) and shared by every later query. The
-    artifact stores each edge as a [source_index, target_index, kind, weight]
-    row indexing ``vertices``."""
+    artifact stores the edges as four columns, ``sources`` and ``targets``
+    (indexes into ``vertices``), ``kinds`` and ``weights``."""
 
     vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
@@ -292,22 +279,24 @@ class ApiGraph:
         return self._adjacency.starts
 
     def to_dict(self) -> dict[str, Any]:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        return {"vertices": list(self.vertices),
-                "edges": [(index[s], index[t], kind, w) for s, t, kind, w in self.edges]}
+        index = {v: i for i, v in enumerate(self.vertices)}.__getitem__
+        sources, targets, kinds, weights = zip(*self.edges) if self.edges else ((),) * 4
+        return {"vertices": list(self.vertices), "sources": list(map(index, sources)),
+                "targets": list(map(index, targets)), "kinds": list(kinds), "weights": list(weights)}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ApiGraph":
         """The graph ``to_dict`` wrote, checked column by column; ModelError
-        for any row that graph could not have."""
-        vertices, rows = tuple(d["vertices"]), d["edges"]
-        if rows and isinstance(rows[0], dict):
+        for any entry that graph could not have."""
+        if "edges" in d:
             raise ModelError("graph edges are in the per-edge form of an older divgen;"
                              " re-run `divgen preprocess`")
-        if set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
-            raise ModelError("each graph edge must be a [source_index, target_index, kind,"
-                             " weight] row")
-        sources, targets, kinds, weights = zip(*rows) if rows else ((),) * 4
+        vertices = tuple(d["vertices"])
+        columns = [d[k] for k in ("sources", "targets", "kinds", "weights")]
+        sources, targets, kinds, weights = columns
+        if set(map(type, columns)) - {list} or len(set(map(len, columns))) > 1:
+            raise ModelError("graph sources, targets, kinds and weights must be lists of"
+                             " one length")
         ends = sources + targets
         if ends and (set(map(type, ends)) - {int} or min(ends) < 0
                      or max(ends) >= len(vertices)):
@@ -349,8 +338,8 @@ def build_similarity_graph(
 
     def block_max(a: list[tuple[int, str]], b: list[tuple[int, str]]) -> np.ndarray:
         """[u, v]: the largest cosine between a sentence of u in ``a`` and one
-        of v in ``b``; -1 when either function has none. Each owner's rows
-        form one run (library order), so a block is one segment maximum."""
+        of v in ``b``; -1 when either function has none. Rows come in library
+        order, so each owner's rows are one run and no segment start repeats."""
         best = np.full((len(names), len(names)), -1.0)
         if a and b:
             sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
@@ -361,7 +350,6 @@ def build_similarity_graph(
         return best
 
     def runs(rows: list[tuple[int, str]]) -> tuple[list[int], list[int]]:
-        # each run's start and owner; a repeated start would give an empty run its neighbour's max
         starts = [i for i, (o, _) in enumerate(rows) if i == 0 or rows[i - 1][0] != o]
         return starts, [rows[i][0] for i in starts]
 
@@ -373,9 +361,8 @@ def build_similarity_graph(
     pp = block_max(params, params)
     pr = block_max(returns, params)
     np.fill_diagonal(pr, -np.inf)  # no P-R edge from a function to itself
-    with _collector_paused():
-        edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
-                 + edges_of(pr, pr >= threshold, "P-R"))
+    edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
+             + edges_of(pr, pr >= threshold, "P-R"))
     return ApiGraph(vertices=tuple(names), edges=tuple(edges))
 
 
@@ -392,14 +379,14 @@ def write_artifact(
     config: dict[str, Any] | None = None,
 ) -> None:
     """Persist everything `generate` needs so it can run without recomputation."""
-    with _collector_paused(), open(path, "w", encoding="utf-8") as fh:
-        doc = {
-            "library": [fn.to_dict() for fn in library],
-            "groups": groups.to_dicts(),
-            "pools": pools.to_dict(),
-            "graph": graph.to_dict(),
-            "config": config or {},
-        }
+    doc = {
+        "library": [fn.to_dict() for fn in library],
+        "groups": groups.to_dicts(),
+        "pools": pools.to_dict(),
+        "graph": graph.to_dict(),
+        "config": config or {},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
         # compact, so the C encoder writes it (an indent takes the Python one)
         fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
 
@@ -409,9 +396,9 @@ def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, A
     written (not JSON, an entry missing or malformed, graph edges in an older
     form) raises ModelError naming ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh, _collector_paused():
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-            graph = ApiGraph.from_dict(doc["graph"])
+        graph = ApiGraph.from_dict(doc["graph"])
         library = parse_function_library(doc["library"])
         if graph.vertices != tuple(fn.name for fn in library):
             raise ModelError("the graph's vertices are not the library's functions")

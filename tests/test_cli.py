@@ -70,7 +70,10 @@ def test_type_weights_the_graph_cannot_serve_are_refused_before_any_file(
     art, cfg = tmp_path / "art.json", tmp_path / "cfg.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
     doc = json.loads(art.read_text(encoding="utf-8"))
-    doc["graph"]["edges"] = [e for e in doc["graph"]["edges"] if e[2] in kinds]
+    graph = doc["graph"]
+    keep = [i for i, kind in enumerate(graph["kinds"]) if kind in kinds]
+    for column in ("sources", "targets", "kinds", "weights"):
+        graph[column] = [graph[column][i] for i in keep]
     art.write_text(json.dumps(doc), encoding="utf-8")
     cfg.write_text(json.dumps({"type_weights": weights}))
     with alarm(60):
@@ -83,34 +86,37 @@ def test_type_weights_the_graph_cannot_serve_are_refused_before_any_file(
 
 def _edit_edge(column, value):
     def edit(doc):
-        doc["graph"]["edges"][0][column] = value
+        doc["graph"][column][0] = value
     return edit
 
 
 def _old_edge_form(doc):
-    vertices = doc["graph"]["vertices"]
-    doc["graph"]["edges"] = [{"source": vertices[s], "target": vertices[t], "kind": k,
-                              "weight": w} for s, t, k, w in doc["graph"]["edges"]]
+    graph = doc["graph"]
+    vertices = graph["vertices"]
+    graph["edges"] = [{"source": vertices[s], "target": vertices[t], "kind": k, "weight": w}
+                      for s, t, k, w in zip(*(graph.pop(c) for c in
+                                              ("sources", "targets", "kinds", "weights")))]
 
 
 @pytest.mark.parametrize("edit, message", [
     (None, "line 1 column"),  # the file cut in half: a JSON syntax error
     (lambda doc: doc.pop("graph"), "no 'graph' entry"),
-    (_edit_edge(0, "ghost"), "vertex indexes must be integers from 0 to 11"),
-    (_edit_edge(2, "X-Y"), "graph edge kind 'X-Y' is neither P-P nor P-R"),
-    (_edit_edge(3, "high"), "graph edge weights must be finite floats"),
-    (_edit_edge(3, float("nan")), "graph edge weights must be finite floats"),
-    (_edit_edge(3, 10 ** 400), "graph edge weights must be finite floats"),
-    (_edit_edge(1, 12), "vertex indexes must be integers from 0 to 11"),
-    (_edit_edge(1, -1), "vertex indexes must be integers from 0 to 11"),
-    (_edit_edge(0, True), "vertex indexes must be integers from 0 to 11"),
-    (lambda doc: doc["graph"]["edges"][0].pop(), "must be a [source_index, target_index"),
-    (lambda doc: doc["graph"]["edges"].append("abcd"), "must be a [source_index, target_index"),
+    (lambda doc: doc["graph"].pop("weights"), "no 'weights' entry"),
+    (_edit_edge("sources", "ghost"), "vertex indexes must be integers from 0 to 11"),
+    (_edit_edge("kinds", "X-Y"), "graph edge kind 'X-Y' is neither P-P nor P-R"),
+    (_edit_edge("weights", "high"), "graph edge weights must be finite floats"),
+    (_edit_edge("weights", float("nan")), "graph edge weights must be finite floats"),
+    (_edit_edge("weights", 10 ** 400), "graph edge weights must be finite floats"),
+    (_edit_edge("targets", 12), "vertex indexes must be integers from 0 to 11"),
+    (_edit_edge("targets", -1), "vertex indexes must be integers from 0 to 11"),
+    (_edit_edge("sources", True), "vertex indexes must be integers from 0 to 11"),
+    (lambda doc: doc["graph"]["kinds"].pop(), "must be lists of one length"),
+    (lambda doc: doc["graph"].update(kinds="P-P"), "must be lists of one length"),
     (_old_edge_form, "re-run `divgen preprocess`"),
     (lambda doc: doc["graph"]["vertices"].reverse(), "vertices are not the library's"),
-], ids=["truncated", "no-graph", "ghost", "kind", "weight-text", "weight-nan", "weight-huge",
-        "index-past-end", "index-negative", "index-bool", "arity", "not-a-list", "old-form",
-        "vertices"])
+], ids=["truncated", "no-graph", "no-weights", "ghost", "kind", "weight-text", "weight-nan",
+        "weight-huge", "index-past-end", "index-negative", "index-bool", "column-length",
+        "not-a-list", "old-form", "vertices"])
 def test_malformed_artifact_is_refused_before_any_file(tmp_path, capsys, edit, message):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
@@ -397,7 +403,7 @@ def test_preprocess_fixture_group_count(tmp_path):
                 "--out", str(out)]) == 0
     artifact = json.loads(out.read_text())
     assert len(artifact["groups"]) == 9  # hand count under the hashing embedder
-    kinds = {e[2] for e in artifact["graph"]["edges"]}
+    kinds = set(artifact["graph"]["kinds"])
     assert kinds == {"P-P", "P-R"}
 
 
