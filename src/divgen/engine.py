@@ -120,6 +120,7 @@ class GenerationEngine:
         self.log_bytes = 0  # UTF-8 bytes in the run log, as this run has written it
         self.state = EngineState()
         self.queries: list[str] = []
+        self._checked: tuple[dict[str, Any], list[GeneratedExample]] | None = None  # by cut_log
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -164,8 +165,9 @@ class GenerationEngine:
 
     def resume(self) -> None:
         """Restore RNG, trackers, guidance and the run log's size from the checkpoint, cut
-        the dataset back to the size it records, and read the accepted queries from it."""
-        doc, kept = self._read_checkpoint()
+        the dataset back to the size it records, and take the accepted queries from it;
+        both are read and checked once, here or by a preceding ``cut_log``."""
+        (doc, kept), self._checked = self._checked or self._read_checkpoint(), None
         os.truncate(self.out_path, doc["dataset_bytes"])
         self.log_bytes = doc["log_bytes"] or 0
         self.state.accepted = doc["accepted"]
@@ -180,7 +182,8 @@ class GenerationEngine:
         """Cut the run log at ``path`` back to the size the checkpoint records,
         so a resumed run does not log twice what it redoes; a checkpoint that
         ``resume`` would refuse leaves the log as it is."""
-        size = self._read_checkpoint()[0]["log_bytes"]  # None: the run had no log
+        self._checked = self._read_checkpoint()
+        size = self._checked[0]["log_bytes"]  # None: the run had no log
         if size is not None:
             with open(path, "ab") as fh:
                 if fh.tell() > size:

@@ -2,8 +2,9 @@
 
 The optimized battery holds the eight scores driving candidate ranking; the
 full battery adds the four held-out scores used only in reports. Every metric
-is oriented so that higher means more diverse. ``MarginalScorer`` evaluates
-the optimized battery of one growing corpus plus each of many candidates.
+is oriented so that higher means more diverse. The report's ``METRICS`` and
+``MarginalScorer``, which scores many candidates against one growing corpus,
+read the same per-text records of a ``Corpus``.
 """
 
 from __future__ import annotations
@@ -25,17 +26,17 @@ from divgen.metrics.semantic import (
     vendi_score,
 )
 from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this name
-    TokenCounts,
     compression_ratio,
     compression_ratio_diversity,
     deflater,
     fkgl_grade,
     ratio_of_types,
+    simpson_of_counts,
     tokenize,
     type_token_ratio,
     variance,
 )
-from divgen.metrics.trees import (
+from divgen.metrics.trees import (  # parse_tree_entropy: bench/spans.py wraps this name
     avg_tree_edit_distance,
     parse_tree_entropy,
     sentence_shapes,
@@ -63,42 +64,71 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 
 
 class Corpus:
-    """A corpus's texts and embedding rows (a ``semantic.UnitRows`` in the
-    report), and the tables its metrics share, each built on first use: token
-    ids for TTR and Simpson, and the neighbourhood table of cluster entropy.
-    A table read equals the metric of the gathered texts or rows bit for bit."""
+    """A corpus's texts with one record each, and its embedding rows (a
+    ``semantic.UnitRows`` in the report), whose cluster-entropy neighbourhood
+    table is built on first use. ``append`` records each text once: its FKGL
+    grade (a text without a word token raises ValueError), its token ids into
+    the corpus's vocabulary, its token count and its sentence shapes. The text
+    metrics read these records, so each equals the metric of the gathered
+    texts bit for bit."""
 
-    def __init__(self, texts: Sequence[str], rows):
-        self.texts, self.rows = list(texts), rows
+    def __init__(self, texts: Sequence[str] = (), rows=None):
+        self.texts: list[str] = []
+        self.rows = rows
+        self.vocabulary: dict[str, int] = {}
+        self.token_ids: list[np.ndarray] = []
+        self.lengths: list[float] = []
+        self.fkgls: list[float] = []
+        self.shapes: list[list[str]] = []
+        self.append(texts)
 
-    @functools.cached_property
-    def tokens(self) -> TokenCounts:
-        return TokenCounts(self.texts)
+    def append(self, texts: Sequence[str]) -> None:
+        for text in texts:
+            grade = fkgl_grade(text)
+            tokens = tokenize(text)
+            self.token_ids.append(np.array(
+                [self.vocabulary.setdefault(t, len(self.vocabulary)) for t in tokens],
+                dtype=np.intp))
+            self.lengths.append(float(len(tokens)))
+            self.fkgls.append(grade)
+            self.shapes.append(sentence_shapes(text))
+            self.texts.append(text)
+
+    def counts(self, indices: Sequence[int]) -> np.ndarray:
+        """How often each vocabulary token occurs in the texts at ``indices``."""
+        return np.bincount(np.concatenate([self.token_ids[i] for i in indices]))
+
+    def type_token_ratio(self, indices: Sequence[int]) -> float:
+        counts = self.counts(indices)
+        return ratio_of_types(int(np.count_nonzero(counts)), int(counts.sum()))
+
+    def simpson_index(self, indices: Sequence[int]) -> float:
+        counts = self.counts(indices)
+        return simpson_of_counts(counts[counts > 0].tolist())
 
     @functools.cached_property
     def cluster_entropy(self) -> Callable[[Sequence[int]], float]:
         return query_entropy_over_indices(self.rows)
 
-    def texts_at(self, indices: Sequence[int]) -> list[str]:
-        return [self.texts[i] for i in indices]
-
 
 #: The one metric registry: each metric as a function of (corpus, index
 #: subset), the score of the texts and rows at those indices, so a report
-#: reads a score and its resamples from one entry. Entries look their metric
-#: function up by module-global name at call time, so rebinding one of those
-#: names (as a tracer wrapping each metric does) reaches every caller.
+#: reads a score and its resamples from one entry. TTR, Simpson, shape entropy
+#: and the variances read the corpus's records; the other entries look their
+#: metric function up by module-global name at call time, so rebinding one of
+#: those names (as a tracer wrapping each metric does) reaches every caller.
 METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
-    "ttr": lambda c, idx: c.tokens.type_token_ratio(idx),
-    "compression_ratio": lambda c, idx: compression_ratio_diversity(c.texts_at(idx)),
+    "ttr": lambda c, idx: c.type_token_ratio(idx),
+    "compression_ratio": lambda c, idx: compression_ratio_diversity([c.texts[i] for i in idx]),
     "paraphrase_variety": lambda c, idx: paraphrase_variety(c.rows[idx]),
-    "parse_tree_entropy": lambda c, idx: parse_tree_entropy(c.texts_at(idx)),
+    "parse_tree_entropy":
+        lambda c, idx: entropy_of_sizes(Counter(s for i in idx for s in c.shapes[i]).values()),
     "chamfer": lambda c, idx: chamfer_distance_score(c.rows[idx]),
-    "var_fkgl": lambda c, idx: variance([fkgl_grade(t) for t in c.texts_at(idx)]),
-    "var_length": lambda c, idx: variance([float(len(tokenize(t))) for t in c.texts_at(idx)]),
+    "var_fkgl": lambda c, idx: variance([c.fkgls[i] for i in idx]),
+    "var_length": lambda c, idx: variance([c.lengths[i] for i in idx]),
     "vendi": lambda c, idx: vendi_score(c.rows[idx]),
-    "simpson": lambda c, idx: c.tokens.simpson_index(idx),
-    "tree_edit_distance": lambda c, idx: avg_tree_edit_distance(c.texts_at(idx)),
+    "simpson": lambda c, idx: c.simpson_index(idx),
+    "tree_edit_distance": lambda c, idx: avg_tree_edit_distance([c.texts[i] for i in idx]),
     "cluster_entropy": lambda c, idx: c.cluster_entropy(idx),
     "semantic_spread": lambda c, idx: semantic_spread(c.rows[idx]),
 }
@@ -140,27 +170,22 @@ def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, 
     return _evaluate(OPTIMIZED_METRICS, texts, embeddings)
 
 
-#: Byte cap on one stack of Vendi kernels. Batches are split to stay under it,
-#: so a large corpus, where ``eigvalsh`` dominates and stacking saves nothing,
-#: holds one (N+1)² kernel at a time instead of one per candidate.
-_STACK_BYTES = 4 << 20
-
-
 class MarginalScorer:
     """The optimized battery of ``corpus + [candidate]``, for many candidates.
 
-    ``sync`` grows the corpus-side state one text at a time, so a run keeps
-    one scorer and adds each accepted text once: its token types and count, a
-    DEFLATE stream fed the newline-joined corpus, its sentence-shape table, its
-    FKGL and length lists and its unit row. Once per sync it takes the rows'
-    clipped Gram K, the sum of the pair distances 1 − K, and each row's
+    ``sync`` grows the scorer's ``Corpus`` one text at a time, so a run keeps
+    one scorer and records each accepted text once. Next to the records it
+    keeps a DEFLATE stream fed the newline-joined corpus, the corpus's shape
+    counts, its token total and its unit rows. Once per sync it takes the
+    rows' clipped Gram K, the sum of the pair distances 1 − K, and each row's
     distance to its nearest other row. ``score`` evaluates each distinct
     candidate once per corpus; a call's new candidates are scored as one batch
-    from one product s of their unit rows with the corpus's: paraphrase variety
-    and Chamfer in O(N) each, and Vendi from ``eigvalsh`` of K bordered by s
-    and a 1, stacked under ``_STACK_BYTES``. The text metrics come from the
-    memoised tokens of each candidate and the per-token tag and syllable memos:
-    its sentence shapes are rendered from the chunker's tags without a tree.
+    from one product s of their unit rows with the corpus's: paraphrase
+    variety and Chamfer in O(N) each, and Vendi from ``eigvalsh`` of K
+    bordered by s and a 1, in one (N+1)² kernel buffer whose border each
+    candidate refills. The text metrics combine the corpus's records and
+    running totals with the candidate's tokens, FKGL grade and sentence
+    shapes, rendered from the chunker's tags without a tree.
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
@@ -175,15 +200,12 @@ class MarginalScorer:
         self.sync(corpus)
 
     def _reset(self) -> None:
-        self._texts: list[str] = []
-        self._types: set[str] = set()
+        self.corpus = Corpus()
         self._n_tokens = 0
         self._raw_bytes = 0
         self._deflate = deflater()
         self._deflated_bytes = 0
         self._shapes: Counter[str] = Counter()
-        self._fkgls: list[float] = []
-        self._lengths: list[float] = []
         self._units: np.ndarray | None = None
         self._gram = np.empty((0, 0))
         self._pair_sum = 0.0
@@ -193,22 +215,19 @@ class MarginalScorer:
     def sync(self, corpus: Sequence[str]) -> None:
         """Make the scorer's corpus exactly ``corpus``: append the new texts
         when it holds a prefix of them, rebuild it otherwise."""
-        if list(corpus[: len(self._texts)]) != self._texts:
+        held = self.corpus.texts
+        if list(corpus[: len(held)]) != held:
             self._reset()
-        new = list(corpus[len(self._texts):])
+        new = list(corpus[len(self.corpus.texts):])
         if not new:
             return
         for text in new:
-            tokens = tokenize(text)
-            self._types.update(tokens)
-            self._n_tokens += len(tokens)
             raw = self._next_line(text)
             self._raw_bytes += len(raw)
             self._deflated_bytes += len(self._deflate.compress(raw))
-            self._shapes.update(sentence_shapes(text))
-            self._fkgls.append(fkgl_grade(text))
-            self._lengths.append(float(len(tokens)))
-            self._texts.append(text)
+            self.corpus.append([text])
+            self._n_tokens += len(self.corpus.token_ids[-1])
+            self._shapes.update(self.corpus.shapes[-1])
         units = unit_rows(self._embed_cache.matrix(new))
         self._units = units if self._units is None else np.concatenate((self._units, units))
         gram = self._units @ self._units.T
@@ -222,7 +241,7 @@ class MarginalScorer:
 
     def _next_line(self, text: str) -> bytes:
         """``text`` as the newline-joined corpus's next bytes."""
-        return (f"\n{text}" if self._texts else text).encode("utf-8")
+        return (f"\n{text}" if self.corpus.texts else text).encode("utf-8")
 
     def score(self, candidates: Sequence[str]) -> list[dict[str, float]]:
         """The eight optimized metrics of the corpus extended by each candidate,
@@ -234,7 +253,7 @@ class MarginalScorer:
 
     def _evaluate_batch(self, candidates: list[str]) -> list[dict[str, float]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
-        n, size = len(self._texts), len(self._texts) + 1
+        n, size = len(self.corpus.texts), len(self.corpus.texts) + 1
         sims = np.clip(units @ self._units.T, -1.0, 1.0) if n else units[:, :0]
         dists = 1.0 - sims
         if n:
@@ -243,15 +262,13 @@ class MarginalScorer:
                         + dists.min(axis=1)) / size
         else:
             varieties = chamfers = np.zeros(len(units))
+        kernel = np.empty((size, size))
+        kernel[:n, :n] = self._gram
+        kernel[n, n] = 1.0
         vendis: list[float] = []
-        step = max(1, _STACK_BYTES // (8 * size * size))
-        for start in range(0, len(units), step):
-            border = sims[start:start + step]
-            kernels = np.empty((len(border), size, size))
-            kernels[:, :n, :n] = self._gram
-            kernels[:, :n, n] = kernels[:, n, :n] = border
-            kernels[:, n, n] = 1.0
-            vendis += [vendi_from_eigenvalues(e) for e in kernel_eigenvalues(kernels)]
+        for border in sims:
+            kernel[:n, n] = kernel[n, :n] = border
+            vendis.append(vendi_from_eigenvalues(kernel_eigenvalues(kernel)))
         return [self._battery(c, float(variety), float(chamfer), vendi)
                 for c, variety, chamfer, vendi in zip(candidates, varieties, chamfers, vendis)]
 
@@ -266,15 +283,16 @@ class MarginalScorer:
                     + len(deflate.flush()))
         shapes = self._shapes.copy()
         shapes.update(sentence_shapes(candidate))
+        vocabulary = self.corpus.vocabulary
         return {
-            "ttr": ratio_of_types(len(self._types) + len(set(tokens) - self._types),
+            "ttr": ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),
                                   self._n_tokens + len(tokens)),
             "compression_ratio": compression_ratio(deflated, self._raw_bytes + len(extra)),
             "paraphrase_variety": variety,
             "parse_tree_entropy": entropy_of_sizes(shapes.values()),
             "chamfer": chamfer,
-            "var_fkgl": variance(self._fkgls + [fkgl_grade(candidate)]),
-            "var_length": variance(self._lengths + [float(len(tokens))]),
+            "var_fkgl": variance(self.corpus.fkgls + [fkgl_grade(candidate)]),
+            "var_length": variance(self.corpus.lengths + [float(len(tokens))]),
             "vendi": vendi,
         }
 

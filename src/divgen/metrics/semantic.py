@@ -151,12 +151,12 @@ def vendi_score(embeddings: Sequence) -> float:
 
 def kernel_eigenvalues(sim: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Vendi kernel K/n of one (n, n) similarity
-    matrix, or of each matrix in an (m, n, n) stack (one row per matrix).
+    matrix, symmetrised as (K + Kᵀ)/2n. ``sim`` itself is not written.
 
     Raises ValueError if any eigenvalue is below -1e-9 (K is not PSD).
     """
-    n = sim.shape[-1]
-    scaled = sim + np.swapaxes(sim, -1, -2)
+    n = len(sim)
+    scaled = sim + sim.T
     scaled /= 2.0 * n
     eigenvalues = np.linalg.eigvalsh(scaled)
     if np.any(eigenvalues < -1e-9):

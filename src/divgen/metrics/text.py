@@ -14,8 +14,6 @@ import zlib
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 _COMPRESSION_LEVEL = 6
@@ -59,31 +57,6 @@ def simpson_of_counts(counts: Sequence[int]) -> float:
     if not total:
         raise ValueError("simpson_index requires at least one token")
     return 1.0 - math.fsum((c / total) ** 2 for c in counts)
-
-
-class TokenCounts:
-    """A corpus's tokens as ids into the corpus's vocabulary, one array per
-    text, so that the word counts of any index subset of the corpus are one
-    ``np.bincount``. Its type-token ratio and Simpson index read integer
-    counts only, so each equals the metric of the gathered texts bit for bit.
-    """
-
-    def __init__(self, corpus: Sequence[str]):
-        vocabulary: dict[str, int] = {}
-        self._ids = [np.array([vocabulary.setdefault(t, len(vocabulary)) for t in tokenize(text)],
-                              dtype=np.intp) for text in corpus]
-
-    def counts(self, indices: Sequence[int]) -> np.ndarray:
-        """How often each vocabulary token occurs in the texts at ``indices``."""
-        return np.bincount(np.concatenate([self._ids[i] for i in indices]))
-
-    def type_token_ratio(self, indices: Sequence[int]) -> float:
-        counts = self.counts(indices)
-        return ratio_of_types(int(np.count_nonzero(counts)), int(counts.sum()))
-
-    def simpson_index(self, indices: Sequence[int]) -> float:
-        counts = self.counts(indices)
-        return simpson_of_counts(counts[counts > 0].tolist())
 
 
 def _compressed_size(data: bytes) -> int:

@@ -21,8 +21,8 @@ the lower heights come first, so every distance a cell reads is already
 known. Row groups are cut into tiles that bound the forest tables' memory.
 The corpus's distance table is kept, so its bootstrap resamples, which hold
 subsets of its trees, read it without a kernel call. Each text's sentence
-parts and each sentence's tree shape and postorder are memoised, so a
-resample splits and chunks nothing.
+parts and each sentence's postorder are memoised, so a resample splits and
+chunks nothing.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def chunk_sentence(sentence: str) -> TreeNode:
     return TreeNode("S", tuple(_chunk_node(label, leaves) for label, leaves in _chunks(sentence)))
 
 
-@functools.lru_cache(maxsize=65536)
 def _chunk_shape(sentence: str) -> str:
     """``tree_shape(chunk_sentence(sentence))``, rendered from the chunks
     without building the tree."""

@@ -296,6 +296,11 @@ class RunConfig:
     decode_params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
+            raise ModelError(f"config rng_seed must be an integer, got {self.rng_seed!r}")
+        for name in ("type_weights", "decode_params"):
+            if not isinstance(value := getattr(self, name), dict):
+                raise ModelError(f"config {name} must be a JSON object, got {value!r}")
         for name in ("rounds", "retry_limit", "pattern_period", "embedding_dimension"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:

@@ -337,10 +337,10 @@ def build_similarity_graph(
     names = [fn.name for fn in library]
 
     def block_max(a: list[tuple[int, str]], b: list[tuple[int, str]]) -> np.ndarray:
-        """[u, v]: the largest cosine between a sentence of u in ``a`` and one
-        of v in ``b``; -1 when either function has none. Rows come in library
-        order, so each owner's rows are one run and no segment start repeats."""
-        best = np.full((len(names), len(names)), -1.0)
+        """[u, v]: the largest cosine of a sentence of u in ``a`` and one of v
+        in ``b``; -inf (no threshold passes it) if either has none. Rows are in
+        library order, so each owner's rows are one run, no start repeated."""
+        best = np.full((len(names), len(names)), -np.inf)
         if a and b:
             sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
                                 vectors[[row_of[t] for _, t in b]], allow_zero=True)

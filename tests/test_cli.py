@@ -154,6 +154,28 @@ def test_generate_resume_requires_checkpoint(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("logged", [True, False])
+def test_a_resume_reads_the_dataset_prefix_once(tmp_path, monkeypatch, logged):
+    import divgen.engine
+    reads = []
+
+    def counting_read(path, *args, **kwargs):
+        reads.append(str(path))
+        return read_dataset(path, *args, **kwargs)
+
+    monkeypatch.setattr(divgen.engine, "read_dataset", counting_read)
+    art, out, log = tmp_path / "art.json", tmp_path / "d.jsonl", tmp_path / "run.log"
+    logging = ["--log", str(log)] if logged else []
+    assert run(["preprocess", fixture_library_path(), "--seed", "3", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "2", "--seed", "3", "--out", str(out),
+                *logging]) == 0
+    assert reads == []
+    assert run(["generate", str(art), "--n", "4", "--seed", "3", "--out", str(out),
+                "--resume", *logging]) == 0
+    assert reads == [str(out)]
+    assert len(read_dataset(out)) == 4
+
+
 def test_older_artifact_or_checkpoint_is_usage_error(tmp_path, capsys):
     art, out = tmp_path / "art.json", tmp_path / "d.jsonl"
     assert run(["preprocess", fixture_library_path(), "--seed", "3", "--out", str(art)]) == 0
@@ -221,6 +243,11 @@ def test_checkpoint_digesting_the_retired_keys_is_refused_untouched(tmp_path, ca
     ({"graph_threshold": float("inf")}, "graph_threshold"),
     ({"rounds": 2.5}, "rounds"),
     ({"retry_limit": True}, "retry_limit"),
+    ({"decode_params": 5}, "decode_params"),
+    ({"decode_params": [["temperature", 0]]}, "decode_params"),
+    ({"type_weights": ["SINGLE"]}, "type_weights"),
+    ({"rng_seed": [1]}, "rng_seed"),
+    ({"rng_seed": True}, "rng_seed"),
 ])
 def test_config_values_a_run_cannot_serve_are_refused_before_any_file(
         tmp_path, capsys, config, field):

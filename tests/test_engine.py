@@ -76,16 +76,19 @@ def test_each_accepted_query_reaches_the_ranking_corpus_once(tmp_path, monkeypat
     assert graded - scored == Counter(engine.queries[:-1])
 
 
-def test_ranking_builds_no_chunk_tree(tmp_path):
+def test_ranking_builds_no_chunk_tree(tmp_path, monkeypatch):
     art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
     assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
                      "--out", str(art)]) == 0
+    shaped = []
+    chunk_shape = trees._chunk_shape
+    monkeypatch.setattr(trees, "_chunk_shape",
+                        lambda sentence: shaped.append(sentence) or chunk_shape(sentence))
     trees.chunk_sentence.cache_clear()
-    trees._chunk_shape.cache_clear()
     assert cli.main(["generate", str(art), "--n", "25", "--seed", "7",
                      "--out", str(out)]) == 0
     # the candidates' shapes were taken, from their chunks alone
-    assert trees._chunk_shape.cache_info().currsize > 25
+    assert len(set(shaped)) > 25
     assert trees.chunk_sentence.cache_info().currsize == 0
 
 

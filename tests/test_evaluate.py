@@ -30,11 +30,14 @@ from divgen.metrics.dbscan import dbscan
 from divgen.metrics.semantic import UnitRows
 from divgen.metrics.stats import DRAW_MEMO_SIZE, bootstrap_std
 from divgen.metrics.text import (
-    TokenCounts,
+    fkgl_grade,
     ncd_over_indices,
     simpson_index,
+    tokenize,
     type_token_ratio,
+    variance,
 )
+from divgen.metrics.trees import parse_tree_entropy
 from divgen.model import ExecutionType, GeneratedExample, Invocation, ModelError
 from divgen.preprocess import group_parameters
 from divgen.providers.base import SignatureClient
@@ -375,12 +378,16 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
     texts = data.draw(st.lists(_queries, min_size=size, max_size=size))
     texts[-1] = texts[0]  # a repeated text
     emb = EmbeddingCache(HashEmbedder()).matrix(texts)
-    tokens = TokenCounts(texts)
+    corpus = Corpus(texts, UnitRows(emb))
     queries = query_entropy_over_indices(UnitRows(emb))
     for idx in _samples(size, rng):
         gathered = [texts[i] for i in idx]
-        _same(tokens.type_token_ratio(idx), type_token_ratio(gathered))
-        _same(tokens.simpson_index(idx), simpson_index(gathered))
+        _same(METRICS["ttr"](corpus, idx), type_token_ratio(gathered))
+        _same(METRICS["simpson"](corpus, idx), simpson_index(gathered))
+        _same(METRICS["parse_tree_entropy"](corpus, idx), parse_tree_entropy(gathered))
+        _same(METRICS["var_fkgl"](corpus, idx), variance([fkgl_grade(t) for t in gathered]))
+        _same(METRICS["var_length"](corpus, idx),
+              variance([float(len(tokenize(t))) for t in gathered]))
         _same(queries(idx), _dbscan_entropy(emb[np.array(idx)], cluster_entropy.QUERY_EPS,
                                             "cosine"))
     for category, pool in (("STRING", _STRING_VALUES), ("NUMERICAL", _NUMERICAL_VALUES)):
@@ -393,6 +400,26 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
             _same(entropies(idx), _dbscan_entropy(
                 *cluster_entropy._value_points(gathered, category, HashEmbedder())))
             _same(ncd(idx), reference_ncd_diversity(gathered))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_queries, min_size=1, max_size=30), st.data())
+def test_a_corpus_grown_by_appends_equals_one_built_at_once(texts, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(texts)), max_size=4)))
+    grown = Corpus()
+    for start, stop in zip([0] + cuts, cuts + [len(texts)]):
+        grown.append(texts[start:stop])
+    whole = Corpus(texts)
+    assert grown.texts == whole.texts == texts
+    assert grown.vocabulary == whole.vocabulary
+    assert [ids.tolist() for ids in grown.token_ids] == [ids.tolist() for ids in whole.token_ids]
+    assert (grown.lengths, grown.fkgls, grown.shapes) == (whole.lengths, whole.fkgls, whole.shapes)
+    text_metrics = ("ttr", "simpson", "compression_ratio", "parse_tree_entropy",
+                    "var_fkgl", "var_length", "tree_edit_distance")
+    for _ in range(3):
+        idx = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=40))
+        for name in text_metrics:
+            _same(METRICS[name](grown, idx), METRICS[name](whole, idx))
 
 
 def test_a_compare_draws_each_seeds_resamples_once(monkeypatch, embedder):
@@ -433,17 +460,17 @@ def test_each_table_is_built_once_per_corpus_and_value_sample(monkeypatch, embed
     counting(battery, "query_entropy_over_indices")
     counting(evaluate, "value_entropy_over_indices")
     counting(evaluate, "ncd_over_indices")
-    tokens = []
-    token_counts = battery.TokenCounts
-    monkeypatch.setattr(battery, "TokenCounts",
-                        lambda texts: tokens.append(texts) or token_counts(texts))
+    recorded = []
+    append = Corpus.append
+    monkeypatch.setattr(Corpus, "append",
+                        lambda self, texts: recorded.append(list(texts)) or append(self, texts))
     corpus = report_corpus(40)
     compare_linguistic_diversity(corpus, corpus[::-1], embedder, seed=5)
-    # one neighbourhood table and one token table per corpus, each read for
-    # the corpus's score and its 100 resamples
+    # one neighbourhood table and one set of text records per corpus, each
+    # read for the corpus's score and its 100 resamples
     assert built == {"query_entropy_over_indices": 2}
     assert scored == {"query_entropy_over_indices": 202}
-    assert tokens == [corpus, corpus[::-1]]
+    assert recorded == [corpus, corpus[::-1]]
     built.clear()
     scored.clear()
     lib = shared_library()

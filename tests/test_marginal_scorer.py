@@ -20,13 +20,16 @@ from divgen.querygen import rank_candidates_by_diversity
 
 SOURCES = {"varied": varied_corpus(), "repetitive": repetitive_corpus()}
 UNSHARED = "Zephyr quokkas juggle xylophones. Gnarly yaks whizz by!"
+TEXT_METRICS = ("ttr", "compression_ratio", "parse_tree_entropy", "var_fkgl", "var_length")
 
 
 def assert_close(got, want, context):
+    """Within 1e-12, and the text metrics exactly equal."""
     assert got.keys() == want.keys()
     for metric, value in want.items():
         assert math.isclose(got[metric], value, rel_tol=1e-12, abs_tol=1e-12), \
             (metric, got[metric], value, context)
+    assert {m: got[m] for m in TEXT_METRICS} == {m: want[m] for m in TEXT_METRICS}, context
 
 
 def rounded_orders(scores):

@@ -210,7 +210,7 @@ def brute_force_graph_edges(library, embedder, threshold):
         return 0.0 if na == 0.0 or nb == 0.0 else float(va @ vb) / (na * nb)
 
     def max_sim(texts_a, texts_b):
-        return max((cos(ta, tb) for ta in texts_a for tb in texts_b), default=-1.0)
+        return max((cos(ta, tb) for ta in texts_a for tb in texts_b), default=-np.inf)
 
     params = {f.name: [describe_parameter(p) for p in f.parameters] for f in library}
     returns = {f.name: [describe_return_field(r) for r in flat(f.return_fields)]
@@ -280,11 +280,11 @@ def reference_graph(library, embedder, threshold):
     n = len(library)
 
     def block_max(a, b):
-        best = np.full((n, n), -1.0)
+        best = np.full((n, n), -np.inf)
         if a and b:
             sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
                                 vectors[[row_of[t] for _, t in b]], allow_zero=True)
-            by_owner_b = np.full((n, len(a)), -1.0)
+            by_owner_b = np.full((n, len(a)), -np.inf)
             np.maximum.at(by_owner_b, [o for o, _ in b], sim.T)
             np.maximum.at(best, [o for o, _ in a], by_owner_b.T)
         return best
@@ -334,6 +334,20 @@ def test_graph_equals_per_edge_reference(embedder, library_of, threshold):
     graph = build_similarity_graph(lib, embedder, threshold)
     assert graph.edges
     assert graph == reference_graph(lib, embedder, threshold)
+
+
+def test_graph_at_threshold_minus_one_joins_only_functions_with_sentences(embedder):
+    # a cosine is never below -1, so every pair with sentences on both sides
+    # qualifies, and no pair without them does
+    lib = gapped_library(5)
+    graph = build_similarity_graph(lib, embedder, -1.0)
+    by_name = {f.name: f for f in lib}
+    pp = [(e.source, e.target) for e in graph.edges if e.kind == "P-P"]
+    pr = [(e.source, e.target) for e in graph.edges if e.kind == "P-R"]
+    assert pp and pr
+    assert all(by_name[u].parameters and by_name[v].parameters for u, v in pp)
+    assert all(by_name[u].return_fields and by_name[v].parameters for u, v in pr)
+    assert all(e.weight >= -1.0 for e in graph.edges)
 
 
 def test_artifact_round_trip_and_byte_stability(tmp_path, library, embedder):

@@ -294,12 +294,17 @@ def test_token_memos_equal_their_functions():
         assert count_syllables(word) == count_syllables.__wrapped__(word)
 
 
-def test_sentence_parts_stay_out_of_the_tokenize_memo():
-    # the parts and their chunks are memoised per text and per sentence
-    for memo in (tokenize, trees._sentence_parts, trees._chunk_shape):
+def test_sentence_parts_stay_out_of_the_tokenize_memo(monkeypatch):
+    # the parts are memoised per text, and each part's shape is rendered once
+    shaped = []
+    chunk_shape = trees._chunk_shape
+    monkeypatch.setattr(trees, "_chunk_shape",
+                        lambda sentence: shaped.append(sentence) or chunk_shape(sentence))
+    for memo in (tokenize, trees._sentence_parts):
         memo.cache_clear()
     assert trees.sentence_shapes("Find a hotel in Rome. Book the flight?") == [
         "(S (VP VERB) (NP DET NOUN) (PP PREP (NP NOUN)))", "(S (VP VERB) (NP DET NOUN))"]
+    assert shaped == ["Find a hotel in Rome", "Book the flight"]
     assert tokenize.cache_info().currsize == 0
 
 
