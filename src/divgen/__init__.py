@@ -7,37 +7,3 @@ and linguistic diversity (an eight-metric battery fused with reciprocal rank
 fusion). All LLM and embedding dependencies sit behind pluggable providers, so
 the whole pipeline runs deterministically with the bundled offline providers.
 """
-
-from divgen.model import (
-    MISSING_SENTINEL,
-    ExecutionType,
-    FunctionSchema,
-    GeneratedExample,
-    Invocation,
-    ParamCategory,
-    ParameterSpec,
-    ReturnField,
-    RunConfig,
-    classify_parameter_type,
-    load_function_library,
-    read_dataset,
-    write_dataset,
-)
-
-__all__ = [
-    "MISSING_SENTINEL",
-    "ExecutionType",
-    "FunctionSchema",
-    "GeneratedExample",
-    "Invocation",
-    "ParamCategory",
-    "ParameterSpec",
-    "ReturnField",
-    "RunConfig",
-    "classify_parameter_type",
-    "load_function_library",
-    "read_dataset",
-    "write_dataset",
-]
-
-__version__ = "0.1.0"

@@ -23,6 +23,7 @@ from divgen.evaluate import (
 )
 from divgen.metrics.battery import EmbeddingCache
 from divgen.model import (
+    FunctionSchema,
     GeneratedExample,
     ModelError,
     RunConfig,
@@ -81,14 +82,20 @@ def make_embedder(config: RunConfig):
     raise UsageError(f"unknown embedding provider {config.embedding_provider!r}")
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    config = load_config(args.config, args.seed)
-    library_path = Path(args.library)
-    if not library_path.exists():
+def _read_library(path: str) -> list[FunctionSchema]:
+    """The function library at ``path``; a missing or empty one raises UsageError."""
+    library_path = Path(path)
+    if not library_path.is_file():
         raise UsageError(f"library file not found: {library_path}")
     library = load_function_library(library_path)
     if not library:
         raise UsageError(f"{library_path}: the library holds no function")
+    return library
+
+
+def cmd_preprocess(args: argparse.Namespace) -> int:
+    config = load_config(args.config, args.seed)
+    library = _read_library(args.library)
     embedder = EmbeddingCache(make_embedder(config))  # grouping and graph share texts
     rng = random.Random(config.rng_seed)
     groups = group_parameters(library, embedder, config.group_threshold)
@@ -104,7 +111,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be 0 or more, not {args.n}")
     artifact_path = Path(args.artifact)
-    if not artifact_path.exists():
+    if not artifact_path.is_file():
         raise UsageError(f"artifact not found: {artifact_path}")
     library, groups, pools, graph, stored = read_artifact(artifact_path)
     config = load_config(args.config, args.seed, stored)
@@ -123,7 +130,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     finally:
         if engine.log_stream is not None:
             engine.log_stream.close()
-    print(f"generate: {added} example(s) added; dataset holds {args.n} -> {args.out}")
+    print(f"generate: {added} example(s) added; dataset holds {engine.state.accepted}"
+          f" -> {args.out}")
     return EXIT_OK
 
 
@@ -131,10 +139,13 @@ def _read_corpus(path: str) -> tuple[list[str], list[GeneratedExample] | None]:
     """The queries of a dataset and its examples, or of a JSON array of
     queries and None."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise UsageError(f"dataset not found: {p}")
     if p.suffix == ".json":
-        data = json.loads(p.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(p.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise UsageError(f"cannot read {p}: {exc}") from exc
         if not isinstance(data, list):
             raise UsageError(f"{p}: expected a JSON array of queries")
         for i, q in enumerate(data, 1):
@@ -166,18 +177,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.library_a and (examples_a is None or examples_b is None):
         raise UsageError("the argument-diversity section needs two datasets, not JSON"
                          " arrays of queries")
+    libraries = ([_read_library(p) for p in (args.library_a, args.library_b)]
+                 if args.library_a else [])
     embedder = EmbeddingCache(make_embedder(config))  # reports and resamples share texts
     report = compare_linguistic_diversity(
         queries_a, queries_b, embedder, config.rng_seed,
         label_a=args.dataset_a, label_b=args.dataset_b)
     doc = report.to_dict()
-    if args.library_a and args.library_b:
+    if libraries:
         # argument-diversity comparison needs the function libraries to match
         # parameter groups across the two datasets
         doc["argument_diversity"] = compare_argument_diversity(
-            examples_a, examples_b,
-            load_function_library(args.library_a),
-            load_function_library(args.library_b),
+            examples_a, examples_b, *libraries,
             embedder, seed=config.rng_seed, threshold=config.group_threshold)
     Path(args.out).write_text(json.dumps(doc, ensure_ascii=False, indent=1)
                               + "\n", encoding="utf-8")
@@ -187,7 +198,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _labels_from_file(path: str) -> tuple[list[str], list[bool], list[str] | None]:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise UsageError(f"label file not found: {p}")
     ids: list[str] = []
     labels: list[bool] = []
@@ -218,10 +229,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if ids_a != ids_b:
         raise UsageError("prediction and reference files must list the same ids"
                          " in the same order")
-    result = paired_model_comparison(
-        labels_a, labels_b, alpha=args.alpha,
-        correction="holm" if cats_a else "none",
-        categories=cats_a)
+    try:
+        result = paired_model_comparison(
+            labels_a, labels_b, alpha=args.alpha,
+            correction="holm" if cats_a else "none",
+            categories=cats_a)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     Path(args.out).write_text(json.dumps(result, ensure_ascii=False, indent=1) + "\n",
                               encoding="utf-8")
     print(f"accuracy A={result['accuracy_a']:.4f} B={result['accuracy_b']:.4f}"

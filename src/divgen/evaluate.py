@@ -320,6 +320,8 @@ def paired_model_comparison(
         raise ValueError("label vectors must have equal length")
     if correction not in ("none", "holm"):
         raise ValueError("correction must be 'none' or 'holm'")
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise ValueError(f"alpha must be a number between 0 and 1, not {alpha}")
     n = len(labels_a)
     if n == 0:
         raise ValueError("label vectors must be non-empty")

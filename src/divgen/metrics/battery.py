@@ -36,10 +36,15 @@ from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this
     type_token_ratio,
     variance,
 )
-from divgen.metrics.trees import (  # parse_tree_entropy: bench/spans.py wraps this name
+from divgen.metrics.trees import (  # avg_tree_edit_distance, parse_tree_entropy:
+    # bench/spans.py wraps these names
     avg_tree_edit_distance,
+    chunk_postorders,
+    chunk_shapes,
+    mean_tree_distance,
     parse_tree_entropy,
     sentence_shapes,
+    sentences_of,
 )
 
 #: Metrics optimized during generation, in ranking order.
@@ -68,9 +73,11 @@ class Corpus:
     ``semantic.UnitRows`` in the report), whose cluster-entropy neighbourhood
     table is built on first use. ``append`` records each text once: its FKGL
     grade (a text without a word token raises ValueError), its token ids into
-    the corpus's vocabulary, its token count and its sentence shapes. The text
-    metrics read these records, so each equals the metric of the gathered
-    texts bit for bit."""
+    the corpus's vocabulary, its token count, its sentence parts (split once)
+    and their shapes. The parts' interned trees, which only tree edit
+    distance reads, are built from the parts when it reads them, so ranking
+    builds none. The text metrics read these records, so each equals the
+    metric of the gathered texts bit for bit."""
 
     def __init__(self, texts: Sequence[str] = (), rows=None):
         self.texts: list[str] = []
@@ -79,7 +86,9 @@ class Corpus:
         self.token_ids: list[np.ndarray] = []
         self.lengths: list[float] = []
         self.fkgls: list[float] = []
+        self.parts: list[list[str]] = []
         self.shapes: list[list[str]] = []
+        self._trees: list[list] = []
         self.append(texts)
 
     def append(self, texts: Sequence[str]) -> None:
@@ -91,7 +100,8 @@ class Corpus:
                 dtype=np.intp))
             self.lengths.append(float(len(tokens)))
             self.fkgls.append(grade)
-            self.shapes.append(sentence_shapes(text))
+            self.parts.append(sentences_of(text))
+            self.shapes.append(chunk_shapes(self.parts[-1]))
             self.texts.append(text)
 
     def counts(self, indices: Sequence[int]) -> np.ndarray:
@@ -110,13 +120,21 @@ class Corpus:
     def cluster_entropy(self) -> Callable[[Sequence[int]], float]:
         return query_entropy_over_indices(self.rows)
 
+    @property
+    def trees(self) -> list[list]:
+        """Per text, the interned chunk tree of each of its sentence parts,
+        built for the texts appended since the last read."""
+        self._trees.extend(chunk_postorders(parts) for parts in self.parts[len(self._trees):])
+        return self._trees
+
 
 #: The one metric registry: each metric as a function of (corpus, index
 #: subset), the score of the texts and rows at those indices, so a report
-#: reads a score and its resamples from one entry. TTR, Simpson, shape entropy
-#: and the variances read the corpus's records; the other entries look their
-#: metric function up by module-global name at call time, so rebinding one of
-#: those names (as a tracer wrapping each metric does) reaches every caller.
+#: reads a score and its resamples from one entry. TTR, Simpson, shape entropy,
+#: tree edit distance and the variances read the corpus's records; the other
+#: entries look their metric function up by module-global name at call time,
+#: so rebinding one of those names (as a tracer wrapping each metric does)
+#: reaches every caller.
 METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
     "ttr": lambda c, idx: c.type_token_ratio(idx),
     "compression_ratio": lambda c, idx: compression_ratio_diversity([c.texts[i] for i in idx]),
@@ -128,7 +146,7 @@ METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
     "var_length": lambda c, idx: variance([c.lengths[i] for i in idx]),
     "vendi": lambda c, idx: vendi_score(c.rows[idx]),
     "simpson": lambda c, idx: c.simpson_index(idx),
-    "tree_edit_distance": lambda c, idx: avg_tree_edit_distance([c.texts[i] for i in idx]),
+    "tree_edit_distance": lambda c, idx: mean_tree_distance(t for i in idx for t in c.trees[i]),
     "cluster_entropy": lambda c, idx: c.cluster_entropy(idx),
     "semantic_spread": lambda c, idx: semantic_spread(c.rows[idx]),
 }

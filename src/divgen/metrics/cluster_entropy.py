@@ -15,7 +15,9 @@ walks the whole index outside the distance product.
 
 The report scores one value sample or query corpus and its resamples;
 ``value_entropy_over_indices`` and ``query_entropy_over_indices`` build its
-neighbourhood table once, and each index subset partitions its sub-table.
+neighbourhood table once, and each index subset reads the component sizes
+of its sub-table, which are DBSCAN's cluster sizes with its noise points as
+singletons (see ``ValueIndex``).
 A NUMERICAL value that is not a finite number is refused, as a non-numeric one
 is: an infinity is at NaN distance from itself, so it would stand alone.
 """
@@ -29,12 +31,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from divgen.metrics.dbscan import (
-    ClusterPartition,
-    pairwise_distances,
-    partition,
-    within_eps,
-)
+from divgen.metrics.dbscan import ClusterPartition, components, pairwise_distances, within_eps
 from divgen.metrics.semantic import unit_rows
 
 NUMERIC_EPS = 0.5
@@ -120,16 +117,19 @@ def query_cluster_entropy(embeddings: Sequence) -> float:
 def _entropy_over_indices(points: Sequence, eps: float,
                           metric: str) -> Callable[[Sequence[int]], float]:
     near = within_eps(pairwise_distances(points, metric), eps)
-    return lambda indices: cluster_entropy_bits(
-        partition(near[np.ix_(indices, indices)], MIN_SAMPLES))
+
+    def entropy(indices: Sequence[int]) -> float:
+        sizes = np.bincount(components(near[np.ix_(indices, indices)]))
+        return entropy_of_sizes(sizes[sizes > 0].tolist())
+    return entropy
 
 
 def value_entropy_over_indices(values: Sequence, category: str,
                                embedder=None) -> Callable[[Sequence[int]], float]:
     """The cluster entropy of the values at each index subset, from one
-    neighbourhood table of ``values``: each subset partitions its sub-table,
-    which ``dbscan``'s 12-decimal neighbour test makes equal to the table of
-    the gathered values, so every score is the same bits."""
+    neighbourhood table of ``values``: each subset reads the component sizes
+    of its sub-table, which ``dbscan``'s 12-decimal neighbour test makes equal
+    to the table of the gathered values, so every score is the same bits."""
     return _entropy_over_indices(*_value_points(values, category, embedder))
 
 

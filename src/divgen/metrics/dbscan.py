@@ -8,7 +8,7 @@ so partitions are deterministic); everything else is noise.
 
 The partition is taken in numpy, with no per-point Python loop: the core
 points' components come from hooking and pointer jumping over the
-neighbourhood matrix (``_components``), each labelled by its smallest core
+neighbourhood matrix (``components``), each labelled by its smallest core
 index, and clusters are numbered in the order of those indices, the order in
 which a flood fill seeded from each core in turn would find them.
 
@@ -25,9 +25,9 @@ with this function at ties.
 ``dbscan`` takes two steps, each callable alone: the neighbourhood table,
 ``within_eps(pairwise_distances(points, metric), eps)``, and the ``partition``
 of that table. A caller that clusters many subsets of one point set, as the
-report's bootstrap resamples do, builds the table once and partitions
-``near[np.ix_(idx, idx)]`` per subset: by the same rounding, that sub-table is
-the table of the gathered points.
+report's bootstrap resamples do, builds the table once and reads
+``near[np.ix_(idx, idx)]`` per subset (the report takes its ``components``):
+by the same rounding, that sub-table is the table of the gathered points.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def within_eps(dist: np.ndarray, eps: float) -> np.ndarray:
     return np.round(dist, 12, out=dist) <= eps
 
 
-def _components(adj: np.ndarray) -> np.ndarray:
+def components(adj: np.ndarray) -> np.ndarray:
     """Per node, the smallest node index of its component in the graph of the
     symmetric boolean adjacency matrix ``adj``.
 
@@ -138,7 +138,7 @@ def partition(near: np.ndarray, min_samples: int) -> ClusterPartition:
     to_cores = near & core  # [i, j]: j is a core point within eps of i
     # clusters: the components of the graph of core points, numbered by
     # smallest core index
-    roots = _components(to_cores & core[:, None])
+    roots = components(to_cores & core[:, None])
     numbers = np.cumsum(core & (roots == np.arange(n))) - 1
     labels = np.where(core, numbers[roots], NOISE)
     # border points: attach to the first core neighbor (input order)

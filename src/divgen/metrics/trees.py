@@ -20,9 +20,9 @@ one long numpy row in which the in-row recurrence is a running minimum, and
 the lower heights come first, so every distance a cell reads is already
 known. Row groups are cut into tiles that bound the forest tables' memory.
 The corpus's distance table is kept, so its bootstrap resamples, which hold
-subsets of its trees, read it without a kernel call. Each text's sentence
-parts and each sentence's postorder are memoised, so a resample splits and
-chunks nothing.
+subsets of its trees, read it without a kernel call. Nothing here memoises a
+text: a report's ``battery.Corpus`` keeps each text's sentence parts and,
+from first use, their postorders, so a resample splits and chunks nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import functools
 import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,16 +52,11 @@ def tree_shape(node: TreeNode) -> str:
     return "(" + node.label + " " + " ".join(tree_shape(c) for c in node.children) + ")"
 
 
-@functools.lru_cache(maxsize=65536)
-def _sentence_parts(text: str) -> tuple[str, ...]:
-    """``sentences_of(text)``, split once per text (past tokenize's memo)."""
-    return tuple(part.strip() for part in SENTENCE_SPLIT_RE.split(text)
-                 if tokenize.__wrapped__(part))
-
-
 def sentences_of(text: str) -> list[str]:
-    """Split on terminal punctuation runs, keeping parts that carry tokens."""
-    return list(_sentence_parts(text))
+    """Split on terminal punctuation runs, keeping parts that carry tokens.
+    Its callers keep the parts per text, so it skips tokenize's memo."""
+    return [part.strip() for part in SENTENCE_SPLIT_RE.split(text)
+            if tokenize.__wrapped__(part)]
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +183,14 @@ def _chunk_shape(sentence: str) -> str:
     return f"(S {' '.join(parts)})" if parts else "S"
 
 
+def chunk_shapes(sentences: Sequence[str]) -> list[str]:
+    """Tree shape of each of ``sentences``."""
+    return [_chunk_shape(s) for s in sentences]
+
+
 def sentence_shapes(text: str) -> list[str]:
     """Tree shape of each sentence of one text."""
-    return [_chunk_shape(s) for s in _sentence_parts(text)]
+    return chunk_shapes(sentences_of(text))
 
 
 def parse_tree_entropy(corpus: Sequence[str]) -> float:
@@ -258,9 +258,9 @@ def _postorder(root: TreeNode) -> _Postorder:
     return _interned(tuple(labels), tuple(before))
 
 
-@functools.lru_cache(maxsize=65536)
-def _chunk_postorder(sentence: str) -> _Postorder:
-    return _postorder(chunk_sentence(sentence))
+def chunk_postorders(sentences: Sequence[str]) -> list[_Postorder]:
+    """The interned postorder of each of ``sentences``' chunk trees."""
+    return [_postorder(chunk_sentence(s)) for s in sentences]
 
 
 #: Byte cap on one tile's forest tables; a row group is split into tiles of
@@ -443,17 +443,22 @@ class _PairTable:
 _ted_between_sentences = _PairTable()
 
 
-def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
-    """Mean edit distance over unordered sentence pairs; 0 when < 2 sentences.
+def mean_tree_distance(trees: Iterable[_Postorder]) -> float:
+    """Mean edit distance over unordered pairs of ``trees``; 0 when < 2 trees.
 
     Computed from the count table of distinct trees: pairs of one tree add 0,
     and each pair of distinct trees adds its distance times both counts. The
-    sum is an integer, so the mean equals the sentence-pair loop's exactly.
+    sum is an integer, so the mean equals the pair loop's exactly.
     """
-    counts = Counter(_chunk_postorder(s) for text in corpus for s in _sentence_parts(text))
+    counts = Counter(trees)
     n = sum(counts.values())
     if n < 2:
         return 0.0
     weights = np.array(list(counts.values()), dtype=np.int64)
     total = int(weights @ _ted_between_sentences(list(counts)) @ weights) // 2
     return total / (n * (n - 1) // 2)
+
+
+def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
+    """Mean edit distance over unordered sentence pairs of ``corpus``."""
+    return mean_tree_distance(t for text in corpus for t in chunk_postorders(sentences_of(text)))

@@ -395,7 +395,7 @@ def load_function_library(path: str | Path) -> list[FunctionSchema]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ModelError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ModelError(f"{path}: library must be a JSON array of function definitions")

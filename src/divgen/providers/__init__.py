@@ -1,41 +1,1 @@
 """Pluggable chat-LLM and embedding backends plus the structured prompt format."""
-
-from divgen.providers.base import (
-    ChatProvider,
-    EmbeddingProvider,
-    ProviderError,
-    RateLimitError,
-    TransportError,
-    SignatureClient,
-)
-from divgen.providers.hash_embed import HashEmbedder
-from divgen.providers.mock import ScriptedChat, StubChat, UnscriptedPromptError
-from divgen.providers.signature import (
-    Field,
-    PromptSignature,
-    SignatureParseError,
-    format_output,
-    parse_signature_output,
-    render_signature,
-)
-from divgen.providers import catalog
-
-__all__ = [
-    "ChatProvider",
-    "EmbeddingProvider",
-    "ProviderError",
-    "RateLimitError",
-    "TransportError",
-    "SignatureClient",
-    "HashEmbedder",
-    "ScriptedChat",
-    "StubChat",
-    "UnscriptedPromptError",
-    "Field",
-    "PromptSignature",
-    "SignatureParseError",
-    "format_output",
-    "parse_signature_output",
-    "render_signature",
-    "catalog",
-]

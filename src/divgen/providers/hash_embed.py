@@ -9,8 +9,8 @@ similarity lands in [0, 1]. Text without a word token embeds to zero.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -18,24 +18,25 @@ import numpy as np
 from divgen.metrics.text import tokenize
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.md5(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % dimension
 
 
 class HashEmbedder:
-    """Pure, process-stable embedding provider for tests and offline runs."""
+    """Pure, process-stable embedding provider for tests and offline runs. It
+    keeps no per-text state: a run's ``battery.EmbeddingCache`` sends it each
+    distinct text once."""
 
     def __init__(self, dimension: int = 384):
         if dimension <= 0:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self._cache: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def _embed_one(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
-        # the embedder memoises its vectors, so it skips tokenize's memo
+        # a run embeds each text once, so this skips tokenize's memo
         for token in tokenize.__wrapped__(text):
             vec[_bucket(token, self.dimension)] += 1.0
         norm = float(np.linalg.norm(vec))
@@ -46,12 +47,4 @@ class HashEmbedder:
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if len(texts) == 0:
             raise ValueError("embed requires at least one text")
-        out: list[np.ndarray] = []
-        with self._lock:
-            for text in texts:
-                cached = self._cache.get(text)
-                if cached is None:
-                    cached = self._embed_one(text)
-                    self._cache[text] = cached
-                out.append(cached)
-        return out
+        return [self._embed_one(text) for text in texts]

@@ -30,6 +30,14 @@ def test_empty_library_is_refused_before_any_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
 
 
+def test_a_library_that_is_not_utf8_is_refused_before_any_file(tmp_path, capsys):
+    lib = tmp_path / "lib.json"
+    lib.write_bytes('[{"name": "caf\u00e9"}]'.encode("latin-1"))
+    assert run(["preprocess", str(lib), "--out", str(tmp_path / "a.json")]) == 2
+    assert f"error: cannot parse {lib}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
+
+
 def test_negative_n_is_refused_before_any_file(tmp_path, capsys):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
@@ -144,6 +152,16 @@ def test_preprocess_reruns_byte_identical(tmp_path):
     assert run(["preprocess", fixture_library_path(), "--seed", "3",
                 "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_reports_the_size_the_dataset_holds(tmp_path, capsys):
+    art, out = tmp_path / "art.json", tmp_path / "d.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--seed", "3", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "4", "--seed", "3", "--out", str(out)]) == 0
+    assert run(["generate", str(art), "--n", "2", "--seed", "3", "--out", str(out),
+                "--resume"]) == 0
+    assert f"0 example(s) added; dataset holds 4 -> {out}" in capsys.readouterr().out
+    assert len(read_dataset(out)) == 4
 
 
 def test_generate_resume_requires_checkpoint(tmp_path):
@@ -314,6 +332,19 @@ def test_analyze_refuses_a_corpus_it_cannot_score(tmp_path, capsys, queries, pro
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content, problem", [
+    (b"[", "Expecting value: line 1 column 2"),
+    ('["caf\u00e9"]'.encode("latin-1"), "can't decode byte 0xe9"),
+])
+def test_analyze_refuses_a_json_corpus_it_cannot_read(tmp_path, capsys, content, problem):
+    src, out = tmp_path / "x.json", tmp_path / "report.json"
+    src.write_bytes(content)
+    assert run(["analyze", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read {src}: " in err and problem in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 @pytest.mark.parametrize("queries, problem", [
     ([1, 2], "query 1 is 1, not a string"),
@@ -415,6 +446,17 @@ def test_evaluate_refuses_empty_label_files(tmp_path, capsys):
     out = tmp_path / "o.json"
     assert run(["evaluate", str(a), str(b), "--out", str(out)]) == 2
     assert f"error: {a}: holds no label row" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["2", "inf", "0", "-1", "nan"])
+def test_evaluate_refuses_an_alpha_outside_0_1_before_any_file(tmp_path, capsys, alpha):
+    rows = [{"id": f"i{k}", "correct": True} for k in range(8)]
+    a = _write_labels(tmp_path / "a.jsonl", rows)
+    b = _write_labels(tmp_path / "b.jsonl", rows)
+    out = tmp_path / "eval.json"
+    assert run(["evaluate", a, b, "--alpha", alpha, "--out", str(out)]) == 2
+    assert "error: alpha must be a number between 0 and 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -547,6 +589,30 @@ def test_compare_refuses_an_argument_it_cannot_place(tmp_path, capsys, seed_11_d
     err = capsys.readouterr().err
     assert "error: dataset B: group " in err and f": {bad!r} {problem}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["a", "b"])
+def test_compare_refuses_a_missing_library_before_the_report(tmp_path, capsys, monkeypatch,
+                                                             seed_11_dataset, missing):
+    monkeypatch.setattr(divgen.cli, "compare_linguistic_diversity",
+                        lambda *args, **kwargs: pytest.fail("the report started"))
+    libs = {"a": fixture_library_path(), "b": fixture_library_path()}
+    libs[missing] = str(tmp_path / "missing.json")
+    out = tmp_path / "cmp.json"
+    assert run(["compare", str(seed_11_dataset), str(seed_11_dataset),
+                "--library-a", libs["a"], "--library-b", libs["b"], "--out", str(out)]) == 2
+    assert f"error: library file not found: {libs[missing]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "generate", "analyze", "evaluate"])
+def test_a_directory_given_as_the_input_file_is_usage_error(tmp_path, capsys, command):
+    folder, out = tmp_path / "input.json", tmp_path / "out.json"
+    folder.mkdir()
+    extra = {"generate": ["--n", "1"], "evaluate": [str(folder)]}.get(command, [])
+    assert run([command, str(folder), *extra, "--out", str(out)]) == 2
+    assert f"not found: {folder}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
 
 @pytest.mark.parametrize("flag", ["--library-a", "--library-b"])

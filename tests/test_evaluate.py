@@ -37,7 +37,7 @@ from divgen.metrics.text import (
     type_token_ratio,
     variance,
 )
-from divgen.metrics.trees import parse_tree_entropy
+from divgen.metrics.trees import avg_tree_edit_distance, parse_tree_entropy, sentences_of
 from divgen.model import ExecutionType, GeneratedExample, Invocation, ModelError
 from divgen.preprocess import group_parameters
 from divgen.providers.base import SignatureClient
@@ -332,13 +332,13 @@ def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch
 
     monkeypatch.setattr(semantic, "unit_rows", counting_unit_rows)
     monkeypatch.setattr(trees, "SENTENCE_SPLIT_RE", CountingSplit())
-    trees._sentence_parts.cache_clear()
     analyze_corpus(corpus, embedder, seed=3)
     # the full corpus once; every other row normalised is semantic_spread's
     # centroid, one per score
     assert normalised.count(len(corpus)) == 1
     assert normalised.count(1) == 101 and len(normalised) == 102
-    assert sorted(split) == sorted(set(corpus))
+    # each text once per Corpus, a repeated text as often as it occurs
+    assert sorted(split) == sorted(corpus)
 
 
 # --- per-corpus tables ------------------------------------------------------------
@@ -385,6 +385,7 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
         _same(METRICS["ttr"](corpus, idx), type_token_ratio(gathered))
         _same(METRICS["simpson"](corpus, idx), simpson_index(gathered))
         _same(METRICS["parse_tree_entropy"](corpus, idx), parse_tree_entropy(gathered))
+        _same(METRICS["tree_edit_distance"](corpus, idx), avg_tree_edit_distance(gathered))
         _same(METRICS["var_fkgl"](corpus, idx), variance([fkgl_grade(t) for t in gathered]))
         _same(METRICS["var_length"](corpus, idx),
               variance([float(len(tokenize(t))) for t in gathered]))
@@ -414,6 +415,9 @@ def test_a_corpus_grown_by_appends_equals_one_built_at_once(texts, data):
     assert grown.vocabulary == whole.vocabulary
     assert [ids.tolist() for ids in grown.token_ids] == [ids.tolist() for ids in whole.token_ids]
     assert (grown.lengths, grown.fkgls, grown.shapes) == (whole.lengths, whole.fkgls, whole.shapes)
+    assert grown.parts == whole.parts == [sentences_of(t) for t in texts]
+    # trees are interned, so equal trees are the same object
+    assert grown.trees == whole.trees
     text_metrics = ("ttr", "simpson", "compression_ratio", "parse_tree_entropy",
                     "var_fkgl", "var_length", "tree_edit_distance")
     for _ in range(3):

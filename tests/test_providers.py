@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from divgen.metrics.text import tokenize
 from divgen.providers import catalog
 from divgen.providers.base import RateLimitError, SignatureClient, TransportError
 from divgen.providers.hash_embed import HashEmbedder
@@ -127,6 +130,19 @@ def test_hash_embedder_determinism_and_geometry():
     u, v = emb.embed(["alpha beta gamma", "delta epsilon zeta"])
     assert abs(float(u @ v)) < 1e-12  # token-disjoint, no collisions here
     assert float(u.min()) >= 0.0
+
+
+def test_hash_embedder_counts_md5_buckets_and_holds_no_text_state():
+    texts = ["Find a hotel in Rome, a cheap hotel.", "42 flights", "!!!", "Find a hotel"]
+    emb = HashEmbedder(16)
+    for text, vec in zip(texts, emb.embed(texts)):
+        want = np.zeros(16)
+        for token in tokenize(text):
+            want[int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:8], "big") % 16] += 1
+        norm = np.linalg.norm(want)
+        assert vec.tobytes() == (want / norm if norm else want).tobytes()
+    # a run's EmbeddingCache is its one text-to-vector memo
+    assert vars(HashEmbedder()) == {"dimension": 384}
 
 
 def test_hash_embedder_empty_list_errors():

@@ -295,13 +295,12 @@ def test_token_memos_equal_their_functions():
 
 
 def test_sentence_parts_stay_out_of_the_tokenize_memo(monkeypatch):
-    # the parts are memoised per text, and each part's shape is rendered once
+    # each part's shape is rendered once
     shaped = []
     chunk_shape = trees._chunk_shape
     monkeypatch.setattr(trees, "_chunk_shape",
                         lambda sentence: shaped.append(sentence) or chunk_shape(sentence))
-    for memo in (tokenize, trees._sentence_parts):
-        memo.cache_clear()
+    tokenize.cache_clear()
     assert trees.sentence_shapes("Find a hotel in Rome. Book the flight?") == [
         "(S (VP VERB) (NP DET NOUN) (PP PREP (NP NOUN)))", "(S (VP VERB) (NP DET NOUN))"]
     assert shaped == ["Find a hotel in Rome", "Book the flight"]
