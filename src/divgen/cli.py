@@ -103,7 +103,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     graph = build_similarity_graph(library, embedder, config.graph_threshold)
     write_artifact(args.out, library, groups, pools, graph, config.to_dict())
     print(f"preprocess: {len(library)} functions, {len(groups.groups)} parameter"
-          f" groups, {len(graph.edges)} graph edges -> {args.out}")
+          f" groups, {graph.weights.size} graph edges -> {args.out}")
     return EXIT_OK
 
 

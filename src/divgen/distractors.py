@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from divgen.metrics.battery import EmbeddingCache
-from divgen.metrics.semantic import cosine_matrix
+from divgen.metrics.semantic import cosine_matrix, round12
 from divgen.model import ExecutionType, FunctionSchema
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -68,7 +68,7 @@ def retrieve_candidates(
     texts = [fn.description or fn.name for fn in library]
     vectors = embed_cache.matrix(texts + [query])
     sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
-    scores = [(fn.name, round(float(sim), 12)) for fn, sim in zip(library, sims)]
+    scores = list(zip([fn.name for fn in library], round12(sims).tolist()))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
     top = [scores[i] for i in order[:k]]
     target_set = set(targets)

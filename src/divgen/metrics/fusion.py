@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Sequence, TypeVar
 
 C = TypeVar("C", bound=Hashable)
@@ -15,9 +16,11 @@ def rrf_fuse(
     """Fuse per-metric orderings into one ranking.
 
     Each ranking lists the full candidate set best-first (ranks start at 1);
-    score(c) = sum over rankings of 1/(k + rank(c)). The fused ordering is by
-    descending score with ties broken by the candidates' insertion order, so the
-    result depends only on ranks, never on raw metric scales.
+    score(c) = sum over rankings of 1/(k + rank(c)), taken by ``math.fsum``:
+    correctly rounded, so two candidates with the same ranks in any metric
+    order score the same. The fused ordering is by descending score with ties
+    broken by the candidates' insertion order, so the result depends only on
+    ranks, never on raw metric scales.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -25,11 +28,13 @@ def rrf_fuse(
     pool_set = set(pool)
     if len(pool_set) != len(pool):
         raise ValueError("candidates must be distinct")
-    scores: dict[C, float] = {c: 0.0 for c in pool}
+    terms = [1.0 / (k + rank) for rank in range(1, len(pool) + 1)]
+    parts: dict[C, list[float]] = {c: [] for c in pool}
     for ranking in rankings:
         if set(ranking) != pool_set or len(ranking) != len(pool):
             raise ValueError("every ranking must order exactly the candidate set")
-        for rank, cand in enumerate(ranking, start=1):
-            scores[cand] += 1.0 / (k + rank)
+        for cand, term in zip(ranking, terms):
+            parts[cand].append(term)
+    scores = {c: math.fsum(p) for c, p in parts.items()}
     order = sorted(range(len(pool)), key=lambda i: (-scores[pool[i]], i))
     return scores, [pool[i] for i in order]

@@ -9,7 +9,8 @@ callers pass ``allow_zero=True`` and read its similarities as 0 (text without
 a word token embeds to zero under the hash embedder). Callers that compare or
 rank similarities round them to 12 decimals, and candidate ranking sorts on
 each metric's value rounded to 12 decimals, so no result depends on the
-summation order of a matrix product or of a metric's sum.
+summation order of a matrix product or of a metric's sum. ``round12`` rounds
+an array of them at once, bit for bit as Python's ``round(x, 12)``.
 
 ``cosine_matrix`` and the metrics also take rows with a known unit form, a
 ``UnitRows``: a corpus's rows held with their unit form, computed once.
@@ -83,6 +84,29 @@ def unit_rows(embeddings: Sequence, allow_zero: bool = False) -> np.ndarray:
         raise ValueError(f"cosine undefined for zero-norm row(s) {zero.tolist()}")
     norms[zero] = 1.0
     return arr / norms[:, None]
+
+
+def round12(values: Sequence[float]) -> np.ndarray:
+    """Each value rounded to 12 decimals, bit for bit ``round(x, 12)``
+    (ties to even on the exact binary value, the sign of a zero kept).
+
+    ``np.rint(x * 1e12) / 1e12`` is that value wherever the rounded product
+    lies more than two of its ulps from a half: the product is off by at most
+    half an ulp, so rint picks the integer the exact product rounds to, and
+    one correctly rounded division gives the double nearest its 12-decimal
+    quotient. The rest, and products of 2**52 or more, or not finite, take
+    Python's ``round``.
+    """
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e12
+        out = np.rint(scaled) / 1e12
+        near_half = (np.abs(scaled - np.floor(scaled) - 0.5)
+                     <= 2.0 * np.abs(np.spacing(scaled)))
+        exact = np.abs(scaled) < 2.0 ** 52
+    for i in np.flatnonzero(near_half | ~exact).tolist():
+        out.flat[i] = round(float(x.flat[i]), 12)
+    return out
 
 
 def cosine_matrix(a: Sequence, b: Sequence | None = None,

@@ -338,53 +338,104 @@ class RunConfig:
 # Function library loading
 
 
-def _parse_parameter(raw: dict[str, Any], fn_name: str) -> ParameterSpec:
-    if "name" not in raw or not raw["name"]:
+_JSON_TYPES = {str: "a string", list: "an array", bool: "true or false"}
+_FUNCTION_FIELDS = {"name": str, "description": str, "parameters": list, "returns": list}
+_PARAMETER_FIELDS = {"name": str, "type": str, "description": str, "enum": list,
+                     "required": bool}
+_RETURN_FIELD_FIELDS = {"name": str, "type": str, "description": str, "fields": list}
+
+
+def _wrong_type(raw: dict[str, Any], fields: dict[str, type], where: str) -> ModelError:
+    """The error for the first of ``fields`` whose value in ``raw`` is not of
+    its JSON type (an array may be null)."""
+    for key, kind in fields.items():
+        value = raw.get(key)
+        if key in raw and type(value) is not kind and not (value is None and kind is list):
+            return ModelError(f"{where}: {key} must be {_JSON_TYPES[kind]},"
+                              f" not {json.dumps(value, ensure_ascii=False)}")
+    raise AssertionError("no field of the wrong type")
+
+
+def _not_an_object(value: Any, what: str, fn_name: str) -> ModelError:
+    return ModelError(f"function {fn_name!r}: each entry of {what} must be an object,"
+                      f" not {json.dumps(value, ensure_ascii=False)}")
+
+
+def _array(raw: dict[str, Any], key: str) -> Any:
+    """``raw[key]``, or an empty list when it is absent or null."""
+    value = raw.get(key)
+    return [] if value is None else value
+
+
+def _parse_parameter(raw: Any, fn_name: str) -> ParameterSpec:
+    if type(raw) is not dict:
+        raise _not_an_object(raw, "parameters", fn_name)
+    name = raw.get("name")
+    if not name:
         raise ModelError(f"function {fn_name!r}: parameter without a name")
-    declared = str(raw.get("type", ""))
+    declared, description = raw.get("type", ""), raw.get("description", "")
+    enum, required = _array(raw, "enum"), raw.get("required", True)
+    if not (type(name) is type(declared) is type(description) is str
+            and type(enum) is list and type(required) is bool):
+        raise _wrong_type(raw, _PARAMETER_FIELDS, f"function {fn_name!r}, parameter {name!r}")
     if not declared:
-        raise ModelError(f"function {fn_name!r}, parameter {raw['name']!r}: missing type")
-    enum_values = tuple(str(v) for v in raw.get("enum", []) or [])
+        raise ModelError(f"function {fn_name!r}, parameter {name!r}: missing type")
+    enum_values = tuple(map(str, enum))
     return ParameterSpec(
-        name=str(raw["name"]),
-        description=str(raw.get("description", "")),
+        name=name,
+        description=description,
         declared_type=declared,
         category=classify_parameter_type(declared, enum_values),
         enum_values=enum_values,
-        required=bool(raw.get("required", True)),
+        required=required,
     )
 
 
-def _parse_return_field(raw: dict[str, Any], fn_name: str) -> ReturnField:
+def _parse_return_field(raw: Any, fn_name: str, what: str = "returns") -> ReturnField:
+    if type(raw) is not dict:
+        raise _not_an_object(raw, what, fn_name)
     if "name" not in raw:
         raise ModelError(f"function {fn_name!r}: return field without a name")
+    name, declared = raw["name"], raw.get("type", "")
+    description, fields = raw.get("description", ""), _array(raw, "fields")
+    if not (type(name) is type(declared) is type(description) is str and type(fields) is list):
+        raise _wrong_type(raw, _RETURN_FIELD_FIELDS,
+                          f"function {fn_name!r}, return field {name!r}")
     return ReturnField(
-        name=str(raw["name"]),
-        declared_type=str(raw.get("type", "")),
-        description=str(raw.get("description", "")),
-        fields=tuple(_parse_return_field(f, fn_name) for f in raw.get("fields", []) or []),
+        name=name,
+        declared_type=declared,
+        description=description,
+        fields=tuple(_parse_return_field(f, fn_name, "fields") for f in fields),
     )
 
 
 def parse_function_library(entries: list[dict[str, Any]]) -> list[FunctionSchema]:
-    """Build validated schemas from already-parsed JSON entries."""
+    """Build validated schemas from already-parsed JSON entries. A value of
+    the wrong JSON type raises ModelError naming the function and the field:
+    ``name``, ``type`` and ``description`` are strings; ``parameters``,
+    ``returns``, ``fields`` and ``enum`` are arrays (absent or null reads as
+    empty), each entry of the first three an object; ``required`` is true or
+    false."""
     schemas: list[FunctionSchema] = []
     seen: set[str] = set()
     for i, raw in enumerate(entries):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ModelError(f"library entry {i}: not a function definition object")
-        name = str(raw["name"])
+        name, description = raw["name"], raw.get("description", "")
+        parameters, returns = _array(raw, "parameters"), _array(raw, "returns")
+        if not (type(name) is type(description) is str
+                and type(parameters) is type(returns) is list):
+            where = f"function {name!r}" if type(name) is str else f"library entry {i}"
+            raise _wrong_type(raw, _FUNCTION_FIELDS, where)
         if name in seen:
             raise ModelError(f"duplicate function name {name!r}")
         seen.add(name)
         schemas.append(
             FunctionSchema(
                 name=name,
-                description=str(raw.get("description", "")),
-                parameters=tuple(_parse_parameter(p, name) for p in raw.get("parameters", []) or []),
-                return_fields=tuple(
-                    _parse_return_field(f, name) for f in raw.get("returns", []) or []
-                ),
+                description=description,
+                parameters=tuple(_parse_parameter(p, name) for p in parameters),
+                return_fields=tuple(_parse_return_field(f, name) for f in returns),
             )
         )
     return schemas

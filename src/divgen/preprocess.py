@@ -9,11 +9,13 @@ largest cosine between their described sentences. Every cosine comes from
 to nothing (cosine 0). Group value trackers are the only mutable state in the
 system; everything else built here is immutable.
 
-The artifact is one compact JSON document. Its graph holds the vertex names
-once and the edges as four columns: source and target indexes into the
-vertices, kinds and weights. ``read_artifact`` refuses, with ModelError, any
-file ``write_artifact`` could not have written, an artifact from before the
-columns included.
+The graph is held as columns from build to walk: the vertex names once and
+the edges as four numpy columns, source and target indexes into the vertices,
+kinds and weights (rounded to 12 decimals by ``round12``). No step creates
+an object per edge; the walk's neighbour lists come from the columns. The
+artifact is one compact JSON document holding the same columns.
+``read_artifact`` refuses, with ModelError, any file ``write_artifact`` could
+not have written, an artifact from before the columns included.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
@@ -30,7 +31,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from divgen.metrics.semantic import cosine_matrix
+from divgen.metrics.semantic import cosine_matrix, round12
 from divgen.model import (
     FunctionSchema,
     ModelError,
@@ -167,7 +168,10 @@ class ApiPools:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ApiPools":
-        return cls(tuple(d["general"]), tuple(d["focused"]), tuple(d["other"]))
+        pools = [d[k] for k in ("general", "focused", "other")]
+        if set(map(type, pools)) - {list}:
+            raise ModelError("the API pools must be lists of function names")
+        return cls(*map(tuple, pools))
 
 
 def weighted_pick(items: Sequence[Any], weights: Sequence[float], rng: random.Random) -> Any:
@@ -230,59 +234,112 @@ class GraphEdge(NamedTuple):
 
 
 EDGE_KINDS = ("P-P", "P-R")
+PP, PR = range(len(EDGE_KINDS))  # the codes in ``ApiGraph.kinds``
+_COLUMNS = {"sources": np.intp, "targets": np.intp, "kinds": np.int8, "weights": np.float64}
 
 
-class _Adjacency(NamedTuple):
-    pp: dict[str, tuple[tuple[str, float], ...]]
-    pr: dict[str, tuple[tuple[str, float], ...]]
-    starts: tuple[str, ...]
+class _NeighbourLists(dict):
+    """Vertex name -> its (neighbour name, weight) pairs in edge order, from
+    entries given in edge order: one stable sort by owner, and a vertex's
+    tuple built on its first lookup. A name that is not a vertex has none."""
+
+    def __init__(self, vertices: tuple[str, ...], owners: np.ndarray,
+                 neighbours: np.ndarray, weights: np.ndarray):
+        super().__init__()
+        # a radix sort when the vertex count fits in 16 bits
+        order = np.argsort(owners.astype(np.min_scalar_type(len(vertices))), kind="stable")
+        self.counts = np.bincount(owners, minlength=len(vertices))
+        self._bounds = [0, *np.cumsum(self.counts).tolist()]
+        self._vertices, self._index = vertices, {v: i for i, v in enumerate(vertices)}
+        self._neighbours, self._weights = neighbours[order], weights[order]
+
+    def __missing__(self, name: str) -> tuple[tuple[str, float], ...]:
+        vertex = self._index.get(name)
+        if vertex is None:
+            return ()
+        span = slice(self._bounds[vertex], self._bounds[vertex + 1])
+        lists = self[name] = tuple(zip(map(self._vertices.__getitem__,
+                                           self._neighbours[span].tolist()),
+                                       self._weights[span].tolist()))
+        return lists
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApiGraph:
-    """Vertices and edges, plus neighbour lists built from the edges on first
-    use (one pass, in edge order) and shared by every later query. The
-    artifact stores the edges as four columns, ``sources`` and ``targets``
-    (indexes into ``vertices``), ``kinds`` and ``weights``."""
+    """The vertices and the edges as four columns, the artifact's own form:
+    ``sources`` and ``targets`` index ``vertices``, ``kinds`` holds each
+    edge's code (``PP`` or ``PR``, an index into ``EDGE_KINDS``) and
+    ``weights`` its weight. The columns are read-only numpy arrays.
+
+    Neighbour lists come from the columns on first use, in one numpy pass,
+    and are shared by every later query. ``edges`` is a derived view, one
+    ``GraphEdge`` per edge, built when first read; the program itself reads
+    the columns."""
 
     vertices: tuple[str, ...]
-    edges: tuple[GraphEdge, ...]
+    sources: np.ndarray
+    targets: np.ndarray
+    kinds: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)  # the graph's own copy
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ApiGraph):
+            return NotImplemented
+        return self.vertices == other.vertices and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS)
 
     @cached_property
-    def _adjacency(self) -> _Adjacency:
-        pp: dict[str, list[tuple[str, float]]] = defaultdict(list)
-        pr: dict[str, list[tuple[str, float]]] = defaultdict(list)
-        for e in self.edges:
-            if e.kind == "P-P":
-                pp[e.source].append((e.target, e.weight))
-                if e.target != e.source:  # a self-loop is its own neighbour once
-                    pp[e.target].append((e.source, e.weight))
-            elif e.kind == "P-R":
-                pr[e.source].append((e.target, e.weight))
-        return _Adjacency(
-            pp={v: tuple(n) for v, n in pp.items()},
-            pr={v: tuple(n) for v, n in pr.items()},
-            starts=tuple(v for v in self.vertices if v in pp or v in pr),
-        )
+    def edges(self) -> tuple[GraphEdge, ...]:
+        name = self.vertices.__getitem__
+        return tuple(map(GraphEdge, map(name, self.sources.tolist()),
+                         map(name, self.targets.tolist()),
+                         map(EDGE_KINDS.__getitem__, self.kinds.tolist()),
+                         self.weights.tolist()))
+
+    @cached_property
+    def _pp(self) -> _NeighbourLists:
+        """Each P-P edge lists its source's entry, then its target's, except
+        that a self-loop is its own neighbour once."""
+        pp = self.kinds == PP
+        sources, targets = self.sources[pp], self.targets[pp]
+        owners = np.stack([sources, targets], axis=1).ravel()
+        neighbours = np.stack([targets, sources], axis=1).ravel()
+        keep = np.ones(owners.size, dtype=bool)
+        keep[1::2] = sources != targets
+        return _NeighbourLists(self.vertices, owners[keep], neighbours[keep],
+                               np.repeat(self.weights[pp], 2)[keep])
+
+    @cached_property
+    def _pr(self) -> _NeighbourLists:
+        pr = self.kinds == PR
+        return _NeighbourLists(self.vertices, self.sources[pr], self.targets[pr],
+                               self.weights[pr])
 
     def pp_neighbors(self, name: str) -> tuple[tuple[str, float], ...]:
         """P-P neighbours in edge order; edges are undirected."""
-        return self._adjacency.pp.get(name, ())
+        return self._pp[name]
 
     def pr_successors(self, name: str) -> tuple[tuple[str, float], ...]:
         """Targets of P-R edges leaving ``name``, in edge order."""
-        return self._adjacency.pr.get(name, ())
+        return self._pr[name]
 
-    @property
+    @cached_property
     def starts(self) -> tuple[str, ...]:
         """Vertices with at least one P-P neighbour or P-R successor, in vertex order."""
-        return self._adjacency.starts
+        return tuple(map(self.vertices.__getitem__,
+                         np.flatnonzero(self._pp.counts + self._pr.counts).tolist()))
 
     def to_dict(self) -> dict[str, Any]:
-        index = {v: i for i, v in enumerate(self.vertices)}.__getitem__
-        sources, targets, kinds, weights = zip(*self.edges) if self.edges else ((),) * 4
-        return {"vertices": list(self.vertices), "sources": list(map(index, sources)),
-                "targets": list(map(index, targets)), "kinds": list(kinds), "weights": list(weights)}
+        return {"vertices": list(self.vertices), "sources": self.sources.tolist(),
+                "targets": self.targets.tolist(),
+                "kinds": np.array(EDGE_KINDS, dtype=object)[self.kinds].tolist(),
+                "weights": self.weights.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ApiGraph":
@@ -292,7 +349,7 @@ class ApiGraph:
             raise ModelError("graph edges are in the per-edge form of an older divgen;"
                              " re-run `divgen preprocess`")
         vertices = tuple(d["vertices"])
-        columns = [d[k] for k in ("sources", "targets", "kinds", "weights")]
+        columns = [d[k] for k in _COLUMNS]
         sources, targets, kinds, weights = columns
         if set(map(type, columns)) - {list} or len(set(map(len, columns))) > 1:
             raise ModelError("graph sources, targets, kinds and weights must be lists of"
@@ -306,9 +363,9 @@ class ApiGraph:
             raise ModelError(f"graph edge kind {kind!r} is neither P-P nor P-R")
         if set(map(type, weights)) - {float} or not all(map(math.isfinite, weights)):
             raise ModelError("graph edge weights must be finite floats")
-        name = vertices.__getitem__
-        return cls(vertices, tuple(map(GraphEdge, map(name, sources), map(name, targets),
-                                       kinds, weights)))
+        return cls(vertices, sources, targets,
+                   np.fromiter(map(EDGE_KINDS.index, kinds), np.int8, len(kinds)),
+                   weights)
 
 
 def build_similarity_graph(
@@ -353,17 +410,15 @@ def build_similarity_graph(
         starts = [i for i, (o, _) in enumerate(rows) if i == 0 or rows[i - 1][0] != o]
         return starts, [rows[i][0] for i in starts]
 
-    def edges_of(best: np.ndarray, mask: np.ndarray, kind: str) -> list[GraphEdge]:
-        us, vs = np.nonzero(mask)
-        return [GraphEdge(names[u], names[v], kind, round(w, 12))
-                for u, v, w in zip(us.tolist(), vs.tolist(), best[us, vs].tolist())]
-
     pp = block_max(params, params)
     pr = block_max(returns, params)
     np.fill_diagonal(pr, -np.inf)  # no P-R edge from a function to itself
-    edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
-             + edges_of(pr, pr >= threshold, "P-R"))
-    return ApiGraph(vertices=tuple(names), edges=tuple(edges))
+    pp_us, pp_vs = np.nonzero(np.triu(pp >= threshold, k=1))
+    pr_us, pr_vs = np.nonzero(pr >= threshold)
+    return ApiGraph(vertices=tuple(names), sources=np.concatenate([pp_us, pr_us]),
+                    targets=np.concatenate([pp_vs, pr_vs]),
+                    kinds=np.repeat([PP, PR], [pp_us.size, pr_us.size]),
+                    weights=round12(np.concatenate([pp[pp_us, pp_vs], pr[pr_us, pr_vs]])))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +446,33 @@ def write_artifact(
         fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _check_pools_and_groups(library: Sequence[FunctionSchema], groups: GroupIndex,
+                            pools: ApiPools) -> None:
+    """ModelError unless every pool entry is a library function and every
+    library parameter is in exactly one group (GroupIndex refuses a second),
+    one of its own category, and every group member is a library parameter."""
+    names = {fn.name for fn in library}
+    for pool, members in pools.to_dict().items():
+        for name in filterfalse(names.__contains__, members):
+            raise ModelError(f"the {pool} API pool names {name!r}, not a library function")
+    categories = {(fn.name, p.name): p.category for fn in library for p in fn.parameters}
+    for g in groups.groups:
+        for member in g.members:
+            if member not in categories:
+                raise ModelError(f"group {g.id} holds {member}, not a library parameter")
+            if categories.pop(member) is not g.category:
+                raise ModelError(f"group {g.id} is {g.category.value}, but its member"
+                                 f" {member} is not")
+    for member in categories:
+        raise ModelError(f"no group holds the library parameter {member}")
+
+
 def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, ApiPools, ApiGraph, dict]:
     """What ``write_artifact`` stored at ``path``. A file it could not have
     written (not JSON, an entry missing or malformed, graph edges in an older
-    form) raises ModelError naming ``path``."""
+    form, a graph vertex, pool entry or group member that is not the
+    library's, a library parameter in no group or in a group of another
+    category) raises ModelError naming ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -402,8 +480,9 @@ def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, A
         library = parse_function_library(doc["library"])
         if graph.vertices != tuple(fn.name for fn in library):
             raise ModelError("the graph's vertices are not the library's functions")
-        return (library, GroupIndex.from_dicts(doc["groups"]), ApiPools.from_dict(doc["pools"]),
-                graph, doc.get("config", {}))
+        groups, pools = GroupIndex.from_dicts(doc["groups"]), ApiPools.from_dict(doc["pools"])
+        _check_pools_and_groups(library, groups, pools)
+        return library, groups, pools, graph, doc.get("config", {})
     except KeyError as exc:
         raise ModelError(f"cannot read artifact {path}: no {exc} entry") from exc
     except (TypeError, ValueError) as exc:  # JSONDecodeError and ModelError are ValueErrors

@@ -30,6 +30,7 @@ from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps t
     evaluate_battery,
 )
 from divgen.metrics.fusion import rrf_fuse
+from divgen.metrics.semantic import round12
 from divgen.metrics.text import tokenize
 from divgen.model import ExecutionType, FunctionSchema, RunConfig
 from divgen.providers import catalog
@@ -160,11 +161,11 @@ def rank_candidates_by_diversity(
         raise ValueError("no candidates to rank")
     values = dict(zip(pool, scorer.score(pool)))
 
+    rounded = round12([[values[c][metric] for c in pool] for metric in OPTIMIZED_METRICS])
     rankings: list[list[str]] = []
     per_metric_rank: dict[str, dict[str, int]] = {c: {} for c in pool}
-    for metric in OPTIMIZED_METRICS:
-        order = sorted(range(len(pool)),
-                       key=lambda i: (-round(values[pool[i]][metric], 12), i))
+    for metric, keys in zip(OPTIMIZED_METRICS, (-rounded).tolist()):
+        order = sorted(range(len(pool)), key=lambda i: (keys[i], i))
         ranking = [pool[i] for i in order]
         rankings.append(ranking)
         for rank, cand in enumerate(ranking, start=1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from divgen.metrics.semantic import cosine_matrix
 from divgen.model import ExecutionType, FunctionSchema, ModelError, RunConfig
-from divgen.preprocess import ApiGraph, ApiPools, weighted_pick
+from divgen.preprocess import PR, ApiGraph, ApiPools, weighted_pick
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
@@ -48,8 +48,8 @@ def check_reachable_types(config: RunConfig, graph: ApiGraph) -> None:
     if not graph.starts and drawn & {"PARALLEL", "SEQUENTIAL"}:
         raise ModelError("PARALLEL and SEQUENTIAL examples need a similarity graph edge,"
                          " and this artifact's graph has none; set their type_weights to 0")
-    if "SEQUENTIAL" in drawn and not any(
-            e.kind == "P-R" and e.source != e.target for e in graph.edges):
+    if "SEQUENTIAL" in drawn and not np.any(
+            (graph.kinds == PR) & (graph.sources != graph.targets)):
         raise ModelError("SEQUENTIAL examples need a P-R edge (a return value that feeds"
                          " another function's parameter), and this artifact's graph has"
                          " none; set the SEQUENTIAL type weight to 0")
@@ -90,7 +90,7 @@ def sample_walk(graph: ApiGraph, exec_type: ExecutionType, rng: random.Random) -
     if exec_type not in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
         raise ValueError("sample_walk serves PARALLEL and SEQUENTIAL only")
     favored = "P-P" if exec_type is ExecutionType.PARALLEL else "P-R"
-    if not graph.edges:
+    if not graph.weights.size:
         raise SamplingFailure("similarity graph has no usable edges")
 
     length = poisson_draw(WALK_LAMBDA, rng) + 2

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from divgen.fixtures import fixture_library
+from divgen.preprocess import EDGE_KINDS, ApiGraph
 from divgen.providers.hash_embed import HashEmbedder
 
 
@@ -35,6 +36,14 @@ def templated_library(size: int):
     return [replace(t, name=f"{t.name}_{i:03d}",
                     description=f"{t.description} {words[i % len(words)]}")
             for i, t in ((i, templates[i % len(templates)]) for i in range(size))]
+
+
+def graph_of(vertices, edges, cls=ApiGraph):
+    """The graph (of class ``cls``) of ``GraphEdge`` records over ``vertices``."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return cls(tuple(vertices), [index[e.source] for e in edges],
+               [index[e.target] for e in edges], [EDGE_KINDS.index(e.kind) for e in edges],
+               [e.weight for e in edges])
 
 
 @pytest.fixture

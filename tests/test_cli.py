@@ -38,6 +38,59 @@ def test_a_library_that_is_not_utf8_is_refused_before_any_file(tmp_path, capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
 
 
+def _library_with(**fields):
+    """One function definition, its parameter and its return field, each with
+    the given fields replacing theirs (keys ``function_*``, ``parameter_*``,
+    ``return_*``)."""
+    parameter = {"name": "city", "type": "string", "description": "a city", "required": True}
+    returned = {"name": "forecast", "type": "object", "description": "the forecast",
+                "fields": [{"name": "high", "type": "float"}]}
+    function = {"name": "weather", "description": "look up weather",
+                "parameters": [parameter], "returns": [returned]}
+    for key, value in fields.items():
+        part, field = key.split("_", 1)
+        {"function": function, "parameter": parameter, "return": returned}[part][field] = value
+    return [function]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"function_parameters": ["name"]},
+     "function 'weather': each entry of parameters must be an object, not \"name\""),
+    ({"function_parameters": {"name": "x", "type": "string"}},
+     "function 'weather': parameters must be an array, not {"),
+    ({"function_returns": [1]}, "function 'weather': each entry of returns must be an object"),
+    ({"function_parameters": "city"},
+     "function 'weather': parameters must be an array, not \"city\""),
+    ({"parameter_enum": "ab"},
+     "function 'weather', parameter 'city': enum must be an array, not \"ab\""),
+    ({"parameter_required": "false"},
+     "function 'weather', parameter 'city': required must be true or false, not \"false\""),
+    ({"function_name": ["f"]}, "library entry 0: name must be a string, not [\"f\"]"),
+    ({"function_description": 5}, "function 'weather': description must be a string, not 5"),
+    ({"parameter_type": 1}, "function 'weather', parameter 'city': type must be a string"),
+    ({"return_type": ["object"]}, "function 'weather', return field 'forecast': type must be"),
+    ({"return_fields": "high"},
+     "function 'weather', return field 'forecast': fields must be an array, not \"high\""),
+    ({"return_fields": [2]}, "function 'weather': each entry of fields must be an object"),
+], ids=["parameter-not-object", "parameters-object", "return-not-object", "parameters-string",
+        "enum-string", "required-string", "name-array", "description-number", "type-number",
+        "return-type-array", "fields-string", "field-not-object"])
+def test_library_field_of_the_wrong_type_is_refused_before_any_file(tmp_path, capsys, fields,
+                                                                    message):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps(_library_with(**fields)), encoding="utf-8")
+    assert run(["preprocess", str(lib), "--out", str(tmp_path / "a.json")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["lib.json"]
+
+
+def test_library_fields_of_their_types_and_null_arrays_are_read(tmp_path):
+    lib = tmp_path / "lib.json"
+    lib.write_text(json.dumps(_library_with(parameter_enum=None, return_fields=None)),
+                   encoding="utf-8")
+    assert run(["preprocess", str(lib), "--out", str(tmp_path / "a.json")]) == 0
+
+
 def test_negative_n_is_refused_before_any_file(tmp_path, capsys):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
@@ -122,9 +175,20 @@ def _old_edge_form(doc):
     (lambda doc: doc["graph"].update(kinds="P-P"), "must be lists of one length"),
     (_old_edge_form, "re-run `divgen preprocess`"),
     (lambda doc: doc["graph"]["vertices"].reverse(), "vertices are not the library's"),
+    (lambda doc: doc["pools"]["focused"].append("ghost"),
+     "the focused API pool names 'ghost', not a library function"),
+    (lambda doc: doc["pools"].update(other="weather_forecast"),
+     "the API pools must be lists of function names"),
+    (lambda doc: doc["groups"][0]["members"].pop(), "no group holds the library parameter"),
+    (lambda doc: doc["groups"][0]["members"].append(["weather_forecast", "ghost"]),
+     "holds ('weather_forecast', 'ghost'), not a library parameter"),
+    (lambda doc: doc["groups"][0].update(category="OTHER"), "is OTHER, but its member"),
+    (lambda doc: doc["library"][0]["parameters"][0].update(required="false"),
+     "required must be true or false"),
 ], ids=["truncated", "no-graph", "no-weights", "ghost", "kind", "weight-text", "weight-nan",
         "weight-huge", "index-past-end", "index-negative", "index-bool", "column-length",
-        "not-a-list", "old-form", "vertices"])
+        "not-a-list", "old-form", "vertices", "pool-ghost", "pool-string", "parameter-no-group",
+        "group-ghost", "group-category", "library-type"])
 def test_malformed_artifact_is_refused_before_any_file(tmp_path, capsys, edit, message):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0

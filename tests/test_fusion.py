@@ -36,6 +36,25 @@ def test_mirror_ranks_tie_break_by_insertion_order():
     assert order == ["first", "second"]
 
 
+def test_equal_rank_multisets_tie_break_by_pool_position():
+    # the same eight ranks in two metric orders: summed in metric order, b's
+    # score came out one ulp above a's, so b went first
+    a_ranks, b_ranks = [18, 19, 10, 15, 3, 20, 13, 11], [13, 11, 18, 3, 20, 19, 10, 15]
+    assert sorted(a_ranks) == sorted(b_ranks)
+    others = [f"c{i}" for i in range(18)]
+    cands = ["a", "b", *others]
+    rankings = []
+    for ra, rb in zip(a_ranks, b_ranks):
+        ranking = list(others)
+        for name, rank in sorted((("a", ra), ("b", rb)), key=lambda x: x[1]):
+            ranking.insert(rank - 1, name)
+        assert ranking.index("a") == ra - 1 and ranking.index("b") == rb - 1
+        rankings.append(ranking)
+    scores, order = rrf_fuse(cands, rankings, k=60)
+    assert scores["a"] == scores["b"]
+    assert order.index("a") < order.index("b")
+
+
 def test_rank_only_dependence_under_monotone_transforms():
     # fused order must match whether built from raw scores or exp(raw)
     cands = ["a", "b", "c", "d"]

@@ -1,10 +1,12 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import PresetEmbedder, templated_library
+from conftest import PresetEmbedder, graph_of, templated_library
+from divgen.fixtures import fixture_library
 from divgen.metrics.semantic import cosine_matrix
 from divgen.model import (
     FunctionSchema,
@@ -14,7 +16,6 @@ from divgen.model import (
     classify_parameter_type,
 )
 from divgen.preprocess import (
-    ApiGraph,
     GraphEdge,
     build_api_pools,
     build_similarity_graph,
@@ -298,7 +299,7 @@ def reference_graph(library, embedder, threshold):
     np.fill_diagonal(pr, -np.inf)
     edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
              + edges_of(pr, pr >= threshold, "P-R"))
-    return ApiGraph(vertices=tuple(f.name for f in library), edges=tuple(edges))
+    return graph_of(tuple(f.name for f in library), edges)
 
 
 def gapped_library(size):
@@ -334,6 +335,37 @@ def test_graph_equals_per_edge_reference(embedder, library_of, threshold):
     graph = build_similarity_graph(lib, embedder, threshold)
     assert graph.edges
     assert graph == reference_graph(lib, embedder, threshold)
+
+
+def per_edge_artifact_graph(graph):
+    """The artifact's graph entry as the per-edge graph wrote it: each column
+    read off the edge records, weights being ``round(w, 12)`` floats."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    return {"vertices": list(graph.vertices),
+            "sources": [index[e.source] for e in graph.edges],
+            "targets": [index[e.target] for e in graph.edges],
+            "kinds": [e.kind for e in graph.edges],
+            "weights": [e.weight for e in graph.edges]}
+
+
+@pytest.mark.parametrize("threshold", [0.6, 0.0, -1.0])
+@pytest.mark.parametrize("library_of", [fixture_library, lambda: templated_library(200)],
+                         ids=["fixture", "templated-200"])
+def test_artifact_bytes_equal_the_per_edge_graphs(tmp_path, embedder, library_of, threshold):
+    lib = library_of()
+    groups = group_parameters(lib, embedder, 0.6)
+    pools = build_api_pools(lib, groups, random.Random(1))
+    graph = build_similarity_graph(lib, embedder, threshold)
+    path = tmp_path / "a.json"
+    write_artifact(path, lib, groups, pools, graph, {"rng_seed": 1})
+    doc = json.loads(path.read_bytes())
+    doc["graph"] = per_edge_artifact_graph(reference_graph(lib, embedder, threshold))
+    assert path.read_bytes() == (json.dumps(doc, ensure_ascii=False, sort_keys=True)
+                                 + "\n").encode("utf-8")
+    _, _, _, read_back, _ = read_artifact(path)
+    assert read_back == graph
+    write_artifact(tmp_path / "b.json", lib, groups, pools, read_back, {"rng_seed": 1})
+    assert (tmp_path / "b.json").read_bytes() == path.read_bytes()
 
 
 def test_graph_at_threshold_minus_one_joins_only_functions_with_sentences(embedder):

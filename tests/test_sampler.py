@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import templated_library
+from conftest import graph_of, templated_library
 from divgen.model import ExecutionType, ModelError, RunConfig
 from divgen.preprocess import ApiGraph, ApiPools, GraphEdge, build_similarity_graph
 from divgen.providers import catalog
@@ -70,8 +70,7 @@ def test_poisson_length_distribution():
 
 
 def _graph_single_pr():
-    return ApiGraph(vertices=("u", "v"),
-                    edges=(GraphEdge("u", "v", "P-R", 0.9),))
+    return graph_of(("u", "v"), (GraphEdge("u", "v", "P-R", 0.9),))
 
 
 def test_walk_forced_path_on_single_pr_edge():
@@ -89,10 +88,10 @@ def test_walk_forced_path_on_single_pr_edge():
 
 
 def test_walk_parallel_triangle_reproducible():
-    graph = ApiGraph(
-        vertices=("a", "b", "c"),
-        edges=(GraphEdge("a", "b", "P-P", 0.8), GraphEdge("b", "c", "P-P", 0.8),
-               GraphEdge("a", "c", "P-P", 0.8)))
+    graph = graph_of(
+        ("a", "b", "c"),
+        (GraphEdge("a", "b", "P-P", 0.8), GraphEdge("b", "c", "P-P", 0.8),
+         GraphEdge("a", "c", "P-P", 0.8)))
     w1 = sample_walk(graph, ExecutionType.PARALLEL, random.Random(4))
     w2 = sample_walk(graph, ExecutionType.PARALLEL, random.Random(4))
     assert w1 == w2
@@ -101,9 +100,8 @@ def test_walk_parallel_triangle_reproducible():
 
 
 def test_sequential_walk_contains_a_forward_pr_edge():
-    graph = ApiGraph(
-        vertices=("a", "b", "c"),
-        edges=(GraphEdge("a", "b", "P-P", 0.8), GraphEdge("b", "c", "P-R", 0.9)))
+    graph = graph_of(
+        ("a", "b", "c"), (GraphEdge("a", "b", "P-P", 0.8), GraphEdge("b", "c", "P-R", 0.9)))
     for seed in range(100):
         try:
             walk = sample_walk(graph, ExecutionType.SEQUENTIAL, random.Random(seed))
@@ -158,12 +156,13 @@ def test_schema_compatibility_retry_then_accept(library):
 
 
 # ---------------------------------------------------------------------------
-# The adjacency index against the edge scan it replaced
+# The neighbour lists against an edge scan
 
 
 class ScanGraph(ApiGraph):
     """The graph as it was before it indexed itself: every neighbour query
-    scans every edge, and the walk's start vertices are recomputed per call."""
+    scans every edge record, and the walk's start vertices are recomputed per
+    call."""
 
     def pp_neighbors(self, name):
         out = []
@@ -186,25 +185,24 @@ class ScanGraph(ApiGraph):
 
 
 def random_graph(rng, n_vertices, n_edges):
-    """Edges over the vertices plus two unknown names, with self-loops,
-    duplicates and an edge kind the walk does not use."""
+    """Edges of both kinds over the vertices, in any order, with self-loops
+    and duplicates."""
     vertices = tuple(f"v{i}" for i in range(n_vertices))
-    names = vertices + ("ghost", "phantom")
     edges = []
     for _ in range(n_edges):
         if edges and rng.random() < 0.1:
             edges.append(edges[rng.randrange(len(edges))])  # duplicate
             continue
-        src = rng.choice(names)
-        dst = src if rng.random() < 0.1 else rng.choice(names)
-        kind = rng.choice(("P-P", "P-R", "P-P", "P-R", "X-Y"))
-        edges.append(GraphEdge(src, dst, kind, round(rng.random(), 3)))
+        src = rng.choice(vertices)
+        dst = src if rng.random() < 0.1 else rng.choice(vertices)
+        edges.append(GraphEdge(src, dst, rng.choice(("P-P", "P-R")), round(rng.random(), 3)))
     return vertices, tuple(edges)
 
 
 def assert_same_adjacency(vertices, edges):
-    graph, scan = ApiGraph(vertices, edges), ScanGraph(vertices, edges)
-    for name in vertices + ("ghost", "phantom", "absent"):
+    graph = graph_of(vertices, edges)
+    scan = graph_of(vertices, edges, ScanGraph)
+    for name in vertices + ("absent",):
         assert list(graph.pp_neighbors(name)) == scan.pp_neighbors(name), name
         assert list(graph.pr_successors(name)) == scan.pr_successors(name), name
     assert graph.starts == scan.starts
@@ -219,22 +217,41 @@ def test_index_matches_edge_scan_on_random_graphs():
 def test_index_edge_cases():
     assert_same_adjacency(("a", "b"), ())  # no edges
     loop = GraphEdge("a", "a", "P-P", 0.9)
-    assert ApiGraph(("a",), (loop,)).pp_neighbors("a") == (("a", 0.9),)  # listed once
+    assert graph_of(("a",), (loop,)).pp_neighbors("a") == (("a", 0.9),)  # once
     assert_same_adjacency(("a", "b"), (loop, GraphEdge("a", "b", "P-P", 0.7), loop,
                                        GraphEdge("a", "a", "P-R", 0.8)))
-    assert_same_adjacency(("a",), (GraphEdge("ghost", "a", "P-R", 0.5),))
+    # edges given out of owner order keep their edge order in every list
+    assert_same_adjacency(("a", "b", "c"), (
+        GraphEdge("c", "a", "P-P", 0.1), GraphEdge("a", "b", "P-P", 0.2),
+        GraphEdge("b", "a", "P-R", 0.3), GraphEdge("a", "c", "P-P", 0.4),
+        GraphEdge("b", "c", "P-R", 0.5), GraphEdge("b", "a", "P-R", 0.6)))
+    assert_same_adjacency(("a", "b", "c"), (GraphEdge("c", "b", "P-R", 0.5),))  # a isolated
 
 
 def test_index_is_immutable_and_built_once():
-    graph = ApiGraph(("a", "b"), (GraphEdge("a", "b", "P-P", 0.8),))
+    graph = graph_of(("a", "b"), (GraphEdge("a", "b", "P-P", 0.8),))
     first = graph.pp_neighbors("a")
     assert isinstance(first, tuple) and graph.pp_neighbors("a") is first
     assert isinstance(graph.starts, tuple)
-    assert graph == ApiGraph(("a", "b"), (GraphEdge("a", "b", "P-P", 0.8),))
+    assert graph == graph_of(("a", "b"), (GraphEdge("a", "b", "P-P", 0.8),))
+    for column in (graph.sources, graph.targets, graph.kinds, graph.weights):
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+def test_walks_read_the_columns_not_the_edge_records(embedder):
+    graph = build_similarity_graph(templated_library(40), embedder, 0.6)
+    for etype in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
+        for seed in range(20):
+            try:
+                sample_walk(graph, etype, random.Random(seed))
+            except SamplingFailure:
+                pass
+    assert "edges" not in vars(graph)  # the per-edge view was never built
 
 
 def assert_same_walks(graph, seeds):
-    scan = ScanGraph(graph.vertices, graph.edges)
+    scan = graph_of(graph.vertices, graph.edges, ScanGraph)
     for etype in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
         for seed in seeds:
             results = []
@@ -262,4 +279,4 @@ def test_walks_match_edge_scan_on_random_graphs():
     rng = random.Random(1)
     for _ in range(100):
         vertices, edges = random_graph(rng, rng.randrange(2, 10), rng.randrange(1, 30))
-        assert_same_walks(ApiGraph(vertices, edges), range(5))
+        assert_same_walks(graph_of(vertices, edges), range(5))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from divgen.metrics.semantic import (
     chamfer_distance_score,
     cosine_matrix,
     paraphrase_variety,
+    round12,
     semantic_spread,
     unit_rows,
     vendi_from_eigenvalues,
@@ -139,3 +141,41 @@ def test_unit_rows_gathers_raw_rows_and_their_unit_form():
         assert np.array_equal(cosine_matrix(gathered), cosine_matrix(raw[want]))
     with pytest.raises(ValueError, match=r"zero-norm row\(s\) \[1\]"):
         UnitRows([[1.0, 0.0], [0.0, 0.0]])
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_rounds_as_python(values):
+    got = round12(values).tolist()
+    assert [bits(g) for g in got] == [bits(round(v, 12)) for v in values], values
+
+
+def near_halves(k):
+    """Values within one ulp of the half between k and k + 1 at the 12th decimal."""
+    half = (k + 0.5) / 1e12
+    return [half, math.nextafter(half, math.inf), math.nextafter(half, -math.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_round12_is_python_round_on_any_float(values):
+    assert_rounds_as_python(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4 * 10 ** 15, 4 * 10 ** 15), min_size=1, max_size=20))
+def test_round12_is_python_round_next_to_a_half(ks):
+    assert_rounds_as_python([v for k in ks for v in near_halves(k)])
+
+
+def test_round12_edge_values():
+    huge = 2.0 ** 52 / 1e12
+    assert_rounds_as_python([
+        0.0, -0.0, 1e-13, -1e-13, -4e-13, 5e-324, -5e-324,  # zeros keep their sign
+        *near_halves(0), *near_halves(-1), *near_halves(7), *near_halves(-8),
+        huge, -huge, math.nextafter(huge, 0.0), 4503.599627370497, 1e300, -1e300,
+        math.inf, -math.inf, math.nan, 0.819028359348, -0.95652173913])
+    assert round12([]).shape == (0,)
+    assert round12([[0.1234567890125, -0.5e-12]]).tolist() == [[0.123456789012, -0.0]]
