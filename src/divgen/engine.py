@@ -22,6 +22,7 @@ from typing import Any, Sequence, TextIO
 
 from divgen.distractors import DistractorFailure, assemble_candidates, finalize
 from divgen.metrics.battery import EmbeddingCache
+from divgen.metrics.text import tokenize
 from divgen.model import (
     ExecutionType,
     FunctionSchema,
@@ -117,7 +118,7 @@ class GenerationEngine:
         self.querygen = QueryGenerator(self.client, self.embed_cache, self.rng, config)
         self.out_path = Path(out_path)
         self.log_stream = log_stream
-        self.log_bytes = 0  # UTF-8 bytes in the run log, as this run has written it
+        self.log_bytes = 0  # UTF-8 bytes in the run log; cut_log counts a resumed one
         self.state = EngineState()
         self.queries: list[str] = []
         self._checked: tuple[dict[str, Any], list[GeneratedExample]] | None = None  # by cut_log
@@ -156,20 +157,22 @@ class GenerationEngine:
             raise ModelError("checkpoint was produced under a different configuration")
         size = doc["dataset_bytes"]
         if self.out_path.stat().st_size < size:
-            raise ValueError("dataset is shorter than the checkpoint records")
+            raise ModelError("dataset is shorter than the checkpoint records")
         kept = read_dataset(self.out_path, size)
         if len(kept) != doc["accepted"]:
             raise ModelError(f"{self.out_path}: its first {size} bytes hold {len(kept)}"
                              f" examples, the checkpoint records {doc['accepted']} accepted")
+        for example in kept:
+            if not tokenize(example.query):
+                raise ModelError(f"{self.out_path}: {example.id}'s query has no word token")
         return doc, kept
 
     def resume(self) -> None:
-        """Restore RNG, trackers, guidance and the run log's size from the checkpoint, cut
-        the dataset back to the size it records, and take the accepted queries from it;
-        both are read and checked once, here or by a preceding ``cut_log``."""
+        """Restore RNG, trackers and guidance from the checkpoint, cut the dataset back
+        to the size it records and take the accepted queries from it; both are read and
+        checked once, here or by a preceding ``cut_log``, which counts a log's bytes."""
         (doc, kept), self._checked = self._checked or self._read_checkpoint(), None
         os.truncate(self.out_path, doc["dataset_bytes"])
-        self.log_bytes = doc["log_bytes"] or 0
         self.state.accepted = doc["accepted"]
         self.state.attempts = doc["attempts"]
         version, internal, gauss = doc["rng_state"]
@@ -179,15 +182,15 @@ class GenerationEngine:
         self.queries = [ex.query for ex in kept]
 
     def cut_log(self, path: str | Path) -> None:
-        """Cut the run log at ``path`` back to the size the checkpoint records,
-        so a resumed run does not log twice what it redoes; a checkpoint that
-        ``resume`` would refuse leaves the log as it is."""
+        """Cut the run log at ``path`` to the size the checkpoint records, if any, so a
+        resumed run does not log twice what it redoes, and count its bytes from there;
+        a checkpoint that ``resume`` would refuse leaves the log as it is."""
         self._checked = self._read_checkpoint()
-        size = self._checked[0]["log_bytes"]  # None: the run had no log
-        if size is not None:
-            with open(path, "ab") as fh:
-                if fh.tell() > size:
-                    fh.truncate(size)
+        size = self._checked[0]["log_bytes"]
+        with open(path, "ab") as fh:
+            if size is not None and fh.tell() > size:
+                fh.truncate(size)
+            self.log_bytes = fh.seek(0, os.SEEK_END)
 
     # -- logging -----------------------------------------------------------------
 

@@ -31,7 +31,6 @@ from divgen.metrics.cluster_entropy import (  # noqa: F401
     value_cluster_entropy,
     value_entropy_over_indices,
 )
-from divgen.metrics.semantic import UnitRows
 from divgen.metrics.stats import bootstrap_std, holm_bonferroni, mcnemar, significance
 from divgen.metrics.text import ncd_over_indices, tokenize
 from divgen.model import (
@@ -127,7 +126,7 @@ def analyze_corpus(corpus: Sequence[str], embedder, seed: int = 0,
     for position, query in enumerate(corpus, 1):
         if not tokenize(query):
             raise ModelError(f"{label}: query {position} has no word token")
-    data = Corpus(corpus, UnitRows(EmbeddingCache(embedder).matrix(corpus)))
+    data = Corpus(corpus, EmbeddingCache(embedder).matrix(corpus))
     report = DiversityReport(label_a=label, seed=seed)
     indices = list(range(len(corpus)))
     for metric in REPORT_METRICS:

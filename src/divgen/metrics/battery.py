@@ -17,6 +17,7 @@ import numpy as np
 
 from divgen.metrics.cluster_entropy import entropy_of_sizes, query_entropy_over_indices
 from divgen.metrics.semantic import (
+    UnitRows,
     chamfer_distance_score,
     kernel_eigenvalues,
     paraphrase_variety,
@@ -69,29 +70,30 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 
 
 class Corpus:
-    """A corpus's texts with one record each, and its embedding rows (a
-    ``semantic.UnitRows`` in the report), whose cluster-entropy neighbourhood
-    table is built on first use. ``append`` records each text once: its FKGL
-    grade (a text without a word token raises ValueError), its token ids into
-    the corpus's vocabulary, its token count, its sentence parts (split once)
-    and their shapes. The parts' interned trees, which only tree edit
-    distance reads, are built from the parts when it reads them, so ranking
-    builds none. The text metrics read these records, so each equals the
-    metric of the gathered texts bit for bit."""
+    """A corpus's texts with one record each, its rows and running totals.
+    ``append(texts, rows)`` records each text once: its FKGL grade (a text
+    without a word token raises ValueError), its token ids into the corpus's
+    vocabulary, its token count, and its sentence parts (split once) and their
+    shapes, adding the last two to the totals ``n_tokens`` and ``shape_counts``.
+    All rows appended are one ``semantic.UnitRows``, whose cluster-entropy
+    neighbourhood table is built on first use, like the parts' interned trees.
+    Each text metric equals that of the gathered texts bit for bit."""
 
     def __init__(self, texts: Sequence[str] = (), rows=None):
         self.texts: list[str] = []
-        self.rows = rows
+        self.rows: UnitRows | None = None
         self.vocabulary: dict[str, int] = {}
         self.token_ids: list[np.ndarray] = []
         self.lengths: list[float] = []
         self.fkgls: list[float] = []
         self.parts: list[list[str]] = []
         self.shapes: list[list[str]] = []
+        self.n_tokens = 0
+        self.shape_counts: Counter[str] = Counter()
         self._trees: list[list] = []
-        self.append(texts)
+        self.append(texts, rows)
 
-    def append(self, texts: Sequence[str]) -> None:
+    def append(self, texts: Sequence[str], rows=None) -> None:
         for text in texts:
             grade = fkgl_grade(text)
             tokens = tokenize(text)
@@ -102,7 +104,12 @@ class Corpus:
             self.fkgls.append(grade)
             self.parts.append(sentences_of(text))
             self.shapes.append(chunk_shapes(self.parts[-1]))
+            self.n_tokens += len(tokens)
+            self.shape_counts.update(self.shapes[-1])
             self.texts.append(text)
+        if rows is not None:
+            self.rows = UnitRows(rows if self.rows is None else np.concatenate((self.rows.raw, rows)))
+            self.__dict__.pop("cluster_entropy", None)
 
     def counts(self, indices: Sequence[int]) -> np.ndarray:
         """How often each vocabulary token occurs in the texts at ``indices``."""
@@ -191,19 +198,17 @@ def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, 
 class MarginalScorer:
     """The optimized battery of ``corpus + [candidate]``, for many candidates.
 
-    ``sync`` grows the scorer's ``Corpus`` one text at a time, so a run keeps
-    one scorer and records each accepted text once. Next to the records it
-    keeps a DEFLATE stream fed the newline-joined corpus, the corpus's shape
-    counts, its token total and its unit rows. Once per sync it takes the
-    rows' clipped Gram K, the sum of the pair distances 1 − K, and each row's
-    distance to its nearest other row. ``score`` evaluates each distinct
-    candidate once per corpus; a call's new candidates are scored as one batch
-    from one product s of their unit rows with the corpus's: paraphrase
-    variety and Chamfer in O(N) each, and Vendi from ``eigvalsh`` of K
-    bordered by s and a 1, in one (N+1)² kernel buffer whose border each
-    candidate refills. The text metrics combine the corpus's records and
-    running totals with the candidate's tokens, FKGL grade and sentence
-    shapes, rendered from the chunker's tags without a tree.
+    ``sync`` appends new texts and their rows to the scorer's one ``Corpus``
+    and feeds them to a DEFLATE stream of the newline-joined corpus. Each
+    appended row u borders the corpus's clipped Gram, the top-left block of
+    one (N+1)² Vendi kernel, with s = clip(U·u), adds Σ(1 − s) to the sum of
+    pair distances and lowers the nearest distances to 1 − s. ``score``
+    evaluates each distinct candidate once per corpus, a call's new ones as
+    one batch from one product of their unit rows with the corpus's:
+    paraphrase variety and Chamfer in O(N) each, Vendi from the kernel with
+    the candidate's similarities in its last row and column, and the text
+    metrics from the corpus's records and totals and the candidate's tokens,
+    FKGL grade and tree-free sentence shapes.
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
@@ -219,13 +224,10 @@ class MarginalScorer:
 
     def _reset(self) -> None:
         self.corpus = Corpus()
-        self._n_tokens = 0
         self._raw_bytes = 0
         self._deflate = deflater()
         self._deflated_bytes = 0
-        self._shapes: Counter[str] = Counter()
-        self._units: np.ndarray | None = None
-        self._gram = np.empty((0, 0))
+        self._kernel = np.ones((1, 1))
         self._pair_sum = 0.0
         self._nearest = np.empty(0)
         self._scores: dict[str, dict[str, float]] = {}
@@ -233,29 +235,27 @@ class MarginalScorer:
     def sync(self, corpus: Sequence[str]) -> None:
         """Make the scorer's corpus exactly ``corpus``: append the new texts
         when it holds a prefix of them, rebuild it otherwise."""
-        held = self.corpus.texts
-        if list(corpus[: len(held)]) != held:
+        if list(corpus[: len(self.corpus.texts)]) != self.corpus.texts:
             self._reset()
-        new = list(corpus[len(self.corpus.texts):])
+        n = len(self.corpus.texts)
+        new = list(corpus[n:])
         if not new:
             return
-        for text in new:
-            raw = self._next_line(text)
-            self._raw_bytes += len(raw)
-            self._deflated_bytes += len(self._deflate.compress(raw))
-            self.corpus.append([text])
-            self._n_tokens += len(self.corpus.token_ids[-1])
-            self._shapes.update(self.corpus.shapes[-1])
-        units = unit_rows(self._embed_cache.matrix(new))
-        self._units = units if self._units is None else np.concatenate((self._units, units))
-        gram = self._units @ self._units.T
-        self._gram = np.clip(gram, -1.0, 1.0, out=gram)
-        dist = 1.0 - self._gram
-        np.fill_diagonal(dist, 0.0)
-        self._pair_sum = float(dist.sum()) / 2.0
-        np.fill_diagonal(dist, np.inf)
-        self._nearest = dist.min(axis=1)
-        self._scores = {}
+        raw = self._next_line("\n".join(new))
+        self._raw_bytes += len(raw)
+        self._deflated_bytes += len(self._deflate.compress(raw))
+        self.corpus.append(new, self._embed_cache.matrix(new))
+        units = unit_rows(self.corpus.rows)
+        kernel = np.pad(self._kernel[:n, :n], (0, len(new) + 1), constant_values=1.0)
+        nearest = np.concatenate((self._nearest, np.empty(len(new))))
+        for i in range(n, len(units)):
+            sims = np.clip(units[: i + 1] @ units[i], -1.0, 1.0)
+            kernel[i, : i + 1] = kernel[: i + 1, i] = sims
+            dists = 1.0 - sims[:i]
+            self._pair_sum += float(dists.sum())
+            np.minimum(nearest[:i], dists, out=nearest[:i])
+            nearest[i] = dists.min(initial=np.inf)
+        self._kernel, self._nearest, self._scores = kernel, nearest, {}
 
     def _next_line(self, text: str) -> bytes:
         """``text`` as the newline-joined corpus's next bytes."""
@@ -271,18 +271,15 @@ class MarginalScorer:
 
     def _evaluate_batch(self, candidates: list[str]) -> list[dict[str, float]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
-        n, size = len(self.corpus.texts), len(self.corpus.texts) + 1
-        sims = np.clip(units @ self._units.T, -1.0, 1.0) if n else units[:, :0]
+        n, kernel = len(self.corpus.texts), self._kernel
+        sims = np.clip(units @ unit_rows(self.corpus.rows).T, -1.0, 1.0) if n else units[:, :0]
         dists = 1.0 - sims
         if n:
-            varieties = (self._pair_sum + dists.sum(axis=1)) / (size * n / 2)
+            varieties = (self._pair_sum + dists.sum(axis=1)) / ((n + 1) * n / 2)
             chamfers = (np.minimum(self._nearest, dists).sum(axis=1)
-                        + dists.min(axis=1)) / size
+                        + dists.min(axis=1)) / (n + 1)
         else:
             varieties = chamfers = np.zeros(len(units))
-        kernel = np.empty((size, size))
-        kernel[:n, :n] = self._gram
-        kernel[n, n] = 1.0
         vendis: list[float] = []
         for border in sims:
             kernel[:n, n] = kernel[n, :n] = border
@@ -299,12 +296,12 @@ class MarginalScorer:
         deflate = self._deflate.copy()
         deflated = (self._deflated_bytes + len(deflate.compress(extra))
                     + len(deflate.flush()))
-        shapes = self._shapes.copy()
+        shapes = self.corpus.shape_counts.copy()
         shapes.update(sentence_shapes(candidate))
         vocabulary = self.corpus.vocabulary
         return {
             "ttr": ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),
-                                  self._n_tokens + len(tokens)),
+                                  self.corpus.n_tokens + len(tokens)),
             "compression_ratio": compression_ratio(deflated, self._raw_bytes + len(extra)),
             "paraphrase_variety": variety,
             "parse_tree_entropy": entropy_of_sizes(shapes.values()),

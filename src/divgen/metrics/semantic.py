@@ -175,14 +175,12 @@ def vendi_score(embeddings: Sequence) -> float:
 
 def kernel_eigenvalues(sim: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Vendi kernel K/n of one (n, n) similarity
-    matrix, symmetrised as (K + Kᵀ)/2n. ``sim`` itself is not written.
+    matrix, which is not written. ``eigvalsh`` reads one triangle, and every
+    caller's K is symmetric bit for bit.
 
     Raises ValueError if any eigenvalue is below -1e-9 (K is not PSD).
     """
-    n = len(sim)
-    scaled = sim + sim.T
-    scaled /= 2.0 * n
-    eigenvalues = np.linalg.eigvalsh(scaled)
+    eigenvalues = np.linalg.eigvalsh(sim / len(sim))
     if np.any(eigenvalues < -1e-9):
         raise ValueError("kernel is not PSD within tolerance")
     return eigenvalues

@@ -4,11 +4,11 @@ Each example runs up to five rounds of five candidates. Candidates surviving
 the execution-type judge pool up across rounds; the pool is re-ranked every
 round by fusing eight per-metric marginal-diversity orderings with reciprocal
 rank fusion, and the global top is kept. The corpus only grows, so the run
-keeps one metric state for it: built at the first example, and grown at the
-start of each example by the queries accepted since. The corpus does not
-change during an example, so each distinct candidate is scored once against
-it, however many rounds re-rank it; a round's new candidates are scored
-together as one batch.
+keeps one ``MarginalScorer`` for it: built at the first example, and grown at
+the start of each example by each query accepted since, recorded and bordered
+into its Vendi kernel once. The corpus does not change during an example, so
+each distinct candidate is scored once against it, however many rounds
+re-rank it; a round's new candidates are scored together as one batch.
 Candidates without a single word token cannot be scored and never enter the
 pool. Feedback between rounds foregrounds judge failures when most candidates
 failed, diversity guidance otherwise. The example's prompt fields are built

@@ -447,6 +447,13 @@ def test_resume_keeps_a_log_the_interrupted_run_did_not_write(tmp_path, monkeypa
     log.write_text("kept\n", encoding="utf-8")
     assert cli.main(argv + ["--resume", "--log", str(log)]) == 0
     assert log.read_text(encoding="utf-8").startswith("kept\n{")
+    # the checkpoint counts the kept line, so a second resume cuts the log
+    # between events
+    checkpoint = json.loads(out.with_name("ds.jsonl.checkpoint").read_text(encoding="utf-8"))
+    assert checkpoint["log_bytes"] == log.stat().st_size
+    assert cli.main([*argv[:3], "5", *argv[4:], "--resume", "--log", str(log)]) == 0
+    kept, *events = log.read_text(encoding="utf-8").splitlines()
+    assert kept == "kept" and [json.loads(line)["event"] for line in events]
 
 
 def test_refused_resume_leaves_every_file_as_it_was(tmp_path, capsys):
@@ -474,6 +481,16 @@ def test_refused_resume_leaves_every_file_as_it_was(tmp_path, capsys):
                    + lines[2], encoding="utf-8")
     refused("--seed", "7")
     assert "hold 2 examples, the checkpoint records 3 accepted" in capsys.readouterr().err
+    # a recorded query with no word token, which ranking could not score
+    query = json.dumps(json.loads(lines[1])["query"], ensure_ascii=False)[1:-1]
+    out.write_text(lines[0] + lines[1].replace(query, "?" * len(query.encode("utf-8")), 1)
+                   + lines[2], encoding="utf-8")
+    refused("--seed", "7")
+    assert "ex-000002's query has no word token" in capsys.readouterr().err
+    # a dataset shorter than the checkpoint records
+    out.write_text(lines[0] + lines[1], encoding="utf-8")
+    refused("--seed", "7")
+    assert "shorter than the checkpoint records" in capsys.readouterr().err
 
 
 def test_checkpoint_size_does_not_grow_with_the_dataset(tmp_path):

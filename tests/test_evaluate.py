@@ -300,12 +300,11 @@ def test_report_resamples_equal_the_metrics_on_gathered_rows(size, embedder):
         assert len(set(texts)) < size
         assert sum(text.count(".") + text.count("?") > 1 for text in texts) >= 5
     emb = EmbeddingCache(embedder).matrix(texts)
-    rows = UnitRows(emb)
     rng = random.Random(size)
     # the full corpus, then resamples that repeat indices
     resamples = [list(range(size)), [0, 0]] + [
         rng.choices(range(size), k=max(2, size * 4 // 5)) for _ in range(6)]
-    corpus = Corpus(texts, rows)
+    corpus = Corpus(texts, emb)
     for idx in resamples:
         want = evaluate_full_battery([texts[i] for i in idx], emb[np.array(idx)])
         for name in REPORT_METRICS:
@@ -378,8 +377,8 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
     texts = data.draw(st.lists(_queries, min_size=size, max_size=size))
     texts[-1] = texts[0]  # a repeated text
     emb = EmbeddingCache(HashEmbedder()).matrix(texts)
-    corpus = Corpus(texts, UnitRows(emb))
-    queries = query_entropy_over_indices(UnitRows(emb))
+    corpus = Corpus(texts, emb)
+    queries = query_entropy_over_indices(corpus.rows)
     for idx in _samples(size, rng):
         gathered = [texts[i] for i in idx]
         _same(METRICS["ttr"](corpus, idx), type_token_ratio(gathered))
@@ -407,11 +406,17 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
 @given(st.lists(_queries, min_size=1, max_size=30), st.data())
 def test_a_corpus_grown_by_appends_equals_one_built_at_once(texts, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(texts)), max_size=4)))
+    emb = EmbeddingCache(HashEmbedder()).matrix(texts)
     grown = Corpus()
     for start, stop in zip([0] + cuts, cuts + [len(texts)]):
-        grown.append(texts[start:stop])
-    whole = Corpus(texts)
+        grown.append(texts[start:stop], emb[start:stop])
+    whole = Corpus(texts, emb)
     assert grown.texts == whole.texts == texts
+    assert grown.rows.raw.tobytes() == whole.rows.raw.tobytes() == emb.tobytes()
+    assert grown.rows.unit.tobytes() == whole.rows.unit.tobytes()
+    assert (grown.n_tokens, grown.shape_counts) == (whole.n_tokens, whole.shape_counts)
+    assert grown.n_tokens == sum(grown.lengths)
+    assert grown.shape_counts == Counter(s for shapes in whole.shapes for s in shapes)
     assert grown.vocabulary == whole.vocabulary
     assert [ids.tolist() for ids in grown.token_ids] == [ids.tolist() for ids in whole.token_ids]
     assert (grown.lengths, grown.fkgls, grown.shapes) == (whole.lengths, whole.fkgls, whole.shapes)
@@ -467,7 +472,8 @@ def test_each_table_is_built_once_per_corpus_and_value_sample(monkeypatch, embed
     recorded = []
     append = Corpus.append
     monkeypatch.setattr(Corpus, "append",
-                        lambda self, texts: recorded.append(list(texts)) or append(self, texts))
+                        lambda self, texts, rows=None:
+                        recorded.append(list(texts)) or append(self, texts, rows))
     corpus = report_corpus(40)
     compare_linguistic_diversity(corpus, corpus[::-1], embedder, seed=5)
     # one neighbourhood table and one set of text records per corpus, each

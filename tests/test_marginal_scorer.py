@@ -7,6 +7,9 @@ import random
 
 import numpy as np
 
+import divgen.metrics.battery as battery
+import divgen.metrics.semantic as semantic
+from divgen.evaluate import analyze_corpus
 from divgen.fixtures import repetitive_corpus, varied_corpus
 from divgen.metrics.battery import (
     OPTIMIZED_METRICS,
@@ -14,6 +17,7 @@ from divgen.metrics.battery import (
     MarginalScorer,
     evaluate_battery,
 )
+from divgen.metrics.semantic import unit_rows
 from divgen.metrics.text import tokenize
 from divgen.providers.hash_embed import HashEmbedder
 from divgen.querygen import rank_candidates_by_diversity
@@ -132,6 +136,60 @@ def test_sync_drops_the_scores_of_the_previous_corpus():
         for scores, texts in zip(got, (corpus[:size] + [c] for c in batch)):
             assert_close(scores, evaluate_battery(texts, cache.matrix(texts)), size)
         assert got != before
+
+
+def bits(scorer):
+    """The scorer's corpus state, as bytes."""
+    return (scorer._kernel.tobytes(), scorer._nearest.tobytes(), scorer._pair_sum.hex(),
+            unit_rows(scorer.corpus.rows).tobytes(), scorer.corpus.texts)
+
+
+def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
+    cache = EmbeddingCache(HashEmbedder())
+    corpus = SOURCES["varied"][:25] + SOURCES["repetitive"][:25]
+    batch = [UNSHARED, SOURCES["varied"][30], corpus[3], " ".join(corpus[5:8])]
+    grown, chunked = MarginalScorer([], cache), MarginalScorer([], cache)
+    for size in range(len(corpus) + 1):
+        grown.sync(corpus[:size])
+    for size in (1, 2, 9, 33, len(corpus)):
+        chunked.sync(corpus[:size])
+    whole = MarginalScorer(corpus, cache)
+    # a batch writes its last candidate's similarities into the kernel's border
+    scores = [scorer.score(batch) for scorer in (grown, chunked, whole)]
+    assert bits(grown) == bits(chunked) == bits(whole)
+    assert [[{m: v.hex() for m, v in s.items()} for s in run] for run in scores[1:]] == \
+        [[{m: v.hex() for m, v in s.items()} for s in scores[0]]] * 2
+    # a corpus the scorer holds no prefix of rebuilds it
+    other = SOURCES["repetitive"][:20]
+    grown.sync(other)
+    fresh = MarginalScorer(other, cache)
+    assert grown.score(batch) == fresh.score(batch) and bits(grown) == bits(fresh)
+    assert grown.corpus.n_tokens == sum(len(tokenize(text)) for text in other)
+
+
+def test_every_vendi_kernel_is_exactly_symmetric(monkeypatch):
+    # so kernel_eigenvalues needs no symmetrised copy: on every kernel ranking
+    # and the report pass, it equals eigvalsh((K + K^T) / 2n) bit for bit
+    kernels = []
+    eigenvalues = semantic.kernel_eigenvalues
+
+    def recording(sim):
+        kernels.append(sim.copy())
+        return eigenvalues(sim)
+
+    monkeypatch.setattr(battery, "kernel_eigenvalues", recording)
+    monkeypatch.setattr(semantic, "kernel_eigenvalues", recording)
+    cache = EmbeddingCache(HashEmbedder())
+    batch = SOURCES["varied"][30:36] + [UNSHARED]
+    for size in (0, 1, 30):
+        MarginalScorer(SOURCES["varied"][:size], cache).score(batch)
+    assert len(kernels) == 3 * 7
+    analyze_corpus(SOURCES["varied"][:40], HashEmbedder(), seed=3)
+    assert len(kernels) == 3 * 7 + 101
+    for kernel in kernels:
+        assert kernel.tobytes() == np.ascontiguousarray(kernel.T).tobytes()
+        symmetrised = np.linalg.eigvalsh((kernel + kernel.T) / (2.0 * len(kernel)))
+        assert eigenvalues(kernel).tobytes() == symmetrised.tobytes()
 
 
 def test_score_evaluates_each_distinct_new_candidate_once_per_call(monkeypatch):
