@@ -1,9 +1,10 @@
 """Hard-negative candidate selection: retrieve, rate, filter, cut at the elbow.
 
 Distractors come from embedding retrieval over function descriptions (the
-``cosine_matrix`` of the query against them, a zero vector scoring 0, rounded
-to 12 decimals so exact ties break by library order; the run's embedding cache
-holds the description vectors, so each is embedded once per run), survive only
+cosine of the query against them, a zero vector scoring 0, rounded to 12
+decimals so exact ties break by library order; the run's embedding cache holds
+their unit rows from the first example on, so an example normalises only its
+query), survive only
 when an LLM rates them implausible as answers (<=2 generally, <=1 for
 MISSING_PARAMS), and are then cut at the point where retrieval scores drop
 fastest. Targets are exempt from every filter; they can shrink only when a
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from divgen.metrics.battery import EmbeddingCache
-from divgen.metrics.semantic import cosine_matrix, round12
+from divgen.metrics.semantic import round12, unit_rows
 from divgen.model import ExecutionType, FunctionSchema
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -65,20 +66,17 @@ def retrieve_candidates(
     appended with their scores when they miss the top-k (not for NONE examples,
     which pass force_targets=False).
     """
-    texts = [fn.description or fn.name for fn in library]
-    vectors = embed_cache.matrix(texts + [query])
-    sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
-    scores = list(zip([fn.name for fn in library], round12(sims).tolist()))
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
-    top = [scores[i] for i in order[:k]]
+    units = embed_cache.unit_matrix([fn.description or fn.name for fn in library],
+                                    also=[query])
+    query_unit = unit_rows(embed_cache.matrix([query]), allow_zero=True)
+    scores = round12((units @ query_unit.T).clip(-1.0, 1.0)[:, 0])
+    top = (-scores).argsort(kind="stable")[:k].tolist()
     target_set = set(targets)
-    if force_targets:
-        present = {name for name, _ in top}
-        for name, score in scores:
-            if name in target_set and name not in present:
-                top.append((name, score))
-    return [ScoredCandidate(name, score, is_target=name in target_set)
-            for name, score in top]
+    missing = target_set - {library[i].name for i in top} if force_targets else set()
+    if missing:
+        top += [i for i, fn in enumerate(library) if fn.name in missing]
+    return [ScoredCandidate(library[i].name, float(scores[i]),
+                            is_target=library[i].name in target_set) for i in top]
 
 
 def score_plausibility(
@@ -193,10 +191,10 @@ def parse_invocation_names(raw: str, known: Sequence[str]) -> list[str]:
 
 
 def _match_known(name: str, known: Sequence[str]) -> str:
-    """``name`` itself when known, else the first known name it contains."""
+    """``name`` itself when known, else the longest known name in it (earliest on ties)."""
     if name in known:
         return name
-    return next((k for k in known if k in name), name)
+    return max((k for k in known if k in name), key=len, default=name)
 
 
 @dataclass
@@ -218,9 +216,9 @@ def validate_invocation_alternatives(
 ) -> AlternativeOutcome:
     """For multi-call examples: look for a validated alternative invocation.
 
-    An alternative using non-target candidates removes those candidates; an
-    alternative that is a strict subset of the targets shrinks the targets
-    (one left -> SINGLE, none left -> invalid).
+    An alternative using non-target candidates removes them; one that is a
+    strict subset of the targets shrinks the targets (one left -> SINGLE, none
+    left -> invalid); one naming a function outside them changes nothing.
     """
     if exec_type not in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
         return AlternativeOutcome(list(kept), list(targets), exec_type)
@@ -253,6 +251,10 @@ def validate_invocation_alternatives(
             invocation_apis = json.dumps(calls, ensure_ascii=False)
         if not invocations:
             return AlternativeOutcome(list(kept), list(targets), exec_type)
+        unknown = sorted(set(invocations) - set(available))
+        if unknown:  # the validator would see only the known schemas
+            return AlternativeOutcome(list(kept), list(targets), exec_type,
+                                      note=f"alternative names unknown {unknown}; unchanged")
         # the sequential validator alone declares return_values_list
         verdict = client.call(catalog.get(
             "ValidateParallelInvocation" if exec_type is ExecutionType.PARALLEL
@@ -260,7 +262,7 @@ def validate_invocation_alternatives(
             "query": query,
             "invocation_apis": invocation_apis,
             "api_schemas": json.dumps(
-                [by_name[n].to_dict() for n in invocations if n in by_name],
+                [by_name[n].to_dict() for n in invocations],
                 ensure_ascii=False),
             "return_values_list": "[]",
         })

@@ -163,12 +163,13 @@ class EmbeddingCache:
     """Per-text embedding memo for one run: every text the run embeds (the
     ranking's corpus and candidates, the library descriptions that retrieval
     and the walk check score, and parameter values) goes through it, so each
-    distinct text reaches the embedder once. ``embed`` lets it stand in for
-    the embedder itself."""
+    distinct text reaches the embedder once; ``unit_matrix`` holds the unit
+    rows of a text list. ``embed`` lets it stand in for the embedder."""
 
     def __init__(self, embedder):
         self.embedder = embedder
         self._memo: dict[str, np.ndarray] = {}
+        self._units: dict[tuple[str, ...], np.ndarray] = {}
 
     def matrix(self, texts: Sequence[str]) -> np.ndarray:
         missing = list(dict.fromkeys(t for t in texts if t not in self._memo))
@@ -180,6 +181,14 @@ class EmbeddingCache:
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """The rows of ``matrix(texts)``."""
         return self.matrix(texts)
+
+    def unit_matrix(self, texts: Sequence[str], also: Sequence[str] = ()) -> np.ndarray:
+        """``unit_rows(matrix(texts), allow_zero=True)``, held for the run under
+        ``texts``; the first call embeds what ``matrix([*texts, *also])`` would."""
+        key = tuple(texts)
+        if key not in self._units:
+            self._units[key] = unit_rows(self.matrix([*key, *also])[: len(key)], allow_zero=True)
+        return self._units[key]
 
 
 def _evaluate(names: Sequence[str], texts: Sequence[str],

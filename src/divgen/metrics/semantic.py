@@ -2,10 +2,11 @@
 centroid dispersion, and the kernel eigenvalue entropy score.
 
 ``cosine_matrix`` is the package's one cosine; DBSCAN, parameter grouping, the
-API similarity graph, the walk coherence check and distractor retrieval call it
-too. It scales rows to unit norm, takes one matrix product and clips to
-[-1, 1]. The metrics and DBSCAN refuse a zero-norm row; the library-side
-callers pass ``allow_zero=True`` and read its similarities as 0 (text without
+API similarity graph and the walk coherence check call it too, and distractor
+retrieval and ranking take its product and clip over unit rows they hold. It
+scales rows to unit norm, takes one matrix product and clips to [-1, 1]. The
+metrics and DBSCAN refuse a zero-norm row; the library-side callers pass
+``allow_zero=True`` and read its similarities as 0 (text without
 a word token embeds to zero under the hash embedder). Callers that compare or
 rank similarities round them to 12 decimals, and candidate ranking sorts on
 each metric's value rounded to 12 decimals, so no result depends on the

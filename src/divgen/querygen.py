@@ -109,19 +109,20 @@ def judge_queries(
     candidates: Sequence[str],
     skeleton: ExampleSkeleton,
     client: SignatureClient,
+    fields: dict[str, str] | None = None,
 ) -> list[JudgeVerdict]:
     """Per-candidate validity verdicts; NONE examples need no judging at all.
 
     Several candidates go out as one JSON array in the ``query`` field, and a
     JSON array of YES/NO verdicts is expected back; any shape mismatch falls
-    back to per-candidate calls.
+    back to per-candidate calls. ``fields``: the skeleton's, if built already.
     """
     if skeleton.execution_type is ExecutionType.NONE:
         return [JudgeVerdict(True, "no verification required") for _ in candidates]
     if not candidates:
         return []
     sig = catalog.get(_JUDGES[skeleton.execution_type])
-    fields = _skeleton_fields(skeleton)
+    fields = _skeleton_fields(skeleton) if fields is None else fields
     if len(candidates) > 1:
         try:
             out = client.call(sig, {
@@ -291,7 +292,7 @@ class QueryGenerator:
                     attempts_log.append(
                         f"[round {round_no}] {cand} -- left out: no word tokens to score")
             candidates = [c for c in candidates if tokenize(c)]
-            verdicts = judge_queries(candidates, skeleton, self.client)
+            verdicts = judge_queries(candidates, skeleton, self.client, fields)
             for cand, verdict in zip(candidates, verdicts):
                 attempts_log.append(
                     f"[round {round_no}] {cand} -- judged"

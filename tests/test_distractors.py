@@ -120,6 +120,83 @@ def test_cached_retrieval_matches_raw_and_embeds_each_text_once(embedder):
     assert set(counting.seen) == {f.description for f in lib} | set(queries)
 
 
+def formula_retrieval(query, library, cache, k, targets=(), force_targets=True):
+    """(name, score.hex(), is_target) as retrieval computed it per example
+    before the library's unit rows were held: the cosine over a fresh stack of
+    every description and the query, sorted on (-score, library index)."""
+    texts = [f.description or f.name for f in library]
+    vectors = cache.matrix(texts + [query])
+    sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
+    scores = [(f.name, round(float(s), 12)) for f, s in zip(library, sims)]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
+    top = [scores[i] for i in order[:k]]
+    if force_targets:
+        present = {name for name, _ in top}
+        top += [t for t in scores if t[0] in targets and t[0] not in present]
+    return [(name, score.hex(), name in targets) for name, score in top]
+
+
+def held_retrieval(query, library, cache, k, targets=(), force_targets=True):
+    return [(c.name, c.retrieval_score.hex(), c.is_target) for c in retrieve_candidates(
+        query, library, cache, k, targets, force_targets=force_targets)]
+
+
+@pytest.mark.parametrize("size", [3, 12, 57, 200, 1000])
+def test_held_retrieval_is_bit_identical_to_the_per_example_formula(embedder, size):
+    lib = templated_library(size)
+    cache = EmbeddingCache(embedder)
+    targets = [lib[-1].name, lib[size // 2].name]
+    queries = [f"{lib[0].description} for tomorrow", "will the storm hit our region",
+               "東京", "", lib[-1].description]
+    for query in queries:
+        for force in (True, False):
+            for k in (1, 5, 20):
+                assert held_retrieval(query, lib, cache, k, targets, force) == \
+                    formula_retrieval(query, lib, cache, k, targets, force), (query, k)
+
+
+def test_held_retrieval_keeps_ties_repeats_and_zero_rows_in_library_order(embedder):
+    # repeated descriptions tie exactly; tokenless ones embed to zero and score 0
+    lib = [fn(f"f{i}", param("x", "a value"), description=text)
+           for i, text in enumerate(["hotel rooms tonight", "東京", "hotel rooms tonight",
+                                     "weather for the weekend", "", "東京",
+                                     "weather for the weekend", "hotel rooms tonight"])]
+    cache = EmbeddingCache(embedder)
+    for query in ["hotel rooms", "weekend weather at the hotel", "東京", ""]:
+        for k in (2, 4, 8):
+            assert held_retrieval(query, lib, cache, k, ["f5", "f1"]) == \
+                formula_retrieval(query, lib, cache, k, ["f5", "f1"]), (query, k)
+    got = retrieve_candidates("hotel rooms", lib, cache, k=8)
+    assert [c.name for c in got][:3] == ["f0", "f2", "f7"]
+    zero = retrieve_candidates("東京", lib, cache, k=8)
+    assert [c.name for c in zero] == [f"f{i}" for i in range(8)]
+    assert {c.retrieval_score for c in zero} == {0.0}
+
+
+def test_retrievals_on_one_cache_embed_and_normalise_the_library_once(embedder, monkeypatch):
+    import divgen.metrics.battery as battery
+
+    lib = templated_library(40)
+    counting = CountingEmbedder(embedder)
+    cache = EmbeddingCache(counting)
+    normalised = []
+    real_unit_rows = battery.unit_rows
+    monkeypatch.setattr(battery, "unit_rows",
+                        lambda rows, **kw: normalised.append(len(rows))
+                        or real_unit_rows(rows, **kw))
+    calls = []
+    counting_embed = counting.embed
+    counting.embed = lambda texts: calls.append(list(texts)) or counting_embed(texts)
+    retrieve_candidates("storm warnings for my region", lib, cache, k=20)
+    retrieve_candidates("convert dollars to yen", lib, cache, k=20)
+    assert normalised == [len(lib)]
+    assert set(counting.seen.values()) == {1}
+    # the first retrieval embeds the descriptions and its query in one batch
+    descriptions = list(dict.fromkeys(f.description for f in lib))
+    assert calls == [descriptions + ["storm warnings for my region"],
+                     ["convert dollars to yen"]]
+
+
 def scores_reply(sig_name, rows):
     return format_output(catalog.get(sig_name),
                          {"reasoning": "rated",
@@ -237,6 +314,10 @@ def test_parse_invocation_names_handles_spaces_and_lists():
     assert parse_invocation_names(raw, known) == ["video_fetch", "Video Info by URL"]
     assert parse_invocation_names("[]", known) == []
     assert parse_invocation_names("video_fetch(a=1)", known) == ["video_fetch"]
+    # a qualified name matches the longest known name inside it, not the first
+    known = ["search", "search_hotels", "weather"]
+    raw = "[functions.search_hotels(city=1), functions.weather(day=1)]"
+    assert parse_invocation_names(raw, known) == ["search_hotels", "weather"]
 
 
 def alt_chat(parallel_invocation, valid="YES"):
@@ -296,6 +377,41 @@ def test_alternatives_invalid_verdict_changes_nothing():
         lib, SignatureClient(alt_chat("[alpha_api(x=1)]", valid="NO")))
     assert out.targets == ["alpha_api", "beta_api"]
     assert out.exec_type is ExecutionType.PARALLEL
+
+
+def travel_library():
+    return [
+        fn("search", param("q", "free text to look up"), description="general search"),
+        fn("search_hotels", param("city", "city to stay in"), description="hotel search"),
+        fn("weather", param("day", "day of the forecast"), description="weather forecast"),
+        fn("hotel_finder", param("city", "city to stay in"), description="find hotels"),
+    ]
+
+
+def test_alternative_with_qualified_target_names_keeps_the_distractor():
+    chat = alt_chat("[functions.search_hotels(city=1), functions.weather(day=1)]")
+    out = validate_invocation_alternatives(
+        "q", [ScoredCandidate("search", 0.4, plausibility=2)],
+        ["search_hotels", "weather"], ExecutionType.PARALLEL,
+        travel_library(), SignatureClient(chat))
+    assert [c.name for c in out.candidates] == ["search"]
+    assert out.targets == ["search_hotels", "weather"]
+    assert out.note == ""
+
+
+@pytest.mark.parametrize("reply", ["[weather(day=1), hotel_finder(city=1)]",
+                                   "[weather(day=1), hotel_finder(city=1), search(q=1)]"])
+def test_alternative_naming_a_function_outside_the_candidates_changes_nothing(reply):
+    chat = alt_chat(reply)
+    out = validate_invocation_alternatives(
+        "q", [ScoredCandidate("search", 0.4, plausibility=2)],
+        ["search_hotels", "weather"], ExecutionType.PARALLEL,
+        travel_library(), SignatureClient(chat))
+    assert [c.name for c in out.candidates] == ["search"]
+    assert out.targets == ["search_hotels", "weather"]
+    assert out.exec_type is ExecutionType.PARALLEL and not out.invalid
+    assert "hotel_finder" in out.note and "unchanged" in out.note
+    assert "removed" not in out.note
 
 
 def seq_alt_chat(steps, valid="YES"):
@@ -359,3 +475,14 @@ def test_assemble_requires_twice_the_targets_for_parallel(embedder):
         assemble_candidates("query words", ["alpha_api", "beta_api"],
                             ExecutionType.PARALLEL, lib, EmbeddingCache(embedder),
                             SignatureClient(chat), random.Random(0))
+
+
+def test_sequential_alternative_naming_an_unknown_step_changes_nothing():
+    out = validate_invocation_alternatives(
+        "q", [ScoredCandidate("search", 0.4, plausibility=2)],
+        ["search_hotels", "weather"], ExecutionType.SEQUENTIAL, travel_library(),
+        SignatureClient(seq_alt_chat(["weather(day=1)", "hotel_finder", "search", ""])))
+    assert [c.name for c in out.candidates] == ["search"]
+    assert out.targets == ["search_hotels", "weather"]
+    assert out.exec_type is ExecutionType.SEQUENTIAL
+    assert "hotel_finder" in out.note and "unchanged" in out.note

@@ -192,6 +192,33 @@ def test_previous_attempts_accumulate_across_rounds():
     assert "first round query 0 alpha0" not in gen_calls[0]
 
 
+def test_judge_rounds_reuse_the_fields_built_once_per_example(monkeypatch):
+    import divgen.querygen as querygen
+
+    built = []
+    real = querygen._skeleton_fields
+    monkeypatch.setattr(querygen, "_skeleton_fields",
+                        lambda skeleton: built.append(skeleton) or real(skeleton))
+    extra = [f"Bonus request {w} for the archive." for w in
+             ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")]
+    rounds = [CANDS[:3], CANDS[2:5], [CANDS[0]] + extra[:2], extra[1:4], extra[3:] + [CANDS[4]]]
+    chat = ScriptedChat()
+    chat.script([queries_reply("MultiQueryGenerator", r) for r in rounds],
+                signature="MultiQueryGenerator")
+    chat.script([batch_judge_reply(["YES"] * len(r)) for r in rounds],
+                signature="APIQueryJudge")
+    chat.script(guidance_reply(), signature="DiversityGuidanceGeneration")
+    make_qgen(chat, rounds=5).generate_query(single_skeleton(), DATASET)
+    assert len(built) == 1
+    judged = [c for c in chat.calls if catalog.get("APIQueryJudge").objective in c]
+    assert len(judged) == len(rounds)
+    for prompt, cands in zip(judged, rounds):
+        fresh = ScriptedChat().script(batch_judge_reply(["YES"] * len(cands)),
+                                      signature="APIQueryJudge")
+        judge_queries(cands, single_skeleton(), SignatureClient(fresh))
+        assert fresh.calls == [prompt]
+
+
 def test_judge_none_type_needs_no_llm():
     chat = ScriptedChat()  # any call would raise
     skeleton = ExampleSkeleton(execution_type=ExecutionType.NONE)
