@@ -3,12 +3,14 @@
 Distractors come from embedding retrieval over function descriptions (the
 cosine of the query against them, a zero vector scoring 0, rounded to 12
 decimals so exact ties break by library order; the run's embedding cache holds
-their unit rows from the first example on, so an example normalises only its
-query), survive only
-when an LLM rates them implausible as answers (<=2 generally, <=1 for
-MISSING_PARAMS), and are then cut at the point where retrieval scores drop
-fastest. Targets are exempt from every filter; they can shrink only when a
-validated alternative invocation shows some of them to be redundant.
+their unit rows, and not their raw rows, from the first example on, under the
+``FunctionLibrary``'s one description tuple, so an example normalises only its
+query), survive only when an LLM rates them implausible as answers (<=2
+generally, <=1 for MISSING_PARAMS), and are then cut at the point where
+retrieval scores drop fastest. Targets are exempt from every filter; they can
+shrink only when a validated alternative invocation shows some of them to be
+redundant. The plausibility and alternative checks read the library's one
+name map.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from divgen.metrics.battery import EmbeddingCache
 from divgen.metrics.semantic import round12, unit_rows
-from divgen.model import ExecutionType, FunctionSchema
+from divgen.model import ExecutionType, FunctionLibrary, FunctionSchema
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
@@ -52,7 +54,7 @@ class ScoredCandidate:
 
 def retrieve_candidates(
     query: str,
-    library: Sequence[FunctionSchema],
+    library: FunctionLibrary,
     embed_cache: EmbeddingCache,
     k: int = RETRIEVAL_K,
     targets: Sequence[str] = (),
@@ -66,8 +68,7 @@ def retrieve_candidates(
     appended with their scores when they miss the top-k (not for NONE examples,
     which pass force_targets=False).
     """
-    units = embed_cache.unit_matrix([fn.description or fn.name for fn in library],
-                                    also=[query])
+    units = embed_cache.unit_matrix(library.descriptions, also=[query])
     query_unit = unit_rows(embed_cache.matrix([query]), allow_zero=True)
     scores = round12((units @ query_unit.T).clip(-1.0, 1.0)[:, 0])
     top = (-scores).argsort(kind="stable")[:k].tolist()
@@ -84,7 +85,7 @@ def score_plausibility(
     candidates: Sequence[ScoredCandidate],
     targets: Sequence[str],
     exec_type: ExecutionType,
-    library: Sequence[FunctionSchema],
+    by_name: Mapping[str, FunctionSchema],
     client: SignatureClient,
 ) -> list[ScoredCandidate]:
     """One 1-5 rating call for all the candidates, order-aligned with them.
@@ -92,7 +93,6 @@ def score_plausibility(
     A misaligned or non-integer reply is retried once, then abandons."""
     if not candidates:
         return []
-    by_name = {fn.name: fn for fn in library}
     multi = exec_type in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL)
     sig = catalog.get("ParallelAPIRelevanceScorer" if multi else "BatchAPIRelevanceScorer")
     # each scorer takes its own target field from this one context
@@ -211,7 +211,7 @@ def validate_invocation_alternatives(
     kept: Sequence[ScoredCandidate],
     targets: Sequence[str],
     exec_type: ExecutionType,
-    library: Sequence[FunctionSchema],
+    by_name: Mapping[str, FunctionSchema],
     client: SignatureClient,
 ) -> AlternativeOutcome:
     """For multi-call examples: look for a validated alternative invocation.
@@ -222,7 +222,6 @@ def validate_invocation_alternatives(
     """
     if exec_type not in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
         return AlternativeOutcome(list(kept), list(targets), exec_type)
-    by_name = {fn.name: fn for fn in library}
     available = sorted({c.name for c in kept} | set(targets))
     available_payload = json.dumps([by_name[n].to_dict() for n in available],
                                    ensure_ascii=False)
@@ -304,7 +303,7 @@ def assemble_candidates(
     query: str,
     targets: Sequence[str],
     exec_type: ExecutionType,
-    library: Sequence[FunctionSchema],
+    library: FunctionLibrary,
     embed_cache: EmbeddingCache,
     client: SignatureClient,
     rng: random.Random,
@@ -314,7 +313,7 @@ def assemble_candidates(
     retrieved = retrieve_candidates(
         query, library, embed_cache, RETRIEVAL_K, targets,
         force_targets=exec_type is not ExecutionType.NONE)
-    scored = score_plausibility(query, retrieved, targets, exec_type, library, client)
+    scored = score_plausibility(query, retrieved, targets, exec_type, library.by_name, client)
     kept = filter_by_plausibility(scored, exec_type)
     survivors = [c for c in kept if not c.is_target]
     if exec_type in (ExecutionType.PARALLEL, ExecutionType.SEQUENTIAL):
@@ -328,5 +327,5 @@ def assemble_candidates(
     n_keep = elbow_cutoff([c.retrieval_score for c in survivors], min_keep) if survivors else 0
     cut = survivors[:n_keep]
     outcome = validate_invocation_alternatives(
-        query, cut, targets, exec_type, library, client)
+        query, cut, targets, exec_type, library.by_name, client)
     return outcome

@@ -25,6 +25,7 @@ from divgen.metrics.battery import EmbeddingCache
 from divgen.metrics.text import tokenize
 from divgen.model import (
     ExecutionType,
+    FunctionLibrary,
     FunctionSchema,
     GeneratedExample,
     Invocation,
@@ -105,8 +106,7 @@ class GenerationEngine:
         out_path: str | Path,
         log_stream: TextIO | None = None,
     ):
-        self.library = list(library)
-        self.by_name = {fn.name: fn for fn in self.library}
+        self.library = FunctionLibrary(library)
         self.groups = groups
         self.pools = pools
         self.graph = graph
@@ -211,7 +211,7 @@ class GenerationEngine:
             except SamplingFailure as exc:
                 last = str(exc)
                 continue
-            schemas = [self.by_name[n] for n in names]
+            schemas = [self.library.by_name[n] for n in names]
             if not check_pairwise_similarity(
                     schemas, self.embed_cache, self.config.pairwise_similarity_threshold):
                 last = "pairwise similarity below threshold"
@@ -234,12 +234,12 @@ class GenerationEngine:
             return ExampleSkeleton(execution_type=etype, none_kind=kind), [], meta
 
         if etype in (ExecutionType.SINGLE, ExecutionType.MISSING_PARAMS):
-            api = sample_single_api(self.pools, self.library, self.rng)
+            api = sample_single_api(self.pools, self.library.by_name, self.rng)
             if etype is ExecutionType.MISSING_PARAMS:
                 for _ in range(WALK_RETRIES):
                     if api.required_parameters:
                         break
-                    api = sample_single_api(self.pools, self.library, self.rng)
+                    api = sample_single_api(self.pools, self.library.by_name, self.rng)
                 if not api.required_parameters:
                     raise AbandonedExample("no function with required parameters drawn")
                 result = self.paramgen.generate_missing_params(api)

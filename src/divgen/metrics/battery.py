@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,13 +75,18 @@ class Corpus:
     without a word token raises ValueError), its token ids into the corpus's
     vocabulary, its token count, and its sentence parts (split once) and their
     shapes, adding the last two to the totals ``n_tokens`` and ``shape_counts``.
-    All rows appended are one ``semantic.UnitRows``, whose cluster-entropy
+    Appended rows are normalised once, on arrival, and written with their unit
+    form to buffers that double when full; ``rows`` is one
+    ``semantic.UnitRows`` over the filled prefixes, whose cluster-entropy
     neighbourhood table is built on first use, like the parts' interned trees.
-    Each text metric equals that of the gathered texts bit for bit."""
+    A row's unit form does not depend on the rows normalised with it, so it is
+    bit for bit that of a corpus built at once. Each text metric equals that
+    of the gathered texts bit for bit."""
 
     def __init__(self, texts: Sequence[str] = (), rows=None):
         self.texts: list[str] = []
-        self.rows: UnitRows | None = None
+        self._raw = self._unit = np.empty((0, 0))
+        self._filled = 0  # rows written to the buffers
         self.vocabulary: dict[str, int] = {}
         self.token_ids: list[np.ndarray] = []
         self.lengths: list[float] = []
@@ -108,8 +113,29 @@ class Corpus:
             self.shape_counts.update(self.shapes[-1])
             self.texts.append(text)
         if rows is not None:
-            self.rows = UnitRows(rows if self.rows is None else np.concatenate((self.rows.raw, rows)))
+            block = UnitRows(rows)
+            first, end = self._filled, self._filled + len(block)
+            if end > len(self._raw) or not first:  # full, or the first rows set the width
+                self._raw, self._unit = (self._grown(buf, end, block.raw.shape[1])
+                                         for buf in (self._raw, self._unit))
+            self._raw[first:end], self._unit[first:end] = block.raw, block.unit
+            self._filled = end
             self.__dict__.pop("cluster_entropy", None)
+
+    def _grown(self, buffer: np.ndarray, count: int, width: int) -> np.ndarray:
+        """A copy of ``buffer``'s filled rows with room for ``count`` rows, at
+        least double its size."""
+        grown = np.empty((max(count, 2 * len(buffer)), width))
+        if self._filled:
+            grown[:self._filled] = buffer[:self._filled]
+        return grown
+
+    @property
+    def rows(self) -> UnitRows | None:
+        """The appended rows with their unit form, or None before any."""
+        if not self._filled:
+            return None
+        return UnitRows.held(self._raw[:self._filled], self._unit[:self._filled])
 
     def counts(self, indices: Sequence[int]) -> np.ndarray:
         """How often each vocabulary token occurs in the texts at ``indices``."""
@@ -162,9 +188,19 @@ METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
 class EmbeddingCache:
     """Per-text embedding memo for one run: every text the run embeds (the
     ranking's corpus and candidates, the library descriptions that retrieval
-    and the walk check score, and parameter values) goes through it, so each
-    distinct text reaches the embedder once; ``unit_matrix`` holds the unit
-    rows of a text list. ``embed`` lets it stand in for the embedder."""
+    and the walk check score, and parameter values) goes through it. It holds
+    a row only while some later step may still ask it for that row; the
+    component that reads a row later holds it from then on:
+
+    - ``MarginalScorer.sync`` appends the newly accepted queries to its
+      ``Corpus`` and releases them with every candidate scored since the
+      previous acceptance (an abandoned attempt's candidates stay until then);
+    - a ``cluster_entropy.ValueIndex`` releases the values it has indexed and
+      serves them again from its own unit rows;
+    - ``unit_matrix`` holds a text list's unit rows and releases their raw ones.
+
+    A text asked for again after its release reaches the embedder again.
+    ``embed`` lets the cache stand in for the embedder."""
 
     def __init__(self, embedder):
         self.embedder = embedder
@@ -182,12 +218,19 @@ class EmbeddingCache:
         """The rows of ``matrix(texts)``."""
         return self.matrix(texts)
 
+    def release(self, texts: Iterable[str]) -> None:
+        """Drop the rows of ``texts`` that the cache holds."""
+        for text in texts:
+            self._memo.pop(text, None)
+
     def unit_matrix(self, texts: Sequence[str], also: Sequence[str] = ()) -> np.ndarray:
         """``unit_rows(matrix(texts), allow_zero=True)``, held for the run under
-        ``texts``; the first call embeds what ``matrix([*texts, *also])`` would."""
+        ``texts``; the first call embeds what ``matrix([*texts, *also])`` would
+        and releases the raw rows of ``texts`` but not of ``also``."""
         key = tuple(texts)
         if key not in self._units:
             self._units[key] = unit_rows(self.matrix([*key, *also])[: len(key)], allow_zero=True)
+            self.release(set(key).difference(also))
         return self._units[key]
 
 
@@ -243,7 +286,10 @@ class MarginalScorer:
 
     def sync(self, corpus: Sequence[str]) -> None:
         """Make the scorer's corpus exactly ``corpus``: append the new texts
-        when it holds a prefix of them, rebuild it otherwise."""
+        when it holds a prefix of them, rebuild it otherwise. The cache then
+        releases the new texts, which the corpus holds, and the candidates
+        scored against the old corpus."""
+        scored = list(self._scores)
         if list(corpus[: len(self.corpus.texts)]) != self.corpus.texts:
             self._reset()
         n = len(self.corpus.texts)
@@ -254,6 +300,7 @@ class MarginalScorer:
         self._raw_bytes += len(raw)
         self._deflated_bytes += len(self._deflate.compress(raw))
         self.corpus.append(new, self._embed_cache.matrix(new))
+        self._embed_cache.release([*scored, *new])
         units = unit_rows(self.corpus.rows)
         kernel = np.pad(self._kernel[:n, :n], (0, len(new) + 1), constant_values=1.0)
         nearest = np.concatenate((self._nearest, np.empty(len(new))))

@@ -165,6 +165,12 @@ class ValueIndex:
     ``_rows`` and ``_labels`` are views of their filled prefixes, so a commit
     writes its own rows only. A histogram of the component sizes is kept in
     step with every commit and merge, and a score starts from it.
+
+    A STRING index is the owner of its values' rows: once a block is indexed,
+    an embedder with a ``release`` (a run's ``battery.EmbeddingCache``) drops
+    the block's raw rows, and a later request for an indexed value is served
+    from the index's unit row, which is ``unit_rows`` of that raw row bit for
+    bit.
     """
 
     def __init__(self, category: str, embedder=None):
@@ -179,6 +185,7 @@ class ValueIndex:
         self._label_buf = np.empty(0, dtype=np.intp)
         self._sizes: dict[int, int] = {}
         self._size_counts: Counter[int] = Counter()  # component size -> components
+        self._held: dict[str, int] = {}  # STRING value text -> its row
 
     def __len__(self) -> int:
         return len(self.values)
@@ -194,10 +201,14 @@ class ValueIndex:
     def _points(self, values: Sequence) -> np.ndarray:
         """Numbers as one-column rows; strings as their embeddings scaled to
         unit norm (a zero-norm embedding raises), so an index normalises each
-        string once."""
+        string once. An indexed string's row is read from the index."""
         if self.category == "NUMERICAL":
             return np.asarray(_parse_numeric(values), dtype=np.float64).reshape(-1, 1)
-        return unit_rows(self.embedder.embed([str(v) for v in values]))
+        texts = [str(v) for v in values]
+        missing = [t for t in texts if t not in self._held]
+        fresh = dict(zip(missing, unit_rows(self.embedder.embed(missing)))) if missing else {}
+        return np.stack([fresh[t] if t in fresh else self._row_buf[self._held[t]]
+                         for t in texts])
 
     def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``pairwise_distances(a, metric, b)`` of the indexed points: a STRING
@@ -254,6 +265,12 @@ class ValueIndex:
                     self._merge(labels, touched)
             self._row_buf[first:end] = rows
             self.values.extend(block)
+            if self.category == "STRING":
+                texts = [str(v) for v in block]
+                for position, text in enumerate(texts, first):
+                    self._held.setdefault(text, position)
+                if hasattr(self.embedder, "release"):
+                    self.embedder.release(texts)
 
     def _merge(self, labels: np.ndarray, touched: set[int]) -> None:
         keep = max(touched, key=lambda lab: (self._sizes[lab], -lab))

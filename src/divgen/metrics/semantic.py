@@ -52,14 +52,19 @@ class UnitRows:
         self._unit = unit_rows(self._raw)
         self._index = None  # every row
 
+    @staticmethod
+    def held(raw: np.ndarray, unit: np.ndarray, index=None) -> "UnitRows":
+        """Rows whose unit form ``unit`` (``unit_rows(raw)``) is already held."""
+        rows = object.__new__(UnitRows)
+        rows._raw, rows._unit, rows._index = raw, unit, index
+        return rows
+
     def __len__(self) -> int:
         return len(self._raw) if self._index is None else len(self._index)
 
     def __getitem__(self, index: Sequence[int]) -> "UnitRows":
-        rows = object.__new__(UnitRows)
-        rows._raw, rows._unit = self._raw, self._unit
-        rows._index = index if self._index is None else np.asarray(self._index)[index]
-        return rows
+        return UnitRows.held(self._raw, self._unit,
+                             index if self._index is None else np.asarray(self._index)[index])
 
     @property
     def raw(self) -> np.ndarray:

@@ -7,6 +7,7 @@ exactly: ``read_dataset(write_dataset(X)) == X``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,6 +140,20 @@ class FunctionSchema:
         if self.return_fields:
             d["returns"] = [f.to_dict() for f in self.return_fields]
         return d
+
+
+class FunctionLibrary(tuple):
+    """A function library in its order, with a map from name to function and
+    each function's retrieval text (its description, or its name when that is
+    empty), each built on first read and then shared by every example."""
+
+    @functools.cached_property
+    def by_name(self) -> dict[str, FunctionSchema]:
+        return {fn.name: fn for fn in self}
+
+    @functools.cached_property
+    def descriptions(self) -> tuple[str, ...]:
+        return tuple(fn.description or fn.name for fn in self)
 
 
 @dataclass(frozen=True)

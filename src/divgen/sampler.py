@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,10 +56,9 @@ def check_reachable_types(config: RunConfig, graph: ApiGraph) -> None:
 
 
 def sample_single_api(
-    pools: ApiPools, library: Sequence[FunctionSchema], rng: random.Random
+    pools: ApiPools, by_name: Mapping[str, FunctionSchema], rng: random.Random
 ) -> FunctionSchema:
     """Uniformly pick one of the non-empty pools, then uniformly pick a function."""
-    by_name = {fn.name: fn for fn in library}
     candidates = [p for p in (pools.general, pools.focused, pools.other) if p]
     if not candidates:
         raise SamplingFailure("all API pools are empty")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,21 @@ class PresetEmbedder:
         if len(texts) == 0:
             raise ValueError("embed requires at least one text")
         return [self.mapping[t] for t in texts]
+
+
+class CountingEmbedder:
+    """Wraps an embedder (a ``HashEmbedder`` by default) and records the texts
+    of each ``embed`` call: ``calls`` in order, ``seen`` as a count per text."""
+
+    def __init__(self, inner=None):
+        self.inner = inner or HashEmbedder()
+        self.calls: list[list[str]] = []
+        self.seen: Counter[str] = Counter()
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        self.seen.update(texts)
+        return self.inner.embed(texts)
 
 
 def templated_library(size: int):

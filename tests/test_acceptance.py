@@ -285,7 +285,7 @@ def test_criterion_9_distractor_pipeline():
     ):
         chat = ScriptedChat().script(reply, signature="BatchAPIRelevanceScorer")
         scored = score_plausibility("q", candidates, ["target_api"], etype,
-                                    lib, SignatureClient(chat))
+                                    {f.name: f for f in lib}, SignatureClient(chat))
         kept = filter_by_plausibility(scored, etype)
         assert [c.name for c in kept] == kept_names
         assert any(c.name == "target_api" for c in kept)  # never filtered

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import templated_library
+from conftest import CountingEmbedder, templated_library
 from divgen.distractors import (
     DistractorFailure,
     ScoredCandidate,
@@ -19,7 +19,7 @@ from divgen.distractors import (
 )
 from divgen.metrics.battery import EmbeddingCache
 from divgen.metrics.semantic import cosine_matrix
-from divgen.model import ExecutionType
+from divgen.model import ExecutionType, FunctionLibrary
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
 from divgen.providers.mock import ScriptedChat
@@ -28,14 +28,14 @@ from test_preprocess import fn, param
 
 
 def tiny_library():
-    return [
+    return FunctionLibrary([
         fn("storm_watch", param("region", "name of the region to monitor"),
            description="track storms and heavy weather warnings for a region"),
         fn("picnic_plan", param("park", "name of the park"),
            description="plan an outdoor picnic with weather friendly timing"),
         fn("plant_care", param("species", "name of the house plant"),
            description="care reminders for potted house plants"),
-    ]
+    ])
 
 
 def test_retrieve_small_library_returns_all(embedder):
@@ -69,8 +69,9 @@ def test_retrieve_ties_break_by_library_order(embedder):
     # both descriptions add two words the query lacks, so the scores are equal in
     # exact arithmetic; unrounded, float noise put the second function first
     base = "look up the multi day weather forecast for a chosen destination city"
-    lib = [fn("first", param("city", "name of the city"), description=base + " seasonal coastal"),
-           fn("second", param("city", "name of the city"), description=base + " curated shared")]
+    lib = FunctionLibrary([
+        fn("first", param("city", "name of the city"), description=base + " seasonal coastal"),
+        fn("second", param("city", "name of the city"), description=base + " curated shared")])
     query = ("Draft a polite junior about the noisy renovation upstairs. "
              "Calculate how many paint cans cover a spiral staircase wall.")
     got = retrieve_candidates(query, lib, EmbeddingCache(embedder), k=20)
@@ -79,21 +80,11 @@ def test_retrieve_ties_break_by_library_order(embedder):
 
 
 def test_retrieve_tokenless_texts_score_zero(embedder):
-    lib = tiny_library() + [fn("kanji", param("x", "東京"), description="東京")]
+    lib = FunctionLibrary([*tiny_library(), fn("kanji", param("x", "東京"), description="東京")])
     cache = EmbeddingCache(embedder)
     got = retrieve_candidates("storm warnings for my region", lib, cache, k=20)
     assert next(c for c in got if c.name == "kanji").retrieval_score == 0.0
     assert {c.retrieval_score for c in retrieve_candidates("東京", lib, cache)} == {0.0}
-
-
-class CountingEmbedder:
-    def __init__(self, inner):
-        self.inner = inner
-        self.seen = Counter()
-
-    def embed(self, texts):
-        self.seen.update(texts)
-        return self.inner.embed(texts)
 
 
 def raw_retrieval(query, library, embedder, k):
@@ -107,7 +98,7 @@ def raw_retrieval(query, library, embedder, k):
 
 
 def test_cached_retrieval_matches_raw_and_embeds_each_text_once(embedder):
-    lib = templated_library(100)
+    lib = FunctionLibrary(templated_library(100))
     counting = CountingEmbedder(embedder)
     cache = EmbeddingCache(counting)
     queries = ([f"{f.description} tomorrow please" for f in lib[:30:3]]
@@ -143,7 +134,7 @@ def held_retrieval(query, library, cache, k, targets=(), force_targets=True):
 
 @pytest.mark.parametrize("size", [3, 12, 57, 200, 1000])
 def test_held_retrieval_is_bit_identical_to_the_per_example_formula(embedder, size):
-    lib = templated_library(size)
+    lib = FunctionLibrary(templated_library(size))
     cache = EmbeddingCache(embedder)
     targets = [lib[-1].name, lib[size // 2].name]
     queries = [f"{lib[0].description} for tomorrow", "will the storm hit our region",
@@ -157,10 +148,11 @@ def test_held_retrieval_is_bit_identical_to_the_per_example_formula(embedder, si
 
 def test_held_retrieval_keeps_ties_repeats_and_zero_rows_in_library_order(embedder):
     # repeated descriptions tie exactly; tokenless ones embed to zero and score 0
-    lib = [fn(f"f{i}", param("x", "a value"), description=text)
-           for i, text in enumerate(["hotel rooms tonight", "東京", "hotel rooms tonight",
-                                     "weather for the weekend", "", "東京",
-                                     "weather for the weekend", "hotel rooms tonight"])]
+    lib = FunctionLibrary(
+        fn(f"f{i}", param("x", "a value"), description=text)
+        for i, text in enumerate(["hotel rooms tonight", "東京", "hotel rooms tonight",
+                                  "weather for the weekend", "", "東京",
+                                  "weather for the weekend", "hotel rooms tonight"]))
     cache = EmbeddingCache(embedder)
     for query in ["hotel rooms", "weekend weather at the hotel", "東京", ""]:
         for k in (2, 4, 8):
@@ -176,7 +168,7 @@ def test_held_retrieval_keeps_ties_repeats_and_zero_rows_in_library_order(embedd
 def test_retrievals_on_one_cache_embed_and_normalise_the_library_once(embedder, monkeypatch):
     import divgen.metrics.battery as battery
 
-    lib = templated_library(40)
+    lib = FunctionLibrary(templated_library(40))
     counting = CountingEmbedder(embedder)
     cache = EmbeddingCache(counting)
     normalised = []
@@ -184,17 +176,14 @@ def test_retrievals_on_one_cache_embed_and_normalise_the_library_once(embedder, 
     monkeypatch.setattr(battery, "unit_rows",
                         lambda rows, **kw: normalised.append(len(rows))
                         or real_unit_rows(rows, **kw))
-    calls = []
-    counting_embed = counting.embed
-    counting.embed = lambda texts: calls.append(list(texts)) or counting_embed(texts)
     retrieve_candidates("storm warnings for my region", lib, cache, k=20)
     retrieve_candidates("convert dollars to yen", lib, cache, k=20)
     assert normalised == [len(lib)]
     assert set(counting.seen.values()) == {1}
     # the first retrieval embeds the descriptions and its query in one batch
     descriptions = list(dict.fromkeys(f.description for f in lib))
-    assert calls == [descriptions + ["storm warnings for my region"],
-                     ["convert dollars to yen"]]
+    assert counting.calls == [descriptions + ["storm warnings for my region"],
+                              ["convert dollars to yen"]]
 
 
 def scores_reply(sig_name, rows):
@@ -216,7 +205,7 @@ def test_score_plausibility_order_aligned(embedder):
     chat = ScriptedChat().script(scores_reply("BatchAPIRelevanceScorer", rows),
                                  signature="BatchAPIRelevanceScorer")
     scored = score_plausibility("storm question", cands, ["storm_watch"],
-                                ExecutionType.SINGLE, lib, SignatureClient(chat))
+                                ExecutionType.SINGLE, lib.by_name, SignatureClient(chat))
     assert [c.plausibility for c in scored] == [5, 2, 1]
 
 
@@ -228,7 +217,7 @@ def test_score_plausibility_misalignment_retries_then_fails(embedder):
     chat = ScriptedChat().script(short, signature="BatchAPIRelevanceScorer")
     with pytest.raises(DistractorFailure, match="misaligned"):
         score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
-                           lib, SignatureClient(chat))
+                           lib.by_name, SignatureClient(chat))
     assert len(chat.calls) == 2  # one retry
 
 
@@ -241,7 +230,7 @@ def test_score_plausibility_non_integer_score_retries_then_fails(bad):
     chat = ScriptedChat().script(reply, signature="BatchAPIRelevanceScorer")
     with pytest.raises(DistractorFailure, match="non-integer score"):
         score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
-                           tiny_library(), SignatureClient(chat))
+                           tiny_library().by_name, SignatureClient(chat))
     assert len(chat.calls) == 2  # one retry
 
 
@@ -253,12 +242,12 @@ def test_score_plausibility_non_integer_score_then_valid_reply():
                         [{"score": 5}, {"score": 1}])
     chat = ScriptedChat().script([bad, good], signature="BatchAPIRelevanceScorer")
     scored = score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
-                                tiny_library(), SignatureClient(chat))
+                                tiny_library().by_name, SignatureClient(chat))
     assert [c.plausibility for c in scored] == [5, 1]
 
 
 def test_score_plausibility_empty_candidates(embedder):
-    assert score_plausibility("q", [], [], ExecutionType.SINGLE, tiny_library(),
+    assert score_plausibility("q", [], [], ExecutionType.SINGLE, tiny_library().by_name,
                               SignatureClient(ScriptedChat())) == []
 
 
@@ -330,11 +319,11 @@ def alt_chat(parallel_invocation, valid="YES"):
 
 
 def multi_library():
-    return [
+    return FunctionLibrary([
         fn("alpha_api", param("x", "shared field one"), description="alpha service"),
         fn("beta_api", param("y", "shared field two"), description="beta service"),
         fn("gamma_api", param("z", "shared field three"), description="gamma service"),
-    ]
+    ])
 
 
 def test_alternatives_none_found_keeps_everything():
@@ -342,7 +331,7 @@ def test_alternatives_none_found_keeps_everything():
     kept = [ScoredCandidate("gamma_api", 0.4, plausibility=2)]
     out = validate_invocation_alternatives(
         "q", kept, ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib, SignatureClient(alt_chat("[]")))
+        lib.by_name, SignatureClient(alt_chat("[]")))
     assert [c.name for c in out.candidates] == ["gamma_api"]
     assert out.targets == ["alpha_api", "beta_api"]
     assert not out.invalid
@@ -353,7 +342,7 @@ def test_alternatives_subset_downgrades_to_single():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib, SignatureClient(alt_chat("[alpha_api(x=1)]")))
+        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1)]")))
     assert out.targets == ["alpha_api"]
     assert out.exec_type is ExecutionType.SINGLE
     assert not out.invalid
@@ -364,7 +353,7 @@ def test_alternatives_with_distractor_removes_it():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib, SignatureClient(alt_chat("[alpha_api(x=1), gamma_api(z=3)]")))
+        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1), gamma_api(z=3)]")))
     assert [c.name for c in out.candidates] == []
     assert out.targets == ["alpha_api", "beta_api"]
 
@@ -374,18 +363,18 @@ def test_alternatives_invalid_verdict_changes_nothing():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib, SignatureClient(alt_chat("[alpha_api(x=1)]", valid="NO")))
+        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1)]", valid="NO")))
     assert out.targets == ["alpha_api", "beta_api"]
     assert out.exec_type is ExecutionType.PARALLEL
 
 
 def travel_library():
-    return [
+    return FunctionLibrary([
         fn("search", param("q", "free text to look up"), description="general search"),
         fn("search_hotels", param("city", "city to stay in"), description="hotel search"),
         fn("weather", param("day", "day of the forecast"), description="weather forecast"),
         fn("hotel_finder", param("city", "city to stay in"), description="find hotels"),
-    ]
+    ])
 
 
 def test_alternative_with_qualified_target_names_keeps_the_distractor():
@@ -393,7 +382,7 @@ def test_alternative_with_qualified_target_names_keeps_the_distractor():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("search", 0.4, plausibility=2)],
         ["search_hotels", "weather"], ExecutionType.PARALLEL,
-        travel_library(), SignatureClient(chat))
+        travel_library().by_name, SignatureClient(chat))
     assert [c.name for c in out.candidates] == ["search"]
     assert out.targets == ["search_hotels", "weather"]
     assert out.note == ""
@@ -406,7 +395,7 @@ def test_alternative_naming_a_function_outside_the_candidates_changes_nothing(re
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("search", 0.4, plausibility=2)],
         ["search_hotels", "weather"], ExecutionType.PARALLEL,
-        travel_library(), SignatureClient(chat))
+        travel_library().by_name, SignatureClient(chat))
     assert [c.name for c in out.candidates] == ["search"]
     assert out.targets == ["search_hotels", "weather"]
     assert out.exec_type is ExecutionType.PARALLEL and not out.invalid
@@ -430,7 +419,7 @@ def test_sequential_alternative_with_bare_names_shrinks_targets(steps):
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.SEQUENTIAL,
-        multi_library(), SignatureClient(seq_alt_chat(steps)))
+        multi_library().by_name, SignatureClient(seq_alt_chat(steps)))
     assert out.targets == ["alpha_api"]
     assert out.exec_type is ExecutionType.SINGLE
 
@@ -439,7 +428,7 @@ def test_sequential_alternative_bare_names_remove_a_distractor():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.SEQUENTIAL,
-        multi_library(), SignatureClient(seq_alt_chat(["alpha_api", "gamma_api", ""])))
+        multi_library().by_name, SignatureClient(seq_alt_chat(["alpha_api", "gamma_api", ""])))
     assert out.candidates == []
     assert out.targets == ["alpha_api", "beta_api"]
     assert out.exec_type is ExecutionType.SEQUENTIAL
@@ -480,7 +469,7 @@ def test_assemble_requires_twice_the_targets_for_parallel(embedder):
 def test_sequential_alternative_naming_an_unknown_step_changes_nothing():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("search", 0.4, plausibility=2)],
-        ["search_hotels", "weather"], ExecutionType.SEQUENTIAL, travel_library(),
+        ["search_hotels", "weather"], ExecutionType.SEQUENTIAL, travel_library().by_name,
         SignatureClient(seq_alt_chat(["weather(day=1)", "hotel_finder", "search", ""])))
     assert [c.name for c in out.candidates] == ["search"]
     assert out.targets == ["search_hotels", "weather"]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import CountingEmbedder
 from divgen.metrics.battery import (
     OPTIMIZED_METRICS,
     EmbeddingCache,
@@ -360,16 +361,6 @@ def test_ranking_invariant_to_candidate_input_order():
     backward, _, _ = rank_candidates_by_diversity(MarginalScorer(DATASET, cache),
                                                   list(reversed(cands)))
     assert forward == backward
-
-
-class CountingEmbedder(HashEmbedder):
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def embed(self, texts):
-        self.calls.append(list(texts))
-        return super().embed(texts)
 
 
 def test_generate_query_scores_each_distinct_candidate_once(monkeypatch):

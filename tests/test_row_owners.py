@@ -1,0 +1,120 @@
+"""Each embedding row of a run has one owner, the component that reads it
+later: the run's cache sends each distinct text to the embedder once and keeps
+a row only while some later step may still ask it for that row."""
+
+import gc
+import random
+import tracemalloc
+
+from conftest import CountingEmbedder
+from divgen.engine import GenerationEngine
+from divgen.fixtures import fixture_library
+from divgen.metrics import text, trees
+from divgen.metrics.battery import EmbeddingCache, MarginalScorer
+from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy
+from divgen.metrics.semantic import unit_rows
+from divgen.model import RunConfig
+from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
+from divgen.providers.hash_embed import HashEmbedder
+from divgen.providers.mock import StubChat
+
+# Traced peak growth allowed from 15 to 60 fixture examples. Measured with
+# Python 3.11: 3.5-3.6 MiB when each row has one owner, 7.1-7.2 MiB when the
+# cache kept every candidate's and value's row for the whole run.
+BOUND = 5 * 2**20
+
+# Process-wide memos that a run fills; each traced run starts with them empty.
+MEMOS = (text.tokenize, text.count_syllables, text.fkgl_grade,
+         trees.tag_token, trees.chunk_sentence, trees._interned)
+
+
+def fixture_engine(path, embedder):
+    library = fixture_library()
+    config = RunConfig(rng_seed=7)
+    groups = group_parameters(library, HashEmbedder(), config.group_threshold)
+    pools = build_api_pools(library, groups, random.Random(config.rng_seed))
+    graph = build_similarity_graph(library, HashEmbedder(), config.graph_threshold)
+    return GenerationEngine(library, groups, pools, graph, config, StubChat(), embedder,
+                            path / "ds.jsonl")
+
+
+def test_a_run_embeds_each_text_once_and_keeps_only_rows_still_asked_for(tmp_path,
+                                                                         monkeypatch):
+    scored: list[tuple[int, list[str]]] = []  # (corpus size, candidates) per batch
+    evaluate = MarginalScorer._evaluate_batch
+
+    def recording(self, candidates):
+        scored.append((len(self.corpus.texts), list(candidates)))
+        return evaluate(self, candidates)
+
+    monkeypatch.setattr(MarginalScorer, "_evaluate_batch", recording)
+    counting = CountingEmbedder()
+    engine = fixture_engine(tmp_path, counting)
+    engine.generate(60)
+    held = engine.embed_cache._memo
+    assert set(counting.seen.values()) == {1}
+
+    # the ranking corpus holds every accepted query but the last, which ended the run
+    synced = len(engine.queries) - 1
+    assert engine.querygen._scorer.corpus.texts == engine.queries[:synced]
+    live = {c for size, batch in scored if size == synced for c in batch}
+    released = {c for size, batch in scored if size < synced for c in batch} - live
+    assert len(released) > 20 * synced
+    assert not [c for c in released if c in held]
+    assert not [q for q in engine.queries[:synced] if q in held]
+
+    indexes = [i for i in engine.paramgen._value_indexes.values() if i.category == "STRING"]
+    assert sum(len(i) for i in indexes) > 20
+    assert not [v for i in indexes for v in i.values if str(v) in held]
+    assert not [d for d in engine.library.descriptions if d in held]
+
+
+def test_an_indexed_value_asked_for_again_is_served_from_the_index():
+    values = ["amber birch grove", "cobalt river delta", "amber birch grove",
+              "quiet harbour town", "cobalt river delta", "misty alpine meadow"]
+    counting = CountingEmbedder()
+    cache = EmbeddingCache(counting)
+    index = ValueIndex("STRING", cache)
+    index.extend(values[:4])
+    assert not [v for v in values[:4] if v in cache._memo]
+    before = len(counting.calls)
+    extra, candidates = values[4:], values[:3] + ["amber birch lane"]
+    scores = index.entropies(extra, candidates)
+    # only the values the index does not hold reach the embedder
+    assert counting.calls[before:] == [["misty alpine meadow", "amber birch lane"]]
+    assert scores == [value_cluster_entropy(values[:4] + extra + [c], "STRING", HashEmbedder())
+                      for c in candidates]
+    rows = index._points(values[:4])
+    assert rows.tobytes() == unit_rows(HashEmbedder().embed(values[:4])).tobytes()
+    assert len(counting.calls) == before + 1
+
+
+def test_an_index_over_a_bare_embedder_embeds_an_indexed_value_once():
+    counting = CountingEmbedder()
+    index = ValueIndex("STRING", counting)
+    index.extend(["amber birch grove", "cobalt river delta"])
+    index.entropies([], ["cobalt river delta", "quiet harbour town"])
+    assert counting.seen == {"amber birch grove": 1, "cobalt river delta": 1,
+                             "quiet harbour town": 1}
+
+
+def traced_peak(path, n: int) -> int:
+    """The traced peak, in bytes, of a fixture run to ``n`` examples, started
+    with the process-wide memos empty."""
+    for memo in MEMOS:
+        memo.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fixture_engine(path, HashEmbedder()).generate(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_peak_grows_little_from_15_to_60_examples(tmp_path):
+    (tmp_path / "15").mkdir()
+    (tmp_path / "60").mkdir()
+    small = traced_peak(tmp_path / "15", 15)
+    large = traced_peak(tmp_path / "60", 60)
+    assert large - small < BOUND, (small, large)

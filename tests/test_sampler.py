@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import graph_of, templated_library
-from divgen.model import ExecutionType, ModelError, RunConfig
+from divgen.model import ExecutionType, FunctionLibrary, ModelError, RunConfig
 from divgen.preprocess import ApiGraph, ApiPools, GraphEdge, build_similarity_graph
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -45,21 +45,22 @@ def test_zero_weights_rejected():
 def test_single_api_uniform_over_general(library):
     pools = ApiPools(general=tuple(f.name for f in library), focused=(), other=())
     rng = random.Random(2)
-    seen = {sample_single_api(pools, library, rng).name for _ in range(399)}
+    seen = {sample_single_api(pools, FunctionLibrary(library).by_name, rng).name for _ in range(399)}
     assert seen == {f.name for f in library}
 
 
 def test_single_api_deterministic(library):
     pools = ApiPools(general=tuple(f.name for f in library),
                      focused=(library[0].name,), other=())
-    a = sample_single_api(pools, library, random.Random(5)).name
-    b = sample_single_api(pools, library, random.Random(5)).name
+    a = sample_single_api(pools, FunctionLibrary(library).by_name, random.Random(5)).name
+    b = sample_single_api(pools, FunctionLibrary(library).by_name, random.Random(5)).name
     assert a == b
 
 
 def test_single_api_all_pools_empty(library):
     with pytest.raises(SamplingFailure):
-        sample_single_api(ApiPools((), (), ()), library, random.Random(0))
+        sample_single_api(ApiPools((), (), ()), FunctionLibrary(library).by_name,
+                          random.Random(0))
 
 
 def test_poisson_length_distribution():
