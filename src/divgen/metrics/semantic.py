@@ -1,8 +1,8 @@
 """Embedding-space diversity: pairwise spread, nearest-neighbor isolation,
 centroid dispersion, and the kernel eigenvalue entropy score.
 
-``cosine_matrix`` is the package's one cosine; DBSCAN, parameter grouping, the
-API similarity graph and the walk coherence check call it too, and distractor
+``cosine_matrix`` is the package's one cosine; DBSCAN, parameter grouping and
+the walk coherence check call it too, and the API similarity graph, distractor
 retrieval and ranking take its product and clip over unit rows they hold. It
 scales rows to unit norm, takes one matrix product and clips to [-1, 1]. The
 metrics and DBSCAN refuse a zero-norm row; the library-side callers pass

@@ -4,10 +4,10 @@ Grouping is a single seed-anchored pass per category: each still-ungrouped
 parameter (in library order) opens a group and absorbs every later ungrouped
 parameter whose described-sentence embedding lands within the cosine threshold
 of the seed. The similarity graph takes, for every pair of functions, the
-largest cosine between their described sentences. Every cosine comes from
-``metrics.semantic.cosine_matrix``; a sentence that embeds to zero is similar
-to nothing (cosine 0). Group value trackers are the only mutable state in the
-system; everything else built here is immutable.
+largest cosine between their described sentences, one block of functions at a
+time. Each cosine is ``metrics.semantic.cosine_matrix``'s; a sentence that
+embeds to zero is similar to nothing (cosine 0). Group value trackers are the
+only mutable state in the system; everything else built here is immutable.
 
 The graph is held as columns from build to walk: the vertex names once and
 the edges as four numpy columns, source and target indexes into the vertices,
@@ -31,7 +31,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from divgen.metrics.semantic import cosine_matrix, round12
+from divgen.metrics.semantic import cosine_matrix, round12, unit_rows
 from divgen.model import (
     FunctionSchema,
     ModelError,
@@ -122,10 +122,8 @@ def group_parameters(
     """Partition all parameters into semantic groups, one pass per category."""
     if not library:
         raise ValueError("group_parameters requires a non-empty library")
-    entries: list[tuple[str, str, ParamCategory, str]] = []
-    for fn in library:
-        for p in fn.parameters:
-            entries.append((fn.name, p.name, p.category, describe_parameter(p)))
+    entries = [(fn.name, p.name, p.category, describe_parameter(p))
+               for fn in library for p in fn.parameters]
     groups: list[ParameterGroup] = []
     if not entries:
         return GroupIndex(groups)
@@ -236,6 +234,7 @@ class GraphEdge(NamedTuple):
 EDGE_KINDS = ("P-P", "P-R")
 PP, PR = range(len(EDGE_KINDS))  # the codes in ``ApiGraph.kinds``
 _COLUMNS = {"sources": np.intp, "targets": np.intp, "kinds": np.int8, "weights": np.float64}
+GRAPH_BLOCK = 64  # functions whose sentences' cosines the graph build holds at once
 
 
 class _NeighbourLists(dict):
@@ -372,9 +371,11 @@ def build_similarity_graph(
     library: Sequence[FunctionSchema], embedder, threshold: float = 0.6
 ) -> ApiGraph:
     """P-P edge when two functions share a similar input parameter; P-R edge
-    u -> v when a return field of u resembles an input parameter of v.
-    Edge weight is the maximum qualifying similarity, rounded to 12 decimals.
-    Edges come P-P first, then P-R, each in library order of (u, v).
+    u -> v when a return field of u resembles an input parameter of v. Edge
+    weight is the maximum similarity rounded to 12 decimals, kept if at least
+    ``threshold``; edges come P-P first, then P-R, each in library order of
+    (u, v). The cosines are taken ``GRAPH_BLOCK`` functions at a time, so the
+    peak is O(block · sentences + edges), never sentences² or functions².
     """
     params: list[tuple[int, str]] = []  # (owner's library index, sentence)
     returns: list[tuple[int, str]] = []
@@ -390,35 +391,34 @@ def build_similarity_graph(
 
     texts = sorted({t for _, t in params} | {t for _, t in returns})
     row_of = {t: i for i, t in enumerate(texts)}
-    vectors = np.asarray(embedder.embed(texts), dtype=np.float64) if texts else None
-    names = [fn.name for fn in library]
+    unit = unit_rows(embedder.embed(texts), allow_zero=True) if texts else None
 
-    def block_max(a: list[tuple[int, str]], b: list[tuple[int, str]]) -> np.ndarray:
-        """[u, v]: the largest cosine of a sentence of u in ``a`` and one of v
-        in ``b``; -inf (no threshold passes it) if either has none. Rows are in
-        library order, so each owner's rows are one run, no start repeated."""
-        best = np.full((len(names), len(names)), -np.inf)
-        if a and b:
-            sim = cosine_matrix(vectors[[row_of[t] for _, t in a]],
-                                vectors[[row_of[t] for _, t in b]], allow_zero=True)
-            (starts_a, owners_a), (starts_b, owners_b) = runs(a), runs(b)
-            best[np.array(owners_a)[:, None], owners_b] = np.maximum.reduceat(
-                np.maximum.reduceat(sim, starts_a, axis=0), starts_b, axis=1)
-        return best
+    def owners_and_rows(side: list[tuple[int, str]]) -> np.ndarray:  # owners ascend
+        return np.array([(o, row_of[t]) for o, t in side], dtype=np.intp).reshape(-1, 2).T
 
-    def runs(rows: list[tuple[int, str]]) -> tuple[list[int], list[int]]:
-        starts = [i for i, (o, _) in enumerate(rows) if i == 0 or rows[i - 1][0] != o]
-        return starts, [rows[i][0] for i in starts]
+    def run_starts(owners: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(owners != np.concatenate(([-1], owners[:-1])))
 
-    pp = block_max(params, params)
-    pr = block_max(returns, params)
-    np.fill_diagonal(pr, -np.inf)  # no P-R edge from a function to itself
-    pp_us, pp_vs = np.nonzero(np.triu(pp >= threshold, k=1))
-    pr_us, pr_vs = np.nonzero(pr >= threshold)
-    return ApiGraph(vertices=tuple(names), sources=np.concatenate([pp_us, pr_us]),
-                    targets=np.concatenate([pp_vs, pr_vs]),
-                    kinds=np.repeat([PP, PR], [pp_us.size, pr_us.size]),
-                    weights=round12(np.concatenate([pp[pp_us, pp_vs], pr[pr_us, pr_vs]])))
+    p_owners, p_rows = owners_and_rows(params)
+    vs = p_owners[p_starts := run_starts(p_owners)]
+    columns: list[list[np.ndarray]] = [[np.empty(0, np.intp)] for _ in _COLUMNS]
+    for kind, side in (PP, params), (PR, returns):
+        owners, rows = owners_and_rows(side)
+        bounds = [*run_starts(owners // GRAPH_BLOCK), len(owners)]
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            starts = run_starts(owners[i:j])
+            # cosines with the distinct sentences, gathered to the parameter
+            # rows; the clip commutes with the maxima, so it is taken after them
+            best = np.clip(np.maximum.reduceat(np.maximum.reduceat(
+                (unit[rows[i:j]] @ unit.T)[:, p_rows], starts, axis=0), p_starts, axis=1), -1, 1)
+            us = owners[i + starts][:, None]
+            # rounding moves a maximum by under 1e-12 and keeps the order, so
+            # only maxima above that far below the threshold are rounded
+            r, c = np.nonzero((best >= threshold - 1e-12) & (vs > us if kind == PP else vs != us))
+            weights = round12(best[r, c])
+            for column, values in zip(columns, (us[r, 0], vs[c], np.full(r.size, kind), weights)):
+                column.append(values[weights >= threshold])
+    return ApiGraph(tuple(fn.name for fn in library), *map(np.concatenate, columns))
 
 
 # ---------------------------------------------------------------------------

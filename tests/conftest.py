@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import signal
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -52,6 +54,18 @@ def templated_library(size: int):
     return [replace(t, name=f"{t.name}_{i:03d}",
                     description=f"{t.description} {words[i % len(words)]}")
             for i, t in ((i, templates[i % len(templates)]) for i in range(size))]
+
+
+def traced_peak(run):
+    """``run()``'s result and the traced peak, in bytes, of what it allocated,
+    after a collection so earlier garbage is not counted."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def graph_of(vertices, edges, cls=ApiGraph):

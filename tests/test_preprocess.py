@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import PresetEmbedder, graph_of, templated_library
+from conftest import PresetEmbedder, graph_of, templated_library, traced_peak
 from divgen.fixtures import fixture_library
 from divgen.metrics.semantic import cosine_matrix
 from divgen.model import (
@@ -16,6 +16,7 @@ from divgen.model import (
     classify_parameter_type,
 )
 from divgen.preprocess import (
+    GRAPH_BLOCK,
     GraphEdge,
     build_api_pools,
     build_similarity_graph,
@@ -188,6 +189,32 @@ def test_graph_unreachable_threshold(library, embedder):
     assert graph.edges == ()
 
 
+def test_graph_edge_qualifies_on_its_rounded_weight():
+    # the one cosine is the double just below the threshold, which rounds to
+    # it, so the edge is kept with the threshold as its weight
+    threshold = 0.6
+    below = math.nextafter(threshold, 0.0)
+    u, v = param("city", "name of the city"), param("town", "name of the town")
+    preset = PresetEmbedder({describe_parameter(u): [1.0, 0.0],
+                             describe_parameter(v): [below, math.nextafter(0.8, 1.0)]})
+    assert cosine_matrix(preset.embed([describe_parameter(u), describe_parameter(v)]))[0, 1] == below
+    graph = build_similarity_graph([fn("u", u), fn("v", v)], preset, threshold)
+    assert graph.edges == (GraphEdge("u", "v", "P-P", threshold),)
+
+
+# Traced peak of building the templated_library(400) graph, less its returned
+# columns. Measured with Python 3.11: 1.4 MiB one block of owners at a time,
+# 9.4 MiB when the build held (n, n) maxima and every pair's cosine.
+GRAPH_PEAK_BOUND = 4 * 2**20
+
+
+def test_graph_build_peak_is_not_quadratic(embedder):
+    lib = templated_library(400)
+    graph, peak = traced_peak(lambda: build_similarity_graph(lib, embedder, 0.6))
+    columns = sum(getattr(graph, c).nbytes for c in ("sources", "targets", "kinds", "weights"))
+    assert peak - columns < GRAPH_PEAK_BOUND, (peak, columns)
+
+
 class ZeroForMarker:
     """Hash embeddings, except that texts containing the marker embed to zero."""
 
@@ -200,8 +227,9 @@ class ZeroForMarker:
 
 
 def brute_force_graph_edges(library, embedder, threshold):
-    """Per-pair maximum of scalar cosines (0 against a zero vector), in the
-    documented order: P-P for u before v, then P-R for every u != v."""
+    """Per-pair maximum of scalar cosines (0 against a zero vector), rounded
+    to 12 decimals and kept when the rounded weight reaches the threshold, in
+    the documented order: P-P for u before v, then P-R for every u != v."""
     def flat(fields):
         return [x for f in fields for x in (f, *flat(f.fields))]
 
@@ -220,14 +248,14 @@ def brute_force_graph_edges(library, embedder, threshold):
     edges = []
     for i, u in enumerate(names):
         for v in names[i + 1:]:
-            sim = max_sim(params[u], params[v])
-            if sim >= threshold:
-                edges.append((u, v, "P-P", round(sim, 12)))
+            weight = round(max_sim(params[u], params[v]), 12)
+            if weight >= threshold:
+                edges.append((u, v, "P-P", weight))
     for u in names:
         for v in names:
-            sim = max_sim(returns[u], params[v])
-            if u != v and sim >= threshold:
-                edges.append((u, v, "P-R", round(sim, 12)))
+            weight = round(max_sim(returns[u], params[v]), 12)
+            if u != v and weight >= threshold:
+                edges.append((u, v, "P-R", weight))
     return edges
 
 
@@ -263,8 +291,9 @@ def test_graph_matches_brute_force_with_tokenless_description(embedder, threshol
 
 
 def reference_graph(library, embedder, threshold):
-    """The per-edge builder: owner maxima by ``np.maximum.at`` scatters, then
-    one numpy scalar and one edge per qualifying pair."""
+    """The full-matrix, per-edge builder: (n, n) owner maxima by
+    ``np.maximum.at`` scatters, each rounded by Python's ``round(w, 12)``,
+    then one edge per pair whose rounded weight reaches the threshold."""
     params, returns = [], []
 
     def flatten(owner, fields):
@@ -290,15 +319,16 @@ def reference_graph(library, embedder, threshold):
             np.maximum.at(best, [o for o, _ in a], by_owner_b.T)
         return best
 
-    def edges_of(best, mask, kind):
-        return [GraphEdge(library[u].name, library[v].name, kind, round(float(best[u, v]), 12))
-                for u, v in zip(*np.nonzero(mask))]
+    def edges_of(best, pairs, kind):
+        weights = np.frompyfunc(lambda w: round(float(w), 12), 1, 1)(best).astype(float)
+        return [GraphEdge(library[u].name, library[v].name, kind, float(weights[u, v]))
+                for u, v in zip(*np.nonzero(pairs & (weights >= threshold)))]
 
     pp = block_max(params, params)
     pr = block_max(returns, params)
     np.fill_diagonal(pr, -np.inf)
-    edges = (edges_of(pp, np.triu(pp >= threshold, k=1), "P-P")
-             + edges_of(pr, pr >= threshold, "P-R"))
+    edges = (edges_of(pp, np.triu(np.ones((n, n), dtype=bool), k=1), "P-P")
+             + edges_of(pr, True, "P-R"))
     return graph_of(tuple(f.name for f in library), edges)
 
 
@@ -326,12 +356,30 @@ def gapped_library(size):
             for i, t in ((i, templates[i % len(templates)]) for i in range(size))]
 
 
+def tokenless_in_a_later_block(embedder):
+    """A library past one block whose last function's parameter and return
+    field embed to zero."""
+    lib = [*gapped_library(GRAPH_BLOCK + 1),
+           fn("tagged", param("label", "東京"),
+              returns=(ReturnField("mirror", "string", "東京"),))]
+    return lib, ZeroForMarker(embedder, "東京")
+
+
+# Libraries that put a function with no sentence, an owner run and the last
+# function on each side of a block edge, and a zero row in a later block.
+BLOCK_EDGES = [pytest.param(lambda e, size=size: (gapped_library(size), e),
+                            id=f"gapped-{size}")
+               for size in (GRAPH_BLOCK - 1, GRAPH_BLOCK, GRAPH_BLOCK + 1, 2 * GRAPH_BLOCK + 1)]
+BLOCK_EDGES.append(pytest.param(tokenless_in_a_later_block, id="tokenless-later-block"))
+
+
 @pytest.mark.parametrize("threshold", [0.6, 0.0, -1.0])
-@pytest.mark.parametrize("library_of", [lambda: gapped_library(23),
-                                        lambda: templated_library(200)],
-                         ids=["gapped", "templated-200"])
+@pytest.mark.parametrize("library_of", [
+    pytest.param(lambda e: (gapped_library(23), e), id="gapped"),
+    pytest.param(lambda e: (templated_library(200), e), id="templated-200"),
+    *BLOCK_EDGES])
 def test_graph_equals_per_edge_reference(embedder, library_of, threshold):
-    lib = library_of()
+    lib, embedder = library_of(embedder)
     graph = build_similarity_graph(lib, embedder, threshold)
     assert graph.edges
     assert graph == reference_graph(lib, embedder, threshold)
@@ -349,10 +397,12 @@ def per_edge_artifact_graph(graph):
 
 
 @pytest.mark.parametrize("threshold", [0.6, 0.0, -1.0])
-@pytest.mark.parametrize("library_of", [fixture_library, lambda: templated_library(200)],
-                         ids=["fixture", "templated-200"])
+@pytest.mark.parametrize("library_of", [
+    pytest.param(lambda e: (fixture_library(), e), id="fixture"),
+    pytest.param(lambda e: (templated_library(200), e), id="templated-200"),
+    *BLOCK_EDGES])
 def test_artifact_bytes_equal_the_per_edge_graphs(tmp_path, embedder, library_of, threshold):
-    lib = library_of()
+    lib, embedder = library_of(embedder)
     groups = group_parameters(lib, embedder, 0.6)
     pools = build_api_pools(lib, groups, random.Random(1))
     graph = build_similarity_graph(lib, embedder, threshold)

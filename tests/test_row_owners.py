@@ -2,11 +2,9 @@
 later: the run's cache sends each distinct text to the embedder once and keeps
 a row only while some later step may still ask it for that row."""
 
-import gc
 import random
-import tracemalloc
 
-from conftest import CountingEmbedder
+from conftest import CountingEmbedder, traced_peak
 from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library
 from divgen.metrics import text, trees
@@ -98,23 +96,17 @@ def test_an_index_over_a_bare_embedder_embeds_an_indexed_value_once():
                              "quiet harbour town": 1}
 
 
-def traced_peak(path, n: int) -> int:
+def run_peak(path, n: int) -> int:
     """The traced peak, in bytes, of a fixture run to ``n`` examples, started
     with the process-wide memos empty."""
     for memo in MEMOS:
         memo.cache_clear()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fixture_engine(path, HashEmbedder()).generate(n)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: fixture_engine(path, HashEmbedder()).generate(n))[1]
 
 
 def test_traced_peak_grows_little_from_15_to_60_examples(tmp_path):
     (tmp_path / "15").mkdir()
     (tmp_path / "60").mkdir()
-    small = traced_peak(tmp_path / "15", 15)
-    large = traced_peak(tmp_path / "60", 60)
+    small = run_peak(tmp_path / "15", 15)
+    large = run_peak(tmp_path / "60", 60)
     assert large - small < BOUND, (small, large)
