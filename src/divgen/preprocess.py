@@ -13,15 +13,18 @@ The graph is held as columns from build to walk: the vertex names once and
 the edges as four numpy columns, source and target indexes into the vertices,
 kinds and weights (rounded to 12 decimals by ``round12``). No step creates
 an object per edge; the walk's neighbour lists come from the columns. The
-artifact is one compact JSON document holding the same columns.
+artifact is one compact JSON document holding the same columns, each packed
+as base64 of its little-endian values, and everything else as readable JSON.
 ``read_artifact`` refuses, with ModelError, any file ``write_artifact`` could
-not have written, an artifact from before the columns included.
+not have written, an artifact of an older divgen included.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -233,7 +236,12 @@ class GraphEdge(NamedTuple):
 
 EDGE_KINDS = ("P-P", "P-R")
 PP, PR = range(len(EDGE_KINDS))  # the codes in ``ApiGraph.kinds``
-_COLUMNS = {"sources": np.intp, "targets": np.intp, "kinds": np.int8, "weights": np.float64}
+_COLUMNS = {"sources": np.dtype(np.intp), "targets": np.dtype(np.intp),
+            "kinds": np.dtype(np.int8), "weights": np.dtype(np.float64)}
+# each column's values in the artifact: little-endian, so the bytes do not
+# depend on the machine, and weights keep every bit
+_PACKED = {"sources": np.dtype("<i4"), "targets": np.dtype("<i4"), "kinds": np.dtype("i1"),
+           "weights": np.dtype("<f8")}
 GRAPH_BLOCK = 64  # functions whose sentences' cosines the graph build holds at once
 
 
@@ -268,7 +276,9 @@ class ApiGraph:
     """The vertices and the edges as four columns, the artifact's own form:
     ``sources`` and ``targets`` index ``vertices``, ``kinds`` holds each
     edge's code (``PP`` or ``PR``, an index into ``EDGE_KINDS``) and
-    ``weights`` its weight. The columns are read-only numpy arrays.
+    ``weights`` its weight. The columns are read-only numpy arrays: one
+    that arrives read-only with the column's dtype is kept as it is, anything
+    else is copied.
 
     Neighbour lists come from the columns on first use, in one numpy pass,
     and are shared by every later query. ``edges`` is a derived view, one
@@ -283,8 +293,11 @@ class ApiGraph:
 
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS.items():
-            column = np.array(getattr(self, name), dtype=dtype)  # the graph's own copy
-            column.flags.writeable = False
+            column = getattr(self, name)
+            if (not isinstance(column, np.ndarray) or column.dtype != dtype
+                    or column.flags.writeable):
+                column = np.array(column, dtype=dtype)  # the graph's own copy
+                column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     def __eq__(self, other: object) -> bool:
@@ -335,10 +348,11 @@ class ApiGraph:
                          np.flatnonzero(self._pp.counts + self._pr.counts).tolist()))
 
     def to_dict(self) -> dict[str, Any]:
-        return {"vertices": list(self.vertices), "sources": self.sources.tolist(),
-                "targets": self.targets.tolist(),
-                "kinds": np.array(EDGE_KINDS, dtype=object)[self.kinds].tolist(),
-                "weights": self.weights.tolist()}
+        """The vertices as a list, and each column as base64 of its values
+        packed as ``_PACKED`` says."""
+        return {"vertices": list(self.vertices), **{
+            name: base64.b64encode(getattr(self, name).astype(packed).tobytes()).decode("ascii")
+            for name, packed in _PACKED.items()}}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ApiGraph":
@@ -348,23 +362,41 @@ class ApiGraph:
             raise ModelError("graph edges are in the per-edge form of an older divgen;"
                              " re-run `divgen preprocess`")
         vertices = tuple(d["vertices"])
-        columns = [d[k] for k in _COLUMNS]
-        sources, targets, kinds, weights = columns
-        if set(map(type, columns)) - {list} or len(set(map(len, columns))) > 1:
-            raise ModelError("graph sources, targets, kinds and weights must be lists of"
-                             " one length")
-        ends = sources + targets
-        if ends and (set(map(type, ends)) - {int} or min(ends) < 0
-                     or max(ends) >= len(vertices)):
+        texts = [d[name] for name in _PACKED]
+        if list in map(type, texts):
+            raise ModelError("graph columns are lists, the form of an older divgen;"
+                             " re-run `divgen preprocess`")
+        sources, targets, kinds, weights = map(_unpacked, _PACKED, texts)
+        if len({sources.size, targets.size, kinds.size, weights.size}) > 1:
+            raise ModelError("graph columns sources, targets, kinds and weights must be"
+                             " of one length")
+        # read as unsigned, a negative index or kind code is past every valid one
+        if sources.size and max(sources.view("<u4").max(),
+                                targets.view("<u4").max()) >= len(vertices):
             raise ModelError(f"graph edge vertex indexes must be integers from 0 to"
                              f" {len(vertices) - 1}")
-        for kind in filterfalse(EDGE_KINDS.__contains__, kinds):
-            raise ModelError(f"graph edge kind {kind!r} is neither P-P nor P-R")
-        if set(map(type, weights)) - {float} or not all(map(math.isfinite, weights)):
+        for code in kinds[kinds.view(np.uint8) > PR][:1].tolist():
+            raise ModelError(f"graph edge kind code {code} is neither P-P ({PP}) nor"
+                             f" P-R ({PR})")
+        if not np.isfinite(weights).all():
             raise ModelError("graph edge weights must be finite floats")
-        return cls(vertices, sources, targets,
-                   np.fromiter(map(EDGE_KINDS.index, kinds), np.int8, len(kinds)),
-                   weights)
+        return cls(vertices, sources, targets, kinds, weights)
+
+
+def _unpacked(name: str, text: Any) -> np.ndarray:
+    """The read-only values of the artifact's graph column ``name``; ModelError
+    unless ``text`` is base64 of whole ``_PACKED[name]`` values."""
+    if type(text) is not str:
+        raise ModelError(f"graph column {name} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        raise ModelError(f"graph column {name} is not valid base64") from None
+    width = _PACKED[name].itemsize
+    if len(raw) % width:
+        raise ModelError(f"graph column {name} holds {len(raw)} bytes, not a whole"
+                         f" number of {width}-byte values")
+    return np.frombuffer(raw, _PACKED[name])
 
 
 def build_similarity_graph(
@@ -401,7 +433,7 @@ def build_similarity_graph(
 
     p_owners, p_rows = owners_and_rows(params)
     vs = p_owners[p_starts := run_starts(p_owners)]
-    columns: list[list[np.ndarray]] = [[np.empty(0, np.intp)] for _ in _COLUMNS]
+    columns: list[list[np.ndarray]] = [[np.empty(0, dtype)] for dtype in _COLUMNS.values()]
     for kind, side in (PP, params), (PR, returns):
         owners, rows = owners_and_rows(side)
         bounds = [*run_starts(owners // GRAPH_BLOCK), len(owners)]
@@ -416,9 +448,13 @@ def build_similarity_graph(
             # only maxima above that far below the threshold are rounded
             r, c = np.nonzero((best >= threshold - 1e-12) & (vs > us if kind == PP else vs != us))
             weights = round12(best[r, c])
-            for column, values in zip(columns, (us[r, 0], vs[c], np.full(r.size, kind), weights)):
+            kinds = np.full(r.size, kind, np.int8)
+            for column, values in zip(columns, (us[r, 0], vs[c], kinds, weights)):
                 column.append(values[weights >= threshold])
-    return ApiGraph(tuple(fn.name for fn in library), *map(np.concatenate, columns))
+    joined = list(map(np.concatenate, columns))
+    for column in joined:  # so that the graph keeps them, not a copy
+        column.flags.writeable = False
+    return ApiGraph(tuple(fn.name for fn in library), *joined)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +477,13 @@ def write_artifact(
         "graph": graph.to_dict(),
         "config": config or {},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        # compact, so the C encoder writes it (an indent takes the Python one)
-        fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
+    # compact, so the C encoder writes it (an indent takes the Python one);
+    # encoded in full before a file is opened, then swapped in whole, so a
+    # failed or interrupted write leaves the previous artifact as it was
+    data = (json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def _check_pools_and_groups(library: Sequence[FunctionSchema], groups: GroupIndex,
@@ -474,8 +514,9 @@ def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, A
     library's, a library parameter in no group or in a group of another
     category) raises ModelError naming ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # read as bytes: a text-mode read, newline translation included, takes
+        # about as long as the parse
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
         graph = ApiGraph.from_dict(doc["graph"])
         library = parse_function_library(doc["library"])
         if graph.vertices != tuple(fn.name for fn in library):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import gc
 import signal
@@ -74,6 +75,21 @@ def graph_of(vertices, edges, cls=ApiGraph):
     return cls(tuple(vertices), [index[e.source] for e in edges],
                [index[e.target] for e in edges], [EDGE_KINDS.index(e.kind) for e in edges],
                [e.weight for e in edges])
+
+
+# the artifact's form of each graph column: base64 of these little-endian values
+PACKED = {"sources": "<i4", "targets": "<i4", "kinds": "i1", "weights": "<f8"}
+
+
+def packed_column(graph, name, edit=None):
+    """The values of column ``name`` of an artifact's graph entry, decoded.
+    With ``edit``, the entry's column becomes ``edit(values)`` (given a
+    writable copy), encoded the same way, and that is returned."""
+    values = np.frombuffer(base64.b64decode(graph[name]), PACKED[name]).copy()
+    if edit is not None:
+        values = np.asarray(edit(values), PACKED[name])
+        graph[name] = base64.b64encode(values.tobytes()).decode("ascii")
+    return values
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
+import base64
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from conftest import alarm
+from conftest import alarm, packed_column
 import divgen.cli
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
 from divgen.model import RunConfig, read_dataset
+from divgen.preprocess import EDGE_KINDS
 from divgen.providers.hash_embed import HashEmbedder
 
 
@@ -132,9 +135,9 @@ def test_type_weights_the_graph_cannot_serve_are_refused_before_any_file(
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
     doc = json.loads(art.read_text(encoding="utf-8"))
     graph = doc["graph"]
-    keep = [i for i, kind in enumerate(graph["kinds"]) if kind in kinds]
+    keep = np.isin(packed_column(graph, "kinds"), [EDGE_KINDS.index(k) for k in kinds])
     for column in ("sources", "targets", "kinds", "weights"):
-        graph[column] = [graph[column][i] for i in keep]
+        packed_column(graph, column, lambda values: values[keep])
     art.write_text(json.dumps(doc), encoding="utf-8")
     cfg.write_text(json.dumps({"type_weights": weights}))
     with alarm(60):
@@ -146,12 +149,25 @@ def test_type_weights_the_graph_cannot_serve_are_refused_before_any_file(
 
 
 def _edit_edge(column, value):
+    def first(values):
+        values[0] = value
+        return values
+
     def edit(doc):
-        doc["graph"][column][0] = value
+        packed_column(doc["graph"], column, first)
     return edit
 
 
+def _list_columns(doc):
+    """The graph's columns as the lists an older divgen wrote."""
+    graph = doc["graph"]
+    for column in ("sources", "targets", "weights"):
+        graph[column] = packed_column(graph, column).tolist()
+    graph["kinds"] = [EDGE_KINDS[k] for k in packed_column(graph, "kinds").tolist()]
+
+
 def _old_edge_form(doc):
+    _list_columns(doc)
     graph = doc["graph"]
     vertices = graph["vertices"]
     graph["edges"] = [{"source": vertices[s], "target": vertices[t], "kind": k, "weight": w}
@@ -159,20 +175,36 @@ def _old_edge_form(doc):
                                               ("sources", "targets", "kinds", "weights")))]
 
 
+def _cut_last_byte(doc):
+    graph = doc["graph"]
+    graph["weights"] = base64.b64encode(base64.b64decode(graph["weights"])[:-1]).decode()
+
+
 @pytest.mark.parametrize("edit, message", [
     (None, "line 1 column"),  # the file cut in half: a JSON syntax error
     (lambda doc: doc.pop("graph"), "no 'graph' entry"),
     (lambda doc: doc["graph"].pop("weights"), "no 'weights' entry"),
-    (_edit_edge("sources", "ghost"), "vertex indexes must be integers from 0 to 11"),
-    (_edit_edge("kinds", "X-Y"), "graph edge kind 'X-Y' is neither P-P nor P-R"),
-    (_edit_edge("weights", "high"), "graph edge weights must be finite floats"),
+    (_edit_edge("sources", 2 ** 31 - 1), "vertex indexes must be integers from 0 to 11"),
+    (_edit_edge("kinds", 2), "graph edge kind code 2 is neither P-P (0) nor P-R (1)"),
+    (_edit_edge("kinds", -1), "graph edge kind code -1 is neither P-P (0) nor P-R (1)"),
+    # four base64 letters decode to 3 bytes, not one 8-byte weight
+    (lambda doc: doc["graph"].update(weights="high"),
+     "graph column weights holds 3 bytes, not a whole number of 8-byte values"),
+    (_cut_last_byte, "graph column weights holds 55 bytes, not a whole number of 8-byte"
+                     " values"),  # the fixture's 7 weights, one byte short
     (_edit_edge("weights", float("nan")), "graph edge weights must be finite floats"),
-    (_edit_edge("weights", 10 ** 400), "graph edge weights must be finite floats"),
+    (_edit_edge("weights", float("inf")), "graph edge weights must be finite floats"),
     (_edit_edge("targets", 12), "vertex indexes must be integers from 0 to 11"),
     (_edit_edge("targets", -1), "vertex indexes must be integers from 0 to 11"),
-    (_edit_edge("sources", True), "vertex indexes must be integers from 0 to 11"),
-    (lambda doc: doc["graph"]["kinds"].pop(), "must be lists of one length"),
-    (lambda doc: doc["graph"].update(kinds="P-P"), "must be lists of one length"),
+    (lambda doc: doc["graph"].update(sources=True), "graph column sources must be a base64"
+                                                    " string"),
+    (lambda doc: packed_column(doc["graph"], "kinds", lambda values: values[:-1]),
+     "must be of one length"),
+    (lambda doc: doc["graph"].update(kinds="P-P"), "graph column kinds is not valid base64"),
+    (lambda doc: doc["graph"].update(kinds="\u00e9t\u00e9"),
+     "graph column kinds is not valid base64"),
+    (_list_columns, "graph columns are lists, the form of an older divgen; re-run"
+                    " `divgen preprocess`"),
     (_old_edge_form, "re-run `divgen preprocess`"),
     (lambda doc: doc["graph"]["vertices"].reverse(), "vertices are not the library's"),
     (lambda doc: doc["pools"]["focused"].append("ghost"),
@@ -185,10 +217,11 @@ def _old_edge_form(doc):
     (lambda doc: doc["groups"][0].update(category="OTHER"), "is OTHER, but its member"),
     (lambda doc: doc["library"][0]["parameters"][0].update(required="false"),
      "required must be true or false"),
-], ids=["truncated", "no-graph", "no-weights", "ghost", "kind", "weight-text", "weight-nan",
-        "weight-huge", "index-past-end", "index-negative", "index-bool", "column-length",
-        "not-a-list", "old-form", "vertices", "pool-ghost", "pool-string", "parameter-no-group",
-        "group-ghost", "group-category", "library-type"])
+], ids=["truncated", "no-graph", "no-weights", "ghost", "kind", "kind-negative", "weight-text",
+        "partial-width", "weight-nan", "weight-huge", "index-past-end", "index-negative",
+        "index-bool", "column-length", "not-base64", "not-ascii", "list-columns", "old-form",
+        "vertices", "pool-ghost", "pool-string", "parameter-no-group", "group-ghost",
+        "group-category", "library-type"])
 def test_malformed_artifact_is_refused_before_any_file(tmp_path, capsys, edit, message):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
@@ -536,7 +569,7 @@ def test_preprocess_fixture_group_count(tmp_path):
                 "--out", str(out)]) == 0
     artifact = json.loads(out.read_text())
     assert len(artifact["groups"]) == 9  # hand count under the hashing embedder
-    kinds = set(artifact["graph"]["kinds"])
+    kinds = {EDGE_KINDS[k] for k in packed_column(artifact["graph"], "kinds").tolist()}
     assert kinds == {"P-P", "P-R"}
 
 

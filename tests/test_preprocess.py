@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import PresetEmbedder, graph_of, templated_library, traced_peak
+from conftest import PresetEmbedder, graph_of, packed_column, templated_library, traced_peak
 from divgen.fixtures import fixture_library
 from divgen.metrics.semantic import cosine_matrix
 from divgen.model import (
@@ -16,7 +16,9 @@ from divgen.model import (
     classify_parameter_type,
 )
 from divgen.preprocess import (
+    EDGE_KINDS,
     GRAPH_BLOCK,
+    ApiGraph,
     GraphEdge,
     build_api_pools,
     build_similarity_graph,
@@ -386,14 +388,17 @@ def test_graph_equals_per_edge_reference(embedder, library_of, threshold):
 
 
 def per_edge_artifact_graph(graph):
-    """The artifact's graph entry as the per-edge graph wrote it: each column
-    read off the edge records, weights being ``round(w, 12)`` floats."""
+    """The artifact's graph entry of the per-edge graph: each column read off
+    the edge records, weights being ``round(w, 12)`` floats, and packed."""
     index = {v: i for i, v in enumerate(graph.vertices)}
-    return {"vertices": list(graph.vertices),
-            "sources": [index[e.source] for e in graph.edges],
-            "targets": [index[e.target] for e in graph.edges],
-            "kinds": [e.kind for e in graph.edges],
-            "weights": [e.weight for e in graph.edges]}
+    entry = {"vertices": list(graph.vertices)}
+    for name, values in (("sources", [index[e.source] for e in graph.edges]),
+                         ("targets", [index[e.target] for e in graph.edges]),
+                         ("kinds", [EDGE_KINDS.index(e.kind) for e in graph.edges]),
+                         ("weights", [e.weight for e in graph.edges])):
+        entry[name] = ""  # no values yet
+        packed_column(entry, name, lambda _, values=values: values)
+    return entry
 
 
 @pytest.mark.parametrize("threshold", [0.6, 0.0, -1.0])
@@ -448,3 +453,66 @@ def test_artifact_round_trip_and_byte_stability(tmp_path, library, embedder):
     assert graph2.to_dict() == graph.to_dict()
     assert graph2 == graph
     assert cfg == {"rng_seed": 1}
+
+
+@pytest.mark.parametrize("weights", [
+    [-0.0, 5e-324, 1.0, -1.0, 0.1 + 0.2], []], ids=["edge-weights", "no-edges"])
+def test_graph_round_trips_bit_exact(weights):
+    vertices = ("a", "b", "c")
+    edges = [GraphEdge(vertices[i % 3], vertices[(i + 1) % 3], EDGE_KINDS[i % 2], w)
+             for i, w in enumerate(weights)]
+    graph = graph_of(vertices, edges)
+    read_back = ApiGraph.from_dict(json.loads(json.dumps(graph.to_dict())))
+    assert read_back == graph
+    for name in ("sources", "targets", "kinds", "weights"):
+        column, original = getattr(read_back, name), getattr(graph, name)
+        assert column.dtype == original.dtype and not column.flags.writeable
+        assert column.tobytes() == original.tobytes()
+    assert read_back.edges == graph.edges
+
+
+def test_graph_keeps_read_only_columns_of_its_dtypes():
+    sources, targets = np.array([0, 1]), np.array([1, 0])
+    kinds, weights = np.array([0, 1], np.int8), np.array([0.75, 0.5])
+    for column in sources, kinds, weights:
+        column.flags.writeable = False
+    graph = ApiGraph(("a", "b"), sources, targets, kinds, weights)
+    assert graph.sources is sources and graph.kinds is kinds and graph.weights is weights
+    # a writable column is copied, so a later write cannot reach the graph
+    assert graph.targets is not targets and not graph.targets.flags.writeable
+    targets[0] = 0
+    assert graph.targets.tolist() == [1, 0]
+    # a column of another dtype is copied in the graph's
+    graph = ApiGraph(("a", "b"), sources.astype(np.int32), targets, kinds, weights)
+    assert graph.sources.dtype == np.intp and not graph.sources.flags.writeable
+
+
+def test_a_failed_artifact_write_leaves_the_previous_artifact(tmp_path, library, embedder):
+    groups = group_parameters(library, embedder, 0.6)
+    pools = build_api_pools(library, groups, random.Random(1))
+    graph = build_similarity_graph(library, embedder, 0.6)
+    path = tmp_path / "a.json"
+    write_artifact(path, library, groups, pools, graph, {"rng_seed": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_artifact(path, library, groups, pools, graph, {"bad": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+
+# Traced peak of reading the templated_library(1000) artifact (110,560
+# edges). Measured with Python 3.11: 7.7 MiB with packed columns, 22.1 MiB
+# when each column was a JSON list of one Python number or string per edge.
+READ_PEAK_BOUND = 12 * 2**20
+
+
+def test_artifact_read_peak_is_bounded(tmp_path, embedder):
+    lib = templated_library(1000)
+    groups = group_parameters(lib, embedder, 0.6)
+    pools = build_api_pools(lib, groups, random.Random(1))
+    graph = build_similarity_graph(lib, embedder, 0.6)
+    path = tmp_path / "a.json"
+    write_artifact(path, lib, groups, pools, graph, {"rng_seed": 1})
+    (_, _, _, read_back, _), peak = traced_peak(lambda: read_artifact(path))
+    assert read_back == graph
+    assert peak < READ_PEAK_BOUND, peak
