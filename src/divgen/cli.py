@@ -230,10 +230,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("prediction and reference files must list the same ids"
                          " in the same order")
     try:
-        result = paired_model_comparison(
-            labels_a, labels_b, alpha=args.alpha,
-            correction="holm" if cats_a else "none",
-            categories=cats_a)
+        result = paired_model_comparison(labels_a, labels_b, alpha=args.alpha,
+                                         categories=cats_a)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     Path(args.out).write_text(json.dumps(result, ensure_ascii=False, indent=1) + "\n",

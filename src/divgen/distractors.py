@@ -56,24 +56,23 @@ def retrieve_candidates(
     query: str,
     library: FunctionLibrary,
     embed_cache: EmbeddingCache,
-    k: int = RETRIEVAL_K,
     targets: Sequence[str] = (),
-    force_targets: bool = True,
 ) -> list[ScoredCandidate]:
-    """Top-k functions by cosine similarity of the query to their descriptions.
+    """The ``RETRIEVAL_K`` functions whose descriptions are closest to the
+    query by cosine similarity.
 
     Scores are rounded to 12 decimals, so scores that are equal in exact
     arithmetic compare equal whatever the summation order, and ties break by
     library order. A text that embeds to zero scores 0. Target functions are
-    appended with their scores when they miss the top-k (not for NONE examples,
-    which pass force_targets=False).
+    appended with their scores when they miss the top ``RETRIEVAL_K`` (a NONE
+    example has no targets, so nothing is appended for it).
     """
     units = embed_cache.unit_matrix(library.descriptions, also=[query])
     query_unit = unit_rows(embed_cache.matrix([query]), allow_zero=True)
     scores = round12((units @ query_unit.T).clip(-1.0, 1.0)[:, 0])
-    top = (-scores).argsort(kind="stable")[:k].tolist()
+    top = (-scores).argsort(kind="stable")[:RETRIEVAL_K].tolist()
     target_set = set(targets)
-    missing = target_set - {library[i].name for i in top} if force_targets else set()
+    missing = target_set - {library[i].name for i in top}
     if missing:
         top += [i for i, fn in enumerate(library) if fn.name in missing]
     return [ScoredCandidate(library[i].name, float(scores[i]),
@@ -310,9 +309,7 @@ def assemble_candidates(
 ) -> AlternativeOutcome:
     """The full per-example pipeline; the finalized shuffled list is left to the
     caller so target updates can be applied first."""
-    retrieved = retrieve_candidates(
-        query, library, embed_cache, RETRIEVAL_K, targets,
-        force_targets=exec_type is not ExecutionType.NONE)
+    retrieved = retrieve_candidates(query, library, embed_cache, targets)
     scored = score_plausibility(query, retrieved, targets, exec_type, library.by_name, client)
     kept = filter_by_plausibility(scored, exec_type)
     survivors = [c for c in kept if not c.is_target]

@@ -306,19 +306,16 @@ def paired_model_comparison(
     labels_a: Sequence[bool],
     labels_b: Sequence[bool],
     alpha: float = 0.05,
-    correction: str = "none",
     categories: Sequence[str] | None = None,
 ) -> dict[str, Any]:
     """Accuracies, discordant counts, McNemar p-value(s), and verdicts.
 
     b counts items the first system got right and the second wrong; c the
-    reverse. With ``categories`` given, per-category p-values are corrected by
-    Holm-Bonferroni when requested.
+    reverse. With ``categories`` given, the per-category verdicts are
+    Holm-Bonferroni corrected.
     """
     if len(labels_a) != len(labels_b):
         raise ValueError("label vectors must have equal length")
-    if correction not in ("none", "holm"):
-        raise ValueError("correction must be 'none' or 'holm'")
     if not 0.0 < alpha < 1.0:  # NaN fails too
         raise ValueError(f"alpha must be a number between 0 and 1, not {alpha}")
     n = len(labels_a)
@@ -357,11 +354,7 @@ def paired_model_comparison(
                 "accuracy_b": sum(1 for i in idx if labels_b[i]) / len(idx),
                 "b": cb, "c": cc, "p_value": p,
             })
-        if correction == "holm":
-            rejects = holm_bonferroni(pvalues, alpha)
-        else:
-            rejects = [p < alpha for p in pvalues]
-        for row, rej in zip(per_cat, rejects):
+        for row, rej in zip(per_cat, holm_bonferroni(pvalues, alpha)):
             row["significant"] = rej
         result["categories"] = per_cat
     return result

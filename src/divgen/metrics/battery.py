@@ -223,7 +223,7 @@ class EmbeddingCache:
         for text in texts:
             self._memo.pop(text, None)
 
-    def unit_matrix(self, texts: Sequence[str], also: Sequence[str] = ()) -> np.ndarray:
+    def unit_matrix(self, texts: Sequence[str], also: Sequence[str]) -> np.ndarray:
         """``unit_rows(matrix(texts), allow_zero=True)``, held for the run under
         ``texts``; the first call embeds what ``matrix([*texts, *also])`` would
         and releases the raw rows of ``texts`` but not of ``also``."""

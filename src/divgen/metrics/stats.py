@@ -15,6 +15,8 @@ from divgen.metrics.text import variance
 T = TypeVar("T")
 
 MCNEMAR_EXACT_BELOW = 25
+BOOTSTRAP_RESAMPLES = 100  # seeded subsamples per bootstrap std
+BOOTSTRAP_FRACTION = 0.8  # share of the items each subsample draws
 #: Draw sets kept by ``bootstrap_std``: a ``compare`` scores twelve metrics and
 #: four argument columns, each under its own seed.
 DRAW_MEMO_SIZE = 16
@@ -23,41 +25,37 @@ DRAW_MEMO_SIZE = 16
 def bootstrap_std(
     items: Sequence[T],
     metric_fn: Callable[[list[T]], float],
-    n_resamples: int = 100,
-    fraction: float = 0.8,
-    seed: int = 0,
+    seed: int,
 ) -> float:
-    """Population std of the metric over seeded subsamples.
+    """Population std of the metric over ``BOOTSTRAP_RESAMPLES`` seeded subsamples.
 
-    Each resample draws floor(fraction * n) items without replacement from a
-    ``random.Random(seed)`` stream (one ``sample`` call per resample, in order),
-    so the result is fully determined by the seed. ``sample`` chooses
-    positions without looking at the items, so the positions are drawn once per
-    (seed, n, size, resample count) and kept (``_draws``), and each resample
-    maps its positions to the items: two corpora of one size, scored under one
-    seed, share their draws.
+    Each resample draws floor(``BOOTSTRAP_FRACTION`` * n) items (at least one)
+    without replacement from a ``random.Random(seed)`` stream (one ``sample``
+    call per resample, in order), so the result is fully determined by the
+    seed. ``sample`` chooses positions without looking at the items, so the
+    positions are drawn once per (seed, n, size) and kept (``_draws``), and each
+    resample maps its positions to the items: two corpora of one size, scored
+    under one seed, share their draws.
     """
     if not items:
         raise ValueError("bootstrap_std requires at least one item")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
     population = list(items)
-    size = max(1, int(math.floor(fraction * len(population))))
+    size = max(1, int(math.floor(BOOTSTRAP_FRACTION * len(population))))
     values = [float(metric_fn([population[i] for i in positions]))
-              for positions in _draws(seed, len(population), size, n_resamples).tolist()]
+              for positions in _draws(seed, len(population), size).tolist()]
     if min(values) == max(values):
         return 0.0
     return math.sqrt(variance(values))
 
 
 @functools.lru_cache(maxsize=DRAW_MEMO_SIZE)
-def _draws(seed: int, n: int, size: int, n_resamples: int) -> np.ndarray:
+def _draws(seed: int, n: int, size: int) -> np.ndarray:
     """Row r: the positions that the r-th ``sample(population, size)`` call of
     a ``random.Random(seed)`` stream picks from a population of n. Read-only,
     since every caller with this key shares it."""
     rng = random.Random(seed)
-    draws = np.array([rng.sample(range(n), size) for _ in range(n_resamples)],
-                     dtype=np.intp).reshape(n_resamples, size)
+    draws = np.array([rng.sample(range(n), size) for _ in range(BOOTSTRAP_RESAMPLES)],
+                     dtype=np.intp).reshape(BOOTSTRAP_RESAMPLES, size)
     draws.flags.writeable = False
     return draws
 

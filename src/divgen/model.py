@@ -43,7 +43,7 @@ _NUMERIC_TYPES = {"int", "integer", "float", "double", "number", "numeric", "lon
 _STRING_TYPES = {"str", "string", "text"}
 
 
-def classify_parameter_type(declared_type: str, enum_values: Iterable[str] | None = None) -> ParamCategory:
+def classify_parameter_type(declared_type: str, enum_values: Iterable[str]) -> ParamCategory:
     """Assign one of the four parameter categories.
 
     Enum values dominate; otherwise the declared type string must match a

@@ -160,18 +160,15 @@ def select_diverse_value(
     candidates: Sequence[Any],
     committed: Sequence[Any],
     rng: random.Random,
-    category: str,
-    embedder,
-    index: ValueIndex | None = None,
+    index: ValueIndex,
 ) -> tuple[Any, list[Any]]:
     """Greedy argmax over a uniform sample of ``SELECTION_SIZE`` candidates.
 
     Returns (chosen value, augmented view): the view is the group's committed
     values plus the candidates that were hidden from the selector. Ties keep
     the first candidate in sampled order. STRING values must carry a word token
-    (see ``ParamGenerator.generate_value_candidates``). ``index``, when given,
-    holds a prefix of ``committed``; without one the whole view is scored from
-    scratch.
+    (see ``ParamGenerator.generate_value_candidates``). ``index`` holds a
+    prefix of ``committed``; the rest of the view is scored on top of it.
     """
     if not candidates:
         raise ValueError("select_diverse_value requires candidates")
@@ -179,8 +176,6 @@ def select_diverse_value(
     exposed_set = {repr(x) for x in exposed}
     hidden = [c for c in candidates if repr(c) not in exposed_set]
     augmented = list(committed) + hidden
-    if index is None:
-        index = ValueIndex(category, embedder)
     scores = index.entropies(augmented[len(index):], exposed)
     best, best_score = exposed[0], scores[0]
     for cand, score in zip(exposed[1:], scores[1:]):
@@ -382,8 +377,7 @@ class ParamGenerator:
             candidates = self.generate_value_candidates(
                 p, api, y_current, group, existing, failures)
             value, _ = select_diverse_value(
-                candidates, existing, self.rng,
-                group.category.value, self.embedder, self._value_index(group))
+                candidates, existing, self.rng, self._value_index(group))
             return value
 
         return self._parameter_set(

@@ -120,7 +120,7 @@ class GroupIndex:
 
 
 def group_parameters(
-    library: Sequence[FunctionSchema], embedder, threshold: float = 0.6
+    library: Sequence[FunctionSchema], embedder, threshold: float
 ) -> GroupIndex:
     """Partition all parameters into semantic groups, one pass per category."""
     if not library:
@@ -400,7 +400,7 @@ def _unpacked(name: str, text: Any) -> np.ndarray:
 
 
 def build_similarity_graph(
-    library: Sequence[FunctionSchema], embedder, threshold: float = 0.6
+    library: Sequence[FunctionSchema], embedder, threshold: float
 ) -> ApiGraph:
     """P-P edge when two functions share a similar input parameter; P-R edge
     u -> v when a return field of u resembles an input parameter of v. Edge
@@ -451,7 +451,8 @@ def build_similarity_graph(
             kinds = np.full(r.size, kind, np.int8)
             for column, values in zip(columns, (us[r, 0], vs[c], kinds, weights)):
                 column.append(values[weights >= threshold])
-    joined = list(map(np.concatenate, columns))
+    # each column's parts go before the next join: at most one is held twice
+    joined = [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
     for column in joined:  # so that the graph keeps them, not a copy
         column.flags.writeable = False
     return ApiGraph(tuple(fn.name for fn in library), *joined)
@@ -467,7 +468,7 @@ def write_artifact(
     groups: GroupIndex,
     pools: ApiPools,
     graph: ApiGraph,
-    config: dict[str, Any] | None = None,
+    config: dict[str, Any],
 ) -> None:
     """Persist everything `generate` needs so it can run without recomputation."""
     doc = {
@@ -475,7 +476,7 @@ def write_artifact(
         "groups": groups.to_dicts(),
         "pools": pools.to_dict(),
         "graph": graph.to_dict(),
-        "config": config or {},
+        "config": config,
     }
     # compact, so the C encoder writes it (an indent takes the Python one);
     # encoded in full before a file is opened, then swapped in whole, so a

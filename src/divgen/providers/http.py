@@ -2,8 +2,8 @@
 
 Both speak the common OpenAI-compatible wire shape: POST ``/chat/completions``
 with a messages array and POST ``/embeddings`` with an input list. Endpoint and
-model come from configuration; the bearer token is read from an environment
-variable so credentials never live in config files.
+model come from configuration; the bearer token is read from the ``TOKEN_ENV``
+environment variable so credentials never live in config files.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import requests
 
 from divgen.providers.base import ProviderError, RateLimitError, TransportError
 
-DEFAULT_TOKEN_ENV = "DIVGEN_API_TOKEN"
+TOKEN_ENV = "DIVGEN_API_TOKEN"
+TIMEOUT_S = 60.0  # seconds a request may take before it is a transport failure
 
 
-def _headers(token_env: str) -> dict[str, str]:
+def _headers() -> dict[str, str]:
     headers = {"Content-Type": "application/json"}
-    token = os.environ.get(token_env, "")
+    token = os.environ.get(TOKEN_ENV, "")
     if token:
         headers["Authorization"] = f"Bearer {token}"
     return headers
@@ -37,9 +38,9 @@ def _retry_after(value: str | None) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _post(url: str, payload: dict[str, Any], token_env: str, timeout: float) -> dict[str, Any]:
+def _post(url: str, payload: dict[str, Any]) -> dict[str, Any]:
     try:
-        resp = requests.post(url, json=payload, headers=_headers(token_env), timeout=timeout)
+        resp = requests.post(url, json=payload, headers=_headers(), timeout=TIMEOUT_S)
     except requests.RequestException as exc:
         raise TransportError(f"request to {url} failed: {exc}") from exc
     if resp.status_code == 429:
@@ -56,14 +57,11 @@ def _post(url: str, payload: dict[str, Any], token_env: str, timeout: float) -> 
 
 
 class HttpChat:
-    def __init__(self, endpoint: str, model: str, token_env: str = DEFAULT_TOKEN_ENV,
-                 timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str):
         if not endpoint:
             raise ProviderError("chat endpoint not configured")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self.token_env = token_env
-        self.timeout = timeout
 
     def complete(self, prompt: str, params: Mapping[str, Any] | None = None) -> str:
         payload: dict[str, Any] = {
@@ -71,7 +69,7 @@ class HttpChat:
             "messages": [{"role": "user", "content": prompt}],
         }
         payload.update(dict(params or {}))
-        data = _post(f"{self.endpoint}/chat/completions", payload, self.token_env, self.timeout)
+        data = _post(f"{self.endpoint}/chat/completions", payload)
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -81,25 +79,17 @@ class HttpChat:
 
 
 class HttpEmbedder:
-    def __init__(self, endpoint: str, model: str, dimension: int = 384,
-                 token_env: str = DEFAULT_TOKEN_ENV, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str, dimension: int):
         if not endpoint:
             raise ProviderError("embedding endpoint not configured")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.dimension = dimension
-        self.token_env = token_env
-        self.timeout = timeout
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if len(texts) == 0:
             raise ValueError("embed requires at least one text")
-        data = _post(
-            f"{self.endpoint}/embeddings",
-            {"model": self.model, "input": list(texts)},
-            self.token_env,
-            self.timeout,
-        )
+        data = _post(f"{self.endpoint}/embeddings", {"model": self.model, "input": list(texts)})
         try:
             rows = sorted(data["data"], key=lambda r: r["index"])
             out = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]

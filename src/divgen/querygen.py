@@ -38,9 +38,6 @@ from divgen.providers.base import SignatureClient
 from divgen.providers.signature import SignatureParseError
 
 
-RRF_K = 60  # reciprocal-rank-fusion constant (Cormack et al., SIGIR 2009)
-
-
 @dataclass
 class ExampleSkeleton:
     """Everything decided before the query exists."""
@@ -171,7 +168,7 @@ def rank_candidates_by_diversity(
         rankings.append(ranking)
         for rank, cand in enumerate(ranking, start=1):
             per_metric_rank[cand][metric] = rank
-    scores, fused = rrf_fuse(pool, rankings, k=RRF_K)
+    scores, fused = rrf_fuse(pool, rankings)
     return fused, per_metric_rank, scores
 
 

@@ -128,7 +128,7 @@ def sample_walk(graph: ApiGraph, exec_type: ExecutionType, rng: random.Random) -
 
 
 def check_pairwise_similarity(
-    functions: Sequence[FunctionSchema], embedder, threshold: float = 0.3
+    functions: Sequence[FunctionSchema], embedder, threshold: float
 ) -> bool:
     """Accept when the mean pairwise cosine of 'name: description' texts,
     rounded to 12 decimals, clears the threshold (a text that embeds to zero

@@ -19,7 +19,7 @@ import divgen.cli as cli
 from divgen.distractors import elbow_cutoff, filter_by_plausibility, score_plausibility, ScoredCandidate
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
 from divgen.metrics.battery import REPORT_METRICS, EmbeddingCache, evaluate_full_battery
-from divgen.metrics.cluster_entropy import value_cluster_entropy
+from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy
 from divgen.metrics.dbscan import dbscan
 from divgen.metrics.fusion import rrf_fuse
 from divgen.metrics.semantic import vendi_score
@@ -92,7 +92,7 @@ def test_criterion_3_vendi_exactness():
 def test_criterion_4_rrf():
     cands = [f"c{i}" for i in range(5)]
     dominant = [cands] * 8  # c0 first everywhere
-    scores, order = rrf_fuse(cands, dominant, k=60)
+    scores, order = rrf_fuse(cands, dominant)
     assert order[0] == "c0"
     assert abs(scores["c0"] - 8 / 61) < 1e-12
 
@@ -140,7 +140,7 @@ def run_greedy_trial(seed, embedder):
     tracker = []
     for round_no in range(20):
         chosen, _ = select_diverse_value(
-            candidate_batch(round_no), tracker, rng, "STRING", embedder)
+            candidate_batch(round_no), tracker, rng, ValueIndex("STRING", embedder))
         tracker.append(chosen)
     return value_cluster_entropy(tracker, "STRING", embedder)
 
@@ -210,8 +210,8 @@ def test_criterion_7_statistics():
 
     # bootstrap reproducibility: 100 x 80% subsamples, seed-determined
     corpus = varied_corpus()[:15]
-    a = bootstrap_std(corpus, type_token_ratio, n_resamples=100, fraction=0.8, seed=11)
-    b = bootstrap_std(corpus, type_token_ratio, n_resamples=100, fraction=0.8, seed=11)
+    a = bootstrap_std(corpus, type_token_ratio, seed=11)
+    b = bootstrap_std(corpus, type_token_ratio, seed=11)
     if a != b:
         failures.append("bootstrap std not reproducible under a fixed seed")
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import CountingEmbedder, templated_library
 from divgen.distractors import (
+    RETRIEVAL_K,
     DistractorFailure,
     ScoredCandidate,
     elbow_cutoff,
@@ -41,60 +42,67 @@ def tiny_library():
 def test_retrieve_small_library_returns_all(embedder):
     lib = tiny_library()
     got = retrieve_candidates("will the storm hit our region tomorrow",
-                              lib, EmbeddingCache(embedder), k=20, targets=["storm_watch"])
+                              lib, EmbeddingCache(embedder), targets=["storm_watch"])
     assert {c.name for c in got} == {f.name for f in lib}
     assert got[0].name == "storm_watch"  # most similar by shared tokens
     assert got[0].is_target
 
 
 def test_retrieve_force_includes_missing_target(embedder):
-    lib = tiny_library()
-    got = retrieve_candidates("totally unrelated cosmic verse", lib, EmbeddingCache(embedder),
-                              k=1, targets=["plant_care"])
-    assert len(got) in (1, 2)
-    names = [c.name for c in got]
-    assert "plant_care" in names
-    target = next(c for c in got if c.name == "plant_care")
-    assert target.is_target
+    lib = FunctionLibrary(templated_library(3 * RETRIEVAL_K))
+    cache = EmbeddingCache(embedder)
+    query = f"{lib[0].description} tomorrow"
+    top = [c.name for c in retrieve_candidates(query, lib, cache)]
+    missing = next(f.name for f in lib if f.name not in top)
+    got = retrieve_candidates(query, lib, cache, targets=[missing])
+    assert [c.name for c in got] == top + [missing]
+    assert [c.is_target for c in got] == [False] * RETRIEVAL_K + [True]
 
 
 def test_retrieve_none_type_does_not_force(embedder):
-    lib = tiny_library()
-    got = retrieve_candidates("totally unrelated cosmic verse", lib, EmbeddingCache(embedder),
-                              k=1, targets=["plant_care"], force_targets=False)
-    assert len(got) == 1
+    # a NONE example has no targets: retrieval stops at RETRIEVAL_K
+    lib = FunctionLibrary(templated_library(3 * RETRIEVAL_K))
+    got = retrieve_candidates("totally unrelated cosmic verse", lib, EmbeddingCache(embedder))
+    assert len(got) == RETRIEVAL_K
+    assert not any(c.is_target for c in got)
 
 
 def test_retrieve_ties_break_by_library_order(embedder):
     # both descriptions add two words the query lacks, so the scores are equal in
-    # exact arithmetic; unrounded, float noise put the second function first
+    # exact arithmetic; unrounded, float noise put the second function first.
+    # The tokenless functions all score 0, and the cut keeps the first of them.
     base = "look up the multi day weather forecast for a chosen destination city"
+    zeros = [fn(f"zero_{i:02d}", param("x", "a value"), description="東京")
+             for i in range(RETRIEVAL_K)]
     lib = FunctionLibrary([
+        zeros[0],
         fn("first", param("city", "name of the city"), description=base + " seasonal coastal"),
+        *zeros[1:],
         fn("second", param("city", "name of the city"), description=base + " curated shared")])
     query = ("Draft a polite junior about the noisy renovation upstairs. "
              "Calculate how many paint cans cover a spiral staircase wall.")
-    got = retrieve_candidates(query, lib, EmbeddingCache(embedder), k=20)
-    assert [c.name for c in got] == ["first", "second"]
+    got = retrieve_candidates(query, lib, EmbeddingCache(embedder))
+    assert [c.name for c in got] == ["first", "second"] + [z.name for z in zeros[:-2]]
     assert got[0].retrieval_score == got[1].retrieval_score > 0.0
 
 
 def test_retrieve_tokenless_texts_score_zero(embedder):
     lib = FunctionLibrary([*tiny_library(), fn("kanji", param("x", "東京"), description="東京")])
     cache = EmbeddingCache(embedder)
-    got = retrieve_candidates("storm warnings for my region", lib, cache, k=20)
+    got = retrieve_candidates("storm warnings for my region", lib, cache)
     assert next(c for c in got if c.name == "kanji").retrieval_score == 0.0
     assert {c.retrieval_score for c in retrieve_candidates("東京", lib, cache)} == {0.0}
 
 
-def raw_retrieval(query, library, embedder, k):
-    """Top-k (name, score) as retrieval computed it before the cache: every
-    description and the query embedded afresh on each call."""
+def raw_retrieval(query, library, embedder):
+    """Top ``RETRIEVAL_K`` (name, score) as retrieval computed it before the
+    cache: every description and the query embedded afresh on each call."""
     texts = [f.description or f.name for f in library]
     vectors = np.asarray(embedder.embed(texts + [query]))
     sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
     scores = [(f.name, round(float(s), 12)) for f, s in zip(library, sims)]
-    return sorted(scores, key=lambda t: -t[1])[:k]  # stable: ties keep library order
+    # stable: ties keep library order
+    return sorted(scores, key=lambda t: -t[1])[:RETRIEVAL_K]
 
 
 def test_cached_retrieval_matches_raw_and_embeds_each_text_once(embedder):
@@ -104,14 +112,14 @@ def test_cached_retrieval_matches_raw_and_embeds_each_text_once(embedder):
     queries = ([f"{f.description} tomorrow please" for f in lib[:30:3]]
                + ["will the storm hit our region", "東京", "", "convert 100 dollars"] * 2)
     for query in queries:
-        got = retrieve_candidates(query, lib, cache, k=20, force_targets=False)
+        got = retrieve_candidates(query, lib, cache)
         assert [(c.name, c.retrieval_score) for c in got] == raw_retrieval(
-            query, lib, embedder, 20), query
+            query, lib, embedder), query
     assert set(counting.seen.values()) == {1}
     assert set(counting.seen) == {f.description for f in lib} | set(queries)
 
 
-def formula_retrieval(query, library, cache, k, targets=(), force_targets=True):
+def formula_retrieval(query, library, cache, targets=()):
     """(name, score.hex(), is_target) as retrieval computed it per example
     before the library's unit rows were held: the cosine over a fresh stack of
     every description and the query, sorted on (-score, library index)."""
@@ -120,16 +128,15 @@ def formula_retrieval(query, library, cache, k, targets=(), force_targets=True):
     sims = cosine_matrix(vectors[:-1], vectors[-1], allow_zero=True)[:, 0]
     scores = [(f.name, round(float(s), 12)) for f, s in zip(library, sims)]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i][1], i))
-    top = [scores[i] for i in order[:k]]
-    if force_targets:
-        present = {name for name, _ in top}
-        top += [t for t in scores if t[0] in targets and t[0] not in present]
+    top = [scores[i] for i in order[:RETRIEVAL_K]]
+    present = {name for name, _ in top}
+    top += [t for t in scores if t[0] in targets and t[0] not in present]
     return [(name, score.hex(), name in targets) for name, score in top]
 
 
-def held_retrieval(query, library, cache, k, targets=(), force_targets=True):
-    return [(c.name, c.retrieval_score.hex(), c.is_target) for c in retrieve_candidates(
-        query, library, cache, k, targets, force_targets=force_targets)]
+def held_retrieval(query, library, cache, targets=()):
+    return [(c.name, c.retrieval_score.hex(), c.is_target)
+            for c in retrieve_candidates(query, library, cache, targets)]
 
 
 @pytest.mark.parametrize("size", [3, 12, 57, 200, 1000])
@@ -140,28 +147,28 @@ def test_held_retrieval_is_bit_identical_to_the_per_example_formula(embedder, si
     queries = [f"{lib[0].description} for tomorrow", "will the storm hit our region",
                "東京", "", lib[-1].description]
     for query in queries:
-        for force in (True, False):
-            for k in (1, 5, 20):
-                assert held_retrieval(query, lib, cache, k, targets, force) == \
-                    formula_retrieval(query, lib, cache, k, targets, force), (query, k)
+        for wanted in (targets, ()):
+            assert held_retrieval(query, lib, cache, wanted) == \
+                formula_retrieval(query, lib, cache, wanted), (query, wanted)
 
 
 def test_held_retrieval_keeps_ties_repeats_and_zero_rows_in_library_order(embedder):
-    # repeated descriptions tie exactly; tokenless ones embed to zero and score 0
-    lib = FunctionLibrary(
-        fn(f"f{i}", param("x", "a value"), description=text)
-        for i, text in enumerate(["hotel rooms tonight", "東京", "hotel rooms tonight",
-                                  "weather for the weekend", "", "東京",
-                                  "weather for the weekend", "hotel rooms tonight"]))
+    # repeated descriptions tie exactly; tokenless ones embed to zero and score 0;
+    # three rounds of eight make the library longer than RETRIEVAL_K
+    texts = ["hotel rooms tonight", "東京", "hotel rooms tonight", "weather for the weekend",
+             "", "東京", "weather for the weekend", "hotel rooms tonight"] * 3
+    lib = FunctionLibrary(fn(f"f{i}", param("x", "a value"), description=text)
+                          for i, text in enumerate(texts))
     cache = EmbeddingCache(embedder)
     for query in ["hotel rooms", "weekend weather at the hotel", "東京", ""]:
-        for k in (2, 4, 8):
-            assert held_retrieval(query, lib, cache, k, ["f5", "f1"]) == \
-                formula_retrieval(query, lib, cache, k, ["f5", "f1"]), (query, k)
-    got = retrieve_candidates("hotel rooms", lib, cache, k=8)
-    assert [c.name for c in got][:3] == ["f0", "f2", "f7"]
-    zero = retrieve_candidates("東京", lib, cache, k=8)
-    assert [c.name for c in zero] == [f"f{i}" for i in range(8)]
+        for targets in (["f21", "f1"], ["f23", "f4"], ()):
+            assert held_retrieval(query, lib, cache, targets) == \
+                formula_retrieval(query, lib, cache, targets), (query, targets)
+    got = retrieve_candidates("hotel rooms", lib, cache)
+    assert [c.name for c in got][:9] == ["f0", "f2", "f7", "f8", "f10", "f15", "f16",
+                                         "f18", "f23"]
+    zero = retrieve_candidates("東京", lib, cache)
+    assert [c.name for c in zero] == [f"f{i}" for i in range(RETRIEVAL_K)]
     assert {c.retrieval_score for c in zero} == {0.0}
 
 
@@ -176,8 +183,8 @@ def test_retrievals_on_one_cache_embed_and_normalise_the_library_once(embedder, 
     monkeypatch.setattr(battery, "unit_rows",
                         lambda rows, **kw: normalised.append(len(rows))
                         or real_unit_rows(rows, **kw))
-    retrieve_candidates("storm warnings for my region", lib, cache, k=20)
-    retrieve_candidates("convert dollars to yen", lib, cache, k=20)
+    retrieve_candidates("storm warnings for my region", lib, cache)
+    retrieve_candidates("convert dollars to yen", lib, cache)
     assert normalised == [len(lib)]
     assert set(counting.seen.values()) == {1}
     # the first retrieval embeds the descriptions and its query in one batch

@@ -7,7 +7,7 @@ from divgen.metrics.fusion import rrf_fuse
 
 
 def test_single_candidate_scores_m_over_k_plus_one():
-    scores, order = rrf_fuse(["only"], [["only"]] * 3, k=60)
+    scores, order = rrf_fuse(["only"], [["only"]] * 3)
     assert scores["only"] == pytest.approx(3 / 61, abs=1e-15)
     assert order == ["only"]
 
@@ -15,7 +15,7 @@ def test_single_candidate_scores_m_over_k_plus_one():
 def test_dominant_candidate_ranks_first():
     cands = ["a", "b", "c"]
     rankings = [["a", "b", "c"], ["a", "c", "b"], ["a", "b", "c"]]
-    scores, order = rrf_fuse(cands, rankings, k=60)
+    scores, order = rrf_fuse(cands, rankings)
     assert order[0] == "a"
     assert scores["a"] == pytest.approx(3 / 61)
 
@@ -23,7 +23,7 @@ def test_dominant_candidate_ranks_first():
 def test_eight_metric_all_rank_one_score():
     cands = ["win", "lose"]
     rankings = [["win", "lose"]] * 8
-    scores, _ = rrf_fuse(cands, rankings, k=60)
+    scores, _ = rrf_fuse(cands, rankings)
     assert scores["win"] == pytest.approx(8 / 61, abs=1e-12)
     assert abs(scores["win"] - 0.13114754098360656) < 1e-12
 
@@ -31,7 +31,7 @@ def test_eight_metric_all_rank_one_score():
 def test_mirror_ranks_tie_break_by_insertion_order():
     cands = ["first", "second"]
     rankings = [["first", "second"], ["second", "first"]]
-    scores, order = rrf_fuse(cands, rankings, k=60)
+    scores, order = rrf_fuse(cands, rankings)
     assert scores["first"] == scores["second"] == pytest.approx(1 / 61 + 1 / 62)
     assert order == ["first", "second"]
 
@@ -50,7 +50,7 @@ def test_equal_rank_multisets_tie_break_by_pool_position():
             ranking.insert(rank - 1, name)
         assert ranking.index("a") == ra - 1 and ranking.index("b") == rb - 1
         rankings.append(ranking)
-    scores, order = rrf_fuse(cands, rankings, k=60)
+    scores, order = rrf_fuse(cands, rankings)
     assert scores["a"] == scores["b"]
     assert order.index("a") < order.index("b")
 
@@ -78,8 +78,6 @@ def test_rankings_must_cover_candidate_set():
         rrf_fuse(["a", "b"], [["a"]])
     with pytest.raises(ValueError):
         rrf_fuse(["a", "a"], [["a", "a"]])
-    with pytest.raises(ValueError):
-        rrf_fuse(["a"], [["a"]], k=0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -122,7 +122,7 @@ def test_embedder_count_mismatch(monkeypatch):
     payload = {"data": [{"index": 0, "embedding": [1.0]}]}
     patch_post(monkeypatch, FakeResponse(200, payload))
     with pytest.raises(TransportError, match="count mismatch"):
-        HttpEmbedder("https://emb.example/v1", "m").embed(["a", "b"])
+        HttpEmbedder("https://emb.example/v1", "m", dimension=1).embed(["a", "b"])
 
 
 @pytest.mark.parametrize("row", [
@@ -141,4 +141,4 @@ def test_missing_endpoint_rejected():
     with pytest.raises(ProviderError):
         HttpChat("", "m")
     with pytest.raises(ProviderError):
-        HttpEmbedder("", "m")
+        HttpEmbedder("", "m", dimension=2)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from collections import Counter
@@ -18,6 +19,9 @@ from divgen.model import (
     read_dataset,
     write_dataset,
 )
+from divgen.preprocess import build_similarity_graph, group_parameters
+from divgen.providers.http import HttpEmbedder
+from divgen.sampler import check_pairwise_similarity
 
 
 def test_load_single_function(tmp_path):
@@ -212,6 +216,17 @@ def test_runconfig_validation():
 def test_runconfig_refuses_values_it_cannot_serve(values, field):
     with pytest.raises(ModelError, match=re.escape(field)):
         RunConfig.from_dict(values)
+
+
+@pytest.mark.parametrize("function, name", [
+    (group_parameters, "threshold"),
+    (build_similarity_graph, "threshold"),
+    (check_pairwise_similarity, "threshold"),
+    (HttpEmbedder, "dimension"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_a_value_run_config_owns_has_no_second_default(function, name):
+    # the program passes RunConfig's value; a default would be a second copy
+    assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
 
 
 def test_readme_configuration_table_lists_every_config_field():

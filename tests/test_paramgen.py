@@ -167,7 +167,7 @@ def test_select_diverse_value_tie_keeps_first_sampled():
     # all candidates sit in one numeric cluster: every choice ties
     candidates = [round(0.001 * i, 4) for i in range(25)]
     rng = random.Random(9)
-    chosen, _ = select_diverse_value(candidates, [], rng, "NUMERICAL", None)
+    chosen, _ = select_diverse_value(candidates, [], rng, ValueIndex("NUMERICAL"))
     expected_first = random.Random(9).sample(candidates, 5)[0]
     assert chosen == expected_first
 
@@ -176,7 +176,7 @@ def test_select_diverse_value_prefers_new_region():
     tracker = [0.0, 0.1, 0.2, 0.05, 0.15]
     candidates = [0.12, 0.18, 0.22, 0.08, 500.0]  # exactly 5: all exposed
     chosen, augmented = select_diverse_value(
-        candidates, tracker, random.Random(1), "NUMERICAL", None)
+        candidates, tracker, random.Random(1), ValueIndex("NUMERICAL"))
     assert chosen == 500.0
     # greedily maximal against the entropy oracle
     best = max(candidates,
@@ -187,8 +187,8 @@ def test_select_diverse_value_prefers_new_region():
 
 def test_select_diverse_value_reproducible():
     candidates = [float(i * 50) for i in range(25)]
-    a, _ = select_diverse_value(candidates, [], random.Random(5), "NUMERICAL", None)
-    b, _ = select_diverse_value(candidates, [], random.Random(5), "NUMERICAL", None)
+    a, _ = select_diverse_value(candidates, [], random.Random(5), ValueIndex("NUMERICAL"))
+    b, _ = select_diverse_value(candidates, [], random.Random(5), ValueIndex("NUMERICAL"))
     assert a == b
 
 
@@ -199,7 +199,7 @@ def test_select_diverse_value_greedy_invariant_property():
         candidates = list({float(rng_master.randrange(0, 2000, 7)) for _ in range(25)})
         rng = random.Random(rng_master.randrange(10_000))
         chosen, augmented = select_diverse_value(candidates, tracker, rng,
-                                                 "NUMERICAL", None)
+                                                 ValueIndex("NUMERICAL"))
         chosen_score = value_cluster_entropy(augmented + [chosen], "NUMERICAL")
         for cand in candidates:
             if repr(cand) not in {repr(x) for x in augmented[len(tracker):]}:
@@ -230,10 +230,10 @@ def test_select_with_and_without_an_index_matches_the_per_candidate_loop():
         index.sync(tracker)
         rngs = [random.Random(seed) for _ in range(3)]
         want = reference_select(candidates, snapshot, rngs[0], category, embedder)
-        assert select_diverse_value(candidates, snapshot, rngs[1], category, embedder,
-                                    index=index) == want, seed
-        assert select_diverse_value(candidates, snapshot, rngs[2], category,
-                                    embedder) == want, seed
+        assert select_diverse_value(candidates, snapshot, rngs[1], index) == want, seed
+        # an empty index scores the whole view
+        assert select_diverse_value(candidates, snapshot, rngs[2],
+                                    ValueIndex(category, embedder)) == want, seed
         assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
         assert index.values == tracker
 

@@ -121,7 +121,7 @@ def test_rank_matches_direct_rrf_of_metric_orderings():
     for metric in OPTIMIZED_METRICS:
         rankings.append(sorted(CANDS, key=lambda c: (-per_metric[c][metric],
                                                      CANDS.index(c))))
-    want_scores, want_order = rrf_fuse(CANDS, rankings, k=60)
+    want_scores, want_order = rrf_fuse(CANDS, rankings)
     assert order == want_order
     assert scores == want_scores
 
