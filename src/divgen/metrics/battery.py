@@ -282,7 +282,7 @@ class MarginalScorer:
         self._kernel = np.ones((1, 1))
         self._pair_sum = 0.0
         self._nearest = np.empty(0)
-        self._scores: dict[str, dict[str, float]] = {}
+        self._scores: dict[str, tuple[float, ...]] = {}
 
     def sync(self, corpus: Sequence[str]) -> None:
         """Make the scorer's corpus exactly ``corpus``: append the new texts
@@ -317,15 +317,16 @@ class MarginalScorer:
         """``text`` as the newline-joined corpus's next bytes."""
         return (f"\n{text}" if self.corpus.texts else text).encode("utf-8")
 
-    def score(self, candidates: Sequence[str]) -> list[dict[str, float]]:
-        """The eight optimized metrics of the corpus extended by each candidate,
-        in order."""
+    def score(self, candidates: Sequence[str]) -> np.ndarray:
+        """The eight optimized metrics of the corpus extended by each candidate:
+        a (len(candidates) × 8) float64 array, one row per candidate in order,
+        one column per metric in ``OPTIMIZED_METRICS`` order."""
         new = [c for c in dict.fromkeys(candidates) if c not in self._scores]
         if new:
             self._scores.update(zip(new, self._evaluate_batch(new)))
-        return [self._scores[c] for c in candidates]
+        return np.array([self._scores[c] for c in candidates])
 
-    def _evaluate_batch(self, candidates: list[str]) -> list[dict[str, float]]:
+    def _evaluate_batch(self, candidates: list[str]) -> list[tuple[float, ...]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
         n, kernel = len(self.corpus.texts), self._kernel
         sims = np.clip(units @ unit_rows(self.corpus.rows).T, -1.0, 1.0) if n else units[:, :0]
@@ -344,9 +345,9 @@ class MarginalScorer:
                 for c, variety, chamfer, vendi in zip(candidates, varieties, chamfers, vendis)]
 
     def _battery(self, candidate: str, variety: float, chamfer: float,
-                 vendi: float) -> dict[str, float]:
-        """The candidate's eight scores: the text metrics computed here, the
-        embedding metrics from the batch."""
+                 vendi: float) -> tuple[float, ...]:
+        """The candidate's eight scores in ``OPTIMIZED_METRICS`` order: the text
+        metrics computed here, the embedding metrics from the batch."""
         tokens = tokenize(candidate)
         extra = self._next_line(candidate)
         deflate = self._deflate.copy()
@@ -355,17 +356,17 @@ class MarginalScorer:
         shapes = self.corpus.shape_counts.copy()
         shapes.update(sentence_shapes(candidate))
         vocabulary = self.corpus.vocabulary
-        return {
-            "ttr": ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),
-                                  self.corpus.n_tokens + len(tokens)),
-            "compression_ratio": compression_ratio(deflated, self._raw_bytes + len(extra)),
-            "paraphrase_variety": variety,
-            "parse_tree_entropy": entropy_of_sizes(shapes.values()),
-            "chamfer": chamfer,
-            "var_fkgl": variance(self.corpus.fkgls + [fkgl_grade(candidate)]),
-            "var_length": variance(self.corpus.lengths + [float(len(tokens))]),
-            "vendi": vendi,
-        }
+        return (
+            ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),
+                           self.corpus.n_tokens + len(tokens)),
+            compression_ratio(deflated, self._raw_bytes + len(extra)),
+            variety,
+            entropy_of_sizes(shapes.values()),
+            chamfer,
+            variance(self.corpus.fkgls + [fkgl_grade(candidate)]),
+            variance(self.corpus.lengths + [float(len(tokens))]),
+            vendi,
+        )
 
 
 def evaluate_full_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, float]:

@@ -66,14 +66,16 @@ class SignatureClient:
     list appended so the model can repair its reply. Retryable transport errors
     consume the same budget; before retrying a rate-limited call the client
     sleeps the provider's ``retry_after``, or else a capped exponential delay.
+    ``retry_limit`` (at least 1) and ``decode_params`` are the run's
+    ``RunConfig`` values.
     """
 
-    def __init__(self, chat: ChatProvider, retry_limit: int = 3,
-                 decode_params: Mapping[str, Any] | None = None,
+    def __init__(self, chat: ChatProvider, retry_limit: int,
+                 decode_params: Mapping[str, Any],
                  sleep: Callable[[float], None] = time.sleep):
         self.chat = chat
-        self.retry_limit = max(1, retry_limit)
-        self.decode_params = dict(decode_params or {})
+        self.retry_limit = retry_limit
+        self.decode_params = dict(decode_params)
         self.sleep = sleep
 
     def call(self, sig: PromptSignature, inputs: Mapping[str, str]) -> dict[str, str]:

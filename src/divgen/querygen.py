@@ -2,18 +2,18 @@
 
 Each example runs up to five rounds of five candidates. Candidates surviving
 the execution-type judge pool up across rounds; the pool is re-ranked every
-round by fusing eight per-metric marginal-diversity orderings with reciprocal
-rank fusion, and the global top is kept. The corpus only grows, so the run
-keeps one ``MarginalScorer`` for it: built at the first example, and grown at
-the start of each example by each query accepted since, recorded and bordered
-into its Vendi kernel once. The corpus does not change during an example, so
-each distinct candidate is scored once against it, however many rounds
-re-rank it; a round's new candidates are scored together as one batch.
-Candidates without a single word token cannot be scored and never enter the
-pool. Feedback between rounds foregrounds judge failures when most candidates
-failed, diversity guidance otherwise. The example's prompt fields are built
-once from its skeleton; each generator and judge signature takes the fields it
-declares from that one context.
+round by reciprocal rank fusion of its eight per-metric marginal-diversity
+ranks, taken from one score matrix, and the global top is kept. The corpus
+only grows, so the run keeps one ``MarginalScorer`` for it: built at the first
+example, and grown at the start of each example by each query accepted since,
+recorded and bordered into its Vendi kernel once. The corpus does not change
+during an example, so each distinct candidate is scored once against it,
+however many rounds re-rank it; a round's new candidates are scored together
+as one batch. Candidates without a single word token cannot be scored and
+never enter the pool. Feedback between rounds foregrounds judge failures when
+most candidates failed, diversity guidance otherwise. The example's prompt
+fields are built once from its skeleton; each generator and judge signature
+takes the fields it declares from that one context.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
+
+import numpy as np
 
 from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps this name
     OPTIMIZED_METRICS,
@@ -148,28 +150,24 @@ def rank_candidates_by_diversity(
 ) -> tuple[list[str], dict[str, dict[str, int]], dict[str, float]]:
     """Order candidates by fused marginal diversity.
 
-    Each candidate is scored by the eight optimized metrics of the scorer's
-    corpus plus that candidate; per-metric descending orderings feed reciprocal
-    rank fusion. Each ordering sorts on the value rounded to 12 decimals, ties
-    broken by pool position, so no rank hangs on the last bits of a score.
+    The scorer gives one matrix: a row per distinct candidate, in pool order,
+    of the eight optimized metrics of its corpus plus that candidate. The
+    matrix is rounded to 12 decimals once, so no rank hangs on the last bits
+    of a score, and one stable argsort of its negation ranks every metric
+    column best-first, ties broken by pool position. Reciprocal rank fusion
+    of the resulting rank matrix gives the order.
     Returns (ordering, per-candidate per-metric ranks, fused scores).
     """
     pool = list(dict.fromkeys(candidates))
     if not pool:
         raise ValueError("no candidates to rank")
-    values = dict(zip(pool, scorer.score(pool)))
-
-    rounded = round12([[values[c][metric] for c in pool] for metric in OPTIMIZED_METRICS])
-    rankings: list[list[str]] = []
-    per_metric_rank: dict[str, dict[str, int]] = {c: {} for c in pool}
-    for metric, keys in zip(OPTIMIZED_METRICS, (-rounded).tolist()):
-        order = sorted(range(len(pool)), key=lambda i: (keys[i], i))
-        ranking = [pool[i] for i in order]
-        rankings.append(ranking)
-        for rank, cand in enumerate(ranking, start=1):
-            per_metric_rank[cand][metric] = rank
-    scores, fused = rrf_fuse(pool, rankings)
-    return fused, per_metric_rank, scores
+    order = np.argsort(-round12(scorer.score(pool)), axis=0, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, len(pool) + 1)[:, None], axis=0)
+    scores, fused = rrf_fuse(ranks)
+    return ([pool[i] for i in fused],
+            {c: dict(zip(OPTIMIZED_METRICS, row)) for c, row in zip(pool, ranks.tolist())},
+            dict(zip(pool, scores)))
 
 
 def build_feedback(

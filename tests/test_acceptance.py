@@ -36,6 +36,7 @@ from divgen.providers.signature import (
     parse_signature_output,
 )
 from test_dbscan import brute_force_partition
+from test_fusion import rank_matrix
 from test_preprocess import fn, param
 
 
@@ -91,10 +92,10 @@ def test_criterion_3_vendi_exactness():
 
 def test_criterion_4_rrf():
     cands = [f"c{i}" for i in range(5)]
-    dominant = [cands] * 8  # c0 first everywhere
-    scores, order = rrf_fuse(cands, dominant)
-    assert order[0] == "c0"
-    assert abs(scores["c0"] - 8 / 61) < 1e-12
+    dominant = np.repeat(np.arange(1, 6)[:, None], 8, axis=1)  # c0 first everywhere
+    scores, order = rrf_fuse(dominant)
+    assert cands[order[0]] == "c0"
+    assert abs(scores[0] - 8 / 61) < 1e-12
 
     metric_scores = [
         {c: float(len(c) + i * hash(c) % 7) for c in cands} for i in range(4)
@@ -102,14 +103,13 @@ def test_criterion_4_rrf():
     rng = random.Random(5)
     metric_scores = [{c: rng.random() for c in cands} for _ in range(4)]
 
-    def ranking(table):
-        return sorted(cands, key=lambda c: (-table[c], cands.index(c)))
+    def ranking(tables):
+        return rank_matrix([[table[c] for c in cands] for table in tables])
 
-    raw = [ranking(t) for t in metric_scores]
+    raw = ranking(metric_scores)
     for transform in (lambda v: 3 * v + 2, math.exp, lambda v: v ** 3 + v):
-        moved = [ranking({c: transform(v) for c, v in t.items()})
-                 for t in metric_scores]
-        assert rrf_fuse(cands, raw)[1] == rrf_fuse(cands, moved)[1]
+        moved = ranking([{c: transform(v) for c, v in t.items()} for t in metric_scores])
+        assert rrf_fuse(raw)[1] == rrf_fuse(moved)[1]
     verdict(4, "dominant candidate first; 8/61 exact; monotone-transform invariant")
 
 
@@ -285,7 +285,7 @@ def test_criterion_9_distractor_pipeline():
     ):
         chat = ScriptedChat().script(reply, signature="BatchAPIRelevanceScorer")
         scored = score_plausibility("q", candidates, ["target_api"], etype,
-                                    {f.name: f for f in lib}, SignatureClient(chat))
+                                    {f.name: f for f in lib}, SignatureClient(chat, 3, {}))
         kept = filter_by_plausibility(scored, etype)
         assert [c.name for c in kept] == kept_names
         assert any(c.name == "target_api" for c in kept)  # never filtered

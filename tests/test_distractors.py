@@ -212,7 +212,7 @@ def test_score_plausibility_order_aligned(embedder):
     chat = ScriptedChat().script(scores_reply("BatchAPIRelevanceScorer", rows),
                                  signature="BatchAPIRelevanceScorer")
     scored = score_plausibility("storm question", cands, ["storm_watch"],
-                                ExecutionType.SINGLE, lib.by_name, SignatureClient(chat))
+                                ExecutionType.SINGLE, lib.by_name, SignatureClient(chat, 3, {}))
     assert [c.plausibility for c in scored] == [5, 2, 1]
 
 
@@ -224,7 +224,7 @@ def test_score_plausibility_misalignment_retries_then_fails(embedder):
     chat = ScriptedChat().script(short, signature="BatchAPIRelevanceScorer")
     with pytest.raises(DistractorFailure, match="misaligned"):
         score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
-                           lib.by_name, SignatureClient(chat))
+                           lib.by_name, SignatureClient(chat, 3, {}))
     assert len(chat.calls) == 2  # one retry
 
 
@@ -237,7 +237,7 @@ def test_score_plausibility_non_integer_score_retries_then_fails(bad):
     chat = ScriptedChat().script(reply, signature="BatchAPIRelevanceScorer")
     with pytest.raises(DistractorFailure, match="non-integer score"):
         score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
-                           tiny_library().by_name, SignatureClient(chat))
+                           tiny_library().by_name, SignatureClient(chat, 3, {}))
     assert len(chat.calls) == 2  # one retry
 
 
@@ -249,13 +249,13 @@ def test_score_plausibility_non_integer_score_then_valid_reply():
                         [{"score": 5}, {"score": 1}])
     chat = ScriptedChat().script([bad, good], signature="BatchAPIRelevanceScorer")
     scored = score_plausibility("q", cands, ["storm_watch"], ExecutionType.SINGLE,
-                                tiny_library().by_name, SignatureClient(chat))
+                                tiny_library().by_name, SignatureClient(chat, 3, {}))
     assert [c.plausibility for c in scored] == [5, 1]
 
 
 def test_score_plausibility_empty_candidates(embedder):
     assert score_plausibility("q", [], [], ExecutionType.SINGLE, tiny_library().by_name,
-                              SignatureClient(ScriptedChat())) == []
+                              SignatureClient(ScriptedChat(), 3, {})) == []
 
 
 def test_filter_thresholds_per_type():
@@ -338,7 +338,7 @@ def test_alternatives_none_found_keeps_everything():
     kept = [ScoredCandidate("gamma_api", 0.4, plausibility=2)]
     out = validate_invocation_alternatives(
         "q", kept, ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib.by_name, SignatureClient(alt_chat("[]")))
+        lib.by_name, SignatureClient(alt_chat("[]"), 3, {}))
     assert [c.name for c in out.candidates] == ["gamma_api"]
     assert out.targets == ["alpha_api", "beta_api"]
     assert not out.invalid
@@ -349,7 +349,7 @@ def test_alternatives_subset_downgrades_to_single():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1)]")))
+        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1)]"), 3, {}))
     assert out.targets == ["alpha_api"]
     assert out.exec_type is ExecutionType.SINGLE
     assert not out.invalid
@@ -360,7 +360,7 @@ def test_alternatives_with_distractor_removes_it():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1), gamma_api(z=3)]")))
+        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1), gamma_api(z=3)]"), 3, {}))
     assert [c.name for c in out.candidates] == []
     assert out.targets == ["alpha_api", "beta_api"]
 
@@ -370,7 +370,7 @@ def test_alternatives_invalid_verdict_changes_nothing():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.PARALLEL,
-        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1)]", valid="NO")))
+        lib.by_name, SignatureClient(alt_chat("[alpha_api(x=1)]", valid="NO"), 3, {}))
     assert out.targets == ["alpha_api", "beta_api"]
     assert out.exec_type is ExecutionType.PARALLEL
 
@@ -389,7 +389,7 @@ def test_alternative_with_qualified_target_names_keeps_the_distractor():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("search", 0.4, plausibility=2)],
         ["search_hotels", "weather"], ExecutionType.PARALLEL,
-        travel_library().by_name, SignatureClient(chat))
+        travel_library().by_name, SignatureClient(chat, 3, {}))
     assert [c.name for c in out.candidates] == ["search"]
     assert out.targets == ["search_hotels", "weather"]
     assert out.note == ""
@@ -402,7 +402,7 @@ def test_alternative_naming_a_function_outside_the_candidates_changes_nothing(re
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("search", 0.4, plausibility=2)],
         ["search_hotels", "weather"], ExecutionType.PARALLEL,
-        travel_library().by_name, SignatureClient(chat))
+        travel_library().by_name, SignatureClient(chat, 3, {}))
     assert [c.name for c in out.candidates] == ["search"]
     assert out.targets == ["search_hotels", "weather"]
     assert out.exec_type is ExecutionType.PARALLEL and not out.invalid
@@ -426,7 +426,7 @@ def test_sequential_alternative_with_bare_names_shrinks_targets(steps):
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.SEQUENTIAL,
-        multi_library().by_name, SignatureClient(seq_alt_chat(steps)))
+        multi_library().by_name, SignatureClient(seq_alt_chat(steps), 3, {}))
     assert out.targets == ["alpha_api"]
     assert out.exec_type is ExecutionType.SINGLE
 
@@ -435,7 +435,8 @@ def test_sequential_alternative_bare_names_remove_a_distractor():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("gamma_api", 0.4, plausibility=2)],
         ["alpha_api", "beta_api"], ExecutionType.SEQUENTIAL,
-        multi_library().by_name, SignatureClient(seq_alt_chat(["alpha_api", "gamma_api", ""])))
+        multi_library().by_name,
+        SignatureClient(seq_alt_chat(["alpha_api", "gamma_api", ""]), 3, {}))
     assert out.candidates == []
     assert out.targets == ["alpha_api", "beta_api"]
     assert out.exec_type is ExecutionType.SEQUENTIAL
@@ -470,14 +471,14 @@ def test_assemble_requires_twice_the_targets_for_parallel(embedder):
     with pytest.raises(DistractorFailure, match="distractor candidates"):
         assemble_candidates("query words", ["alpha_api", "beta_api"],
                             ExecutionType.PARALLEL, lib, EmbeddingCache(embedder),
-                            SignatureClient(chat), random.Random(0))
+                            SignatureClient(chat, 3, {}), random.Random(0))
 
 
 def test_sequential_alternative_naming_an_unknown_step_changes_nothing():
     out = validate_invocation_alternatives(
         "q", [ScoredCandidate("search", 0.4, plausibility=2)],
         ["search_hotels", "weather"], ExecutionType.SEQUENTIAL, travel_library().by_name,
-        SignatureClient(seq_alt_chat(["weather(day=1)", "hotel_finder", "search", ""])))
+        SignatureClient(seq_alt_chat(["weather(day=1)", "hotel_finder", "search", ""]), 3, {}))
     assert [c.name for c in out.candidates] == ["search"]
     assert out.targets == ["search_hotels", "weather"]
     assert out.exec_type is ExecutionType.SEQUENTIAL

@@ -167,7 +167,7 @@ def test_equivalence_judge(embedder):
         "find italian restaurants in new york", schema,
         {"name": "get_restaurants", "arguments": {"location": "New York"}},
         {"name": "get_restaurants", "arguments": {"location": "NYC"}},
-        SignatureClient(chat))
+        SignatureClient(chat, 3, {}))
     assert ok
     assert "same city" in reasoning
 
@@ -175,7 +175,7 @@ def test_equivalence_judge(embedder):
         "ToolCallEquivalence",
         {"reasoning": "different tools entirely", "equivalent": "NO"})
     ok, _ = judge_tool_call_equivalence(
-        "q", schema, {"name": "a"}, {"name": "b"}, SignatureClient(chat))
+        "q", schema, {"name": "a"}, {"name": "b"}, SignatureClient(chat, 3, {}))
     assert not ok
 
 

@@ -92,7 +92,7 @@ def test_client_reprompts_after_a_null_or_list_content(monkeypatch):
     responses = iter(FakeResponse(200, {"choices": [{"message": {"content": body}}]})
                      for body in bodies)
     patch_post(monkeypatch, lambda: next(responses))
-    client = SignatureClient(HttpChat("https://llm.example/v1", "m"), retry_limit=3)
+    client = SignatureClient(HttpChat("https://llm.example/v1", "m"), 3, {})
     out = client.call(sig, {"dataset_sample": "q", "diversity_context": "c"})
     assert out["pattern_analysis"] == "varied"
     assert next(responses, None) is None  # all three bodies were requested

@@ -36,6 +36,11 @@ def assert_close(got, want, context):
     assert {m: got[m] for m in TEXT_METRICS} == {m: want[m] for m in TEXT_METRICS}, context
 
 
+def by_metric(rows):
+    """Each score row as a dict keyed by metric."""
+    return [dict(zip(OPTIMIZED_METRICS, row)) for row in rows]
+
+
 def rounded_orders(scores):
     """Each optimized metric's order of ``scores`` under the ranking's sort key."""
     return {metric: sorted(range(len(scores)),
@@ -65,7 +70,7 @@ def test_scorer_equals_evaluate_battery_within_1e_12():
             scorer = MarginalScorer(corpus, cache)
             for cand in candidates:
                 texts = corpus + [cand]
-                [got] = scorer.score([cand])
+                [got] = by_metric(scorer.score([cand]))
                 assert_close(got, evaluate_battery(texts, cache.matrix(texts)),
                              (name, size, cand))
                 checked += 1
@@ -111,7 +116,7 @@ def test_batched_scores_equal_evaluate_battery():
                 assert len(set(batch)) == count and not scored & set(batch)
                 if count > 1:
                     batch.insert(1, batch[-1])  # a duplicate inside the batch
-                scores = scorer.score(batch)
+                scores = by_metric(scorer.score(batch))
                 assert len(scores) == len(batch)
                 oracle = []
                 for cand, got in zip(batch, scores):
@@ -133,9 +138,9 @@ def test_sync_drops_the_scores_of_the_previous_corpus():
     for size in (5, 6, 2):  # grown twice, then rebuilt
         scorer.sync(corpus[:size])
         got = scorer.score(batch)
-        for scores, texts in zip(got, (corpus[:size] + [c] for c in batch)):
+        for scores, texts in zip(by_metric(got), (corpus[:size] + [c] for c in batch)):
             assert_close(scores, evaluate_battery(texts, cache.matrix(texts)), size)
-        assert got != before
+        assert not np.array_equal(got, before)
 
 
 def bits(scorer):
@@ -157,13 +162,13 @@ def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
     # a batch writes its last candidate's similarities into the kernel's border
     scores = [scorer.score(batch) for scorer in (grown, chunked, whole)]
     assert bits(grown) == bits(chunked) == bits(whole)
-    assert [[{m: v.hex() for m, v in s.items()} for s in run] for run in scores[1:]] == \
-        [[{m: v.hex() for m, v in s.items()} for s in scores[0]]] * 2
+    assert [run.tobytes() for run in scores[1:]] == [scores[0].tobytes()] * 2
     # a corpus the scorer holds no prefix of rebuilds it
     other = SOURCES["repetitive"][:20]
     grown.sync(other)
     fresh = MarginalScorer(other, cache)
-    assert grown.score(batch) == fresh.score(batch) and bits(grown) == bits(fresh)
+    assert grown.score(batch).tobytes() == fresh.score(batch).tobytes()
+    assert bits(grown) == bits(fresh)
     assert grown.corpus.n_tokens == sum(len(tokenize(text)) for text in other)
 
 
@@ -206,25 +211,27 @@ def test_score_evaluates_each_distinct_new_candidate_once_per_call(monkeypatch):
     first = scorer.score([a, b, a])
     second = scorer.score([b, c, c, a])
     assert batches == [[a, b], [c]]
-    assert first == [second[3], second[0], second[3]]
-    assert scorer.score([a, c]) == [second[3], second[1]] and len(batches) == 2
+    assert np.array_equal(first, second[[3, 0, 3]])
+    assert np.array_equal(scorer.score([a, c]), second[[3, 1]]) and len(batches) == 2
 
 
 class FixedScorer:
-    """A stand-in scorer that returns fixed scores."""
+    """A stand-in scorer that returns fixed score rows, in ``OPTIMIZED_METRICS``
+    order, from a dict of candidate to row."""
 
-    def __init__(self, scores):
-        self.scores = scores
+    def __init__(self, rows):
+        self.rows = rows
 
     def score(self, candidates):
-        return [self.scores[c] for c in candidates]
+        return np.array([self.rows[c] for c in candidates], dtype=np.float64)
 
 
 def test_a_one_ulp_chamfer_gap_ties_and_breaks_by_index():
     low = 0.25
     high = math.nextafter(low, 1.0)  # one ulp above: 5.6e-17
     base = dict.fromkeys(OPTIMIZED_METRICS, 1.0)
-    scorer = FixedScorer({"a": {**base, "chamfer": low}, "b": {**base, "chamfer": high}})
+    scorer = FixedScorer({"a": list({**base, "chamfer": low}.values()),
+                          "b": list({**base, "chamfer": high}.values())})
     for pool in (["a", "b"], ["b", "a"]):
         _, ranks, _ = rank_candidates_by_diversity(scorer, pool)
         assert (ranks[pool[0]]["chamfer"], ranks[pool[1]]["chamfer"]) == (1, 2)
@@ -238,9 +245,36 @@ def test_word_order_permutations_share_a_row_and_rank_by_index():
     assert sorted(tokenize(first)) == sorted(tokenize(second))
     assert np.array_equal(cache.matrix([first]), cache.matrix([second]))
     scorer = MarginalScorer(SOURCES["varied"][:30], cache)
-    scores = dict(zip((first, other, second), scorer.score([first, other, second])))
+    scores = dict(zip((first, other, second), by_metric(scorer.score([first, other, second]))))
     for pool in ([first, second, other], [second, first, other]):
         _, ranks, _ = rank_candidates_by_diversity(scorer, pool)
         for metric in ("paraphrase_variety", "chamfer", "vendi"):
             assert scores[first][metric] == scores[second][metric]
             assert ranks[pool[1]][metric] == ranks[pool[0]][metric] + 1
+
+
+def test_each_new_candidate_costs_one_eigvalsh_of_the_bordered_kernel(monkeypatch):
+    # the per-candidate bound a one-decomposition Vendi would tighten: growing
+    # the corpus solves nothing, a new candidate solves its (N+1)² kernel once
+    calls = []
+
+    def recording(name, solve):
+        def recorded(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return solve(a, *args, **kwargs)
+        return recorded
+
+    for name in ("eigvalsh", "eigh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    rng = random.Random("eigensolves")
+    corpus = [" ".join(rng.sample(CANDIDATE_SOURCE, rng.randint(1, 2))) for _ in range(300)]
+    scorer = MarginalScorer([], EmbeddingCache(HashEmbedder()))
+    for size in (100, 300):
+        scorer.sync(corpus[:size])
+        assert calls == []
+        batch = new_candidates(rng, CANDIDATE_SOURCE, corpus[:size], set(), 5)
+        scorer.score(batch)
+        assert calls == [("eigvalsh", (size + 1, size + 1))] * 5
+        calls.clear()
+        scorer.score(batch)
+        assert calls == []

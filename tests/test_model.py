@@ -20,6 +20,7 @@ from divgen.model import (
     write_dataset,
 )
 from divgen.preprocess import build_similarity_graph, group_parameters
+from divgen.providers.base import SignatureClient
 from divgen.providers.http import HttpEmbedder
 from divgen.sampler import check_pairwise_similarity
 
@@ -223,6 +224,8 @@ def test_runconfig_refuses_values_it_cannot_serve(values, field):
     (build_similarity_graph, "threshold"),
     (check_pairwise_similarity, "threshold"),
     (HttpEmbedder, "dimension"),
+    (SignatureClient, "retry_limit"),
+    (SignatureClient, "decode_params"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_a_value_run_config_owns_has_no_second_default(function, name):
     # the program passes RunConfig's value; a default would be a second copy

@@ -49,7 +49,7 @@ def setup_gen(chat, seed=0, lib=None, **config_kw):
     embedder = HashEmbedder()
     groups = group_parameters(lib, embedder, 0.6)
     config = RunConfig(rng_seed=seed, **config_kw)
-    gen = ParamGenerator(groups, SignatureClient(chat, config.retry_limit),
+    gen = ParamGenerator(groups, SignatureClient(chat, config.retry_limit, config.decode_params),
                          embedder, random.Random(seed), config)
     return lib, groups, gen
 
@@ -582,7 +582,7 @@ def test_sequential_chain_generates_n_minus_one_returns():
     embedder = HashEmbedder()
     groups = group_parameters(lib, embedder, 0.6)
     config = RunConfig(rng_seed=2)
-    gen = ParamGenerator(groups, SignatureClient(sequential_chat()), embedder,
+    gen = ParamGenerator(groups, SignatureClient(sequential_chat(), 3, {}), embedder,
                          random.Random(2), config)
     results, returns = gen.generate_sequential_chain(lib)
     assert len(results) == 2
@@ -596,7 +596,7 @@ def test_sequential_chain_rejected_after_retries():
     embedder = HashEmbedder()
     groups = group_parameters(lib, embedder, 0.6)
     chat = sequential_chat(chain_valid="NO")
-    gen = ParamGenerator(groups, SignatureClient(chat), embedder,
+    gen = ParamGenerator(groups, SignatureClient(chat, 3, {}), embedder,
                          random.Random(2), RunConfig(rng_seed=2))
     with pytest.raises(ParamGenFailure, match="chain rejected"):
         gen.generate_sequential_chain(lib)
@@ -609,7 +609,7 @@ def test_unparseable_return_value_spends_a_chain_retry():
     embedder = HashEmbedder()
     groups = group_parameters(lib, embedder, 0.6)
     chat = ScriptedChat().script("no structured fields at all", signature="GenerateReturnValue")
-    gen = ParamGenerator(groups, SignatureClient(sequential_chat(chat=chat)), embedder,
+    gen = ParamGenerator(groups, SignatureClient(sequential_chat(chat=chat), 3, {}), embedder,
                          random.Random(2), RunConfig(rng_seed=2))
     with pytest.raises(ParamGenFailure,
                        match="return value rejected: signature 'GenerateReturnValue'"):
@@ -627,7 +627,7 @@ def test_sequential_chain_needs_two_apis():
     lib = chain_library()
     embedder = HashEmbedder()
     groups = group_parameters(lib, embedder, 0.6)
-    gen = ParamGenerator(groups, SignatureClient(ScriptedChat()), embedder,
+    gen = ParamGenerator(groups, SignatureClient(ScriptedChat(), 3, {}), embedder,
                          random.Random(0), RunConfig())
     with pytest.raises(ValueError, match="at least two"):
         gen.generate_sequential_chain(lib[:1])

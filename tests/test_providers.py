@@ -42,7 +42,7 @@ def test_signature_client_retries_on_missing_fields():
     good = format_output(sig, {"reasoning": "ok", "is_reasonable": "YES"})
     chat = ScriptedChat().script(["[[ ## reasoning ## ]]\nonly this", good],
                                  signature="APIQueryJudge")
-    client = SignatureClient(chat, retry_limit=3)
+    client = SignatureClient(chat, 3, {})
     out = client.call(sig, {"query": "q", "api_schema": "{}",
                             "target_parameters": "{}"})
     assert out["is_reasonable"] == "YES"
@@ -53,7 +53,7 @@ def test_signature_client_retries_on_missing_fields():
 def test_signature_client_exhausts_budget():
     sig = catalog.get("APIQueryJudge")
     chat = ScriptedChat().script("no markers here", signature="APIQueryJudge")
-    client = SignatureClient(chat, retry_limit=2)
+    client = SignatureClient(chat, 2, {})
     with pytest.raises(SignatureParseError):
         client.call(sig, {"query": "q", "api_schema": "{}",
                           "target_parameters": "{}"})
@@ -75,7 +75,7 @@ def test_signature_client_retries_transport_errors():
             return good
 
     slept = []
-    out = SignatureClient(Flaky(), retry_limit=3, sleep=slept.append).call(
+    out = SignatureClient(Flaky(), 3, {}, sleep=slept.append).call(
         sig, {"query": "q", "api_schema": "{}", "target_parameters": "{}"})
     assert out["is_reasonable"] == "YES"
     assert calls["n"] == 3
@@ -106,7 +106,7 @@ def test_rate_limit_sleeps_the_providers_retry_after():
     chat = RateLimited(2, retry_after=[7.5, 0.0],
                        reply=format_output(sig, {"reasoning": "ok", "is_reasonable": "YES"}))
     slept = []
-    out = SignatureClient(chat, retry_limit=3, sleep=slept.append).call(sig, JUDGE_INPUTS)
+    out = SignatureClient(chat, 3, {}, sleep=slept.append).call(sig, JUDGE_INPUTS)
     assert out["is_reasonable"] == "YES"
     assert slept == [7.5, 0.0]
 
@@ -116,7 +116,7 @@ def test_rate_limit_without_retry_after_backs_off_exponentially_up_to_a_cap():
     chat = RateLimited(100)
     slept = []
     with pytest.raises(RateLimitError):
-        SignatureClient(chat, retry_limit=8, sleep=slept.append).call(sig, JUDGE_INPUTS)
+        SignatureClient(chat, 8, {}, sleep=slept.append).call(sig, JUDGE_INPUTS)
     assert chat.calls == 8  # the retry budget is unchanged
     assert slept == [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]  # no sleep after the last try
 

@@ -27,6 +27,7 @@ from divgen.querygen import (
     JudgeVerdict,
     rank_candidates_by_diversity,
 )
+from test_fusion import rank_matrix
 from test_preprocess import fn, param
 
 
@@ -82,7 +83,7 @@ def batch_judge_reply(verdicts, reasoning="checked in one pass"):
 
 def make_qgen(chat, seed=0, **kw):
     config = RunConfig(rng_seed=seed, **kw)
-    return QueryGenerator(SignatureClient(chat), EmbeddingCache(HashEmbedder()),
+    return QueryGenerator(SignatureClient(chat, 3, {}), EmbeddingCache(HashEmbedder()),
                           random.Random(seed), config)
 
 
@@ -117,13 +118,10 @@ def test_rank_matches_direct_rrf_of_metric_orderings():
     for cand in CANDS:
         texts = DATASET + [cand]
         per_metric[cand] = evaluate_battery(texts, cache.matrix(texts))
-    rankings = []
-    for metric in OPTIMIZED_METRICS:
-        rankings.append(sorted(CANDS, key=lambda c: (-per_metric[c][metric],
-                                                     CANDS.index(c))))
-    want_scores, want_order = rrf_fuse(CANDS, rankings)
-    assert order == want_order
-    assert scores == want_scores
+    ranks = rank_matrix([[per_metric[c][metric] for c in CANDS] for metric in OPTIMIZED_METRICS])
+    want_scores, want_order = rrf_fuse(ranks)
+    assert order == [CANDS[i] for i in want_order]
+    assert scores == dict(zip(CANDS, want_scores))
 
 
 def test_generate_query_single_round_sufficient():
@@ -216,14 +214,14 @@ def test_judge_rounds_reuse_the_fields_built_once_per_example(monkeypatch):
     for prompt, cands in zip(judged, rounds):
         fresh = ScriptedChat().script(batch_judge_reply(["YES"] * len(cands)),
                                       signature="APIQueryJudge")
-        judge_queries(cands, single_skeleton(), SignatureClient(fresh))
+        judge_queries(cands, single_skeleton(), SignatureClient(fresh, 3, {}))
         assert fresh.calls == [prompt]
 
 
 def test_judge_none_type_needs_no_llm():
     chat = ScriptedChat()  # any call would raise
     skeleton = ExampleSkeleton(execution_type=ExecutionType.NONE)
-    verdicts = judge_queries(CANDS, skeleton, SignatureClient(chat))
+    verdicts = judge_queries(CANDS, skeleton, SignatureClient(chat, 3, {}))
     assert all(v.valid for v in verdicts)
     assert chat.calls == []
 
@@ -235,7 +233,7 @@ def test_judge_batch_falls_back_per_candidate():
                  judge_reply(True), judge_reply(False, "off target"),
                  judge_reply(True), judge_reply(True), judge_reply(True)],
                 signature="APIQueryJudge")
-    verdicts = judge_queries(CANDS, single_skeleton(), SignatureClient(chat))
+    verdicts = judge_queries(CANDS, single_skeleton(), SignatureClient(chat, 3, {}))
     assert [v.valid for v in verdicts] == [True, False, True, True, True]
 
 
@@ -253,7 +251,7 @@ def test_build_feedback_branches():
         chat.script(capture, signature="DiversityGuidanceGeneration")
         verdicts = ([JudgeVerdict(False, "broken")] * n_fail
                     + [JudgeVerdict(True, "fine")] * (5 - n_fail))
-        out = build_feedback(verdicts, ranked, SignatureClient(chat))
+        out = build_feedback(verdicts, ranked, SignatureClient(chat, 3, {}))
         return out, captured["prompt"]
 
     out, prompt = feedback_for(5)
@@ -269,7 +267,7 @@ def test_build_feedback_branches():
     chat.script(lambda p: captured.setdefault("prompt", p) and guidance_reply()
                 or guidance_reply(), signature="DiversityGuidanceGeneration")
     verdicts = [JudgeVerdict(False, "x")] * 2 + [JudgeVerdict(True, "y")] * 2
-    build_feedback(verdicts, ranked, SignatureClient(chat))
+    build_feedback(verdicts, ranked, SignatureClient(chat, 3, {}))
     assert "push diversity further" in captured["prompt"]
 
 
@@ -279,7 +277,7 @@ def test_pattern_analysis_plumbing():
                        {"reasoning": "looked", "pattern_analysis": "too formal"})
     chat.script(guidance_reply("loosen the tone"),
                 signature="DiversityGuidanceGeneration")
-    client = SignatureClient(chat)
+    client = SignatureClient(chat, 3, {})
     patterns = analyze_dataset_patterns(DATASET, client)
     assert patterns == "too formal"
     guidance = generate_diversity_guidance(DATASET, patterns, client)

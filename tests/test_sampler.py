@@ -133,14 +133,14 @@ def test_schema_compatibility_verdicts(library):
         "ValidateSequentialSchemaCompatibility",
         {"reasoning": "outputs feed inputs", "is_compatible": "YES"})
     ok, reason = validate_sequential_schema_compatibility(
-        schemas, SignatureClient(chat))
+        schemas, SignatureClient(chat, 3, {}))
     assert ok and reason == "outputs feed inputs"
 
     chat = ScriptedChat().script_output(
         "ValidateSequentialSchemaCompatibility",
         {"reasoning": "first returns captions; second needs an id the captions"
                       " never carry", "is_compatible": "NO"})
-    ok, _ = validate_sequential_schema_compatibility(schemas, SignatureClient(chat))
+    ok, _ = validate_sequential_schema_compatibility(schemas, SignatureClient(chat, 3, {}))
     assert not ok
 
 
@@ -151,7 +151,7 @@ def test_schema_compatibility_retry_then_accept(library):
     chat = ScriptedChat().script(["[[ ## reasoning ## ]]\nhalf reply", good],
                                  signature="ValidateSequentialSchemaCompatibility")
     ok, _ = validate_sequential_schema_compatibility(
-        library[:2], SignatureClient(chat, retry_limit=3))
+        library[:2], SignatureClient(chat, 3, {}))
     assert ok
     assert len(chat.calls) == 2
 
