@@ -25,7 +25,7 @@ is: an infinity is at NaN distance from itself, so it would stand alone.
 from __future__ import annotations
 
 import math
-from collections import ChainMap, Counter
+from collections import Counter
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -64,7 +64,10 @@ def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
 
 
 def as_finite(value: Any) -> float | None:
-    """``value`` as a float, or None if it is no number or not finite."""
+    """``value`` as a float, or None if it is not finite or no number; a
+    bool counts as no number, as argument generation refuses it."""
+    if isinstance(value, bool):
+        return None
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -159,7 +162,10 @@ class ValueIndex:
     ``value_cluster_entropy(values + extra + [candidate])`` bit for bit: the
     neighbour test is ``dbscan``'s own, and the entropy sums the same size
     multiset. Components are kept as a label per point (a point index) plus a
-    size per label; a merge relabels the smaller components to the largest.
+    size per label, and one routine, ``_join``, adds points to them: a commit
+    joins its block into the index in place, and a score joins the extras
+    into a copy of the index's components, then adds each candidate to the
+    components it reaches.
 
     Points and labels live in buffers with spare room that double when full;
     ``_rows`` and ``_labels`` are views of their filled prefixes, so a commit
@@ -219,13 +225,13 @@ class ValueIndex:
         sim = a @ b.T
         return 1.0 - np.clip(sim, -1.0, 1.0, out=sim)
 
-    def _neighbours(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbour masks of new points: against the indexed points (n x m)
-        and among themselves (m x m)."""
+    def _neighbours(self, rows: np.ndarray) -> np.ndarray:
+        """Neighbour mask of new points, (n + m) x m: against the indexed
+        points, then among themselves."""
         among = within_eps(self._distances(rows, rows), self.eps)
         if not self.values:
-            return np.zeros((0, len(rows)), dtype=bool), among
-        return within_eps(self._distances(self._rows, rows), self.eps), among
+            return among
+        return np.vstack([within_eps(self._distances(self._rows, rows), self.eps), among])
 
     def sync(self, values: Sequence) -> None:
         """Make the index hold exactly ``values``: extend it when it holds a
@@ -251,18 +257,10 @@ class ValueIndex:
         for start in range(0, len(values), _BLOCK):
             block = values[start:start + _BLOCK]
             rows = self._points(block)
-            old, among = self._neighbours(rows)
-            near = np.vstack([old, among])
+            near = self._neighbours(rows)
             first, end = len(self.values), len(self.values) + len(block)
             self._reserve(end, rows.shape[1])
-            labels = self._label_buf[:end]
-            labels[first:] = np.arange(first, end)
-            self._sizes.update(dict.fromkeys(range(first, end), 1))
-            self._size_counts[1] += len(block)
-            for j in range(len(block)):
-                touched = set(labels[near[:, j]].tolist())
-                if len(touched) > 1:
-                    self._merge(labels, touched)
+            _join(self._label_buf[:end], self._sizes, self._size_counts, near, first)
             self._row_buf[first:end] = rows
             self.values.extend(block)
             if self.category == "STRING":
@@ -271,19 +269,6 @@ class ValueIndex:
                     self._held.setdefault(text, position)
                 if hasattr(self.embedder, "release"):
                     self.embedder.release(texts)
-
-    def _merge(self, labels: np.ndarray, touched: set[int]) -> None:
-        keep = max(touched, key=lambda lab: (self._sizes[lab], -lab))
-        counts = self._size_counts
-        for lab in touched:
-            size = self._sizes[lab]
-            counts[size] -= 1
-            if not counts[size]:
-                del counts[size]
-        for lab in touched - {keep}:
-            labels[labels == lab] = keep
-            self._sizes[keep] += self._sizes.pop(lab)
-        counts[self._sizes[keep]] += 1
 
     def as_sets(self) -> tuple[frozenset[frozenset[int]], frozenset[int]]:
         """The indexed values' clusters and noise, as ``ClusterPartition.as_sets``."""
@@ -297,38 +282,46 @@ class ValueIndex:
     def entropies(self, extra: Sequence, candidates: Sequence) -> list[float]:
         """Per candidate c, the cluster entropy of the indexed values + ``extra``
         + [c], in bits."""
-        k = len(extra)
-        rows = self._points(list(extra) + list(candidates))
-        old, among = self._neighbours(rows)
-        parent: dict[int, int] = {}  # the extras' merges: labels >= 0, extra j is -1 - j
-        size = ChainMap({}, self._sizes)  # the extras' components over the index's
-        counts = self._size_counts.copy()
-
-        def find(node: int) -> int:
-            while parent.get(node, node) != node:
-                node = parent[node]
-            return node
-
-        def touched(col: int, upto: int) -> set[int]:
-            """Roots of the components new point ``col`` reaches: indexed
-            points' labels, then extras before ``upto``."""
-            roots = {find(lab) for lab in set(self._labels[old[:, col]].tolist())}
-            roots.update(find(-1 - i) for i in np.nonzero(among[:upto, col])[0].tolist())
-            return roots
-
-        for j in range(k):
-            node = -1 - j
-            size[node] = 1
-            for root in touched(j, j):
-                parent[root] = node
-                counts[size[root]] -= 1
-                size[node] += size[root]
-            counts[size[node]] += 1
+        k, n = len(extra), len(self.values)
+        near = self._neighbours(self._points(list(extra) + list(candidates)))[:n + k]
+        labels = np.empty(n + k, dtype=np.intp)
+        labels[:n] = self._labels
+        sizes, counts = dict(self._sizes), self._size_counts.copy()
+        _join(labels, sizes, counts, near[:, :k], n)
         out = []
-        for c in range(k, k + len(candidates)):
-            roots = touched(c, k)
-            sizes = counts.copy()
-            sizes.subtract(size[r] for r in roots)
-            sizes[1 + sum(size[r] for r in roots)] += 1
-            out.append(entropy_of_sizes(sizes))
+        for c in range(k, near.shape[1]):
+            reached = [sizes[lab] for lab in set(labels[near[:, c]].tolist())]
+            scores = counts.copy()
+            scores.subtract(reached)
+            scores[1 + sum(reached)] += 1
+            out.append(entropy_of_sizes(scores))
         return out
+
+
+def _join(labels: np.ndarray, sizes: dict[int, int], counts: Counter[int],
+          near: np.ndarray, first: int) -> None:
+    """Add points ``first`` on to the components ``labels`` holds, in place.
+
+    ``near`` is the new points' neighbour mask, (first + m) x m, and
+    ``labels`` has room for all first + m points. Each new point starts as a
+    singleton and then joins the components of the points it reaches, itself
+    included: the largest keeps its label (the smallest label among equals)
+    and the others take it. ``sizes`` (label -> size) and ``counts`` (size ->
+    components) follow, and the merged labels leave ``sizes``."""
+    end = len(labels)
+    labels[first:] = np.arange(first, end)
+    sizes.update(dict.fromkeys(range(first, end), 1))
+    counts[1] += end - first
+    for j in range(end - first):
+        touched = set(labels[near[:, j]].tolist())
+        if len(touched) < 2:
+            continue
+        keep = max(touched, key=lambda lab: (sizes[lab], -lab))
+        for lab in touched:
+            counts[sizes[lab]] -= 1
+            if not counts[sizes[lab]]:
+                del counts[sizes[lab]]
+        for lab in touched - {keep}:
+            labels[labels == lab] = keep
+            sizes[keep] += sizes.pop(lab)
+        counts[sizes[keep]] += 1

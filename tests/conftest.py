@@ -5,7 +5,9 @@ from __future__ import annotations
 import base64
 import contextlib
 import gc
+import random
 import signal
+import string
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +17,7 @@ import pytest
 
 from divgen.fixtures import fixture_library
 from divgen.preprocess import EDGE_KINDS, ApiGraph
+from divgen.providers.base import ProviderError, TransportError
 from divgen.providers.hash_embed import HashEmbedder
 
 
@@ -44,6 +47,42 @@ class CountingEmbedder:
         self.calls.append(list(texts))
         self.seen.update(texts)
         return self.inner.embed(texts)
+
+
+class FaultyChat:
+    """Wraps a chat provider and spoils a share ``rate`` of its calls, drawn
+    from a stream seeded with ``seed``: it truncates the reply, shuffles its
+    lines, deletes some of its characters or replaces it with junk, or it
+    raises a retryable (``TransportError``) or a non-retryable
+    ``ProviderError``. ``faults`` counts the spoiled calls by kind."""
+
+    KINDS = ("truncate", "shuffle", "delete", "junk", "retryable", "fatal")
+
+    def __init__(self, inner, rate: float, seed: int, kinds=KINDS):
+        self.inner, self.rate, self.kinds = inner, rate, kinds
+        self.rng = random.Random(seed)
+        self.faults: Counter[str] = Counter()
+
+    def complete(self, prompt, params=None):
+        if self.rng.random() >= self.rate:
+            return self.inner.complete(prompt, params)
+        kind = self.rng.choice(self.kinds)
+        self.faults[kind] += 1
+        if kind == "retryable":
+            raise TransportError("injected transport fault")
+        if kind == "fatal":
+            raise ProviderError("injected provider fault")
+        reply = self.inner.complete(prompt, params)
+        if kind == "truncate":
+            return reply[:self.rng.randrange(len(reply) + 1)]
+        if kind == "shuffle":
+            lines = reply.splitlines()
+            self.rng.shuffle(lines)
+            return "\n".join(lines)
+        if kind == "delete":
+            drop = set(self.rng.sample(range(len(reply)), min(len(reply), self.rng.randint(1, 20))))
+            return "".join(ch for i, ch in enumerate(reply) if i not in drop)
+        return "".join(self.rng.choices(string.printable, k=self.rng.randrange(200)))
 
 
 def templated_library(size: int):

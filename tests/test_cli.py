@@ -378,13 +378,22 @@ def test_config_values_a_run_cannot_serve_are_refused_before_any_file(
 
 
 def test_fixture_run_golden_digest(tmp_path):
-    # Pins the bytes of the seed-7 fixture run. A change that alters them on
-    # purpose updates this digest and says why.
-    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    # Pins the bytes of the seed-7 fixture run, dataset and run log, at n=25
+    # and at n=200, ROADMAP's definition of behaviour. A change that alters
+    # them on purpose updates these digests and says why.
+    art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
-    assert run(["generate", str(art), "--n", "25", "--seed", "7", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "e22dea5c4572be5b81194312bf75dd8509c097ceedfefc08d850bb0dcd52b886")
+    for n, dataset, log in [
+        (25, "e22dea5c4572be5b81194312bf75dd8509c097ceedfefc08d850bb0dcd52b886",
+         "6e89d5558f351f4bcce1f133ef18f923c7362545beb6cb6cae73528d5e63475a"),
+        (200, "87eaf1c71ea673d7ef46a86eef2cf103a4b0544d6698dd38eb74cd88d08435e3",
+         "2facedb38bda88d1192bd8147e4ae56e5e17615f57f0ab366d18b85e1a2ea8ac"),
+    ]:
+        out, run_log = tmp_path / f"ds{n}.jsonl", tmp_path / f"run{n}.log"
+        assert run(["generate", str(art), "--n", str(n), "--seed", "7", "--out", str(out),
+                    "--log", str(run_log)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == dataset, n
+        assert hashlib.sha256(run_log.read_bytes()).hexdigest() == log, n
 
 
 def test_generate_smoke_and_examples_valid(tmp_path):
@@ -669,6 +678,7 @@ def seed_11_dataset(tmp_path_factory):
 @pytest.mark.parametrize("name, bad, problem", [
     ("city", "東京", "has no word token"),
     ("year", "soon", "is not a finite number"),
+    ("year", True, "is not a finite number"),
 ])
 def test_compare_refuses_an_argument_it_cannot_place(tmp_path, capsys, seed_11_dataset,
                                                       name, bad, problem):

@@ -56,7 +56,8 @@ def test_numeric_parse_error_lists_value():
         value_cluster_entropy(["3.5", "not-a-number"], "NUMERICAL")
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1e400", "-inf", "nan"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1e400", "-inf", "nan",
+                                 True, False])
 def test_numerical_entropy_refuses_a_non_finite_value(bad):
     # |inf - inf| is NaN, so two equal infinities would never be neighbours
     message = f"non-finite value\\(s\\) for NUMERICAL entropy: {re.escape(repr(bad))}"
@@ -322,3 +323,41 @@ def test_string_index_grows_its_rows_in_place():
     assert index.as_sets() == fresh.as_sets()
     extra, candidates = values[:4], string_values(random.Random(6), 5)
     assert index.entropies(extra, candidates) == fresh.entropies(extra, candidates)
+
+
+def test_value_index_joins_the_extras_before_scoring():
+    # 0.5 bridges the indexed 0.0 and 1.0, 5.4 joins the indexed 5.0, and each
+    # candidate reaches a different mix of those joined components
+    values, extra, candidates = [0.0, 1.0, 5.0], [0.5, 5.4], [1.4, 9.0, 0.25]
+    index = ValueIndex("NUMERICAL")
+    index.extend(values)
+    want = [value_cluster_entropy(values + extra + [c], "NUMERICAL") for c in candidates]
+    assert [s.hex() for s in want] == [
+        "0x1.d62adf1ea257cp-1", "0x1.758ab7c7a895fp+0", "0x1.d62adf1ea257cp-1"]
+    assert index.entropies(extra, candidates) == want
+
+
+@pytest.mark.parametrize("category", ["NUMERICAL", "STRING"])
+def test_value_index_never_tests_an_n_by_n_table(monkeypatch, category):
+    embedder = HashEmbedder()
+    make = numeric_values if category == "NUMERICAL" else string_values
+    rng = random.Random(23)
+    values, more = make(rng, 1000), make(rng, 3)
+    extra, candidates = make(rng, 22), make(rng, 5)
+    shapes = []
+    within_eps = cluster_entropy.within_eps
+
+    def recording(dist, eps):
+        shapes.append(dist.shape)
+        return within_eps(dist, eps)
+
+    monkeypatch.setattr(cluster_entropy, "within_eps", recording)
+    index = ValueIndex(category, embedder)
+    index.extend(values)
+    assert shapes and max(cols for _, cols in shapes) <= 128
+    shapes.clear()
+    index.extend(more)
+    assert sorted(shapes) == [(3, 3), (1000, 3)]
+    shapes.clear()
+    index.entropies(extra, candidates)
+    assert sorted(shapes) == [(27, 27), (1003, 27)]

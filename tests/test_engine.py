@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import alarm, templated_library
+from conftest import FaultyChat, alarm, templated_library
 import divgen.cli as cli
 import divgen.engine
 import divgen.metrics.battery as battery
-from divgen.engine import GenerationEngine
+from divgen.engine import GenerationEngine, GenerationStalled
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.metrics import trees
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
@@ -273,6 +273,33 @@ def test_cli_outage_exit_code(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "d.jsonl")])
     assert code == 1
     assert (tmp_path / "d.jsonl.checkpoint").exists()
+
+
+@pytest.mark.parametrize("kinds", [FaultyChat.KINDS[:4], FaultyChat.KINDS[:5], FaultyChat.KINDS])
+def test_faulty_provider_completes_or_stops_cleanly(tmp_path, kinds):
+    # each run completes or stops with one of the two errors a run may end in,
+    # and its dataset holds exactly the examples it accepted, all valid
+    outcomes, faults = Counter(), Counter()
+    for seed in range(6):
+        chat, run_dir = FaultyChat(StubChat(), 0.3, seed, kinds), tmp_path / str(seed)
+        run_dir.mkdir()
+        engine = build_engine(run_dir, chat=chat)
+        try:
+            engine.generate(6)
+            outcome = "completed"
+        except (GenerationStalled, ProviderError) as exc:
+            outcome = type(exc).__name__
+        outcomes[outcome] += 1
+        faults.update(chat.faults)
+        examples = read_dataset(run_dir / "ds.jsonl")
+        assert len(examples) == engine.state.accepted
+        assert (len(examples) == 6) == (outcome == "completed"), seed
+        for example in examples:
+            example.validate()
+    assert set(faults) == set(kinds)
+    # a non-retryable error ends a run at once; without it, spoiled replies
+    # cost re-prompts and abandoned attempts, not the run
+    assert outcomes["completed"] or "fatal" in kinds, outcomes
 
 
 def test_run_log_is_deterministic(tmp_path):
