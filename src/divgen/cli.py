@@ -57,7 +57,8 @@ def load_config(path: str | None, seed: int | None = None,
     """The config file at ``path``, else the ``stored`` config, else the
     defaults; ``seed``, when given, replaces the seed."""
     try:
-        config = RunConfig.from_file(path) if path else RunConfig.from_dict(stored or {})
+        config = RunConfig.from_file(path) if path else RunConfig.from_dict(
+            {} if stored is None else stored)
     except (OSError, json.JSONDecodeError, ModelError) as exc:
         raise UsageError(f"cannot load config: {exc}") from exc
     if seed is not None:

@@ -32,6 +32,7 @@ from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this
     deflater,
     fkgl_grade,
     ratio_of_types,
+    sentences_of,
     simpson_of_counts,
     tokenize,
     type_token_ratio,
@@ -40,12 +41,11 @@ from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this
 from divgen.metrics.trees import (  # avg_tree_edit_distance, parse_tree_entropy:
     # bench/spans.py wraps these names
     avg_tree_edit_distance,
-    chunk_postorders,
+    chunk_sentence,
     chunk_shapes,
     mean_tree_distance,
     parse_tree_entropy,
     sentence_shapes,
-    sentences_of,
 )
 
 #: Metrics optimized during generation, in ranking order.
@@ -73,12 +73,14 @@ class Corpus:
     """A corpus's texts with one record each, its rows and running totals.
     ``append(texts, rows)`` records each text once: its FKGL grade (a text
     without a word token raises ValueError), its token ids into the corpus's
-    vocabulary, its token count, and its sentence parts (split once) and their
-    shapes, adding the last two to the totals ``n_tokens`` and ``shape_counts``.
-    Appended rows are normalised once, on arrival, and written with their unit
-    form to buffers that double when full; ``rows`` is one
-    ``semantic.UnitRows`` over the filled prefixes, whose cluster-entropy
-    neighbourhood table is built on first use, like the parts' interned trees.
+    vocabulary, its token count, and its sentence parts (split once, the
+    parts FKGL counts) and their shapes, adding the last two to the totals
+    ``n_tokens`` and ``shape_counts``. Appended rows are normalised once, on
+    arrival, and written with their unit form to buffers that double when
+    full; ``rows`` is one ``semantic.UnitRows`` over the filled prefixes, whose
+    cluster-entropy neighbourhood table is built on first use, like the
+    parts' interned postorders, which ``chunk_sentence`` takes from the
+    chunker.
     A row's unit form does not depend on the rows normalised with it, so it is
     bit for bit that of a corpus built at once. Each text metric equals that
     of the gathered texts bit for bit."""
@@ -157,7 +159,8 @@ class Corpus:
     def trees(self) -> list[list]:
         """Per text, the interned chunk tree of each of its sentence parts,
         built for the texts appended since the last read."""
-        self._trees.extend(chunk_postorders(parts) for parts in self.parts[len(self._trees):])
+        self._trees.extend([chunk_sentence(s) for s in parts]
+                           for parts in self.parts[len(self._trees):])
         return self._trees
 
 

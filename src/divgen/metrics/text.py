@@ -25,6 +25,13 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
+def sentences_of(text: str) -> list[str]:
+    """Split on terminal punctuation runs, keeping parts that carry tokens.
+    Its callers keep the parts per text, so it skips tokenize's memo."""
+    return [part.strip() for part in SENTENCE_SPLIT_RE.split(text)
+            if tokenize.__wrapped__(part)]
+
+
 def _corpus_tokens(corpus: Iterable[str]) -> list[str]:
     tokens: list[str] = []
     for text in corpus:
@@ -144,19 +151,15 @@ def count_syllables(word: str) -> int:
     return max(1, groups)
 
 
-def sentence_count(text: str) -> int:
-    return sum(1 for part in SENTENCE_SPLIT_RE.split(text) if part.strip())
-
-
 @functools.lru_cache(maxsize=65536)
 def fkgl_grade(text: str) -> float:
-    """0.39*(words/sentences) + 11.8*(syllables/word) - 15.59."""
+    """0.39*(words/sentences) + 11.8*(syllables/word) - 15.59, counting the
+    sentences the chunker reads."""
     words = tokenize(text)
     if not words:
         raise ValueError("fkgl_grade requires non-empty text")
-    sentences = max(1, sentence_count(text))
     syllables = sum(count_syllables(w) for w in words)
-    return 0.39 * (len(words) / sentences) + 11.8 * (syllables / len(words)) - 15.59
+    return 0.39 * (len(words) / len(sentences_of(text))) + 11.8 * (syllables / len(words)) - 15.59
 
 
 def variance(values: Sequence[float]) -> float:

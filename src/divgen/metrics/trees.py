@@ -3,10 +3,10 @@
 Sentences are parsed by a deterministic rule-based chunker: tokens are tagged
 by lexicon and suffix (memoised per token), then bracketed into
 noun/verb/prepositional groups under a sentence root, which keeps the metrics
-hermetic. The chunker yields each chunk as its label and leaf tags, and has
-two renderings: the shape string that parse-tree entropy counts, written
-straight from that sequence, so ranking builds no tree, and the ``TreeNode``
-tree that tree edit distance reads. Tree edit distance is the exact
+hermetic. The chunker yields each chunk as its label and leaf tags, and both
+renderings are written straight from that sequence: the shape string that
+parse-tree entropy counts, so ranking builds no tree, and the interned
+postorder that tree edit distance reads. Tree edit distance is the exact
 ordered-tree algorithm with unit insert/delete/relabel costs.
 
 The edit distance of two sentences depends only on their trees: each distinct
@@ -30,33 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from divgen.metrics.cluster_entropy import entropy_of_sizes
-from divgen.metrics.text import SENTENCE_SPLIT_RE, tokenize
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    label: str
-    children: tuple["TreeNode", ...] = ()
-
-
-def tree_shape(node: TreeNode) -> str:
-    """Serialize category symbols only; lexical content never appears."""
-    if not node.children:
-        return node.label
-    return "(" + node.label + " " + " ".join(tree_shape(c) for c in node.children) + ")"
-
-
-def sentences_of(text: str) -> list[str]:
-    """Split on terminal punctuation runs, keeping parts that carry tokens.
-    Its callers keep the parts per text, so it skips tokenize's memo."""
-    return [part.strip() for part in SENTENCE_SPLIT_RE.split(text)
-            if tokenize.__wrapped__(part)]
+from divgen.metrics.text import sentences_of, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +135,9 @@ def _chunks(sentence: str) -> list[tuple[str, tuple[str, ...]]]:
     return chunks
 
 
-def _chunk_node(label: str, leaves: tuple[str, ...]) -> TreeNode:
-    nodes = tuple(TreeNode(tag) for tag in leaves)
-    if label == "PP":
-        return TreeNode("PP", (TreeNode("PREP"), TreeNode("NP", nodes)))
-    return TreeNode(label, nodes)
-
-
-@functools.lru_cache(maxsize=65536)
-def chunk_sentence(sentence: str) -> TreeNode:
-    """Bracket one sentence into a rooted labeled chunk tree."""
-    return TreeNode("S", tuple(_chunk_node(label, leaves) for label, leaves in _chunks(sentence)))
-
-
 def _chunk_shape(sentence: str) -> str:
-    """``tree_shape(chunk_sentence(sentence))``, rendered from the chunks
-    without building the tree."""
+    """The shape string of one sentence's chunk tree: category symbols only,
+    a node with children written as ``(label child ...)``."""
     parts = []
     for label, leaves in _chunks(sentence):
         if label == "PP":
@@ -239,28 +205,25 @@ def _interned(labels: tuple[str, ...], before: tuple[int, ...]) -> _Postorder:
     return _Postorder(labels, before)
 
 
-def _postorder(root: TreeNode) -> _Postorder:
-    labels = [""]
-    before = [0]
-
-    def walk(node: TreeNode) -> int:
-        """Postorder-number ``node``'s subtree; returns its leftmost leaf."""
-        first = 0
-        for child in node.children:
-            leaf = walk(child)
-            first = first or leaf
-        labels.append(node.label)
-        first = first or len(labels) - 1
-        before.append(first - 1)
-        return first
-
-    walk(root)
+@functools.lru_cache(maxsize=65536)
+def chunk_sentence(sentence: str) -> _Postorder:
+    """The interned postorder of one sentence's chunk tree: per chunk, its
+    leaf tags and then its label (a ``PP`` is a PREP leaf and an NP over its
+    leaves), and the ``S`` root last."""
+    labels, before = [""], [0]
+    for label, leaves in _chunks(sentence):
+        start = len(labels) - 1  # the index just before the chunk's leftmost leaf
+        if label == "PP":
+            labels += ("PREP", *leaves, "NP")
+            before += (start, *range(start + 1, start + 1 + len(leaves)), start + 1)
+        else:
+            labels += leaves
+            before += range(start, start + len(leaves))
+        labels.append(label)
+        before.append(start)
+    labels.append("S")
+    before.append(0)
     return _interned(tuple(labels), tuple(before))
-
-
-def chunk_postorders(sentences: Sequence[str]) -> list[_Postorder]:
-    """The interned postorder of each of ``sentences``' chunk trees."""
-    return [_postorder(chunk_sentence(s)) for s in sentences]
 
 
 #: Byte cap on one tile's forest tables; a row group is split into tiles of
@@ -398,11 +361,6 @@ def _distances(trees: Sequence[_Postorder]) -> np.ndarray:
     return td[roots[:, None], roots[None, :]] + sizes[:, None] + sizes[None, :]
 
 
-def tree_edit_distance(a: TreeNode, b: TreeNode) -> int:
-    """Minimal number of relabel/insert/delete operations turning a into b."""
-    return int(_distances([_postorder(a), _postorder(b)])[0, 1])
-
-
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
@@ -461,4 +419,4 @@ def mean_tree_distance(trees: Iterable[_Postorder]) -> float:
 
 def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
     """Mean edit distance over unordered sentence pairs of ``corpus``."""
-    return mean_tree_distance(t for text in corpus for t in chunk_postorders(sentences_of(text)))
+    return mean_tree_distance(chunk_sentence(s) for text in corpus for s in sentences_of(text))

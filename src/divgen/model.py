@@ -177,6 +177,8 @@ class Invocation:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Invocation":
+        if not isinstance(d["function_name"], str):
+            raise ModelError(f"function_name is not a string: {d['function_name']!r}")
         if not isinstance(d["arguments"], dict):
             raise ModelError(f"arguments is not an object: {d['arguments']!r}")
         return cls(
@@ -337,6 +339,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ModelError(f"the config must be a JSON object, got {d!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

@@ -84,7 +84,7 @@ class ParameterGroup:
         return cls(
             id=d["id"],
             category=ParamCategory(d["category"]),
-            members=tuple((m[0], m[1]) for m in d["members"]),
+            members=tuple(tuple(m) for m in d["members"]),
             tracker=list(d.get("tracker", [])),
         )
 
@@ -491,13 +491,18 @@ def _check_pools_and_groups(library: Sequence[FunctionSchema], groups: GroupInde
                             pools: ApiPools) -> None:
     """ModelError unless every pool entry is a library function and every
     library parameter is in exactly one group (GroupIndex refuses a second),
-    one of its own category, and every group member is a library parameter."""
+    one of its own category, every group member is a library parameter, and
+    the group ids, which key the checkpoint's trackers, are distinct strings."""
     names = {fn.name for fn in library}
     for pool, members in pools.to_dict().items():
         for name in filterfalse(names.__contains__, members):
             raise ModelError(f"the {pool} API pool names {name!r}, not a library function")
     categories = {(fn.name, p.name): p.category for fn in library for p in fn.parameters}
+    ids: set[str] = set()
     for g in groups.groups:
+        if not isinstance(g.id, str) or g.id in ids:
+            raise ModelError(f"group ids must be distinct strings, not {g.id!r}")
+        ids.add(g.id)
         for member in g.members:
             if member not in categories:
                 raise ModelError(f"group {g.id} holds {member}, not a library parameter")
@@ -513,7 +518,8 @@ def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, A
     written (not JSON, an entry missing or malformed, graph edges in an older
     form, a graph vertex, pool entry or group member that is not the
     library's, a library parameter in no group or in a group of another
-    category) raises ModelError naming ``path``."""
+    category, a group id that is not a string or repeats) raises ModelError
+    naming ``path``."""
     try:
         # read as bytes: a text-mode read, newline translation included, takes
         # about as long as the parse

@@ -1,9 +1,17 @@
 import base64
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import alarm, packed_column
 import divgen.cli
@@ -215,13 +223,21 @@ def _cut_last_byte(doc):
     (lambda doc: doc["groups"][0]["members"].append(["weather_forecast", "ghost"]),
      "holds ('weather_forecast', 'ghost'), not a library parameter"),
     (lambda doc: doc["groups"][0].update(category="OTHER"), "is OTHER, but its member"),
+    (lambda doc: doc["groups"][0]["members"].__setitem__(0, ""),
+     "holds (), not a library parameter"),
+    # the checkpoint keys each group's tracker by its id
+    (lambda doc: doc["groups"][1].update(id=doc["groups"][0]["id"]),
+     "group ids must be distinct strings, not 'g000'"),
+    (lambda doc: doc["groups"][0].update(id={"g": 0}),
+     "group ids must be distinct strings, not {'g': 0}"),
     (lambda doc: doc["library"][0]["parameters"][0].update(required="false"),
      "required must be true or false"),
 ], ids=["truncated", "no-graph", "no-weights", "ghost", "kind", "kind-negative", "weight-text",
         "partial-width", "weight-nan", "weight-huge", "index-past-end", "index-negative",
         "index-bool", "column-length", "not-base64", "not-ascii", "list-columns", "old-form",
         "vertices", "pool-ghost", "pool-string", "parameter-no-group", "group-ghost",
-        "group-category", "library-type"])
+        "group-category", "group-member-text", "group-id-repeated", "group-id-object",
+        "library-type"])
 def test_malformed_artifact_is_refused_before_any_file(tmp_path, capsys, edit, message):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
@@ -363,6 +379,9 @@ def test_checkpoint_digesting_the_retired_keys_is_refused_untouched(tmp_path, ca
     ({"type_weights": ["SINGLE"]}, "type_weights"),
     ({"rng_seed": [1]}, "rng_seed"),
     ({"rng_seed": True}, "rng_seed"),
+    (True, "the config must be a JSON object, got True"),
+    (5, "the config must be a JSON object, got 5"),
+    ("x", "the config must be a JSON object, got 'x'"),
 ])
 def test_config_values_a_run_cannot_serve_are_refused_before_any_file(
         tmp_path, capsys, config, field):
@@ -375,6 +394,20 @@ def test_config_values_a_run_cannot_serve_are_refused_before_any_file(
     assert code == 2
     assert field in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "cfg.json"]
+
+
+def test_an_artifact_config_that_is_not_an_object_is_refused_before_any_file(tmp_path, capsys):
+    art = tmp_path / "art.json"
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    doc = json.loads(art.read_text(encoding="utf-8"))
+    doc["config"] = True
+    art.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["generate", str(art), "--n", "3", "--out", str(tmp_path / "ds.jsonl"),
+                "--log", str(tmp_path / "run.log")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load config: the config must be a JSON object, got True" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["art.json"]
 
 
 def test_fixture_run_golden_digest(tmp_path):
@@ -787,3 +820,79 @@ def test_compare_calls_the_bootstrap_by_its_module_name_once_per_loop(tmp_path, 
     assert groups
     # 12 metrics per corpus, then 4 columns per matched group
     assert len(loops) == 2 * 12 + 4 * len(groups)
+
+
+# --- the exit-code contract under malformed input -----------------------------
+
+_DELETE = object()
+_ODD_VALUES = st.sampled_from([None, True, -1, "", [], {}, 1e308, _DELETE])
+
+
+def _paths(doc, above=()):
+    """The key path of every value inside ``doc``'s objects and arrays."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield above + (key,)
+            yield from _paths(value, above + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of ``doc`` with 1-3 values anywhere in it replaced by odd ones
+    or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        *above, key = draw(st.sampled_from(list(_paths(doc))))
+        parent = functools.reduce(operator.getitem, above, doc)
+        value = draw(_ODD_VALUES)
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, seed_11_dataset):
+    """The seed-7 fixture artifact and the first 8 records of a seed-11 run."""
+    art = tmp_path_factory.mktemp("fuzz") / "art.json"
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    lines = seed_11_dataset.read_text(encoding="utf-8").splitlines()[:8]
+    return json.loads(art.read_text(encoding="utf-8")), [json.loads(line) for line in lines]
+
+
+def _exits_0_or_2(argv, *outputs):
+    """Run ``argv``: it exits 0, or 2 with none of ``outputs`` written, and
+    reports no runtime failure."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), alarm(60):
+        code = run(argv)
+    assert code in (0, 2) and "failure:" not in err.getvalue(), (code, err.getvalue())
+    if code == 2:
+        assert not any(path.exists() for path in outputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_malformed_artifact_exits_0_or_2(fuzz_inputs, data):
+    artifact, _ = fuzz_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        art, out, log = (Path(tmp) / name for name in ("art.json", "ds.jsonl", "run.log"))
+        art.write_text(json.dumps(data.draw(mutated(artifact))), encoding="utf-8")
+        _exits_0_or_2(["generate", str(art), "--n", "2", "--out", str(out), "--log", str(log)],
+                      out, log)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_malformed_dataset_exits_0_or_2(fuzz_inputs, seed_11_dataset, data):
+    _, records = fuzz_inputs
+    lib = fixture_library_path()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, out = Path(tmp) / "bad.jsonl", Path(tmp) / "out.json"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in data.draw(mutated(records))),
+                       encoding="utf-8")
+        _exits_0_or_2(["analyze", str(bad), "--out", str(out)], out)
+        out.unlink(missing_ok=True)
+        _exits_0_or_2(["compare", str(bad), str(seed_11_dataset), "--library-a", lib,
+                       "--library-b", lib, "--out", str(out)], out)

@@ -17,7 +17,7 @@ from divgen.evaluate import (
     paired_model_comparison,
 )
 from divgen.fixtures import repetitive_corpus, varied_corpus
-from divgen.metrics import battery, cluster_entropy, semantic, stats, trees
+from divgen.metrics import battery, cluster_entropy, semantic, stats, text
 from divgen.metrics.battery import (
     METRICS,
     REPORT_METRICS,
@@ -319,7 +319,7 @@ def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch
         return unit_rows(embeddings, allow_zero)
 
     split = []
-    pattern = trees.SENTENCE_SPLIT_RE
+    pattern = text.SENTENCE_SPLIT_RE
 
     class CountingSplit:
         def split(self, text):
@@ -327,14 +327,16 @@ def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch
             return pattern.split(text)
 
     monkeypatch.setattr(semantic, "unit_rows", counting_unit_rows)
-    monkeypatch.setattr(trees, "SENTENCE_SPLIT_RE", CountingSplit())
+    monkeypatch.setattr(text, "SENTENCE_SPLIT_RE", CountingSplit())
+    fkgl_grade.cache_clear()
     analyze_corpus(corpus, embedder, seed=3)
     # the full corpus once; every other row normalised is semantic_spread's
     # centroid, one per score
     assert normalised.count(len(corpus)) == 1
     assert normalised.count(1) == 101 and len(normalised) == 102
-    # each text once per Corpus, a repeated text as often as it occurs
-    assert sorted(split) == sorted(corpus)
+    # each text once per Corpus, a repeated text as often as it occurs, and
+    # each distinct text once more on its FKGL memo miss
+    assert sorted(split) == sorted(corpus + list(set(corpus)))
 
 
 # --- per-corpus tables ------------------------------------------------------------

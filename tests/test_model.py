@@ -175,6 +175,7 @@ def test_dataset_read_error_carries_line_number(tmp_path):
         ("target_invocations", {**good, "target_invocations": ""}),
         ("metadata", {**good, "metadata": [["seed", 0]]}),
         ("arguments", {**good, "target_invocations": [{**call, "arguments": [["x", 1]]}]}),
+        ("function_name", {**good, "target_invocations": [{**call, "function_name": {}}]}),
     ]
     for field, bad in bad_shapes:
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")

@@ -145,6 +145,11 @@ def test_fkgl_monosyllabic_five_words():
     assert fkgl_grade(text) == pytest.approx(-1.84, abs=1e-9)
 
 
+def test_fkgl_counts_the_sentences_the_chunker_reads():
+    # a part without a word token is no sentence, to FKGL as to the chunker
+    assert fkgl_grade("Weather in Rome? :)") == fkgl_grade("Weather in Rome?")
+
+
 def test_fkgl_empty_errors():
     with pytest.raises(ValueError):
         fkgl_grade("...")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,18 +10,66 @@ from divgen.evaluate import analyze_corpus
 from divgen.metrics import trees
 from divgen.metrics.text import count_syllables, tokenize
 from divgen.metrics.trees import (
-    TreeNode,
     _distances,
-    _postorder,
     _ted_between_sentences,
     avg_tree_edit_distance,
     chunk_sentence,
     parse_tree_entropy,
     sentences_of,
-    tree_edit_distance,
-    tree_shape,
 )
 from divgen.providers.hash_embed import HashEmbedder
+
+
+# --- reference trees: nodes, their shape, their postorder and the chunk tree --
+
+@dataclass(frozen=True)
+class TreeNode:
+    label: str
+    children: tuple["TreeNode", ...] = ()
+
+
+def tree_shape(node):
+    """Serialize category symbols only; lexical content never appears."""
+    if not node.children:
+        return node.label
+    return "(" + node.label + " " + " ".join(tree_shape(c) for c in node.children) + ")"
+
+
+def to_postorder(root):
+    """The interned postorder of ``root``, numbered by a recursive walk."""
+    labels = [""]
+    before = [0]
+
+    def walk(node):
+        """Postorder-number ``node``'s subtree; returns its leftmost leaf."""
+        first = 0
+        for child in node.children:
+            leaf = walk(child)
+            first = first or leaf
+        labels.append(node.label)
+        first = first or len(labels) - 1
+        before.append(first - 1)
+        return first
+
+    walk(root)
+    return trees._interned(tuple(labels), tuple(before))
+
+
+def reference_chunk_tree(sentence):
+    """The chunk tree of ``sentence``, built node by node from the chunker."""
+    def chunk_node(label, leaves):
+        nodes = tuple(TreeNode(tag) for tag in leaves)
+        if label == "PP":
+            return TreeNode("PP", (TreeNode("PREP"), TreeNode("NP", nodes)))
+        return TreeNode(label, nodes)
+
+    return TreeNode("S", tuple(chunk_node(label, leaves)
+                               for label, leaves in trees._chunks(sentence)))
+
+
+def tree_edit_distance(a, b):
+    """Minimal number of relabel/insert/delete operations turning a into b."""
+    return int(_distances([to_postorder(a), to_postorder(b)])[0, 1])
 
 
 # --- brute-force oracle: minimum-cost valid mapping --------------------------
@@ -150,7 +199,8 @@ def reference_avg_ted(corpus):
     pairs = 0
     for i in range(len(sents)):
         for j in range(i + 1, len(sents)):
-            total += reference_ted(chunk_sentence(sents[i]), chunk_sentence(sents[j]))
+            total += reference_ted(reference_chunk_tree(sents[i]),
+                                   reference_chunk_tree(sents[j]))
             pairs += 1
     return total / pairs
 
@@ -247,13 +297,13 @@ def test_ted_symmetry_and_triangle():
 # --- the default chunker ----------------------------------------------------
 
 def test_chunker_shapes_are_lexenless():
-    shape = tree_shape(chunk_sentence("find the hotel"))
+    shape = tree_shape(reference_chunk_tree("find the hotel"))
     assert shape == "(S (VP VERB) (NP DET NOUN))"
     assert "hotel" not in shape
 
 
 def test_chunker_prepositional_groups():
-    shape = tree_shape(chunk_sentence("the cat is running in the garden"))
+    shape = tree_shape(reference_chunk_tree("the cat is running in the garden"))
     assert shape == "(S (NP DET NOUN) (VP AUX VERB) (PP PREP (NP DET NOUN)))"
 
 
@@ -273,15 +323,18 @@ TAGGED_WORDS = ["the", "she", "is", "in", "to", "and", "why", "42", "two", "find
     ("!!!", "S"),
 ])
 def test_chunk_shape_cases(sentence, shape):
-    assert trees._chunk_shape(sentence) == shape
-    assert tree_shape(chunk_sentence(sentence)) == shape
+    tree = reference_chunk_tree(sentence)
+    assert trees._chunk_shape(sentence) == tree_shape(tree) == shape
+    assert chunk_sentence(sentence) is to_postorder(tree)
 
 
 @given(st.lists(st.sampled_from(TAGGED_WORDS), max_size=16))
 @settings(max_examples=300, deadline=None)
 def test_chunk_shape_renders_the_chunk_tree(words):
     sentence = " ".join(words)
-    assert trees._chunk_shape(sentence) == tree_shape(chunk_sentence(sentence))
+    tree = reference_chunk_tree(sentence)
+    assert chunk_sentence(sentence) is to_postorder(tree)
+    assert trees._chunk_shape(sentence) == tree_shape(tree)
 
 
 def test_token_memos_equal_their_functions():
@@ -324,7 +377,7 @@ def test_parse_tree_entropy_extremes():
     assert parse_tree_entropy(["find the hotel"] * 5) == 0.0
     distinct = ["find the hotel", "she is running", "in the garden",
                 "check it now please"]
-    shapes = {tree_shape(chunk_sentence(s)) for s in distinct}
+    shapes = {trees._chunk_shape(s) for s in distinct}
     assert len(shapes) == 4
     assert parse_tree_entropy(distinct) == pytest.approx(math.log2(4), abs=1e-12)
 
@@ -336,8 +389,8 @@ def test_avg_tree_edit_distance_examples():
     assert avg_tree_edit_distance([one, two]) == 0.0
     assert avg_tree_edit_distance(["find the hotel"]) == 0.0
     mixed = ["find the hotel", "she is running in the garden"]
-    trees = [chunk_sentence(s) for s in mixed]
-    assert avg_tree_edit_distance(mixed) == tree_edit_distance(trees[0], trees[1])
+    a, b = (reference_chunk_tree(s) for s in mixed)
+    assert avg_tree_edit_distance(mixed) == tree_edit_distance(a, b)
 
 
 def test_avg_tree_edit_distance_matches_the_sentence_pair_loop():
@@ -388,7 +441,7 @@ def test_batched_distances_match_reference_on_every_pair():
     sets.append([node("S", *(leaf("NP" if i % 3 else "VP") for i in range(40))),
                  node("S", *(leaf("x y" if i % 3 else "VP") for i in range(50))), chain])
     for batch in sets:
-        table = _distances([_postorder(t) for t in batch])
+        table = _distances([to_postorder(t) for t in batch])
         for (i, a), (j, b) in itertools.product(enumerate(batch), repeat=2):
             assert table[i, j] == reference_ted(a, b)
 
@@ -424,7 +477,7 @@ def test_a_report_runs_the_kernel_once(monkeypatch):
     monkeypatch.setattr(trees, "_distances", counting)
     _ted_between_sentences.cache_clear()
     analyze_corpus(corpus, HashEmbedder(), seed=3)
-    k = len({_postorder(chunk_sentence(s)) for t in corpus for s in sentences_of(t)})
+    k = len({chunk_sentence(s) for t in corpus for s in sentences_of(t)})
     assert calls == [k]  # the full corpus; its 100 resamples read the table
     info = _ted_between_sentences.cache_info()
     assert info.misses == k * (k - 1) // 2
