@@ -151,10 +151,13 @@ class GenerationEngine:
 
     def _read_checkpoint(self) -> tuple[dict[str, Any], list[GeneratedExample]]:
         """The checkpoint and the examples of the dataset prefix it records,
-        checked (config digest, then prefix) before any file is touched."""
+        checked (config digest, trackers, then prefix) before any file is touched."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
         if doc["config_digest"] != self._config_digest():
             raise ModelError("checkpoint was produced under a different configuration")
+        trackers = doc["trackers"]
+        if not (isinstance(trackers, dict) and all(isinstance(t, list) for t in trackers.values())):
+            raise ModelError("the checkpoint's trackers must be an object of arrays")
         size = doc["dataset_bytes"]
         if self.out_path.stat().st_size < size:
             raise ModelError("dataset is shorter than the checkpoint records")

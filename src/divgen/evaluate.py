@@ -27,7 +27,9 @@ from divgen.metrics.battery import (  # noqa: F401
     evaluate_full_battery,
 )
 from divgen.metrics.cluster_entropy import (  # noqa: F401
-    as_finite,
+    UnusableValue,
+    numeric_value,
+    text_value,
     value_cluster_entropy,
     value_entropy_over_indices,
 )
@@ -224,10 +226,13 @@ def compare_argument_diversity(
                and len(values_b.get(group.id, [])) >= GROUP_MIN_OCCURRENCES]
     for group in matched:
         numerical = group.category is ParamCategory.NUMERICAL
+        admit = numeric_value if numerical else text_value
+        problem = "is not a finite number" if numerical else "has no word token"
         for label, values in (("A", values_a), ("B", values_b)):
             for value in values[group.id]:
-                if as_finite(value) is None if numerical else not tokenize(str(value)):
-                    problem = "is not a finite number" if numerical else "has no word token"
+                try:
+                    admit(value)
+                except UnusableValue:
                     raise ModelError(f"dataset {label}: group {group.id}: {value!r} {problem}")
 
     rng = random.Random(seed)

@@ -17,9 +17,10 @@ The report scores one value sample or query corpus and its resamples;
 ``value_entropy_over_indices`` and ``query_entropy_over_indices`` build its
 neighbourhood table once, and each index subset reads the component sizes
 of its sub-table, which are DBSCAN's cluster sizes with its noise points as
-singletons (see ``ValueIndex``).
-A NUMERICAL value that is not a finite number is refused, as a non-numeric one
-is: an infinity is at NaN distance from itself, so it would stand alone.
+singletons (see ``ValueIndex``, whose points and neighbours a value table uses).
+``numeric_value`` and ``text_value`` are the one rule of which values a group
+can place, for generation, the artifact reader and the report: a finite number
+(an infinity is at NaN distance from itself), or text with a word token.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from divgen.metrics.dbscan import ClusterPartition, components, pairwise_distances, within_eps
 from divgen.metrics.semantic import unit_rows
+from divgen.metrics.text import tokenize
 
 NUMERIC_EPS = 0.5
 STRING_EPS = 0.1
@@ -63,48 +65,51 @@ def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
     return -math.fsum(chain.from_iterable(terms)) + 0.0
 
 
-def as_finite(value: Any) -> float | None:
-    """``value`` as a float, or None if it is not finite or no number; a
-    bool counts as no number, as argument generation refuses it."""
+class UnusableValue(ValueError):
+    """A value that cannot be a NUMERICAL or STRING group's argument."""
+
+
+def numeric_value(value: Any) -> int | float:
+    """``value`` as a finite number: digit text reads as an int, other text as
+    a float. A bool, a non-number and a number whose float is not finite (an
+    int too large for a float included) raise UnusableValue."""
     if isinstance(value, bool):
-        return None
+        raise UnusableValue(f"non-numeric value: {value!r}")
+    number = value
+    if not isinstance(value, (int, float)):
+        try:
+            text = str(value).strip()
+            number = int(text) if text.lstrip("+-").isdigit() else float(text)
+        except ValueError:
+            raise UnusableValue(f"non-numeric value: {value!r}") from None
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return number if math.isfinite(number) else None
+        if math.isfinite(number):
+            return number
+    except OverflowError:  # an int past the largest float
+        pass
+    raise UnusableValue(f"non-finite value: {value!r}")
+
+
+def text_value(value: Any) -> str:
+    """``value`` as text with at least one word token, or UnusableValue."""
+    text = str(value)
+    if not tokenize(text):
+        raise UnusableValue(f"value {text!r} has no word token")
+    return text
 
 
 def _parse_numeric(values: Sequence) -> list[float]:
     """The values as finite floats; any other value raises ValueError naming it."""
-    numbers = [as_finite(v) for v in values]
-    bad = [repr(v) for v, number in zip(values, numbers) if number is None]
+    numbers, bad = [], []
+    for v in values:
+        try:
+            numbers.append(float(numeric_value(v)))
+        except UnusableValue:
+            bad.append(repr(v))
     if bad:
         raise ValueError("non-numeric or non-finite value(s) for NUMERICAL entropy: "
                          + ", ".join(bad))
     return numbers
-
-
-def _space(category: str, embedder) -> tuple[float, str]:
-    """(eps, metric) of a parameter group's values."""
-    if category == "NUMERICAL":
-        return NUMERIC_EPS, "euclidean"
-    if category == "STRING":
-        if embedder is None:
-            raise ValueError("STRING entropy requires an embedder")
-        return STRING_EPS, "cosine"
-    raise ValueError(f"cluster entropy is defined for NUMERICAL/STRING, not {category!r}")
-
-
-def _value_points(values: Sequence, category: str, embedder) -> tuple[Sequence, float, str]:
-    """A group's values as points (numbers, or string embeddings), with the
-    group's eps and metric."""
-    if len(values) == 0:
-        raise ValueError("value_cluster_entropy requires at least one value")
-    eps, metric = _space(category, embedder)
-    if category == "NUMERICAL":
-        return _parse_numeric(values), eps, metric
-    return embedder.embed([str(v) for v in values]), eps, metric
 
 
 def value_cluster_entropy(values: Sequence, category: str, embedder=None) -> float:
@@ -117,10 +122,9 @@ def query_cluster_entropy(embeddings: Sequence) -> float:
     return query_entropy_over_indices(embeddings)(range(len(embeddings)))
 
 
-def _entropy_over_indices(points: Sequence, eps: float,
-                          metric: str) -> Callable[[Sequence[int]], float]:
-    near = within_eps(pairwise_distances(points, metric), eps)
-
+def _entropy_over_indices(near: np.ndarray) -> Callable[[Sequence[int]], float]:
+    """Per index subset, the entropy of the components of its sub-table of
+    the neighbourhood table ``near``."""
     def entropy(indices: Sequence[int]) -> float:
         sizes = np.bincount(components(near[np.ix_(indices, indices)]))
         return entropy_of_sizes(sizes[sizes > 0].tolist())
@@ -130,10 +134,14 @@ def _entropy_over_indices(points: Sequence, eps: float,
 def value_entropy_over_indices(values: Sequence, category: str,
                                embedder=None) -> Callable[[Sequence[int]], float]:
     """The cluster entropy of the values at each index subset, from one
-    neighbourhood table of ``values``: each subset reads the component sizes
-    of its sub-table, which ``dbscan``'s 12-decimal neighbour test makes equal
-    to the table of the gathered values, so every score is the same bits."""
-    return _entropy_over_indices(*_value_points(values, category, embedder))
+    neighbourhood table of ``values``, built as a ``ValueIndex`` builds its
+    own: each subset reads the component sizes of its sub-table, which
+    ``dbscan``'s 12-decimal neighbour test makes equal to the table of the
+    gathered values, so every score is the same bits."""
+    if len(values) == 0:
+        raise ValueError("value_cluster_entropy requires at least one value")
+    index = ValueIndex(category, embedder)
+    return _entropy_over_indices(index._neighbours(index._points(values)))
 
 
 def query_entropy_over_indices(embeddings: Sequence) -> Callable[[Sequence[int]], float]:
@@ -141,7 +149,8 @@ def query_entropy_over_indices(embeddings: Sequence) -> Callable[[Sequence[int]]
     neighbourhood table, as ``value_entropy_over_indices``."""
     if len(embeddings) == 0:
         raise ValueError("query_cluster_entropy requires at least one embedding")
-    return _entropy_over_indices(embeddings, QUERY_EPS, "cosine")
+    return _entropy_over_indices(
+        within_eps(pairwise_distances(embeddings, "cosine"), QUERY_EPS))
 
 
 # Committed values are indexed in blocks of this many, so building an index
@@ -180,7 +189,11 @@ class ValueIndex:
     """
 
     def __init__(self, category: str, embedder=None):
-        self.eps, self.metric = _space(category, embedder)
+        if category not in ("NUMERICAL", "STRING"):
+            raise ValueError(f"cluster entropy is defined for NUMERICAL/STRING, not {category!r}")
+        if category == "STRING" and embedder is None:
+            raise ValueError("STRING entropy requires an embedder")
+        self.eps = NUMERIC_EPS if category == "NUMERICAL" else STRING_EPS
         self.category = category
         self.embedder = embedder
         self._reset()
@@ -217,11 +230,11 @@ class ValueIndex:
                          for t in texts])
 
     def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``pairwise_distances(a, metric, b)`` of the indexed points: a STRING
-        row is already unit norm, and its norm is the one ``cosine_matrix``
+        """Euclidean distances of NUMERICAL points; cosine distances of STRING
+        rows, which are already unit norm, with the norm ``cosine_matrix``
         would take, so the distance is ``1 - clip(a @ b.T)`` bit for bit."""
         if self.category == "NUMERICAL":
-            return pairwise_distances(a, self.metric, b)
+            return pairwise_distances(a, "euclidean", b)
         sim = a @ b.T
         return 1.0 - np.clip(sim, -1.0, 1.0, out=sim)
 

@@ -9,26 +9,31 @@ tracker, so a selection embeds and clusters only its new values. ENUM parameters
 draw uniformly; OTHER parameters take a single LLM value. Parameter sets are
 LLM-validated with a bounded retry budget, and an abandoned example never
 touches the group trackers: commits are collected and applied atomically by the
-caller. A STRING value without a word token cannot be embedded, so it never
-reaches selection or a tracker: such candidates are left out (and named in the
-top-up request), and such a cohesive value fails its attempt, as does a
-non-numeric or non-finite NUMERICAL one. One loop builds every parameter set,
-diverse or cohesive, from a per-parameter value source. Each value signature
-takes the fields it declares from the one context it is given: the nine shared
-fields plus, for a cohesive value, the other calls' context.
+caller. A value that ``cluster_entropy.numeric_value`` or ``text_value`` refuses
+(a STRING value without a word token, a NUMERICAL one that is not a finite
+number) cannot be placed, so it never reaches selection or a tracker: such
+candidates are left out (and named in the top-up request), and such a cohesive
+value fails its attempt. One loop builds every parameter set, diverse or
+cohesive, from a per-parameter value source. Each value signature takes the
+fields it declares from the one context it is given: the nine shared fields
+plus, for a cohesive value, the other calls' context.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 # value_cluster_entropy stays importable here: bench/spans.py wraps it by name
-from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy  # noqa: F401
-from divgen.metrics.text import tokenize
+from divgen.metrics.cluster_entropy import (  # noqa: F401
+    UnusableValue,
+    ValueIndex,
+    numeric_value,
+    text_value,
+    value_cluster_entropy,
+)
 from divgen.model import (
     MISSING_SENTINEL,
     FunctionSchema,
@@ -65,10 +70,6 @@ _SEQUENTIAL_COHESIVE = {
 
 class ParamGenFailure(RuntimeError):
     """The example's argument generation was abandoned after retries."""
-
-
-class UnusableValue(ValueError):
-    """An LLM-supplied value that cannot be its parameter's argument."""
 
 
 @dataclass
@@ -128,32 +129,6 @@ def _parse_json_or_text(raw: str) -> Any:
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw
-
-
-def _coerce_numeric(value: Any) -> float | int:
-    """A finite number: NaN would be a DBSCAN singleton that selection favours,
-    and JSON has no literal for NaN or infinity."""
-    if isinstance(value, bool):
-        raise UnusableValue(f"non-numeric value: {value!r}")
-    number = value
-    if not isinstance(value, (int, float)):
-        try:
-            text = str(value).strip()
-            number = int(text) if text.lstrip("+-").isdigit() else float(text)
-        except ValueError:
-            raise UnusableValue(f"non-numeric value: {value!r}") from None
-    if isinstance(number, float) and not math.isfinite(number):
-        raise UnusableValue(f"non-finite value: {value!r}")
-    return number
-
-
-def _coerce_text(value: Any) -> str:
-    """Text with at least one word token: one without embeds to the zero
-    vector, which cluster entropy cannot place."""
-    text = str(value)
-    if not tokenize(text):
-        raise UnusableValue(f"value {text!r} has no word token")
-    return text
 
 
 def select_diverse_value(
@@ -238,7 +213,7 @@ class ParamGenerator:
         want = VIRTUAL_CANDIDATES
         unusable = ("non-numeric or non-finite values" if numeric
                     else "values without a word token")
-        coerce = _coerce_numeric if numeric else _coerce_text
+        coerce = numeric_value if numeric else text_value
         left_out: list[Any] = []
 
         def ask(count: int, failures: str) -> list[Any]:
@@ -274,13 +249,7 @@ class ParamGenerator:
                         f"{api.name}.{param.name}: candidate generation failed: {exc}"
                     ) from exc
 
-        seen: set[str] = set()
-        distinct: list[Any] = []
-        for v in values:
-            key = repr(v)
-            if key not in seen:
-                seen.add(key)
-                distinct.append(v)
+        distinct = {repr(v): v for v in values}  # equal reprs: equal values
         if len(distinct) < want:
             try:
                 extra = ask(want - len(distinct),
@@ -289,15 +258,13 @@ class ParamGenerator:
             except (SignatureParseError, ValueError, json.JSONDecodeError):
                 extra = []
             for v in extra:
-                key = repr(v)
-                if key not in seen and len(distinct) < want:
-                    seen.add(key)
-                    distinct.append(v)
+                if len(distinct) < want:
+                    distinct.setdefault(repr(v), v)
         if len(distinct) < SELECTION_SIZE:
             raise ParamGenFailure(
                 f"{api.name}.{param.name}: only {len(distinct)} distinct candidates{note()}"
             )
-        return distinct
+        return list(distinct.values())
 
     # -- per-parameter dispatch ------------------------------------------------
 
@@ -306,10 +273,10 @@ class ParamGenerator:
         out = self.client.call(catalog.get(sig_name), fields)
         raw = out["generated_value"]
         if param.category is ParamCategory.NUMERICAL:
-            return _coerce_numeric(raw)
+            return numeric_value(raw)
         if param.category is ParamCategory.OTHER:
             return _parse_json_or_text(raw)
-        return _coerce_text(raw)
+        return text_value(raw)
 
     def _existing_for(self, api: FunctionSchema, param: ParameterSpec,
                       pending: list[tuple[str, Any]]) -> tuple[ParameterGroup, list[Any]]:

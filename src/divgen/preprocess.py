@@ -34,6 +34,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
+from divgen.metrics.cluster_entropy import UnusableValue, numeric_value, text_value
 from divgen.metrics.semantic import cosine_matrix, round12, unit_rows
 from divgen.model import (
     FunctionSchema,
@@ -81,12 +82,12 @@ class ParameterGroup:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ParameterGroup":
-        return cls(
-            id=d["id"],
-            category=ParamCategory(d["category"]),
-            members=tuple(tuple(m) for m in d["members"]),
-            tracker=list(d.get("tracker", [])),
-        )
+        group = cls(id=d["id"], category=ParamCategory(d["category"]),
+                    members=tuple(tuple(m) for m in d["members"]),
+                    tracker=d.get("tracker", []))  # d["id"] first: d may be no dict
+        if not isinstance(group.tracker, list):
+            raise ModelError(f"group {group.id}'s tracker must be an array, not {group.tracker!r}")
+        return group
 
 
 class GroupIndex:
@@ -491,14 +492,16 @@ def _check_pools_and_groups(library: Sequence[FunctionSchema], groups: GroupInde
                             pools: ApiPools) -> None:
     """ModelError unless every pool entry is a library function and every
     library parameter is in exactly one group (GroupIndex refuses a second),
-    one of its own category, every group member is a library parameter, and
-    the group ids, which key the checkpoint's trackers, are distinct strings."""
+    one of its own category, every group member is a library parameter, the
+    group ids, which key the checkpoint's trackers, are distinct strings, and
+    each NUMERICAL or STRING tracker value is one its group can place."""
     names = {fn.name for fn in library}
     for pool, members in pools.to_dict().items():
         for name in filterfalse(names.__contains__, members):
             raise ModelError(f"the {pool} API pool names {name!r}, not a library function")
     categories = {(fn.name, p.name): p.category for fn in library for p in fn.parameters}
     ids: set[str] = set()
+    admit = {ParamCategory.NUMERICAL: numeric_value, ParamCategory.STRING: text_value}
     for g in groups.groups:
         if not isinstance(g.id, str) or g.id in ids:
             raise ModelError(f"group ids must be distinct strings, not {g.id!r}")
@@ -509,6 +512,11 @@ def _check_pools_and_groups(library: Sequence[FunctionSchema], groups: GroupInde
             if categories.pop(member) is not g.category:
                 raise ModelError(f"group {g.id} is {g.category.value}, but its member"
                                  f" {member} is not")
+        for value in g.tracker if g.category in admit else ():
+            try:
+                admit[g.category](value)
+            except UnusableValue as exc:
+                raise ModelError(f"group {g.id}'s tracker: {exc}") from None
     for member in categories:
         raise ModelError(f"no group holds the library parameter {member}")
 

@@ -304,7 +304,7 @@ class QueryGenerator:
                 attempts_log.append(
                     f"[round {round_no}] diversity ranking: " + " > ".join(fused))
             if round_no < self.config.rounds:
-                feedback = build_feedback(verdicts, list(pool_reasons), self.client)
+                feedback = build_feedback(verdicts, fused if pool_reasons else [], self.client)
                 if feedback:
                     attempts_log.append(f"[round {round_no}] guidance: {feedback}")
 

@@ -232,12 +232,28 @@ def _cut_last_byte(doc):
      "group ids must be distinct strings, not {'g': 0}"),
     (lambda doc: doc["library"][0]["parameters"][0].update(required="false"),
      "required must be true or false"),
+    # a tracker value its group could not place: g000 is NUMERICAL, g003 STRING
+    (lambda doc: doc["groups"][0].update(tracker=["abc"]),
+     "group g000's tracker: non-numeric value: 'abc'"),
+    (lambda doc: doc["groups"][0].update(tracker=[float("inf")]),
+     "group g000's tracker: non-finite value: inf"),
+    (lambda doc: doc["groups"][0].update(tracker=[True]),
+     "group g000's tracker: non-numeric value: True"),
+    (lambda doc: doc["groups"][0].update(tracker=[10 ** 400]),
+     "group g000's tracker: non-finite value: 1000"),
+    (lambda doc: doc["groups"][3].update(tracker=["!!!"]),
+     "group g003's tracker: value '!!!' has no word token"),
+    (lambda doc: doc["groups"][3].update(tracker="Paris"),
+     "group g003's tracker must be an array, not 'Paris'"),
+    (lambda doc: doc["groups"][3].update(tracker={"x": 1}),
+     "group g003's tracker must be an array, not {'x': 1}"),
 ], ids=["truncated", "no-graph", "no-weights", "ghost", "kind", "kind-negative", "weight-text",
         "partial-width", "weight-nan", "weight-huge", "index-past-end", "index-negative",
         "index-bool", "column-length", "not-base64", "not-ascii", "list-columns", "old-form",
         "vertices", "pool-ghost", "pool-string", "parameter-no-group", "group-ghost",
         "group-category", "group-member-text", "group-id-repeated", "group-id-object",
-        "library-type"])
+        "library-type", "tracker-text", "tracker-infinity", "tracker-bool", "tracker-huge-int",
+        "tracker-no-token", "tracker-string", "tracker-object"])
 def test_malformed_artifact_is_refused_before_any_file(tmp_path, capsys, edit, message):
     art = tmp_path / "art.json"
     assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0

@@ -12,9 +12,12 @@ import divgen.metrics.semantic as semantic
 from divgen.metrics.cluster_entropy import (
     NUMERIC_EPS,
     STRING_EPS,
+    UnusableValue,
     ValueIndex,
     entropy_of_sizes,
+    numeric_value,
     query_cluster_entropy,
+    text_value,
     value_cluster_entropy,
     value_entropy_over_indices,
 )
@@ -300,6 +303,36 @@ def test_value_index_refuses_other_categories_and_missing_embedder():
         ValueIndex("ENUM")
     with pytest.raises(ValueError, match="non-numeric"):
         ValueIndex("NUMERICAL").extend(["3.5", "not-a-number"])
+
+
+# JSON-like values a model reply or a file could hold, the odd ones included
+_odd_values = st.one_of(
+    st.integers(-10 ** 400, 10 ** 400),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.text("0123456789", min_size=1, max_size=400),
+    st.floats(),
+    st.sampled_from(["1e400", "nan", " 12 ", "+5", "", "?!", None, True, False]),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _returns(call, *args, refusal=ValueError):
+    try:
+        call(*args)
+    except refusal:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_odd_values)
+def test_a_value_is_admitted_exactly_when_its_index_can_place_it(value):
+    assert _returns(numeric_value, value, refusal=UnusableValue) == _returns(
+        ValueIndex("NUMERICAL").entropies, [], [value])
+    assert _returns(text_value, value, refusal=UnusableValue) == _returns(
+        ValueIndex("STRING", HashEmbedder()).entropies, [], [value])
 
 
 def test_string_index_grows_its_rows_in_place():

@@ -10,6 +10,7 @@ from conftest import FaultyChat, alarm, templated_library
 import divgen.cli as cli
 import divgen.engine
 import divgen.metrics.battery as battery
+import divgen.querygen as querygen
 from divgen.engine import GenerationEngine, GenerationStalled
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.metrics import trees
@@ -518,6 +519,14 @@ def test_refused_resume_leaves_every_file_as_it_was(tmp_path, capsys):
     out.write_text(lines[0] + lines[1], encoding="utf-8")
     refused("--seed", "7")
     assert "shorter than the checkpoint records" in capsys.readouterr().err
+    # a tracker that is not an array, which restore would read letter by letter
+    out.write_text("".join(lines), encoding="utf-8")
+    checkpoint = files[2]
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["trackers"]["g003"] = "Paris"
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    refused("--seed", "7")
+    assert "the checkpoint's trackers must be an object of arrays" in capsys.readouterr().err
 
 
 def test_checkpoint_size_does_not_grow_with_the_dataset(tmp_path):
@@ -601,15 +610,77 @@ class RecordingChat(StubChat):
         return super().complete(prompt, params)
 
 
-def test_fixture_run_prompts_golden_digest(tmp_path):
-    # Pins every rendered prompt of a fixture run, in call order. StubChat
-    # answers each validator and judge YES whatever its prompt says, so the
-    # dataset digests alone cannot see a changed validator or judge prompt.
-    chat = RecordingChat()
-    build_engine(tmp_path, chat=chat).generate(25)
+def _prompts_digest(prompts):
     digest = hashlib.sha256()
-    for prompt in chat.prompts:
+    for prompt in prompts:
         digest.update(prompt.encode("utf-8"))
         digest.update(b"\0")
-    assert (len(chat.prompts), digest.hexdigest()) == (
-        535, "02325c01ab76293174dd46b7460b8ef812a970cd8d0d48e7d7218beae9851234")
+    return digest.hexdigest()
+
+
+def test_fixture_run_prompts_golden_digest(tmp_path):
+    # Pins every rendered prompt of a fixture run, in call order: per
+    # signature (count, first 16 hex digits of the sha256), so a change names
+    # the signatures it moved, and in all. StubChat answers each validator and
+    # judge YES whatever its prompt says, so the dataset digests alone cannot
+    # see a changed validator or judge prompt.
+    chat = RecordingChat()
+    build_engine(tmp_path, chat=chat).generate(25)
+    by_signature = {}
+    for prompt in chat.prompts:
+        by_signature.setdefault(catalog.identify(prompt), []).append(prompt)
+    assert {name: (len(prompts), _prompts_digest(prompts)[:16])
+            for name, prompts in by_signature.items()} == {
+        "APIQueryJudge": (35, "eb290a8767802d35"),
+        "BatchAPIRelevanceScorer": (15, "6819de21e08ac65c"),
+        "ConstructParallelInvocation": (7, "815417d5e163d26b"),
+        "ConstructSequentialInvocation": (3, "366596650dec6109"),
+        "DiversityGuidanceGeneration": (112, "1ae42874090c2e05"),
+        "GenerateCohesiveNumericalParameter": (7, "50bb8d72d282ae51"),
+        "GenerateCohesiveStringParameter": (7, "3dcb8524c864631f"),
+        "GenerateMultipleNumericalParameters": (4, "93def206ed0a24bb"),
+        "GenerateMultipleStringParameters": (12, "d7e1e8bc13bbfdac"),
+        "GenerateOtherParameter": (1, "51344097e176e12b"),
+        "GenerateReturnValue": (10, "a8fa0aa7f40a839a"),
+        "GenerateSequentialCohesiveNumericalParameter": (6, "ac1933bae11a5a7a"),
+        "GenerateSequentialCohesiveStringParameter": (4, "1c45326d132e9523"),
+        "MissingParamsQueryGenerator": (25, "d4073c32e87527fb"),
+        "MissingParamsQueryJudge": (25, "7144c5c2b36ea6d7"),
+        "MultiQueryGenerator": (35, "8a6209de6424b409"),
+        "NoAPIQueryGenerator": (15, "bf18edb505ddae02"),
+        "ParallelAPIRelevanceScorer": (13, "cf875ad57b460256"),
+        "ParallelQueryGenerator": (40, "b2eff9d283cd9d3b"),
+        "ParallelQueryJudge": (40, "ad6859e350b8d3eb"),
+        "ParameterSetValidator": (44, "27ed711a026cc426"),
+        "PartialParameterSetValidator": (5, "0f1fc53224b2b23c"),
+        "SequentialQueryGenerator": (25, "9ce18b4322074dcc"),
+        "SequentialQueryJudge": (25, "993ba9d355764f89"),
+        "ValidateReturnValue": (10, "f7ed3014c30aca0d"),
+        "ValidateSequentialChain": (5, "b90023fd330b2a3e"),
+        "ValidateSequentialSchemaCompatibility": (5, "cbaa280ce84a8767"),
+    }
+    assert (len(chat.prompts), _prompts_digest(chat.prompts)) == (
+        535, "89ea7c210f4848059458312d2f9983a0684d14745e50d790f13966baf157298c")
+
+
+def test_each_guidance_round_is_shown_its_diversity_order(tmp_path, monkeypatch):
+    # StubChat's judge passes every candidate, so each round ranks a pool and
+    # its guidance request follows that ranking
+    events = []
+    rank, feedback = querygen.rank_candidates_by_diversity, querygen.build_feedback
+
+    def recording_rank(scorer, candidates):
+        ranked = rank(scorer, candidates)
+        events.append(("rank", ranked[0]))
+        return ranked
+
+    def recording_feedback(verdicts, ranked, client):
+        events.append(("feedback", list(ranked)))
+        return feedback(verdicts, ranked, client)
+
+    monkeypatch.setattr(querygen, "rank_candidates_by_diversity", recording_rank)
+    monkeypatch.setattr(querygen, "build_feedback", recording_feedback)
+    build_engine(tmp_path).generate(10)
+    shown = [(events[i - 1], order) for i, (kind, order) in enumerate(events)
+             if kind == "feedback"]
+    assert shown and all(previous == ("rank", order) for previous, order in shown)

@@ -389,15 +389,19 @@ def test_every_table_path_equals_the_metric_on_the_gathered_items(data):
               variance([float(len(tokenize(t))) for t in gathered]))
         _same(queries(idx), _dbscan_entropy(emb[np.array(idx)], cluster_entropy.QUERY_EPS,
                                             "cosine"))
-    for category, pool in (("STRING", _STRING_VALUES), ("NUMERICAL", _NUMERICAL_VALUES)):
+    # the reference points are built here, not by the path under test
+    for category, pool, points, eps, metric in (
+            ("STRING", _STRING_VALUES, lambda vs: HashEmbedder().embed([str(v) for v in vs]),
+             cluster_entropy.STRING_EPS, "cosine"),
+            ("NUMERICAL", _NUMERICAL_VALUES, lambda vs: [float(v) for v in vs],
+             cluster_entropy.NUMERIC_EPS, "euclidean")):
         values = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
         values[-1] = values[0]  # a repeated value
         entropies = value_entropy_over_indices(values, category, HashEmbedder())
         ncd = ncd_over_indices([str(v) for v in values])
         for idx in _samples(size, rng):
             gathered = [values[i] for i in idx]
-            _same(entropies(idx), _dbscan_entropy(
-                *cluster_entropy._value_points(gathered, category, HashEmbedder())))
+            _same(entropies(idx), _dbscan_entropy(points(gathered), eps, metric))
             _same(ncd(idx), reference_ncd_diversity(gathered))
 
 

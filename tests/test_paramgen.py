@@ -142,7 +142,8 @@ def test_generate_value_candidates_non_finite_fails(bad):
         gen.generate_value_candidates(p, api, {}, groups.group_of(api.name, p.name), [])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "1e400", "high", True, None])
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "1e400", "high", True, None,
+                                 pytest.param(10 ** 400, id="int-past-any-float")])
 def test_unusable_numeric_candidates_are_left_out_and_named(bad):
     chat = ScriptedChat()
     sig = "GenerateMultipleNumericalParameters"
@@ -421,13 +422,21 @@ def test_non_numeric_cohesive_value_fails_its_attempt():
     assert results[1 - diverse_idx].arguments["guests"] == 5
 
 
-def test_non_finite_cohesive_value_fails_its_attempt():
-    chat = cohesive_pair_chat("GenerateCohesiveNumericalParameter", ["NaN", "5"],
+def assert_cohesive_retry_names(bad):
+    chat = cohesive_pair_chat("GenerateCohesiveNumericalParameter", [bad, "5"],
                               list(range(25)), numeric=True)
     lib, groups, gen = setup_gen(chat, seed=1, lib=guest_library())
     results, diverse_idx = gen.generate_parallel_params(lib)
     assert results[1 - diverse_idx].arguments["guests"] == 5
-    assert len([c for c in chat.calls if "non-finite value: 'NaN'" in c]) == 1
+    assert len([c for c in chat.calls if f"non-finite value: {bad!r}" in c]) == 1
+
+
+def test_non_finite_cohesive_value_fails_its_attempt():
+    assert_cohesive_retry_names("NaN")
+
+
+def test_cohesive_int_past_any_float_fails_its_attempt():
+    assert_cohesive_retry_names("9" * 400)
 
 
 def test_only_non_numeric_cohesive_values_abandon():
