@@ -10,6 +10,7 @@ read the same per-text records of a ``Corpus``.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -19,11 +20,9 @@ from divgen.metrics.cluster_entropy import entropy_of_sizes, query_entropy_over_
 from divgen.metrics.semantic import (
     UnitRows,
     chamfer_distance_score,
-    kernel_eigenvalues,
     paraphrase_variety,
     semantic_spread,
     unit_rows,
-    vendi_from_eigenvalues,
     vendi_score,
 )
 from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this name
@@ -250,20 +249,80 @@ def evaluate_battery(texts: Sequence[str], embeddings: np.ndarray) -> dict[str, 
     return _evaluate(OPTIMIZED_METRICS, texts, embeddings)
 
 
+#: Rows per block of the corpus's Gram UᵀU: it is the in-order sum of its
+#: closed blocks' Grams plus its open block's, so a corpus grown text by text
+#: and one synced at once hold the same bits.
+GRAM_BLOCK = 64
+
+
+class BorderedVendi:
+    """Vendi of the corpus kernel K (the N×N clipped cosine similarities of
+    the corpus rows U) bordered by each of a batch of candidates, from one
+    eigendecomposition of K's smaller side and two matrix products per batch.
+
+    With B = [[K, s], [sᵀ, 1]] for a candidate with similarities s, and
+    f(x) = x log x = ∫₀^∞ (x/(1+t) − x/(x+t)) dt summed over eigenvalues, the
+    Schur complement of B + t gives
+    Σf(eig B) − Σf(eig K) = ∫₀^∞ t(A1 + (1+t)A2) / ((1+t)(1+t−A1)) dt, where
+    Aₖ = sᵀ(K+t)⁻ᵏs = Σᵢ zᵢ²/(λᵢ+t)ᵏ over K's eigenpairs (λᵢ, qᵢ), zᵢ = qᵢᵀs.
+    B's trace is m = N + 1, so its Vendi is exp(log m − Σf(eig B)/m).
+
+    ``eigenvalues`` and ``vectors`` come from one ``eigh``: of K, where
+    z = Qᵀs, or (``gram``) of G = UᵀU, which shares K's nonzero eigenvalues,
+    where zᵢ² = λᵢ(pᵢᵀu)² for the candidate's unit row u. Eigenvalues up to
+    1e-10·λ_max count as 0, together with their components: a component along
+    K's null space is rounding noise (2e-13 for a candidate in the span of a
+    rank-deficient K), which 1/(λ+t) would magnify. The integrand is analytic
+    in |Im log t| < π, so the trapezoid rule in log t, with step 0.5 over
+    [−40, log max(λ_max, 1) + 40], converges geometrically (Trefethen &
+    Weideman, SIAM Rev. 2014); the error left is the eigendecomposition's.
+    """
+
+    STEP = 0.5
+    MARGIN = 40.0
+    DEFLATION = 1e-10
+
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, size: int,
+                 gram: bool = False):
+        top = eigenvalues.max(initial=0.0)
+        kept = slice(np.searchsorted(eigenvalues, self.DEFLATION * top, side="right"), None)
+        self.size, self.gram = size, gram
+        self.eigenvalues = lam = eigenvalues[kept]  # eigh's are ascending
+        self.vectors = vectors[:, kept] * np.sqrt(lam) if gram else vectors[:, kept]
+        self.entropy_sum = math.fsum((lam * np.log(lam)).tolist())
+        count = int((math.log(max(top, 1.0)) + 2 * self.MARGIN) / self.STEP) + 1
+        self.nodes = np.exp(self.STEP * np.arange(count) - self.MARGIN)
+        self.resolvent = 1.0 / (lam[:, None] + self.nodes)
+        self.resolvent_sq = np.square(self.resolvent)
+
+    def scores(self, sims: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """The Vendi of K bordered by each candidate, from its similarities
+        ``sims`` to the corpus and its unit rows ``units``."""
+        z2 = np.square((units if self.gram else sims) @ self.vectors)
+        a1, a2 = z2 @ self.resolvent, z2 @ self.resolvent_sq
+        t = self.nodes
+        schur = np.maximum(1.0 + t - a1, t)  # B + t's Schur complement is at least t
+        delta = self.STEP * ((t * (a1 + (1.0 + t) * a2) / ((1.0 + t) * schur)) @ t)
+        m = self.size + 1
+        return np.exp(math.log(m) - (self.entropy_sum + delta) / m)
+
+
 class MarginalScorer:
     """The optimized battery of ``corpus + [candidate]``, for many candidates.
 
     ``sync`` appends new texts and their rows to the scorer's one ``Corpus``
     and feeds them to a DEFLATE stream of the newline-joined corpus. Each
-    appended row u borders the corpus's clipped Gram, the top-left block of
-    one (N+1)² Vendi kernel, with s = clip(U·u), adds Σ(1 − s) to the sum of
-    pair distances and lowers the nearest distances to 1 − s. ``score``
-    evaluates each distinct candidate once per corpus, a call's new ones as
-    one batch from one product of their unit rows with the corpus's:
-    paraphrase variety and Chamfer in O(N) each, Vendi from the kernel with
-    the candidate's similarities in its last row and column, and the text
-    metrics from the corpus's records and totals and the candidate's tokens,
-    FKGL grade and tree-free sentence shapes.
+    appended row u borders the corpus's clipped kernel K (N×N) with
+    s = clip(U·u), adds Σ(1 − s) to the sum of pair distances and lowers the
+    nearest distances to 1 − s. Once per sync that adds texts, one ``eigh``
+    decomposes K's smaller side for a ``BorderedVendi``: K itself while
+    N < d, from then on the d×d Gram UᵀU, summed in ``GRAM_BLOCK``-row blocks.
+    ``score`` evaluates each distinct candidate once per corpus, a call's new
+    ones as one batch from one product of their unit rows with the corpus's:
+    paraphrase variety and Chamfer in O(N) each, Vendi by the decomposition's
+    quadrature in two matrix products, and the text metrics from the corpus's
+    records and totals and the candidate's tokens, FKGL grade and tree-free
+    sentence shapes. Scoring solves no eigenproblem.
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
@@ -282,7 +341,10 @@ class MarginalScorer:
         self._raw_bytes = 0
         self._deflate = deflater()
         self._deflated_bytes = 0
-        self._kernel = np.ones((1, 1))
+        self._kernel = np.empty((0, 0))
+        self._gram = 0.0  # the sum of the closed blocks' Grams
+        self._closed = 0  # rows in closed blocks
+        self._vendi = BorderedVendi(np.empty(0), np.empty((0, 0)), 0)
         self._pair_sum = 0.0
         self._nearest = np.empty(0)
         self._scores: dict[str, tuple[float, ...]] = {}
@@ -305,7 +367,7 @@ class MarginalScorer:
         self.corpus.append(new, self._embed_cache.matrix(new))
         self._embed_cache.release([*scored, *new])
         units = unit_rows(self.corpus.rows)
-        kernel = np.pad(self._kernel[:n, :n], (0, len(new) + 1), constant_values=1.0)
+        kernel = np.pad(self._kernel, (0, len(new)))  # every new entry is written below
         nearest = np.concatenate((self._nearest, np.empty(len(new))))
         for i in range(n, len(units)):
             sims = np.clip(units[: i + 1] @ units[i], -1.0, 1.0)
@@ -315,6 +377,22 @@ class MarginalScorer:
             np.minimum(nearest[:i], dists, out=nearest[:i])
             nearest[i] = dists.min(initial=np.inf)
         self._kernel, self._nearest, self._scores = kernel, nearest, {}
+        self._vendi = self._decompose(units)
+
+    def _decompose(self, units: np.ndarray) -> BorderedVendi:
+        """Close the Gram blocks the corpus has filled, then decompose K's
+        smaller side: K while N < d, else the closed blocks' Gram plus the
+        open block's."""
+        size, width = units.shape
+        while self._closed + GRAM_BLOCK <= size:
+            block = units[self._closed: self._closed + GRAM_BLOCK]
+            self._gram = self._gram + block.T @ block
+            self._closed += GRAM_BLOCK
+        if size < width:
+            return BorderedVendi(*np.linalg.eigh(self._kernel), size)
+        open_block = units[self._closed:]
+        return BorderedVendi(*np.linalg.eigh(self._gram + open_block.T @ open_block),
+                             size, gram=True)
 
     def _next_line(self, text: str) -> bytes:
         """``text`` as the newline-joined corpus's next bytes."""
@@ -331,7 +409,7 @@ class MarginalScorer:
 
     def _evaluate_batch(self, candidates: list[str]) -> list[tuple[float, ...]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
-        n, kernel = len(self.corpus.texts), self._kernel
+        n = len(self.corpus.texts)
         sims = np.clip(units @ unit_rows(self.corpus.rows).T, -1.0, 1.0) if n else units[:, :0]
         dists = 1.0 - sims
         if n:
@@ -340,11 +418,8 @@ class MarginalScorer:
                         + dists.min(axis=1)) / (n + 1)
         else:
             varieties = chamfers = np.zeros(len(units))
-        vendis: list[float] = []
-        for border in sims:
-            kernel[:n, n] = kernel[n, :n] = border
-            vendis.append(vendi_from_eigenvalues(kernel_eigenvalues(kernel)))
-        return [self._battery(c, float(variety), float(chamfer), vendi)
+        vendis = self._vendi.scores(sims, units)
+        return [self._battery(c, float(variety), float(chamfer), float(vendi))
                 for c, variety, chamfer, vendi in zip(candidates, varieties, chamfers, vendis)]
 
     def _battery(self, candidate: str, variety: float, chamfer: float,

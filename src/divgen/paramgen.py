@@ -37,6 +37,7 @@ from divgen.metrics.cluster_entropy import (  # noqa: F401
 from divgen.model import (
     MISSING_SENTINEL,
     FunctionSchema,
+    ModelError,
     ParamCategory,
     ParameterSpec,
     RunConfig,
@@ -180,12 +181,23 @@ class ParamGenerator:
     def _value_index(self, group: ParameterGroup) -> ValueIndex:
         """The group's value index, brought in step with its tracker. Built on
         the group's first selection; values of an attempt in progress never
-        enter it."""
+        enter it. A committed value the group cannot place (one a checkpoint
+        kept from a run that admitted it) raises ModelError naming both."""
         index = self._value_indexes.get(group.id)
         if index is None:
             index = self._value_indexes[group.id] = ValueIndex(
                 group.category.value, self.embedder)
-        index.sync(group.tracker)
+        try:
+            index.sync(group.tracker)
+        except ValueError as exc:
+            admit = numeric_value if group.category is ParamCategory.NUMERICAL else text_value
+            for value in group.tracker:
+                try:
+                    admit(value)
+                except UnusableValue as unusable:
+                    raise ModelError(f"parameter group {group.id} holds a committed value"
+                                     f" it cannot place: {unusable}") from exc
+            raise
         return index
 
     # -- candidate generation -------------------------------------------------

@@ -6,10 +6,10 @@ round by reciprocal rank fusion of its eight per-metric marginal-diversity
 ranks, taken from one score matrix, and the global top is kept. The corpus
 only grows, so the run keeps one ``MarginalScorer`` for it: built at the first
 example, and grown at the start of each example by each query accepted since,
-recorded and bordered into its Vendi kernel once. The corpus does not change
-during an example, so each distinct candidate is scored once against it,
-however many rounds re-rank it; a round's new candidates are scored together
-as one batch. Candidates without a single word token cannot be scored and
+each recorded once, after which its Vendi kernel is decomposed once. The
+corpus does not change during an example, so each distinct candidate is
+scored once against it, however many rounds re-rank it; a round's new
+candidates are scored together as one batch. Candidates without a single word token cannot be scored and
 never enter the pool. Feedback between rounds foregrounds judge failures when
 most candidates failed, diversity guidance otherwise. The example's prompt
 fields are built once from its skeleton; each generator and judge signature

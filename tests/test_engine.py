@@ -447,6 +447,40 @@ def test_resumed_run_log_matches_uninterrupted_run(tmp_path, monkeypatch):
         assert (run_dir / "run.log").read_bytes() == expected, k
 
 
+def test_resume_on_each_side_of_the_vendi_decomposition_matches_uninterrupted_run(
+        tmp_path, monkeypatch):
+    # at d = 16 an 80-example run ranks against its kernel's eigenpairs while
+    # N < d, then against its Gram's, summed in 64-row blocks; a crash at an
+    # acceptance below d, between d and 64, and past 64 resumes to the bytes
+    # of the uninterrupted run
+    n = 80
+    art, config = tmp_path / "art.json", tmp_path / "config.json"
+    config.write_text(json.dumps({"embedding_dimension": 16}), encoding="utf-8")
+    assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
+                     "--config", str(config), "--out", str(art)]) == 0
+
+    def generate(run_dir, *extra):
+        return cli.main(["generate", str(art), "--n", str(n), "--seed", "7",
+                         "--out", str(run_dir / "ds.jsonl"),
+                         "--log", str(run_dir / "run.log"), *extra])
+
+    def outputs(run_dir):
+        return [(run_dir / name).read_bytes() for name in ("ds.jsonl", "run.log")]
+
+    (tmp_path / "ref").mkdir()
+    assert generate(tmp_path / "ref") == 0
+    expected = outputs(tmp_path / "ref")
+    for k in (10, 40, 70):
+        run_dir = tmp_path / f"crash{k}"
+        run_dir.mkdir()
+        with monkeypatch.context() as m:
+            crash_once(m, k, torn=False)
+            assert generate(run_dir) == 1
+        assert len((run_dir / "ds.jsonl").read_text(encoding="utf-8").splitlines()) == k
+        assert generate(run_dir, "--resume") == 0
+        assert outputs(run_dir) == expected, k
+
+
 def test_resume_after_a_crash_at_any_call_matches_uninterrupted_run(tmp_path):
     config = RunConfig(rng_seed=7, rounds=2, pattern_period=2)
     (tmp_path / "ref").mkdir()
@@ -527,6 +561,30 @@ def test_refused_resume_leaves_every_file_as_it_was(tmp_path, capsys):
     checkpoint.write_text(json.dumps(doc), encoding="utf-8")
     refused("--seed", "7")
     assert "the checkpoint's trackers must be an object of arrays" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, value, named", [
+    ("g000", 10 ** 400, "non-finite value: 1000"),
+    ("g003", "?!", "value '?!' has no word token"),
+], ids=["numerical-int-past-any-float", "string-without-word-token"])
+def test_a_checkpoint_value_its_group_cannot_place_is_a_usage_error(tmp_path, capsys,
+                                                                    group, value, named):
+    # a checkpoint from a run that admitted the value: resume exits 2 naming
+    # the group and the value when the group's index first reads it
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
+                     "--out", str(art)]) == 0
+    argv = ["generate", str(art), "--n", "3", "--seed", "7", "--out", str(out)]
+    assert cli.main(argv) == 0
+    checkpoint = out.with_name("ds.jsonl.checkpoint")
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["trackers"][group].append(value)
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([*argv[:3], "30", *argv[4:], "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parameter group {group} holds a committed value"
+                          " it cannot place: ") and named in err, err
 
 
 def test_checkpoint_size_does_not_grow_with_the_dataset(tmp_path):

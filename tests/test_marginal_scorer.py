@@ -6,6 +6,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 import divgen.metrics.battery as battery
 import divgen.metrics.semantic as semantic
@@ -129,6 +130,76 @@ def test_batched_scores_equal_evaluate_battery():
     assert checked == 2 * (len(CORPUS_SIZES) + 1) * (sum(BATCH_SIZES) + len(BATCH_SIZES) - 1)
 
 
+class TableEmbedder:
+    """Embeds each text as the row a test gave it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def embed(self, texts):
+        return [self.rows[text] for text in texts]
+
+
+def span_cases(seed, width, size):
+    """A seeded corpus of ``size`` texts with ``width``-wide rows and its
+    candidates, with their rows. The corpus repeats a text and gives two
+    other texts one row direction, so N = d rows span less than the space.
+    The candidates: a corpus text, a new text on a corpus row, two rows in
+    the corpus's span, a random row, and one orthogonal to the span."""
+    rng = np.random.default_rng([seed, width, size])
+    corpus = [f"request {i} for seed {seed}" for i in range(size)]
+    rows = {text: row for text, row in zip(corpus, rng.standard_normal((size, width)))}
+    if size > 3:
+        corpus[-1] = corpus[0]
+        rows[corpus[2]] = 3.0 * rows[corpus[1]]
+    held = np.array([rows[text] for text in corpus])
+    outside = rng.standard_normal(width)
+    _, singular, basis = np.linalg.svd(held)
+    rank = int(np.sum(singular > 1e-9))
+    candidates = {
+        "a corpus row": held[size // 2],
+        "inside the span": held[0] + 0.5 * held[-2],
+        "inside it too": held[1] - 2.0 * held[size // 3],
+        "a random row": outside,
+    }
+    if rank < width:
+        candidates["orthogonal to the span"] = basis[rank:].T @ rng.standard_normal(width - rank)
+    rows.update(candidates)
+    return corpus, [corpus[1], *candidates], rows
+
+
+@pytest.mark.parametrize("width, size", [(6, 5), (6, 6), (6, 7), (16, 15), (16, 16),
+                                         (16, 17), (6, 70), (16, 200)])
+def test_vendi_is_within_1e_12_of_evaluate_battery_around_n_equals_d(width, size):
+    # the quadrature against the (N+1)² eigendecomposition; rounded scores
+    # need not be equal
+    for seed in range(4):
+        corpus, candidates, rows = span_cases(seed, width, size)
+        cache = EmbeddingCache(TableEmbedder(rows))
+        scorer = MarginalScorer(corpus, cache)
+        assert scorer._vendi.gram == (size >= width)
+        got = dict(zip(OPTIMIZED_METRICS, scorer.score(candidates).T))["vendi"]
+        for cand, vendi in zip(candidates, got):
+            texts = corpus + [cand]
+            want = evaluate_battery(texts, cache.matrix(texts))["vendi"]
+            assert abs(vendi - want) <= 1e-12 * want, (seed, cand, vendi, want)
+
+
+def test_hash_embedded_vendi_is_within_1e_12_of_evaluate_battery_around_n_equals_d():
+    # fixture texts at d = 16: duplicate texts, shared tokens and collisions
+    cache = EmbeddingCache(HashEmbedder(dimension=16))
+    rng = random.Random("vendi-at-d")
+    corpus = [rng.choice(CANDIDATE_SOURCE) for _ in range(17)]
+    for size in (15, 16, 17):
+        scorer = MarginalScorer(corpus[:size], cache)
+        candidates = [corpus[0], UNSHARED, " ".join(corpus[1:3]), SOURCES["varied"][39]]
+        got = dict(zip(OPTIMIZED_METRICS, scorer.score(candidates).T))["vendi"]
+        for cand, vendi in zip(candidates, got):
+            texts = corpus[:size] + [cand]
+            want = evaluate_battery(texts, cache.matrix(texts))["vendi"]
+            assert abs(vendi - want) <= 1e-12 * want, (size, cand, vendi, want)
+
+
 def test_sync_drops_the_scores_of_the_previous_corpus():
     cache = EmbeddingCache(HashEmbedder())
     corpus = SOURCES["varied"][:6]
@@ -144,37 +215,50 @@ def test_sync_drops_the_scores_of_the_previous_corpus():
 
 
 def bits(scorer):
-    """The scorer's corpus state, as bytes."""
+    """The scorer's corpus state, as bytes: its kernel, distances, rows, the
+    closed Gram blocks' sum and the spectrum its Vendi reads."""
+    vendi = scorer._vendi
     return (scorer._kernel.tobytes(), scorer._nearest.tobytes(), scorer._pair_sum.hex(),
-            unit_rows(scorer.corpus.rows).tobytes(), scorer.corpus.texts)
+            unit_rows(scorer.corpus.rows).tobytes(), scorer.corpus.texts,
+            np.asarray(scorer._gram).tobytes(), scorer._closed, vendi.gram,
+            vendi.eigenvalues.tobytes(), vendi.vectors.tobytes(), vendi.entropy_sum.hex(),
+            vendi.resolvent.tobytes())
 
 
 def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
-    cache = EmbeddingCache(HashEmbedder())
-    corpus = SOURCES["varied"][:25] + SOURCES["repetitive"][:25]
-    batch = [UNSHARED, SOURCES["varied"][30], corpus[3], " ".join(corpus[5:8])]
-    grown, chunked = MarginalScorer([], cache), MarginalScorer([], cache)
-    for size in range(len(corpus) + 1):
-        grown.sync(corpus[:size])
-    for size in (1, 2, 9, 33, len(corpus)):
-        chunked.sync(corpus[:size])
-    whole = MarginalScorer(corpus, cache)
-    # a batch writes its last candidate's similarities into the kernel's border
-    scores = [scorer.score(batch) for scorer in (grown, chunked, whole)]
-    assert bits(grown) == bits(chunked) == bits(whole)
-    assert [run.tobytes() for run in scores[1:]] == [scores[0].tobytes()] * 2
-    # a corpus the scorer holds no prefix of rebuilds it
-    other = SOURCES["repetitive"][:20]
-    grown.sync(other)
-    fresh = MarginalScorer(other, cache)
-    assert grown.score(batch).tobytes() == fresh.score(batch).tobytes()
-    assert bits(grown) == bits(fresh)
-    assert grown.corpus.n_tokens == sum(len(tokenize(text)) for text in other)
+    # at d = 384 the corpus stays on the kernel side; at d = 16 it crosses
+    # N = d and the 64-row Gram block boundary
+    corpora = {384: SOURCES["varied"][:25] + SOURCES["repetitive"][:25],
+               16: SOURCES["varied"] + SOURCES["repetitive"][:30]}
+    chunks = {384: (1, 2, 9, 33, 50), 16: (1, 2, 9, 15, 16, 17, 33, 63, 64, 65, 70)}
+    batch = [UNSHARED, SOURCES["varied"][30], SOURCES["varied"][3],
+             " ".join(SOURCES["varied"][5:8])]
+    for width, corpus in corpora.items():
+        cache = EmbeddingCache(HashEmbedder(dimension=width))
+        grown, chunked = MarginalScorer([], cache), MarginalScorer([], cache)
+        for size in range(len(corpus) + 1):
+            grown.sync(corpus[:size])
+        assert chunks[width][-1] == len(corpus)
+        for size in chunks[width]:
+            chunked.sync(corpus[:size])
+        whole = MarginalScorer(corpus, cache)
+        assert whole._vendi.gram == (len(corpus) >= width)
+        scores = [scorer.score(batch) for scorer in (grown, chunked, whole)]
+        assert bits(grown) == bits(chunked) == bits(whole), width
+        assert [run.tobytes() for run in scores[1:]] == [scores[0].tobytes()] * 2
+        # a corpus the scorer holds no prefix of rebuilds it
+        other = SOURCES["repetitive"][:20]
+        grown.sync(other)
+        fresh = MarginalScorer(other, cache)
+        assert grown.score(batch).tobytes() == fresh.score(batch).tobytes()
+        assert bits(grown) == bits(fresh)
+        assert grown.corpus.n_tokens == sum(len(tokenize(text)) for text in other)
 
 
 def test_every_vendi_kernel_is_exactly_symmetric(monkeypatch):
-    # so kernel_eigenvalues needs no symmetrised copy: on every kernel ranking
-    # and the report pass, it equals eigvalsh((K + K^T) / 2n) bit for bit
+    # so kernel_eigenvalues needs no symmetrised copy: on every kernel of the
+    # report pass (ranking builds none), it equals eigvalsh((K + K^T) / 2n)
+    # bit for bit
     kernels = []
     eigenvalues = semantic.kernel_eigenvalues
 
@@ -182,15 +266,9 @@ def test_every_vendi_kernel_is_exactly_symmetric(monkeypatch):
         kernels.append(sim.copy())
         return eigenvalues(sim)
 
-    monkeypatch.setattr(battery, "kernel_eigenvalues", recording)
     monkeypatch.setattr(semantic, "kernel_eigenvalues", recording)
-    cache = EmbeddingCache(HashEmbedder())
-    batch = SOURCES["varied"][30:36] + [UNSHARED]
-    for size in (0, 1, 30):
-        MarginalScorer(SOURCES["varied"][:size], cache).score(batch)
-    assert len(kernels) == 3 * 7
     analyze_corpus(SOURCES["varied"][:40], HashEmbedder(), seed=3)
-    assert len(kernels) == 3 * 7 + 101
+    assert len(kernels) == 101
     for kernel in kernels:
         assert kernel.tobytes() == np.ascontiguousarray(kernel.T).tobytes()
         symmetrised = np.linalg.eigvalsh((kernel + kernel.T) / (2.0 * len(kernel)))
@@ -253,9 +331,14 @@ def test_word_order_permutations_share_a_row_and_rank_by_index():
             assert ranks[pool[1]][metric] == ranks[pool[0]][metric] + 1
 
 
-def test_each_new_candidate_costs_one_eigvalsh_of_the_bordered_kernel(monkeypatch):
-    # the per-candidate bound a one-decomposition Vendi would tighten: growing
-    # the corpus solves nothing, a new candidate solves its (N+1)² kernel once
+EIGENSOLVERS = tuple(name for name in ("eigvalsh", "eigh", "eigvals", "eig", "svdvals", "svd")
+                     if hasattr(np.linalg, name))
+
+
+def test_a_sync_solves_at_most_one_eigenproblem_and_scoring_none(monkeypatch):
+    # a sync that adds texts decomposes at most one matrix of side at most
+    # min(N, d); a new candidate costs no eigensolve. d = 16 reaches N > d
+    # and the 64-row Gram blocks cheaply.
     calls = []
 
     def recording(name, solve):
@@ -264,17 +347,20 @@ def test_each_new_candidate_costs_one_eigvalsh_of_the_bordered_kernel(monkeypatc
             return solve(a, *args, **kwargs)
         return recorded
 
-    for name in ("eigvalsh", "eigh", "eig", "svd"):
+    for name in EIGENSOLVERS:
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    width = 16
     rng = random.Random("eigensolves")
-    corpus = [" ".join(rng.sample(CANDIDATE_SOURCE, rng.randint(1, 2))) for _ in range(300)]
-    scorer = MarginalScorer([], EmbeddingCache(HashEmbedder()))
-    for size in (100, 300):
+    corpus = [" ".join(rng.sample(CANDIDATE_SOURCE, rng.randint(1, 2))) for _ in range(150)]
+    scorer = MarginalScorer([], EmbeddingCache(HashEmbedder(dimension=width)))
+    for size in (1, 2, 15, 16, 17, 40, 64, 65, 130, 150):
+        scorer.sync(corpus[:size])
+        assert len(calls) <= 1, (size, calls)
+        assert all(max(shape) <= min(size, width) for _, shape in calls), (size, calls)
+        calls.clear()
         scorer.sync(corpus[:size])
         assert calls == []
         batch = new_candidates(rng, CANDIDATE_SOURCE, corpus[:size], set(), 5)
         scorer.score(batch)
-        assert calls == [("eigvalsh", (size + 1, size + 1))] * 5
-        calls.clear()
-        scorer.score(batch)
-        assert calls == []
+        scorer.score(batch[:2] + [UNSHARED])
+        assert calls == [], size
