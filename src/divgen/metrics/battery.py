@@ -20,6 +20,7 @@ from divgen.metrics.cluster_entropy import entropy_of_sizes, query_entropy_over_
 from divgen.metrics.semantic import (
     UnitRows,
     chamfer_distance_score,
+    cosine_matrix,
     paraphrase_variety,
     semantic_spread,
     unit_rows,
@@ -312,11 +313,12 @@ class MarginalScorer:
 
     ``sync`` appends new texts and their rows to the scorer's one ``Corpus``
     and feeds them to a DEFLATE stream of the newline-joined corpus. Each
-    appended row u borders the corpus's clipped kernel K (N×N) with
-    s = clip(U·u), adds Σ(1 − s) to the sum of pair distances and lowers the
-    nearest distances to 1 − s. Once per sync that adds texts, one ``eigh``
-    decomposes K's smaller side for a ``BorderedVendi``: K itself while
-    N < d, from then on the d×d Gram UᵀU, summed in ``GRAM_BLOCK``-row blocks.
+    appended row u, with s = clip(U·u), adds Σ(1 − s) to the sum of pair
+    distances and lowers the nearest distances to 1 − s. Once per sync that
+    adds texts, one ``eigh`` decomposes the smaller side of the corpus's
+    clipped kernel K for a ``BorderedVendi``: K itself, formed from the rows
+    only then, while N < d, from then on the d×d Gram UᵀU, summed in
+    ``GRAM_BLOCK``-row blocks. The scorer holds no N×N array.
     ``score`` evaluates each distinct candidate once per corpus, a call's new
     ones as one batch from one product of their unit rows with the corpus's:
     paraphrase variety and Chamfer in O(N) each, Vendi by the decomposition's
@@ -341,7 +343,6 @@ class MarginalScorer:
         self._raw_bytes = 0
         self._deflate = deflater()
         self._deflated_bytes = 0
-        self._kernel = np.empty((0, 0))
         self._gram = 0.0  # the sum of the closed blocks' Grams
         self._closed = 0  # rows in closed blocks
         self._vendi = BorderedVendi(np.empty(0), np.empty((0, 0)), 0)
@@ -367,29 +368,27 @@ class MarginalScorer:
         self.corpus.append(new, self._embed_cache.matrix(new))
         self._embed_cache.release([*scored, *new])
         units = unit_rows(self.corpus.rows)
-        kernel = np.pad(self._kernel, (0, len(new)))  # every new entry is written below
         nearest = np.concatenate((self._nearest, np.empty(len(new))))
         for i in range(n, len(units)):
-            sims = np.clip(units[: i + 1] @ units[i], -1.0, 1.0)
-            kernel[i, : i + 1] = kernel[: i + 1, i] = sims
-            dists = 1.0 - sims[:i]
+            # i + 1 rows: BLAS rounds by operand shape; this one keeps the pair sum's bits
+            dists = 1.0 - np.clip(units[: i + 1] @ units[i], -1.0, 1.0)[:i]
             self._pair_sum += float(dists.sum())
             np.minimum(nearest[:i], dists, out=nearest[:i])
             nearest[i] = dists.min(initial=np.inf)
-        self._kernel, self._nearest, self._scores = kernel, nearest, {}
+        self._nearest, self._scores = nearest, {}
         self._vendi = self._decompose(units)
 
     def _decompose(self, units: np.ndarray) -> BorderedVendi:
         """Close the Gram blocks the corpus has filled, then decompose K's
-        smaller side: K while N < d, else the closed blocks' Gram plus the
-        open block's."""
+        smaller side: K, formed from the rows, while N < d, else the closed
+        blocks' Gram plus the open block's."""
         size, width = units.shape
         while self._closed + GRAM_BLOCK <= size:
             block = units[self._closed: self._closed + GRAM_BLOCK]
             self._gram = self._gram + block.T @ block
             self._closed += GRAM_BLOCK
         if size < width:
-            return BorderedVendi(*np.linalg.eigh(self._kernel), size)
+            return BorderedVendi(*np.linalg.eigh(cosine_matrix(self.corpus.rows)), size)
         open_block = units[self._closed:]
         return BorderedVendi(*np.linalg.eigh(self._gram + open_block.T @ open_block),
                              size, gram=True)

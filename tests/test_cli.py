@@ -899,6 +899,31 @@ def test_a_malformed_artifact_exits_0_or_2(fuzz_inputs, data):
                       out, log)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_malformed_library_exits_0_or_2(data):
+    library = json.loads(Path(fixture_library_path()).read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        lib, art = Path(tmp) / "lib.json", Path(tmp) / "art.json"
+        lib.write_text(json.dumps(data.draw(mutated(library))), encoding="utf-8")
+        _exits_0_or_2(["preprocess", str(lib), "--out", str(art)], art)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_malformed_config_exits_0_or_2(fuzz_inputs, data):
+    artifact, _ = fuzz_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, art, out, log = (Path(tmp) / name
+                              for name in ("cfg.json", "art.json", "ds.jsonl", "run.log"))
+        cfg.write_text(json.dumps(data.draw(mutated(RunConfig().to_dict()))), encoding="utf-8")
+        _exits_0_or_2(["preprocess", fixture_library_path(), "--config", str(cfg),
+                       "--out", str(art)], art)
+        art.write_text(json.dumps(artifact), encoding="utf-8")
+        _exits_0_or_2(["generate", str(art), "--config", str(cfg), "--n", "2",
+                       "--out", str(out), "--log", str(log)], out, log)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_malformed_dataset_exits_0_or_2(fuzz_inputs, seed_11_dataset, data):

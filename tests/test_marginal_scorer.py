@@ -215,10 +215,10 @@ def test_sync_drops_the_scores_of_the_previous_corpus():
 
 
 def bits(scorer):
-    """The scorer's corpus state, as bytes: its kernel, distances, rows, the
-    closed Gram blocks' sum and the spectrum its Vendi reads."""
+    """The scorer's corpus state, as bytes: its distances, rows, the closed
+    Gram blocks' sum and the spectrum its Vendi reads."""
     vendi = scorer._vendi
-    return (scorer._kernel.tobytes(), scorer._nearest.tobytes(), scorer._pair_sum.hex(),
+    return (scorer._nearest.tobytes(), scorer._pair_sum.hex(),
             unit_rows(scorer.corpus.rows).tobytes(), scorer.corpus.texts,
             np.asarray(scorer._gram).tobytes(), scorer._closed, vendi.gram,
             vendi.eigenvalues.tobytes(), vendi.vectors.tobytes(), vendi.entropy_sum.hex(),
@@ -257,8 +257,8 @@ def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
 
 def test_every_vendi_kernel_is_exactly_symmetric(monkeypatch):
     # so kernel_eigenvalues needs no symmetrised copy: on every kernel of the
-    # report pass (ranking builds none), it equals eigvalsh((K + K^T) / 2n)
-    # bit for bit
+    # report pass (ranking forms K from the rows only when it decomposes, and
+    # calls eigh on it), it equals eigvalsh((K + K^T) / 2n) bit for bit
     kernels = []
     eigenvalues = semantic.kernel_eigenvalues
 
@@ -364,3 +364,19 @@ def test_a_sync_solves_at_most_one_eigenproblem_and_scoring_none(monkeypatch):
         scorer.score(batch)
         scorer.score(batch[:2] + [UNSHARED])
         assert calls == [], size
+
+
+def test_the_scorer_holds_no_n_by_n_array():
+    # its state grows as N·d and d², never N²: N = 65 passes d = 16 and the
+    # first Gram block, and 150 leaves an open block
+    scorer = MarginalScorer([], EmbeddingCache(HashEmbedder(dimension=16)))
+    rng = random.Random("n-by-n")
+    corpus = [" ".join(rng.sample(CANDIDATE_SOURCE, rng.randint(1, 2))) for _ in range(150)]
+    for size in (65, 130, 150):
+        scorer.sync(corpus[:size])
+        scorer.score([UNSHARED])
+        held = [value for owner in (scorer, scorer.corpus, scorer._vendi)
+                for value in vars(owner).values() if isinstance(value, np.ndarray)]
+        assert held
+        for array in held:
+            assert sum(side >= size for side in array.shape) < 2, (size, array.shape)
