@@ -22,7 +22,7 @@ from typing import Any, Sequence, TextIO
 
 from divgen.distractors import DistractorFailure, assemble_candidates, finalize
 from divgen.metrics.battery import EmbeddingCache
-from divgen.metrics.text import tokenize
+from divgen.metrics.text import sentences_of
 from divgen.model import (
     ExecutionType,
     FunctionLibrary,
@@ -166,7 +166,7 @@ class GenerationEngine:
             raise ModelError(f"{self.out_path}: its first {size} bytes hold {len(kept)}"
                              f" examples, the checkpoint records {doc['accepted']} accepted")
         for example in kept:
-            if not tokenize(example.query):
+            if not sentences_of(example.query):
                 raise ModelError(f"{self.out_path}: {example.id}'s query has no word token")
         return doc, kept
 

@@ -26,11 +26,13 @@ from divgen.metrics.semantic import (
     unit_rows,
     vendi_score,
 )
-from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this name
+from divgen.metrics.text import (  # fkgl_grade, tokenize, type_token_ratio:
+    # kept for bench/spans.py, which wraps these names
     compression_ratio,
     compression_ratio_diversity,
     deflater,
     fkgl_grade,
+    fkgl_of,
     ratio_of_types,
     sentences_of,
     simpson_of_counts,
@@ -39,13 +41,12 @@ from divgen.metrics.text import (  # type_token_ratio: bench/spans.py wraps this
     variance,
 )
 from divgen.metrics.trees import (  # avg_tree_edit_distance, parse_tree_entropy:
-    # bench/spans.py wraps these names
+    # kept for bench/spans.py, which wraps these names
     avg_tree_edit_distance,
     chunk_sentence,
     chunk_shapes,
     mean_tree_distance,
     parse_tree_entropy,
-    sentence_shapes,
 )
 
 #: Metrics optimized during generation, in ranking order.
@@ -71,19 +72,18 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 
 class Corpus:
     """A corpus's texts with one record each, its rows and running totals.
-    ``append(texts, rows)`` records each text once: its FKGL grade (a text
-    without a word token raises ValueError), its token ids into the corpus's
-    vocabulary, its token count, and its sentence parts (split once, the
-    parts FKGL counts) and their shapes, adding the last two to the totals
-    ``n_tokens`` and ``shape_counts``. Appended rows are normalised once, on
-    arrival, and written with their unit form to buffers that double when
-    full; ``rows`` is one ``semantic.UnitRows`` over the filled prefixes, whose
-    cluster-entropy neighbourhood table is built on first use, like the
-    parts' interned postorders, which ``chunk_sentence`` takes from the
-    chunker.
-    A row's unit form does not depend on the rows normalised with it, so it is
-    bit for bit that of a corpus built at once. Each text metric equals that
-    of the gathered texts bit for bit."""
+    ``append(texts, rows)`` reads each text once, by ``sentences_of``, and
+    records its sentences' tokens (``parts``), its FKGL grade (a text without
+    a word token raises ValueError), its token ids into the corpus's
+    vocabulary, its token count and its sentence shapes, adding the last two
+    to the totals ``n_tokens`` and ``shape_counts``. Appended rows are
+    normalised once, on arrival, and written with their unit form to buffers
+    that double when full; ``rows`` is one ``semantic.UnitRows`` over the
+    filled prefixes, whose cluster-entropy neighbourhood table is built on
+    first use, like the parts' interned postorders, which ``chunk_sentence``
+    takes from the chunker. A row's unit form does not depend on the rows
+    normalised with it, so it is bit for bit that of a corpus built at once.
+    Each text metric equals that of the gathered texts bit for bit."""
 
     def __init__(self, texts: Sequence[str] = (), rows=None):
         self.texts: list[str] = []
@@ -93,7 +93,7 @@ class Corpus:
         self.token_ids: list[np.ndarray] = []
         self.lengths: list[float] = []
         self.fkgls: list[float] = []
-        self.parts: list[list[str]] = []
+        self.parts: list[list[tuple[str, ...]]] = []
         self.shapes: list[list[str]] = []
         self.n_tokens = 0
         self.shape_counts: Counter[str] = Counter()
@@ -102,15 +102,15 @@ class Corpus:
 
     def append(self, texts: Sequence[str], rows=None) -> None:
         for text in texts:
-            grade = fkgl_grade(text)
-            tokens = tokenize(text)
+            sentences = sentences_of(text)
+            tokens = [t for sentence in sentences for t in sentence]
+            self.fkgls.append(fkgl_of(sentences))  # first: it raises for a wordless text
             self.token_ids.append(np.array(
                 [self.vocabulary.setdefault(t, len(self.vocabulary)) for t in tokens],
                 dtype=np.intp))
             self.lengths.append(float(len(tokens)))
-            self.fkgls.append(grade)
-            self.parts.append(sentences_of(text))
-            self.shapes.append(chunk_shapes(self.parts[-1]))
+            self.parts.append(sentences)
+            self.shapes.append(chunk_shapes(sentences))
             self.n_tokens += len(tokens)
             self.shape_counts.update(self.shapes[-1])
             self.texts.append(text)
@@ -157,8 +157,8 @@ class Corpus:
 
     @property
     def trees(self) -> list[list]:
-        """Per text, the interned chunk tree of each of its sentence parts,
-        built for the texts appended since the last read."""
+        """Per text, the interned chunk tree of each of its sentences, built
+        for the texts appended since the last read."""
         self._trees.extend([chunk_sentence(s) for s in parts]
                            for parts in self.parts[len(self._trees):])
         return self._trees
@@ -268,9 +268,10 @@ class BorderedVendi:
     Aₖ = sᵀ(K+t)⁻ᵏs = Σᵢ zᵢ²/(λᵢ+t)ᵏ over K's eigenpairs (λᵢ, qᵢ), zᵢ = qᵢᵀs.
     B's trace is m = N + 1, so its Vendi is exp(log m − Σf(eig B)/m).
 
-    ``eigenvalues`` and ``vectors`` come from one ``eigh``: of K, where
-    z = Qᵀs, or (``gram``) of G = UᵀU, which shares K's nonzero eigenvalues,
-    where zᵢ² = λᵢ(pᵢᵀu)² for the candidate's unit row u. Eigenvalues up to
+    ``eigenvalues`` come from one ``eigh``, of K or of G = UᵀU, which shares
+    K's nonzero eigenvalues, and the columns of ``vectors`` map a candidate's
+    unit row u to its components z: UᵀQ for K, where z = Qᵀs with s = U·u,
+    and P√λ for G, where zᵢ² = λᵢ(pᵢᵀu)². Eigenvalues up to
     1e-10·λ_max count as 0, together with their components: a component along
     K's null space is rounding noise (2e-13 for a candidate in the span of a
     rank-deficient K), which 1/(λ+t) would magnify. The integrand is analytic
@@ -283,23 +284,22 @@ class BorderedVendi:
     MARGIN = 40.0
     DEFLATION = 1e-10
 
-    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, size: int,
-                 gram: bool = False):
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, size: int):
         top = eigenvalues.max(initial=0.0)
         kept = slice(np.searchsorted(eigenvalues, self.DEFLATION * top, side="right"), None)
-        self.size, self.gram = size, gram
+        self.size = size
         self.eigenvalues = lam = eigenvalues[kept]  # eigh's are ascending
-        self.vectors = vectors[:, kept] * np.sqrt(lam) if gram else vectors[:, kept]
+        self.vectors = vectors[:, kept]
         self.entropy_sum = math.fsum((lam * np.log(lam)).tolist())
         count = int((math.log(max(top, 1.0)) + 2 * self.MARGIN) / self.STEP) + 1
         self.nodes = np.exp(self.STEP * np.arange(count) - self.MARGIN)
         self.resolvent = 1.0 / (lam[:, None] + self.nodes)
         self.resolvent_sq = np.square(self.resolvent)
 
-    def scores(self, sims: np.ndarray, units: np.ndarray) -> np.ndarray:
-        """The Vendi of K bordered by each candidate, from its similarities
-        ``sims`` to the corpus and its unit rows ``units``."""
-        z2 = np.square((units if self.gram else sims) @ self.vectors)
+    def scores(self, units: np.ndarray) -> np.ndarray:
+        """The Vendi of K bordered by each candidate, from its unit rows
+        ``units``."""
+        z2 = np.square(units @ self.vectors)
         a1, a2 = z2 @ self.resolvent, z2 @ self.resolvent_sq
         t = self.nodes
         schur = np.maximum(1.0 + t - a1, t)  # B + t's Schur complement is at least t
@@ -323,8 +323,8 @@ class MarginalScorer:
     ones as one batch from one product of their unit rows with the corpus's:
     paraphrase variety and Chamfer in O(N) each, Vendi by the decomposition's
     quadrature in two matrix products, and the text metrics from the corpus's
-    records and totals and the candidate's tokens, FKGL grade and tree-free
-    sentence shapes. Scoring solves no eigenproblem.
+    records and totals and one reading of the candidate: its tokens, FKGL
+    grade and tree-free sentence shapes. Scoring solves no eigenproblem.
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
@@ -345,7 +345,7 @@ class MarginalScorer:
         self._deflated_bytes = 0
         self._gram = 0.0  # the sum of the closed blocks' Grams
         self._closed = 0  # rows in closed blocks
-        self._vendi = BorderedVendi(np.empty(0), np.empty((0, 0)), 0)
+        self._vendi: BorderedVendi | None = None  # decomposed by a sync that adds texts
         self._pair_sum = 0.0
         self._nearest = np.empty(0)
         self._scores: dict[str, tuple[float, ...]] = {}
@@ -388,10 +388,11 @@ class MarginalScorer:
             self._gram = self._gram + block.T @ block
             self._closed += GRAM_BLOCK
         if size < width:
-            return BorderedVendi(*np.linalg.eigh(cosine_matrix(self.corpus.rows)), size)
+            lam, vectors = np.linalg.eigh(cosine_matrix(self.corpus.rows))
+            return BorderedVendi(lam, units.T @ vectors, size)
         open_block = units[self._closed:]
-        return BorderedVendi(*np.linalg.eigh(self._gram + open_block.T @ open_block),
-                             size, gram=True)
+        lam, vectors = np.linalg.eigh(self._gram + open_block.T @ open_block)
+        return BorderedVendi(lam, vectors * np.sqrt(np.maximum(lam, 0.0)), size)
 
     def _next_line(self, text: str) -> bytes:
         """``text`` as the newline-joined corpus's next bytes."""
@@ -409,15 +410,15 @@ class MarginalScorer:
     def _evaluate_batch(self, candidates: list[str]) -> list[tuple[float, ...]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
         n = len(self.corpus.texts)
-        sims = np.clip(units @ unit_rows(self.corpus.rows).T, -1.0, 1.0) if n else units[:, :0]
-        dists = 1.0 - sims
         if n:
+            dists = 1.0 - np.clip(units @ unit_rows(self.corpus.rows).T, -1.0, 1.0)
             varieties = (self._pair_sum + dists.sum(axis=1)) / ((n + 1) * n / 2)
             chamfers = (np.minimum(self._nearest, dists).sum(axis=1)
                         + dists.min(axis=1)) / (n + 1)
-        else:
+            vendis = self._vendi.scores(units)
+        else:  # a one-text corpus: no pairs, and the Vendi of a 1×1 kernel
             varieties = chamfers = np.zeros(len(units))
-        vendis = self._vendi.scores(sims, units)
+            vendis = np.ones(len(units))
         return [self._battery(c, float(variety), float(chamfer), float(vendi))
                 for c, variety, chamfer, vendi in zip(candidates, varieties, chamfers, vendis)]
 
@@ -425,13 +426,14 @@ class MarginalScorer:
                  vendi: float) -> tuple[float, ...]:
         """The candidate's eight scores in ``OPTIMIZED_METRICS`` order: the text
         metrics computed here, the embedding metrics from the batch."""
-        tokens = tokenize(candidate)
+        sentences = sentences_of(candidate)
+        tokens = [t for sentence in sentences for t in sentence]
         extra = self._next_line(candidate)
         deflate = self._deflate.copy()
         deflated = (self._deflated_bytes + len(deflate.compress(extra))
                     + len(deflate.flush()))
         shapes = self.corpus.shape_counts.copy()
-        shapes.update(sentence_shapes(candidate))
+        shapes.update(chunk_shapes(sentences))
         vocabulary = self.corpus.vocabulary
         return (
             ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),
@@ -440,7 +442,7 @@ class MarginalScorer:
             variety,
             entropy_of_sizes(shapes.values()),
             chamfer,
-            variance(self.corpus.fkgls + [fkgl_grade(candidate)]),
+            variance(self.corpus.fkgls + [fkgl_of(sentences)]),
             variance(self.corpus.lengths + [float(len(tokens))]),
             vendi,
         )

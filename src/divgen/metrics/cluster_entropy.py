@@ -34,7 +34,7 @@ import numpy as np
 
 from divgen.metrics.dbscan import ClusterPartition, components, pairwise_distances, within_eps
 from divgen.metrics.semantic import unit_rows
-from divgen.metrics.text import tokenize
+from divgen.metrics.text import sentences_of
 
 NUMERIC_EPS = 0.5
 STRING_EPS = 0.1
@@ -93,7 +93,7 @@ def numeric_value(value: Any) -> int | float:
 def text_value(value: Any) -> str:
     """``value`` as text with at least one word token, or UnusableValue."""
     text = str(value)
-    if not tokenize(text):
+    if not sentences_of(text):
         raise UnusableValue(f"value {text!r} has no word token")
     return text
 

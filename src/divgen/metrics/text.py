@@ -1,8 +1,10 @@
 """Lexical and compression-based diversity metrics, plus readability.
 
-Tokenization everywhere: lowercase, split on non-alphanumeric runs. The
-canonical compressor for both compression-ratio and NCD is DEFLATE at level 6.
-All corpus metrics are permutation-invariant; higher always means more diverse.
+``sentences_of`` is the one reading of a text into words, which every word
+metric and the chunker take: sentences split on terminal punctuation runs, each
+tokenized (lowercase, split on non-alphanumeric runs). The canonical compressor
+for both compression-ratio and NCD is DEFLATE at level 6. All corpus metrics
+are permutation-invariant; higher always means more diverse.
 """
 
 from __future__ import annotations
@@ -19,24 +21,22 @@ SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 _COMPRESSION_LEVEL = 6
 
 
-@functools.lru_cache(maxsize=65536)
+@functools.lru_cache(maxsize=65536)  # the memo is kept for bench/, which reads it
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase alphanumeric tokens."""
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
-def sentences_of(text: str) -> list[str]:
-    """Split on terminal punctuation runs, keeping parts that carry tokens.
-    Its callers keep the parts per text, so it skips tokenize's memo."""
-    return [part.strip() for part in SENTENCE_SPLIT_RE.split(text)
-            if tokenize.__wrapped__(part)]
+def sentences_of(text: str) -> list[tuple[str, ...]]:
+    """The tokens of each part of ``text`` between terminal punctuation runs
+    that has any; joined, they are ``tokenize(text)``. Its callers keep this
+    reading per text, so it skips tokenize's memo."""
+    return [tokens for part in SENTENCE_SPLIT_RE.split(text)
+            if (tokens := tokenize.__wrapped__(part))]
 
 
 def _corpus_tokens(corpus: Iterable[str]) -> list[str]:
-    tokens: list[str] = []
-    for text in corpus:
-        tokens.extend(tokenize(text))
-    return tokens
+    return [token for text in corpus for sentence in sentences_of(text) for token in sentence]
 
 
 def type_token_ratio(corpus: Sequence[str]) -> float:
@@ -151,15 +151,20 @@ def count_syllables(word: str) -> int:
     return max(1, groups)
 
 
-@functools.lru_cache(maxsize=65536)
-def fkgl_grade(text: str) -> float:
-    """0.39*(words/sentences) + 11.8*(syllables/word) - 15.59, counting the
-    sentences the chunker reads."""
-    words = tokenize(text)
+def fkgl_of(sentences: Sequence[Sequence[str]]) -> float:
+    """0.39*(words/sentences) + 11.8*(syllables/word) - 15.59 over one text's
+    ``sentences_of``, the sentences the chunker reads."""
+    words = [word for sentence in sentences for word in sentence]
     if not words:
         raise ValueError("fkgl_grade requires non-empty text")
     syllables = sum(count_syllables(w) for w in words)
-    return 0.39 * (len(words) / len(sentences_of(text))) + 11.8 * (syllables / len(words)) - 15.59
+    return 0.39 * (len(words) / len(sentences)) + 11.8 * (syllables / len(words)) - 15.59
+
+
+@functools.lru_cache(maxsize=65536)  # the memo is kept for bench/, which reads it
+def fkgl_grade(text: str) -> float:
+    """The FKGL grade of one text."""
+    return fkgl_of(sentences_of(text))
 
 
 def variance(values: Sequence[float]) -> float:

@@ -1,13 +1,13 @@
 """Syntactic diversity: shallow chunk trees, shape entropy, and tree edit distance.
 
-Sentences are parsed by a deterministic rule-based chunker: tokens are tagged
-by lexicon and suffix (memoised per token), then bracketed into
-noun/verb/prepositional groups under a sentence root, which keeps the metrics
-hermetic. The chunker yields each chunk as its label and leaf tags, and both
-renderings are written straight from that sequence: the shape string that
-parse-tree entropy counts, so ranking builds no tree, and the interned
-postorder that tree edit distance reads. Tree edit distance is the exact
-ordered-tree algorithm with unit insert/delete/relabel costs.
+The tokens of each sentence ``text.sentences_of`` reads are parsed by a
+deterministic rule-based chunker: tagged by lexicon and suffix (memoised per
+token), then bracketed into noun/verb/prepositional groups under a sentence
+root, which keeps the metrics hermetic. The chunker yields each chunk as its
+label and leaf tags, and both renderings are written straight from that
+sequence: the shape string that parse-tree entropy counts, so ranking builds
+no tree, and the interned postorder that tree edit distance reads. Tree edit
+distance is the exact ordered-tree algorithm with unit insert/delete/relabel costs.
 
 The edit distance of two sentences depends only on their trees: each distinct
 tree is put in postorder once and interned, and the corpus average weights
@@ -21,8 +21,8 @@ the lower heights come first, so every distance a cell reads is already
 known. Row groups are cut into tiles that bound the forest tables' memory.
 The corpus's distance table is kept, so its bootstrap resamples, which hold
 subsets of its trees, read it without a kernel call. Nothing here memoises a
-text: a report's ``battery.Corpus`` keeps each text's sentence parts and,
-from first use, their postorders, so a resample splits and chunks nothing.
+text: a report's ``battery.Corpus`` keeps each text's sentences and, from
+first use, their postorders, so a resample splits and chunks nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from divgen.metrics.cluster_entropy import entropy_of_sizes
-from divgen.metrics.text import sentences_of, tokenize
+from divgen.metrics.text import sentences_of
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +108,12 @@ _VERBAL = {"AUX", "VERB", "ADV"}
 _PHRASE = {**dict.fromkeys(_NOMINAL, "NP"), **dict.fromkeys(_VERBAL, "VP")}
 
 
-def _chunks(sentence: str) -> list[tuple[str, tuple[str, ...]]]:
-    """The chunker: one sentence's chunks, in order, each as its label and
-    the tags of its leaves. A ``PP`` chunk is a PREP leaf and an NP of its
-    leaves; a chunk without leaves (a PREP no nominal follows, a CONJ, a WH)
-    is itself a leaf. Its callers memoise per sentence, so it skips
-    tokenize's memo, which would only hold each sentence again."""
-    tags = [tag_token(t) for t in tokenize.__wrapped__(sentence)]
+def _chunks(tokens: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
+    """The chunker: the chunks of one sentence's tokens, in order, each as
+    its label and the tags of its leaves. A ``PP`` chunk is a PREP leaf and
+    an NP of its leaves; a chunk without leaves (a PREP no nominal follows, a
+    CONJ, a WH) is itself a leaf."""
+    tags = [tag_token(t) for t in tokens]
     chunks: list[tuple[str, tuple[str, ...]]] = []
     i = 0
     n = len(tags)
@@ -135,11 +134,11 @@ def _chunks(sentence: str) -> list[tuple[str, tuple[str, ...]]]:
     return chunks
 
 
-def _chunk_shape(sentence: str) -> str:
+def _chunk_shape(tokens: Sequence[str]) -> str:
     """The shape string of one sentence's chunk tree: category symbols only,
     a node with children written as ``(label child ...)``."""
     parts = []
-    for label, leaves in _chunks(sentence):
+    for label, leaves in _chunks(tokens):
         if label == "PP":
             parts.append(f"(PP PREP (NP {' '.join(leaves)}))")
         elif leaves:
@@ -149,19 +148,14 @@ def _chunk_shape(sentence: str) -> str:
     return f"(S {' '.join(parts)})" if parts else "S"
 
 
-def chunk_shapes(sentences: Sequence[str]) -> list[str]:
-    """Tree shape of each of ``sentences``."""
+def chunk_shapes(sentences: Sequence[Sequence[str]]) -> list[str]:
+    """Tree shape of each of ``sentences``, each a sentence's tokens."""
     return [_chunk_shape(s) for s in sentences]
-
-
-def sentence_shapes(text: str) -> list[str]:
-    """Tree shape of each sentence of one text."""
-    return chunk_shapes(sentences_of(text))
 
 
 def parse_tree_entropy(corpus: Sequence[str]) -> float:
     """Base-2 entropy over the frequency distribution of sentence tree shapes."""
-    shapes = Counter(shape for text in corpus for shape in sentence_shapes(text))
+    shapes = Counter(shape for text in corpus for shape in chunk_shapes(sentences_of(text)))
     return entropy_of_sizes(shapes.values())
 
 
@@ -205,13 +199,13 @@ def _interned(labels: tuple[str, ...], before: tuple[int, ...]) -> _Postorder:
     return _Postorder(labels, before)
 
 
-@functools.lru_cache(maxsize=65536)
-def chunk_sentence(sentence: str) -> _Postorder:
-    """The interned postorder of one sentence's chunk tree: per chunk, its
-    leaf tags and then its label (a ``PP`` is a PREP leaf and an NP over its
-    leaves), and the ``S`` root last."""
+@functools.lru_cache(maxsize=65536)  # the memo is kept for bench/, which reads it
+def chunk_sentence(tokens: tuple[str, ...]) -> _Postorder:
+    """The interned postorder of the chunk tree of one sentence's tokens: per
+    chunk, its leaf tags and then its label (a ``PP`` is a PREP leaf and an
+    NP over its leaves), and the ``S`` root last."""
     labels, before = [""], [0]
-    for label, leaves in _chunks(sentence):
+    for label, leaves in _chunks(tokens):
         start = len(labels) - 1  # the index just before the chunk's leftmost leaf
         if label == "PP":
             labels += ("PREP", *leaves, "NP")

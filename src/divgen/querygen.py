@@ -33,7 +33,7 @@ from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps t
 )
 from divgen.metrics.fusion import rrf_fuse
 from divgen.metrics.semantic import round12
-from divgen.metrics.text import tokenize
+from divgen.metrics.text import sentences_of
 from divgen.model import ExecutionType, FunctionSchema, RunConfig
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -282,11 +282,10 @@ class QueryGenerator:
                 continue
             candidates = [out[f"query_{i}"] for i in range(1, 6)
                           if out.get(f"query_{i}", "").strip()]
-            for cand in candidates:
-                if not tokenize(cand):
-                    attempts_log.append(
-                        f"[round {round_no}] {cand} -- left out: no word tokens to score")
-            candidates = [c for c in candidates if tokenize(c)]
+            scorable = [c for c in candidates if sentences_of(c)]
+            attempts_log.extend(f"[round {round_no}] {c} -- left out: no word tokens to score"
+                                for c in candidates if c not in scorable)
+            candidates = scorable
             verdicts = judge_queries(candidates, skeleton, self.client, fields)
             for cand, verdict in zip(candidates, verdicts):
                 attempts_log.append(

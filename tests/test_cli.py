@@ -17,6 +17,7 @@ from conftest import alarm, packed_column
 import divgen.cli
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
+from divgen.metrics.text import fkgl_grade, tokenize
 from divgen.model import RunConfig, read_dataset
 from divgen.preprocess import EDGE_KINDS
 from divgen.providers.hash_embed import HashEmbedder
@@ -443,6 +444,17 @@ def test_fixture_run_golden_digest(tmp_path):
                     "--log", str(run_log)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == dataset, n
         assert hashlib.sha256(run_log.read_bytes()).hexdigest() == log, n
+
+
+def test_a_run_and_its_report_fill_neither_process_wide_text_memo(tmp_path):
+    # each reads a text once, by sentences_of, and keeps that reading itself
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    tokenize.cache_clear()
+    fkgl_grade.cache_clear()
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "20", "--seed", "7", "--out", str(out)]) == 0
+    assert run(["analyze", str(out), "--out", str(tmp_path / "report.json")]) == 0
+    assert (tokenize.cache_info().currsize, fkgl_grade.cache_info().currsize) == (0, 0)
 
 
 def test_generate_smoke_and_examples_valid(tmp_path):

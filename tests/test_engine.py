@@ -57,24 +57,24 @@ def test_engine_examples_satisfy_invariants(tmp_path):
 
 
 def test_each_accepted_query_reaches_the_ranking_corpus_once(tmp_path, monkeypatch):
-    graded, scored = Counter(), Counter()
-    fkgl_grade, score_one = battery.fkgl_grade, battery.MarginalScorer._battery
+    read, scored = Counter(), Counter()
+    sentences_of, score_one = battery.sentences_of, battery.MarginalScorer._battery
 
-    def counting_grade(text):
-        graded[text] += 1
-        return fkgl_grade(text)
+    def counting_reading(text):
+        read[text] += 1
+        return sentences_of(text)
 
     def counting_score(self, candidate, *scores):
         scored[candidate] += 1
         return score_one(self, candidate, *scores)
 
-    monkeypatch.setattr(battery, "fkgl_grade", counting_grade)
+    monkeypatch.setattr(battery, "sentences_of", counting_reading)
     monkeypatch.setattr(battery.MarginalScorer, "_battery", counting_score)
     engine = build_engine(tmp_path)
     engine.generate(20)
-    # every grade not taken for a candidate is taken for a corpus text; the
+    # every reading not taken for a candidate is taken for a corpus text; the
     # last acceptance ends the run before another example ranks
-    assert graded - scored == Counter(engine.queries[:-1])
+    assert read - scored == Counter(engine.queries[:-1])
 
 
 def test_ranking_builds_no_chunk_tree(tmp_path, monkeypatch):

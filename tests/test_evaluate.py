@@ -328,15 +328,14 @@ def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch
 
     monkeypatch.setattr(semantic, "unit_rows", counting_unit_rows)
     monkeypatch.setattr(text, "SENTENCE_SPLIT_RE", CountingSplit())
-    fkgl_grade.cache_clear()
+    fkgl_grade.cache_clear()  # a cold FKGL memo splits nothing more
     analyze_corpus(corpus, embedder, seed=3)
     # the full corpus once; every other row normalised is semantic_spread's
     # centroid, one per score
     assert normalised.count(len(corpus)) == 1
     assert normalised.count(1) == 101 and len(normalised) == 102
-    # each text once per Corpus, a repeated text as often as it occurs, and
-    # each distinct text once more on its FKGL memo miss
-    assert sorted(split) == sorted(corpus + list(set(corpus)))
+    # each text once per Corpus, a repeated text as often as it occurs
+    assert sorted(split) == sorted(corpus)
 
 
 # --- per-corpus tables ------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import divgen.metrics.battery as battery
 import divgen.metrics.semantic as semantic
+import divgen.metrics.text as text
 from divgen.evaluate import analyze_corpus
 from divgen.fixtures import repetitive_corpus, varied_corpus
 from divgen.metrics.battery import (
@@ -168,16 +169,31 @@ def span_cases(seed, width, size):
     return corpus, [corpus[1], *candidates], rows
 
 
+def recorded_eigh_shapes(monkeypatch):
+    """The list to which each later ``np.linalg.eigh`` call appends the shape
+    of the matrix it reads."""
+    shapes, eigh = [], np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
 @pytest.mark.parametrize("width, size", [(6, 5), (6, 6), (6, 7), (16, 15), (16, 16),
                                          (16, 17), (6, 70), (16, 200)])
-def test_vendi_is_within_1e_12_of_evaluate_battery_around_n_equals_d(width, size):
+def test_vendi_is_within_1e_12_of_evaluate_battery_around_n_equals_d(width, size, monkeypatch):
     # the quadrature against the (N+1)² eigendecomposition; rounded scores
     # need not be equal
+    shapes = recorded_eigh_shapes(monkeypatch)
     for seed in range(4):
         corpus, candidates, rows = span_cases(seed, width, size)
         cache = EmbeddingCache(TableEmbedder(rows))
+        shapes.clear()
         scorer = MarginalScorer(corpus, cache)
-        assert scorer._vendi.gram == (size >= width)
+        assert shapes == [(min(size, width),) * 2]
         got = dict(zip(OPTIMIZED_METRICS, scorer.score(candidates).T))["vendi"]
         for cand, vendi in zip(candidates, got):
             texts = corpus + [cand]
@@ -220,12 +236,12 @@ def bits(scorer):
     vendi = scorer._vendi
     return (scorer._nearest.tobytes(), scorer._pair_sum.hex(),
             unit_rows(scorer.corpus.rows).tobytes(), scorer.corpus.texts,
-            np.asarray(scorer._gram).tobytes(), scorer._closed, vendi.gram,
+            np.asarray(scorer._gram).tobytes(), scorer._closed,
             vendi.eigenvalues.tobytes(), vendi.vectors.tobytes(), vendi.entropy_sum.hex(),
             vendi.resolvent.tobytes())
 
 
-def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
+def test_a_scorer_grown_text_by_text_equals_one_synced_at_once(monkeypatch):
     # at d = 384 the corpus stays on the kernel side; at d = 16 it crosses
     # N = d and the 64-row Gram block boundary
     corpora = {384: SOURCES["varied"][:25] + SOURCES["repetitive"][:25],
@@ -233,6 +249,7 @@ def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
     chunks = {384: (1, 2, 9, 33, 50), 16: (1, 2, 9, 15, 16, 17, 33, 63, 64, 65, 70)}
     batch = [UNSHARED, SOURCES["varied"][30], SOURCES["varied"][3],
              " ".join(SOURCES["varied"][5:8])]
+    shapes = recorded_eigh_shapes(monkeypatch)
     for width, corpus in corpora.items():
         cache = EmbeddingCache(HashEmbedder(dimension=width))
         grown, chunked = MarginalScorer([], cache), MarginalScorer([], cache)
@@ -241,8 +258,9 @@ def test_a_scorer_grown_text_by_text_equals_one_synced_at_once():
         assert chunks[width][-1] == len(corpus)
         for size in chunks[width]:
             chunked.sync(corpus[:size])
+        shapes.clear()
         whole = MarginalScorer(corpus, cache)
-        assert whole._vendi.gram == (len(corpus) >= width)
+        assert shapes == [(min(len(corpus), width),) * 2]
         scores = [scorer.score(batch) for scorer in (grown, chunked, whole)]
         assert bits(grown) == bits(chunked) == bits(whole), width
         assert [run.tobytes() for run in scores[1:]] == [scores[0].tobytes()] * 2
@@ -291,6 +309,24 @@ def test_score_evaluates_each_distinct_new_candidate_once_per_call(monkeypatch):
     assert batches == [[a, b], [c]]
     assert np.array_equal(first, second[[3, 0, 3]])
     assert np.array_equal(scorer.score([a, c]), second[[3, 1]]) and len(batches) == 2
+
+
+def test_scoring_splits_each_distinct_new_candidate_once(monkeypatch):
+    # its tokens, FKGL grade and sentence shapes come from one reading
+    scorer = MarginalScorer(SOURCES["varied"][:20], EmbeddingCache(HashEmbedder()))
+    split, pattern = [], text.SENTENCE_SPLIT_RE
+
+    class CountingSplit:
+        def split(self, string):
+            split.append(string)
+            return pattern.split(string)
+
+    monkeypatch.setattr(text, "SENTENCE_SPLIT_RE", CountingSplit())
+    text.fkgl_grade.cache_clear()  # a cold FKGL memo splits nothing more
+    batch = [UNSHARED, *SOURCES["varied"][20:24], SOURCES["varied"][3]]
+    scorer.score(batch + batch[:2])
+    scorer.score(batch[::-1])
+    assert sorted(split) == sorted(batch)
 
 
 class FixedScorer:

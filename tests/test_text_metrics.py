@@ -12,6 +12,7 @@ from divgen.metrics.text import (
     deflater,
     fkgl_grade,
     ncd_diversity,
+    sentences_of,
     simpson_index,
     tokenize,
     type_token_ratio,
@@ -148,6 +149,28 @@ def test_fkgl_monosyllabic_five_words():
 def test_fkgl_counts_the_sentences_the_chunker_reads():
     # a part without a word token is no sentence, to FKGL as to the chunker
     assert fkgl_grade("Weather in Rome? :)") == fkgl_grade("Weather in Rome?")
+
+
+# punctuation runs, and characters whose lowercase differs in length or by
+# context: dotted capital I, the Kelvin sign, sharp s, capital sigma
+TRICKY = st.text(alphabet=st.sampled_from(list("ab Z9.!?,;:'\n\u0130\u212a\u00df\u03a3\u03c2")))
+
+
+@given(st.one_of(st.text(), TRICKY))
+@settings(max_examples=500, deadline=None)
+def test_the_sentences_of_a_text_join_to_its_tokens_and_give_its_grade(value):
+    # what keeps every TTR, length and FKGL bit of one reading per text
+    sentences = sentences_of(value)
+    words = tokenize.__wrapped__(value)
+    assert [w for sentence in sentences for w in sentence] == list(words)
+    assert all(sentences)
+    if not words:
+        with pytest.raises(ValueError):
+            fkgl_grade.__wrapped__(value)
+        return
+    syllables = sum(count_syllables(w) for w in words)
+    assert fkgl_grade.__wrapped__(value) == (
+        0.39 * (len(words) / len(sentences)) + 11.8 * (syllables / len(words)) - 15.59)
 
 
 def test_fkgl_empty_errors():

@@ -55,8 +55,9 @@ def to_postorder(root):
     return trees._interned(tuple(labels), tuple(before))
 
 
-def reference_chunk_tree(sentence):
-    """The chunk tree of ``sentence``, built node by node from the chunker."""
+def reference_chunk_tree(tokens):
+    """The chunk tree of one sentence's ``tokens``, built node by node from
+    the chunker."""
     def chunk_node(label, leaves):
         nodes = tuple(TreeNode(tag) for tag in leaves)
         if label == "PP":
@@ -64,7 +65,7 @@ def reference_chunk_tree(sentence):
         return TreeNode(label, nodes)
 
     return TreeNode("S", tuple(chunk_node(label, leaves)
-                               for label, leaves in trees._chunks(sentence)))
+                               for label, leaves in trees._chunks(tokens)))
 
 
 def tree_edit_distance(a, b):
@@ -297,13 +298,13 @@ def test_ted_symmetry_and_triangle():
 # --- the default chunker ----------------------------------------------------
 
 def test_chunker_shapes_are_lexenless():
-    shape = tree_shape(reference_chunk_tree("find the hotel"))
+    shape = tree_shape(reference_chunk_tree(("find", "the", "hotel")))
     assert shape == "(S (VP VERB) (NP DET NOUN))"
     assert "hotel" not in shape
 
 
 def test_chunker_prepositional_groups():
-    shape = tree_shape(reference_chunk_tree("the cat is running in the garden"))
+    shape = tree_shape(reference_chunk_tree(tokenize("the cat is running in the garden")))
     assert shape == "(S (NP DET NOUN) (VP AUX VERB) (PP PREP (NP DET NOUN)))"
 
 
@@ -323,15 +324,16 @@ TAGGED_WORDS = ["the", "she", "is", "in", "to", "and", "why", "42", "two", "find
     ("!!!", "S"),
 ])
 def test_chunk_shape_cases(sentence, shape):
-    tree = reference_chunk_tree(sentence)
-    assert trees._chunk_shape(sentence) == tree_shape(tree) == shape
-    assert chunk_sentence(sentence) is to_postorder(tree)
+    tokens = tokenize(sentence)
+    tree = reference_chunk_tree(tokens)
+    assert trees._chunk_shape(tokens) == tree_shape(tree) == shape
+    assert chunk_sentence(tokens) is to_postorder(tree)
 
 
 @given(st.lists(st.sampled_from(TAGGED_WORDS), max_size=16))
 @settings(max_examples=300, deadline=None)
 def test_chunk_shape_renders_the_chunk_tree(words):
-    sentence = " ".join(words)
+    sentence = tuple(words)
     tree = reference_chunk_tree(sentence)
     assert chunk_sentence(sentence) is to_postorder(tree)
     assert trees._chunk_shape(sentence) == tree_shape(tree)
@@ -354,15 +356,15 @@ def test_sentence_parts_stay_out_of_the_tokenize_memo(monkeypatch):
     monkeypatch.setattr(trees, "_chunk_shape",
                         lambda sentence: shaped.append(sentence) or chunk_shape(sentence))
     tokenize.cache_clear()
-    assert trees.sentence_shapes("Find a hotel in Rome. Book the flight?") == [
+    assert trees.chunk_shapes(sentences_of("Find a hotel in Rome. Book the flight?")) == [
         "(S (VP VERB) (NP DET NOUN) (PP PREP (NP NOUN)))", "(S (VP VERB) (NP DET NOUN))"]
-    assert shaped == ["Find a hotel in Rome", "Book the flight"]
+    assert shaped == [("find", "a", "hotel", "in", "rome"), ("book", "the", "flight")]
     assert tokenize.cache_info().currsize == 0
 
 
 def test_sentences_of_splits_and_filters():
     assert sentences_of("Find it. Then check! Really?") == [
-        "Find it", "Then check", "Really"]
+        ("find", "it"), ("then", "check"), ("really",)]
     assert sentences_of("!!!") == []
 
 
@@ -377,7 +379,7 @@ def test_parse_tree_entropy_extremes():
     assert parse_tree_entropy(["find the hotel"] * 5) == 0.0
     distinct = ["find the hotel", "she is running", "in the garden",
                 "check it now please"]
-    shapes = {trees._chunk_shape(s) for s in distinct}
+    shapes = {trees._chunk_shape(tokenize(s)) for s in distinct}
     assert len(shapes) == 4
     assert parse_tree_entropy(distinct) == pytest.approx(math.log2(4), abs=1e-12)
 
@@ -389,7 +391,7 @@ def test_avg_tree_edit_distance_examples():
     assert avg_tree_edit_distance([one, two]) == 0.0
     assert avg_tree_edit_distance(["find the hotel"]) == 0.0
     mixed = ["find the hotel", "she is running in the garden"]
-    a, b = (reference_chunk_tree(s) for s in mixed)
+    a, b = (reference_chunk_tree(tokenize(s)) for s in mixed)
     assert avg_tree_edit_distance(mixed) == tree_edit_distance(a, b)
 
 
