@@ -118,9 +118,9 @@ def analyze_corpus(corpus: Sequence[str], embedder, seed: int = 0,
     An empty corpus, or a query without a word token, which no text metric
     can score, raises ModelError naming ``label`` and the query's 1-based
     position. Each metric's ``METRICS`` entry reads one ``battery.Corpus``
-    for the score and then each resample. The score comes first so that the
-    tree edit distance table, kept for the last corpus its kernel ran on,
-    holds every resample's trees.
+    for the score and then each resample, in any order: the corpus builds
+    the tree edit distances of its shapes once, on the first read, and every
+    resample's shapes are among them.
     """
     corpus = list(corpus)
     if not corpus:

@@ -42,9 +42,10 @@ from divgen.metrics.text import (  # fkgl_grade, tokenize, type_token_ratio:
 )
 from divgen.metrics.trees import (  # avg_tree_edit_distance, parse_tree_entropy:
     # kept for bench/spans.py, which wraps these names
+    Shape,
     avg_tree_edit_distance,
-    chunk_sentence,
-    chunk_shapes,
+    chunks,
+    distance_table,
     mean_tree_distance,
     parse_tree_entropy,
 )
@@ -73,17 +74,19 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 class Corpus:
     """A corpus's texts with one record each, its rows and running totals.
     ``append(texts, rows)`` reads each text once, by ``sentences_of``, and
-    records its sentences' tokens (``parts``), its FKGL grade (a text without
-    a word token raises ValueError), its token ids into the corpus's
-    vocabulary, its token count and its sentence shapes, adding the last two
-    to the totals ``n_tokens`` and ``shape_counts``. Appended rows are
-    normalised once, on arrival, and written with their unit form to buffers
-    that double when full; ``rows`` is one ``semantic.UnitRows`` over the
-    filled prefixes, whose cluster-entropy neighbourhood table is built on
-    first use, like the parts' interned postorders, which ``chunk_sentence``
-    takes from the chunker. A row's unit form does not depend on the rows
-    normalised with it, so it is bit for bit that of a corpus built at once.
-    Each text metric equals that of the gathered texts bit for bit."""
+    records its FKGL grade (a text without a word token raises ValueError),
+    its token ids into the corpus's ``vocabulary``, its token count and the
+    shape id of each of its sentences, adding the last two to the totals
+    ``n_tokens`` and ``shape_counts``. A sentence's shape is its chunks, which
+    the chunker yields once per sentence; ``shapes`` gives each distinct one
+    an id, and ``tree_distances``, the edit distances of their trees, is built
+    on first use. Appended rows are normalised once, on arrival, and written
+    with their unit form to buffers that double when full; ``rows`` is one
+    ``semantic.UnitRows`` over the filled prefixes, whose cluster-entropy
+    neighbourhood table is also built on first use. A row's unit form does
+    not depend on the rows normalised with it, so it is bit for bit that of a
+    corpus built at once. Each text metric equals that of the gathered texts
+    bit for bit."""
 
     def __init__(self, texts: Sequence[str] = (), rows=None):
         self.texts: list[str] = []
@@ -93,11 +96,10 @@ class Corpus:
         self.token_ids: list[np.ndarray] = []
         self.lengths: list[float] = []
         self.fkgls: list[float] = []
-        self.parts: list[list[tuple[str, ...]]] = []
-        self.shapes: list[list[str]] = []
+        self.shapes: dict[Shape, int] = {}  # a sentence's chunks -> its shape id
+        self.shape_ids: list[np.ndarray] = []
         self.n_tokens = 0
-        self.shape_counts: Counter[str] = Counter()
-        self._trees: list[list] = []
+        self.shape_counts: Counter[int] = Counter()
         self.append(texts, rows)
 
     def append(self, texts: Sequence[str], rows=None) -> None:
@@ -109,11 +111,13 @@ class Corpus:
                 [self.vocabulary.setdefault(t, len(self.vocabulary)) for t in tokens],
                 dtype=np.intp))
             self.lengths.append(float(len(tokens)))
-            self.parts.append(sentences)
-            self.shapes.append(chunk_shapes(sentences))
+            shape_ids = [self.shapes.setdefault(shape, len(self.shapes))
+                         for shape in map(chunks, sentences)]
+            self.shape_ids.append(np.array(shape_ids, dtype=np.intp))
             self.n_tokens += len(tokens)
-            self.shape_counts.update(self.shapes[-1])
+            self.shape_counts.update(shape_ids)
             self.texts.append(text)
+        self.__dict__.pop("tree_distances", None)
         if rows is not None:
             block = UnitRows(rows)
             first, end = self._filled, self._filled + len(block)
@@ -143,6 +147,11 @@ class Corpus:
         """How often each vocabulary token occurs in the texts at ``indices``."""
         return np.bincount(np.concatenate([self.token_ids[i] for i in indices]))
 
+    def shape_counts_of(self, indices: Sequence[int]) -> np.ndarray:
+        """How often each shape id occurs in the texts at ``indices``."""
+        return np.bincount(np.concatenate([self.shape_ids[i] for i in indices]),
+                           minlength=len(self.shapes))
+
     def type_token_ratio(self, indices: Sequence[int]) -> float:
         counts = self.counts(indices)
         return ratio_of_types(int(np.count_nonzero(counts)), int(counts.sum()))
@@ -155,13 +164,10 @@ class Corpus:
     def cluster_entropy(self) -> Callable[[Sequence[int]], float]:
         return query_entropy_over_indices(self.rows)
 
-    @property
-    def trees(self) -> list[list]:
-        """Per text, the interned chunk tree of each of its sentences, built
-        for the texts appended since the last read."""
-        self._trees.extend([chunk_sentence(s) for s in parts]
-                           for parts in self.parts[len(self._trees):])
-        return self._trees
+    @functools.cached_property
+    def tree_distances(self) -> np.ndarray:
+        """The edit distance of every pair of shapes, by shape id."""
+        return distance_table(self.shapes)
 
 
 #: The one metric registry: each metric as a function of (corpus, index
@@ -175,14 +181,14 @@ METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
     "ttr": lambda c, idx: c.type_token_ratio(idx),
     "compression_ratio": lambda c, idx: compression_ratio_diversity([c.texts[i] for i in idx]),
     "paraphrase_variety": lambda c, idx: paraphrase_variety(c.rows[idx]),
-    "parse_tree_entropy":
-        lambda c, idx: entropy_of_sizes(Counter(s for i in idx for s in c.shapes[i]).values()),
+    "parse_tree_entropy": lambda c, idx: entropy_of_sizes(c.shape_counts_of(idx).tolist()),
     "chamfer": lambda c, idx: chamfer_distance_score(c.rows[idx]),
     "var_fkgl": lambda c, idx: variance([c.fkgls[i] for i in idx]),
     "var_length": lambda c, idx: variance([c.lengths[i] for i in idx]),
     "vendi": lambda c, idx: vendi_score(c.rows[idx]),
     "simpson": lambda c, idx: c.simpson_index(idx),
-    "tree_edit_distance": lambda c, idx: mean_tree_distance(t for i in idx for t in c.trees[i]),
+    "tree_edit_distance":
+        lambda c, idx: mean_tree_distance(c.tree_distances, c.shape_counts_of(idx)),
     "cluster_entropy": lambda c, idx: c.cluster_entropy(idx),
     "semantic_spread": lambda c, idx: semantic_spread(c.rows[idx]),
 }
@@ -324,7 +330,9 @@ class MarginalScorer:
     paraphrase variety and Chamfer in O(N) each, Vendi by the decomposition's
     quadrature in two matrix products, and the text metrics from the corpus's
     records and totals and one reading of the candidate: its tokens, FKGL
-    grade and tree-free sentence shapes. Scoring solves no eigenproblem.
+    grade and its sentences' chunks, each counted under the corpus's shape id
+    (a new shape under its chunks), so ranking builds no tree. Scoring solves
+    no eigenproblem.
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
@@ -432,8 +440,8 @@ class MarginalScorer:
         deflate = self._deflate.copy()
         deflated = (self._deflated_bytes + len(deflate.compress(extra))
                     + len(deflate.flush()))
-        shapes = self.corpus.shape_counts.copy()
-        shapes.update(chunk_shapes(sentences))
+        shapes = self.corpus.shape_counts.copy()  # a new shape is counted under its chunks
+        shapes.update(self.corpus.shapes.get(shape, shape) for shape in map(chunks, sentences))
         vocabulary = self.corpus.vocabulary
         return (
             ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),

@@ -52,12 +52,13 @@ def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
     the counts of a frequency table).
 
     The multiset is an iterable of sizes, or a mapping from size to how often
-    it occurs (a ``Counter``; counts <= 0 are skipped). Each distinct size's
+    it occurs (a ``Counter``; counts <= 0 are skipped); a size of 0 adds
+    nothing, so a frequency table may list absent items. Each distinct size's
     term is computed once and ``fsum`` adds it as often as it occurs: ``fsum``
     is correctly rounded, so the result is the same bits in any order.
     """
     counts = sizes if isinstance(sizes, Mapping) else Counter(sizes)
-    counts = [(s, n) for s, n in counts.items() if n > 0]
+    counts = [(s, n) for s, n in counts.items() if n > 0 and s]
     total = sum(s * n for s, n in counts)
     if total == 0:
         raise ValueError("entropy of an empty partition is undefined")
@@ -126,8 +127,7 @@ def _entropy_over_indices(near: np.ndarray) -> Callable[[Sequence[int]], float]:
     """Per index subset, the entropy of the components of its sub-table of
     the neighbourhood table ``near``."""
     def entropy(indices: Sequence[int]) -> float:
-        sizes = np.bincount(components(near[np.ix_(indices, indices)]))
-        return entropy_of_sizes(sizes[sizes > 0].tolist())
+        return entropy_of_sizes(np.bincount(components(near[np.ix_(indices, indices)])).tolist())
     return entropy
 
 

@@ -3,33 +3,34 @@
 The tokens of each sentence ``text.sentences_of`` reads are parsed by a
 deterministic rule-based chunker: tagged by lexicon and suffix (memoised per
 token), then bracketed into noun/verb/prepositional groups under a sentence
-root, which keeps the metrics hermetic. The chunker yields each chunk as its
-label and leaf tags, and both renderings are written straight from that
-sequence: the shape string that parse-tree entropy counts, so ranking builds
-no tree, and the interned postorder that tree edit distance reads. Tree edit
-distance is the exact ordered-tree algorithm with unit insert/delete/relabel costs.
+root, which keeps the metrics hermetic. The chunker yields a sentence's
+chunks, each its label and leaf tags, as one tuple. The chunks determine the
+chunk tree and equal trees have equal chunks, so the tuple is the sentence's
+shape: parse-tree entropy counts it, with no tree built, and tree edit
+distance puts each distinct shape's tree in postorder once and interns it.
+Tree edit distance is the exact ordered-tree algorithm with unit
+insert/delete/relabel costs.
 
-The edit distance of two sentences depends only on their trees: each distinct
-tree is put in postorder once and interned, and the corpus average weights
-each distinct pair by the counts of its two trees. The distances of all of a
-corpus's distinct trees come from one batched pass of Zhang & Shasha's
-keyroot program over every pair of their distinct keyroot subtrees. Subtrees
-are grouped by height: a row group of one height and size is filled against
-all column subtrees of one height at a time, each column subtree a segment of
-one long numpy row in which the in-row recurrence is a running minimum, and
-the lower heights come first, so every distance a cell reads is already
-known. Row groups are cut into tiles that bound the forest tables' memory.
-The corpus's distance table is kept, so its bootstrap resamples, which hold
-subsets of its trees, read it without a kernel call. Nothing here memoises a
-text: a report's ``battery.Corpus`` keeps each text's sentences and, from
-first use, their postorders, so a resample splits and chunks nothing.
+The edit distance of two sentences depends only on their shapes, so the
+corpus average weights each distinct pair of shapes by both their counts.
+The distances of all of a corpus's distinct trees come from one batched pass
+of Zhang & Shasha's keyroot program over every pair of their distinct keyroot
+subtrees. Subtrees are grouped by height: a row group of one height and size
+is filled against all column subtrees of one height at a time, each column
+subtree a segment of one long numpy row in which the in-row recurrence is a
+running minimum, and the lower heights come first, so every distance a cell
+reads is already known. Row groups are cut into tiles that bound the forest
+tables' memory. Nothing here memoises a text or a table for a program path: a
+report's ``battery.Corpus`` keeps each sentence's shape id and the distance
+table of its shapes, so its bootstrap resamples chunk nothing and read that
+table without a kernel call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, namedtuple
+from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,13 +109,18 @@ _VERBAL = {"AUX", "VERB", "ADV"}
 _PHRASE = {**dict.fromkeys(_NOMINAL, "NP"), **dict.fromkeys(_VERBAL, "VP")}
 
 
-def _chunks(tokens: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
+#: A sentence's shape: its chunks, each a label and the tags of its leaves.
+Shape = tuple[tuple[str, tuple[str, ...]], ...]
+
+
+def chunks(tokens: Sequence[str]) -> Shape:
     """The chunker: the chunks of one sentence's tokens, in order, each as
     its label and the tags of its leaves. A ``PP`` chunk is a PREP leaf and
     an NP of its leaves; a chunk without leaves (a PREP no nominal follows, a
-    CONJ, a WH) is itself a leaf."""
+    CONJ, a WH) is itself a leaf. The chunks determine the sentence's chunk
+    tree, and equal trees have equal chunks, so they are its shape."""
     tags = [tag_token(t) for t in tokens]
-    chunks: list[tuple[str, tuple[str, ...]]] = []
+    out: list[tuple[str, tuple[str, ...]]] = []
     i = 0
     n = len(tags)
     while i < n:
@@ -123,39 +129,20 @@ def _chunks(tokens: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
         if tag == "PREP":
             while j < n and tags[j] in _NOMINAL:
                 j += 1
-            chunks.append(("PP", tuple(tags[i + 1:j])) if j > i + 1 else (tag, ()))
+            out.append(("PP", tuple(tags[i + 1:j])) if j > i + 1 else (tag, ()))
         elif tag in _PHRASE:
             while j < n and _PHRASE.get(tags[j]) == _PHRASE[tag]:
                 j += 1
-            chunks.append((_PHRASE[tag], tuple(tags[i:j])))
+            out.append((_PHRASE[tag], tuple(tags[i:j])))
         else:
-            chunks.append((tag, ()))
+            out.append((tag, ()))
         i = j
-    return chunks
-
-
-def _chunk_shape(tokens: Sequence[str]) -> str:
-    """The shape string of one sentence's chunk tree: category symbols only,
-    a node with children written as ``(label child ...)``."""
-    parts = []
-    for label, leaves in _chunks(tokens):
-        if label == "PP":
-            parts.append(f"(PP PREP (NP {' '.join(leaves)}))")
-        elif leaves:
-            parts.append(f"({label} {' '.join(leaves)})")
-        else:
-            parts.append(label)
-    return f"(S {' '.join(parts)})" if parts else "S"
-
-
-def chunk_shapes(sentences: Sequence[Sequence[str]]) -> list[str]:
-    """Tree shape of each of ``sentences``, each a sentence's tokens."""
-    return [_chunk_shape(s) for s in sentences]
+    return tuple(out)
 
 
 def parse_tree_entropy(corpus: Sequence[str]) -> float:
     """Base-2 entropy over the frequency distribution of sentence tree shapes."""
-    shapes = Counter(shape for text in corpus for shape in chunk_shapes(sentences_of(text)))
+    shapes = Counter(chunks(s) for text in corpus for s in sentences_of(text))
     return entropy_of_sizes(shapes.values())
 
 
@@ -199,13 +186,12 @@ def _interned(labels: tuple[str, ...], before: tuple[int, ...]) -> _Postorder:
     return _Postorder(labels, before)
 
 
-@functools.lru_cache(maxsize=65536)  # the memo is kept for bench/, which reads it
-def chunk_sentence(tokens: tuple[str, ...]) -> _Postorder:
-    """The interned postorder of the chunk tree of one sentence's tokens: per
-    chunk, its leaf tags and then its label (a ``PP`` is a PREP leaf and an
-    NP over its leaves), and the ``S`` root last."""
+def chunk_tree(shape: Shape) -> _Postorder:
+    """The interned postorder of the chunk tree of one sentence's chunks
+    ``shape``: per chunk, its leaf tags and then its label (a ``PP`` is a
+    PREP leaf and an NP over its leaves), and the ``S`` root last."""
     labels, before = [""], [0]
-    for label, leaves in _chunks(tokens):
+    for label, leaves in shape:
         start = len(labels) - 1  # the index just before the chunk's leftmost leaf
         if label == "PP":
             labels += ("PREP", *leaves, "NP")
@@ -218,6 +204,12 @@ def chunk_sentence(tokens: tuple[str, ...]) -> _Postorder:
     labels.append("S")
     before.append(0)
     return _interned(tuple(labels), tuple(before))
+
+
+@functools.lru_cache(maxsize=65536)  # kept for bench/, which reads it; no program path calls it
+def chunk_sentence(tokens: tuple[str, ...]) -> _Postorder:
+    """The interned postorder of the chunk tree of one sentence's tokens."""
+    return chunk_tree(chunks(tokens))
 
 
 #: Byte cap on one tile's forest tables; a row group is split into tiles of
@@ -355,62 +347,36 @@ def _distances(trees: Sequence[_Postorder]) -> np.ndarray:
     return td[roots[:, None], roots[None, :]] + sizes[:, None] + sizes[None, :]
 
 
-_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+#: A memo of ``_distances`` by tuple of trees, kept for bench/, which reads its
+#: ``cache_info``; no program path calls it.
+_ted_between_sentences = functools.lru_cache(maxsize=None)(_distances)
 
 
-class _PairTable:
-    """The distance memo of ``avg_tree_edit_distance``: every pairwise
-    distance of the distinct trees of the last corpus that needed the
-    kernel. A corpus whose trees it holds, as each bootstrap resample of that
-    corpus, reads its distances from it; any other corpus is computed in one
-    kernel call and replaces it. ``cache_info`` and ``cache_clear`` follow
-    ``functools.lru_cache``, counting tree pairs: a miss is a pair the kernel
-    computed, a hit a pair read from the table."""
-
-    def __init__(self) -> None:
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self._slots: dict[_Postorder, int] = {}
-        self._table = np.zeros((0, 0), np.int64)
-        self._hits = self._misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        k = len(self._slots)
-        return _CacheInfo(self._hits, self._misses, None, k * (k - 1) // 2)
-
-    def __call__(self, trees: list[_Postorder]) -> np.ndarray:
-        """The distance matrix of ``trees``, distinct interned trees."""
-        pairs = len(trees) * (len(trees) - 1) // 2
-        if all(t in self._slots for t in trees):
-            self._hits += pairs
-            slots = np.array([self._slots[t] for t in trees])
-            return self._table[slots[:, None], slots[None, :]]
-        self._misses += pairs
-        self._table = _distances(trees)
-        self._slots = {t: k for k, t in enumerate(trees)}
-        return self._table
+def distance_table(shapes: Iterable[Shape]) -> np.ndarray:
+    """Edit distance of every pair of the chunk trees of ``shapes``, each a
+    sentence's chunks, in one kernel call."""
+    return _distances([chunk_tree(shape) for shape in shapes])
 
 
-_ted_between_sentences = _PairTable()
+def mean_tree_distance(distances: np.ndarray, counts: np.ndarray) -> float:
+    """Mean edit distance over unordered pairs of a multiset of trees, from
+    the ``distances`` of its distinct trees and the integer ``counts`` of
+    each; 0 when < 2 trees.
 
-
-def mean_tree_distance(trees: Iterable[_Postorder]) -> float:
-    """Mean edit distance over unordered pairs of ``trees``; 0 when < 2 trees.
-
-    Computed from the count table of distinct trees: pairs of one tree add 0,
-    and each pair of distinct trees adds its distance times both counts. The
-    sum is an integer, so the mean equals the pair loop's exactly.
+    Pairs of one tree add 0, and each pair of distinct trees adds its
+    distance times both counts. The sum is an integer, so the mean equals the
+    pair loop's exactly.
     """
-    counts = Counter(trees)
-    n = sum(counts.values())
+    n = int(counts.sum())
     if n < 2:
         return 0.0
-    weights = np.array(list(counts.values()), dtype=np.int64)
-    total = int(weights @ _ted_between_sentences(list(counts)) @ weights) // 2
+    total = int(counts @ distances @ counts) // 2
     return total / (n * (n - 1) // 2)
 
 
 def avg_tree_edit_distance(corpus: Sequence[str]) -> float:
     """Mean edit distance over unordered sentence pairs of ``corpus``."""
-    return mean_tree_distance(chunk_sentence(s) for text in corpus for s in sentences_of(text))
+    shapes = Counter(chunks(s) for text in corpus for s in sentences_of(text))
+    if shapes.total() < 2:
+        return 0.0
+    return mean_tree_distance(distance_table(shapes), np.fromiter(shapes.values(), np.int64))

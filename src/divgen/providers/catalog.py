@@ -340,8 +340,8 @@ DIVERSITY_GUIDANCE_GENERATION = _register(_sig(
     "DiversityGuidanceGeneration",
     "Turn a homogeneity pattern analysis into concrete, actionable guidance for the"
     " next round of request generation.",
-    [("dataset_sample", "Sampled requests, one per line."),
-     ("pattern_analysis", "The homogeneity patterns to counteract.")],
+    [("dataset_sample", "Requests to diversify from, one per line."),
+     ("pattern_analysis", "What to counteract in them.")],
     [_REASONING,
      ("diversity_guidance", "Actionable guidance, one instruction per line.")],
 ))

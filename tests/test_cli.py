@@ -17,6 +17,7 @@ from conftest import alarm, packed_column
 import divgen.cli
 from divgen.cli import main
 from divgen.fixtures import fixture_library_path, repetitive_corpus, varied_corpus
+from divgen.metrics import trees
 from divgen.metrics.text import fkgl_grade, tokenize
 from divgen.model import RunConfig, read_dataset
 from divgen.preprocess import EDGE_KINDS
@@ -455,6 +456,19 @@ def test_a_run_and_its_report_fill_neither_process_wide_text_memo(tmp_path):
     assert run(["generate", str(art), "--n", "20", "--seed", "7", "--out", str(out)]) == 0
     assert run(["analyze", str(out), "--out", str(tmp_path / "report.json")]) == 0
     assert (tokenize.cache_info().currsize, fkgl_grade.cache_info().currsize) == (0, 0)
+
+
+def test_a_run_and_its_report_fill_no_process_wide_tree_memo(tmp_path):
+    # a report's Corpus keeps the distance table of its own shapes
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    trees.chunk_sentence.cache_clear()
+    trees._ted_between_sentences.cache_clear()
+    assert run(["preprocess", fixture_library_path(), "--seed", "7", "--out", str(art)]) == 0
+    assert run(["generate", str(art), "--n", "20", "--seed", "7", "--out", str(out)]) == 0
+    assert run(["analyze", str(out), "--out", str(tmp_path / "report.json")]) == 0
+    assert trees.chunk_sentence.cache_info().currsize == 0
+    info = trees._ted_between_sentences.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_generate_smoke_and_examples_valid(tmp_path):

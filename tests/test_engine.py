@@ -81,16 +81,18 @@ def test_ranking_builds_no_chunk_tree(tmp_path, monkeypatch):
     art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
     assert cli.main(["preprocess", fixture_library_path(), "--seed", "7",
                      "--out", str(art)]) == 0
-    shaped = []
-    chunk_shape = trees._chunk_shape
-    monkeypatch.setattr(trees, "_chunk_shape",
-                        lambda sentence: shaped.append(sentence) or chunk_shape(sentence))
+    chunked = []
+    chunker = battery.chunks
+    monkeypatch.setattr(battery, "chunks",
+                        lambda sentence: chunked.append(sentence) or chunker(sentence))
     trees.chunk_sentence.cache_clear()
+    trees._interned.cache_clear()
     assert cli.main(["generate", str(art), "--n", "25", "--seed", "7",
                      "--out", str(out)]) == 0
     # the candidates' shapes were taken, from their chunks alone
-    assert len(set(shaped)) > 25
+    assert len(set(chunked)) > 25
     assert trees.chunk_sentence.cache_info().currsize == 0
+    assert trees._interned.cache_info().currsize == 0
 
 
 def test_engine_trackers_grow_only_on_acceptance(tmp_path):
@@ -693,7 +695,7 @@ def test_fixture_run_prompts_golden_digest(tmp_path):
         "BatchAPIRelevanceScorer": (15, "6819de21e08ac65c"),
         "ConstructParallelInvocation": (7, "815417d5e163d26b"),
         "ConstructSequentialInvocation": (3, "366596650dec6109"),
-        "DiversityGuidanceGeneration": (112, "1ae42874090c2e05"),
+        "DiversityGuidanceGeneration": (112, "076f7d6e8cee9b4a"),
         "GenerateCohesiveNumericalParameter": (7, "50bb8d72d282ae51"),
         "GenerateCohesiveStringParameter": (7, "3dcb8524c864631f"),
         "GenerateMultipleNumericalParameters": (4, "93def206ed0a24bb"),
@@ -718,7 +720,7 @@ def test_fixture_run_prompts_golden_digest(tmp_path):
         "ValidateSequentialSchemaCompatibility": (5, "cbaa280ce84a8767"),
     }
     assert (len(chat.prompts), _prompts_digest(chat.prompts)) == (
-        535, "89ea7c210f4848059458312d2f9983a0684d14745e50d790f13966baf157298c")
+        535, "0f5e698110ec4313df07a06f91994c9d672dbc85982d174f8e31d1739b5c21e3")
 
 
 def test_each_guidance_round_is_shown_its_diversity_order(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from divgen.evaluate import (
     paired_model_comparison,
 )
 from divgen.fixtures import repetitive_corpus, varied_corpus
-from divgen.metrics import battery, cluster_entropy, semantic, stats, text
+from divgen.metrics import battery, cluster_entropy, semantic, stats, text, trees
 from divgen.metrics.battery import (
     METRICS,
     REPORT_METRICS,
@@ -37,7 +37,7 @@ from divgen.metrics.text import (
     type_token_ratio,
     variance,
 )
-from divgen.metrics.trees import avg_tree_edit_distance, parse_tree_entropy, sentences_of
+from divgen.metrics.trees import avg_tree_edit_distance, chunks, parse_tree_entropy, sentences_of
 from divgen.model import ExecutionType, GeneratedExample, Invocation, ModelError
 from divgen.preprocess import group_parameters
 from divgen.providers.base import SignatureClient
@@ -338,6 +338,21 @@ def test_a_report_normalises_its_rows_once_and_splits_each_text_once(monkeypatch
     assert sorted(split) == sorted(corpus)
 
 
+def test_a_report_chunks_each_sentence_once(monkeypatch, embedder):
+    corpus = report_corpus(40)
+    chunked = []
+    chunker = trees.chunks
+
+    def counting_chunks(tokens):
+        chunked.append(tokens)
+        return chunker(tokens)
+
+    for module in (trees, battery):
+        monkeypatch.setattr(module, "chunks", counting_chunks)
+    analyze_corpus(corpus, embedder, seed=3)
+    assert chunked == [s for q in corpus for s in sentences_of(q)]
+
+
 # --- per-corpus tables ------------------------------------------------------------
 
 _WORDS = ("find", "a", "cheap", "hotel", "in", "rome", "book", "the", "flight",
@@ -412,19 +427,25 @@ def test_a_corpus_grown_by_appends_equals_one_built_at_once(texts, data):
     grown = Corpus()
     for start, stop in zip([0] + cuts, cuts + [len(texts)]):
         grown.append(texts[start:stop], emb[start:stop])
+        if grown.texts:
+            grown.tree_distances  # an append must drop the table of fewer shapes
     whole = Corpus(texts, emb)
     assert grown.texts == whole.texts == texts
     assert grown.rows.raw.tobytes() == whole.rows.raw.tobytes() == emb.tobytes()
     assert grown.rows.unit.tobytes() == whole.rows.unit.tobytes()
     assert (grown.n_tokens, grown.shape_counts) == (whole.n_tokens, whole.shape_counts)
     assert grown.n_tokens == sum(grown.lengths)
-    assert grown.shape_counts == Counter(s for shapes in whole.shapes for s in shapes)
+    assert grown.shape_counts == Counter(np.concatenate(whole.shape_ids).tolist())
     assert grown.vocabulary == whole.vocabulary
-    assert [ids.tolist() for ids in grown.token_ids] == [ids.tolist() for ids in whole.token_ids]
-    assert (grown.lengths, grown.fkgls, grown.shapes) == (whole.lengths, whole.fkgls, whole.shapes)
-    assert grown.parts == whole.parts == [sentences_of(t) for t in texts]
-    # trees are interned, so equal trees are the same object
-    assert grown.trees == whole.trees
+    # shape ids in order of first appearance, one per sentence
+    assert grown.shapes == whole.shapes == {
+        shape: k for k, shape in enumerate(dict.fromkeys(
+            chunks(s) for t in texts for s in sentences_of(t)))}
+    for ids in ("token_ids", "shape_ids"):
+        assert ([a.tolist() for a in getattr(grown, ids)]
+                == [a.tolist() for a in getattr(whole, ids)])
+    assert (grown.lengths, grown.fkgls) == (whole.lengths, whole.fkgls)
+    assert grown.tree_distances.tolist() == whole.tree_distances.tolist()
     text_metrics = ("ttr", "simpson", "compression_ratio", "parse_tree_entropy",
                     "var_fkgl", "var_length", "tree_edit_distance")
     for _ in range(3):

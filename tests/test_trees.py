@@ -11,9 +11,10 @@ from divgen.metrics import trees
 from divgen.metrics.text import count_syllables, tokenize
 from divgen.metrics.trees import (
     _distances,
-    _ted_between_sentences,
     avg_tree_edit_distance,
     chunk_sentence,
+    chunk_tree,
+    chunks,
     parse_tree_entropy,
     sentences_of,
 )
@@ -65,7 +66,7 @@ def reference_chunk_tree(tokens):
         return TreeNode(label, nodes)
 
     return TreeNode("S", tuple(chunk_node(label, leaves)
-                               for label, leaves in trees._chunks(tokens)))
+                               for label, leaves in chunks(tokens)))
 
 
 def tree_edit_distance(a, b):
@@ -326,8 +327,8 @@ TAGGED_WORDS = ["the", "she", "is", "in", "to", "and", "why", "42", "two", "find
 def test_chunk_shape_cases(sentence, shape):
     tokens = tokenize(sentence)
     tree = reference_chunk_tree(tokens)
-    assert trees._chunk_shape(tokens) == tree_shape(tree) == shape
-    assert chunk_sentence(tokens) is to_postorder(tree)
+    assert tree_shape(tree) == shape
+    assert chunk_tree(chunks(tokens)) is to_postorder(tree)
 
 
 @given(st.lists(st.sampled_from(TAGGED_WORDS), max_size=16))
@@ -335,8 +336,25 @@ def test_chunk_shape_cases(sentence, shape):
 def test_chunk_shape_renders_the_chunk_tree(words):
     sentence = tuple(words)
     tree = reference_chunk_tree(sentence)
+    assert chunk_tree(chunks(sentence)) is to_postorder(tree)
     assert chunk_sentence(sentence) is to_postorder(tree)
-    assert trees._chunk_shape(sentence) == tree_shape(tree)
+
+
+# words of one tag class, so a sentence and its swap chunk alike
+SAME_TAG = {"in": "to", "to": "in", "42": "two", "two": "42", "find": "organized",
+            "organized": "find"}
+
+
+@given(st.lists(st.sampled_from(TAGGED_WORDS), max_size=8),
+       st.lists(st.sampled_from(TAGGED_WORDS), max_size=8), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_equal_chunks_exactly_when_equal_tree_shapes(a, b, swapped):
+    # the invariant that lets entropy count chunks: no two tree shapes share
+    # them, so no entropy bit is lost
+    if swapped:
+        b = [SAME_TAG.get(word, word) for word in a]
+    same_shape = tree_shape(reference_chunk_tree(a)) == tree_shape(reference_chunk_tree(b))
+    assert (chunks(a) == chunks(b)) == same_shape
 
 
 def test_token_memos_equal_their_functions():
@@ -350,15 +368,16 @@ def test_token_memos_equal_their_functions():
 
 
 def test_sentence_parts_stay_out_of_the_tokenize_memo(monkeypatch):
-    # each part's shape is rendered once
-    shaped = []
-    chunk_shape = trees._chunk_shape
-    monkeypatch.setattr(trees, "_chunk_shape",
-                        lambda sentence: shaped.append(sentence) or chunk_shape(sentence))
+    # each sentence is chunked once
+    chunked = []
+    chunker = trees.chunks
+    monkeypatch.setattr(trees, "chunks",
+                        lambda sentence: chunked.append(sentence) or chunker(sentence))
     tokenize.cache_clear()
-    assert trees.chunk_shapes(sentences_of("Find a hotel in Rome. Book the flight?")) == [
+    assert parse_tree_entropy(["Find a hotel in Rome. Book the flight?"]) == 1.0
+    assert chunked == [("find", "a", "hotel", "in", "rome"), ("book", "the", "flight")]
+    assert [tree_shape(reference_chunk_tree(s)) for s in chunked] == [
         "(S (VP VERB) (NP DET NOUN) (PP PREP (NP NOUN)))", "(S (VP VERB) (NP DET NOUN))"]
-    assert shaped == [("find", "a", "hotel", "in", "rome"), ("book", "the", "flight")]
     assert tokenize.cache_info().currsize == 0
 
 
@@ -379,7 +398,7 @@ def test_parse_tree_entropy_extremes():
     assert parse_tree_entropy(["find the hotel"] * 5) == 0.0
     distinct = ["find the hotel", "she is running", "in the garden",
                 "check it now please"]
-    shapes = {trees._chunk_shape(tokenize(s)) for s in distinct}
+    shapes = {chunks(tokenize(s)) for s in distinct}
     assert len(shapes) == 4
     assert parse_tree_entropy(distinct) == pytest.approx(math.log2(4), abs=1e-12)
 
@@ -412,15 +431,21 @@ def test_avg_tree_edit_distance_matches_the_sentence_pair_loop():
         assert avg_tree_edit_distance(repeated) == reference_avg_ted(repeated)
 
 
-def test_ted_memo_misses_once_per_distinct_tree_pair():
+def test_avg_tree_edit_distance_runs_the_kernel_once_over_distinct_shapes(monkeypatch):
+    calls = []
+
+    def counting(batch):
+        calls.append(len(batch))
+        return _distances(batch)
+
+    monkeypatch.setattr(trees, "_distances", counting)
+    for corpus in ([], ["!!!"], ["find the hotel"], ["find the hotel!!!"]):
+        assert avg_tree_edit_distance(corpus) == 0.0
+    assert calls == []  # fewer than two sentences build no table
     corpus = ["find the hotel", "find the flight", "she is running in the garden",
               "book a room. find the hotel", "check it now please", "why"]
-    distinct = {chunk_sentence(s) for text in corpus for s in sentences_of(text)}
-    _ted_between_sentences.cache_clear()
     avg_tree_edit_distance(corpus)
-    avg_tree_edit_distance(list(reversed(corpus)))
-    k = len(distinct)
-    assert _ted_between_sentences.cache_info().misses == k * (k - 1) // 2
+    assert calls == [len({chunks(s) for text in corpus for s in sentences_of(text)})]
 
 
 # --- the batched kernel -------------------------------------------------------
@@ -460,7 +485,7 @@ def corpus_of_distinct_trees(rng, size):
 
 def test_avg_tree_edit_distance_matches_the_sentence_pair_loop_on_a_larger_corpus():
     corpus = corpus_of_distinct_trees(random.Random(31), 62)
-    assert len({chunk_sentence(s) for t in corpus for s in sentences_of(t)}) >= 60
+    assert len({chunks(s) for t in corpus for s in sentences_of(t)}) >= 60
     assert avg_tree_edit_distance(corpus) == reference_avg_ted(corpus)
     rng = random.Random(32)
     resample = rng.choices(corpus, k=30)  # with repeats, as a bootstrap draws
@@ -477,10 +502,6 @@ def test_a_report_runs_the_kernel_once(monkeypatch):
         return _distances(batch)
 
     monkeypatch.setattr(trees, "_distances", counting)
-    _ted_between_sentences.cache_clear()
     analyze_corpus(corpus, HashEmbedder(), seed=3)
-    k = len({chunk_sentence(s) for t in corpus for s in sentences_of(t)})
-    assert calls == [k]  # the full corpus; its 100 resamples read the table
-    info = _ted_between_sentences.cache_info()
-    assert info.misses == k * (k - 1) // 2
-    assert info.hits > 50 * info.misses
+    # the corpus's distinct shapes; its 100 resamples read the corpus's table
+    assert calls == [len({chunks(s) for t in corpus for s in sentences_of(t)})]
