@@ -4,9 +4,9 @@ One RNG stream drives every draw in a documented order, acceptance is globally
 serialized (dataset append + tracker commit + checkpoint), and abandoned
 attempts leave no trace beyond a log line, so a run is byte-reproducible from
 its seed and can resume from the checkpoint after any interruption. The
-checkpoint is replaced atomically and records the sizes of the dataset and of
-the run log, so a resumed run first drops any line written after the last
-checkpoint; the accepted queries are read back from the dataset.
+checkpoint is replaced atomically and records the sizes of the dataset, the run
+log and the rows store of committed texts' embeddings, so a resume first drops
+what was written after it; the accepted queries are read back from the dataset.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence, TextIO
 
 from divgen.distractors import DistractorFailure, assemble_candidates, finalize
-from divgen.metrics.battery import EmbeddingCache
+from divgen.metrics.battery import EmbeddingCache, RowStore
 from divgen.metrics.text import sentences_of
 from divgen.model import (
     ExecutionType,
@@ -30,6 +31,7 @@ from divgen.model import (
     GeneratedExample,
     Invocation,
     ModelError,
+    ParamCategory,
     RunConfig,
     read_dataset,
     serialize_example,
@@ -113,14 +115,16 @@ class GenerationEngine:
         self.config = config
         self.rng = random.Random(config.rng_seed)
         self.client = SignatureClient(chat, config.retry_limit, config.decode_params)
-        self.embed_cache = EmbeddingCache(embedder)
+        self.out_path = Path(out_path)
+        self.embed_cache = EmbeddingCache(embedder, RowStore(
+            self.out_path.with_suffix(self.out_path.suffix + ".rows"), config.embedding_dimension))
         self.paramgen = ParamGenerator(groups, self.client, self.embed_cache, self.rng, config)
         self.querygen = QueryGenerator(self.client, self.embed_cache, self.rng, config)
-        self.out_path = Path(out_path)
         self.log_stream = log_stream
         self.log_bytes = 0  # UTF-8 bytes in the run log; cut_log counts a resumed one
         self.state = EngineState()
         self.queries: list[str] = []
+        self._stored: dict[str | None, int] = {}  # texts per list the rows store holds
         self._checked: tuple[dict[str, Any], list[GeneratedExample]] | None = None  # by cut_log
 
     # -- checkpointing ---------------------------------------------------------
@@ -134,11 +138,19 @@ class GenerationEngine:
         return hashlib.sha256(blob).hexdigest()
 
     def _write_checkpoint(self) -> None:
+        """Store the rows of the accepted queries and committed STRING values past the
+        counts in ``_stored`` (reset where the store is cut), then replace the checkpoint."""
+        lists = {None: self.queries, **{g.id: g.tracker for g in self.groups.groups
+                                        if g.category is ParamCategory.STRING}}
+        self.embed_cache.store_rows(chain.from_iterable(
+            map(str, texts[self._stored.get(key, 0):]) for key, texts in lists.items()))
+        self._stored = {key: len(texts) for key, texts in lists.items()}
         state = self.rng.getstate()
         doc = {
             "accepted": self.state.accepted,
             "dataset_bytes": self.out_path.stat().st_size,
             "log_bytes": self.log_bytes if self.log_stream is not None else None,
+            "rows_bytes": self.embed_cache.store.path.stat().st_size,
             "attempts": self.state.attempts,
             "rng_state": [state[0], list(state[1]), state[2]],
             "trackers": self.groups.snapshot_all(),
@@ -171,11 +183,15 @@ class GenerationEngine:
         return doc, kept
 
     def resume(self) -> None:
-        """Restore RNG, trackers and guidance from the checkpoint, cut the dataset back
-        to the size it records and take the accepted queries from it; both are read and
-        checked once, here or by a preceding ``cut_log``, which counts a log's bytes."""
+        """Restore RNG, trackers and guidance from the checkpoint, cut the dataset and
+        the rows store (emptied if the checkpoint gives no size) back to the sizes
+        it records and take the accepted queries from the dataset, read and checked
+        once, here or by a preceding ``cut_log``, which counts a log's bytes."""
         (doc, kept), self._checked = self._checked or self._read_checkpoint(), None
         os.truncate(self.out_path, doc["dataset_bytes"])
+        size = doc.get("rows_bytes")  # absent (an older checkpoint) or no size: empty it
+        self.embed_cache.store.cut(size if isinstance(size, int) and size >= 0 else 0)
+        self._stored = {}
         self.state.accepted = doc["accepted"]
         self.state.attempts = doc["attempts"]
         version, internal, gauss = doc["rng_state"]
@@ -335,6 +351,8 @@ class GenerationEngine:
         abandons: Counter[tuple[str, str]] = Counter()  # since the last acceptance
         with open(self.out_path, "a" if resume else "w", encoding="utf-8") as out:
             if not resume:
+                self.embed_cache.store.cut(0)
+                self._stored = {}
                 self._write_checkpoint()  # a crash before the first acceptance can resume
             while self.state.accepted < n:
                 self.state.attempts += 1

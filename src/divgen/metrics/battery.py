@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import struct
 from collections import Counter
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -194,11 +197,70 @@ METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
 }
 
 
+class RowStore:
+    """Append-only embedding rows, one record per distinct text: its UTF-8 size
+    and row width (little-endian uint32), the text, then the row in little-endian
+    float64, so it reads back bit for bit. Texts are scanned on first use and rows
+    read on request, each by its own text; a row not of ``width`` is passed over."""
+
+    HEADER = struct.Struct("<II")
+
+    def __init__(self, path: str | Path, width: int):
+        self.path, self.width = Path(path), width
+
+    def cut(self, size: int) -> None:
+        """Drop every byte past ``size``."""
+        with open(self.path, "ab") as fh:
+            fh.truncate(min(size, fh.tell()))
+        self.__dict__.pop("offsets", None)
+
+    @functools.cached_property
+    def offsets(self) -> dict[str, int]:
+        """Each stored text's row offset; the scan cuts off a torn last record."""
+        offsets, end = {}, 0
+        with open(self.path, "a+b") as fh:
+            total = fh.seek(0, os.SEEK_END)
+            while end + self.HEADER.size <= total:
+                fh.seek(end)
+                size, width = self.HEADER.unpack(fh.read(self.HEADER.size))
+                row = end + self.HEADER.size + size
+                if row + 8 * width > total:  # torn
+                    break
+                if width == self.width:
+                    offsets.setdefault(fh.read(size).decode("utf-8", "surrogateescape"), row)
+                end = row + 8 * width
+            fh.truncate(end)
+        return offsets
+
+    def read(self, texts: Iterable[str]) -> dict[str, np.ndarray]:
+        """The rows of those of ``texts`` the store holds."""
+        held = [t for t in texts if t in self.offsets]
+        if not held:
+            return {}
+        rows = np.empty((len(held), self.width), "<f8")
+        with open(self.path, "rb") as fh:
+            for text, row in zip(held, rows):
+                os.preadv(fh.fileno(), [row], self.offsets[text])
+        return dict(zip(held, rows.astype(np.float64, copy=False)))
+
+    def append(self, rows: Iterable[tuple[str, np.ndarray]]) -> None:
+        """Write each (text, row) of the store's width whose text it lacks."""
+        offsets = self.offsets  # scanned before the file is opened for writing
+        with open(self.path, "ab") as fh:
+            for text, row in rows:
+                if text not in offsets and len(row) == self.width:
+                    data = text.encode("utf-8")
+                    fh.write(self.HEADER.pack(len(data), self.width) + data)
+                    offsets[text] = fh.tell()
+                    fh.write(np.asarray(row, "<f8").tobytes())
+
+
 class EmbeddingCache:
     """Per-text embedding memo for one run: every text the run embeds (the
     ranking's corpus and candidates, the library descriptions that retrieval
-    and the walk check score, and parameter values) goes through it. It holds
-    a row only while some later step may still ask it for that row; the
+    and the walk check score, and parameter values) goes through it, to its
+    memo, then the run's ``RowStore`` if any, then the embedder. It holds a
+    row only while some later step may still ask it for that row; the
     component that reads a row later holds it from then on:
 
     - ``MarginalScorer.sync`` appends the newly accepted queries to its
@@ -208,20 +270,34 @@ class EmbeddingCache:
       serves them again from its own unit rows;
     - ``unit_matrix`` holds a text list's unit rows and releases their raw ones.
 
-    A text asked for again after its release reaches the embedder again.
-    ``embed`` lets the cache stand in for the embedder."""
+    A released text is read back from the store if ``store_rows`` wrote it
+    there, else it reaches the embedder again. ``embed`` lets the cache stand
+    in for the embedder."""
 
-    def __init__(self, embedder):
+    def __init__(self, embedder, store: RowStore | None = None):
         self.embedder = embedder
+        self.store = store
         self._memo: dict[str, np.ndarray] = {}
         self._units: dict[tuple[str, ...], np.ndarray] = {}
 
     def matrix(self, texts: Sequence[str]) -> np.ndarray:
         missing = list(dict.fromkeys(t for t in texts if t not in self._memo))
+        if missing and self.store is not None:
+            self._memo.update(self.store.read(missing))
+            missing = [t for t in missing if t not in self._memo]
         if missing:
             for text, vec in zip(missing, self.embedder.embed(missing)):
                 self._memo[text] = np.asarray(vec, dtype=np.float64)
         return np.stack([self._memo[t] for t in texts])
+
+    def store_rows(self, texts: Iterable[str]) -> None:
+        """Make the store hold each text's row: a held row as it is, the
+        others embedded in blocks of 128 and not held."""
+        missing = [t for t in dict.fromkeys(texts) if t not in self.store.offsets]
+        self.store.append((t, self._memo[t]) for t in missing if t in self._memo)
+        lacking = [t for t in missing if t not in self._memo]
+        for i in range(0, len(lacking), 128):
+            self.store.append(zip(lacking[i:i + 128], self.embedder.embed(lacking[i:i + 128])))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         """The rows of ``matrix(texts)``."""

@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from divgen.metrics.dbscan import ClusterPartition, components, pairwise_distances, within_eps
+from divgen.metrics.dbscan import components, pairwise_distances, within_eps
 from divgen.metrics.semantic import unit_rows
 from divgen.metrics.text import sentences_of
 
@@ -40,11 +40,6 @@ NUMERIC_EPS = 0.5
 STRING_EPS = 0.1
 QUERY_EPS = 0.3
 MIN_SAMPLES = 2
-
-
-def cluster_entropy_bits(partition: ClusterPartition) -> float:
-    """Base-2 entropy of cluster-size fractions, noise points as singletons."""
-    return entropy_of_sizes(list(partition.cluster_sizes) + [1] * partition.noise_count)
 
 
 def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
@@ -282,15 +277,6 @@ class ValueIndex:
                     self._held.setdefault(text, position)
                 if hasattr(self.embedder, "release"):
                     self.embedder.release(texts)
-
-    def as_sets(self) -> tuple[frozenset[frozenset[int]], frozenset[int]]:
-        """The indexed values' clusters and noise, as ``ClusterPartition.as_sets``."""
-        members: dict[int, set[int]] = {}
-        for i, label in enumerate(self._labels.tolist()):
-            members.setdefault(label, set()).add(i)
-        clusters = frozenset(frozenset(m) for m in members.values() if len(m) > 1)
-        noise = frozenset(i for m in members.values() if len(m) == 1 for i in m)
-        return clusters, noise
 
     def entropies(self, extra: Sequence, candidates: Sequence) -> list[float]:
         """Per candidate c, the cluster entropy of the indexed values + ``extra``

@@ -85,6 +85,17 @@ class FaultyChat:
         return "".join(self.rng.choices(string.printable, k=self.rng.randrange(200)))
 
 
+def index_sets(index):
+    """A ``ValueIndex``'s clusters and noise, as ``ClusterPartition.as_sets``
+    gives a partition's."""
+    members: dict[int, set[int]] = {}
+    for i, label in enumerate(index._labels.tolist()):
+        members.setdefault(label, set()).add(i)
+    clusters = frozenset(frozenset(m) for m in members.values() if len(m) > 1)
+    noise = frozenset(i for m in members.values() if len(m) == 1 for i in m)
+    return clusters, noise
+
+
 def templated_library(size: int):
     """``size`` renamed copies of the fixture functions, dealt round-robin, each
     description tagged with one of a few words. Copies of one template share

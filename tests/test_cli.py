@@ -352,7 +352,7 @@ def test_older_artifact_or_checkpoint_is_usage_error(tmp_path, capsys):
                 "--out", str(fresh)]) == 2
     assert "unknown config keys: ['walk_lambda']" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "art.json", "cfg.json", "d.jsonl", "d.jsonl.checkpoint"]
+        "art.json", "cfg.json", "d.jsonl", "d.jsonl.checkpoint", "d.jsonl.rows"]
 
 
 #: The keys that left RunConfig for module constants, with the values they held.

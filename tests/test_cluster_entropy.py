@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import index_sets
 import divgen.metrics.cluster_entropy as cluster_entropy
 import divgen.metrics.semantic as semantic
 from divgen.metrics.cluster_entropy import (
@@ -218,7 +219,7 @@ def test_value_index_matches_the_dbscan_oracle(category):
         assert got == want, (trial, n)
         if n:
             points = points_of(values, category, embedder)
-            assert index.as_sets() == dbscan(points, eps, 2, metric).as_sets(), (trial, n)
+            assert index_sets(index) == dbscan(points, eps, 2, metric).as_sets(), (trial, n)
             dist = pairwise_distances(points, metric)
             ties += int(np.sum(np.abs(dist - eps) < 1e-12))
     assert ties > 0  # the data holds pairs at eps
@@ -235,7 +236,7 @@ def test_value_index_resyncs_when_the_tracker_is_not_extended():
         assert index.values == tracker
         fresh = ValueIndex("STRING", embedder)
         fresh.extend(tracker)
-        assert index.as_sets() == fresh.as_sets()
+        assert index_sets(index) == index_sets(fresh)
         assert index.entropies(values[:3], ["amber birch"]) == \
             fresh.entropies(values[:3], ["amber birch"])
 
@@ -290,7 +291,7 @@ def test_value_index_matches_the_dbscan_oracle_near_1e9():
         values = shifted + [1e9 + v for v in numeric_values(rng, n)]
         index = ValueIndex("NUMERICAL", None)
         index.extend(values)
-        assert index.as_sets() == dbscan(values, NUMERIC_EPS, 2).as_sets()
+        assert index_sets(index) == dbscan(values, NUMERIC_EPS, 2).as_sets()
         candidates = [1e9 + v for v in numeric_values(rng, 5)]
         assert index.entropies([], candidates) == [
             value_cluster_entropy(values + [c], "NUMERICAL") for c in candidates]
@@ -353,7 +354,7 @@ def test_string_index_grows_its_rows_in_place():
     assert np.array_equal(index._rows, semantic.unit_rows(embedder.embed(values)))
     fresh = ValueIndex("STRING", embedder)
     fresh.extend(values)
-    assert index.as_sets() == fresh.as_sets()
+    assert index_sets(index) == index_sets(fresh)
     extra, candidates = values[:4], string_values(random.Random(6), 5)
     assert index.entropies(extra, candidates) == fresh.entropies(extra, candidates)
 

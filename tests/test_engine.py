@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import FaultyChat, alarm, templated_library
+from conftest import CountingEmbedder, FaultyChat, alarm, templated_library
 import divgen.cli as cli
 import divgen.engine
 import divgen.metrics.battery as battery
@@ -14,6 +15,7 @@ import divgen.querygen as querygen
 from divgen.engine import GenerationEngine, GenerationStalled
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.metrics import trees
+from divgen.metrics.battery import RowStore
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
 from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
 from divgen.providers import catalog
@@ -24,16 +26,15 @@ from divgen.providers.signature import format_output
 from divgen.querygen import ExampleSkeleton
 
 
-def build_engine(tmp_path, config=None, chat=None, log_stream=None):
+def build_engine(tmp_path, config=None, chat=None, log_stream=None, embedder=None):
     library = fixture_library()
-    embedder = HashEmbedder()
     config = config or RunConfig(rng_seed=7)
-    groups = group_parameters(library, embedder, config.group_threshold)
+    groups = group_parameters(library, HashEmbedder(), config.group_threshold)
     pools = build_api_pools(library, groups, random.Random(config.rng_seed))
-    graph = build_similarity_graph(library, embedder, config.graph_threshold)
+    graph = build_similarity_graph(library, HashEmbedder(), config.graph_threshold)
     return GenerationEngine(
         library, groups, pools, graph, config,
-        chat or StubChat(), embedder, tmp_path / "ds.jsonl", log_stream)
+        chat or StubChat(), embedder or HashEmbedder(), tmp_path / "ds.jsonl", log_stream)
 
 
 def test_engine_examples_satisfy_invariants(tmp_path):
@@ -146,10 +147,10 @@ class RewritingChat(StubChat):
         return super().complete(prompt, params)
 
 
-def run_with_log(run_dir, config, chat, n, resume=False):
+def run_with_log(run_dir, config, chat, n, resume=False, embedder=None):
     """Generate into ``run_dir`` with a run log; returns the log's events."""
     log_path = run_dir / "run.log"
-    engine = build_engine(run_dir, config=config, chat=chat)
+    engine = build_engine(run_dir, config=config, chat=chat, embedder=embedder)
     if resume:
         engine.cut_log(log_path)
     with open(log_path, "a" if resume else "w", encoding="utf-8") as stream:
@@ -380,10 +381,11 @@ def test_warm_single_run_golden_digest(tmp_path):
         "c11e13b96b737a2304acaceade958da2a3e8af3a8f4400be3012c8759223f4a3")
 
 
-def crash_once(monkeypatch, after_acceptance, torn):
+def crash_once(monkeypatch, after_acceptance, torn, stored=False):
     """Make the checkpoint write that follows acceptance ``after_acceptance``
-    fail: before anything is written, or (``torn``) after writing the first
-    half of the document."""
+    fail: before anything is written, (``torn``) after writing the first
+    half of the document, or (``stored``) after the rows store's append and
+    before the document is written."""
     original_write = GenerationEngine._write_checkpoint
     original_text = Path.write_text
     fired = []
@@ -392,14 +394,17 @@ def crash_once(monkeypatch, after_acceptance, torn):
         original_text(self, data[: len(data) // 2], *args, **kwargs)
         raise OSError("disk full")
 
+    def killed_write_text(self, data, *args, **kwargs):
+        raise OSError("killed")
+
     def failing(self):
         if fired or self.state.accepted != after_acceptance:
             return original_write(self)
         fired.append(True)
-        if not torn:
+        if not (torn or stored):
             raise OSError("killed")
         with monkeypatch.context() as m:
-            m.setattr(Path, "write_text", torn_write_text)
+            m.setattr(Path, "write_text", torn_write_text if torn else killed_write_text)
             original_write(self)
 
     monkeypatch.setattr(GenerationEngine, "_write_checkpoint", failing)
@@ -421,6 +426,99 @@ def test_resume_after_checkpoint_crash_matches_uninterrupted_run(tmp_path, monke
         assert len((run_dir / "ds.jsonl").read_text().splitlines()) == k
         build_engine(run_dir).generate(n, resume=True)
         assert (run_dir / "ds.jsonl").read_bytes() == expected, k
+
+
+def outputs_of(run_dir):
+    return [(run_dir / name).read_bytes() for name in ("ds.jsonl", "run.log")]
+
+
+@pytest.mark.parametrize("tear", [None, "unrecorded-row", "recorded-row"])
+def test_resume_after_a_crash_past_the_rows_store_append_matches_uninterrupted_run(
+        tmp_path, monkeypatch, tear):
+    # the crash leaves store records that the checkpoint does not count; the
+    # store may also be torn in the middle of a row, past the recorded size
+    # (resume cuts it off) or within it (the torn record is dropped, and its
+    # text embedded again)
+    n, config = 6, RunConfig(rng_seed=7)
+    (tmp_path / "ref").mkdir()
+    run_with_log(tmp_path / "ref", config, StubChat(), n)
+    expected = outputs_of(tmp_path / "ref")
+    for k in (2, 5):
+        run_dir = tmp_path / f"crash{k}"
+        run_dir.mkdir()
+        with monkeypatch.context() as m:
+            crash_once(m, k, torn=False, stored=True)
+            with pytest.raises(OSError, match="killed"):
+                run_with_log(run_dir, config, StubChat(), n)
+        store = run_dir / "ds.jsonl.rows"
+        recorded = json.loads((run_dir / "ds.jsonl.checkpoint").read_text())["rows_bytes"]
+        size = store.stat().st_size
+        assert size > recorded > 8 * 384, (size, recorded)
+        if tear:
+            os.truncate(store, (size if tear == "unrecorded-row" else recorded) - 8 * 100)
+        run_with_log(run_dir, config, StubChat(), n, resume=True)
+        assert outputs_of(run_dir) == expected, k
+
+
+@pytest.mark.parametrize("mismatch", ["checkpoint-without-store", "store-size-not-a-size",
+                                      "store-missing", "store-shorter",
+                                      "rows-of-another-width"])
+def test_a_rows_store_that_does_not_match_its_checkpoint_is_embedded_again(tmp_path,
+                                                                          mismatch):
+    # the store only spares embedder calls: a committed text whose row it
+    # cannot give by that text and the run's width is embedded again, and the
+    # resumed run has the bytes of the uninterrupted one
+    config = RunConfig(rng_seed=7)
+    (tmp_path / "ref").mkdir()
+    run_with_log(tmp_path / "ref", config, StubChat(), 6)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    run_with_log(run_dir, config, StubChat(), 3)
+    store, checkpoint = run_dir / "ds.jsonl.rows", run_dir / "ds.jsonl.checkpoint"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    if mismatch == "checkpoint-without-store":  # as a checkpoint from before the store
+        del doc["rows_bytes"]
+    elif mismatch == "store-size-not-a-size":
+        doc["rows_bytes"] = str(doc["rows_bytes"])
+    elif mismatch == "store-missing":
+        store.unlink()
+    elif mismatch == "store-shorter":
+        os.truncate(store, doc["rows_bytes"] // 2)
+    else:
+        texts = list(RowStore(store, 384).offsets)
+        store.unlink()
+        other = RowStore(store, 8)
+        other.append(zip(texts, HashEmbedder(8).embed(texts)))
+        doc["rows_bytes"] = store.stat().st_size
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    counting = CountingEmbedder()
+    run_with_log(run_dir, config, StubChat(), 6, resume=True, embedder=counting)
+    assert outputs_of(run_dir) == outputs_of(tmp_path / "ref")
+    queries = [ex.query for ex in read_dataset(run_dir / "ds.jsonl")[:3]]
+    if mismatch == "store-shorter":  # the first query's row is kept, the last one's is cut
+        assert queries[0] not in counting.seen and queries[-1] in counting.seen
+    else:
+        assert all(q in counting.seen for q in queries)
+
+
+def test_a_warm_resume_sends_the_embedder_no_committed_text(tmp_path):
+    # the resumed run reads the rows of the accepted queries and of the
+    # STRING tracker values from the store the checkpoint counts
+    config = RunConfig(rng_seed=11, type_weights={
+        "SINGLE": 1.0, "PARALLEL": 0.0, "SEQUENTIAL": 0.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+    engine = build_engine(tmp_path, config=config, chat=NarrowStub())
+    engine.generate(4)
+    rng = random.Random(5)
+    strings = [g for g in engine.groups.groups if g.category is ParamCategory.STRING]
+    for g in strings:
+        g.tracker.extend(f"{g.members[0][1]} item {rng.randrange(150):03d}" for _ in range(100))
+    engine._write_checkpoint()
+    committed = {*engine.queries, *(str(v) for g in strings for v in g.tracker)}
+    counting = CountingEmbedder()
+    resumed = build_engine(tmp_path, config=config, chat=NarrowStub(), embedder=counting)
+    resumed.generate(10, resume=True)
+    assert counting.calls and not committed.intersection(counting.seen)
+    assert len(resumed.queries) == 10
 
 
 def test_resumed_run_log_matches_uninterrupted_run(tmp_path, monkeypatch):
@@ -528,7 +626,7 @@ def test_refused_resume_leaves_every_file_as_it_was(tmp_path, capsys):
     assert cli.main(argv + ["--seed", "7"]) == 0
     with open(log, "a", encoding="utf-8") as fh:
         fh.write('{"event": "written after the checkpoint"}\n')
-    files = (out, log, out.with_name("ds.jsonl.checkpoint"))
+    files = (out, log, out.with_name("ds.jsonl.checkpoint"), out.with_name("ds.jsonl.rows"))
 
     def refused(*extra):
         before = [f.read_bytes() for f in files]

@@ -377,9 +377,11 @@ def _same(got, want):
 
 
 def _dbscan_entropy(points, eps, metric):
-    """Cluster entropy by ``dbscan`` itself, not through a neighbourhood table."""
-    return cluster_entropy.cluster_entropy_bits(
-        dbscan(points, eps, cluster_entropy.MIN_SAMPLES, metric))
+    """Cluster entropy by ``dbscan`` itself, not through a neighbourhood table:
+    the base-2 entropy of its cluster sizes, each noise point a singleton."""
+    partition = dbscan(points, eps, cluster_entropy.MIN_SAMPLES, metric)
+    return cluster_entropy.entropy_of_sizes(
+        list(partition.cluster_sizes) + [1] * partition.noise_count)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,12 +3,17 @@ later: the run's cache sends each distinct text to the embedder once and keeps
 a row only while some later step may still ask it for that row."""
 
 import random
+import tempfile
+from pathlib import Path
 
-from conftest import CountingEmbedder, traced_peak
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import CountingEmbedder, PresetEmbedder, traced_peak
 from divgen.engine import GenerationEngine
 from divgen.fixtures import fixture_library
 from divgen.metrics import text, trees
-from divgen.metrics.battery import EmbeddingCache, MarginalScorer
+from divgen.metrics.battery import EmbeddingCache, MarginalScorer, RowStore
 from divgen.metrics.cluster_entropy import ValueIndex, value_cluster_entropy
 from divgen.metrics.semantic import unit_rows
 from divgen.model import RunConfig
@@ -110,3 +115,58 @@ def test_traced_peak_grows_little_from_15_to_60_examples(tmp_path):
     small = run_peak(tmp_path / "15", 15)
     large = run_peak(tmp_path / "60", 60)
     assert large - small < BOUND, (small, large)
+
+
+class Refusing:
+    """An embedder that must not be asked."""
+
+    def embed(self, texts):
+        raise AssertionError(f"embedded {texts!r}")
+
+
+# floats whose bits a decimal or float32 round trip would lose: signed zeros,
+# subnormals, values near the ends of the range, and any other float
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text(max_size=12), st.lists(_floats, min_size=3, max_size=3),
+                       min_size=1, max_size=6))
+def test_a_stored_row_reads_back_with_the_embedders_bits(rows):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "ds.jsonl.rows"
+        writer = EmbeddingCache(PresetEmbedder(rows), RowStore(path, 3))
+        writer.store_rows(rows)
+        reader = EmbeddingCache(Refusing(), RowStore(path, 3))
+        texts = list(rows)
+        assert reader.matrix(texts).tobytes() == np.array([rows[t] for t in texts]).tobytes()
+
+
+def test_a_torn_last_record_is_dropped_and_cut_off(tmp_path):
+    path, texts = tmp_path / "ds.jsonl.rows", ["amber birch grove", "cobalt", "quiet harbour"]
+    rows = HashEmbedder(16).embed(texts)
+    whole = RowStore(path, 16)
+    whole.append(zip(texts[:2], rows))
+    kept = path.stat().st_size
+    whole.append([(texts[2], rows[2])])
+    data = path.read_bytes()
+    for size in range(kept, len(data)):  # every cut inside the last record
+        path.write_bytes(data[:size])
+        store = RowStore(path, 16)
+        assert list(store.offsets) == texts[:2] and path.stat().st_size == kept
+        assert store.read(texts)["cobalt"].tobytes() == rows[1].tobytes()
+
+
+def test_a_row_of_another_width_is_passed_over(tmp_path):
+    path = tmp_path / "ds.jsonl.rows"
+    RowStore(path, 8).append([("amber birch grove", HashEmbedder(8).embed(["amber"])[0])])
+    store = RowStore(path, 16)
+    assert store.read(["amber birch grove"]) == {}
+    row = HashEmbedder(16).embed(["amber birch grove"])[0]
+    store.append([("amber birch grove", row), ("cobalt", np.zeros(8))])  # the second: not written
+    again = RowStore(path, 16)
+    assert list(again.offsets) == ["amber birch grove"]
+    assert again.read(["amber birch grove", "cobalt"])["amber birch grove"].tobytes() == row.tobytes()
