@@ -7,6 +7,8 @@ its seed and can resume from the checkpoint after any interruption. The
 checkpoint is replaced atomically and records the sizes of the dataset, the run
 log and the rows store of committed texts' embeddings, so a resume first drops
 what was written after it; the accepted queries are read back from the dataset.
+It also records each argument group's value clusters, which a resumed run
+restores instead of clustering the group's committed values again.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ class GenerationEngine:
         self.log_bytes = 0  # UTF-8 bytes in the run log; cut_log counts a resumed one
         self.state = EngineState()
         self.queries: list[str] = []
-        self._stored: dict[str | None, int] = {}  # texts per list the rows store holds
+        # texts per list the rows store holds; None until the store is this run's
+        self._stored: dict[str | None, int] | None = None
         self._checked: tuple[dict[str, Any], list[GeneratedExample]] | None = None  # by cut_log
 
     # -- checkpointing ---------------------------------------------------------
@@ -139,7 +142,12 @@ class GenerationEngine:
 
     def _write_checkpoint(self) -> None:
         """Store the rows of the accepted queries and committed STRING values past the
-        counts in ``_stored`` (reset where the store is cut), then replace the checkpoint."""
+        counts in ``_stored`` (reset where the store is cut; a store that is not yet
+        this run's is emptied first), then replace the checkpoint, with the groups'
+        component records taken after the rows are stored."""
+        if self._stored is None:
+            self.embed_cache.store.cut(0)
+            self._stored = {}
         lists = {None: self.queries, **{g.id: g.tracker for g in self.groups.groups
                                         if g.category is ParamCategory.STRING}}
         self.embed_cache.store_rows(chain.from_iterable(
@@ -154,6 +162,7 @@ class GenerationEngine:
             "attempts": self.state.attempts,
             "rng_state": [state[0], list(state[1]), state[2]],
             "trackers": self.groups.snapshot_all(),
+            "components": self.paramgen.component_records(),
             "guidance": self.querygen.guidance,
             "config_digest": self._config_digest(),
         }
@@ -186,7 +195,8 @@ class GenerationEngine:
         """Restore RNG, trackers and guidance from the checkpoint, cut the dataset and
         the rows store (emptied if the checkpoint gives no size) back to the sizes
         it records and take the accepted queries from the dataset, read and checked
-        once, here or by a preceding ``cut_log``, which counts a log's bytes."""
+        once, here or by a preceding ``cut_log``, which counts a log's bytes. The
+        component records are only kept: a group's are read on its first use."""
         (doc, kept), self._checked = self._checked or self._read_checkpoint(), None
         os.truncate(self.out_path, doc["dataset_bytes"])
         size = doc.get("rows_bytes")  # absent (an older checkpoint) or no size: empty it
@@ -197,6 +207,7 @@ class GenerationEngine:
         version, internal, gauss = doc["rng_state"]
         self.rng.setstate((version, tuple(internal), gauss))
         self.groups.restore(doc["trackers"])
+        self.paramgen.restore(doc.get("components"))
         self.querygen.guidance = doc["guidance"]
         self.queries = [ex.query for ex in kept]
 
@@ -351,8 +362,7 @@ class GenerationEngine:
         abandons: Counter[tuple[str, str]] = Counter()  # since the last acceptance
         with open(self.out_path, "a" if resume else "w", encoding="utf-8") as out:
             if not resume:
-                self.embed_cache.store.cut(0)
-                self._stored = {}
+                self._stored = None  # the store starts afresh, as the dataset does
                 self._write_checkpoint()  # a crash before the first acceptance can resume
             while self.state.accepted < n:
                 self.state.attempts += 1

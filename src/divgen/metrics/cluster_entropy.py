@@ -11,7 +11,9 @@ times per run; ``ValueIndex`` keeps those values' points and clusters between
 calls, so each call costs the rows of its new values only. It grows its point
 buffer in place and keeps a histogram of its component sizes, and an entropy
 sums one term per distinct size, so neither a commit nor a score copies or
-walks the whole index outside the distance product.
+walks the whole index outside the distance product. Its ``record`` packs the
+components for a checkpoint, and ``restore`` reads them back with no distance
+product: a resumed run pays for its committed values' points only.
 
 The report scores one value sample or query corpus and its resamples;
 ``value_entropy_over_indices`` and ``query_entropy_over_indices`` build its
@@ -25,6 +27,9 @@ can place, for generation, the artifact reader and the report: a finite number
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
 import math
 from collections import Counter
 from itertools import chain, repeat
@@ -151,6 +156,50 @@ def query_entropy_over_indices(embeddings: Sequence) -> Callable[[Sequence[int]]
 # Committed values are indexed in blocks of this many, so building an index
 # never holds an n x n distance matrix.
 _BLOCK = 128
+# a component record's labels: little-endian, as the artifact's graph columns
+_LABELS = np.dtype("<i4")
+
+
+def _encoded(values: Sequence) -> bytes:
+    """The bytes a value digest reads: each value's JSON text and a comma, so
+    a sequence hashes alike in any blocks and after a JSON round trip."""
+    if not values:
+        return b""
+    return json.dumps(list(values), separators=(",", ":"))[1:-1].encode("ascii") + b","
+
+
+def covers(record: Any, values: Sequence) -> bool:
+    """Whether ``record`` counts all of ``values``, read from its count alone
+    (``ValueIndex.restore`` checks the rest before it uses a record)."""
+    return isinstance(record, dict) and record.get("count") == len(values)
+
+
+def _recorded(record: Any, values: Sequence) -> tuple[np.ndarray, Any] | None:
+    """The labels of ``record`` and the digest of the values it covers, if it
+    is a record ``ValueIndex.record`` could have written for a prefix of
+    ``values``: a count of at most ``len(values)``, that many labels in base64,
+    each the smallest index of its component, and the digest of that prefix.
+    None otherwise."""
+    if not isinstance(record, dict):
+        return None
+    count, text = record.get("count"), record.get("labels")
+    if type(count) is not int or not 0 <= count <= len(values) or type(text) is not str:
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        return None
+    if len(raw) != count * _LABELS.itemsize:
+        return None
+    labels = np.frombuffer(raw, _LABELS).astype(np.intp)
+    # each label no larger than its point's index and labelling itself
+    if not ((labels >= 0).all() and (labels <= np.arange(count)).all()
+            and (labels[labels] == labels).all()):
+        return None
+    digest = hashlib.sha256(_encoded(values[:count]))
+    if record.get("digest") != digest.hexdigest():
+        return None
+    return labels, digest
 
 
 class ValueIndex:
@@ -165,22 +214,31 @@ class ValueIndex:
     values from the distances of the new points alone, and each score equals
     ``value_cluster_entropy(values + extra + [candidate])`` bit for bit: the
     neighbour test is ``dbscan``'s own, and the entropy sums the same size
-    multiset. Components are kept as a label per point (a point index) plus a
-    size per label, and one routine, ``_join``, adds points to them: a commit
-    joins its block into the index in place, and a score joins the extras
-    into a copy of the index's components, then adds each candidate to the
-    components it reaches.
+    multiset. Components are kept as a label per point, its component's
+    smallest index (``dbscan.components``' label), plus a size per label, and
+    one routine, ``_join``, adds points to them: a commit joins its block into
+    the index in place, and a score joins the extras into a copy of the
+    index's components, then adds each candidate to the components it reaches.
+    The labels thus depend on the values alone, not on how they were indexed.
 
-    Points and labels live in buffers with spare room that double when full;
-    ``_rows`` and ``_labels`` are views of their filled prefixes, so a commit
-    writes its own rows only. A histogram of the component sizes is kept in
-    step with every commit and merge, and a score starts from it.
+    Points and labels live in buffers with spare room that double when full
+    (an extend or a restore makes room for all its values at once); ``_rows``
+    and ``_labels`` are views of their filled prefixes, so a commit writes its
+    own rows only. A histogram of the component sizes is kept in step with
+    every commit and merge, and a score starts from it.
 
     A STRING index is the owner of its values' rows: once a block is indexed,
     an embedder with a ``release`` (a run's ``battery.EmbeddingCache``) drops
     the block's raw rows, and a later request for an indexed value is served
     from the index's unit row, which is ``unit_rows`` of that raw row bit for
     bit.
+
+    ``record`` gives the labels, packed, with the count and a digest of the
+    values they cover; the digest takes each block as it is indexed, so a
+    record costs no pass over the values. ``restore`` takes such a record
+    back for a prefix of a tracker, reading the values' points in blocks and
+    the component sizes from a ``bincount`` of the labels, and refuses a
+    record that does not match those values.
     """
 
     def __init__(self, category: str, embedder=None):
@@ -200,6 +258,7 @@ class ValueIndex:
         self._sizes: dict[int, int] = {}
         self._size_counts: Counter[int] = Counter()  # component size -> components
         self._held: dict[str, int] = {}  # STRING value text -> its row
+        self._digest = hashlib.sha256()  # of the values, as ``_encoded`` gives them
 
     def __len__(self) -> int:
         return len(self.values)
@@ -220,6 +279,8 @@ class ValueIndex:
             return np.asarray(_parse_numeric(values), dtype=np.float64).reshape(-1, 1)
         texts = [str(v) for v in values]
         missing = [t for t in texts if t not in self._held]
+        if len(missing) == len(texts):
+            return unit_rows(self.embedder.embed(texts))
         fresh = dict(zip(missing, unit_rows(self.embedder.embed(missing)))) if missing else {}
         return np.stack([fresh[t] if t in fresh else self._row_buf[self._held[t]]
                          for t in texts])
@@ -249,11 +310,12 @@ class ValueIndex:
         self.extend(values[len(self.values):])
 
     def _reserve(self, count: int, width: int) -> None:
-        """Room for ``count`` points of ``width`` columns, doubling the buffers
-        when they are full."""
+        """Room for ``count`` points of ``width`` columns: buffers of a power of
+        two, so they double when full, and an index reaches one size however
+        its values came."""
         if count <= len(self._label_buf):
             return
-        filled, capacity = len(self.values), max(count, 2 * len(self._label_buf))
+        filled, capacity = len(self.values), 1 << (count - 1).bit_length()
         rows, labels = np.empty((capacity, width)), np.empty(capacity, dtype=np.intp)
         if filled:
             rows[:filled], labels[:filled] = self._rows, self._labels
@@ -267,16 +329,52 @@ class ValueIndex:
             rows = self._points(block)
             near = self._neighbours(rows)
             first, end = len(self.values), len(self.values) + len(block)
-            self._reserve(end, rows.shape[1])
+            self._reserve(first + len(values) - start, rows.shape[1])
             _join(self._label_buf[:end], self._sizes, self._size_counts, near, first)
-            self._row_buf[first:end] = rows
-            self.values.extend(block)
-            if self.category == "STRING":
-                texts = [str(v) for v in block]
-                for position, text in enumerate(texts, first):
-                    self._held.setdefault(text, position)
-                if hasattr(self.embedder, "release"):
-                    self.embedder.release(texts)
+            self._append(block, rows)
+            self._digest.update(_encoded(block))
+
+    def _append(self, block: list, rows: np.ndarray) -> None:
+        """Write the points of ``block`` after the indexed ones, in reserved
+        room. A STRING index then serves their rows and releases them from its
+        embedder."""
+        first, end = len(self.values), len(self.values) + len(block)
+        self._row_buf[first:end] = rows
+        self.values.extend(block)
+        if self.category == "STRING":
+            texts = [str(v) for v in block]
+            for position, text in enumerate(texts, first):
+                self._held.setdefault(text, position)
+            if hasattr(self.embedder, "release"):
+                self.embedder.release(texts)
+
+    def record(self) -> dict[str, Any]:
+        """The components, for a checkpoint: the count of indexed values, their
+        digest and their labels as base64 of little-endian int32."""
+        labels = base64.b64encode(self._labels.astype(_LABELS).tobytes()).decode("ascii")
+        return {"count": len(self.values), "digest": self._digest.hexdigest(), "labels": labels}
+
+    def restore(self, values: Sequence, record: Any) -> bool:
+        """Hold the prefix of ``values`` that ``record`` covers, with its
+        components, if the record matches that prefix (see ``_recorded``); the
+        index is empty otherwise. Returns whether it matched."""
+        self._reset()
+        recorded = _recorded(record, values)
+        if recorded is None:
+            return False
+        labels, self._digest = recorded
+        count = len(labels)
+        for start in range(0, count, _BLOCK):
+            block = list(values[start:min(start + _BLOCK, count)])
+            rows = self._points(block)
+            self._reserve(count, rows.shape[1])
+            self._append(block, rows)
+        self._label_buf[:count] = labels
+        sizes = np.bincount(labels)
+        roots = np.flatnonzero(sizes)
+        self._sizes = dict(zip(roots.tolist(), sizes[roots].tolist()))
+        self._size_counts = Counter(self._sizes.values())
+        return True
 
     def entropies(self, extra: Sequence, candidates: Sequence) -> list[float]:
         """Per candidate c, the cluster entropy of the indexed values + ``extra``
@@ -304,9 +402,9 @@ def _join(labels: np.ndarray, sizes: dict[int, int], counts: Counter[int],
     ``near`` is the new points' neighbour mask, (first + m) x m, and
     ``labels`` has room for all first + m points. Each new point starts as a
     singleton and then joins the components of the points it reaches, itself
-    included: the largest keeps its label (the smallest label among equals)
-    and the others take it. ``sizes`` (label -> size) and ``counts`` (size ->
-    components) follow, and the merged labels leave ``sizes``."""
+    included, under the smallest of their labels, so every label stays its
+    component's smallest index. ``sizes`` (label -> size) and ``counts``
+    (size -> components) follow, and the merged labels leave ``sizes``."""
     end = len(labels)
     labels[first:] = np.arange(first, end)
     sizes.update(dict.fromkeys(range(first, end), 1))
@@ -315,7 +413,7 @@ def _join(labels: np.ndarray, sizes: dict[int, int], counts: Counter[int],
         touched = set(labels[near[:, j]].tolist())
         if len(touched) < 2:
             continue
-        keep = max(touched, key=lambda lab: (sizes[lab], -lab))
+        keep = min(touched)
         for lab in touched:
             counts[sizes[lab]] -= 1
             if not counts[sizes[lab]]:

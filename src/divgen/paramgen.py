@@ -5,7 +5,9 @@ exposes a uniform sample of 5 to the selector, folds the hidden 20 into the
 group's committed values ("virtual augmentation"), and keeps the exposed
 candidate whose augmented-group cluster entropy is highest. Each group's
 committed values are indexed once (``ValueIndex``) and kept in step with its
-tracker, so a selection embeds and clusters only its new values. ENUM parameters
+tracker, so a selection embeds and clusters only its new values; each checkpoint
+records the groups' components, and a resumed run restores a group's index from
+its record instead of clustering its committed values again. ENUM parameters
 draw uniformly; OTHER parameters take a single LLM value. Parameter sets are
 LLM-validated with a bounded retry budget, and an abandoned example never
 touches the group trackers: commits are collected and applied atomically by the
@@ -30,6 +32,7 @@ from typing import Any, Callable, Sequence
 from divgen.metrics.cluster_entropy import (  # noqa: F401
     UnusableValue,
     ValueIndex,
+    covers,
     numeric_value,
     text_value,
     value_cluster_entropy,
@@ -177,17 +180,29 @@ class ParamGenerator:
         self.rng = rng
         self.config = config
         self._value_indexes: dict[str, ValueIndex] = {}
+        # each NUMERICAL/STRING group's component record at the last checkpoint
+        self.records: dict[str, Any] = {}
 
-    def _value_index(self, group: ParameterGroup) -> ValueIndex:
-        """The group's value index, brought in step with its tracker. Built on
-        the group's first selection; values of an attempt in progress never
-        enter it. A committed value the group cannot place (one a checkpoint
-        kept from a run that admitted it) raises ModelError naming both."""
+    def restore(self, records: Any) -> None:
+        """Take a checkpoint's component records (none unless an object) and drop
+        every index: a group's is restored from its record on first use."""
+        self.records = records if isinstance(records, dict) else {}
+        self._value_indexes.clear()
+
+    def _value_index(self, group: ParameterGroup, keep: bool = True) -> ValueIndex:
+        """The group's value index, brought in step with its tracker. On first
+        use it is restored from the group's component record where the record
+        matches a prefix of the tracker, built otherwise, and kept if ``keep``;
+        values of an attempt in progress never enter it. A committed value the
+        group cannot place (one a checkpoint kept from a run that admitted it)
+        raises ModelError naming both."""
         index = self._value_indexes.get(group.id)
-        if index is None:
-            index = self._value_indexes[group.id] = ValueIndex(
-                group.category.value, self.embedder)
         try:
+            if index is None:
+                index = ValueIndex(group.category.value, self.embedder)
+                index.restore(group.tracker, self.records.get(group.id))
+                if keep:
+                    self._value_indexes[group.id] = index
             index.sync(group.tracker)
         except ValueError as exc:
             admit = numeric_value if group.category is ParamCategory.NUMERICAL else text_value
@@ -199,6 +214,24 @@ class ParamGenerator:
                                      f" it cannot place: {unusable}") from exc
             raise
         return index
+
+    def component_records(self) -> dict[str, dict[str, Any]]:
+        """Each NUMERICAL/STRING group's component record, kept as the records of
+        the last checkpoint. A group keeps its record while its tracker has not
+        grown; a grown group takes the record of its index, extended, or, if it
+        has none, of an index used once and dropped, so a run that never selects
+        holds no group's points."""
+        records = {}
+        for group in self.groups.groups:
+            if group.category not in (ParamCategory.NUMERICAL, ParamCategory.STRING):
+                continue
+            record = self.records.get(group.id)
+            if covers(record, group.tracker):
+                records[group.id] = record
+            else:
+                records[group.id] = self._value_index(group, keep=False).record()
+        self.records = records
+        return records
 
     # -- candidate generation -------------------------------------------------
 

@@ -22,7 +22,7 @@ from divgen.metrics.cluster_entropy import (
     value_cluster_entropy,
     value_entropy_over_indices,
 )
-from divgen.metrics.dbscan import dbscan, pairwise_distances
+from divgen.metrics.dbscan import components, dbscan, pairwise_distances, within_eps
 from divgen.providers.hash_embed import HashEmbedder
 
 
@@ -223,6 +223,48 @@ def test_value_index_matches_the_dbscan_oracle(category):
             dist = pairwise_distances(points, metric)
             ties += int(np.sum(np.abs(dist - eps) < 1e-12))
     assert ties > 0  # the data holds pairs at eps
+
+
+# values with repeats and pairs at eps, for hypothesis to draw from
+_POOLS = {"NUMERICAL": numeric_values(random.Random(41), 200),
+          "STRING": string_values(random.Random(43), 200)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_POOLS)),
+       st.lists(st.integers(0, 199), min_size=cluster_entropy._BLOCK + 1,
+                max_size=2 * cluster_entropy._BLOCK + 20),
+       st.data())
+def test_value_index_labels_each_value_by_its_components_smallest_index(category, picks,
+                                                                          data):
+    # as dbscan.components labels the full table, however the values were
+    # indexed: all at once, one at a time, or restored from a prefix's record
+    # and extended; so the records are equal too
+    embedder = HashEmbedder()
+    values = [_POOLS[category][i] for i in picks]
+    metric, eps = (("euclidean", NUMERIC_EPS) if category == "NUMERICAL"
+                   else ("cosine", STRING_EPS))
+    want = components(within_eps(pairwise_distances(
+        points_of(values, category, embedder), metric), eps)).tolist()
+    bulk = ValueIndex(category, embedder)
+    bulk.extend(values)
+    single = ValueIndex(category, embedder)
+    for value in values:
+        single.extend([value])
+    prefix = ValueIndex(category, embedder)
+    prefix.extend(values[:data.draw(st.integers(0, len(values)), label="cut")])
+    restored = ValueIndex(category, embedder)
+    assert restored.restore(values, prefix.record())
+    assert restored.values == prefix.values
+    restored.sync(values)
+    for index in (bulk, single, restored):
+        assert index._labels.tolist() == want
+        assert (index._sizes, index._size_counts) == (bulk._sizes, bulk._size_counts)
+        assert index.record() == bulk.record()
+    whole = ValueIndex(category, embedder)
+    assert whole.restore(values, bulk.record()) and whole._labels.tolist() == want
+    extra, candidates = values[:3], [_POOLS[category][i] for i in picks[-5:]]
+    assert whole.entropies(extra, candidates) == bulk.entropies(extra, candidates)
 
 
 def test_value_index_resyncs_when_the_tracker_is_not_extended():

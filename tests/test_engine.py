@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -5,17 +6,21 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import CountingEmbedder, FaultyChat, alarm, templated_library
 import divgen.cli as cli
 import divgen.engine
 import divgen.metrics.battery as battery
+import divgen.metrics.cluster_entropy as cluster_entropy
 import divgen.querygen as querygen
 from divgen.engine import GenerationEngine, GenerationStalled
 from divgen.fixtures import fixture_library, fixture_library_path
 from divgen.metrics import trees
 from divgen.metrics.battery import RowStore
+from divgen.metrics.cluster_entropy import ValueIndex
+from divgen.metrics.semantic import unit_rows
 from divgen.model import ExecutionType, ParamCategory, RunConfig, read_dataset
 from divgen.preprocess import build_api_pools, build_similarity_graph, group_parameters
 from divgen.providers import catalog
@@ -410,12 +415,19 @@ def crash_once(monkeypatch, after_acceptance, torn, stored=False):
     monkeypatch.setattr(GenerationEngine, "_write_checkpoint", failing)
 
 
+def components_of(run_dir):
+    return json.loads((run_dir / "ds.jsonl.checkpoint").read_text(encoding="utf-8"))["components"]
+
+
 @pytest.mark.parametrize("torn", [False, True])
 def test_resume_after_checkpoint_crash_matches_uninterrupted_run(tmp_path, monkeypatch, torn):
+    # the resumed run ends with the uninterrupted run's bytes and component records
     n = 5
     (tmp_path / "ref").mkdir()
     build_engine(tmp_path / "ref").generate(n)
     expected = (tmp_path / "ref" / "ds.jsonl").read_bytes()
+    components = components_of(tmp_path / "ref")
+    assert any(record["count"] for record in components.values())
     for k in range(1, n + 1):
         run_dir = tmp_path / f"crash{k}"
         run_dir.mkdir()
@@ -426,6 +438,7 @@ def test_resume_after_checkpoint_crash_matches_uninterrupted_run(tmp_path, monke
         assert len((run_dir / "ds.jsonl").read_text().splitlines()) == k
         build_engine(run_dir).generate(n, resume=True)
         assert (run_dir / "ds.jsonl").read_bytes() == expected, k
+        assert components_of(run_dir) == components, k
 
 
 def outputs_of(run_dir):
@@ -519,6 +532,142 @@ def test_a_warm_resume_sends_the_embedder_no_committed_text(tmp_path):
     resumed.generate(10, resume=True)
     assert counting.calls and not committed.intersection(counting.seen)
     assert len(resumed.queries) == 10
+
+
+def edited_labels(record, edit):
+    labels = np.frombuffer(base64.b64decode(record["labels"]), "<i4").copy()
+    edit(labels)
+    record["labels"] = base64.b64encode(labels.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("mismatch", ["checkpoint-without-components", "other-count",
+                                      "edited-value", "labels-not-base64",
+                                      "labels-of-another-length", "label-negative",
+                                      "label-past-its-value", "label-not-canonical"])
+def test_a_component_record_that_does_not_match_its_tracker_is_rebuilt(tmp_path,
+                                                                       monkeypatch, mismatch):
+    # a record only spares the clustering: a group whose record does not match
+    # its tracker is clustered again, the other groups are restored, and the
+    # resumed run has the bytes of the uninterrupted one
+    config = RunConfig(rng_seed=7)
+    (tmp_path / "ref").mkdir()
+    run_with_log(tmp_path / "ref", config, StubChat(), 10)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    run_with_log(run_dir, config, StubChat(), 6)
+    checkpoint = run_dir / "ds.jsonl.checkpoint"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    target = "g000" if mismatch == "other-count" else "g003"  # NUMERICAL, STRING
+    record = doc["components"][target]
+    assert record["count"] == len(doc["trackers"][target]) >= (1 if target == "g000" else 3)
+    if mismatch == "checkpoint-without-components":  # as a checkpoint from before them
+        del doc["components"]
+    elif mismatch == "other-count":
+        record["count"] += 1
+    elif mismatch == "edited-value":  # the record of the tracker with its first value edited
+        edited = ValueIndex("STRING", HashEmbedder())
+        edited.extend(doc["trackers"][target][1:2] + doc["trackers"][target][1:])
+        doc["components"][target] = edited.record()
+        assert edited.record()["labels"] != record["labels"]
+    elif mismatch == "labels-not-base64":
+        record["labels"] = record["labels"][:-4] + "*" * 4
+    elif mismatch == "labels-of-another-length":
+        record["labels"] = base64.b64encode(base64.b64decode(record["labels"])[:-4]).decode()
+    elif mismatch == "label-negative":
+        edited_labels(record, lambda labels: labels.__setitem__(-1, -1))
+    elif mismatch == "label-past-its-value":  # a value labelled by a later one
+        edited_labels(record, lambda labels: labels.__setitem__(0, 1))
+    else:  # each value labelled by the one before it, which has another label
+        edited_labels(record, lambda labels: labels.__setitem__(
+            slice(1, None), np.arange(len(labels) - 1)))
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    restores = []
+    restore = ValueIndex.restore
+
+    def recording(self, values, record):
+        restores.append((values, restore(self, values, record)))
+        return restores[-1][1]
+
+    monkeypatch.setattr(ValueIndex, "restore", recording)
+    resumed, _ = run_with_log(run_dir, config, StubChat(), 10, resume=True)
+    assert outputs_of(run_dir) == outputs_of(tmp_path / "ref")
+    ids = {id(g.tracker): g.id for g in resumed.groups.groups}
+    first: dict[str, bool] = {}
+    for values, matched in restores:
+        first.setdefault(ids[id(values)], matched)
+    assert {"g000", "g003"} <= set(first)
+    rebuilt = set(first) if mismatch == "checkpoint-without-components" else {target}
+    assert {gid for gid, matched in first.items() if not matched} == rebuilt
+    assert all(matched for values, matched in restores if ids[id(values)] not in rebuilt)
+
+
+SINGLE_ONLY = RunConfig(rng_seed=7, type_weights={
+    "SINGLE": 1.0, "PARALLEL": 0.0, "SEQUENTIAL": 0.0, "MISSING_PARAMS": 0.0, "NONE": 0.0})
+
+
+def write_warm_checkpoint(run_dir):
+    """A checkpoint before the first acceptance whose two STRING groups hold 300
+    values each, of words no stub candidate uses; returns those values."""
+    engine = build_engine(run_dir, config=SINGLE_ONLY)
+    engine.generate(0)
+    strings = [g for g in engine.groups.groups if g.category is ParamCategory.STRING]
+    assert len(strings) == 2
+    rng = random.Random(5)
+    for g in strings:
+        g.tracker[:] = [f"{g.id} quartz{rng.randrange(150)}" for _ in range(300)]
+    engine._write_checkpoint()
+    return [v for g in strings for v in g.tracker]
+
+
+def test_a_resumed_run_measures_no_distance_between_two_committed_values(tmp_path,
+                                                                         monkeypatch):
+    # each group's clusters come back from its record, so the resumed run
+    # measures distances from its new values only
+    committed = {row.tobytes() for row in unit_rows(HashEmbedder().embed(
+        sorted(set(write_warm_checkpoint(tmp_path)))))}
+    pairs = []
+    distances = ValueIndex._distances
+
+    def counting(self, a, b):
+        if self.category == "STRING":
+            pairs.append(sum(r.tobytes() in committed for r in a)
+                         * sum(r.tobytes() in committed for r in b))
+        return distances(self, a, b)
+
+    monkeypatch.setattr(ValueIndex, "_distances", counting)
+    engine = build_engine(tmp_path, config=SINGLE_ONLY)
+    engine.generate(1, resume=True)
+    assert pairs and sum(pairs) == 0
+    # one group selected and committed a value
+    indexes = engine.paramgen._value_indexes.values()
+    assert sorted(len(i.values) for i in indexes if i.category == "STRING") == [301]
+
+
+def test_resume_reads_no_stored_row_and_builds_no_index(tmp_path, monkeypatch):
+    write_warm_checkpoint(tmp_path)
+    engine = build_engine(tmp_path, config=SINGLE_ONLY)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called by resume")
+
+    monkeypatch.setattr(RowStore, "read", refused)
+    monkeypatch.setattr(ValueIndex, "__init__", refused)
+    monkeypatch.setattr(cluster_entropy, "_recorded", refused)
+    engine.resume()
+    assert "offsets" not in vars(engine.embed_cache.store)  # the store was not scanned
+    assert sorted(r["count"] for r in engine.paramgen.records.values()) == [0, 0, 0, 300, 300]
+
+
+def test_a_checkpoint_written_next_to_another_runs_store_starts_it_afresh(tmp_path):
+    build_engine(tmp_path).generate(3)
+    store = tmp_path / "ds.jsonl.rows"
+    assert RowStore(store, 384).offsets
+    engine = build_engine(tmp_path)
+    group = next(g for g in engine.groups.groups if g.category is ParamCategory.STRING)
+    group.tracker[:] = ["amber birch grove", "cobalt river delta"]
+    engine.queries = ["Where does the cobalt river delta begin?"]
+    engine._write_checkpoint()
+    assert set(RowStore(store, 384).offsets) == {*engine.queries, *group.tracker}
 
 
 def test_resumed_run_log_matches_uninterrupted_run(tmp_path, monkeypatch):
