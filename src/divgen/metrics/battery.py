@@ -267,9 +267,12 @@ class EmbeddingCache:
       ``Corpus`` and releases them with every candidate scored since the
       previous acceptance (an abandoned attempt's candidates stay until then);
     - a ``cluster_entropy.ValueIndex`` releases the values it has indexed and
-      serves them again from its own unit rows;
+      serves them again from its own unit rows, and owns the values of its
+      last offer: a selection releases those of the previous offer that it
+      does not repeat;
     - ``unit_matrix`` holds a text list's unit rows and releases their raw ones.
 
+    The walk check's ``name: description`` texts stay for the run.
     A released text is read back from the store if ``store_rows`` wrote it
     there, else it reaches the embedder again. ``embed`` lets the cache stand
     in for the embedder."""

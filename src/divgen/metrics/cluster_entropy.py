@@ -231,7 +231,12 @@ class ValueIndex:
     an embedder with a ``release`` (a run's ``battery.EmbeddingCache``) drops
     the block's raw rows, and a later request for an indexed value is served
     from the index's unit row, which is ``unit_rows`` of that raw row bit for
-    bit.
+    bit. It also owns the raw rows of its last offer, the texts of ``extra``
+    and the candidates of its last ``entropies`` call: each call releases the
+    texts of the previous offer that it does not repeat, so a run's cache
+    holds one offer per index, and a value chosen from an offer keeps its row
+    until its group's next offer, for the checkpoint after its acceptance to
+    store without embedding it again.
 
     ``record`` gives the labels, packed, with the count and a digest of the
     values they cover; the digest takes each block as it is indexed, so a
@@ -249,6 +254,7 @@ class ValueIndex:
         self.eps = NUMERIC_EPS if category == "NUMERICAL" else STRING_EPS
         self.category = category
         self.embedder = embedder
+        self._offer: set[str] = set()  # STRING texts of the last ``entropies`` call
         self._reset()
 
     def _reset(self) -> None:
@@ -345,8 +351,11 @@ class ValueIndex:
             texts = [str(v) for v in block]
             for position, text in enumerate(texts, first):
                 self._held.setdefault(text, position)
-            if hasattr(self.embedder, "release"):
-                self.embedder.release(texts)
+            self._release(texts)
+
+    def _release(self, texts: Iterable[str]) -> None:
+        if hasattr(self.embedder, "release"):
+            self.embedder.release(texts)
 
     def record(self) -> dict[str, Any]:
         """The components, for a checkpoint: the count of indexed values, their
@@ -378,9 +387,15 @@ class ValueIndex:
 
     def entropies(self, extra: Sequence, candidates: Sequence) -> list[float]:
         """Per candidate c, the cluster entropy of the indexed values + ``extra``
-        + [c], in bits."""
+        + [c], in bits. A STRING index then releases the texts of its previous
+        offer that this one does not repeat."""
         k, n = len(extra), len(self.values)
-        near = self._neighbours(self._points(list(extra) + list(candidates)))[:n + k]
+        offer = list(extra) + list(candidates)
+        near = self._neighbours(self._points(offer))[:n + k]
+        if self.category == "STRING":
+            texts = {str(v) for v in offer}
+            self._release(self._offer - texts)
+            self._offer = texts
         labels = np.empty(n + k, dtype=np.intp)
         labels[:n] = self._labels
         sizes, counts = dict(self._sizes), self._size_counts.copy()

@@ -27,7 +27,8 @@ def _bucket(token: str, dimension: int) -> int:
 class HashEmbedder:
     """Pure, process-stable embedding provider for tests and offline runs. It
     keeps no per-text state: a run's ``battery.EmbeddingCache`` sends it each
-    distinct text once, and again only a released text its store lacks."""
+    distinct text once, and again only a released text its store lacks (a
+    query candidate or argument value proposed again after it was let go)."""
 
     def __init__(self, dimension: int = 384):
         if dimension <= 0:

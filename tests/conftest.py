@@ -85,6 +85,24 @@ class FaultyChat:
         return "".join(self.rng.choices(string.printable, k=self.rng.randrange(200)))
 
 
+class PromptFaultyChat(FaultyChat):
+    """A ``FaultyChat`` whose fault for a call is drawn from a stream seeded
+    with its seed and the prompt alone, so a resumed run meets the faults of
+    the run it continues. It spoils replies only: a transport fault keyed on
+    the prompt would recur at every retry of that prompt and end the run, as
+    a ``fatal`` one does."""
+
+    KINDS = FaultyChat.KINDS[:4]
+
+    def __init__(self, inner, rate: float, seed: int):
+        super().__init__(inner, rate, seed, self.KINDS)
+        self.seed = seed
+
+    def complete(self, prompt, params=None):
+        self.rng = random.Random(f"{self.seed}\n{prompt}")
+        return super().complete(prompt, params)
+
+
 def index_sets(index):
     """A ``ValueIndex``'s clusters and noise, as ``ClusterPartition.as_sets``
     gives a partition's."""

@@ -950,6 +950,24 @@ def test_a_malformed_config_exits_0_or_2(fuzz_inputs, data):
                        "--out", str(out), "--log", str(log)], out, log)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_malformed_label_file_exits_0_or_2(data):
+    rows = [{"id": f"i{k}", "correct": k % 3 == 0, "category": "xy"[k % 2]} for k in range(8)]
+    files = data.draw(mutated({"predictions": rows,
+                               "references": [{**r, "correct": not r["correct"]} for r in rows]}))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"{name}.jsonl" for name in ("predictions", "references")]
+        for path in paths:
+            if path.stem in files:  # a deleted file is not written
+                doc = files[path.stem]
+                path.write_text("".join(json.dumps(r) + "\n" for r in
+                                        (doc if isinstance(doc, list) else [doc])),
+                                encoding="utf-8")
+        out = Path(tmp) / "eval.json"
+        _exits_0_or_2(["evaluate", *map(str, paths), "--out", str(out)], out)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_malformed_dataset_exits_0_or_2(fuzz_inputs, seed_11_dataset, data):

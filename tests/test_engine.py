@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CountingEmbedder, FaultyChat, alarm, templated_library
+from conftest import CountingEmbedder, FaultyChat, PromptFaultyChat, alarm, templated_library
 import divgen.cli as cli
 import divgen.engine
 import divgen.metrics.battery as battery
@@ -730,21 +730,38 @@ def test_resume_on_each_side_of_the_vendi_decomposition_matches_uninterrupted_ru
         assert outputs(run_dir) == expected, k
 
 
-def test_resume_after_a_crash_at_any_call_matches_uninterrupted_run(tmp_path):
+def resume_after_a_crash_at_each_call(tmp_path, provider):
+    """Run 4 examples on ``provider(chat)``; then, for each call k of that run,
+    crash a run at call k and resume it on ``provider(StubChat())``, and
+    require the dataset and run-log bytes of the uninterrupted run. Returns
+    the uninterrupted run's call count and log events."""
     config = RunConfig(rng_seed=7, rounds=2, pattern_period=2)
     (tmp_path / "ref").mkdir()
     counter = OutageChat()
-    run_with_log(tmp_path / "ref", config, counter, 4)
+    _, events = run_with_log(tmp_path / "ref", config, provider(counter), 4)
     expected = [(tmp_path / "ref" / name).read_bytes() for name in ("ds.jsonl", "run.log")]
-    assert counter.calls == 41
     for k in range(1, counter.calls + 1):
         run_dir = tmp_path / f"crash{k}"
         run_dir.mkdir()
         with pytest.raises(ProviderError, match="endpoint unreachable"):
-            run_with_log(run_dir, config, OutageChat(k - 1, ProviderError), 4)
-        run_with_log(run_dir, config, StubChat(), 4, resume=True)
+            run_with_log(run_dir, config, provider(OutageChat(k - 1, ProviderError)), 4)
+        run_with_log(run_dir, config, provider(StubChat()), 4, resume=True)
         got = [(run_dir / name).read_bytes() for name in ("ds.jsonl", "run.log")]
         assert got == expected, k
+    return counter.calls, events
+
+
+def test_resume_after_a_crash_at_any_call_matches_uninterrupted_run(tmp_path):
+    calls, _ = resume_after_a_crash_at_each_call(tmp_path, lambda chat: chat)
+    assert calls == 41
+
+
+def test_resume_after_a_crash_at_any_call_under_faults_matches_uninterrupted_run(tmp_path):
+    # the faults depend on the prompt alone, so the resumed run meets those of
+    # the run it continues, abandoned attempts included
+    calls, events = resume_after_a_crash_at_each_call(
+        tmp_path, lambda chat: PromptFaultyChat(chat, 0.3, 0))
+    assert [e["event"] for e in events].count("abandoned") >= 2 and calls > 41
 
 
 def test_resume_keeps_a_log_the_interrupted_run_did_not_write(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Each embedding row of a run has one owner, the component that reads it
-later: the run's cache sends each distinct text to the embedder once and keeps
-a row only while some later step may still ask it for that row."""
+later: the run's cache keeps a row only while some later step may still ask it
+for that row, and sends a distinct text to the embedder again only after its
+owner let it go."""
 
 import random
 import tempfile
@@ -99,6 +100,66 @@ def test_an_index_over_a_bare_embedder_embeds_an_indexed_value_once():
     index.entropies([], ["cobalt river delta", "quiet harbour town"])
     assert counting.seen == {"amber birch grove": 1, "cobalt river delta": 1,
                              "quiet harbour town": 1}
+
+
+def test_a_run_holds_only_walk_labels_last_offers_and_its_last_attempts_rows(tmp_path,
+                                                                           monkeypatch):
+    # each STRING index's last offer, by index, and the texts each attempt
+    # asked the cache for, by attempt
+    offers: dict[int, set[str]] = {}
+    asked: list[set[str]] = []
+    entropies, build = ValueIndex.entropies, GenerationEngine._build_skeleton
+
+    def offering(self, extra, candidates):
+        if self.category == "STRING":
+            offers[id(self)] = {str(v) for v in [*extra, *candidates]}
+        return entropies(self, extra, candidates)
+
+    def attempt(self, etype):
+        asked.append(set())
+        return build(self, etype)
+
+    monkeypatch.setattr(ValueIndex, "entropies", offering)
+    monkeypatch.setattr(GenerationEngine, "_build_skeleton", attempt)
+    engine = fixture_engine(tmp_path, HashEmbedder())
+    matrix = engine.embed_cache.matrix
+
+    def asking(texts):
+        asked[-1].update(texts)
+        return matrix(texts)
+
+    monkeypatch.setattr(engine.embed_cache, "matrix", asking)
+    engine.generate(60)
+    labels = {f"{fn.name}: {fn.description}" for fn in engine.library}
+    owned = labels.union(asked[-1], *offers.values())
+    assert len(offers) > 1 and len(asked) > 60
+    assert [t for t in engine.embed_cache._memo if t not in owned] == []
+
+
+def test_an_index_holds_the_rows_of_its_last_offer_only():
+    counting = CountingEmbedder()
+    cache = EmbeddingCache(counting)
+    index = ValueIndex("STRING", cache)
+    bare = ValueIndex("STRING", HashEmbedder())
+    committed = ["amber birch grove", "cobalt river delta"]
+    calls = [(["quiet harbour town"], ["misty alpine meadow", "amber birch lane"]),
+             (["quiet harbour town", "copper canyon trail"],
+              ["misty alpine meadow", "amber birch grove", "silver lake road"])]
+    for each in (index, bare):
+        each.extend(committed)
+    for extra, candidates in calls:
+        scores = index.entropies(extra, candidates)
+        # a bare embedder has no ``release``, and an index over it scores as before
+        assert bare.entropies(extra, candidates) == scores == [
+            value_cluster_entropy(committed + extra + [c], "STRING", HashEmbedder())
+            for c in candidates]
+    # the first offer's own value is released; the latest offer stays held,
+    # its pending value included, but for the indexed value the index serves
+    assert set(cache._memo) == {"quiet harbour town", "copper canyon trail",
+                                "misty alpine meadow", "silver lake road"}
+    # values in both offers reached the embedder once
+    assert counting.seen["quiet harbour town"] == counting.seen["misty alpine meadow"] == 1
+    assert set(counting.seen.values()) == {1}
 
 
 def run_peak(path, n: int) -> int:
