@@ -13,6 +13,7 @@ restores instead of clustering the group's committed values again.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -136,9 +137,12 @@ class GenerationEngine:
     def checkpoint_path(self) -> Path:
         return self.out_path.with_suffix(self.out_path.suffix + ".checkpoint")
 
-    def _config_digest(self) -> str:
-        blob = json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+    @functools.cached_property
+    def config_digest(self) -> str:
+        """The digest a checkpoint records of the run's configuration, taken
+        once."""
+        return hashlib.sha256(
+            json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
 
     def _write_checkpoint(self) -> None:
         """Store the rows of the accepted queries and committed STRING values past the
@@ -164,7 +168,7 @@ class GenerationEngine:
             "trackers": self.groups.snapshot_all(),
             "components": self.paramgen.component_records(),
             "guidance": self.querygen.guidance,
-            "config_digest": self._config_digest(),
+            "config_digest": self.config_digest,
         }
         tmp = self.checkpoint_path.with_name(self.checkpoint_path.name + ".tmp")
         tmp.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
@@ -174,7 +178,7 @@ class GenerationEngine:
         """The checkpoint and the examples of the dataset prefix it records,
         checked (config digest, trackers, then prefix) before any file is touched."""
         doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        if doc["config_digest"] != self._config_digest():
+        if doc["config_digest"] != self.config_digest:
             raise ModelError("checkpoint was produced under a different configuration")
         trackers = doc["trackers"]
         if not (isinstance(trackers, dict) and all(isinstance(t, list) for t in trackers.values())):

@@ -15,7 +15,7 @@ import os
 import struct
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,12 +25,14 @@ from divgen.metrics.semantic import (
     chamfer_distance_score,
     cosine_matrix,
     paraphrase_variety,
+    round12,
     semantic_spread,
     unit_rows,
     vendi_score,
 )
 from divgen.metrics.text import (  # fkgl_grade, tokenize, type_token_ratio:
     # kept for bench/spans.py, which wraps these names
+    ValueCounts,
     compression_ratio,
     compression_ratio_diversity,
     deflater,
@@ -74,16 +76,47 @@ REPORT_METRICS: tuple[str, ...] = OPTIMIZED_METRICS + (
 )
 
 
+class Reading:
+    """One reading of a text: the tokens of each of its sentences, by
+    ``sentences_of``, and its tokens; its FKGL grade (a text without a word
+    token raises ValueError) and the chunks of each of its sentences, which
+    are the sentences' shapes, are taken on first use."""
+
+    __slots__ = ("sentences", "tokens", "_fkgl", "_shapes")
+
+    def __init__(self, text: str):
+        self.sentences = sentences_of(text)
+        self.tokens = [t for sentence in self.sentences for t in sentence]
+        self._fkgl: float | None = None
+        self._shapes: list[Shape] | None = None
+
+    @property
+    def fkgl(self) -> float:
+        if self._fkgl is None:
+            self._fkgl = fkgl_of(self.sentences)
+        return self._fkgl
+
+    @property
+    def shapes(self) -> list[Shape]:
+        if self._shapes is None:
+            self._shapes = list(map(chunks, self.sentences))
+        return self._shapes
+
+
 class Corpus:
     """A corpus's texts with one record each, its rows and running totals.
-    ``append(texts, rows)`` reads each text once, by ``sentences_of``, and
-    records its FKGL grade (a text without a word token raises ValueError),
-    its token ids into the corpus's ``vocabulary``, its token count and the
-    shape id of each of its sentences, adding the last two to the totals
-    ``n_tokens`` and ``shape_counts``. A sentence's shape is its chunks, which
-    the chunker yields once per sentence; ``shapes`` gives each distinct one
-    an id, and ``tree_distances``, the edit distances of their trees, is built
-    on first use. Appended rows are normalised once, on arrival, and written
+    ``append(texts, rows, readings)`` takes each text's ``Reading`` from
+    ``readings``, or reads the text once, and records its FKGL grade (a text
+    without a word token raises ValueError), its token ids into the corpus's
+    ``vocabulary``, its token count and the shape id of each of its sentences,
+    adding the last two to the totals ``n_tokens`` and ``shape_counts``. A
+    sentence's shape is its chunks; ``shapes`` gives each distinct one an id,
+    and ``tree_distances``, the edit distances of their trees, is built on
+    first use. Beside the lists, histograms count each distinct length and
+    grade (``text.ValueCounts``) and each number of times a shape occurs
+    (``shape_sizes``), so the variances and the shape entropy of the corpus
+    plus one text cost a term or two per distinct value.
+    Appended rows are normalised once, on arrival, and written
     with their unit form to buffers that double when full; ``rows`` is one
     ``semantic.UnitRows`` over the filled prefixes, whose cluster-entropy
     neighbourhood table is also built on first use. A row's unit form does
@@ -99,27 +132,39 @@ class Corpus:
         self.token_ids: list[np.ndarray] = []
         self.lengths: list[float] = []
         self.fkgls: list[float] = []
+        self.length_counts, self.fkgl_counts = ValueCounts(), ValueCounts()
         self.shapes: dict[Shape, int] = {}  # a sentence's chunks -> its shape id
         self.shape_ids: list[np.ndarray] = []
         self.n_tokens = 0
         self.shape_counts: Counter[int] = Counter()
+        self.shape_sizes: Counter[int] = Counter()  # a count in shape_counts -> its shapes
+        self._shape_entropies: dict[tuple, float] = {}  # by shape_entropy_with's moves
         self.append(texts, rows)
 
-    def append(self, texts: Sequence[str], rows=None) -> None:
+    def append(self, texts: Sequence[str], rows=None,
+               readings: Mapping[str, Reading] | None = None) -> None:
         for text in texts:
-            sentences = sentences_of(text)
-            tokens = [t for sentence in sentences for t in sentence]
-            self.fkgls.append(fkgl_of(sentences))  # first: it raises for a wordless text
+            reading = (readings or {}).get(text) or Reading(text)
+            tokens, fkgl = reading.tokens, reading.fkgl  # first: a wordless text raises
+            self.fkgls.append(fkgl)
+            self.fkgl_counts.add(fkgl)
             self.token_ids.append(np.array(
                 [self.vocabulary.setdefault(t, len(self.vocabulary)) for t in tokens],
                 dtype=np.intp))
             self.lengths.append(float(len(tokens)))
+            self.length_counts.add(float(len(tokens)))
             shape_ids = [self.shapes.setdefault(shape, len(self.shapes))
-                         for shape in map(chunks, sentences)]
+                         for shape in reading.shapes]
             self.shape_ids.append(np.array(shape_ids, dtype=np.intp))
             self.n_tokens += len(tokens)
-            self.shape_counts.update(shape_ids)
+            for shape_id in shape_ids:  # the shape moves up one size
+                size = self.shape_counts[shape_id]
+                if size:
+                    self.shape_sizes[size] -= 1  # a size left at 0 adds nothing
+                self.shape_sizes[size + 1] += 1
+                self.shape_counts[shape_id] = size + 1
             self.texts.append(text)
+        self._shape_entropies = {}
         self.__dict__.pop("tree_distances", None)
         if rows is not None:
             block = UnitRows(rows)
@@ -130,6 +175,27 @@ class Corpus:
             self._raw[first:end], self._unit[first:end] = block.raw, block.unit
             self._filled = end
             self.__dict__.pop("cluster_entropy", None)
+
+    def shape_entropy_with(self, shapes: Iterable) -> float:
+        """Parse-tree entropy of the sentences plus ones of ``shapes``, each a
+        shape id or a new shape's chunks: each distinct shape moves from its
+        size to its size plus its added count in a copy of the size
+        histogram, which has one entry per distinct size. The moves decide
+        the entropy, so it is kept under them until the next ``append``."""
+        added: dict = {}
+        for shape in shapes:
+            added[shape] = added.get(shape, 0) + 1
+        moves = tuple(sorted((self.shape_counts.get(shape, 0), count)
+                             for shape, count in added.items()))
+        entropy = self._shape_entropies.get(moves)
+        if entropy is None:
+            sizes = dict(self.shape_sizes)
+            for size, count in moves:
+                if size:
+                    sizes[size] -= 1  # a size left at 0 adds nothing to the entropy
+                sizes[size + count] = sizes.get(size + count, 0) + 1
+            entropy = self._shape_entropies[moves] = entropy_of_sizes(sizes)
+        return entropy
 
     def _grown(self, buffer: np.ndarray, count: int, width: int) -> np.ndarray:
         """A copy of ``buffer``'s filled rows with room for ``count`` rows, at
@@ -200,10 +266,16 @@ METRICS: dict[str, Callable[[Corpus, Sequence[int]], float]] = {
 class RowStore:
     """Append-only embedding rows, one record per distinct text: its UTF-8 size
     and row width (little-endian uint32), the text, then the row in little-endian
-    float64, so it reads back bit for bit. Texts are scanned on first use and rows
-    read on request, each by its own text; a row not of ``width`` is passed over."""
+    float64, so it reads back bit for bit. Texts are scanned on first use, each
+    record's header and text by one read, and rows read on request, in file
+    order: the rows of records that lie back to back, or nearly, by one
+    scattered read into the rows, the bytes between them into one scratch
+    buffer of ``GAP_BYTES``. A row not of ``width`` is passed over."""
 
     HEADER = struct.Struct("<II")
+    RUN_ROWS = 256  # rows one read takes at most: a row and a gap are two of its buffers
+    GAP_BYTES = 4096  # the most bytes between two rows one read takes
+    TEXT_BYTES = 248  # text bytes the scan reads with a header; a longer text reads the rest
 
     def __init__(self, path: str | Path, width: int):
         self.path, self.width = Path(path), width
@@ -217,42 +289,73 @@ class RowStore:
     @functools.cached_property
     def offsets(self) -> dict[str, int]:
         """Each stored text's row offset; the scan cuts off a torn last record."""
-        offsets, end = {}, 0
+        offsets, end, head = {}, 0, self.HEADER.size
         with open(self.path, "a+b") as fh:
             total = fh.seek(0, os.SEEK_END)
-            while end + self.HEADER.size <= total:
-                fh.seek(end)
-                size, width = self.HEADER.unpack(fh.read(self.HEADER.size))
-                row = end + self.HEADER.size + size
+            while end + head <= total:
+                data = os.pread(fh.fileno(), head + self.TEXT_BYTES, end)
+                size, width = self.HEADER.unpack_from(data)
+                row = end + head + size
                 if row + 8 * width > total:  # torn
                     break
                 if width == self.width:
-                    offsets.setdefault(fh.read(size).decode("utf-8", "surrogateescape"), row)
+                    if len(data) < head + size:
+                        data += os.pread(fh.fileno(), head + size - len(data), end + len(data))
+                    offsets.setdefault(
+                        data[head:head + size].decode("utf-8", "surrogateescape"), row)
                 end = row + 8 * width
             fh.truncate(end)
         return offsets
 
     def read(self, texts: Iterable[str]) -> dict[str, np.ndarray]:
         """The rows of those of ``texts`` the store holds."""
-        held = [t for t in texts if t in self.offsets]
+        held = [t for t in dict.fromkeys(texts) if t in self.offsets]
         if not held:
             return {}
-        rows = np.empty((len(held), self.width), "<f8")
+        rows, row_bytes = np.empty((len(held), self.width), "<f8"), 8 * self.width
+        gap = memoryview(bytearray(self.GAP_BYTES))  # takes the bytes between two rows
         with open(self.path, "rb") as fh:
-            for text, row in zip(held, rows):
-                os.preadv(fh.fileno(), [row], self.offsets[text])
+            for run in self._runs(held):
+                buffers, end = [], run[0][1]
+                for i, offset in run:
+                    if offset > end:
+                        buffers.append(gap[:offset - end])
+                    buffers.append(rows[i])
+                    end = offset + row_bytes
+                os.preadv(fh.fileno(), buffers, run[0][1])
         return dict(zip(held, rows.astype(np.float64, copy=False)))
 
+    def _runs(self, held: list[str]) -> Iterable[list[tuple[int, int]]]:
+        """The rows of ``held`` in file order, each as its position in ``held``
+        and its offset, in runs of at most ``RUN_ROWS`` rows with at most
+        ``GAP_BYTES`` between one row and the next: records that lie back to
+        back, or nearly."""
+        row_bytes = 8 * self.width
+        run: list[tuple[int, int]] = []
+        for i, offset in sorted(enumerate(map(self.offsets.get, held)), key=lambda p: p[1]):
+            if run and (offset - run[-1][1] - row_bytes > self.GAP_BYTES
+                        or len(run) == self.RUN_ROWS):
+                yield run
+                run = []
+            run.append((i, offset))
+        yield run
+
     def append(self, rows: Iterable[tuple[str, np.ndarray]]) -> None:
-        """Write each (text, row) of the store's width whose text it lacks."""
+        """Write each (text, row) of the store's width whose text it lacks; the
+        file is opened only if there is one."""
         offsets = self.offsets  # scanned before the file is opened for writing
+        new: dict[str, np.ndarray] = {}
+        for text, row in rows:
+            if text not in offsets and len(row) == self.width:
+                new.setdefault(text, row)
+        if not new:
+            return
         with open(self.path, "ab") as fh:
-            for text, row in rows:
-                if text not in offsets and len(row) == self.width:
-                    data = text.encode("utf-8")
-                    fh.write(self.HEADER.pack(len(data), self.width) + data)
-                    offsets[text] = fh.tell()
-                    fh.write(np.asarray(row, "<f8").tobytes())
+            for text, row in new.items():
+                data = text.encode("utf-8")
+                fh.write(self.HEADER.pack(len(data), self.width) + data)
+                offsets[text] = fh.tell()
+                fh.write(np.asarray(row, "<f8").tobytes())
 
 
 class EmbeddingCache:
@@ -408,20 +511,25 @@ class MarginalScorer:
     ones as one batch from one product of their unit rows with the corpus's:
     paraphrase variety and Chamfer in O(N) each, Vendi by the decomposition's
     quadrature in two matrix products, and the text metrics from the corpus's
-    records and totals and one reading of the candidate: its tokens, FKGL
-    grade and its sentences' chunks, each counted under the corpus's shape id
-    (a new shape under its chunks), so ranking builds no tree. Scoring solves
-    no eigenproblem.
+    totals and value histograms and the candidate's ``Reading``: its tokens,
+    FKGL grade and its sentences' chunks, each counted under the corpus's
+    shape id (a new shape under its chunks), so ranking builds no tree and no
+    N-long list. Scoring solves no eigenproblem. ``read`` gives a text's one
+    reading, which the pool filter takes and scoring reuses; a sync passes
+    the readings of the texts it appends to the corpus and drops the rest
+    with the scores.
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
-    equal it. Ranking sorts on the scores rounded to 12 decimals, ties broken
-    by pool position, so that difference reorders nothing; candidates with one
-    embedding row get the same embedding scores and tie.
+    equal it. Ranking sorts on the scores rounded to 12 decimals, which
+    ``rounded`` gives, each row rounded once, when it is scored; ties are
+    broken by pool position, so that difference reorders nothing; candidates
+    with one embedding row get the same embedding scores and tie.
     """
 
     def __init__(self, corpus: Sequence[str], embed_cache: EmbeddingCache):
         self._embed_cache = embed_cache
+        self._readings: dict[str, Reading] = {}  # by text, whatever the corpus
         self._reset()
         self.sync(corpus)
 
@@ -435,13 +543,14 @@ class MarginalScorer:
         self._vendi: BorderedVendi | None = None  # decomposed by a sync that adds texts
         self._pair_sum = 0.0
         self._nearest = np.empty(0)
-        self._scores: dict[str, tuple[float, ...]] = {}
+        self._scores: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}  # row, rounded
 
     def sync(self, corpus: Sequence[str]) -> None:
-        """Make the scorer's corpus exactly ``corpus``: append the new texts
-        when it holds a prefix of them, rebuild it otherwise. The cache then
-        releases the new texts, which the corpus holds, and the candidates
-        scored against the old corpus."""
+        """Make the scorer's corpus exactly ``corpus``: append the new texts,
+        with the readings ``read`` took of them, when it holds a prefix of
+        them, rebuild it otherwise. The cache then releases the new texts,
+        which the corpus holds, and the candidates scored against the old
+        corpus, whose readings are dropped."""
         scored = list(self._scores)
         if list(corpus[: len(self.corpus.texts)]) != self.corpus.texts:
             self._reset()
@@ -452,8 +561,9 @@ class MarginalScorer:
         raw = self._next_line("\n".join(new))
         self._raw_bytes += len(raw)
         self._deflated_bytes += len(self._deflate.compress(raw))
-        self.corpus.append(new, self._embed_cache.matrix(new))
+        self.corpus.append(new, self._embed_cache.matrix(new), self._readings)
         self._embed_cache.release([*scored, *new])
+        self._readings = {}
         units = unit_rows(self.corpus.rows)
         nearest = np.concatenate((self._nearest, np.empty(len(new))))
         for i in range(n, len(units)):
@@ -485,14 +595,29 @@ class MarginalScorer:
         """``text`` as the newline-joined corpus's next bytes."""
         return (f"\n{text}" if self.corpus.texts else text).encode("utf-8")
 
+    def read(self, text: str) -> Reading:
+        """``text``'s reading, taken once until a sync adds texts."""
+        reading = self._readings.get(text)
+        if reading is None:
+            reading = self._readings[text] = Reading(text)
+        return reading
+
     def score(self, candidates: Sequence[str]) -> np.ndarray:
         """The eight optimized metrics of the corpus extended by each candidate:
         a (len(candidates) × 8) float64 array, one row per candidate in order,
         one column per metric in ``OPTIMIZED_METRICS`` order."""
+        return self._rows(candidates, 0)
+
+    def rounded(self, candidates: Sequence[str]) -> np.ndarray:
+        """``round12`` of ``score(candidates)``."""
+        return self._rows(candidates, 1)
+
+    def _rows(self, candidates: Sequence[str], which: int) -> np.ndarray:
         new = [c for c in dict.fromkeys(candidates) if c not in self._scores]
         if new:
-            self._scores.update(zip(new, self._evaluate_batch(new)))
-        return np.array([self._scores[c] for c in candidates])
+            rows = self._evaluate_batch(new)
+            self._scores.update(zip(new, zip(rows, map(tuple, round12(rows).tolist()))))
+        return np.array([self._scores[c][which] for c in candidates])
 
     def _evaluate_batch(self, candidates: list[str]) -> list[tuple[float, ...]]:
         units = unit_rows(self._embed_cache.matrix(candidates))
@@ -513,24 +638,23 @@ class MarginalScorer:
                  vendi: float) -> tuple[float, ...]:
         """The candidate's eight scores in ``OPTIMIZED_METRICS`` order: the text
         metrics computed here, the embedding metrics from the batch."""
-        sentences = sentences_of(candidate)
-        tokens = [t for sentence in sentences for t in sentence]
+        reading, corpus = self.read(candidate), self.corpus
+        tokens = reading.tokens
         extra = self._next_line(candidate)
         deflate = self._deflate.copy()
         deflated = (self._deflated_bytes + len(deflate.compress(extra))
                     + len(deflate.flush()))
-        shapes = self.corpus.shape_counts.copy()  # a new shape is counted under its chunks
-        shapes.update(self.corpus.shapes.get(shape, shape) for shape in map(chunks, sentences))
-        vocabulary = self.corpus.vocabulary
+        vocabulary = corpus.vocabulary
         return (
             ratio_of_types(len(vocabulary) + len(set(tokens).difference(vocabulary)),
-                           self.corpus.n_tokens + len(tokens)),
+                           corpus.n_tokens + len(tokens)),
             compression_ratio(deflated, self._raw_bytes + len(extra)),
             variety,
-            entropy_of_sizes(shapes.values()),
+            # a new shape is counted under its chunks
+            corpus.shape_entropy_with(corpus.shapes.get(shape, shape) for shape in reading.shapes),
             chamfer,
-            variance(self.corpus.fkgls + [fkgl_of(sentences)]),
-            variance(self.corpus.lengths + [float(len(tokens))]),
+            corpus.fkgl_counts.variance_with(reading.fkgl),
+            corpus.length_counts.variance_with(float(len(tokens))),
             vendi,
         )
 

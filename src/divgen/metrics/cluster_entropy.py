@@ -32,14 +32,13 @@ import hashlib
 import json
 import math
 from collections import Counter
-from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from divgen.metrics.dbscan import components, pairwise_distances, within_eps
 from divgen.metrics.semantic import unit_rows
-from divgen.metrics.text import sentences_of
+from divgen.metrics.text import counted_fsum, sentences_of
 
 NUMERIC_EPS = 0.5
 STRING_EPS = 0.1
@@ -54,16 +53,16 @@ def entropy_of_sizes(sizes: Iterable[int] | Mapping[int, int]) -> float:
     The multiset is an iterable of sizes, or a mapping from size to how often
     it occurs (a ``Counter``; counts <= 0 are skipped); a size of 0 adds
     nothing, so a frequency table may list absent items. Each distinct size's
-    term is computed once and ``fsum`` adds it as often as it occurs: ``fsum``
-    is correctly rounded, so the result is the same bits in any order.
+    term is computed once and ``text.counted_fsum`` adds it as often as it
+    occurs, with the bits of ``fsum`` over every term: ``fsum`` is correctly
+    rounded, so the result is the same bits in any order.
     """
     counts = sizes if isinstance(sizes, Mapping) else Counter(sizes)
     counts = [(s, n) for s, n in counts.items() if n > 0 and s]
-    total = sum(s * n for s, n in counts)
+    total = sum([s * n for s, n in counts])
     if total == 0:
         raise ValueError("entropy of an empty partition is undefined")
-    terms = (repeat((s / total) * math.log2(s / total), n) for s, n in counts)
-    return -math.fsum(chain.from_iterable(terms)) + 0.0
+    return -counted_fsum([((s / total) * math.log2(s / total), n) for s, n in counts]) + 0.0
 
 
 class UnusableValue(ValueError):

@@ -119,7 +119,7 @@ def chunks(tokens: Sequence[str]) -> Shape:
     an NP of its leaves; a chunk without leaves (a PREP no nominal follows, a
     CONJ, a WH) is itself a leaf. The chunks determine the sentence's chunk
     tree, and equal trees have equal chunks, so they are its shape."""
-    tags = [tag_token(t) for t in tokens]
+    tags = list(map(tag_token, tokens))
     out: list[tuple[str, tuple[str, ...]]] = []
     i = 0
     n = len(tags)

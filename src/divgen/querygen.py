@@ -9,11 +9,13 @@ example, and grown at the start of each example by each query accepted since,
 each recorded once, after which its Vendi kernel is decomposed once. The
 corpus does not change during an example, so each distinct candidate is
 scored once against it, however many rounds re-rank it; a round's new
-candidates are scored together as one batch. Candidates without a single word token cannot be scored and
-never enter the pool. Feedback between rounds foregrounds judge failures when
-most candidates failed, diversity guidance otherwise. The example's prompt
-fields are built once from its skeleton; each generator and judge signature
-takes the fields it declares from that one context.
+candidates are scored together as one batch. Each candidate is read once:
+the scorer's reading of it filters the pool, scores it, and, once it is
+accepted, enters the corpus. Candidates without a single word token cannot
+be scored and never enter the pool. Feedback between rounds foregrounds
+judge failures when most candidates failed, diversity guidance otherwise.
+The example's prompt fields are built once from its skeleton; each generator
+and judge signature takes the fields it declares from that one context.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from divgen.metrics.battery import (  # evaluate_battery: bench/spans.py wraps t
 )
 from divgen.metrics.fusion import rrf_fuse
 from divgen.metrics.semantic import round12
-from divgen.metrics.text import sentences_of
 from divgen.model import ExecutionType, FunctionSchema, RunConfig
 from divgen.providers import catalog
 from divgen.providers.base import SignatureClient
@@ -151,19 +152,22 @@ def rank_candidates_by_diversity(
     """Order candidates by fused marginal diversity.
 
     The scorer gives one matrix: a row per distinct candidate, in pool order,
-    of the eight optimized metrics of its corpus plus that candidate. The
-    matrix is rounded to 12 decimals once, so no rank hangs on the last bits
-    of a score, and one stable argsort of its negation ranks every metric
-    column best-first, ties broken by pool position. Reciprocal rank fusion
-    of the resulting rank matrix gives the order.
+    of the eight optimized metrics of its corpus plus that candidate, rounded
+    to 12 decimals, so no rank hangs on the last bits of a score: by its
+    ``rounded``, which rounds each row once, or ``round12`` of its ``score``
+    for a scorer without one. One stable argsort of the matrix's negation
+    ranks every metric column best-first, ties broken by pool position.
+    Reciprocal rank fusion of the resulting rank matrix gives the order.
     Returns (ordering, per-candidate per-metric ranks, fused scores).
     """
     pool = list(dict.fromkeys(candidates))
     if not pool:
         raise ValueError("no candidates to rank")
-    order = np.argsort(-round12(scorer.score(pool)), axis=0, kind="stable")
+    rounded = getattr(scorer, "rounded", None)
+    rows = rounded(pool) if rounded else round12(scorer.score(pool))
+    order = np.argsort(-rows, axis=0, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, len(pool) + 1)[:, None], axis=0)
+    ranks[order, np.arange(order.shape[1])] = np.arange(1, len(pool) + 1)[:, None]
     scores, fused = rrf_fuse(ranks)
     return ([pool[i] for i in fused],
             {c: dict(zip(OPTIMIZED_METRICS, row)) for c, row in zip(pool, ranks.tolist())},
@@ -282,7 +286,7 @@ class QueryGenerator:
                 continue
             candidates = [out[f"query_{i}"] for i in range(1, 6)
                           if out.get(f"query_{i}", "").strip()]
-            scorable = [c for c in candidates if sentences_of(c)]
+            scorable = [c for c in candidates if self._scorer.read(c).sentences]
             attempts_log.extend(f"[round {round_no}] {c} -- left out: no word tokens to score"
                                 for c in candidates if c not in scorable)
             candidates = scorable

@@ -884,7 +884,10 @@ def mutated(draw, doc):
     or deleted."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
-        *above, key = draw(st.sampled_from(list(_paths(doc))))
+        paths = list(_paths(doc))
+        if not paths:  # every value deleted: nothing left to replace
+            break
+        *above, key = draw(st.sampled_from(paths))
         parent = functools.reduce(operator.getitem, above, doc)
         value = draw(_ODD_VALUES)
         if value is _DELETE:

@@ -17,7 +17,7 @@ import divgen.metrics.cluster_entropy as cluster_entropy
 import divgen.querygen as querygen
 from divgen.engine import GenerationEngine, GenerationStalled
 from divgen.fixtures import fixture_library, fixture_library_path
-from divgen.metrics import trees
+from divgen.metrics import text, trees
 from divgen.metrics.battery import RowStore
 from divgen.metrics.cluster_entropy import ValueIndex
 from divgen.metrics.semantic import unit_rows
@@ -63,24 +63,52 @@ def test_engine_examples_satisfy_invariants(tmp_path):
 
 
 def test_each_accepted_query_reaches_the_ranking_corpus_once(tmp_path, monkeypatch):
-    read, scored = Counter(), Counter()
-    sentences_of, score_one = battery.sentences_of, battery.MarginalScorer._battery
+    read, appended = Counter(), Counter()
+    sentences_of, append = battery.sentences_of, battery.Corpus.append
 
     def counting_reading(text):
         read[text] += 1
         return sentences_of(text)
 
-    def counting_score(self, candidate, *scores):
-        scored[candidate] += 1
-        return score_one(self, candidate, *scores)
+    def counting_append(self, texts, rows=None, readings=None):
+        appended.update(texts)
+        # each text arrives with the reading its ranking took of it
+        assert all(t in (readings or {}) for t in texts)
+        return append(self, texts, rows, readings)
 
     monkeypatch.setattr(battery, "sentences_of", counting_reading)
-    monkeypatch.setattr(battery.MarginalScorer, "_battery", counting_score)
+    monkeypatch.setattr(battery.Corpus, "append", counting_append)
     engine = build_engine(tmp_path)
     engine.generate(20)
-    # every reading not taken for a candidate is taken for a corpus text; the
-    # last acceptance ends the run before another example ranks
-    assert read - scored == Counter(engine.queries[:-1])
+    # the last acceptance ends the run before another example ranks
+    assert appended == Counter(engine.queries[:-1])
+    # one reading per text, candidate or corpus text alike
+    assert set(read.values()) == {1} and set(appended) <= set(read)
+
+
+def test_a_run_splits_each_query_text_once(tmp_path, monkeypatch):
+    split, pattern = Counter(), text.SENTENCE_SPLIT_RE
+
+    class CountingSplit:
+        def split(self, string):
+            split[string] += 1
+            return pattern.split(string)
+
+    monkeypatch.setattr(text, "SENTENCE_SPLIT_RE", CountingSplit())
+    engine = build_engine(tmp_path)
+    proposed, call = set(), engine.querygen.client.call
+
+    def recording(sig, fields):
+        out = call(sig, fields)
+        if sig.name in querygen._GENERATORS.values():
+            proposed.update(q for i in range(1, 6) if (q := out.get(f"query_{i}", "")).strip())
+        return out
+
+    monkeypatch.setattr(engine.querygen.client, "call", recording)
+    engine.generate(60)
+    assert set(engine.queries) <= proposed and len(proposed) > 1000
+    # the pool filter's reading is the one scoring and the ranking corpus use
+    assert {q: split[q] for q in proposed} == dict.fromkeys(proposed, 1)
 
 
 def test_ranking_builds_no_chunk_tree(tmp_path, monkeypatch):

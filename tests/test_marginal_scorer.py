@@ -4,9 +4,11 @@ the ranking's rounded sort key."""
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divgen.metrics.battery as battery
 import divgen.metrics.semantic as semantic
@@ -19,8 +21,10 @@ from divgen.metrics.battery import (
     MarginalScorer,
     evaluate_battery,
 )
+from divgen.metrics.cluster_entropy import entropy_of_sizes
 from divgen.metrics.semantic import unit_rows
-from divgen.metrics.text import tokenize
+from divgen.metrics.text import fkgl_grade, sentences_of, tokenize, variance
+from divgen.metrics.trees import chunks
 from divgen.providers.hash_embed import HashEmbedder
 from divgen.querygen import rank_candidates_by_diversity
 
@@ -416,3 +420,67 @@ def test_the_scorer_holds_no_n_by_n_array():
         assert held
         for array in held:
             assert sum(side >= size for side in array.shape) < 2, (size, array.shape)
+
+
+# one-syllable words: a text's grade depends on its words per sentence alone,
+# so a corpus of many texts holds few distinct grades and lengths
+MONOSYLLABLES = ("cat", "dog", "sun", "red", "big", "ran", "sat", "the", "to", "in",
+                 "and", "fox", "at", "on", "hot", "cold", "with", "for", "box", "pen")
+
+
+def monosyllabic_text(rng):
+    return " ".join(" ".join(rng.choices(MONOSYLLABLES, k=rng.randint(3, 7))) + "."
+                    for _ in range(rng.randint(1, 2)))
+
+
+def shape_sizes(texts):
+    """How often each distinct sentence shape occurs in ``texts``."""
+    return list(Counter(chunks(s) for t in texts for s in sentences_of(t)).values())
+
+
+def test_scoring_sums_terms_per_distinct_value_not_per_text(monkeypatch):
+    rng = random.Random("distinct values")
+    corpus = [monosyllabic_text(rng) for _ in range(200)]
+    batch = [monosyllabic_text(rng) for _ in range(10)]
+    scorer = MarginalScorer(corpus, EmbeddingCache(HashEmbedder()))
+    distinct = (len({len(tokenize(t)) for t in corpus}) + len({fkgl_grade(t) for t in corpus})
+                + len(set(shape_sizes(corpus))))
+    terms, fsum = [], math.fsum
+
+    def counting(values):
+        values = list(values)
+        terms.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    scorer.score(batch)
+    # per candidate: two sums per variance and one for the shape entropy, each
+    # of at most two terms per distinct value, the candidate's own included
+    bound = len(batch) * 4 * (distinct + 5)
+    assert distinct < 40 and sum(terms) <= bound < 2 * len(batch) * len(corpus)
+
+
+_monosyllabic_texts = st.lists(
+    st.lists(st.sampled_from(MONOSYLLABLES), min_size=1, max_size=6).map(" ".join),
+    min_size=1, max_size=4).map(". ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_monosyllabic_texts, max_size=40), st.lists(_monosyllabic_texts, min_size=1,
+                                                            max_size=3))
+def test_the_corpus_histograms_give_the_scores_of_the_gathered_texts(texts, candidates):
+    # each candidate is scored, then appended, so a score follows every append
+    corpus = battery.Corpus(texts)
+    for candidate in candidates:
+        reading = battery.Reading(candidate)
+        assert corpus.shape_sizes == Counter(corpus.shape_counts.values())
+        shapes = [corpus.shapes.get(shape, shape) for shape in reading.shapes]
+        want = entropy_of_sizes(shape_sizes([*corpus.texts, candidate]))
+        assert corpus.shape_entropy_with(shapes).hex() == want.hex()
+        assert corpus.shape_entropy_with(shapes[::-1]).hex() == want.hex()
+        assert corpus.fkgl_counts.variance_with(reading.fkgl).hex() == \
+            variance([*corpus.fkgls, reading.fkgl]).hex()
+        length = float(len(reading.tokens))
+        assert corpus.length_counts.variance_with(length).hex() == \
+            variance([*corpus.lengths, length]).hex()
+        corpus.append([candidate], readings={candidate: reading})

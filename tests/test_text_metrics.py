@@ -1,14 +1,20 @@
+import math
 import random
 import string
 import zlib
+from collections import Counter
+from fractions import Fraction
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divgen.fixtures import repetitive_corpus, varied_corpus
 from divgen.metrics.text import (
+    ValueCounts,
     compression_ratio_diversity,
     count_syllables,
+    counted_fsum,
     deflater,
     fkgl_grade,
     ncd_diversity,
@@ -197,3 +203,87 @@ def test_corpus_metrics_permutation_invariant(corpus):
     assert simpson_index(corpus) == simpson_index(shuffled)
     assert 0.0 <= type_token_ratio(corpus) <= 1.0
     assert 0.0 <= simpson_index(corpus) <= 1.0
+
+
+# floats whose sums a careless product would round: signed zeros, subnormals,
+# values near the ends of the range, and any other finite float
+_terms = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                     1e300, -1e300, 0.1, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_small_counts = st.integers(0, 40)
+_counts = st.one_of(_small_counts, st.integers(0, 2 ** 26 - 1), st.just(2 ** 26 - 1))
+
+
+def sum_or_error(total):
+    """``total()``, or the type of the error it raises."""
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_terms, st.sampled_from([math.inf, -math.inf])),
+                          _small_counts), max_size=6))
+def test_a_counted_sum_is_fsum_of_the_expanded_multiset(pairs):
+    expanded = chain.from_iterable(repeat(v, c) for v, c in pairs)
+    assert sum_or_error(lambda: counted_fsum(pairs)) == sum_or_error(lambda: math.fsum(expanded))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_terms, _counts), max_size=4))
+def test_a_counted_sum_up_to_2_26_copies_is_the_correctly_rounded_total(pairs):
+    # fsum rounds the exact total correctly, as a Fraction's float does; where
+    # the total overflows, fsum raises
+    exact = sum((Fraction(v) * c for v, c in pairs), Fraction(0))
+    want = sum_or_error(lambda: float(exact))
+    got = sum_or_error(lambda: counted_fsum(pairs))
+    if want is OverflowError:
+        assert got is OverflowError
+    elif got is OverflowError:  # near the top of the range a sum may overflow midway
+        assert max(abs(Fraction(v)) * c for v, c in pairs) > 2 ** 1000
+    else:
+        assert got == want
+
+
+def test_counts_past_2_26_repeat_their_value():
+    pairs = [(0.1, 2 ** 26 + 1), (-3.0, 5)]
+    want = math.fsum(chain.from_iterable(repeat(v, c) for v, c in pairs))
+    assert counted_fsum(pairs).hex() == want.hex()
+
+
+_values = st.one_of(
+    st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]), min_size=1, max_size=60),
+    st.lists(st.floats(-20.0, 40.0), min_size=1, max_size=12).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)),
+    st.lists(_terms, min_size=1, max_size=12).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_the_grouped_variance_is_variance_bit_for_bit(values):
+    *held, extra = values
+    counts = ValueCounts()
+    for size in range(len(values)):  # each prefix, as values arrive one by one
+        assert sum_or_error(lambda: counts.variance_with(extra)) == \
+            sum_or_error(lambda: variance([*held[:size], extra]))
+        if size < len(held):
+            counts.add(held[size])
+
+
+# deviations whose square by Python's ** (glibc's pow) is one ulp from d * d,
+# so a variance that squared by multiplying would differ
+POW_IS_NOT_PRODUCT = [float.fromhex(h) for h in
+                      ("-0x1.0db07b8dd0d73p+3", "-0x1.3ace394be80f0p+2", "0x1.ec11a0a7e0480p-3")]
+
+
+@pytest.mark.parametrize("deviation", POW_IS_NOT_PRODUCT)
+@pytest.mark.parametrize("copies", [1, 2, 5])
+def test_the_grouped_variance_squares_as_variance_does(deviation, copies):
+    held = [deviation, -deviation] * copies  # mean 0: the deviations are these values
+    counts = ValueCounts()
+    for value in held:
+        counts.add(value)
+    assert counts.variance_with(0.0).hex() == variance([*held, 0.0]).hex()
