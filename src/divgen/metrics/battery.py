@@ -25,7 +25,6 @@ from divgen.metrics.semantic import (
     chamfer_distance_score,
     cosine_matrix,
     paraphrase_variety,
-    round12,
     semantic_spread,
     unit_rows,
     vendi_score,
@@ -267,14 +266,10 @@ class RowStore:
     """Append-only embedding rows, one record per distinct text: its UTF-8 size
     and row width (little-endian uint32), the text, then the row in little-endian
     float64, so it reads back bit for bit. Texts are scanned on first use, each
-    record's header and text by one read, and rows read on request, in file
-    order: the rows of records that lie back to back, or nearly, by one
-    scattered read into the rows, the bytes between them into one scratch
-    buffer of ``GAP_BYTES``. A row not of ``width`` is passed over."""
+    record's header and text by one read, and rows read on request, each by
+    its own text; a row not of ``width`` is passed over."""
 
     HEADER = struct.Struct("<II")
-    RUN_ROWS = 256  # rows one read takes at most: a row and a gap are two of its buffers
-    GAP_BYTES = 4096  # the most bytes between two rows one read takes
     TEXT_BYTES = 248  # text bytes the scan reads with a header; a longer text reads the rest
 
     def __init__(self, path: str | Path, width: int):
@@ -309,36 +304,14 @@ class RowStore:
 
     def read(self, texts: Iterable[str]) -> dict[str, np.ndarray]:
         """The rows of those of ``texts`` the store holds."""
-        held = [t for t in dict.fromkeys(texts) if t in self.offsets]
+        held = [t for t in texts if t in self.offsets]
         if not held:
             return {}
-        rows, row_bytes = np.empty((len(held), self.width), "<f8"), 8 * self.width
-        gap = memoryview(bytearray(self.GAP_BYTES))  # takes the bytes between two rows
+        rows = np.empty((len(held), self.width), "<f8")
         with open(self.path, "rb") as fh:
-            for run in self._runs(held):
-                buffers, end = [], run[0][1]
-                for i, offset in run:
-                    if offset > end:
-                        buffers.append(gap[:offset - end])
-                    buffers.append(rows[i])
-                    end = offset + row_bytes
-                os.preadv(fh.fileno(), buffers, run[0][1])
+            for text, row in zip(held, rows):
+                os.preadv(fh.fileno(), [row], self.offsets[text])
         return dict(zip(held, rows.astype(np.float64, copy=False)))
-
-    def _runs(self, held: list[str]) -> Iterable[list[tuple[int, int]]]:
-        """The rows of ``held`` in file order, each as its position in ``held``
-        and its offset, in runs of at most ``RUN_ROWS`` rows with at most
-        ``GAP_BYTES`` between one row and the next: records that lie back to
-        back, or nearly."""
-        row_bytes = 8 * self.width
-        run: list[tuple[int, int]] = []
-        for i, offset in sorted(enumerate(map(self.offsets.get, held)), key=lambda p: p[1]):
-            if run and (offset - run[-1][1] - row_bytes > self.GAP_BYTES
-                        or len(run) == self.RUN_ROWS):
-                yield run
-                run = []
-            run.append((i, offset))
-        yield run
 
     def append(self, rows: Iterable[tuple[str, np.ndarray]]) -> None:
         """Write each (text, row) of the store's width whose text it lacks; the
@@ -521,10 +494,9 @@ class MarginalScorer:
 
     Each score is within 1e-12 (relative or absolute) of what
     ``evaluate_battery`` returns on the extended corpus, and the text metrics
-    equal it. Ranking sorts on the scores rounded to 12 decimals, which
-    ``rounded`` gives, each row rounded once, when it is scored; ties are
-    broken by pool position, so that difference reorders nothing; candidates
-    with one embedding row get the same embedding scores and tie.
+    equal it. Ranking sorts on the scores rounded to 12 decimals, ties broken
+    by pool position, so that difference reorders nothing; candidates with one
+    embedding row get the same embedding scores and tie.
     """
 
     def __init__(self, corpus: Sequence[str], embed_cache: EmbeddingCache):
@@ -543,7 +515,7 @@ class MarginalScorer:
         self._vendi: BorderedVendi | None = None  # decomposed by a sync that adds texts
         self._pair_sum = 0.0
         self._nearest = np.empty(0)
-        self._scores: dict[str, tuple[tuple[float, ...], tuple[float, ...]]] = {}  # row, rounded
+        self._scores: dict[str, tuple[float, ...]] = {}
 
     def sync(self, corpus: Sequence[str]) -> None:
         """Make the scorer's corpus exactly ``corpus``: append the new texts,
@@ -606,18 +578,10 @@ class MarginalScorer:
         """The eight optimized metrics of the corpus extended by each candidate:
         a (len(candidates) × 8) float64 array, one row per candidate in order,
         one column per metric in ``OPTIMIZED_METRICS`` order."""
-        return self._rows(candidates, 0)
-
-    def rounded(self, candidates: Sequence[str]) -> np.ndarray:
-        """``round12`` of ``score(candidates)``."""
-        return self._rows(candidates, 1)
-
-    def _rows(self, candidates: Sequence[str], which: int) -> np.ndarray:
         new = [c for c in dict.fromkeys(candidates) if c not in self._scores]
         if new:
-            rows = self._evaluate_batch(new)
-            self._scores.update(zip(new, zip(rows, map(tuple, round12(rows).tolist()))))
-        return np.array([self._scores[c][which] for c in candidates])
+            self._scores.update(zip(new, self._evaluate_batch(new)))
+        return np.array([self._scores[c] for c in candidates])
 
     def _evaluate_batch(self, candidates: list[str]) -> list[tuple[float, ...]]:
         units = unit_rows(self._embed_cache.matrix(candidates))

@@ -185,15 +185,18 @@ _SPLIT_COUNTS = 2 ** 26
 _SPLIT_MAX = math.ldexp(1.0 - 2.0 ** -26, 997)  # below it in size, no split product overflows
 
 
-def _counted_terms(pairs: Iterable[tuple[float, int]]) -> tuple[list[float], list[Iterable[float]]]:
-    """Floats whose exact sum is that of the multiset holding each value as
-    often as its count (a count of 0 or less adds nothing), and the values
-    that cannot be split, each repeated. A count of 1 adds its value, and a
-    zero is added once, since copies of a zero sum to it. A count below 2**26
-    of a value smaller in size than ``_SPLIT_MAX``, whose split products are
+def counted_fsum(pairs: Iterable[tuple[float, int]]) -> float:
+    """``math.fsum`` of the multiset that holds each value as often as its
+    count (a count of 0 or less adds nothing), bit for bit, from at most two
+    terms per distinct value: ``fsum`` rounds the exact sum of its terms
+    correctly (Shewchuk, Discrete Comput. Geom. 18, 1997), so any terms with
+    that exact sum give its bits. A count of 1 adds its value, and a zero is
+    added once, since copies of a zero sum to it. A count below 2**26 of a
+    value smaller in size than ``_SPLIT_MAX``, whose split products are
     finite, adds count·high and count·low: each has at most 52 significant
     bits, and both are whole multiples of the smallest subnormal, as the
-    value is, so each product is exact, gradual underflow included."""
+    value is, so each product is exact, gradual underflow included. Any
+    other value is repeated."""
     terms: list[float] = []
     repeated: list[Iterable[float]] = []
     for value, count in pairs:
@@ -206,16 +209,6 @@ def _counted_terms(pairs: Iterable[tuple[float, int]]) -> tuple[list[float], lis
             terms.append(count * (value - high))
         elif count > 0:
             repeated.append(repeat(value, count))
-    return terms, repeated
-
-
-def counted_fsum(pairs: Iterable[tuple[float, int]]) -> float:
-    """``math.fsum`` of the multiset that holds each value as often as its
-    count, bit for bit, from at most two terms per distinct value that
-    ``_counted_terms`` can split: ``fsum`` rounds the exact sum of its terms
-    correctly (Shewchuk, Discrete Comput. Geom. 18, 1997), so any terms with
-    that exact sum give its bits."""
-    terms, repeated = _counted_terms(pairs)
     return math.fsum(chain(terms, *repeated))
 
 
@@ -223,51 +216,21 @@ class ValueCounts:
     """A multiset of floats as each distinct value's count, whose variance
     with one more value costs a term or two per distinct value, not one per
     value: ``variance_with(x)`` is ``variance`` of the values plus ``x``, bit
-    for bit. Its mean sums the terms of ``_counted_terms``, kept until the
-    next ``add``, and ``x``; each distinct value's deviation from it is
-    squared once, by Python's ``**`` as ``variance`` squares it, and the
-    square of a value that occurs more than once is counted as
-    ``_counted_terms`` counts it, in a loop of its own, as this is the
-    ranking's inner loop. Each extra value's variance is kept until the next
-    ``add``: ranked candidates share their token counts."""
+    for bit. Its mean and the sum of its squared deviations are
+    ``counted_fsum``'s, so each has the bits of ``fsum`` over every value,
+    and each distinct value's deviation is squared once, by Python's ``**``,
+    as ``variance`` squares it."""
 
     def __init__(self):
         self.counts: Counter[float] = Counter()
         self.size = 0
-        self._parts: tuple | None = None
-        self._variances: dict[float, float] = {}
 
     def add(self, value: float) -> None:
         self.counts[value] += 1
         self.size += 1
-        self._parts = None
-        self._variances = {}
 
     def variance_with(self, extra: float) -> float:
-        variance = self._variances.get(extra)
-        if variance is None:
-            variance = self._variances[extra] = self._variance_with(extra)
-        return variance
-
-    def _variance_with(self, extra: float) -> float:
-        if self._parts is None:
-            pairs = list(self.counts.items())
-            self._parts = ([v for v, count in pairs if count == 1],
-                           [(v, count) for v, count in pairs if count != 1],
-                           *_counted_terms(pairs))
-        singles, others, terms, repeated = self._parts
         n = self.size + 1
-        mean = math.fsum(chain(terms, (extra,), *repeated)) / n
-        squares = [(v - mean) ** 2 for v in singles]
-        squares.append((extra - mean) ** 2)
-        repeated = []
-        for v, count in others:
-            square = (v - mean) ** 2
-            if count < _SPLIT_COUNTS and square < _SPLIT_MAX:
-                scaled = _SPLITTER * square
-                high = scaled - (scaled - square)
-                squares.append(count * high)
-                squares.append(count * (square - high))
-            else:
-                repeated.append(repeat(square, count))
-        return math.fsum(chain(squares, *repeated)) / n
+        pairs = [*self.counts.items(), (extra, 1)]
+        mean = counted_fsum(pairs) / n
+        return counted_fsum([((v - mean) ** 2, count) for v, count in pairs]) / n

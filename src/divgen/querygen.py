@@ -152,20 +152,17 @@ def rank_candidates_by_diversity(
     """Order candidates by fused marginal diversity.
 
     The scorer gives one matrix: a row per distinct candidate, in pool order,
-    of the eight optimized metrics of its corpus plus that candidate, rounded
-    to 12 decimals, so no rank hangs on the last bits of a score: by its
-    ``rounded``, which rounds each row once, or ``round12`` of its ``score``
-    for a scorer without one. One stable argsort of the matrix's negation
-    ranks every metric column best-first, ties broken by pool position.
-    Reciprocal rank fusion of the resulting rank matrix gives the order.
+    of the eight optimized metrics of its corpus plus that candidate. The
+    matrix is rounded to 12 decimals once, so no rank hangs on the last bits
+    of a score, and one stable argsort of its negation ranks every metric
+    column best-first, ties broken by pool position. Reciprocal rank fusion
+    of the resulting rank matrix gives the order.
     Returns (ordering, per-candidate per-metric ranks, fused scores).
     """
     pool = list(dict.fromkeys(candidates))
     if not pool:
         raise ValueError("no candidates to rank")
-    rounded = getattr(scorer, "rounded", None)
-    rows = rounded(pool) if rounded else round12(scorer.score(pool))
-    order = np.argsort(-rows, axis=0, kind="stable")
+    order = np.argsort(-round12(scorer.score(pool)), axis=0, kind="stable")
     ranks = np.empty_like(order)
     ranks[order, np.arange(order.shape[1])] = np.arange(1, len(pool) + 1)[:, None]
     scores, fused = rrf_fuse(ranks)

@@ -3,7 +3,6 @@ later: the run's cache keeps a row only while some later step may still ask it
 for that row, and sends a distinct text to the embedder again only after its
 owner let it go."""
 
-import math
 import os
 import random
 import tempfile
@@ -239,18 +238,25 @@ def test_a_row_of_another_width_is_passed_over(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.text(max_size=300), st.sampled_from([3, 5])), min_size=1,
                 max_size=30, unique=True),
-       st.integers(0, 200), st.integers(1, 6), st.integers(0, 100), st.randoms())
-def test_row_runs_read_the_bits_of_one_read_per_row(records, torn, run_rows, gap_bytes, rnd):
-    # interleaved row widths, a torn tail, and runs cut short by small bounds
+       st.integers(0, 200), st.randoms())
+def test_scanned_records_read_back_the_bits_of_the_file(records, torn, rnd):
+    # interleaved row widths, a torn tail, and texts longer than the scan's
+    # first read of a record
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "ds.jsonl.rows"
         for text_, width in records:
             RowStore(path, width).append([(text_, np.frombuffer(rnd.randbytes(8 * width), "<f8"))])
-        os.truncate(path, max(0, path.stat().st_size - torn))
+        kept, end, whole = {3: {}, 5: {}}, 0, max(0, path.stat().st_size - torn)
+        for text_, width in records:  # the records left whole, by the layout
+            row = end + RowStore.HEADER.size + len(text_.encode("utf-8"))
+            end = row + 8 * width
+            if end <= whole:
+                kept[width][text_] = row
+        os.truncate(path, whole)
         for width in (3, 5):
             store = RowStore(path, width)
-            store.RUN_ROWS, store.GAP_BYTES = run_rows, gap_bytes
             offsets = store.offsets
+            assert offsets == kept[width]
             data = path.read_bytes()
             asked = [t for t, w in records if w == width] + ["not stored"]
             rnd.shuffle(asked)
@@ -260,28 +266,6 @@ def test_row_runs_read_the_bits_of_one_read_per_row(records, torn, run_rows, gap
                 for t, row in got.items():
                     assert row.tobytes() == os.pread(fh.fileno(), 8 * width, offsets[t])
                     assert row.tobytes() == data[offsets[t]:offsets[t] + 8 * width]
-
-
-def test_a_restored_1000_value_group_reads_its_rows_in_one_read_per_block(tmp_path,
-                                                                          monkeypatch):
-    values = [f"value {i} of the amber birch group" for i in range(1000)]
-    path = tmp_path / "ds.jsonl.rows"
-    writer = EmbeddingCache(HashEmbedder(), RowStore(path, 384))
-    writer.store_rows(values)
-    index = ValueIndex("STRING", writer)
-    index.extend(values)
-    reader = EmbeddingCache(Refusing(), RowStore(path, 384))
-    reads, pread, preadv = [], os.pread, os.preadv
-    monkeypatch.setattr(os, "pread", lambda fd, *args: reads.append(fd) or pread(fd, *args))
-    monkeypatch.setattr(os, "preadv", lambda fd, *args: reads.append(fd) or preadv(fd, *args))
-    assert len(reader.store.offsets) == 1000
-    assert len(reads) <= 1000  # the scan: each record's header and text by one read
-    reads.clear()
-    restored = ValueIndex("STRING", reader)
-    assert restored.restore(values, index.record())
-    # the index restores blocks of 128 values, whose records lie back to back
-    assert len(reads) <= math.ceil(1000 / 128)
-    assert restored._rows.tobytes() == index._rows.tobytes()
 
 
 def test_a_checkpoint_with_nothing_new_opens_no_store_for_writing(tmp_path, monkeypatch):

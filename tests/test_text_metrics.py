@@ -287,3 +287,16 @@ def test_the_grouped_variance_squares_as_variance_does(deviation, copies):
     for value in held:
         counts.add(value)
     assert counts.variance_with(0.0).hex() == variance([*held, 0.0]).hex()
+
+
+
+@pytest.mark.parametrize("repeated", [math.inf, -math.inf, math.nan])
+def test_the_grouped_variance_sums_unsplit_values_for_each_extra_value(repeated):
+    # a value past _SPLIT_MAX is summed by repeating it; each call, with any
+    # extra value, must sum its copies again
+    held = [repeated, repeated, 1.0]
+    counts = ValueCounts()
+    for value in held:
+        counts.add(value)
+    for extra in (7.0, -2.5, 7.0):
+        assert counts.variance_with(extra).hex() == variance([*held, extra]).hex()
