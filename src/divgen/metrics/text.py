@@ -185,20 +185,17 @@ _SPLIT_COUNTS = 2 ** 26
 _SPLIT_MAX = math.ldexp(1.0 - 2.0 ** -26, 997)  # below it in size, no split product overflows
 
 
-def counted_fsum(pairs: Iterable[tuple[float, int]]) -> float:
-    """``math.fsum`` of the multiset that holds each value as often as its
-    count (a count of 0 or less adds nothing), bit for bit, from at most two
-    terms per distinct value: ``fsum`` rounds the exact sum of its terms
-    correctly (Shewchuk, Discrete Comput. Geom. 18, 1997), so any terms with
-    that exact sum give its bits. A count of 1 adds its value, and a zero is
-    added once, since copies of a zero sum to it. A count below 2**26 of a
+def _split(pairs: Iterable[tuple[float, int]]) -> tuple[list[float], list[tuple[float, int]]]:
+    """Floats whose exact sum is that of the multiset holding each value as
+    often as its count (a count of 0 or less adds nothing), and the (value,
+    count) pairs it could not split. A count of 1 adds its value, and a zero
+    is added once, since copies of a zero sum to it. A count below 2**26 of a
     value smaller in size than ``_SPLIT_MAX``, whose split products are
     finite, adds count·high and count·low: each has at most 52 significant
     bits, and both are whole multiples of the smallest subnormal, as the
-    value is, so each product is exact, gradual underflow included. Any
-    other value is repeated."""
+    value is, so each product is exact, gradual underflow included."""
     terms: list[float] = []
-    repeated: list[Iterable[float]] = []
+    unsplit: list[tuple[float, int]] = []
     for value, count in pairs:
         if count == 1 or (count > 0 and value == 0):
             terms.append(value)
@@ -208,29 +205,63 @@ def counted_fsum(pairs: Iterable[tuple[float, int]]) -> float:
             terms.append(count * high)
             terms.append(count * (value - high))
         elif count > 0:
-            repeated.append(repeat(value, count))
-    return math.fsum(chain(terms, *repeated))
+            unsplit.append((value, count))
+    return terms, unsplit
+
+
+def _fsum_split(terms: Iterable[float], unsplit: Iterable[tuple[float, int]]) -> float:
+    """``fsum`` of ``terms`` and of each unsplit value repeated ``count`` times."""
+    return math.fsum(chain(terms, *(repeat(value, count) for value, count in unsplit)))
+
+
+def counted_fsum(pairs: Iterable[tuple[float, int]]) -> float:
+    """``math.fsum`` of the multiset that holds each value as often as its
+    count, bit for bit, from at most two terms per distinct value that
+    ``_split`` can split: ``fsum`` rounds the exact sum of its terms
+    correctly (Shewchuk, Discrete Comput. Geom. 18, 1997), so any terms with
+    that exact sum give its bits."""
+    return _fsum_split(*_split(pairs))
 
 
 class ValueCounts:
     """A multiset of floats as each distinct value's count, whose variance
     with one more value costs a term or two per distinct value, not one per
     value: ``variance_with(x)`` is ``variance`` of the values plus ``x``, bit
-    for bit. Its mean and the sum of its squared deviations are
-    ``counted_fsum``'s, so each has the bits of ``fsum`` over every value,
-    and each distinct value's deviation is squared once, by Python's ``**``,
-    as ``variance`` squares it."""
+    for bit. Its mean sums ``_split``'s terms of the values, kept until the
+    next ``add``, and ``x``; each distinct value's deviation from it is
+    squared once, by Python's ``**`` as ``variance`` squares it, and the
+    squares are summed as ``counted_fsum`` sums them, those of values that
+    occur once directly. Each ``x``'s variance is kept until the next
+    ``add``: ranked candidates share their token counts."""
 
     def __init__(self):
         self.counts: Counter[float] = Counter()
         self.size = 0
+        self._held: tuple | None = None  # lists and pairs only: each call reads them anew
+        self._variances: dict[float, float] = {}
 
     def add(self, value: float) -> None:
         self.counts[value] += 1
         self.size += 1
+        self._held = None
+        self._variances = {}
 
     def variance_with(self, extra: float) -> float:
+        variance = self._variances.get(extra)
+        if variance is None:
+            variance = self._variances[extra] = self._variance_with(extra)
+        return variance
+
+    def _variance_with(self, extra: float) -> float:
+        if self._held is None:
+            pairs = list(self.counts.items())
+            self._held = ([v for v, count in pairs if count == 1],
+                          [(v, count) for v, count in pairs if count != 1],
+                          *_split(pairs))
+        singles, others, terms, unsplit = self._held
         n = self.size + 1
-        pairs = [*self.counts.items(), (extra, 1)]
-        mean = counted_fsum(pairs) / n
-        return counted_fsum([((v - mean) ** 2, count) for v, count in pairs]) / n
+        mean = _fsum_split([*terms, extra], unsplit) / n
+        squares = [(v - mean) ** 2 for v in singles]
+        squares.append((extra - mean) ** 2)
+        more, unsplit = _split([((v - mean) ** 2, count) for v, count in others])
+        return _fsum_split(squares + more, unsplit) / n

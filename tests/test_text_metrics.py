@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divgen.fixtures import repetitive_corpus, varied_corpus
 from divgen.metrics.text import (
@@ -263,12 +263,16 @@ _values = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_values)
+@example([math.inf, math.inf, 1.0, 7.0])  # values past _SPLIT_MAX are repeated, not split
+@example([-math.inf, -math.inf, 1.0, 7.0])
+@example([math.nan, math.nan, 1.0, 7.0])
 def test_the_grouped_variance_is_variance_bit_for_bit(values):
     *held, extra = values
     counts = ValueCounts()
     for size in range(len(values)):  # each prefix, as values arrive one by one
-        assert sum_or_error(lambda: counts.variance_with(extra)) == \
-            sum_or_error(lambda: variance([*held[:size], extra]))
+        for x in (extra, -extra):  # a second call sums every value again
+            assert sum_or_error(lambda: counts.variance_with(x)) == \
+                sum_or_error(lambda: variance([*held[:size], x]))
         if size < len(held):
             counts.add(held[size])
 
@@ -287,16 +291,3 @@ def test_the_grouped_variance_squares_as_variance_does(deviation, copies):
     for value in held:
         counts.add(value)
     assert counts.variance_with(0.0).hex() == variance([*held, 0.0]).hex()
-
-
-
-@pytest.mark.parametrize("repeated", [math.inf, -math.inf, math.nan])
-def test_the_grouped_variance_sums_unsplit_values_for_each_extra_value(repeated):
-    # a value past _SPLIT_MAX is summed by repeating it; each call, with any
-    # extra value, must sum its copies again
-    held = [repeated, repeated, 1.0]
-    counts = ValueCounts()
-    for value in held:
-        counts.add(value)
-    for extra in (7.0, -2.5, 7.0):
-        assert counts.variance_with(extra).hex() == variance([*held, extra]).hex()
