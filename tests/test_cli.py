@@ -647,6 +647,22 @@ def test_evaluate_mismatched_ids_is_usage_error(tmp_path):
     assert run(["evaluate", a, b, "--out", str(tmp_path / "o.json")]) == 2
 
 
+def test_evaluate_golden_digest(tmp_path):
+    # Pins the bytes of the paired comparison: overall accuracies, discordant
+    # counts and McNemar p, and the Holm-corrected rows of four categories
+    # (one of them the rows that name none).
+    rows_a = [{"id": f"i{k}", "correct": k % 4 != 0, "category": ["x", "y", "z", ""][k % 7 % 4]}
+              for k in range(40)]
+    rows_b = [{"id": f"i{k}", "correct": k % 5 < 2 or k % 7 == 3} for k in range(40)]
+    a = _write_labels(tmp_path / "a.jsonl", rows_a)
+    b = _write_labels(tmp_path / "b.jsonl", rows_b)
+    out = tmp_path / "eval.json"
+    assert run(["evaluate", a, b, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["categories"]) == 4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4194de72be18e242fbaca176a9c2a2b7ca69f6cf9ef17c1496693a0e15375721")
+
+
 def test_preprocess_fixture_group_count(tmp_path):
     out = tmp_path / "artifact.json"
     assert run(["preprocess", fixture_library_path(), "--seed", "1",
