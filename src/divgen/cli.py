@@ -59,7 +59,7 @@ def load_config(path: str | None, seed: int | None = None,
     try:
         config = RunConfig.from_file(path) if path else RunConfig.from_dict(
             {} if stored is None else stored)
-    except (OSError, json.JSONDecodeError, ModelError) as exc:
+    except (OSError, ModelError) as exc:
         raise UsageError(f"cannot load config: {exc}") from exc
     if seed is not None:
         config.rng_seed = seed
@@ -120,7 +120,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     embedder = make_embedder(config)
     check_reachable_types(config, graph)  # before the log file is opened
     engine = GenerationEngine(library, groups, pools, graph, config, chat, embedder, args.out)
-    if args.resume and not engine.checkpoint_path.exists():
+    if args.resume and not engine.checkpoint_path.is_file():
         raise UsageError("nothing to resume: no checkpoint next to the output file")
     if args.log:
         if args.resume:
@@ -145,7 +145,7 @@ def _read_corpus(path: str) -> tuple[list[str], list[GeneratedExample] | None]:
     if p.suffix == ".json":
         try:
             data = json.loads(p.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
             raise UsageError(f"cannot read {p}: {exc}") from exc
         if not isinstance(data, list):
             raise UsageError(f"{p}: expected a JSON array of queries")
@@ -204,7 +204,7 @@ def _labels_from_file(path: str) -> tuple[list[str], list[bool], list[str] | Non
     ids: list[str] = []
     labels: list[bool] = []
     categories: list[str] = []
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(p.read_bytes().splitlines(), 1):  # json.loads decodes each
         if not line.strip():
             continue
         try:
@@ -216,7 +216,7 @@ def _labels_from_file(path: str) -> tuple[list[str], list[bool], list[str] | Non
                 raise ValueError(f"'correct' is {row['correct']!r}, not true or false")
             labels.append(row["correct"])
             categories.append(str(row.get("category", "")))
-        except (ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        except (ValueError, KeyError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
             raise UsageError(f"{p}: line {lineno}: {exc}") from exc
     if not ids:
         raise UsageError(f"{p}: holds no label row")

@@ -176,13 +176,34 @@ class GenerationEngine:
 
     def _read_checkpoint(self) -> tuple[dict[str, Any], list[GeneratedExample]]:
         """The checkpoint and the examples of the dataset prefix it records,
-        checked (config digest, trackers, then prefix) before any file is touched."""
-        doc = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        if doc["config_digest"] != self.config_digest:
-            raise ModelError("checkpoint was produced under a different configuration")
-        trackers = doc["trackers"]
-        if not (isinstance(trackers, dict) and all(isinstance(t, list) for t in trackers.values())):
-            raise ModelError("the checkpoint's trackers must be an object of arrays")
+        checked (config digest, entries, then prefix) before any file is touched.
+        Trackers must be an object of arrays, counts and sizes ints of 0 or more (the
+        log's may be null), the guidance a string and the RNG state one ``setstate``
+        takes, or ModelError names the checkpoint; an odd ``rows_bytes`` or
+        ``components`` only empties the rows store or rebuilds a group's clusters."""
+        path = self.checkpoint_path
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            if doc["config_digest"] != self.config_digest:
+                raise ValueError("checkpoint was produced under a different configuration")
+            trackers = doc["trackers"]
+            if not (isinstance(trackers, dict)
+                    and all(isinstance(t, list) for t in trackers.values())):
+                raise ValueError("the checkpoint's trackers must be an object of arrays")
+            for key in ("accepted", "attempts", "dataset_bytes", "log_bytes"):
+                value = doc[key]
+                if not (type(value) is int and value >= 0 or key == "log_bytes" and value is None):
+                    raise ValueError(f"{key} is {value!r}, not a count")
+            if not isinstance(doc["guidance"], str):
+                raise ValueError(f"guidance is {doc['guidance']!r}, not a string")
+            version, internal, gauss = doc["rng_state"]
+            random.Random().setstate((version, tuple(internal), gauss))
+        except KeyError as exc:
+            raise ModelError(f"{path}: no {exc} entry") from exc
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ModelError(f"{path}: {exc}") from exc
         size = doc["dataset_bytes"]
         if self.out_path.stat().st_size < size:
             raise ModelError("dataset is shorter than the checkpoint records")

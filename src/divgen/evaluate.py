@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -151,11 +152,9 @@ def compare_linguistic_diversity(
     rep_a = analyze_corpus(corpus_a, embedder, seed, label_a)
     rep_b = analyze_corpus(corpus_b, embedder, seed, label_b)
     report = DiversityReport(label_a=label_a, label_b=label_b, seed=seed)
-    for metric in REPORT_METRICS:
-        a = rep_a.row(metric)
-        b = rep_b.row(metric)
+    for a, b in zip(rep_a.rows, rep_b.rows):  # both in REPORT_METRICS order
         sig, direction = significance(a.score_a, a.std_a, b.score_a, b.std_a)
-        report.rows.append(MetricRow(metric, a.score_a, a.std_a,
+        report.rows.append(MetricRow(a.metric, a.score_a, a.std_a,
                                      b.score_a, b.std_a, sig, direction))
     return report
 
@@ -216,19 +215,17 @@ def compare_argument_diversity(
     names_a = {fn.name for fn in library_a}
     merged += [fn for fn in library_b if fn.name not in names_a]
     groups = group_parameters(merged, embedder, threshold)
-    values_a = collect_group_values(examples_a, groups)
-    values_b = collect_group_values(examples_b, groups)
-    freq_a = value_frequencies(values_a)
-    freq_b = value_frequencies(values_b)
+    datasets = [collect_group_values(examples, groups) for examples in (examples_a, examples_b)]
+    tables = [value_frequencies(values) for values in datasets]
     matched = [group for group in groups.groups
                if group.category in (ParamCategory.NUMERICAL, ParamCategory.STRING)
-               and len(values_a.get(group.id, [])) >= GROUP_MIN_OCCURRENCES
-               and len(values_b.get(group.id, [])) >= GROUP_MIN_OCCURRENCES]
+               and all(len(values.get(group.id, [])) >= GROUP_MIN_OCCURRENCES
+                       for values in datasets)]
     for group in matched:
         numerical = group.category is ParamCategory.NUMERICAL
         admit = numeric_value if numerical else text_value
         problem = "is not a finite number" if numerical else "has no word token"
-        for label, values in (("A", values_a), ("B", values_b)):
+        for label, values in zip("AB", datasets):
             for value in values[group.id]:
                 try:
                     admit(value)
@@ -238,43 +235,31 @@ def compare_argument_diversity(
     rng = random.Random(seed)
     positions = list(range(GROUP_SAMPLE_SIZE))
     rows: list[dict[str, Any]] = []
-    sums = {"ncd_a": 0.0, "ncd_b": 0.0, "ce_a": 0.0, "ce_b": 0.0}
     for group in matched:
-        sample_a = rng.sample(values_a[group.id], GROUP_SAMPLE_SIZE)
-        sample_b = rng.sample(values_b[group.id], GROUP_SAMPLE_SIZE)
+        samples = [rng.sample(values[group.id], GROUP_SAMPLE_SIZE) for values in datasets]
         category = group.category.value
-        ncd_a, ncd_b = (ncd_over_indices([str(v) for v in s]) for s in (sample_a, sample_b))
-        ce_a, ce_b = (value_entropy_over_indices(s, category, embedder)
-                      for s in (sample_a, sample_b))
-        row = {
-            "group": group.id,
-            "category": category,
-            "members": [f"{fn}.{pn}" for fn, pn in group.members],
-            "frequencies_a": freq_a.get(group.id, {}),
-            "frequencies_b": freq_b.get(group.id, {}),
-            "ncd_a": ncd_a(positions),
-            "ncd_b": ncd_b(positions),
-            "ncd_std_a": bootstrap_std(positions, ncd_a, seed=seed + 1),
-            "ncd_std_b": bootstrap_std(positions, ncd_b, seed=seed + 2),
-            "ce_a": ce_a(positions),
-            "ce_b": ce_b(positions),
-            "ce_std_a": bootstrap_std(positions, ce_a, seed=seed + 3),
-            "ce_std_b": bootstrap_std(positions, ce_b, seed=seed + 4),
-        }
-        ncd_sig, ncd_dir = significance(row["ncd_a"], row["ncd_std_a"],
-                                        row["ncd_b"], row["ncd_std_b"])
-        ce_sig, ce_dir = significance(row["ce_a"], row["ce_std_a"],
-                                      row["ce_b"], row["ce_std_b"])
-        row["ncd_significant"], row["ncd_direction"] = ncd_sig, ncd_dir
-        row["ce_significant"], row["ce_direction"] = ce_sig, ce_dir
-        rows.append(row)
-        for key in sums:
-            sums[key] += row[key]
+        row = {"group": group.id, "category": category,
+               "members": [f"{fn}.{pn}" for fn, pn in group.members],
+               "frequencies_a": tables[0][group.id], "frequencies_b": tables[1][group.id]}
+        verdicts: dict[str, Any] = {}
+        seeds = iter(range(seed + 1, seed + 5))  # ncd A, ncd B, ce A, ce B
+        # each scorer is looked up by its module name at each call
+        for column, scorer in (("ncd", lambda s: ncd_over_indices([str(v) for v in s])),
+                               ("ce", lambda s: value_entropy_over_indices(s, category, embedder))):
+            scores = [scorer(sample) for sample in samples]
+            a, b = (score(positions) for score in scores)
+            std_a, std_b = (bootstrap_std(positions, score, seed=next(seeds)) for score in scores)
+            row |= {f"{column}_a": a, f"{column}_b": b,
+                    f"{column}_std_a": std_a, f"{column}_std_b": std_b}
+            (verdicts[f"{column}_significant"],
+             verdicts[f"{column}_direction"]) = significance(a, std_a, b, std_b)
+        rows.append(row | verdicts)
 
     result: dict[str, Any] = {"groups": rows, "seed": seed}
     if rows:
-        n = len(rows)
-        result["average"] = {k: v / n for k, v in sums.items()}
+        # plain running sums in row order; sum() compensates float sums from Python 3.12
+        result["average"] = {key: functools.reduce(operator.add, (row[key] for row in rows), 0.0)
+                             / len(rows) for key in ("ncd_a", "ncd_b", "ce_a", "ce_b")}
     else:
         result["warning"] = ("no parameter group appears at least"
                              f" {GROUP_MIN_OCCURRENCES} times in both datasets")
@@ -327,39 +312,21 @@ def paired_model_comparison(
     if n == 0:
         raise ValueError("label vectors must be non-empty")
 
-    def counts(idx: Sequence[int]) -> tuple[int, int]:
+    def summary(idx: Sequence[int]) -> dict[str, Any]:
         b = sum(1 for i in idx if labels_a[i] and not labels_b[i])
         c = sum(1 for i in idx if not labels_a[i] and labels_b[i])
-        return b, c
+        return {"accuracy_a": sum(1 for i in idx if labels_a[i]) / len(idx),
+                "accuracy_b": sum(1 for i in idx if labels_b[i]) / len(idx),
+                "b": b, "c": c, "p_value": mcnemar(b, c)}
 
-    all_idx = list(range(n))
-    b, c = counts(all_idx)
-    result: dict[str, Any] = {
-        "accuracy_a": sum(map(bool, labels_a)) / n,
-        "accuracy_b": sum(map(bool, labels_b)) / n,
-        "b": b,
-        "c": c,
-        "p_value": mcnemar(b, c),
-    }
+    result = summary(range(n))
     result["significant"] = result["p_value"] < alpha
     if categories is not None:
         if len(categories) != n:
             raise ValueError("categories must align with labels")
-        per_cat: list[dict[str, Any]] = []
-        cat_names = sorted(set(categories))
-        pvalues = []
-        for cat in cat_names:
-            idx = [i for i in all_idx if categories[i] == cat]
-            cb, cc = counts(idx)
-            p = mcnemar(cb, cc)
-            pvalues.append(p)
-            per_cat.append({
-                "category": cat,
-                "accuracy_a": sum(1 for i in idx if labels_a[i]) / len(idx),
-                "accuracy_b": sum(1 for i in idx if labels_b[i]) / len(idx),
-                "b": cb, "c": cc, "p_value": p,
-            })
-        for row, rej in zip(per_cat, holm_bonferroni(pvalues, alpha)):
-            row["significant"] = rej
-        result["categories"] = per_cat
+        rows = [{"category": cat, **summary([i for i in range(n) if categories[i] == cat])}
+                for cat in sorted(set(categories))]
+        for row, rejected in zip(rows, holm_bonferroni([row["p_value"] for row in rows], alpha)):
+            row["significant"] = rejected
+        result["categories"] = rows
     return result

@@ -350,7 +350,11 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
+                raise ModelError(f"cannot parse {path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +469,7 @@ def load_function_library(path: str | Path) -> list[FunctionSchema]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
             raise ModelError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ModelError(f"{path}: library must be a JSON array of function definitions")
@@ -506,6 +510,6 @@ def read_dataset(path: str | Path, size: int | None = None) -> list[GeneratedExa
         try:
             record = json.loads(line)
             out.append(GeneratedExample.from_dict(record))
-        except (ModelError, KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:  # ModelError is a ValueError
             raise ModelError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -541,5 +541,5 @@ def read_artifact(path: str | Path) -> tuple[list[FunctionSchema], GroupIndex, A
         return library, groups, pools, graph, doc.get("config", {})
     except KeyError as exc:
         raise ModelError(f"cannot read artifact {path}: no {exc} entry") from exc
-    except (TypeError, ValueError) as exc:  # JSONDecodeError and ModelError are ValueErrors
+    except (TypeError, ValueError, RecursionError) as exc:  # ModelError is a ValueError
         raise ModelError(f"cannot read artifact {path}: {exc}") from exc

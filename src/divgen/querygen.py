@@ -270,10 +270,8 @@ class QueryGenerator:
         pool_round: dict[str, int] = {}
         best: str | None = None
         best_ranks: dict[str, int] = {}
-        rounds_run = 0
 
         for round_no in range(1, self.config.rounds + 1):
-            rounds_run = round_no
             attempts = "\n".join(attempts_log) if attempts_log else "None"
             try:
                 out = self.client.call(sig, {**fields, "dataset_guidance": guidance_text,
@@ -315,6 +313,6 @@ class QueryGenerator:
             round_found=pool_round[best],
             judge_reasoning=pool_reasons[best],
             per_metric_ranks=best_ranks,
-            rounds_run=rounds_run,
+            rounds_run=self.config.rounds,
             pool_size=len(pool_reasons),
         )

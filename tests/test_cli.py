@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import operator
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -620,6 +621,17 @@ def test_evaluate_refuses_a_malformed_label_line(tmp_path, capsys, row, problem)
     assert f"{a}: line 2: {problem}" in capsys.readouterr().err
 
 
+def test_evaluate_refuses_a_label_file_that_is_not_utf8(tmp_path, capsys):
+    a = _write_labels(tmp_path / "a.jsonl", [{"id": "1", "correct": True}])
+    b = tmp_path / "b.jsonl"
+    b.write_bytes('{"id": "1", "correct": true}\n{"id": "caf\u00e9", "correct": true}\n'
+                  .encode("latin-1"))
+    out = tmp_path / "o.json"
+    assert run(["evaluate", a, str(b), "--out", str(out)]) == 2
+    assert f"error: {b}: line 2: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_refuses_empty_label_files(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     a.write_text("")
@@ -813,6 +825,16 @@ def test_a_directory_given_as_the_input_file_is_usage_error(tmp_path, capsys, co
     assert [p.name for p in tmp_path.iterdir()] == ["input.json"]
 
 
+def test_a_directory_in_place_of_the_checkpoint_is_nothing_to_resume(tmp_path, capsys):
+    art, out = tmp_path / "art.json", tmp_path / "ds.jsonl"
+    assert run(["preprocess", fixture_library_path(), "--out", str(art)]) == 0
+    (tmp_path / "ds.jsonl.checkpoint").mkdir()
+    assert run(["generate", str(art), "--n", "1", "--resume", "--out", str(out),
+                "--log", str(tmp_path / "run.log")]) == 2
+    assert "error: nothing to resume: no checkpoint next to the output file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["art.json", "ds.jsonl.checkpoint"]
+
+
 @pytest.mark.parametrize("flag", ["--library-a", "--library-b"])
 def test_compare_with_one_library_is_usage_error(tmp_path, capsys, flag):
     a = _write_corpus(tmp_path / "a.json", varied_corpus()[:10])
@@ -895,17 +917,18 @@ def _paths(doc, above=()):
 
 
 @st.composite
-def mutated(draw, doc):
-    """A copy of ``doc`` with 1-3 values anywhere in it replaced by odd ones
-    or deleted."""
+def mutated(draw, doc, reach=_paths, odd=_ODD_VALUES):
+    """A copy of ``doc`` with 1-3 values replaced by ``odd`` ones or deleted,
+    each at one of the key paths ``reach`` gives of the copy so far (by default
+    anywhere in it)."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
-        paths = list(_paths(doc))
+        paths = list(reach(doc))
         if not paths:  # every value deleted: nothing left to replace
             break
         *above, key = draw(st.sampled_from(paths))
         parent = functools.reduce(operator.getitem, above, doc)
-        value = draw(_ODD_VALUES)
+        value = draw(odd)
         if value is _DELETE:
             del parent[key]
         else:
@@ -931,6 +954,7 @@ def _exits_0_or_2(argv, *outputs):
     assert code in (0, 2) and "failure:" not in err.getvalue(), (code, err.getvalue())
     if code == 2:
         assert not any(path.exists() for path in outputs)
+    return code
 
 
 @settings(max_examples=200, deadline=None)
@@ -1000,3 +1024,93 @@ def test_a_malformed_dataset_exits_0_or_2(fuzz_inputs, seed_11_dataset, data):
         out.unlink(missing_ok=True)
         _exits_0_or_2(["compare", str(bad), str(seed_11_dataset), "--library-a", lib,
                        "--library-b", lib, "--out", str(out)], out)
+
+
+@pytest.fixture(scope="module")
+def resumable_run(tmp_path_factory):
+    """A folder with the seed-7 fixture artifact and a 3-example run of it: the
+    dataset ``ds.jsonl``, its rows store and checkpoint, and ``run.log``."""
+    work = tmp_path_factory.mktemp("resumable")
+    assert run(["preprocess", fixture_library_path(), "--seed", "7",
+                "--out", str(work / "art.json")]) == 0
+    assert run(["generate", str(work / "art.json"), "--n", "3", "--out", str(work / "ds.jsonl"),
+                "--log", str(work / "run.log")]) == 0
+    return work
+
+
+def _checkpoint_entries(doc):
+    """Each top-level entry of a checkpoint, each part of its RNG state, and the
+    first and last (the position) of the state's words."""
+    state = doc.get("rng_state")
+    inside = [(i,) for i in range(len(state))] if isinstance(state, list) else []
+    if len(inside) == 3 and isinstance(state[1], list) and state[1]:
+        inside += [(1, 0), (1, len(state[1]) - 1)]
+    return [(key,) for key in doc] + [("rng_state", *path) for path in inside]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_malformed_checkpoint_exits_0_or_2(resumable_run, data):
+    checkpoint = json.loads((resumable_run / "ds.jsonl.checkpoint").read_text(encoding="utf-8"))
+    odd = st.sampled_from([None, True, -1, "", [], {}, 1e308, "x", 10**30, 3.5, _DELETE])
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(shutil.copytree(resumable_run, Path(tmp) / "run"))
+        (work / "ds.jsonl.checkpoint").write_text(
+            json.dumps(data.draw(mutated(checkpoint, _checkpoint_entries, odd))), encoding="utf-8")
+        kept = {name: (work / name).read_bytes()
+                for name in ("ds.jsonl", "ds.jsonl.rows", "run.log")}
+        code = _exits_0_or_2(["generate", str(work / "art.json"), "--n", "4", "--resume",
+                              "--out", str(work / "ds.jsonl"), "--log", str(work / "run.log")])
+        if code == 2:
+            assert {name: (work / name).read_bytes() for name in kept} == kept
+
+
+@pytest.mark.parametrize("key", ["accepted", "attempts", "dataset_bytes", "log_bytes"])
+def test_a_checkpoint_count_of_true_is_refused_untouched(resumable_run, tmp_path, capsys, key):
+    # true is a JSON boolean, not a count, though Python's True equals 1
+    work = Path(shutil.copytree(resumable_run, tmp_path / "run"))
+    checkpoint = work / "ds.jsonl.checkpoint"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    checkpoint.write_text(json.dumps({**doc, key: True}), encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in work.iterdir()}
+    assert run(["generate", str(work / "art.json"), "--n", "4", "--resume",
+                "--out", str(work / "ds.jsonl"), "--log", str(work / "run.log")]) == 2
+    assert f"error: {checkpoint}: {key} is True, not a count" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in work.iterdir()} == before
+
+
+@pytest.mark.parametrize("kind", ["library", "config", "artifact", "checkpoint", "dataset",
+                                   "queries", "labels"])
+def test_input_nested_deeper_than_the_parser_goes_exits_2(tmp_path, capsys, kind):
+    # json.dumps recurses as the parser does, so the text is written by hand
+    lib, art, out = fixture_library_path(), tmp_path / "art.json", tmp_path / "out.jsonl"
+    if kind == "checkpoint":
+        assert run(["preprocess", lib, "--out", str(art)]) == 0
+    name = {"checkpoint": "out.jsonl.checkpoint", "dataset": "ds.jsonl",
+            "labels": "labels.jsonl"}.get(kind, f"{kind}.json")
+    deep = tmp_path / name
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    argv = {
+        "library": ["preprocess", str(deep)],
+        "config": ["preprocess", lib, "--config", str(deep)],
+        "artifact": ["generate", str(deep), "--n", "1", "--log", str(tmp_path / "run.log")],
+        "checkpoint": ["generate", str(art), "--n", "1", "--resume",
+                       "--log", str(tmp_path / "run.log")],
+        "dataset": ["analyze", str(deep)],
+        "queries": ["analyze", str(deep)],
+        "labels": ["evaluate", str(deep), str(deep)],
+    }[kind]
+    before = sorted(tmp_path.iterdir())
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(deep) in err and "failure:" not in err, err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_config_that_is_not_utf8_is_refused_before_any_file(tmp_path, capsys):
+    cfg, art = tmp_path / "cfg.json", tmp_path / "art.json"
+    cfg.write_bytes('{"chat_model": "caf\u00e9"}'.encode("latin-1"))
+    assert run(["preprocess", fixture_library_path(), "--config", str(cfg),
+                "--out", str(art)]) == 2
+    assert f"error: cannot load config: cannot parse {cfg}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
